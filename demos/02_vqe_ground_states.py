@@ -26,7 +26,7 @@ for name, built, qubits in RUNS:
     print(f"--- {name}: {qubits} qubits, depth 3, seed 11")
     print(f"    exact lambda_min  = {lam:.9f}")
     print(f"    VQE energy        = {result.energy:.9f}   (gap {result.energy - lam:.2e})")
-    print(f"    iterations        = {len(result.trace) - 2}, objective evaluations = {result.evaluations}")
+    print(f"    iterations        = {len(result.trace) - 2}, circuit runs = {result.evaluations}")
     print(f"    converged         = {result.converged}")
     print(f"    trace written to  {path}")
     running = result.best_so_far()

@@ -1,9 +1,12 @@
 """Minimal statevector engine and the layered Ry variational form.
 
-States are plain 1-D complex ndarrays of length 2**n.  Qubit 0 is the
-most significant bit of the basis index, matching the tensor-slot
-convention of the basis module (slot 0 = leftmost Kronecker factor).
-Gate functions return new arrays; inputs are never mutated.
+States are plain 1-D ndarrays of length 2**n.  Qubit 0 is the most
+significant bit of the basis index, matching the tensor-slot convention
+of the basis module (slot 0 = leftmost Kronecker factor).  The gate
+functions return new complex arrays and never mutate their inputs.  Ry,
+CZ and CX have real matrices, so the Ry form runs on real (float64)
+states, and ``adjoint_gradient`` differentiates it with one backward
+sweep (Jones & Gacon, arXiv:2009.02823).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "apply_cz",
     "apply_cx",
     "ansatz_state",
+    "adjoint_gradient",
     "expectation",
     "n_qubits_of",
 ]
@@ -50,16 +54,23 @@ def _check_qubit(qubit: int, n: int):
         raise QubitOutOfRangeError(f"qubit {qubit} outside register of {n}")
 
 
+def _ry(psi: np.ndarray, qubit: int, theta: float) -> np.ndarray:
+    """Ry(theta) on ``qubit`` of each state along the last axis of the
+    contiguous array ``psi``, in place."""
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    view = psi.reshape(psi.shape[:-1] + (2 ** qubit, 2, -1))
+    a = view[..., 0, :].copy()
+    b = view[..., 1, :]
+    view[..., 0, :] = c * a - s * b
+    view[..., 1, :] = s * a + c * b
+    return psi
+
+
 def apply_ry(state, qubit: int, theta: float) -> np.ndarray:
     """Rotate one qubit by [[cos t/2, -sin t/2], [sin t/2, cos t/2]]."""
     n = n_qubits_of(state)
     _check_qubit(qubit, n)
-    psi = np.array(state, dtype=np.complex128).reshape(2 ** qubit, 2, -1)
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    a, b = psi[:, 0, :].copy(), psi[:, 1, :].copy()
-    psi[:, 0, :] = c * a - s * b
-    psi[:, 1, :] = s * a + c * b
-    return psi.reshape(-1)
+    return _ry(np.array(state, dtype=np.complex128), qubit, theta)
 
 
 def apply_cz(state, control: int, target: int) -> np.ndarray:
@@ -102,6 +113,32 @@ def _cz_full_layer_signs(n: int) -> np.ndarray:
     return np.where((k * (k - 1) // 2) % 2 == 0, 1.0, -1.0)
 
 
+@lru_cache(maxsize=None)
+def _cx_full_layer_sources(n: int, inverse: bool = False) -> np.ndarray:
+    """Gather indices of the all-pairs CX layer: ``layer(psi) = psi[src]``.
+
+    The pairs act in ascending (control < target) order, as ``apply_cx``
+    one by one would; a CX only permutes amplitudes, so the whole layer is
+    one permutation.  ``inverse`` gives the indices that undo the layer.
+    """
+    idx = np.arange(2 ** n)
+    src = idx
+    for c in range(n - 1):
+        ctrl = ((idx >> (n - 1 - c)) & 1).astype(bool)
+        for t in range(c + 1, n):
+            src = src[np.where(ctrl, idx ^ (1 << (n - 1 - t)), idx)]
+    src = np.argsort(src) if inverse else src
+    src.flags.writeable = False
+    return src
+
+
+def _entangle(psi: np.ndarray, n: int, entangler: str, inverse: bool = False) -> np.ndarray:
+    """The all-pairs entangling layer (or its inverse) on the last axis of ``psi``."""
+    if entangler == "cz":
+        return psi * _cz_full_layer_signs(n)
+    return np.take(psi, _cx_full_layer_sources(n, inverse), axis=-1)
+
+
 @dataclass(frozen=True)
 class AnsatzConfig:
     """Layered Ry form: a rotation layer, then ``depth`` blocks of
@@ -115,7 +152,6 @@ class AnsatzConfig:
     n_qubits: int
     depth: int
     params: np.ndarray
-    entanglement: str = "full"
     entangler: str = "cz"
 
     def __post_init__(self):
@@ -123,8 +159,6 @@ class AnsatzConfig:
             raise InvalidConfigError(
                 f"bad ansatz shape: n_qubits={self.n_qubits}, depth={self.depth}"
             )
-        if self.entanglement != "full":
-            raise InvalidConfigError(f"unsupported entanglement {self.entanglement!r}")
         if self.entangler not in ("cz", "cx"):
             raise InvalidConfigError(f"unsupported entangler {self.entangler!r}")
         p = np.asarray(self.params, dtype=float)
@@ -143,37 +177,44 @@ class AnsatzConfig:
             n_qubits=self.n_qubits,
             depth=self.depth,
             params=np.asarray(params, dtype=float),
-            entanglement=self.entanglement,
             entangler=self.entangler,
         )
 
 
-def _rotation_layer(psi: np.ndarray, n: int, thetas) -> np.ndarray:
-    for q in range(n):
-        half = thetas[q] / 2.0
-        c, s = np.cos(half), np.sin(half)
-        view = psi.reshape(2 ** q, 2, -1)
-        a, b = view[:, 0, :].copy(), view[:, 1, :].copy()
-        view[:, 0, :] = c * a - s * b
-        view[:, 1, :] = s * a + c * b
+def ansatz_state(cfg: AnsatzConfig) -> np.ndarray:
+    """Real (float64) statevector prepared by the ansatz from |0...0>."""
+    n = cfg.n_qubits
+    psi = np.zeros(2 ** n)
+    psi[0] = 1.0
+    for d, thetas in enumerate(cfg.params.reshape(cfg.depth + 1, n)):
+        if d:
+            psi = _entangle(psi, n, cfg.entangler)
+        for q in range(n):
+            _ry(psi, q, thetas[q])
     return psi
 
 
-def ansatz_state(cfg: AnsatzConfig) -> np.ndarray:
-    """Statevector prepared by the ansatz from |0...0>."""
+def adjoint_gradient(cfg: AnsatzConfig, state, h_state) -> np.ndarray:
+    """Gradient of psi^T S psi over ``cfg.params`` by one backward sweep.
+
+    ``state`` is ``ansatz_state(cfg)`` and ``h_state`` is ``S @ state`` for
+    a real symmetric S.  Walking the gates in reverse, the entry of the Ry
+    on qubit q is <lam|A_q|phi> with A = [[0, -1], [1, 0]] (dRy/dt =
+    A Ry / 2), read before that Ry is undone on both phi and lam.
+    """
     n = cfg.n_qubits
     layers = cfg.params.reshape(cfg.depth + 1, n)
-    psi = zero_state(n)
-    psi = _rotation_layer(psi, n, layers[0])
-    for d in range(cfg.depth):
-        if cfg.entangler == "cz":
-            psi = psi * _cz_full_layer_signs(n)
-        else:
-            for c in range(n - 1):
-                for t in range(c + 1, n):
-                    psi = apply_cx(psi, c, t)
-        psi = _rotation_layer(psi, n, layers[d + 1])
-    return psi
+    grad = np.empty_like(layers)
+    pair = np.stack([state, h_state])
+    for d in range(cfg.depth, -1, -1):
+        for q in range(n - 1, -1, -1):
+            view = pair.reshape(2, 2 ** q, 2, -1)
+            grad[d, q] = (np.vdot(view[1, :, 1, :], view[0, :, 0, :])
+                          - np.vdot(view[1, :, 0, :], view[0, :, 1, :]))
+            _ry(pair, q, -layers[d, q])
+        if d:
+            pair = _entangle(pair, n, cfg.entangler, inverse=True)
+    return grad.reshape(-1)
 
 
 def expectation(state, h) -> float:

@@ -108,6 +108,8 @@ def _ansatz_from(cfg, n_qubits) -> AnsatzConfig:
 
 def _optimizer_from(cfg, args) -> vqe_mod.OptimizerSettings:
     o = cfg.get("optimizer", {})
+    # "gradient_step" is accepted so that older configs still parse, and
+    # ignored: the gradient is exact.
     _require_keys(
         o,
         ("max_iter", "seed", "tolerance", "restarts", "gradient_step", "method"),
@@ -125,7 +127,6 @@ def _optimizer_from(cfg, args) -> vqe_mod.OptimizerSettings:
         tolerance=_num(o, "tolerance", "optimizer", default=1e-9, kind=float, minimum=0.0),
         seed=seed,
         restarts=_num(o, "restarts", "optimizer", default=1, kind=int, minimum=1),
-        gradient_step=_num(o, "gradient_step", "optimizer", default=1e-6, kind=float),
         method=method,
     )
 

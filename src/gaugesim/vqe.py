@@ -2,9 +2,13 @@
 
 The objective theta -> <psi(theta)| H |psi(theta)> is smooth, so any local
 smooth minimizer is adequate; the default is SLSQP fed with the exact
-parameter-shift gradient of the Ry form (every parametrized gate is an Ry,
-whose generator has eigenvalues +-1/2, so the +-pi/2 shift rule is exact).
-Runs are deterministic for a fixed seed.
+gradient of the Ry form by adjoint differentiation: one forward and one
+backward sweep through the circuit, equal to the parameter-shift gradient
+(which would take 2P circuit runs for P parameters).  The Ry form prepares
+real states, and for a real psi and a Hermitian H, <psi|H|psi> =
+psi^T Re(H) psi exactly (Im H is antisymmetric), so the objective and its
+gradient run on float64 states against Re(H).  Runs are deterministic for
+a fixed seed.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.optimize
 
-from .circuits import AnsatzConfig, ansatz_state, expectation
+from .circuits import AnsatzConfig, adjoint_gradient, ansatz_state, expectation
 from .errors import DimensionMismatchError, NotHermitianError
 from .hamiltonians import BuiltHamiltonian
 from .operators import is_hermitian
@@ -40,20 +44,16 @@ DEFAULT_SEED = 11
 class OptimizerSettings:
     """Knobs for one minimize run.
 
-    ``gradient`` is "shift" (exact parameter-shift, default) or "fd"
-    (central differences with ``gradient_step``).  ``restarts`` > 1 runs
-    independent seeds seed, seed+1, ... and keeps the best result.
-    ``init`` is "random" (uniform in [-pi, pi], the default) or "zeros";
-    the all-zeros start is a stationary point of some objectives, which is
-    why it is not the default.
+    ``restarts`` > 1 runs independent seeds seed, seed+1, ... and keeps
+    the best result.  ``init`` is "random" (uniform in [-pi, pi], the
+    default) or "zeros"; the all-zeros start is a stationary point of some
+    objectives, which is why it is not the default.
     """
 
     max_iter: int = 600
     tolerance: float = 1e-9
     seed: int = DEFAULT_SEED
     restarts: int = 1
-    gradient: str = "shift"
-    gradient_step: float = 1e-6
     method: str = "SLSQP"
     init: str = "random"
 
@@ -64,8 +64,10 @@ class VqeResult:
 
     ``trace`` holds (iteration, energy) pairs, one per accepted optimizer
     iterate (plus the initial point and the returned optimum);
-    ``trace_evaluations`` gives the cumulative objective-evaluation count
-    when each row was recorded.  ``energy`` equals min(trace energies).
+    ``trace_evaluations`` gives the cumulative count of circuit runs (points
+    at which the state was prepared; the energy and the gradient at one
+    point share a run) when each row was recorded, and ``evaluations`` the
+    total.  ``energy`` equals min(trace energies).
     """
 
     energy: float
@@ -124,34 +126,58 @@ def energy_of(h, ansatz: AnsatzConfig, params) -> float:
     return expectation(ansatz_state(ansatz.with_params(params)), _matrix_of(h))
 
 
-def energy_gradient(h, ansatz: AnsatzConfig, params, mode: str = "shift",
-                    step: float = 1e-6) -> np.ndarray:
-    """Gradient of the ansatz energy.
+def _real_part(m) -> np.ndarray:
+    """The symmetric real part of H as one contiguous float64 matrix.
 
-    "shift": exact parameter-shift rule g_k = (E(+pi/2 e_k) - E(-pi/2 e_k))/2.
-    "fd": central differences with the given step.
+    For an exactly Hermitian H this is Re(H) itself, bit for bit.
     """
-    params = np.asarray(params, dtype=float)
-    grad = np.empty_like(params)
-    if mode == "shift":
-        delta = np.pi / 2.0
-        scale = 0.5
-    elif mode == "fd":
-        delta = step
-        scale = 1.0 / (2.0 * step)
-    else:
-        raise ValueError(f"gradient mode must be 'shift' or 'fd', got {mode!r}")
-    for k in range(len(params)):
-        shifted = params.copy()
-        shifted[k] += delta
-        up = energy_of(h, ansatz, shifted)
-        shifted[k] -= 2 * delta
-        down = energy_of(h, ansatz, shifted)
-        grad[k] = scale * (up - down)
-    return grad
+    return np.ascontiguousarray(0.5 * (m.real + m.real.T))
 
 
-def _single_run(m, ansatz, opt: OptimizerSettings, seed: int):
+class _RealObjective:
+    """Energy and adjoint gradient against a real symmetric matrix.
+
+    Both share the forward state of the last point, so the energy and the
+    gradient at one point cost one circuit run; ``runs`` counts them.
+    """
+
+    def __init__(self, h_real: np.ndarray, ansatz: AnsatzConfig):
+        self.h_real = h_real
+        self.ansatz = ansatz
+        self.runs = 0
+        self._x = None
+
+    def _run(self, x):
+        x = np.asarray(x, dtype=float)
+        if self._x is None or not np.array_equal(x, self._x):
+            self._cfg = self.ansatz.with_params(x)
+            self._psi = ansatz_state(self._cfg)
+            self._h_psi = self.h_real @ self._psi
+            self._energy = float(self._psi @ self._h_psi)
+            self._x = x.copy()
+            self.runs += 1
+
+    def energy(self, x) -> float:
+        self._run(x)
+        return self._energy
+
+    def gradient(self, x) -> np.ndarray:
+        self._run(x)
+        return adjoint_gradient(self._cfg, self._psi, self._h_psi)
+
+
+def energy_gradient(h, ansatz: AnsatzConfig, params) -> np.ndarray:
+    """Exact gradient of the ansatz energy by adjoint differentiation.
+
+    One forward and one backward sweep; equal to the parameter-shift rule
+    g_k = (E(+pi/2 e_k) - E(-pi/2 e_k))/2 up to rounding.  Raises like
+    ``minimize`` for a non-Hermitian H or a register mismatch.
+    """
+    objective = _RealObjective(_real_part(_check_inputs(h, ansatz)), ansatz)
+    return objective.gradient(params)
+
+
+def _single_run(h_real, ansatz, opt: OptimizerSettings, seed: int):
     if opt.init == "zeros":
         x0 = np.zeros(ansatz.n_params)
     elif opt.init == "random":
@@ -159,37 +185,27 @@ def _single_run(m, ansatz, opt: OptimizerSettings, seed: int):
     else:
         raise ValueError(f"init must be 'random' or 'zeros', got {opt.init!r}")
 
-    evals = [0]
-
-    def objective(x):
-        evals[0] += 1
-        return expectation(ansatz_state(ansatz.with_params(x)), m)
-
-    def jac(x):
-        if opt.gradient == "shift":
-            return energy_gradient(m, ansatz, x, mode="shift")
-        return energy_gradient(m, ansatz, x, mode="fd", step=opt.gradient_step)
-
-    trace = [(0, objective(x0))]
+    f = _RealObjective(h_real, ansatz)
+    trace = [(0, f.energy(x0))]
     trace_x = [x0.copy()]
-    trace_evals = [evals[0]]
+    trace_evals = [f.runs]
 
     def callback(xk, *unused):
-        trace.append((len(trace), objective(xk)))
+        trace.append((len(trace), f.energy(xk)))
         trace_x.append(np.array(xk, dtype=float))
-        trace_evals.append(evals[0])
+        trace_evals.append(f.runs)
 
     res = scipy.optimize.minimize(
-        objective,
+        f.energy,
         x0,
-        jac=jac,
+        jac=f.gradient,
         method=opt.method,
         callback=callback,
         options={"maxiter": opt.max_iter, "ftol": opt.tolerance},
     )
-    trace.append((len(trace), objective(res.x)))
+    trace.append((len(trace), f.energy(res.x)))
     trace_x.append(np.array(res.x, dtype=float))
-    trace_evals.append(evals[0])
+    trace_evals.append(f.runs)
 
     energies = np.array([e for _, e in trace])
     k_best = int(np.argmin(energies))
@@ -200,7 +216,7 @@ def _single_run(m, ansatz, opt: OptimizerSettings, seed: int):
         params=trace_x[k_best],
         trace=trace,
         trace_evaluations=trace_evals,
-        evaluations=evals[0],
+        evaluations=f.runs,
         converged=bool(res.success or settled),
     )
 
@@ -214,11 +230,11 @@ def minimize(h, ansatz: AnsatzConfig, opt: OptimizerSettings | None = None) -> V
     comes back with converged=False.
     """
     opt = opt or OptimizerSettings()
-    m = _check_inputs(h, ansatz)
+    h_real = _real_part(_check_inputs(h, ansatz))
     best = None
     total_evals = 0
     for r in range(max(1, opt.restarts)):
-        run = _single_run(m, ansatz, opt, opt.seed + r)
+        run = _single_run(h_real, ansatz, opt, opt.seed + r)
         total_evals += run.evaluations
         if best is None or run.energy < best.energy:
             best = run

@@ -111,6 +111,23 @@ def test_ansatz_cx_entangler_runs(rng):
     assert abs(np.linalg.norm(ansatz_state(cfg)) - 1.0) < 1e-12
 
 
+def test_ansatz_cx_layer_matches_explicit_gates(rng):
+    # the fused CX permutation equals pairwise CX in ascending (control, target) order
+    params = rng.uniform(-np.pi, np.pi, 12)
+    cfg = AnsatzConfig(n_qubits=4, depth=2, params=params, entangler="cx")
+    psi = zero_state(4)
+    for d, thetas in enumerate(params.reshape(3, 4)):
+        if d:
+            for c in range(3):
+                for t in range(c + 1, 4):
+                    psi = apply_cx(psi, c, t)
+        for q in range(4):
+            psi = apply_ry(psi, q, thetas[q])
+    state = ansatz_state(cfg)
+    assert state.dtype == np.float64
+    np.testing.assert_allclose(state, psi, atol=1e-13)
+
+
 def test_ansatz_config_validation():
     with pytest.raises(InvalidConfigError):
         AnsatzConfig(n_qubits=2, depth=1, params=np.zeros(3))

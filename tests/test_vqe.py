@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gaugesim import circuits, vqe
 from gaugesim.errors import DimensionMismatchError, NotHermitianError
 from gaugesim.hamiltonians import (
     HamiltonianSpec,
@@ -50,26 +51,64 @@ def test_trace_contract(rng):
     assert res.trace_evaluations == sorted(res.trace_evaluations)
 
 
+def shift_gradient(h, ans, x):
+    """Parameter-shift oracle: g_k = (E(x + pi/2 e_k) - E(x - pi/2 e_k)) / 2."""
+    shifts = (np.pi / 2) * np.eye(len(x))
+    return np.array([0.5 * (energy_of(h, ans, x + e) - energy_of(h, ans, x - e)) for e in shifts])
+
+
+def central_difference_gradient(h, ans, x, step=1e-6):
+    """Central-difference oracle with the given step."""
+    shifts = step * np.eye(len(x))
+    return np.array([(energy_of(h, ans, x + e) - energy_of(h, ans, x - e)) / (2 * step)
+                     for e in shifts])
+
+
+@pytest.mark.parametrize("entangler", ["cz", "cx"])
+def test_adjoint_gradient_matches_parameter_shift_oracle(rng, entangler):
+    # complex Hermitian H: the adjoint sweep runs against Re(H) only
+    for n in range(1, 5):
+        for depth in range(4):
+            h = random_hermitian(rng, 2 ** n)
+            assert np.any(h.imag != 0)
+            ans = template(n, depth=depth, entangler=entangler)
+            x = rng.uniform(-np.pi, np.pi, ans.n_params)
+            g = energy_gradient(h, ans, x)
+            assert np.max(np.abs(g - shift_gradient(h, ans, x))) <= 1e-12, (n, depth)
+
+
 def test_gradient_matches_central_difference_oracle(rng):
     h = random_hermitian(rng, 8)
     ans = template(3, depth=2)
     for _ in range(10):
         x = rng.uniform(-np.pi, np.pi, ans.n_params)
-        g = energy_gradient(h, ans, x, mode="shift")
-        oracle = np.array([
-            (energy_of(h, ans, x + 1e-6 * e) - energy_of(h, ans, x - 1e-6 * e)) / 2e-6
-            for e in np.eye(ans.n_params)
-        ])
+        g = energy_gradient(h, ans, x)
+        oracle = central_difference_gradient(h, ans, x)
         assert np.linalg.norm(g - oracle) <= 1e-4 * max(np.linalg.norm(oracle), 1e-9)
 
 
-def test_fd_gradient_mode(rng):
-    h = random_hermitian(rng, 4)
-    ans = template(2, depth=1)
-    x = rng.uniform(-1, 1, ans.n_params)
-    g_fd = energy_gradient(h, ans, x, mode="fd", step=1e-6)
-    g_ps = energy_gradient(h, ans, x, mode="shift")
-    assert np.linalg.norm(g_fd - g_ps) < 1e-7
+def test_gradient_guards():
+    with pytest.raises(NotHermitianError):
+        energy_gradient(np.array([[0.0, 1.0], [0.0, 0.0]]), template(1, depth=0), [0.3])
+    with pytest.raises(DimensionMismatchError):
+        energy_gradient(PAULI["Z"], template(2, depth=0), [0.3, 0.1])
+
+
+def test_evaluations_count_circuit_runs(monkeypatch):
+    # the energy and the gradient at one point, and the trace rows at
+    # points already evaluated, share one circuit run
+    runs = []
+
+    def counted(cfg):
+        runs.append(cfg.params.copy())
+        return circuits.ansatz_state(cfg)
+
+    monkeypatch.setattr(vqe, "ansatz_state", counted)
+    built = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
+    res = minimize(built, template(4, depth=2), OptimizerSettings(seed=3, max_iter=30))
+    assert res.evaluations == len(runs)
+    assert res.trace_evaluations[-1] == res.evaluations
+    assert all(not np.array_equal(a, b) for a, b in zip(runs, runs[1:]))
 
 
 def test_minimize_guards():

@@ -22,6 +22,7 @@ from .errors import (
     NotHermitianError,
     QubitOutOfRangeError,
 )
+from .operators import qubits_of_dim
 
 __all__ = [
     "AnsatzConfig",
@@ -32,15 +33,7 @@ __all__ = [
     "ansatz_state",
     "adjoint_gradient",
     "expectation",
-    "n_qubits_of",
 ]
-
-
-def n_qubits_of(state) -> int:
-    n = int(np.log2(len(state)))
-    if 2 ** n != len(state):
-        raise DimensionMismatchError(f"state length {len(state)} is not a power of two")
-    return n
 
 
 def zero_state(n_qubits: int) -> np.ndarray:
@@ -68,14 +61,14 @@ def _ry(psi: np.ndarray, qubit: int, theta: float) -> np.ndarray:
 
 def apply_ry(state, qubit: int, theta: float) -> np.ndarray:
     """Rotate one qubit by [[cos t/2, -sin t/2], [sin t/2, cos t/2]]."""
-    n = n_qubits_of(state)
+    n = qubits_of_dim(len(state))
     _check_qubit(qubit, n)
     return _ry(np.array(state, dtype=np.complex128), qubit, theta)
 
 
 def apply_cz(state, control: int, target: int) -> np.ndarray:
     """Phase -1 on basis states with both qubits set (symmetric in its args)."""
-    n = n_qubits_of(state)
+    n = qubits_of_dim(len(state))
     _check_qubit(control, n)
     _check_qubit(target, n)
     if control == target:
@@ -89,7 +82,7 @@ def apply_cz(state, control: int, target: int) -> np.ndarray:
 
 def apply_cx(state, control: int, target: int) -> np.ndarray:
     """Flip the target qubit where the control is set."""
-    n = n_qubits_of(state)
+    n = qubits_of_dim(len(state))
     _check_qubit(control, n)
     _check_qubit(target, n)
     if control == target:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
+from typing import Mapping
 
 import numpy as np
 
@@ -17,7 +19,7 @@ from . import vqe as vqe_mod
 from .analytic import wu_yang_series_large, wu_yang_series_small, wu_yang_series_small_prime, wu_yang_solve
 from .basis import pos_grid
 from .circuits import AnsatzConfig
-from .errors import GaugesimError, InvalidConfigError, InvalidSpecError
+from .errors import GaugesimError, InvalidConfigError
 from .evolution import (
     dual_lattice_period,
     transition_series,
@@ -26,67 +28,36 @@ from .evolution import (
     write_transition_csv,
 )
 from .hamiltonians import (
-    BuiltHamiltonian,
+    MAX_QUBITS,
     HamiltonianSpec,
     build,
     build_landau_cartesian_position,
+    read_fields,
+    read_number,
 )
 from .operators import hermitian_eig
 
-_FLOATY = (int, float)
 
-
-def _require_keys(obj, allowed, required, where):
-    if not isinstance(obj, dict):
-        raise InvalidConfigError(f"{where}: expected an object, got {type(obj).__name__}")
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise InvalidConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = set(required) - set(obj)
-    if missing:
-        raise InvalidConfigError(f"{where}: missing keys {sorted(missing)}")
-
-
-def _num(obj, key, where, default=None, kind=float, minimum=None):
-    if key not in obj:
-        return default
-    val = obj[key]
-    if kind is int and not isinstance(val, int):
-        raise InvalidConfigError(f"{where}.{key}: expected an integer, got {val!r}")
-    if kind is float and not isinstance(val, _FLOATY):
-        raise InvalidConfigError(f"{where}.{key}: expected a number, got {val!r}")
-    val = kind(val)
-    if minimum is not None and val < minimum:
-        raise InvalidConfigError(f"{where}.{key}: must be >= {minimum}, got {val}")
-    return val
-
-
-def _load_config(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError as exc:
-        raise InvalidConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise InvalidConfigError("top-level config must be a JSON object")
-    return cfg
+def _load_config(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise InvalidConfigError(f"config is not valid JSON: {exc}") from exc
 
 
 def _hamiltonian_spec(cfg, args) -> HamiltonianSpec:
-    if "hamiltonian" not in cfg:
-        raise InvalidConfigError("config requires a 'hamiltonian' object")
-    ham = dict(cfg["hamiltonian"])
-    if args.variant is not None:
-        name, _, rref = args.variant.partition("=")
-        ham["variant"] = {"ScalarB": float(rref)} if name == "ScalarB" else name
-    try:
-        return HamiltonianSpec.from_json(ham)
-    except GaugesimError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfigError(f"bad hamiltonian spec: {exc}") from exc
+    ham = cfg["hamiltonian"]
+    if args.variant is not None and isinstance(ham, Mapping):
+        name, _, r_ref = args.variant.partition("=")
+        variant = args.variant
+        if name == "ScalarB":
+            try:
+                variant = {"ScalarB": float(r_ref)}
+            except ValueError:
+                raise InvalidConfigError(f"--variant ScalarB=R_REF needs a number, got {r_ref!r}") from None
+        ham = dict(ham, variant=variant)
+    return HamiltonianSpec.from_json(ham)
 
 
 def _output_path(cfg, args) -> str:
@@ -97,38 +68,38 @@ def _output_path(cfg, args) -> str:
 
 
 def _ansatz_from(cfg, n_qubits) -> AnsatzConfig:
-    a = cfg.get("ansatz", {})
-    _require_keys(a, ("depth", "entangler"), (), "ansatz")
-    depth = _num(a, "depth", "ansatz", default=3, kind=int, minimum=0)
-    entangler = a.get("entangler", "cz")
-    if entangler not in ("cz", "cx"):
-        raise InvalidConfigError(f"ansatz.entangler must be 'cz' or 'cx', got {entangler!r}")
-    return vqe_mod.template(n_qubits, depth, entangler)
+    a = read_fields(cfg.get("ansatz", {}), "ansatz", {"depth": (int, 0), "entangler": ("cz", "cx")})
+    return vqe_mod.template(n_qubits, a.get("depth", 3), a.get("entangler", "cz"))
 
 
 def _optimizer_from(cfg, args) -> vqe_mod.OptimizerSettings:
     o = cfg.get("optimizer", {})
-    # "gradient_step" is accepted so that older configs still parse, and
-    # ignored: the gradient is exact.
-    _require_keys(
-        o,
-        ("max_iter", "seed", "tolerance", "restarts", "gradient_step", "method"),
-        (),
-        "optimizer",
-    )
-    method = o.get("method", "SLSQP")
-    if not isinstance(method, str):
-        raise InvalidConfigError("optimizer.method must be a string")
-    seed = _num(o, "seed", "optimizer", default=vqe_mod.DEFAULT_SEED, kind=int)
-    if args.seed is not None:
-        seed = args.seed
-    return vqe_mod.OptimizerSettings(
-        max_iter=_num(o, "max_iter", "optimizer", default=600, kind=int, minimum=1),
-        tolerance=_num(o, "tolerance", "optimizer", default=1e-9, kind=float, minimum=0.0),
-        seed=seed,
-        restarts=_num(o, "restarts", "optimizer", default=1, kind=int, minimum=1),
-        method=method,
-    )
+    if args.seed is not None and isinstance(o, Mapping):
+        o = dict(o, seed=args.seed)
+    # "gradient_step" and "method" are accepted so that older configs still
+    # parse, and ignored: the gradient is exact and the method is SLSQP.
+    o = read_fields(o, "optimizer", {
+        "max_iter": (int, 1), "seed": (int, 0), "tolerance": (float, 0.0), "restarts": (int, 1),
+        "gradient_step": float, "method": ("SLSQP",),
+    })
+    o.pop("gradient_step", None)
+    o.pop("method", None)
+    return vqe_mod.OptimizerSettings(**o)
+
+
+def _require_finite(values, what):
+    if not np.all(np.isfinite(values)):
+        raise GaugesimError(f"non-finite values in {what}; nothing written")
+
+
+def _write_csv(path, header, *columns):
+    """Numeric columns as CSV, every cell formatted with .17g."""
+    table = np.column_stack(columns)
+    _require_finite(table, path)
+    row = ",".join(["{:.17g}"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(row.format(*cells) for cells in table.tolist())
 
 
 def _say(args, text):
@@ -137,7 +108,7 @@ def _say(args, text):
 
 
 def cmd_spectrum(cfg, args) -> int:
-    _require_keys(cfg, ("hamiltonian", "output"), ("hamiltonian",), "config")
+    read_fields(cfg, "config", {"hamiltonian": None, "output": None}, required=("hamiltonian",))
     spec = _hamiltonian_spec(cfg, args)
     out = _output_path(cfg, args)
     built = build(spec)
@@ -145,16 +116,14 @@ def cmd_spectrum(cfg, args) -> int:
         values = hermitian_eig(built.matrix).values
     else:
         values = np.sort(np.linalg.eigvals(built.matrix).real)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("index,eigenvalue\n")
-        for i, v in enumerate(values):
-            fh.write(f"{i},{v:.17g}\n")
+    _write_csv(out, "index,eigenvalue", np.arange(len(values)), values)
     _say(args, f"lambda_min={values[0]:.9f}")
     return 0
 
 
 def cmd_vqe(cfg, args) -> int:
-    _require_keys(cfg, ("hamiltonian", "ansatz", "optimizer", "output"), ("hamiltonian",), "config")
+    read_fields(cfg, "config", {"hamiltonian": None, "ansatz": None, "optimizer": None, "output": None},
+                required=("hamiltonian",))
     spec = _hamiltonian_spec(cfg, args)
     out = _output_path(cfg, args)
     built = build(spec)
@@ -166,40 +135,36 @@ def cmd_vqe(cfg, args) -> int:
     ansatz = _ansatz_from(cfg, built.qubits)
     opt = _optimizer_from(cfg, args)
     result = vqe_mod.minimize(built, ansatz, opt)
+    _require_finite([e for _, e in result.trace], "the VQE trace")
     vqe_mod.write_trace_csv(result, out)
-    lam = hermitian_eig(built.matrix).values[0]
+    lam = built.lowest_eigenvalue()
     _say(args, f"energy={result.energy:.9f}, lambda_min={lam:.9f}, gap={result.energy - lam:.3e}")
     return 0
 
 
 def cmd_eoh(cfg, args) -> int:
-    _require_keys(
-        cfg, ("hamiltonian", "evolution", "final_states", "output"), ("hamiltonian",), "config"
-    )
+    read_fields(cfg, "config", {"hamiltonian": None, "evolution": None, "final_states": None, "output": None},
+                required=("hamiltonian",))
     spec = _hamiltonian_spec(cfg, args)
     if spec.kind != "LandauCartesian":
         raise InvalidConfigError(
             f"eoh supports kind 'LandauCartesian' (position-basis evolution), got {spec.kind!r}"
         )
     out = _output_path(cfg, args)
-    ev = cfg.get("evolution", {})
-    _require_keys(ev, ("t_max", "t_points", "trotter_steps", "method"), (), "evolution")
-    t_max = _num(ev, "t_max", "evolution", default=1.0, kind=float, minimum=0.0)
-    t_points = _num(ev, "t_points", "evolution", default=11, kind=int, minimum=1)
-    steps = _num(ev, "trotter_steps", "evolution", default=100, kind=int, minimum=1)
+    ev = read_fields(cfg.get("evolution", {}), "evolution", {
+        "t_max": (float, 0.0), "t_points": (int, 1), "trotter_steps": (int, 1),
+        "method": ("Both", "Exact", "Trotter"),
+    })
     method = ev.get("method", "Both")
-    if method not in ("Both", "Exact", "Trotter"):
-        raise InvalidConfigError(f"evolution.method must be Both/Exact/Trotter, got {method!r}")
 
     built = build_landau_cartesian_position(spec)
-    n = spec.resolved().boson_trunc
+    n = spec.boson_trunc
     finals = cfg.get("final_states", "all")
     if finals != "all":
-        if not (isinstance(finals, list) and all(isinstance(k, int) for k in finals)):
-            raise InvalidConfigError("final_states must be 'all' or a list of basis indices")
-        if any(not 0 <= k < built.dim for k in finals):
-            raise InvalidConfigError("final_states index outside the register")
-        basis_vectors = [np.eye(built.dim)[:, k] for k in finals]
+        if not (isinstance(finals, list) and finals):
+            raise InvalidConfigError("final_states must be 'all' or a non-empty list of basis indices")
+        basis_vectors = [np.eye(built.dim)[:, read_number(k, "final_states[]", int, 0, built.dim - 1)]
+                         for k in finals]
     else:
         basis_vectors = "all"
 
@@ -208,15 +173,17 @@ def cmd_eoh(cfg, args) -> int:
     centre = (n // 2) * n + (n // 2)
     psi_i = np.zeros(built.dim, dtype=complex)
     psi_i[centre] = 1.0
-    ts = np.linspace(0.0, t_max, t_points)
+    ts = np.linspace(0.0, ev.get("t_max", 1.0), ev.get("t_points", 11))
 
     series = {}
     if method in ("Both", "Exact"):
         series["exact"] = transition_series(built, psi_i, basis_vectors, ts, method="exact")
     if method in ("Both", "Trotter"):
         series["trotter"] = transition_series(
-            built, psi_i, basis_vectors, ts, method="trotter", trotter_steps=steps
+            built, psi_i, basis_vectors, ts, method="trotter", trotter_steps=ev.get("trotter_steps", 100)
         )
+    for s in series.values():
+        _require_finite(s.amplitudes, "the transition amplitudes")
     paths = {}
     stem, dot, ext = out.rpartition(".")
     for name, s in series.items():
@@ -233,31 +200,26 @@ def cmd_eoh(cfg, args) -> int:
 
 
 def cmd_scatter(cfg, args) -> int:
-    _require_keys(cfg, ("scatter", "output"), ("scatter",), "config")
-    sc = cfg["scatter"]
-    _require_keys(sc, ("qubits", "p1", "p3", "p2_scan"), ("p1", "p3"), "scatter")
-    qubits = _num(sc, "qubits", "scatter", default=4, kind=int, minimum=1)
-    n = 2 ** qubits
-    p1 = _num(sc, "p1", "scatter", kind=int)
-    p3 = _num(sc, "p3", "scatter", kind=int)
+    read_fields(cfg, "config", {"scatter": None, "output": None}, required=("scatter",))
+    sc = read_fields(cfg["scatter"], "scatter", {
+        "qubits": (int, 1, MAX_QUBITS), "p1": int, "p3": int, "p2_scan": None,
+    }, required=("p1", "p3"))
+    n = 2 ** sc.get("qubits", 4)
+    p1, p3 = sc["p1"], sc["p3"]
     if not (0 <= p1 < n and 0 <= p3 < n):
         raise InvalidConfigError(f"p1/p3 must index the {n}-state momentum grid")
     out = _output_path(cfg, args)
 
-    scan = sc.get("p2_scan", {})
-    _require_keys(scan, ("min", "max", "points"), (), "scatter.p2_scan")
+    scan = read_fields(sc.get("p2_scan", {}), "scatter.p2_scan",
+                       {"min": float, "max": float, "points": (int, 2)})
     period = dual_lattice_period(n)
-    lo = _num(scan, "min", "p2_scan", default=-period / 2.0, kind=float)
-    hi = _num(scan, "max", "p2_scan", default=period / 2.0, kind=float)
-    points = _num(scan, "points", "p2_scan", default=16 * n, kind=int, minimum=2)
+    lo = scan.get("min", -period / 2.0)
+    hi = scan.get("max", period / 2.0)
     if hi <= lo:
         raise InvalidConfigError("p2_scan.max must exceed p2_scan.min")
-    p2s = np.linspace(lo, hi, points, endpoint=False)
+    p2s = np.linspace(lo, hi, scan.get("points", 16 * n), endpoint=False)
     amps = vertex_scan(p1, p3, n, p2s)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("p2,abs_amplitude\n")
-        for p2, a in zip(p2s, amps):
-            fh.write(f"{p2:.17g},{a:.17g}\n")
+    _write_csv(out, "p2,abs_amplitude", p2s, amps)
     grid = pos_grid(n)
     predicted = float(grid[p3] - grid[p1])
     argmax = float(p2s[int(np.argmax(amps))])
@@ -270,34 +232,27 @@ def cmd_scatter(cfg, args) -> int:
 
 
 def cmd_wuyang(cfg, args) -> int:
-    _require_keys(cfg, ("wuyang", "output"), ("wuyang",), "config")
-    wy = cfg["wuyang"]
-    _require_keys(
-        wy, ("r_start", "r_end", "steps", "seed_series", "g_start", "gprime_start"),
-        ("r_start", "r_end", "steps"), "wuyang",
-    )
-    r_start = _num(wy, "r_start", "wuyang", kind=float)
-    r_end = _num(wy, "r_end", "wuyang", kind=float)
-    steps = _num(wy, "steps", "wuyang", kind=int, minimum=10)
+    read_fields(cfg, "config", {"wuyang": None, "output": None}, required=("wuyang",))
+    wy = read_fields(cfg["wuyang"], "wuyang", {
+        "r_start": float, "r_end": float, "steps": (int, 10), "seed_series": (True, False),
+        "g_start": float, "gprime_start": float,
+    }, required=("r_start", "r_end", "steps"))
+    r_start, r_end, steps = wy["r_start"], wy["r_end"], wy["steps"]
     out = _output_path(cfg, args)
     if wy.get("seed_series", False):
         g0 = wu_yang_series_small(r_start)
         gp0 = wu_yang_series_small_prime(r_start)
+    elif "g_start" in wy and "gprime_start" in wy:
+        g0, gp0 = wy["g_start"], wy["gprime_start"]
     else:
-        if "g_start" not in wy or "gprime_start" not in wy:
-            raise InvalidConfigError("wuyang needs seed_series=true or g_start/gprime_start")
-        g0 = _num(wy, "g_start", "wuyang", kind=float)
-        gp0 = _num(wy, "gprime_start", "wuyang", kind=float)
+        raise InvalidConfigError("wuyang needs seed_series=true or g_start/gprime_start")
     traj = wu_yang_solve(r_start, r_end, steps, g0, gp0)
     fine = wu_yang_solve(r_start, r_end, steps * 16, g0, gp0)
     max_err = float(np.max(np.abs(traj[:, 1] - fine[::16, 1])))
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("r,g,gprime,series_small,series_large\n")
-        for r, g, gp in traj:
-            fh.write(
-                f"{r:.17g},{g:.17g},{gp:.17g},"
-                f"{wu_yang_series_small(r):.17g},{wu_yang_series_large(r):.17g}\n"
-            )
+    _require_finite(max_err, "the Wu-Yang solution")
+    rs = traj[:, 0]
+    _write_csv(out, "r,g,gprime,series_small,series_large", traj,
+               [wu_yang_series_small(r) for r in rs], [wu_yang_series_large(r) for r in rs])
     _say(args, f"final_r={traj[-1, 0]:.9f} final_g={traj[-1, 1]:.9f} max_error_vs_fine={max_err:.3e}")
     return 0
 
@@ -325,12 +280,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = _load_config(args.config)
-        return _COMMANDS[args.command](cfg, args)
-    except (InvalidConfigError, InvalidSpecError) as exc:
+        # Overflow ends in a non-finite result, which the commands refuse
+        # with one message; numpy's warnings would add lines to stderr.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return _COMMANDS[args.command](_load_config(args.config), args)
+    except (InvalidConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except GaugesimError as exc:
+    except (GaugesimError, ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
 

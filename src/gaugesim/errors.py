@@ -22,7 +22,7 @@ class NotHermitianError(GaugesimError):
     """A matrix required to be Hermitian fails the tolerance check."""
 
 
-class NotPowerOfTwoError(GaugesimError):
+class NotPowerOfTwoError(DimensionMismatchError):
     """Matrix dimension is not 2**n for integer n."""
 
 
@@ -34,12 +34,12 @@ class IndexOutOfRangeError(GaugesimError):
     """State or grid index outside the valid range."""
 
 
-class InvalidSpecError(GaugesimError):
-    """A HamiltonianSpec is internally inconsistent or unsupported."""
-
-
 class InvalidConfigError(GaugesimError):
-    """An ansatz / optimizer / experiment configuration is invalid."""
+    """An experiment configuration, ansatz or HamiltonianSpec is invalid."""
+
+
+#: Same class as InvalidConfigError: a spec is one section of a config.
+InvalidSpecError = InvalidConfigError
 
 
 class SingularTimeError(GaugesimError):

@@ -19,10 +19,9 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidTimesError,
     NotHermitianError,
-    NotPowerOfTwoError,
 )
-from .hamiltonians import BuiltHamiltonian
-from .operators import hermitian_eig, is_hermitian
+from .hamiltonians import matrix_of
+from .operators import hermitian_eig, is_hermitian, qubits_of_dim
 
 __all__ = [
     "PauliTermList",
@@ -43,13 +42,6 @@ __all__ = [
 ]
 
 _DIGITS = "IXYZ"
-
-
-def _qubits_of_dim(dim: int) -> int:
-    n = int(np.log2(dim))
-    if 2 ** n != dim:
-        raise NotPowerOfTwoError(f"dimension {dim} is not a power of two")
-    return n
 
 
 def pauli_index_to_label(index: int, n_qubits: int) -> str:
@@ -132,7 +124,7 @@ def pauli_decompose(h, prune: float | None = None) -> PauliTermList:
     m = np.asarray(h, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got {m.shape}")
-    n = _qubits_of_dim(m.shape[0])
+    n = qubits_of_dim(m.shape[0])
     if not is_hermitian(m):
         raise NotHermitianError("pauli_decompose requires a Hermitian matrix")
 
@@ -236,7 +228,7 @@ def transition_series(h, psi_i, psi_fs, ts, method: str = "exact",
     "trotter" uses the first-order product with ``trotter_steps`` per
     time point.
     """
-    hm = h.matrix if isinstance(h, BuiltHamiltonian) else np.asarray(h, dtype=complex)
+    hm = matrix_of(h)
     psi_i = np.asarray(psi_i, dtype=np.complex128)
     if len(psi_i) != hm.shape[0]:
         raise DimensionMismatchError(
@@ -335,7 +327,7 @@ def scattering_process(h_free, p2: float, tau: float, total_t: float, psi0,
     diagonal position operator of the matching grid; pass an explicit
     matrix for composite registers.
     """
-    hm = h_free.matrix if isinstance(h_free, BuiltHamiltonian) else np.asarray(h_free, dtype=complex)
+    hm = matrix_of(h_free)
     if not 0.0 <= tau <= total_t:
         raise InvalidTimesError(f"need 0 <= tau <= total_T, got tau={tau}, total_T={total_t}")
     psi = np.asarray(psi0, dtype=np.complex128)

@@ -20,14 +20,15 @@ which one reproduces them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
 from . import basis
-from .errors import InvalidSpecError
-from .operators import hermitian_eig, is_hermitian, matrix_function
+from .errors import InvalidConfigError, InvalidSpecError, NotPowerOfTwoError
+from .operators import is_hermitian, matrix_function, qubits_of_dim
 
 __all__ = [
     "HamiltonianSpec",
@@ -55,11 +56,64 @@ DEFAULT_TRUNC = {"LandauCartesian": 16, "LandauPolar": 16, "MonopoleSU2": 4}
 #: (lowest eigenvalue, real part, at g_m = 2 and g_m = 0.2).
 MONOPOLE_REFERENCE_ENERGIES = {2.0: -2.53854786, 0.2: 0.31120022}
 
-_JSON_KEYS = ("kind", "b_field", "boson_trunc", "angular_m", "variant", "floor")
+#: Largest register a config may ask for: dense matrices stay at 512x512.
+MAX_QUBITS = 9
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def read_number(val, where: str, kind, minimum=None, maximum=None):
+    """A finite JSON number as ``kind`` (float or int), within the bounds.
+
+    Bools and strings are not numbers here, and an int must hold an
+    integral value.
+    """
+    try:
+        finite = not isinstance(val, bool) and math.isfinite(val)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise InvalidConfigError(f"{where}: expected a finite number, got {val!r}")
+    if kind is int and val != int(val):
+        raise InvalidConfigError(f"{where}: expected an integer, got {val!r}")
+    val = kind(val)
+    if minimum is not None and val < minimum:
+        raise InvalidConfigError(f"{where}: must be >= {minimum}, got {val}")
+    if maximum is not None and val > maximum:
+        raise InvalidConfigError(f"{where}: must be <= {maximum}, got {val}")
+    return val
+
+
+def read_fields(obj, where: str, fields: Mapping, required=()) -> dict:
+    """Strictly read one JSON object of a config or spec.
+
+    ``fields`` maps every known key to its rule: ``float`` or ``int`` for
+    a number (see ``read_number``), or ``(kind, minimum[, maximum])`` for
+    a bounded one; any other tuple lists the allowed values; ``None``
+    passes the value on for the caller to check.  Unknown keys and
+    missing ``required`` keys are errors.  Returns the keys present.
+    """
+    if not isinstance(obj, Mapping):
+        raise InvalidConfigError(f"{where}: expected an object, got {type(obj).__name__}")
+    unknown = set(obj) - set(fields)
+    if unknown:
+        raise InvalidConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = set(required) - set(obj)
+    if missing:
+        raise InvalidConfigError(f"{where}: missing keys {sorted(missing)}")
+    out = dict(obj)
+    for key, val in obj.items():
+        rule = (fields[key],) if fields[key] in (int, float) else fields[key]
+        if rule is None:
+            continue
+        if rule[0] in (int, float):
+            out[key] = read_number(val, f"{where}.{key}", *rule)
+        elif not any(type(val) is type(c) and val == c for c in rule):
+            raise InvalidConfigError(f"{where}.{key}: expected one of {list(rule)}, got {val!r}")
+    return out
+
+
+def _register_qubits(kind: str, trunc: int) -> int:
+    k = qubits_of_dim(trunc)
+    return {"LandauCartesian": 2 * k, "LandauPolar": k}.get(kind, 3 * k + 3)
 
 
 @dataclass(frozen=True)
@@ -89,11 +143,18 @@ class HamiltonianSpec:
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
             )
         trunc = self.boson_trunc if self.boson_trunc is not None else DEFAULT_TRUNC[self.kind]
-        trunc = int(trunc)
-        if trunc < 2 or not _is_power_of_two(trunc):
+        try:
+            qubits = _register_qubits(self.kind, trunc)
+        except NotPowerOfTwoError:
+            qubits = None
+        if qubits is None or trunc < 2:
             raise InvalidSpecError(f"boson_trunc must be a power of two >= 2, got {trunc}")
+        if qubits > MAX_QUBITS:
+            raise InvalidSpecError(
+                f"boson_trunc {trunc} needs {qubits} qubits for {self.kind}; at most {MAX_QUBITS}"
+            )
         if self.variant == "ScalarB":
-            if self.r_ref is None or float(self.r_ref) <= 0.0:
+            if self.r_ref is None or self.r_ref <= 0.0:
                 raise InvalidSpecError("ScalarB variant requires a positive r_ref")
         elif self.r_ref is not None:
             raise InvalidSpecError("r_ref is only valid with the ScalarB variant")
@@ -103,13 +164,7 @@ class HamiltonianSpec:
 
     @property
     def qubits(self) -> int:
-        spec = self.resolved()
-        k = int(np.log2(spec.boson_trunc))
-        if spec.kind == "LandauCartesian":
-            return 2 * k
-        if spec.kind == "LandauPolar":
-            return k
-        return 3 * k + 3
+        return _register_qubits(self.kind, self.resolved().boson_trunc)
 
     def to_json(self) -> dict:
         spec = self.resolved()
@@ -127,32 +182,15 @@ class HamiltonianSpec:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "HamiltonianSpec":
-        if not isinstance(obj, Mapping):
-            raise InvalidSpecError(f"hamiltonian spec must be an object, got {type(obj).__name__}")
-        unknown = set(obj) - set(_JSON_KEYS)
-        if unknown:
-            raise InvalidSpecError(f"unknown hamiltonian keys: {sorted(unknown)}")
-        if "kind" not in obj:
-            raise InvalidSpecError("hamiltonian spec requires 'kind'")
-        variant = obj.get("variant", "Literal")
-        r_ref = None
-        if isinstance(variant, Mapping):
-            if set(variant) != {"ScalarB"}:
-                raise InvalidSpecError(f"malformed variant object: {dict(variant)}")
-            r_ref = float(variant["ScalarB"])
-            variant = "ScalarB"
-        elif not isinstance(variant, str):
-            raise InvalidSpecError("variant must be a string or {'ScalarB': r_ref}")
-        spec = cls(
-            kind=obj["kind"],
-            b_field=float(obj.get("b_field", 2.0)),
-            boson_trunc=obj.get("boson_trunc"),
-            angular_m=int(obj.get("angular_m", 0)),
-            variant=variant,
-            r_ref=r_ref,
-            floor=float(obj.get("floor", 1e-8)),
-        )
-        return spec.resolved()
+        fields = read_fields(obj, "hamiltonian", {
+            "kind": None, "b_field": float, "boson_trunc": int, "angular_m": int,
+            "variant": None, "floor": float,
+        }, required=("kind",))
+        if isinstance(fields.get("variant"), Mapping):
+            scalar_b = read_fields(fields["variant"], "hamiltonian.variant",
+                                   {"ScalarB": float}, required=("ScalarB",))
+            fields.update(variant="ScalarB", r_ref=scalar_b["ScalarB"])
+        return cls(**fields).resolved()
 
 
 @dataclass(frozen=True)
@@ -175,17 +213,19 @@ class BuiltHamiltonian:
     def lowest_eigenvalue(self) -> float:
         """Ground energy: min eigenvalue, or min real part when non-Hermitian."""
         if self.hermitian:
-            return float(hermitian_eig(self.matrix).values[0])
+            return float(np.linalg.eigvalsh(self.matrix)[0])
         return float(np.min(np.linalg.eigvals(self.matrix).real))
 
 
+def matrix_of(h) -> np.ndarray:
+    """The matrix of a BuiltHamiltonian, or ``h`` itself as a complex array."""
+    return h.matrix if isinstance(h, BuiltHamiltonian) else np.asarray(h, dtype=complex)
+
+
 def _finish(matrix: np.ndarray, spec: HamiltonianSpec) -> BuiltHamiltonian:
-    dim = matrix.shape[0]
-    qubits = int(np.log2(dim))
-    if 2 ** qubits != dim:
-        raise InvalidSpecError(f"system dimension {dim} is not a power of two")
     return BuiltHamiltonian(
-        matrix=matrix, spec=spec, hermitian=is_hermitian(matrix), qubits=qubits
+        matrix=matrix, spec=spec, hermitian=is_hermitian(matrix),
+        qubits=qubits_of_dim(matrix.shape[0]),
     )
 
 

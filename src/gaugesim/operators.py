@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NotHermitianError
+from .errors import NotHermitianError, NotPowerOfTwoError
 
 __all__ = [
     "EigenSystem",
@@ -24,6 +24,7 @@ __all__ = [
     "hermitian_eig",
     "matrix_function",
     "evolve_unitary",
+    "qubits_of_dim",
 ]
 
 #: Relative Hermiticity tolerance used when none is given explicitly.
@@ -36,6 +37,13 @@ def as_operator(a) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def qubits_of_dim(dim: int) -> int:
+    """The n with dim == 2**n; NotPowerOfTwoError for any other dim (0 included)."""
+    if dim < 1 or dim & (dim - 1):
+        raise NotPowerOfTwoError(f"dimension {dim} is not a power of two")
+    return int(dim).bit_length() - 1
 
 
 def herm_defect(a) -> float:

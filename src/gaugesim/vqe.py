@@ -1,7 +1,7 @@
 """Classical outer loop minimizing the ansatz energy.
 
 The objective theta -> <psi(theta)| H |psi(theta)> is smooth, so any local
-smooth minimizer is adequate; the default is SLSQP fed with the exact
+smooth minimizer is adequate; it is SLSQP, fed with the exact
 gradient of the Ry form by adjoint differentiation: one forward and one
 backward sweep through the circuit, equal to the parameter-shift gradient
 (which would take 2P circuit runs for P parameters).  The Ry form prepares
@@ -22,7 +22,7 @@ import scipy.optimize
 
 from .circuits import AnsatzConfig, adjoint_gradient, ansatz_state, expectation
 from .errors import DimensionMismatchError, NotHermitianError
-from .hamiltonians import BuiltHamiltonian
+from .hamiltonians import BuiltHamiltonian, matrix_of
 from .operators import is_hermitian
 
 __all__ = [
@@ -54,7 +54,6 @@ class OptimizerSettings:
     tolerance: float = 1e-9
     seed: int = DEFAULT_SEED
     restarts: int = 1
-    method: str = "SLSQP"
     init: str = "random"
 
 
@@ -100,12 +99,8 @@ def template(n_qubits: int, depth: int = 3, entangler: str = "cz") -> AnsatzConf
     )
 
 
-def _matrix_of(h) -> np.ndarray:
-    return h.matrix if isinstance(h, BuiltHamiltonian) else np.asarray(h, dtype=complex)
-
-
 def _check_inputs(h, ansatz: AnsatzConfig) -> np.ndarray:
-    m = _matrix_of(h)
+    m = matrix_of(h)
     if m.shape[0] != 2 ** ansatz.n_qubits:
         raise DimensionMismatchError(
             f"H dim {m.shape[0]} vs ansatz register of {ansatz.n_qubits} qubits"
@@ -123,7 +118,7 @@ def _check_inputs(h, ansatz: AnsatzConfig) -> np.ndarray:
 
 def energy_of(h, ansatz: AnsatzConfig, params) -> float:
     """Ansatz energy at the given parameters."""
-    return expectation(ansatz_state(ansatz.with_params(params)), _matrix_of(h))
+    return expectation(ansatz_state(ansatz.with_params(params)), matrix_of(h))
 
 
 def _real_part(m) -> np.ndarray:
@@ -199,7 +194,7 @@ def _single_run(h_real, ansatz, opt: OptimizerSettings, seed: int):
         f.energy,
         x0,
         jac=f.gradient,
-        method=opt.method,
+        method="SLSQP",
         callback=callback,
         options={"maxiter": opt.max_iter, "ftol": opt.tolerance},
     )

@@ -216,3 +216,57 @@ def test_determinism_spectrum_and_scatter(tmp_path):
     first = scan.read_bytes()
     assert run(tmp_path, "scatter", cfg) == 0
     assert scan.read_bytes() == first
+
+
+_POLAR = {"kind": "LandauPolar", "b_field": 2.0}
+_CART4 = {"kind": "LandauCartesian", "boson_trunc": 4}
+_NAN, _INF = float("nan"), float("inf")
+
+
+def _spec(**kw):
+    return "spectrum", {"hamiltonian": dict(_POLAR, **kw)}, ()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, cfg, extra, code", [
+    (*_spec(b_field=_NAN), 2),
+    (*_spec(b_field=_INF), 2),
+    ("spectrum", {"hamiltonian": {"kind": "MonopoleSU2", "variant": {"ScalarB": _NAN}}}, (), 2),
+    ("spectrum", {"hamiltonian": {"kind": "MonopoleSU2"}}, ("--variant", "ScalarB=abc"), 2),
+    ("spectrum", {"hamiltonian": {"kind": "MonopoleSU2"}}, ("--variant", "ScalarB"), 2),
+    ("spectrum", {"hamiltonian": [1, 2]}, (), 2),
+    (*_spec(boson_trunc="16"), 2),
+    (*_spec(boson_trunc=16.9), 2),
+    (*_spec(angular_m=1.7), 2),
+    (*_spec(b_field="2"), 2),
+    (*_spec(b_field=True), 2),
+    (*_spec(floor=_NAN), 2),
+    (*_spec(boson_trunc=1024), 2),  # 10 qubits, above the ceiling
+    (*_spec(b_field=1e200), 3),  # OverflowError in the build
+    ("eoh", {"hamiltonian": _CART4, "evolution": {"t_max": _NAN}}, (), 2),
+    ("eoh", {"hamiltonian": _CART4, "final_states": [True]}, (), 2),
+    ("scatter", {"scatter": {"p1": True, "p3": 2}}, (), 2),
+    ("scatter", {"scatter": {"p1": 1, "p3": 2, "p2_scan": {"min": _NAN}}}, (), 2),
+    ("scatter", {"scatter": {"qubits": 40, "p1": 1, "p3": 2}}, (), 2),
+    ("vqe", {"hamiltonian": _POLAR, "optimizer": {"tolerance": _NAN}}, (), 2),
+    ("vqe", {"hamiltonian": _POLAR, "ansatz": {"depth": True}}, (), 2),
+    ("vqe", {"hamiltonian": _POLAR, "optimizer": {"seed": -1}}, (), 2),
+    ("vqe", {"hamiltonian": _POLAR}, ("--seed", "-1"), 2),
+    ("vqe", {"hamiltonian": _POLAR, "optimizer": {"method": "Nope"}}, (), 2),
+    ("wuyang", {"wuyang": {"r_start": _NAN, "r_end": 1.0, "steps": 50, "seed_series": True}}, (), 2),
+    ("wuyang", {"wuyang": {"r_start": 0.05, "r_end": 1e9, "steps": 50, "seed_series": True}}, (), 3),
+    ("wuyang", {"wuyang": {"r_start": 1e-300, "r_end": 1.0, "steps": 10, "seed_series": True}}, (), 3),
+])
+def test_bad_input_exit_code_and_one_line_message(tmp_path, capsys, command, cfg, extra, code):
+    out = tmp_path / "out.csv"
+    assert run(tmp_path, command, dict(cfg, output=str(out)), extra) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_optimizer_method_slsqp_still_parses(tmp_path, capsys):
+    cfg = {"hamiltonian": dict(_POLAR, boson_trunc=4), "ansatz": {"depth": 1},
+           "optimizer": {"max_iter": 3, "method": "SLSQP", "gradient_step": 1e-6},
+           "output": str(tmp_path / "t.csv")}
+    assert run(tmp_path, "vqe", cfg) == 0

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from gaugesim.basis import osc_q
-from gaugesim.errors import NotHermitianError
+from gaugesim.circuits import apply_ry
+from gaugesim.errors import DimensionMismatchError, NotHermitianError, NotPowerOfTwoError
+from gaugesim.evolution import pauli_decompose
 from gaugesim.operators import (
     evolve_unitary,
     herm_defect,
@@ -10,6 +12,7 @@ from gaugesim.operators import (
     is_hermitian,
     kron,
     matrix_function,
+    qubits_of_dim,
 )
 
 from conftest import PAULI, random_hermitian
@@ -144,3 +147,16 @@ def test_herm_defect_and_is_hermitian():
     assert herm_defect(PAULI["Y"]) == 0.0
     assert is_hermitian(PAULI["Y"])
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_qubits_of_dim():
+    assert [qubits_of_dim(d) for d in (1, 2, 4, 512, np.int64(256))] == [0, 1, 2, 9, 8]
+    for dim in (0, 3, 6, -4):
+        with pytest.raises(NotPowerOfTwoError):
+            qubits_of_dim(dim)
+    assert issubclass(NotPowerOfTwoError, DimensionMismatchError)
+    # empty inputs used to end in OverflowError from int(log2(0))
+    with pytest.raises(NotPowerOfTwoError):
+        apply_ry(np.array([]), 0, 0.1)
+    with pytest.raises(NotPowerOfTwoError):
+        pauli_decompose(np.zeros((0, 0)))

@@ -35,7 +35,6 @@ from .hamiltonians import (
     read_fields,
     read_number,
 )
-from .operators import hermitian_eig
 
 
 def _load_config(path):
@@ -68,7 +67,7 @@ def _output_path(cfg, args) -> str:
 
 
 def _ansatz_from(cfg, n_qubits) -> AnsatzConfig:
-    a = read_fields(cfg.get("ansatz", {}), "ansatz", {"depth": (int, 0), "entangler": ("cz", "cx")})
+    a = read_fields(cfg.get("ansatz", {}), "ansatz", {"depth": (int, 0, 64), "entangler": ("cz", "cx")})
     return vqe_mod.template(n_qubits, a.get("depth", 3), a.get("entangler", "cz"))
 
 
@@ -79,7 +78,7 @@ def _optimizer_from(cfg, args) -> vqe_mod.OptimizerSettings:
     # "gradient_step" and "method" are accepted so that older configs still
     # parse, and ignored: the gradient is exact and the method is SLSQP.
     o = read_fields(o, "optimizer", {
-        "max_iter": (int, 1), "seed": (int, 0), "tolerance": (float, 0.0), "restarts": (int, 1),
+        "max_iter": (int, 1, 100000), "seed": (int, 0), "tolerance": (float, 0.0), "restarts": (int, 1, 100),
         "gradient_step": float, "method": ("SLSQP",),
     })
     o.pop("gradient_step", None)
@@ -111,11 +110,7 @@ def cmd_spectrum(cfg, args) -> int:
     read_fields(cfg, "config", {"hamiltonian": None, "output": None}, required=("hamiltonian",))
     spec = _hamiltonian_spec(cfg, args)
     out = _output_path(cfg, args)
-    built = build(spec)
-    if built.hermitian:
-        values = hermitian_eig(built.matrix).values
-    else:
-        values = np.sort(np.linalg.eigvals(built.matrix).real)
+    values = build(spec).spectrum()
     _write_csv(out, "index,eigenvalue", np.arange(len(values)), values)
     _say(args, f"lambda_min={values[0]:.9f}")
     return 0
@@ -152,7 +147,7 @@ def cmd_eoh(cfg, args) -> int:
         )
     out = _output_path(cfg, args)
     ev = read_fields(cfg.get("evolution", {}), "evolution", {
-        "t_max": (float, 0.0), "t_points": (int, 1), "trotter_steps": (int, 1),
+        "t_max": (float, 0.0), "t_points": (int, 1, 128), "trotter_steps": (int, 1, 100000),
         "method": ("Both", "Exact", "Trotter"),
     })
     method = ev.get("method", "Both")
@@ -211,7 +206,7 @@ def cmd_scatter(cfg, args) -> int:
     out = _output_path(cfg, args)
 
     scan = read_fields(sc.get("p2_scan", {}), "scatter.p2_scan",
-                       {"min": float, "max": float, "points": (int, 2)})
+                       {"min": float, "max": float, "points": (int, 2, 16384)})
     period = dual_lattice_period(n)
     lo = scan.get("min", -period / 2.0)
     hi = scan.get("max", period / 2.0)
@@ -234,7 +229,7 @@ def cmd_scatter(cfg, args) -> int:
 def cmd_wuyang(cfg, args) -> int:
     read_fields(cfg, "config", {"wuyang": None, "output": None}, required=("wuyang",))
     wy = read_fields(cfg["wuyang"], "wuyang", {
-        "r_start": float, "r_end": float, "steps": (int, 10), "seed_series": (True, False),
+        "r_start": float, "r_end": float, "steps": (int, 10, 1000000), "seed_series": (True, False),
         "g_start": float, "gprime_start": float,
     }, required=("r_start", "r_end", "steps"))
     r_start, r_end, steps = wy["r_start"], wy["r_end"], wy["steps"]

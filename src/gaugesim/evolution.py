@@ -4,7 +4,9 @@ and vertex-operator scattering on the position-basis grid.
 Pauli-string conventions match the circuit engine: label character 0 acts
 on qubit 0, the most significant bit of the basis index, and labels are
 ordered lexicographically over {I, X, Y, Z} (which is exactly the base-4
-enumeration the fast transform produces).
+enumeration the fast transform produces).  Trotter steps do not follow that
+order: they apply one exact exponential per X-mask group of strings, in
+ascending mask order (see ``PauliTermList.groups``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import (
     NotHermitianError,
 )
 from .hamiltonians import matrix_of
-from .operators import hermitian_eig, is_hermitian, qubits_of_dim
+from .operators import _propagate, hermitian_eig, is_hermitian, qubits_of_dim
 
 __all__ = [
     "PauliTermList",
@@ -42,6 +44,8 @@ __all__ = [
 ]
 
 _DIGITS = "IXYZ"
+_X_BITS = str.maketrans("IXYZ", "0110")
+_ZY_BITS = str.maketrans("IXYZ", "0011")
 
 
 def pauli_index_to_label(index: int, n_qubits: int) -> str:
@@ -63,14 +67,13 @@ def pauli_label_to_index(label: str) -> int:
 class PauliTermList:
     """Hermitian operator as a list of (Pauli label, real coefficient).
 
-    Labels are unique and kept in lexicographic order; Trotter steps apply
-    the terms in exactly this stored order.  Application data (index
-    permutation and phase vector per term) is prepared lazily and cached.
+    Labels are unique and kept in lexicographic order.  Trotter steps act
+    by X-mask groups of terms (see ``groups``), built lazily and cached.
     """
 
     n_qubits: int
     terms: list
-    _prepared: list | None = field(default=None, repr=False, compare=False)
+    _groups: list | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -83,30 +86,33 @@ class PauliTermList:
             vec[pauli_label_to_index(label)] = coeff
         return vec
 
-    def prepared(self) -> list:
-        """Per-term (coeff, src_index, phase) arrays for fast application."""
-        if self._prepared is None:
-            n = self.n_qubits
-            idx = np.arange(self.dim, dtype=np.uint64)
-            prep = []
+    def groups(self) -> list:
+        """(x, src, d) per distinct X-mask x of the terms, x ascending.
+
+        The strings sharing the X/Y pattern x sum to H_x with
+        (H_x psi)[i] = d[i] psi[src[i]], src[i] = i ^ x and
+
+            d[i] = sum_s c_s * i**n_Y(s) * (-1)**popcount((i ^ x) & zy_s),
+
+        zy_s being the Z/Y pattern of string s.  H_x is Hermitian, so
+        d[i ^ x] = conj(d[i]): H_x is a direct sum of 2x2 blocks
+        [[0, d], [conj d, 0]] on the pairs (i, i ^ x), or diagonal for x = 0.
+        """
+        if self._groups is None:
+            by_mask = {}
             for label, coeff in self.terms:
-                xmask = np.uint64(0)
-                zymask = np.uint64(0)
-                n_y = 0
-                for q, ch in enumerate(label):
-                    bit = np.uint64(1) << np.uint64(n - 1 - q)
-                    if ch in "XY":
-                        xmask |= bit
-                    if ch in "ZY":
-                        zymask |= bit
-                    if ch == "Y":
-                        n_y += 1
-                src = idx ^ xmask
-                signs = 1.0 - 2.0 * (np.bitwise_count(src & zymask).astype(np.int64) & 1)
-                phase = (1j ** n_y) * signs
-                prep.append((coeff, src.astype(np.intp), phase.astype(np.complex128)))
-            self._prepared = prep
-        return self._prepared
+                x = int(label.translate(_X_BITS), 2)
+                zy = int(label.translate(_ZY_BITS), 2)
+                by_mask.setdefault(x, []).append((zy, coeff * 1j ** label.count("Y")))
+            idx = np.arange(self.dim)
+            groups = []
+            for x in sorted(by_mask):
+                zys, weights = (np.array(v) for v in zip(*by_mask[x]))
+                src = idx ^ x
+                signs = 1.0 - 2.0 * (np.bitwise_count(src[None, :] & zys[:, None]) & 1)
+                groups.append((x, src, (weights[:, None] * signs).sum(axis=0)))
+            self._groups = groups
+        return self._groups
 
 
 def pauli_decompose(h, prune: float | None = None) -> PauliTermList:
@@ -164,32 +170,46 @@ def pauli_reconstruct(terms: PauliTermList) -> np.ndarray:
     return work.reshape(terms.dim, terms.dim)
 
 
-def _apply_trotter(prep, ts, n_steps: int, psi0: np.ndarray) -> np.ndarray:
-    """First-order product evolution of a batch of times; rows index ts."""
-    ts = np.asarray(ts, dtype=float)
-    psi = np.repeat(psi0[None, :], len(ts), axis=0).astype(np.complex128)
+def _apply_trotter(groups, ts, n_steps: int, psi0: np.ndarray) -> np.ndarray:
+    """First-order product over the X-mask groups for a batch of times; rows index ts.
+
+    On each pair (i, i ^ x) the block [[0, d], [conj d, 0]] squares to
+    |d|**2, so exp(-i dt H_x) maps psi[i] to
+    cos(dt |d|) psi[i] - i sin(dt |d|) (d / |d|) psi[i ^ x].  These factors
+    are formed once per time, before the steps.
+    """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    dt = (np.asarray(ts, dtype=float) / n_steps)[:, None]
+    factors = []
+    for x, src, d in groups:
+        if x == 0:
+            factors.append((np.exp(-1j * dt * d), None, None))
+            continue
+        mag = np.abs(d)
+        unit = np.divide(d, mag, out=np.zeros_like(d), where=mag > 0.0)
+        factors.append((np.cos(dt * mag), -1j * np.sin(dt * mag) * unit, src))
+    psi = np.repeat(psi0[None, :], len(dt), axis=0).astype(np.complex128)
     for _ in range(n_steps):
-        for coeff, src, phase in prep:
-            theta = (coeff * ts / n_steps)[:, None]
-            psi = np.cos(theta) * psi - 1j * np.sin(theta) * (phase[None, :] * psi[:, src])
+        for c, s, src in factors:
+            psi = c * psi if src is None else c * psi + s * psi[:, src]
     return psi
 
 
 def trotter_evolve(terms: PauliTermList, t: float, n_steps: int, psi0) -> np.ndarray:
-    """Apply the first-order product [prod_s exp(-i c_s P_s t/n)]**n to psi0.
+    """Apply the first-order product [prod_x exp(-i H_x t/n)]**n to psi0.
 
-    Each Pauli exponential acts analytically (P**2 = 1, so exp(-i a P) =
-    cos(a) - i sin(a) P as a permutation-and-phase update); no matrix
-    exponentials are formed.  Terms apply in stored (lexicographic) order.
+    H_x sums the terms with X-mask x (see ``PauliTermList.groups``); the
+    factors apply in ascending x, each as an exact closed-form exponential
+    of 2x2 blocks (a gather and two elementwise products), so no matrix
+    exponentials are formed.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     psi0 = np.asarray(psi0, dtype=np.complex128)
     if len(psi0) != terms.dim:
         raise DimensionMismatchError(
             f"state length {len(psi0)} vs operator dim {terms.dim}"
         )
-    return _apply_trotter(terms.prepared(), [t], int(n_steps), psi0)[0]
+    return _apply_trotter(terms.groups(), [t], int(n_steps), psi0)[0]
 
 
 @dataclass(frozen=True)
@@ -238,12 +258,9 @@ def transition_series(h, psi_i, psi_fs, ts, method: str = "exact",
     finals, labels = _final_states(psi_fs, hm.shape[0])
 
     if method == "exact":
-        es = hermitian_eig(hm)
-        coeff = es.vectors.conj().T @ psi_i
-        states = (es.vectors @ (np.exp(-1j * np.outer(es.values, ts)) * coeff[:, None])).T
+        states = _propagate(hermitian_eig(hm), psi_i, ts)
     elif method == "trotter":
-        terms = pauli_decompose(hm)
-        states = _apply_trotter(terms.prepared(), ts, int(trotter_steps), psi_i)
+        states = _apply_trotter(pauli_decompose(hm).groups(), ts, int(trotter_steps), psi_i)
     else:
         raise ValueError(f"method must be 'exact' or 'trotter', got {method!r}")
 
@@ -339,13 +356,19 @@ def scattering_process(h_free, p2: float, tau: float, total_t: float, psi0,
     if len(xdiag) != hm.shape[0]:
         raise DimensionMismatchError("position operator does not match H dimension")
 
+    # one eigendecomposition, or one Pauli decomposition, serves both legs
+    if method == "exact":
+        es = hermitian_eig(hm)
+    elif method == "trotter":
+        terms = pauli_decompose(hm)
+    else:
+        raise ValueError(f"method must be 'exact' or 'trotter', got {method!r}")
+
     def evolve(state, t):
         if t == 0.0:
             return state
         if method == "exact":
-            es = hermitian_eig(hm)
-            return es.vectors @ (np.exp(-1j * es.values * t) * (es.vectors.conj().T @ state))
-        terms = pauli_decompose(hm)
+            return _propagate(es, state, [t])[0]
         return trotter_evolve(terms, t, trotter_steps, state)
 
     psi = evolve(psi, tau)

@@ -210,11 +210,15 @@ class BuiltHamiltonian:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    def spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues, or ascending real parts when non-Hermitian."""
+        if self.hermitian:
+            return np.linalg.eigvalsh(self.matrix)
+        return np.sort(np.linalg.eigvals(self.matrix).real)
+
     def lowest_eigenvalue(self) -> float:
         """Ground energy: min eigenvalue, or min real part when non-Hermitian."""
-        if self.hermitian:
-            return float(np.linalg.eigvalsh(self.matrix)[0])
-        return float(np.min(np.linalg.eigvals(self.matrix).real))
+        return float(self.spectrum()[0])
 
 
 def matrix_of(h) -> np.ndarray:

@@ -124,9 +124,20 @@ def matrix_function(a, f: Callable[[np.ndarray], np.ndarray], floor: float = 0.0
     return (v * flam) @ v.conj().T
 
 
+def _propagate(es: EigenSystem, states, ts) -> np.ndarray:
+    """exp(-i h t) @ states for every t in ts, from the eigensystem ``es`` of h.
+
+    ``states`` is one state of shape (d,) or a matrix of column states
+    (d, k); the result gains a leading axis indexing ``ts``.
+    """
+    coeff = es.vectors.conj().T @ states
+    phases = np.exp(-1j * np.outer(es.values, np.asarray(ts, dtype=float)))
+    x = phases.reshape(phases.shape + (1,) * (coeff.ndim - 1)) * coeff[:, None]
+    out = es.vectors @ x.reshape(len(coeff), -1)
+    return np.moveaxis(out.reshape(x.shape), 1, 0)
+
+
 def evolve_unitary(h, t: float) -> np.ndarray:
     """U = exp(-i h t) for Hermitian h, computed spectrally."""
-    es = hermitian_eig(h)
-    phase = np.exp(-1j * es.values * float(t))
-    v = es.vectors
-    return (v * phase) @ v.conj().T
+    m = as_operator(h)
+    return _propagate(hermitian_eig(m), np.eye(len(m), dtype=np.complex128), [t])[0]

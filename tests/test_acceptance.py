@@ -155,9 +155,17 @@ def test_criterion_6_trotter_convergence(cartesian):
     se = transition_series(built, psi0, "all", ts, method="exact")
     st = transition_series(built, psi0, "all", ts, method="trotter", trotter_steps=100)
     dev = float(np.max(np.abs(se.probabilities() - st.probabilities())))
-    ok = ratios_ok and dev < 1e-3
+
+    # |0,0> is an eigenstate that the grouped product keeps to ~1e-14, so
+    # the same series from a random normalised state is the stricter check
+    psi_r = random_state(np.random.default_rng(5), 256)
+    se = transition_series(built, psi_r, "all", ts, method="exact")
+    st = transition_series(built, psi_r, "all", ts, method="trotter", trotter_steps=100)
+    dev_r = float(np.max(np.abs(se.probabilities() - st.probabilities())))
+    ok = ratios_ok and dev < 1e-3 and dev_r < 2e-3
     report(6, ok, f"doubling ratios {[f'{r:.2f}' for r in ratios]} in [1.6, 2.4]; "
-                  f"max probability deviation {dev:.2e} < 1e-3 at 100 steps")
+                  f"max probability deviation {dev:.2e} < 1e-3 from |0,0> and "
+                  f"{dev_r:.2e} < 2e-3 from a random state at 100 steps")
 
 
 def test_criterion_7_vertex_delta():

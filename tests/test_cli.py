@@ -256,6 +256,14 @@ def _spec(**kw):
     ("wuyang", {"wuyang": {"r_start": _NAN, "r_end": 1.0, "steps": 50, "seed_series": True}}, (), 2),
     ("wuyang", {"wuyang": {"r_start": 0.05, "r_end": 1e9, "steps": 50, "seed_series": True}}, (), 3),
     ("wuyang", {"wuyang": {"r_start": 1e-300, "r_end": 1.0, "steps": 10, "seed_series": True}}, (), 3),
+    # one above each count field's cap
+    ("eoh", {"hamiltonian": _CART4, "evolution": {"t_points": 129}}, (), 2),
+    ("eoh", {"hamiltonian": _CART4, "evolution": {"trotter_steps": 100001}}, (), 2),
+    ("scatter", {"scatter": {"p1": 1, "p3": 2, "p2_scan": {"points": 16385}}}, (), 2),
+    ("vqe", {"hamiltonian": _POLAR, "ansatz": {"depth": 65}}, (), 2),
+    ("vqe", {"hamiltonian": _POLAR, "optimizer": {"max_iter": 100001}}, (), 2),
+    ("vqe", {"hamiltonian": _POLAR, "optimizer": {"restarts": 101}}, (), 2),
+    ("wuyang", {"wuyang": {"r_start": 0.05, "r_end": 1.0, "steps": 1000001, "seed_series": True}}, (), 2),
 ])
 def test_bad_input_exit_code_and_one_line_message(tmp_path, capsys, command, cfg, extra, code):
     out = tmp_path / "out.csv"

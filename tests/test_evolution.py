@@ -9,8 +9,11 @@ from gaugesim.errors import (
     NotHermitianError,
     NotPowerOfTwoError,
 )
+from scipy.linalg import expm
+
 from gaugesim.evolution import (
     PauliTermList,
+    _apply_trotter,
     dual_lattice_period,
     momentum_state,
     pauli_decompose,
@@ -134,6 +137,64 @@ def test_trotter_landau_convergence(rng):
         assert 1.6 <= e1 / e2 <= 2.4
 
 
+def _x_mask(label):
+    return sum(1 << (len(label) - 1 - q) for q, ch in enumerate(label) if ch in "XY")
+
+
+def _group_matrices(terms):
+    """H_x per X-mask, ascending, summed from materialized Pauli strings."""
+    out = {}
+    for label, coeff in terms.terms:
+        x = _x_mask(label)
+        out[x] = out.get(x, 0) + coeff * pauli_matrix(label)
+    return [out[x] for x in sorted(out)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_group_factor_is_exact_exponential(n):
+    rng = np.random.default_rng(100 + n)
+    h = random_hermitian(rng, 2 ** n)
+    terms = pauli_decompose(h)
+    assert any("Y" in label for label, _ in terms.terms)
+    groups = terms.groups()
+    oracles = _group_matrices(terms)
+    assert [x for x, _, _ in groups] == sorted({_x_mask(lab) for lab, _ in terms.terms})
+    eye = np.eye(2 ** n)
+    for (x, src, d), h_x in zip(groups, oracles):
+        rebuilt = np.zeros_like(h_x)
+        rebuilt[np.arange(2 ** n), src] = d
+        np.testing.assert_allclose(rebuilt, h_x, atol=1e-12)
+        for t in (0.37, 2.9):
+            factor = np.column_stack([_apply_trotter([(x, src, d)], [t], 1, col)[0] for col in eye])
+            np.testing.assert_allclose(factor, expm(-1j * t * h_x), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_trotter_step_is_ascending_mask_product(n):
+    rng = np.random.default_rng(200 + n)
+    h = random_hermitian(rng, 2 ** n)
+    terms = pauli_decompose(h)
+    psi = random_state(rng, 2 ** n)
+    t = 0.8
+    for n_steps in (1, 3):
+        step = np.eye(2 ** n)
+        for h_x in _group_matrices(terms):
+            step = expm(-1j * t / n_steps * h_x) @ step
+        expected = np.linalg.matrix_power(step, n_steps) @ psi
+        np.testing.assert_allclose(trotter_evolve(terms, t, n_steps, psi), expected, atol=1e-12)
+
+
+def test_group_counts():
+    from gaugesim.hamiltonians import build_landau_cartesian_position, build_monopole_su2
+
+    cart = HamiltonianSpec(kind="LandauCartesian", b_field=2.0)
+    monopole = HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant="HermitianPart")
+    for built, count in ((build_landau_cartesian(cart), 17),
+                         (build_landau_cartesian_position(cart), 31),
+                         (build_monopole_su2(monopole), 28)):
+        assert len(pauli_decompose(built.matrix).groups()) == count
+
+
 def test_trotter_guards(rng):
     terms = PauliTermList(n_qubits=2, terms=[("XI", 0.3)])
     with pytest.raises(DimensionMismatchError):
@@ -170,8 +231,9 @@ def test_transition_probabilities_sum_to_one(rng):
 
 
 def test_transition_trotter_agrees_with_exact_position_basis():
-    # measured first-order magnitude at 100 steps on the 16x16 grid (B=2)
-    # is 3.7e-3 in probability; assert the oracle-measured envelope
+    # measured first-order magnitude of the X-mask grouped product at 100
+    # steps on the 16x16 grid (B=2) is 1.2e-3 in probability; assert the
+    # oracle-measured envelope
     from gaugesim.hamiltonians import build_landau_cartesian_position
 
     built = build_landau_cartesian_position(HamiltonianSpec(kind="LandauCartesian", b_field=2.0))
@@ -310,6 +372,27 @@ def test_scattering_trotter_mode_close_to_exact(rng):
     exact = scattering_process(h, 0.9, 0.5, 1.0, psi0)
     trot = scattering_process(h, 0.9, 0.5, 1.0, psi0, method="trotter", trotter_steps=400)
     assert np.linalg.norm(exact - trot) < 5e-2
+
+
+@pytest.mark.parametrize("method, counted", [("exact", "hermitian_eig"), ("trotter", "pauli_decompose")])
+def test_scattering_decomposes_once(rng, monkeypatch, method, counted):
+    import gaugesim.evolution as evolution
+
+    original = getattr(evolution, counted)
+    calls = []
+    monkeypatch.setattr(evolution, counted, lambda *a, **k: calls.append(1) or original(*a, **k))
+    h = _free_position_h(16)
+    psi0 = random_state(rng, 16)
+    out = scattering_process(h, 0.9, 0.4, 1.0, psi0, method=method, trotter_steps=50)
+    assert len(calls) == 1
+    # reference: each leg evolved on its own, from a fresh decomposition
+    phase = np.exp(1j * 0.9 * pos_grid(16))
+    if method == "exact":
+        expected = evolve_unitary(h, 0.6) @ (phase * (evolve_unitary(h, 0.4) @ psi0))
+    else:
+        expected = trotter_evolve(pauli_decompose(h), 0.6, 50,
+                                  phase * trotter_evolve(pauli_decompose(h), 0.4, 50, psi0))
+    np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 def test_scattering_time_guard(rng):

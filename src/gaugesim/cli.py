@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import warnings
+from dataclasses import replace
 from typing import Mapping
 
 import numpy as np
@@ -75,14 +76,9 @@ def _optimizer_from(cfg, args) -> vqe_mod.OptimizerSettings:
     o = cfg.get("optimizer", {})
     if args.seed is not None and isinstance(o, Mapping):
         o = dict(o, seed=args.seed)
-    # "gradient_step" and "method" are accepted so that older configs still
-    # parse, and ignored: the gradient is exact and the method is SLSQP.
     o = read_fields(o, "optimizer", {
         "max_iter": (int, 1, 100000), "seed": (int, 0), "tolerance": (float, 0.0), "restarts": (int, 1, 100),
-        "gradient_step": float, "method": ("SLSQP",),
     })
-    o.pop("gradient_step", None)
-    o.pop("method", None)
     return vqe_mod.OptimizerSettings(**o)
 
 
@@ -158,10 +154,10 @@ def cmd_eoh(cfg, args) -> int:
     if finals != "all":
         if not (isinstance(finals, list) and finals):
             raise InvalidConfigError("final_states must be 'all' or a non-empty list of basis indices")
-        basis_vectors = [np.eye(built.dim)[:, read_number(k, "final_states[]", int, 0, built.dim - 1)]
-                         for k in finals]
+        indices = [read_number(k, "final_states[]", int, 0, built.dim - 1) for k in finals]
+        basis_vectors = [np.eye(built.dim)[:, k] for k in indices]
     else:
-        basis_vectors = "all"
+        indices, basis_vectors = list(range(built.dim)), "all"
 
     # initial particle position nearest the origin: with an even grid zero is
     # not a point, so both axes sit at the smallest positive value.
@@ -183,7 +179,7 @@ def cmd_eoh(cfg, args) -> int:
     stem, dot, ext = out.rpartition(".")
     for name, s in series.items():
         path = f"{stem}_{name}.{ext}" if dot else f"{out}_{name}"
-        write_transition_csv(s, path)
+        write_transition_csv(replace(s, labels=indices), path)  # columns named by grid index
         paths[name] = path
     if len(series) == 2:
         dev = float(np.max(np.abs(series["exact"].probabilities() - series["trotter"].probabilities())))
@@ -229,7 +225,7 @@ def cmd_scatter(cfg, args) -> int:
 def cmd_wuyang(cfg, args) -> int:
     read_fields(cfg, "config", {"wuyang": None, "output": None}, required=("wuyang",))
     wy = read_fields(cfg["wuyang"], "wuyang", {
-        "r_start": float, "r_end": float, "steps": (int, 10, 1000000), "seed_series": (True, False),
+        "r_start": float, "r_end": float, "steps": (int, 10, 100000), "seed_series": (True, False),
         "g_start": float, "gprime_start": float,
     }, required=("r_start", "r_end", "steps"))
     r_start, r_end, steps = wy["r_start"], wy["r_end"], wy["steps"]

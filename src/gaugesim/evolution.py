@@ -115,7 +115,7 @@ class PauliTermList:
         return self._groups
 
 
-def pauli_decompose(h, prune: float | None = None) -> PauliTermList:
+def pauli_decompose(h) -> PauliTermList:
     """Expand a Hermitian matrix over Pauli strings, c_s = Tr(P_s H) / 2**n.
 
     Runs the tensored block transform qubit by qubit, O(n 4**n) total,
@@ -124,8 +124,8 @@ def pauli_decompose(h, prune: float | None = None) -> PauliTermList:
         [[A, B], [C, D]]  ->  (A+D)/2, (B+C)/2, i(B-C)/2, (A-D)/2
 
     yields the I, X, Y, Z coefficient blocks for the leading qubit, and
-    recursion on the blocks handles the rest.  Coefficients below
-    ``prune`` (default 1e-12 * max|c|) are dropped.
+    recursion on the blocks handles the rest.  Coefficients at or below
+    1e-12 * max|c| are dropped.
     """
     m = np.asarray(h, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -150,8 +150,7 @@ def pauli_decompose(h, prune: float | None = None) -> PauliTermList:
     if scale > 0.0 and resid > 1e-10 * scale:
         raise NotHermitianError(f"complex Pauli coefficients (residue {resid:.3e})")
     real = coeffs.real
-    threshold = (1e-12 * scale) if prune is None else prune
-    keep = np.nonzero(np.abs(real) > threshold)[0]
+    keep = np.nonzero(np.abs(real) > 1e-12 * scale)[0]
     terms = [(pauli_index_to_label(int(i), n), float(real[i])) for i in keep]
     return PauliTermList(n_qubits=n, terms=terms)
 
@@ -217,13 +216,13 @@ class TransitionSeries:
     """Amplitudes <f| U(t) |i> over a time grid.
 
     ``amplitudes[j, k]`` is the amplitude at ts[j] into final state k;
-    ``labels[k]`` names that final state (grid index for basis states).
+    ``labels[k]`` names that final state: its grid index for "all", its
+    position in the list of final states otherwise.
     """
 
     ts: np.ndarray
     amplitudes: np.ndarray
     labels: list
-    initial_label: str = "psi_i"
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -237,6 +236,21 @@ def _final_states(psi_fs, dim: int):
     if mat.shape[0] != dim:
         raise DimensionMismatchError("final states do not match H dimension")
     return mat, list(range(mat.shape[1]))
+
+
+def _evolver(hm, method: str, trotter_steps: int):
+    """Decompose H once; returns evolve(psi, ts), exp(-iHt) psi per t in ts.
+
+    "exact" propagates spectrally, "trotter" by the grouped first-order
+    product with ``trotter_steps`` steps.
+    """
+    if method == "exact":
+        es = hermitian_eig(hm)
+        return lambda psi, ts: _propagate(es, psi, ts)
+    if method == "trotter":
+        terms = pauli_decompose(hm)
+        return lambda psi, ts: _apply_trotter(terms.groups(), ts, int(trotter_steps), psi)
+    raise ValueError(f"method must be 'exact' or 'trotter', got {method!r}")
 
 
 def transition_series(h, psi_i, psi_fs, ts, method: str = "exact",
@@ -256,14 +270,7 @@ def transition_series(h, psi_i, psi_fs, ts, method: str = "exact",
         )
     ts = np.asarray(ts, dtype=float)
     finals, labels = _final_states(psi_fs, hm.shape[0])
-
-    if method == "exact":
-        states = _propagate(hermitian_eig(hm), psi_i, ts)
-    elif method == "trotter":
-        states = _apply_trotter(pauli_decompose(hm).groups(), ts, int(trotter_steps), psi_i)
-    else:
-        raise ValueError(f"method must be 'exact' or 'trotter', got {method!r}")
-
+    states = _evolver(hm, method, trotter_steps)(psi_i, ts)
     amps = states @ finals.conj()
     return TransitionSeries(ts=ts, amplitudes=amps, labels=labels)
 
@@ -335,42 +342,24 @@ def vertex_scan(k1: int, k3: int, n: int, p2_values) -> np.ndarray:
 
 
 def scattering_process(h_free, p2: float, tau: float, total_t: float, psi0,
-                       x_op=None, method: str = "exact",
-                       trotter_steps: int = 100) -> np.ndarray:
+                       method: str = "exact", trotter_steps: int = 100) -> np.ndarray:
     """Evolve, insert the vertex exp(i p2 X), evolve again.
 
-    Returns U(total_t - tau) V(p2) U(tau) |psi0>.  tau may sit at either
-    endpoint (the pure before/after limits).  ``x_op`` defaults to the
-    diagonal position operator of the matching grid; pass an explicit
-    matrix for composite registers.
+    Returns U(total_t - tau) V(p2) U(tau) |psi0>, X the diagonal position
+    operator of the matching grid.  tau may sit at either endpoint (the
+    pure before/after limits).  H is decomposed once for both legs.
     """
     hm = matrix_of(h_free)
     if not 0.0 <= tau <= total_t:
         raise InvalidTimesError(f"need 0 <= tau <= total_T, got tau={tau}, total_T={total_t}")
     psi = np.asarray(psi0, dtype=np.complex128)
-    if x_op is None:
-        xdiag = pos_grid(hm.shape[0])
-    else:
-        x_op = np.asarray(x_op)
-        xdiag = np.diag(x_op) if x_op.ndim == 2 else x_op
-    if len(xdiag) != hm.shape[0]:
-        raise DimensionMismatchError("position operator does not match H dimension")
+    if len(psi) != hm.shape[0]:
+        raise DimensionMismatchError(f"initial state length {len(psi)} vs H dim {hm.shape[0]}")
+    evolve = _evolver(hm, method, trotter_steps)
 
-    # one eigendecomposition, or one Pauli decomposition, serves both legs
-    if method == "exact":
-        es = hermitian_eig(hm)
-    elif method == "trotter":
-        terms = pauli_decompose(hm)
-    else:
-        raise ValueError(f"method must be 'exact' or 'trotter', got {method!r}")
+    def leg(state, t):
+        return state if t == 0.0 else evolve(state, [t])[0]
 
-    def evolve(state, t):
-        if t == 0.0:
-            return state
-        if method == "exact":
-            return _propagate(es, state, [t])[0]
-        return trotter_evolve(terms, t, trotter_steps, state)
-
-    psi = evolve(psi, tau)
-    psi = np.exp(1j * float(p2) * xdiag) * psi
-    return evolve(psi, total_t - tau)
+    psi = leg(psi, tau)
+    psi = np.exp(1j * float(p2) * pos_grid(hm.shape[0])) * psi
+    return leg(psi, total_t - tau)

@@ -446,33 +446,28 @@ class VariantReport:
         return "\n".join(lines)
 
 
-def variant_selection_report(
-    g_m_values=(2.0, 0.2),
-    reference: Mapping[float, float] | None = None,
-    tolerance: float = 1e-3,
-    boson_trunc: int = 4,
-    r_ref: float = 1.0,
-    floor: float = 1e-8,
-) -> VariantReport:
+def variant_selection_report() -> VariantReport:
     """Diagonalize every monopole variant and compare to the references.
 
-    Resolves empirically which construction reproduces the reference
-    ground energies; ties are broken in VARIANTS order.
+    Builds each variant with N = 4 (ScalarB at r_ref = 1) at the couplings
+    of MONOPOLE_REFERENCE_ENERGIES; a variant matches when it lies within
+    1e-3 of every reference.  Ties are broken in VARIANTS order.
     """
-    reference = dict(MONOPOLE_REFERENCE_ENERGIES if reference is None else reference)
+    reference = dict(MONOPOLE_REFERENCE_ENERGIES)
+    tolerance = 1e-3
     values: dict = {}
     hermitian: dict = {}
     for variant in VARIANTS:
         per_gm = {}
         herm = True
-        for g_m in g_m_values:
+        for g_m in reference:
             spec = HamiltonianSpec(
                 kind="MonopoleSU2",
                 b_field=g_m,
-                boson_trunc=boson_trunc,
+                boson_trunc=4,
                 variant=variant,
-                r_ref=r_ref if variant == "ScalarB" else None,
-                floor=floor,
+                r_ref=1.0 if variant == "ScalarB" else None,
+                floor=1e-8,
             )
             built = build_monopole_su2(spec)
             per_gm[g_m] = built.lowest_eigenvalue()
@@ -481,15 +476,11 @@ def variant_selection_report(
         hermitian[variant] = herm
 
     def worst(variant: str) -> float:
-        return max(
-            abs(values[variant][g] - reference[g]) for g in reference if g in values[variant]
-        )
+        return max(abs(values[variant][g] - reference[g]) for g in reference)
 
-    comparable = [v for v in VARIANTS if all(g in values[v] for g in reference)]
-    matches = [v for v in comparable if worst(v) <= tolerance]
-    closest = min(comparable, key=worst) if comparable else ""
-    herm_variants = [v for v in comparable if hermitian[v]]
-    closest_hermitian = min(herm_variants, key=worst) if herm_variants else ""
+    matches = [v for v in VARIANTS if worst(v) <= tolerance]
+    closest = min(VARIANTS, key=worst)
+    closest_hermitian = min((v for v in VARIANTS if hermitian[v]), key=worst)
     return VariantReport(
         values=values,
         hermitian=hermitian,

@@ -27,7 +27,7 @@ __all__ = [
     "qubits_of_dim",
 ]
 
-#: Relative Hermiticity tolerance used when none is given explicitly.
+#: Relative Hermiticity tolerance of ``is_hermitian`` and ``hermitian_eig``.
 HERM_TOL = 1e-10
 
 
@@ -52,23 +52,13 @@ def herm_defect(a) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def is_hermitian(a, tol: float = HERM_TOL) -> bool:
-    """True when the Hermiticity defect is below ``tol * max|a|``."""
+def is_hermitian(a) -> bool:
+    """True when the Hermiticity defect is below ``HERM_TOL * max|a|``."""
     m = as_operator(a)
     scale = float(np.max(np.abs(m))) if m.size else 0.0
     if scale == 0.0:
         return True
-    return herm_defect(m) <= tol * scale
-
-
-def _require_hermitian(a, tol: float, who: str) -> np.ndarray:
-    m = as_operator(a)
-    if not is_hermitian(m, tol):
-        raise NotHermitianError(
-            f"{who}: matrix is not Hermitian to tolerance {tol:g} "
-            f"(defect {herm_defect(m):.3e})"
-        )
-    return m
+    return herm_defect(m) <= HERM_TOL * scale
 
 
 def kron(a, b) -> np.ndarray:
@@ -96,14 +86,19 @@ class EigenSystem:
         return (v * self.values) @ v.conj().T
 
 
-def hermitian_eig(a, tol: float = HERM_TOL) -> EigenSystem:
+def hermitian_eig(a) -> EigenSystem:
     """Diagonalize a Hermitian operator (ascending real spectrum).
 
-    Raises NotHermitianError when the input violates ``tol``.  Backed by
-    LAPACK's dense Hermitian solver, which is robust and deterministic at
+    Raises NotHermitianError when the input violates ``HERM_TOL``.  Backed
+    by LAPACK's dense Hermitian solver, which is robust and deterministic at
     these sizes.
     """
-    m = _require_hermitian(a, tol, "hermitian_eig")
+    m = as_operator(a)
+    if not is_hermitian(m):
+        raise NotHermitianError(
+            f"hermitian_eig: matrix is not Hermitian to tolerance {HERM_TOL:g} "
+            f"(defect {herm_defect(m):.3e})"
+        )
     values, vectors = np.linalg.eigh(m)
     return EigenSystem(values=values.astype(float), vectors=vectors.astype(np.complex128))
 

@@ -13,7 +13,6 @@ a fixed seed.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -45,16 +44,15 @@ class OptimizerSettings:
     """Knobs for one minimize run.
 
     ``restarts`` > 1 runs independent seeds seed, seed+1, ... and keeps
-    the best result.  ``init`` is "random" (uniform in [-pi, pi], the
-    default) or "zeros"; the all-zeros start is a stationary point of some
-    objectives, which is why it is not the default.
+    the best result.  Each run starts from parameters drawn uniformly in
+    [-pi, pi] with its seed; the all-zeros start is a stationary point of
+    some objectives.
     """
 
     max_iter: int = 600
     tolerance: float = 1e-9
     seed: int = DEFAULT_SEED
     restarts: int = 1
-    init: str = "random"
 
 
 @dataclass(frozen=True)
@@ -173,12 +171,7 @@ def energy_gradient(h, ansatz: AnsatzConfig, params) -> np.ndarray:
 
 
 def _single_run(h_real, ansatz, opt: OptimizerSettings, seed: int):
-    if opt.init == "zeros":
-        x0 = np.zeros(ansatz.n_params)
-    elif opt.init == "random":
-        x0 = np.random.default_rng(seed).uniform(-np.pi, np.pi, ansatz.n_params)
-    else:
-        raise ValueError(f"init must be 'random' or 'zeros', got {opt.init!r}")
+    x0 = np.random.default_rng(seed).uniform(-np.pi, np.pi, ansatz.n_params)
 
     f = _RealObjective(h_real, ansatz)
     trace = [(0, f.energy(x0))]
@@ -237,9 +230,8 @@ def minimize(h, ansatz: AnsatzConfig, opt: OptimizerSettings | None = None) -> V
 
 
 def sweep(build: Callable[[object], BuiltHamiltonian], grid: Sequence,
-          ansatz: AnsatzConfig, opt: OptimizerSettings | None = None,
-          workers: int = 1) -> list[SweepCell]:
-    """Independent minimize runs over a parameter grid.
+          ansatz: AnsatzConfig, opt: OptimizerSettings | None = None) -> list[SweepCell]:
+    """Independent minimize runs over a parameter grid, one cell after another.
 
     Each cell gets a deterministic seed (base seed + cell index), so a
     fixed base seed reproduces every trace bit for bit.  Per-cell failures
@@ -248,21 +240,14 @@ def sweep(build: Callable[[object], BuiltHamiltonian], grid: Sequence,
     opt = opt or OptimizerSettings()
     if len(grid) == 0:
         raise ValueError("sweep grid is empty")
-
-    def run_cell(i_cell):
-        i, cell = i_cell
+    cells = []
+    for i, cell in enumerate(grid):
         try:
-            built = build(cell)
-            result = minimize(built, ansatz, replace(opt, seed=opt.seed + i))
-            return SweepCell(cell=cell, result=result)
+            result = minimize(build(cell), ansatz, replace(opt, seed=opt.seed + i))
+            cells.append(SweepCell(cell=cell, result=result))
         except Exception as exc:  # noqa: BLE001 - propagated per cell
-            return SweepCell(cell=cell, error=exc)
-
-    items = list(enumerate(grid))
-    if workers <= 1:
-        return [run_cell(it) for it in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_cell, items))
+            cells.append(SweepCell(cell=cell, error=exc))
+    return cells
 
 
 def write_trace_csv(result: VqeResult, path):

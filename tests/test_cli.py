@@ -112,6 +112,18 @@ def test_eoh_t0_probabilities_are_overlaps(tmp_path):
     assert abs(probs.sum() - 1.0) < 1e-12
 
 
+def test_eoh_columns_named_by_grid_index(tmp_path):
+    cfg = {
+        "hamiltonian": {"kind": "LandauCartesian", "b_field": 2.0, "boson_trunc": 4},
+        "evolution": {"t_max": 0.5, "t_points": 2, "method": "Exact"},
+        "final_states": [5, 9],
+        "output": str(tmp_path / "eoh.csv"),
+    }
+    assert run(tmp_path, "eoh", cfg) == 0
+    header = (tmp_path / "eoh_exact.csv").read_text().splitlines()[0]
+    assert header == "t,re_5,im_5,prob_5,re_9,im_9,prob_9"
+
+
 def test_eoh_rejects_polar(tmp_path, capsys):
     cfg = {
         "hamiltonian": {"kind": "LandauPolar"},
@@ -253,6 +265,8 @@ def _spec(**kw):
     ("vqe", {"hamiltonian": _POLAR, "optimizer": {"seed": -1}}, (), 2),
     ("vqe", {"hamiltonian": _POLAR}, ("--seed", "-1"), 2),
     ("vqe", {"hamiltonian": _POLAR, "optimizer": {"method": "Nope"}}, (), 2),
+    ("vqe", {"hamiltonian": _POLAR, "optimizer": {"method": "SLSQP"}}, (), 2),  # removed key
+    ("vqe", {"hamiltonian": _POLAR, "optimizer": {"gradient_step": 1e-6}}, (), 2),  # removed key
     ("wuyang", {"wuyang": {"r_start": _NAN, "r_end": 1.0, "steps": 50, "seed_series": True}}, (), 2),
     ("wuyang", {"wuyang": {"r_start": 0.05, "r_end": 1e9, "steps": 50, "seed_series": True}}, (), 3),
     ("wuyang", {"wuyang": {"r_start": 1e-300, "r_end": 1.0, "steps": 10, "seed_series": True}}, (), 3),
@@ -264,6 +278,7 @@ def _spec(**kw):
     ("vqe", {"hamiltonian": _POLAR, "optimizer": {"max_iter": 100001}}, (), 2),
     ("vqe", {"hamiltonian": _POLAR, "optimizer": {"restarts": 101}}, (), 2),
     ("wuyang", {"wuyang": {"r_start": 0.05, "r_end": 1.0, "steps": 1000001, "seed_series": True}}, (), 2),
+    ("wuyang", {"wuyang": {"r_start": 0.05, "r_end": 1.0, "steps": 100001, "seed_series": True}}, (), 2),
 ])
 def test_bad_input_exit_code_and_one_line_message(tmp_path, capsys, command, cfg, extra, code):
     out = tmp_path / "out.csv"
@@ -272,9 +287,3 @@ def test_bad_input_exit_code_and_one_line_message(tmp_path, capsys, command, cfg
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert not out.exists()
 
-
-def test_optimizer_method_slsqp_still_parses(tmp_path, capsys):
-    cfg = {"hamiltonian": dict(_POLAR, boson_trunc=4), "ansatz": {"depth": 1},
-           "optimizer": {"max_iter": 3, "method": "SLSQP", "gradient_step": 1e-6},
-           "output": str(tmp_path / "t.csv")}
-    assert run(tmp_path, "vqe", cfg) == 0

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,9 @@ def test_variant_selection_report():
     assert is_hermitian(hp.matrix)
     md = rep.to_markdown()
     assert "HermitianPart" in md and "reference" in md
+    # the committed table (regenerated by demos/04_monopole_variants.py) is current
+    doc = pathlib.Path(__file__).resolve().parents[1] / "docs" / "monopole_variants.md"
+    assert md in doc.read_text(encoding="utf-8")
 
 
 def test_build_dispatcher():

@@ -119,15 +119,6 @@ def test_minimize_guards():
         minimize(PAULI["Z"], template(2, depth=0))
 
 
-def test_zeros_init_option():
-    # the all-zeros start is a stationary point for Z (exposed, not default)
-    res = minimize(PAULI["Z"], template(1, depth=0),
-                   OptimizerSettings(seed=3, init="zeros", max_iter=50))
-    assert abs(res.energy - 1.0) < 1e-9  # stuck at <0|Z|0> = +1
-    with pytest.raises(ValueError):
-        minimize(PAULI["Z"], template(1, depth=0), OptimizerSettings(init="sideways"))
-
-
 def test_budget_exhaustion_returns_best_so_far():
     built = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
     res = minimize(built, template(4, depth=3), OptimizerSettings(seed=11, max_iter=3))
@@ -186,15 +177,6 @@ def test_sweep_captures_cell_errors():
                   OptimizerSettings(seed=2, max_iter=20))
     assert cells[0].error is None and cells[0].result is not None
     assert isinstance(cells[1].error, ValueError) and cells[1].result is None
-
-
-def test_sweep_parallel_matches_serial():
-    built = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
-    opt = OptimizerSettings(seed=4, max_iter=40)
-    serial = sweep(lambda c: built, [0, 1], template(4, depth=1), opt, workers=1)
-    threaded = sweep(lambda c: built, [0, 1], template(4, depth=1), opt, workers=2)
-    for a, b in zip(serial, threaded):
-        assert a.result.trace == b.result.trace
 
 
 def test_trace_csv_format(tmp_path):

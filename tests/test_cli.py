@@ -265,8 +265,6 @@ def _spec(**kw):
     ("vqe", {"hamiltonian": _POLAR, "optimizer": {"seed": -1}}, (), 2),
     ("vqe", {"hamiltonian": _POLAR}, ("--seed", "-1"), 2),
     ("vqe", {"hamiltonian": _POLAR, "optimizer": {"method": "Nope"}}, (), 2),
-    ("vqe", {"hamiltonian": _POLAR, "optimizer": {"method": "SLSQP"}}, (), 2),  # removed key
-    ("vqe", {"hamiltonian": _POLAR, "optimizer": {"gradient_step": 1e-6}}, (), 2),  # removed key
     ("wuyang", {"wuyang": {"r_start": _NAN, "r_end": 1.0, "steps": 50, "seed_series": True}}, (), 2),
     ("wuyang", {"wuyang": {"r_start": 0.05, "r_end": 1e9, "steps": 50, "seed_series": True}}, (), 3),
     ("wuyang", {"wuyang": {"r_start": 1e-300, "r_end": 1.0, "steps": 10, "seed_series": True}}, (), 3),
@@ -279,6 +277,9 @@ def _spec(**kw):
     ("vqe", {"hamiltonian": _POLAR, "optimizer": {"restarts": 101}}, (), 2),
     ("wuyang", {"wuyang": {"r_start": 0.05, "r_end": 1.0, "steps": 1000001, "seed_series": True}}, (), 2),
     ("wuyang", {"wuyang": {"r_start": 0.05, "r_end": 1.0, "steps": 100001, "seed_series": True}}, (), 2),
+    # removed keys
+    ("vqe", {"hamiltonian": _POLAR, "optimizer": {"method": "SLSQP"}}, (), 2),
+    ("vqe", {"hamiltonian": _POLAR, "optimizer": {"gradient_step": 1e-6}}, (), 2),
 ])
 def test_bad_input_exit_code_and_one_line_message(tmp_path, capsys, command, cfg, extra, code):
     out = tmp_path / "out.csv"

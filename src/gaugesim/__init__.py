@@ -49,7 +49,7 @@ from .analytic import (
     wu_yang_series_small,
     wu_yang_solve,
 )
-from .circuits import AnsatzConfig, ansatz_state, apply_cx, apply_cz, apply_ry, expectation, zero_state
+from .circuits import AnsatzConfig, ansatz_state, expectation
 from .vqe import OptimizerSettings, VqeResult, minimize, sweep
 from .evolution import (
     PauliTermList,

@@ -1,12 +1,12 @@
-"""Minimal statevector engine and the layered Ry variational form.
+"""The layered Ry variational form on real statevectors.
 
-States are plain 1-D ndarrays of length 2**n.  Qubit 0 is the most
-significant bit of the basis index, matching the tensor-slot convention
-of the basis module (slot 0 = leftmost Kronecker factor).  The gate
-functions return new complex arrays and never mutate their inputs.  Ry,
-CZ and CX have real matrices, so the Ry form runs on real (float64)
-states, and ``adjoint_gradient`` differentiates it with one backward
-sweep (Jones & Gacon, arXiv:2009.02823).
+States are plain 1-D float64 ndarrays of length 2**n.  Qubit 0 is the
+most significant bit of the basis index, matching the tensor-slot
+convention of the basis module (slot 0 = leftmost Kronecker factor).
+Ry, CZ and CX have real matrices, so ``ansatz_state`` prepares a real
+state, and ``adjoint_gradient`` differentiates it with one backward
+sweep (Jones & Gacon, arXiv:2009.02823).  ``expectation`` gives
+<psi|H|psi> for any (complex) state and Hermitian H.
 """
 
 from __future__ import annotations
@@ -16,35 +16,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidConfigError,
-    NotHermitianError,
-    QubitOutOfRangeError,
-)
-from .operators import qubits_of_dim
+from .errors import DimensionMismatchError, InvalidConfigError, NotHermitianError
 
 __all__ = [
     "AnsatzConfig",
-    "zero_state",
-    "apply_ry",
-    "apply_cz",
-    "apply_cx",
     "ansatz_state",
     "adjoint_gradient",
     "expectation",
 ]
-
-
-def zero_state(n_qubits: int) -> np.ndarray:
-    psi = np.zeros(2 ** n_qubits, dtype=np.complex128)
-    psi[0] = 1.0
-    return psi
-
-
-def _check_qubit(qubit: int, n: int):
-    if not 0 <= qubit < n:
-        raise QubitOutOfRangeError(f"qubit {qubit} outside register of {n}")
 
 
 def _ry(psi: np.ndarray, qubit: int, theta: float) -> np.ndarray:
@@ -57,40 +36,6 @@ def _ry(psi: np.ndarray, qubit: int, theta: float) -> np.ndarray:
     view[..., 0, :] = c * a - s * b
     view[..., 1, :] = s * a + c * b
     return psi
-
-
-def apply_ry(state, qubit: int, theta: float) -> np.ndarray:
-    """Rotate one qubit by [[cos t/2, -sin t/2], [sin t/2, cos t/2]]."""
-    n = qubits_of_dim(len(state))
-    _check_qubit(qubit, n)
-    return _ry(np.array(state, dtype=np.complex128), qubit, theta)
-
-
-def apply_cz(state, control: int, target: int) -> np.ndarray:
-    """Phase -1 on basis states with both qubits set (symmetric in its args)."""
-    n = qubits_of_dim(len(state))
-    _check_qubit(control, n)
-    _check_qubit(target, n)
-    if control == target:
-        raise QubitOutOfRangeError("control and target must differ")
-    idx = np.arange(len(state))
-    both = ((idx >> (n - 1 - control)) & (idx >> (n - 1 - target)) & 1).astype(bool)
-    out = np.array(state, dtype=np.complex128)
-    out[both] = -out[both]
-    return out
-
-
-def apply_cx(state, control: int, target: int) -> np.ndarray:
-    """Flip the target qubit where the control is set."""
-    n = qubits_of_dim(len(state))
-    _check_qubit(control, n)
-    _check_qubit(target, n)
-    if control == target:
-        raise QubitOutOfRangeError("control and target must differ")
-    idx = np.arange(len(state))
-    ctrl = ((idx >> (n - 1 - control)) & 1).astype(bool)
-    src = np.where(ctrl, idx ^ (1 << (n - 1 - target)), idx)
-    return np.asarray(state, dtype=np.complex128)[src]
 
 
 @lru_cache(maxsize=None)
@@ -110,9 +55,9 @@ def _cz_full_layer_signs(n: int) -> np.ndarray:
 def _cx_full_layer_sources(n: int, inverse: bool = False) -> np.ndarray:
     """Gather indices of the all-pairs CX layer: ``layer(psi) = psi[src]``.
 
-    The pairs act in ascending (control < target) order, as ``apply_cx``
-    one by one would; a CX only permutes amplitudes, so the whole layer is
-    one permutation.  ``inverse`` gives the indices that undo the layer.
+    The pairs act one by one in ascending (control < target) order; a CX
+    only permutes amplitudes, so the whole layer is one permutation.
+    ``inverse`` gives the indices that undo the layer.
     """
     idx = np.arange(2 ** n)
     src = idx

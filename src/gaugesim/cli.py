@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from dataclasses import replace
@@ -152,10 +153,12 @@ def cmd_eoh(cfg, args) -> int:
     n = spec.boson_trunc
     finals = cfg.get("final_states", "all")
     if finals != "all":
-        if not (isinstance(finals, list) and finals):
-            raise InvalidConfigError("final_states must be 'all' or a non-empty list of basis indices")
+        if not (isinstance(finals, list) and 0 < len(finals) <= built.dim):
+            raise InvalidConfigError(
+                f"final_states must be 'all' or a list of 1 to {built.dim} basis indices"
+            )
         indices = [read_number(k, "final_states[]", int, 0, built.dim - 1) for k in finals]
-        basis_vectors = [np.eye(built.dim)[:, k] for k in indices]
+        basis_vectors = np.eye(built.dim)[indices]  # one row e_k per index
     else:
         indices, basis_vectors = list(range(built.dim)), "all"
 
@@ -176,9 +179,9 @@ def cmd_eoh(cfg, args) -> int:
     for s in series.values():
         _require_finite(s.amplitudes, "the transition amplitudes")
     paths = {}
-    stem, dot, ext = out.rpartition(".")
+    stem, ext = os.path.splitext(out)
     for name, s in series.items():
-        path = f"{stem}_{name}.{ext}" if dot else f"{out}_{name}"
+        path = f"{stem}_{name}{ext}"
         write_transition_csv(replace(s, labels=indices), path)  # columns named by grid index
         paths[name] = path
     if len(series) == 2:

@@ -26,10 +26,6 @@ class NotPowerOfTwoError(DimensionMismatchError):
     """Matrix dimension is not 2**n for integer n."""
 
 
-class QubitOutOfRangeError(GaugesimError):
-    """Qubit index outside the register."""
-
-
 class IndexOutOfRangeError(GaugesimError):
     """State or grid index outside the valid range."""
 

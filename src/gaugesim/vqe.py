@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.optimize
 
-from .circuits import AnsatzConfig, adjoint_gradient, ansatz_state, expectation
+from .circuits import AnsatzConfig, adjoint_gradient, ansatz_state
 from .errors import DimensionMismatchError, NotHermitianError
 from .hamiltonians import BuiltHamiltonian, matrix_of
 from .operators import is_hermitian
@@ -29,7 +29,6 @@ __all__ = [
     "VqeResult",
     "SweepCell",
     "template",
-    "energy_of",
     "energy_gradient",
     "minimize",
     "sweep",
@@ -112,11 +111,6 @@ def _check_inputs(h, ansatz: AnsatzConfig) -> np.ndarray:
             "so the variational quotient is real"
         )
     return m
-
-
-def energy_of(h, ansatz: AnsatzConfig, params) -> float:
-    """Ansatz energy at the given parameters."""
-    return expectation(ansatz_state(ansatz.with_params(params)), matrix_of(h))
 
 
 def _real_part(m) -> np.ndarray:

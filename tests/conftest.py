@@ -30,3 +30,43 @@ def random_state(rng, dim: int) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+# Dense gate oracle: each gate as a full 2**n x 2**n matrix, built from
+# Kronecker products of 2x2 factors (qubit 0 = leftmost factor).
+P0 = np.diag([1.0, 0.0]).astype(complex)
+P1 = np.diag([0.0, 1.0]).astype(complex)
+
+
+def kron_factors(n: int, factors: dict) -> np.ndarray:
+    """I (x) ... (x) factors[q] (x) ... (x) I over n qubits."""
+    out = np.eye(1, dtype=complex)
+    for q in range(n):
+        out = np.kron(out, factors.get(q, I2))
+    return out
+
+
+def dense_ry(n: int, qubit: int, theta: float) -> np.ndarray:
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return kron_factors(n, {qubit: np.array([[c, -s], [s, c]], dtype=complex)})
+
+
+def dense_controlled(n: int, control: int, target: int, gate: np.ndarray) -> np.ndarray:
+    """|0><0|_c + |1><1|_c gate_t."""
+    return kron_factors(n, {control: P0}) + kron_factors(n, {control: P1, target: gate})
+
+
+def dense_ansatz_state(n: int, depth: int, params, entangler: str = "cz") -> np.ndarray:
+    """The layered Ry form, gate by gate: Ry layer, then ``depth`` blocks of
+    [all pairs (c < t) in ascending order, Ry layer]."""
+    gate = SZ if entangler == "cz" else SX
+    psi = np.zeros(2 ** n, dtype=complex)
+    psi[0] = 1.0
+    for d, thetas in enumerate(np.reshape(params, (depth + 1, n))):
+        if d:
+            for c in range(n - 1):
+                for t in range(c + 1, n):
+                    psi = dense_controlled(n, c, t, gate) @ psi
+        for q in range(n):
+            psi = dense_ry(n, q, thetas[q]) @ psi
+    return psi

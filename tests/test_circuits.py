@@ -1,80 +1,53 @@
 import numpy as np
 import pytest
 
-from gaugesim.circuits import (
-    AnsatzConfig,
-    ansatz_state,
-    apply_cx,
-    apply_cz,
-    apply_ry,
-    expectation,
-    zero_state,
-)
-from gaugesim.errors import (
-    DimensionMismatchError,
-    InvalidConfigError,
-    NotHermitianError,
-    QubitOutOfRangeError,
-)
+from gaugesim import circuits
+from gaugesim.circuits import AnsatzConfig, ansatz_state, expectation
+from gaugesim.errors import DimensionMismatchError, InvalidConfigError, NotHermitianError
 from gaugesim.hamiltonians import HamiltonianSpec, build_landau_cartesian
 from gaugesim.operators import hermitian_eig
 
-from conftest import PAULI, random_hermitian, random_state
+from conftest import PAULI, dense_ansatz_state, dense_ry, random_hermitian, random_state
+
+
+def _state(n, depth, params, entangler="cz"):
+    return ansatz_state(AnsatzConfig(n_qubits=n, depth=depth, params=np.array(params, dtype=float),
+                                     entangler=entangler))
 
 
 def test_ry_identity_and_flip():
-    psi = zero_state(1)
-    np.testing.assert_allclose(apply_ry(psi, 0, 0.0), psi, atol=1e-15)
-    np.testing.assert_allclose(apply_ry(psi, 0, np.pi), [0, 1], atol=1e-12)
-    np.testing.assert_allclose(apply_ry(psi, 0, np.pi / 2), [1, 1] / np.sqrt(2), atol=1e-12)
+    np.testing.assert_allclose(_state(1, 0, [0.0]), [1, 0], atol=1e-15)
+    np.testing.assert_allclose(_state(1, 0, [np.pi]), [0, 1], atol=1e-12)
+    np.testing.assert_allclose(_state(1, 0, [np.pi / 2]), [1, 1] / np.sqrt(2), atol=1e-12)
 
 
 def test_ry_matches_dense_matrix(rng):
+    # the in-place kernel, on one state and on a stack along the last axis
     theta = 0.77
-    ry = np.array([[np.cos(theta / 2), -np.sin(theta / 2)],
-                   [np.sin(theta / 2), np.cos(theta / 2)]])
-    psi = random_state(rng, 8)
-    for qubit, mats in ((0, (ry, np.eye(2), np.eye(2))),
-                        (1, (np.eye(2), ry, np.eye(2))),
-                        (2, (np.eye(2), np.eye(2), ry))):
-        dense = np.kron(np.kron(mats[0], mats[1]), mats[2])
-        np.testing.assert_allclose(apply_ry(psi, qubit, theta), dense @ psi, atol=1e-12)
+    states = rng.normal(size=(2, 8))
+    for qubit in range(3):
+        dense = dense_ry(3, qubit, theta)
+        np.testing.assert_allclose(circuits._ry(states[0].copy(), qubit, theta),
+                                   dense @ states[0], atol=1e-12)
+        np.testing.assert_allclose(circuits._ry(states.copy(), qubit, theta),
+                                   states @ dense.T, atol=1e-12)
 
 
 def test_cz_phases():
-    np.testing.assert_allclose(apply_cz([1, 0, 0, 0], 0, 1), [1, 0, 0, 0], atol=1e-15)
-    np.testing.assert_allclose(apply_cz([0, 0, 0, 1], 0, 1), [0, 0, 0, -1], atol=1e-15)
-    psi = np.array([0.5, 0.5, 0.5, 0.5])
-    np.testing.assert_allclose(apply_cz(apply_cz(psi, 1, 0), 0, 1), psi, atol=1e-15)
+    # Ry(pi) prepares |1>, so the first layer picks the basis state the CZ sees
+    np.testing.assert_allclose(_state(2, 1, [0, 0, 0, 0]), [1, 0, 0, 0], atol=1e-15)
+    np.testing.assert_allclose(_state(2, 1, [np.pi, 0, 0, 0]), [0, 0, 1, 0], atol=1e-12)
+    np.testing.assert_allclose(_state(2, 1, [np.pi, np.pi, 0, 0]), [0, 0, 0, -1], atol=1e-12)
 
 
 def test_cx_action():
-    np.testing.assert_allclose(apply_cx([0, 0, 1, 0], 0, 1), [0, 0, 0, 1], atol=1e-15)
-    np.testing.assert_allclose(apply_cx([1, 0, 0, 0], 0, 1), [1, 0, 0, 0], atol=1e-15)
-
-
-def test_gate_norm_preservation(rng):
-    for _ in range(10):
-        psi = random_state(rng, 16)
-        out = apply_ry(psi, int(rng.integers(4)), rng.uniform(-np.pi, np.pi))
-        out = apply_cz(out, 0, 3)
-        out = apply_cx(out, 2, 1)
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
-
-
-def test_gate_qubit_range_errors():
-    psi = zero_state(2)
-    with pytest.raises(QubitOutOfRangeError):
-        apply_ry(psi, 2, 0.1)
-    with pytest.raises(QubitOutOfRangeError):
-        apply_cz(psi, 0, 0)
-    with pytest.raises(QubitOutOfRangeError):
-        apply_cx(psi, -1, 0)
+    np.testing.assert_allclose(_state(2, 1, [np.pi, 0, 0, 0], "cx"), [0, 0, 0, 1], atol=1e-12)
+    np.testing.assert_allclose(_state(2, 1, [0, np.pi, 0, 0], "cx"), [0, 1, 0, 0], atol=1e-12)
+    np.testing.assert_allclose(_state(2, 1, [0, 0, 0, 0], "cx"), [1, 0, 0, 0], atol=1e-15)
 
 
 def test_ansatz_zero_params_is_vacuum():
-    cfg = AnsatzConfig(n_qubits=3, depth=2, params=np.zeros(9))
-    np.testing.assert_allclose(ansatz_state(cfg), zero_state(3), atol=1e-15)
+    np.testing.assert_allclose(_state(3, 2, np.zeros(9)), np.eye(8)[0], atol=1e-15)
 
 
 def test_ansatz_single_qubit_depth0():
@@ -91,19 +64,19 @@ def test_ansatz_normalized_and_deterministic(rng):
     np.testing.assert_array_equal(psi1, psi2)
 
 
+def _check_against_dense_oracle(rng, entangler):
+    for n in range(1, 5):
+        for depth in range(4):
+            params = rng.uniform(-np.pi, np.pi, n * (depth + 1))
+            state = _state(n, depth, params, entangler)
+            assert state.dtype == np.float64
+            np.testing.assert_allclose(state, dense_ansatz_state(n, depth, params, entangler),
+                                       rtol=0, atol=1e-13, err_msg=f"n={n} depth={depth}")
+
+
 def test_ansatz_cz_layer_matches_explicit_gates(rng):
-    # the fused sign-vector entangler equals pairwise CZ application
-    params = rng.uniform(-np.pi, np.pi, 8)
-    cfg = AnsatzConfig(n_qubits=4, depth=1, params=params)
-    psi = zero_state(4)
-    for q in range(4):
-        psi = apply_ry(psi, q, params[q])
-    for c in range(3):
-        for t in range(c + 1, 4):
-            psi = apply_cz(psi, c, t)
-    for q in range(4):
-        psi = apply_ry(psi, q, params[4 + q])
-    np.testing.assert_allclose(ansatz_state(cfg), psi, atol=1e-13)
+    # the fused sign-vector entangler equals the CZ gates one by one
+    _check_against_dense_oracle(rng, "cz")
 
 
 def test_ansatz_cx_entangler_runs(rng):
@@ -112,20 +85,8 @@ def test_ansatz_cx_entangler_runs(rng):
 
 
 def test_ansatz_cx_layer_matches_explicit_gates(rng):
-    # the fused CX permutation equals pairwise CX in ascending (control, target) order
-    params = rng.uniform(-np.pi, np.pi, 12)
-    cfg = AnsatzConfig(n_qubits=4, depth=2, params=params, entangler="cx")
-    psi = zero_state(4)
-    for d, thetas in enumerate(params.reshape(3, 4)):
-        if d:
-            for c in range(3):
-                for t in range(c + 1, 4):
-                    psi = apply_cx(psi, c, t)
-        for q in range(4):
-            psi = apply_ry(psi, q, thetas[q])
-    state = ansatz_state(cfg)
-    assert state.dtype == np.float64
-    np.testing.assert_allclose(state, psi, atol=1e-13)
+    # the fused CX permutation equals the CX gates in ascending (control, target) order
+    _check_against_dense_oracle(rng, "cx")
 
 
 def test_ansatz_config_validation():

@@ -124,6 +124,27 @@ def test_eoh_columns_named_by_grid_index(tmp_path):
     assert header == "t,re_5,im_5,prob_5,re_9,im_9,prob_9"
 
 
+@pytest.mark.parametrize("out, written", [
+    ("eoh.csv", "eoh_exact.csv"),
+    ("eoh", "eoh_exact"),
+    ("./eoh", "eoh_exact"),
+    ("run.v2/eoh", "run.v2/eoh_exact"),
+    ("run.v2/eoh.csv", "run.v2/eoh_exact.csv"),
+])
+def test_eoh_output_suffix_goes_before_the_file_extension(tmp_path, monkeypatch, out, written):
+    # a dot in a directory name is not an extension
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.v2").mkdir()
+    cfg = {
+        "hamiltonian": {"kind": "LandauCartesian", "b_field": 2.0, "boson_trunc": 4},
+        "evolution": {"t_max": 0.0, "t_points": 1, "method": "Exact"},
+        "output": out,
+    }
+    assert run(tmp_path, "eoh", cfg) == 0
+    files = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+    assert files == {"eoh.json", written}
+
+
 def test_eoh_rejects_polar(tmp_path, capsys):
     cfg = {
         "hamiltonian": {"kind": "LandauPolar"},
@@ -280,6 +301,8 @@ def _spec(**kw):
     # removed keys
     ("vqe", {"hamiltonian": _POLAR, "optimizer": {"method": "SLSQP"}}, (), 2),
     ("vqe", {"hamiltonian": _POLAR, "optimizer": {"gradient_step": 1e-6}}, (), 2),
+    # more final states than the 16 basis states
+    ("eoh", {"hamiltonian": _CART4, "final_states": [0] * 17}, (), 2),
 ])
 def test_bad_input_exit_code_and_one_line_message(tmp_path, capsys, command, cfg, extra, code):
     out = tmp_path / "out.csv"

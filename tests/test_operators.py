@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from gaugesim.basis import osc_q
-from gaugesim.circuits import apply_ry
 from gaugesim.errors import DimensionMismatchError, NotHermitianError, NotPowerOfTwoError
-from gaugesim.evolution import pauli_decompose
+from gaugesim.evolution import pauli_decompose, transition_series
 from gaugesim.operators import (
     evolve_unitary,
     herm_defect,
@@ -157,6 +156,6 @@ def test_qubits_of_dim():
     assert issubclass(NotPowerOfTwoError, DimensionMismatchError)
     # empty inputs used to end in OverflowError from int(log2(0))
     with pytest.raises(NotPowerOfTwoError):
-        apply_ry(np.array([]), 0, 0.1)
+        transition_series(np.zeros((0, 0)), np.array([]), "all", [0.0], method="trotter")
     with pytest.raises(NotPowerOfTwoError):
         pauli_decompose(np.zeros((0, 0)))

@@ -45,9 +45,9 @@ def landau_energy(b_field: float, n: int) -> float:
 
 
 def polar_energy(b_field: float, n: int, m: int) -> float:
-    """Radial-sector energy (n + 1 - m) B / 2."""
-    if n < 0:
-        raise ValueError(f"level index must be >= 0, got {n}")
+    """Radial-sector energy (n + 1 - m) B / 2, where n = 2 n_r + |m| with n_r >= 0."""
+    if n < abs(m) or (n - m) % 2:
+        raise ValueError(f"n must be 2 n_r + |m| with n_r >= 0, got n={n}, m={m}")
     return (n + 1 - m) * b_field / 2.0
 
 

@@ -198,7 +198,8 @@ class BuiltHamiltonian:
     """A concrete Hamiltonian matrix plus the spec that produced it.
 
     ``hermitian`` is measured at build time (relative defect <= 1e-10);
-    the literal monopole variant is expected to fail that check.
+    the Literal and ScalarB monopole variants are expected to fail that
+    check (their raising-operator bilinears are non-Hermitian).
     """
 
     matrix: np.ndarray
@@ -344,19 +345,6 @@ def build_landau_polar(spec: HamiltonianSpec, basis_scale: float = POLAR_BASIS_S
     return _finish(h, spec)
 
 
-def _monopole_operators(n: int, fermion: np.ndarray):
-    """Placed boson (x, y, z, p) and fermion-bilinear operators, dims [n,n,n,2,2,2]."""
-    dims = [n, n, n, 2, 2, 2]
-    q, p = basis.osc_q(n), basis.osc_p(n)
-    xyz = [basis.place(q, s, dims) for s in range(3)]
-    mom = [basis.place(p, s, dims) for s in range(3)]
-    psi = [basis.place(fermion, 3 + s, dims) for s in range(3)]
-    f12 = psi[0] @ psi[1]
-    f23 = psi[1] @ psi[2]
-    f31 = psi[2] @ psi[0]
-    return xyz, mom, (f12, f23, f31)
-
-
 def build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
     """SU(2) monopole Hamiltonian, 3 bosonic factors + 3 fermion qubits.
 
@@ -368,6 +356,11 @@ def build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
     as a spectral inverse of r^2 = x^2 + y^2 + z^2 (the ScalarB variant
     replaces it by the constant -g_m / r_ref^2).  The sums are squared as
     written, without extra symmetrization.
+
+    Each operator is A (x) F: x, p and B act on the N^3-dim boson space
+    (B from the N^3 x N^3 r^2), the bilinears on the 8-dim fermion space.
+    So t_i = sum_k A_k (x) F_k and H = 1/2 sum_i sum_{k,l} (A_k A_l) (x)
+    (F_k F_l), with one Kronecker product per distinct fermion product.
     """
     spec = spec.resolved()
     if spec.kind != "MonopoleSU2":
@@ -375,26 +368,37 @@ def build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
     n = spec.boson_trunc
     g_m = spec.b_field
 
+    fermion = basis.fermion_factor()
     if spec.variant == "MajoranaFermions":
         # Hermitian per-slot fermions (psi + psi^dag)/sqrt(2); keeps the
         # qubit layout, makes every bilinear Hermitian.
-        f = basis.fermion_factor()
-        fermion = (f + f.conj().T) / np.sqrt(2.0)
-    else:
-        fermion = basis.fermion_factor()
+        fermion = (fermion + fermion.conj().T) / np.sqrt(2.0)
 
-    (x, y, z), (px, py, pz), (f12, f23, f31) = _monopole_operators(n, fermion)
+    dims = [n, n, n]
+    x, y, z = (basis.place(basis.osc_q(n), s, dims) for s in range(3))
+    px, py, pz = (basis.place(basis.osc_p(n), s, dims) for s in range(3))
+    psi = [basis.place(fermion, s, [2, 2, 2]) for s in range(3)]
+    f12, f23, f31 = psi[0] @ psi[1], psi[1] @ psi[2], psi[2] @ psi[0]
 
     if spec.variant == "ScalarB":
-        b_op = (-g_m / float(spec.r_ref) ** 2) * np.eye(x.shape[0], dtype=np.complex128)
+        b_op = -g_m / float(spec.r_ref) ** 2
     else:
         r2 = x @ x + y @ y + z @ z
         b_op = -g_m * matrix_function(r2, lambda lam: 1.0 / lam, floor=spec.floor)
+    bx, by, bz = (np.dot(b_op, a) for a in (x, y, z))  # b_op may be a scalar
+    one = np.eye(8, dtype=np.complex128)
+    ts = (((px, one), (-by, f12), (bz, f31)),  # each t_i as (A_k, F_k) pairs
+          ((py, one), (-bz, f23), (bx, f12)),
+          ((pz, one), (-bx, f31), (by, f23)))
 
-    t1 = px + b_op @ (-y @ f12 + z @ f31)
-    t2 = py + b_op @ (-z @ f23 + x @ f12)
-    t3 = pz + b_op @ (-x @ f31 + y @ f23)
-    h = 0.5 * (t1 @ t1 + t2 @ t2 + t3 @ t3)
+    groups: dict = {}  # F_k F_l as bytes -> [F_k F_l, sum of A_k A_l]
+    for t in ts:
+        for a_k, f_k in t:
+            for a_l, f_l in t:
+                f = f_k @ f_l
+                if f.any():  # products of raising-operator bilinears vanish
+                    groups.setdefault(f.tobytes(), [f, 0])[1] += a_k @ a_l
+    h = 0.5 * sum(np.kron(a, f) for f, a in groups.values())
 
     if spec.variant == "HermitianPart":
         h = 0.5 * (h + h.conj().T)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gaugesim.basis import fermion_factor, osc_p, osc_q, place
+
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -70,3 +72,36 @@ def dense_ansatz_state(n: int, depth: int, params, entangler: str = "cz") -> np.
         for q in range(n):
             psi = dense_ry(n, q, thetas[q]) @ psi
     return psi
+
+
+def dense_monopole(spec) -> np.ndarray:
+    """The SU(2) monopole matrix of ``spec`` built at full size (test oracle only).
+
+    Every operator is placed on the whole [n, n, n, 2, 2, 2] register, B
+    comes from one eigendecomposition of the full r^2, and each
+    t_i = p_i + B (...) of ``build_monopole_su2``'s docstring is squared
+    with full-size products.
+    """
+    spec = spec.resolved()
+    n = spec.boson_trunc
+    dims = [n, n, n, 2, 2, 2]
+    fermion = fermion_factor()
+    if spec.variant == "MajoranaFermions":
+        fermion = (fermion + fermion.conj().T) / np.sqrt(2.0)
+    x, y, z = (place(osc_q(n), s, dims) for s in range(3))
+    px, py, pz = (place(osc_p(n), s, dims) for s in range(3))
+    psi = [place(fermion, 3 + s, dims) for s in range(3)]
+    f12, f23, f31 = psi[0] @ psi[1], psi[1] @ psi[2], psi[2] @ psi[0]
+    if spec.variant == "ScalarB":
+        b_op = (-spec.b_field / spec.r_ref ** 2) * np.eye(x.shape[0])
+    else:
+        lam, v = np.linalg.eigh(x @ x + y @ y + z @ z)
+        lam[np.abs(lam) < spec.floor] = spec.floor
+        b_op = -spec.b_field * ((v / lam) @ v.conj().T)
+    t1 = px + b_op @ (-y @ f12 + z @ f31)
+    t2 = py + b_op @ (-z @ f23 + x @ f12)
+    t3 = pz + b_op @ (-x @ f31 + y @ f23)
+    h = 0.5 * (t1 @ t1 + t2 @ t2 + t3 @ t3)
+    if spec.variant == "HermitianPart":
+        h = 0.5 * (h + h.conj().T)
+    return h

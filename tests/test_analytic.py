@@ -32,6 +32,14 @@ def test_polar_energy_values():
     assert polar_energy(2.0, 0, 0) == 1.0
     assert polar_energy(2.0, 1, 1) == 1.0
     assert polar_energy(2.0, 2, 0) == 3.0
+    assert polar_energy(2.0, 3, -1) == 5.0
+
+
+@pytest.mark.parametrize("n, m", [(0, 1), (2, 3), (-1, 0), (1, 0), (2, 1), (3, -2)])
+def test_polar_energy_refuses_n_outside_2nr_plus_abs_m(n, m):
+    # n = 2 n_r + |m| needs n >= |m| and n - |m| even
+    with pytest.raises(ValueError, match="2 n_r"):
+        polar_energy(2.0, n, m)
 
 
 def _kernel_cartesian_reference(x_i, y_i, x_f, y_f, t, b, z_i=0.0, z_f=0.0):

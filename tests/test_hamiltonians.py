@@ -8,6 +8,7 @@ from gaugesim.errors import InvalidSpecError
 from gaugesim.hamiltonians import (
     BuiltHamiltonian,
     HamiltonianSpec,
+    VARIANTS,
     build,
     build_landau_cartesian,
     build_landau_cartesian_position,
@@ -16,6 +17,8 @@ from gaugesim.hamiltonians import (
     variant_selection_report,
 )
 from gaugesim.operators import hermitian_eig, is_hermitian
+
+from conftest import dense_monopole
 
 
 def cart_spec(**kw):
@@ -213,6 +216,45 @@ def test_monopole_shapes_and_hermiticity_flags():
         HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant="MajoranaFermions")
     )
     assert mj.hermitian
+
+
+@pytest.mark.parametrize("boson_trunc", [2, 4])
+@pytest.mark.parametrize("g_m", [0.0, 0.2, 2.0, 2.9])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_monopole_matches_dense_oracle(variant, g_m, boson_trunc):
+    spec = HamiltonianSpec(kind="MonopoleSU2", b_field=g_m, boson_trunc=boson_trunc,
+                           variant=variant, r_ref=1.3 if variant == "ScalarB" else None)
+    built = build_monopole_su2(spec)
+    assert built.dim == 8 * boson_trunc ** 3
+    np.testing.assert_allclose(built.matrix, dense_monopole(spec), rtol=0, atol=1e-13)
+
+
+def test_monopole_build_stays_on_the_factors(monkeypatch):
+    # structural guard for the factored build: the only eigendecomposition
+    # is the boson-space r^2 (64x64 at N = 4), and no operator is placed on
+    # the full 512-dim register
+    import gaugesim.basis as basis_module
+    import gaugesim.operators as operators
+
+    eig_dims, place_dims = [], []
+    hermitian_eig, place_op = operators.hermitian_eig, basis_module.place
+
+    def counted_place(*a, **k):
+        out = place_op(*a, **k)
+        place_dims.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(operators, "hermitian_eig",
+                        lambda a: eig_dims.append(np.shape(a)[0]) or hermitian_eig(a))
+    monkeypatch.setattr(basis_module, "place", counted_place)
+    for variant in VARIANTS:
+        eig_dims.clear()
+        place_dims.clear()
+        spec = HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant=variant,
+                               r_ref=1.0 if variant == "ScalarB" else None)
+        assert build_monopole_su2(spec).dim == 512
+        assert len(eig_dims) <= 1 and all(d <= 64 for d in eig_dims), (variant, eig_dims)
+        assert place_dims and max(place_dims) <= 64, (variant, place_dims)
 
 
 def test_monopole_zero_coupling_is_free():

@@ -225,7 +225,14 @@ class TransitionSeries:
     labels: list
 
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        """|a|^2 per amplitude: hypot(Re a, Im a), squared by libm ``pow``.
+
+        This equals the scalar ``abs(a) ** 2`` bit for bit, which keeps the
+        eoh CSV cells byte-stable; ``np.abs`` and an array ``** 2`` (a plain
+        product) each differ from it by 1 ulp in some cells.
+        """
+        a = self.amplitudes
+        return np.float_power(np.hypot(a.real, a.imag), 2)
 
 
 def _final_states(psi_fs, dim: int):
@@ -282,11 +289,11 @@ def write_transition_csv(series: TransitionSeries, path):
         cols += [f"re_{lab}", f"im_{lab}", f"prob_{lab}"]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t," + ",".join(cols) + "\n")
+        probs = series.probabilities()
         for j, t in enumerate(series.ts):
             row = [f"{t:.17g}"]
-            for k in range(series.amplitudes.shape[1]):
-                a = series.amplitudes[j, k]
-                row += [f"{a.real:.17g}", f"{a.imag:.17g}", f"{abs(a) ** 2:.17g}"]
+            for k, a in enumerate(series.amplitudes[j]):
+                row += [f"{a.real:.17g}", f"{a.imag:.17g}", f"{probs[j, k]:.17g}"]
             fh.write(",".join(row) + "\n")
 
 

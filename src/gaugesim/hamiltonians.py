@@ -21,7 +21,7 @@ which one reproduces them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -111,19 +111,18 @@ def read_fields(obj, where: str, fields: Mapping, required=()) -> dict:
     return out
 
 
-def _register_qubits(kind: str, trunc: int) -> int:
-    k = qubits_of_dim(trunc)
-    return {"LandauCartesian": 2 * k, "LandauPolar": k}.get(kind, 3 * k + 3)
-
-
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Declarative description of which Hamiltonian to build.
 
     ``b_field`` is the magnetic field B for the Landau kinds and the
-    monopole coupling g_m for ``MonopoleSU2``.  ``r_ref`` is only
-    meaningful for the ScalarB variant (B = -g_m / r_ref^2).  ``floor``
-    regularizes inverse spectral powers of rho and r^2.
+    monopole coupling g_m for ``MonopoleSU2``.  ``angular_m`` is only
+    meaningful for ``LandauPolar``, ``variant`` only for ``MonopoleSU2``,
+    and ``r_ref`` only for the ScalarB variant (B = -g_m / r_ref^2).
+
+    A spec is valid once it exists: construction (and so
+    ``dataclasses.replace`` and ``from_json``) fills the kind's default
+    ``boson_trunc`` and raises InvalidSpecError for anything else.
     """
 
     kind: str
@@ -132,19 +131,19 @@ class HamiltonianSpec:
     angular_m: int = 0
     variant: str = "Literal"
     r_ref: float | None = None
-    floor: float = 1e-8
 
-    def resolved(self) -> "HamiltonianSpec":
-        """Fill kind-dependent defaults and validate the result."""
+    def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidSpecError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
         if self.variant not in VARIANTS:
             raise InvalidSpecError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
             )
-        trunc = self.boson_trunc if self.boson_trunc is not None else DEFAULT_TRUNC[self.kind]
+        if self.boson_trunc is None:
+            object.__setattr__(self, "boson_trunc", DEFAULT_TRUNC[self.kind])
+        trunc = self.boson_trunc
         try:
-            qubits = _register_qubits(self.kind, trunc)
+            qubits = self.qubits
         except NotPowerOfTwoError:
             qubits = None
         if qubits is None or trunc < 2:
@@ -153,44 +152,44 @@ class HamiltonianSpec:
             raise InvalidSpecError(
                 f"boson_trunc {trunc} needs {qubits} qubits for {self.kind}; at most {MAX_QUBITS}"
             )
+        if self.angular_m != 0 and self.kind != "LandauPolar":
+            raise InvalidSpecError(f"angular_m is only valid for kind 'LandauPolar', not {self.kind!r}")
+        if self.variant != "Literal" and self.kind != "MonopoleSU2":
+            raise InvalidSpecError(f"variant is only valid for kind 'MonopoleSU2', not {self.kind!r}")
         if self.variant == "ScalarB":
             if self.r_ref is None or self.r_ref <= 0.0:
                 raise InvalidSpecError("ScalarB variant requires a positive r_ref")
         elif self.r_ref is not None:
             raise InvalidSpecError("r_ref is only valid with the ScalarB variant")
-        if self.floor < 0.0:
-            raise InvalidSpecError("floor must be non-negative")
-        return replace(self, boson_trunc=trunc)
 
     @property
     def qubits(self) -> int:
-        return _register_qubits(self.kind, self.resolved().boson_trunc)
+        k = qubits_of_dim(self.boson_trunc)
+        return {"LandauCartesian": 2 * k, "LandauPolar": k}.get(self.kind, 3 * k + 3)
 
     def to_json(self) -> dict:
-        spec = self.resolved()
-        variant: object = spec.variant
-        if spec.variant == "ScalarB":
-            variant = {"ScalarB": float(spec.r_ref)}
+        variant: object = self.variant
+        if self.variant == "ScalarB":
+            variant = {"ScalarB": float(self.r_ref)}
         return {
-            "kind": spec.kind,
-            "b_field": float(spec.b_field),
-            "boson_trunc": int(spec.boson_trunc),
-            "angular_m": int(spec.angular_m),
+            "kind": self.kind,
+            "b_field": float(self.b_field),
+            "boson_trunc": int(self.boson_trunc),
+            "angular_m": int(self.angular_m),
             "variant": variant,
-            "floor": float(spec.floor),
         }
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "HamiltonianSpec":
         fields = read_fields(obj, "hamiltonian", {
             "kind": None, "b_field": float, "boson_trunc": int, "angular_m": int,
-            "variant": None, "floor": float,
+            "variant": None,
         }, required=("kind",))
         if isinstance(fields.get("variant"), Mapping):
             scalar_b = read_fields(fields["variant"], "hamiltonian.variant",
                                    {"ScalarB": float}, required=("ScalarB",))
             fields.update(variant="ScalarB", r_ref=scalar_b["ScalarB"])
-        return cls(**fields).resolved()
+        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -253,7 +252,6 @@ def build_landau_cartesian(spec: HamiltonianSpec, squares: str = "projected") ->
     Cross terms couple distinct tensor factors, so they are identical
     matrix products either way.
     """
-    spec = spec.resolved()
     if spec.kind != "LandauCartesian":
         raise InvalidSpecError(f"build_landau_cartesian got kind {spec.kind!r}")
     n = spec.boson_trunc
@@ -273,7 +271,6 @@ def build_landau_cartesian_position(spec: HamiltonianSpec) -> BuiltHamiltonian:
     momentum matrix is an exact unitary conjugation of it, so literal
     squares already equal the conjugated squares.
     """
-    spec = spec.resolved()
     if spec.kind != "LandauCartesian":
         raise InvalidSpecError(f"build_landau_cartesian_position got kind {spec.kind!r}")
     n = spec.boson_trunc
@@ -320,11 +317,11 @@ def build_landau_polar(spec: HamiltonianSpec, basis_scale: float = POLAR_BASIS_S
 
     The radial operator rho is the spectral absolute value of the
     oscillator Q (Q itself has a symmetric spectrum, so plain fractional
-    powers would be undefined); inverse powers use the spec floor.
+    powers would be undefined).  At a power-of-two N, Q has no zero
+    eigenvalue, so the inverse powers are finite.
     ``basis_scale`` stretches the underlying oscillator basis (see
     POLAR_BASIS_SCALE); pass 1.0 for the uncalibrated basis.
     """
-    spec = spec.resolved()
     if spec.kind != "LandauPolar":
         raise InvalidSpecError(f"build_landau_polar got kind {spec.kind!r}")
     if basis_scale <= 0.0:
@@ -332,15 +329,14 @@ def build_landau_polar(spec: HamiltonianSpec, basis_scale: float = POLAR_BASIS_S
     n = spec.boson_trunc
     q = basis.osc_q(n) / np.sqrt(basis_scale)
     p = basis.osc_p(n) * np.sqrt(basis_scale)
-    floor = spec.floor
     rho = matrix_function(q, np.abs)
     rho2 = matrix_function(q, np.square)
-    rho_mh = matrix_function(q, lambda lam: np.abs(lam) ** -0.5, floor=floor)
+    rho_mh = matrix_function(q, lambda lam: np.abs(lam) ** -0.5)
     m = spec.angular_m
     half_b = 0.5 * spec.b_field
     h = 0.5 * (rho_mh @ p @ rho @ p @ rho_mh) + 0.5 * half_b ** 2 * rho2
     if m != 0:
-        rho_m2 = matrix_function(q, lambda lam: np.abs(lam) ** -2.0, floor=floor)
+        rho_m2 = matrix_function(q, lambda lam: np.abs(lam) ** -2.0)
         h = h + 0.5 * m ** 2 * rho_m2 - half_b * m * np.eye(n)
     return _finish(h, spec)
 
@@ -362,7 +358,6 @@ def build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
     So t_i = sum_k A_k (x) F_k and H = 1/2 sum_i sum_{k,l} (A_k A_l) (x)
     (F_k F_l), with one Kronecker product per distinct fermion product.
     """
-    spec = spec.resolved()
     if spec.kind != "MonopoleSU2":
         raise InvalidSpecError(f"build_monopole_su2 got kind {spec.kind!r}")
     n = spec.boson_trunc
@@ -384,7 +379,7 @@ def build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
         b_op = -g_m / float(spec.r_ref) ** 2
     else:
         r2 = x @ x + y @ y + z @ z
-        b_op = -g_m * matrix_function(r2, lambda lam: 1.0 / lam, floor=spec.floor)
+        b_op = -g_m * matrix_function(r2, lambda lam: 1.0 / lam)
     bx, by, bz = (np.dot(b_op, a) for a in (x, y, z))  # b_op may be a scalar
     one = np.eye(8, dtype=np.complex128)
     ts = (((px, one), (-by, f12), (bz, f31)),  # each t_i as (A_k, F_k) pairs
@@ -414,7 +409,6 @@ _BUILDERS = {
 
 def build(spec: HamiltonianSpec) -> BuiltHamiltonian:
     """Dispatch to the builder selected by ``spec.kind``."""
-    spec = spec.resolved()
     return _BUILDERS[spec.kind](spec)
 
 
@@ -471,7 +465,6 @@ def variant_selection_report() -> VariantReport:
                 boson_trunc=4,
                 variant=variant,
                 r_ref=1.0 if variant == "ScalarB" else None,
-                floor=1e-8,
             )
             built = build_monopole_su2(spec)
             per_gm[g_m] = built.lowest_eigenvalue()

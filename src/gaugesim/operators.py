@@ -103,18 +103,10 @@ def hermitian_eig(a) -> EigenSystem:
     return EigenSystem(values=values.astype(float), vectors=vectors.astype(np.complex128))
 
 
-def matrix_function(a, f: Callable[[np.ndarray], np.ndarray], floor: float = 0.0) -> np.ndarray:
-    """Spectral function f(a) of a Hermitian operator.
-
-    Eigenvalues with |lambda| < floor are replaced by +floor before f is
-    applied; this regularizes inverse powers of operators whose truncated
-    spectra graze zero.  floor=0 disables clamping.
-    """
+def matrix_function(a, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Spectral function f(a) of a Hermitian operator."""
     es = hermitian_eig(a)
-    lam = es.values.copy()
-    if floor > 0.0:
-        lam[np.abs(lam) < floor] = floor
-    flam = np.asarray(f(lam), dtype=np.complex128)
+    flam = np.asarray(f(es.values), dtype=np.complex128)
     v = es.vectors
     return (v * flam) @ v.conj().T
 

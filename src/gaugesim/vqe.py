@@ -20,7 +20,7 @@ import numpy as np
 import scipy.optimize
 
 from .circuits import AnsatzConfig, adjoint_gradient, ansatz_state
-from .errors import DimensionMismatchError, NotHermitianError
+from .errors import DimensionMismatchError, InvalidConfigError, NotHermitianError
 from .hamiltonians import BuiltHamiltonian, matrix_of
 from .operators import is_hermitian
 
@@ -52,6 +52,10 @@ class OptimizerSettings:
     tolerance: float = 1e-9
     seed: int = DEFAULT_SEED
     restarts: int = 1
+
+    def __post_init__(self):
+        if not (self.max_iter >= 1 and self.restarts >= 1 and self.tolerance >= 0.0):
+            raise InvalidConfigError(f"need max_iter >= 1, restarts >= 1, tolerance >= 0: {self}")
 
 
 @dataclass(frozen=True)
@@ -215,7 +219,7 @@ def minimize(h, ansatz: AnsatzConfig, opt: OptimizerSettings | None = None) -> V
     h_real = _real_part(_check_inputs(h, ansatz))
     best = None
     total_evals = 0
-    for r in range(max(1, opt.restarts)):
+    for r in range(opt.restarts):
         run = _single_run(h_real, ansatz, opt, opt.seed + r)
         total_evals += run.evaluations
         if best is None or run.energy < best.energy:

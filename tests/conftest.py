@@ -82,7 +82,6 @@ def dense_monopole(spec) -> np.ndarray:
     t_i = p_i + B (...) of ``build_monopole_su2``'s docstring is squared
     with full-size products.
     """
-    spec = spec.resolved()
     n = spec.boson_trunc
     dims = [n, n, n, 2, 2, 2]
     fermion = fermion_factor()
@@ -96,7 +95,6 @@ def dense_monopole(spec) -> np.ndarray:
         b_op = (-spec.b_field / spec.r_ref ** 2) * np.eye(x.shape[0])
     else:
         lam, v = np.linalg.eigh(x @ x + y @ y + z @ z)
-        lam[np.abs(lam) < spec.floor] = spec.floor
         b_op = -spec.b_field * ((v / lam) @ v.conj().T)
     t1 = px + b_op @ (-y @ f12 + z @ f31)
     t2 = py + b_op @ (-z @ f23 + x @ f12)

@@ -236,23 +236,28 @@ def test_numerical_error_exit_code(tmp_path, capsys):
 
 
 def test_determinism_spectrum_and_scatter(tmp_path):
-    out = tmp_path / "a.csv"
-    cfg = {"hamiltonian": {"kind": "LandauPolar", "b_field": 2.0}, "output": str(out)}
-    assert run(tmp_path, "spectrum", cfg) == 0
-    first = out.read_bytes()
-    assert run(tmp_path, "spectrum", cfg) == 0
-    assert out.read_bytes() == first
-
-    scan = tmp_path / "scan.csv"
-    cfg = {"scatter": {"qubits": 3, "p1": 1, "p3": 6}, "output": str(scan)}
-    assert run(tmp_path, "scatter", cfg) == 0
-    first = scan.read_bytes()
-    assert run(tmp_path, "scatter", cfg) == 0
-    assert scan.read_bytes() == first
+    # every command, run twice with one config, writes the same bytes
+    cases = [
+        ("spectrum", {"hamiltonian": {"kind": "LandauPolar", "b_field": 2.0}}, ["a.csv"]),
+        ("scatter", {"scatter": {"qubits": 3, "p1": 1, "p3": 6}}, ["a.csv"]),
+        ("vqe", {"hamiltonian": {"kind": "LandauPolar", "boson_trunc": 4},
+                 "ansatz": {"depth": 1}, "optimizer": {"max_iter": 20, "seed": 3}}, ["a.csv"]),
+        ("eoh", {"hamiltonian": {"kind": "LandauCartesian", "boson_trunc": 4},
+                 "evolution": {"t_points": 3, "trotter_steps": 5}}, ["a_exact.csv", "a_trotter.csv"]),
+        ("wuyang", {"wuyang": {"r_start": 0.05, "r_end": 1.0, "steps": 50, "seed_series": True}},
+         ["a.csv"]),
+    ]
+    for command, cfg, files in cases:
+        cfg = dict(cfg, output=str(tmp_path / "a.csv"))
+        assert run(tmp_path, command, cfg) == 0
+        first = [(tmp_path / f).read_bytes() for f in files]
+        assert run(tmp_path, command, cfg) == 0
+        assert [(tmp_path / f).read_bytes() for f in files] == first, command
 
 
 _POLAR = {"kind": "LandauPolar", "b_field": 2.0}
 _CART4 = {"kind": "LandauCartesian", "boson_trunc": 4}
+_CART_M7 = {"kind": "LandauCartesian", "variant": "HermitianPart", "angular_m": 7}
 _NAN, _INF = float("nan"), float("inf")
 
 
@@ -273,7 +278,7 @@ def _spec(**kw):
     (*_spec(angular_m=1.7), 2),
     (*_spec(b_field="2"), 2),
     (*_spec(b_field=True), 2),
-    (*_spec(floor=_NAN), 2),
+    (*_spec(floor=_NAN), 2),  # an unknown key
     (*_spec(boson_trunc=1024), 2),  # 10 qubits, above the ceiling
     (*_spec(b_field=1e200), 3),  # OverflowError in the build
     ("eoh", {"hamiltonian": _CART4, "evolution": {"t_max": _NAN}}, (), 2),
@@ -303,6 +308,12 @@ def _spec(**kw):
     ("vqe", {"hamiltonian": _POLAR, "optimizer": {"gradient_step": 1e-6}}, (), 2),
     # more final states than the 16 basis states
     ("eoh", {"hamiltonian": _CART4, "final_states": [0] * 17}, (), 2),
+    # a field the kind ignores: angular_m off LandauPolar, variant off MonopoleSU2
+    ("spectrum", {"hamiltonian": _CART_M7}, (), 2),
+    ("spectrum", {"hamiltonian": _CART_M7}, ("--variant", "ScalarB=2"), 2),
+    ("spectrum", {"hamiltonian": _CART4}, ("--variant", "ScalarB=2"), 2),
+    ("spectrum", {"hamiltonian": {"kind": "MonopoleSU2", "angular_m": -3}}, (), 2),
+    ("vqe", {"hamiltonian": dict(_POLAR, variant="HermitianPart")}, (), 2),
 ])
 def test_bad_input_exit_code_and_one_line_message(tmp_path, capsys, command, cfg, extra, code):
     out = tmp_path / "out.csv"

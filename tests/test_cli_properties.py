@@ -26,7 +26,7 @@ from gaugesim.cli import main
 
 BASE = {
     "spectrum": {"hamiltonian": {"kind": "MonopoleSU2", "b_field": 0.2, "boson_trunc": 2,
-                                 "angular_m": 0, "variant": {"ScalarB": 1.0}, "floor": 1e-8}},
+                                 "angular_m": 0, "variant": {"ScalarB": 1.0}}},
     "vqe": {"hamiltonian": {"kind": "LandauPolar", "b_field": 2.0, "boson_trunc": 4},
             "ansatz": {"depth": 1, "entangler": "cz"},
             "optimizer": {"max_iter": 5, "seed": 3, "tolerance": 1e-6, "restarts": 1}},

@@ -13,6 +13,7 @@ from scipy.linalg import expm
 
 from gaugesim.evolution import (
     PauliTermList,
+    TransitionSeries,
     _apply_trotter,
     dual_lattice_period,
     momentum_state,
@@ -271,6 +272,14 @@ def test_transition_csv(tmp_path, rng):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t," + ",".join(f"re_{k},im_{k},prob_{k}" for k in range(4))
     assert len(lines) == 3
+
+    # the prob cells are probabilities(), the scalar abs(a) ** 2 bit for bit
+    amps = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    wide = TransitionSeries(ts=np.arange(64.0), amplitudes=amps, labels=list(range(64)))
+    probs = wide.probabilities()
+    assert all(p == abs(a) ** 2 for p, a in zip(probs.ravel(), amps.ravel()))
+    write_transition_csv(wide, path)
+    np.testing.assert_array_equal(np.loadtxt(path, delimiter=",", skiprows=1)[:, 3::3], probs)
 
 
 # ------------------------------------------------------- momentum / vertex

@@ -1,4 +1,5 @@
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from gaugesim.basis import osc_p, osc_p2, osc_q, osc_q2, place
 from gaugesim.errors import InvalidSpecError
 from gaugesim.hamiltonians import (
+    KINDS,
+    POLAR_BASIS_SCALE,
     BuiltHamiltonian,
     HamiltonianSpec,
     VARIANTS,
@@ -32,30 +35,58 @@ def test_spec_defaults_and_qubits():
     assert cart_spec().qubits == 8
     assert HamiltonianSpec(kind="LandauPolar").qubits == 4
     assert HamiltonianSpec(kind="MonopoleSU2").qubits == 9
-    assert cart_spec().resolved().boson_trunc == 16
-    assert HamiltonianSpec(kind="MonopoleSU2").resolved().boson_trunc == 4
+    assert cart_spec().boson_trunc == 16
+    assert HamiltonianSpec(kind="MonopoleSU2").boson_trunc == 4
+
+
+def _json_form(kw):
+    """The spec JSON object for constructor arguments ``kw``; None when
+    there is none (an r_ref without the ScalarB variant)."""
+    obj = {k: v for k, v in kw.items() if k != "r_ref"}
+    if "r_ref" in kw:
+        if kw.get("variant") != "ScalarB":
+            return None
+        obj["variant"] = {"ScalarB": kw["r_ref"]}
+    return obj
+
+
+_BAD_SPECS = [  # constructor arguments, and a fragment of the error message
+    ({"kind": "Nope"}, "unknown kind"),
+    ({"kind": "LandauPolar", "boson_trunc": 12}, "power of two"),
+    ({"kind": "LandauCartesian", "boson_trunc": 32}, "at most 9"),
+    ({"kind": "MonopoleSU2", "variant": "ScalarB"}, "positive r_ref"),
+    ({"kind": "MonopoleSU2", "variant": "ScalarB", "r_ref": -1.0}, "positive r_ref"),
+    ({"kind": "MonopoleSU2", "variant": "Literal", "r_ref": 1.0}, "only valid with the ScalarB"),
+    ({"kind": "MonopoleSU2", "variant": "Weird"}, "unknown variant"),
+    ({"kind": "LandauCartesian", "variant": "HermitianPart", "angular_m": 7}, "angular_m"),
+    ({"kind": "LandauCartesian", "variant": "ScalarB", "r_ref": 2.0}, "variant is only valid"),
+    ({"kind": "LandauPolar", "variant": "HermitianPart"}, "variant is only valid"),
+    ({"kind": "MonopoleSU2", "angular_m": -3}, "angular_m"),
+]
 
 
 def test_spec_validation_errors():
-    with pytest.raises(InvalidSpecError):
-        HamiltonianSpec(kind="Nope").resolved()
-    with pytest.raises(InvalidSpecError):
-        HamiltonianSpec(kind="LandauPolar", boson_trunc=12).resolved()
-    with pytest.raises(InvalidSpecError):
-        HamiltonianSpec(kind="MonopoleSU2", variant="ScalarB").resolved()  # no r_ref
-    with pytest.raises(InvalidSpecError):
-        HamiltonianSpec(kind="MonopoleSU2", variant="Literal", r_ref=1.0).resolved()
-    with pytest.raises(InvalidSpecError):
-        HamiltonianSpec(kind="MonopoleSU2", variant="Weird").resolved()
+    # a spec is checked once, when it is made: by the constructor, by
+    # dataclasses.replace and by from_json alike
+    for kw, message in _BAD_SPECS:
+        with pytest.raises(InvalidSpecError, match=message):
+            HamiltonianSpec(**kw)
+        valid = HamiltonianSpec(kind=kw["kind"] if kw["kind"] in KINDS else "LandauPolar")
+        with pytest.raises(InvalidSpecError, match=message):
+            replace(valid, **kw)
+        obj = _json_form(kw)
+        if obj is not None:
+            with pytest.raises(InvalidSpecError, match=message):
+                HamiltonianSpec.from_json(obj)
 
 
 def test_spec_json_round_trip():
     spec = HamiltonianSpec(kind="MonopoleSU2", b_field=0.2, variant="ScalarB", r_ref=1.5)
     blob = spec.to_json()
-    assert set(blob) == {"kind", "b_field", "boson_trunc", "angular_m", "variant", "floor"}
+    assert set(blob) == {"kind", "b_field", "boson_trunc", "angular_m", "variant"}
     assert blob["variant"] == {"ScalarB": 1.5}
     back = HamiltonianSpec.from_json(blob)
-    assert back == spec.resolved()
+    assert back == spec
 
 
 def test_spec_json_rejects_unknown_keys():
@@ -199,6 +230,19 @@ def test_polar_continuum_reference():
     from gaugesim.analytic import polar_energy
 
     assert polar_energy(2.0, 0, 0) == 1.0
+
+
+def test_inverse_powers_see_no_zero_eigenvalue():
+    # rho^-1/2, rho^-2 and (r^2)^-1 are spectral inverses: every
+    # power-of-two truncation keeps them finite, because its Q (a Hermite
+    # root set of even order) has no zero eigenvalue.
+    for k in range(1, 10):
+        q = osc_q(2 ** k) / np.sqrt(POLAR_BASIS_SCALE)
+        assert np.min(np.abs(np.linalg.eigvalsh(q))) > 1e-2
+    for n in (2, 4):
+        dims = [n, n, n]
+        r2 = sum(place(osc_q(n) @ osc_q(n), s, dims) for s in range(3))
+        assert np.min(np.linalg.eigvalsh(r2)) > 1e-2
 
 
 # -------------------------------------------------------------- monopole

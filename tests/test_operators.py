@@ -103,12 +103,6 @@ def test_matrix_function_inverse_sqrt_diagonal():
     np.testing.assert_allclose(out, np.diag([0.5, 1.0 / 3.0]), atol=1e-12)
 
 
-def test_matrix_function_floor_clamps_small_eigenvalues():
-    a = np.diag([1e-12, 2.0]).astype(complex)
-    out = matrix_function(a, lambda lam: 1.0 / lam, floor=1e-8)
-    np.testing.assert_allclose(np.diag(out).real, [1e8, 0.5])
-
-
 def test_matrix_function_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
         matrix_function(np.array([[0.0, 1.0], [0.0, 0.0]]), np.abs)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gaugesim import circuits, vqe
-from gaugesim.errors import DimensionMismatchError, NotHermitianError
+from gaugesim.errors import DimensionMismatchError, InvalidConfigError, NotHermitianError
 from gaugesim.hamiltonians import (
     HamiltonianSpec,
     build_landau_cartesian,
@@ -136,6 +136,13 @@ def test_budget_exhaustion_returns_best_so_far():
     res = minimize(built, template(4, depth=3), OptimizerSettings(seed=11, max_iter=3))
     assert np.isfinite(res.energy)
     assert not res.converged
+
+
+def test_optimizer_settings_validate_themselves():
+    for bad in ({"max_iter": 0}, {"restarts": 0}, {"restarts": -3}, {"tolerance": -1e-9},
+                {"tolerance": float("nan")}):
+        with pytest.raises(InvalidConfigError):
+            OptimizerSettings(**bad)
 
 
 def test_determinism_and_restarts():

@@ -16,7 +16,7 @@ from gaugesim import HamiltonianSpec, build_monopole_su2, variant_selection_repo
 
 report = variant_selection_report()
 
-print("lowest eigenvalue (real part where non-Hermitian) per variant:\n")
+print("lowest eigenvalue per variant:\n")
 print(report.to_markdown())
 print()
 if report.matches:
@@ -37,9 +37,9 @@ doc = pathlib.Path(__file__).resolve().parents[1] / "docs" / "monopole_variants.
 doc.write_text(
     "# Monopole construction variants\n\n"
     "Lowest eigenvalue per construction variant of the SU(2) monopole\n"
-    "Hamiltonian (512x512, 9 qubits, N = 4 per bosonic factor), real part\n"
-    "where the matrix is non-Hermitian, against the reference ground\n"
-    "energies.  Generated by demos/04_monopole_variants.py.\n\n"
+    "Hamiltonian (512x512, 9 qubits, N = 4 per bosonic factor), from its\n"
+    "exact symmetry blocks, against the reference ground energies.\n"
+    "Generated by demos/04_monopole_variants.py.\n\n"
     + report.to_markdown()
     + "\n\n"
     "No variant reproduces both reference values within 1e-3.  The literal\n"

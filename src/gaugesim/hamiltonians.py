@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from . import basis
-from .errors import InvalidConfigError, InvalidSpecError, NotPowerOfTwoError
+from .errors import GaugesimError, InvalidConfigError, InvalidSpecError, NotPowerOfTwoError
 from .operators import is_hermitian, matrix_function, qubits_of_dim
 
 __all__ = [
@@ -53,7 +53,7 @@ VARIANTS = ("Literal", "MajoranaFermions", "HermitianPart", "ScalarB")
 DEFAULT_TRUNC = {"LandauCartesian": 16, "LandauPolar": 16, "MonopoleSU2": 4}
 
 #: Reference monopole ground energies used by the variant report
-#: (lowest eigenvalue, real part, at g_m = 2 and g_m = 0.2).
+#: (lowest eigenvalue at g_m = 2 and g_m = 0.2).
 MONOPOLE_REFERENCE_ENERGIES = {2.0: -2.53854786, 0.2: 0.31120022}
 
 #: Largest register a config may ask for: dense matrices stay at 512x512.
@@ -141,6 +141,11 @@ class HamiltonianSpec:
             )
         if self.boson_trunc is None:
             object.__setattr__(self, "boson_trunc", DEFAULT_TRUNC[self.kind])
+        numbers = {"b_field": float, "boson_trunc": int, "angular_m": int}
+        if self.r_ref is not None:
+            numbers["r_ref"] = float
+        for name, kind in numbers.items():
+            object.__setattr__(self, name, read_number(getattr(self, name), f"hamiltonian.{name}", kind))
         trunc = self.boson_trunc
         try:
             qubits = self.qubits
@@ -170,12 +175,12 @@ class HamiltonianSpec:
     def to_json(self) -> dict:
         variant: object = self.variant
         if self.variant == "ScalarB":
-            variant = {"ScalarB": float(self.r_ref)}
+            variant = {"ScalarB": self.r_ref}
         return {
             "kind": self.kind,
-            "b_field": float(self.b_field),
-            "boson_trunc": int(self.boson_trunc),
-            "angular_m": int(self.angular_m),
+            "b_field": self.b_field,
+            "boson_trunc": self.boson_trunc,
+            "angular_m": self.angular_m,
             "variant": variant,
         }
 
@@ -199,25 +204,31 @@ class BuiltHamiltonian:
     ``hermitian`` is measured at build time (relative defect <= 1e-10);
     the Literal and ScalarB monopole variants are expected to fail that
     check (their raising-operator bilinears are non-Hermitian).
+
+    ``blocks`` is an ordered partition of the basis indices, set by the
+    builder from the symmetries of its basis.  Every entry whose row
+    block comes after its column block is exactly zero, and every
+    diagonal block is Hermitian, so H is block upper-triangular (block
+    diagonal when H is Hermitian) and its spectrum is the union of the
+    diagonal blocks' spectra.
     """
 
     matrix: np.ndarray
     spec: HamiltonianSpec
     hermitian: bool
     qubits: int
+    blocks: tuple
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues, or ascending real parts when non-Hermitian."""
-        if self.hermitian:
-            return np.linalg.eigvalsh(self.matrix)
-        return np.sort(np.linalg.eigvals(self.matrix).real)
+        """Ascending eigenvalues: the union over the Hermitian diagonal blocks."""
+        return np.sort(np.concatenate([np.linalg.eigvalsh(self.matrix[np.ix_(b, b)]) for b in self.blocks]))
 
     def lowest_eigenvalue(self) -> float:
-        """Ground energy: min eigenvalue, or min real part when non-Hermitian."""
+        """Ground energy: the lowest eigenvalue."""
         return float(self.spectrum()[0])
 
 
@@ -226,11 +237,34 @@ def matrix_of(h) -> np.ndarray:
     return h.matrix if isinstance(h, BuiltHamiltonian) else np.asarray(h, dtype=complex)
 
 
-def _finish(matrix: np.ndarray, spec: HamiltonianSpec) -> BuiltHamiltonian:
+def _blocks_by(keys) -> tuple:
+    """Index arrays of equal ``keys``, in ascending key order."""
+    keys = np.asarray(keys)
+    return tuple(np.flatnonzero(keys == k) for k in np.unique(keys))
+
+
+def _finish(matrix: np.ndarray, spec: HamiltonianSpec, blocks: tuple) -> BuiltHamiltonian:
+    """Wrap a built matrix, refusing one that breaks its ``blocks``."""
+    dim = matrix.shape[0]
+    block_of = np.full(dim, -1)
+    for k, b in enumerate(blocks):
+        block_of[b] = k
+    if np.any(block_of < 0) or sum(len(b) for b in blocks) != dim:
+        raise GaugesimError(f"{spec.kind}: blocks do not partition the {dim} basis indices")
+    if np.any(matrix[block_of[:, None] > block_of[None, :]]):
+        raise GaugesimError(f"{spec.kind}: non-zero entry below its diagonal blocks")
+    hermitian = is_hermitian(matrix)
+    for b in blocks:
+        # a single block is the whole matrix, already checked
+        if not (hermitian if len(blocks) == 1 else is_hermitian(matrix[np.ix_(b, b)])):
+            raise GaugesimError(f"{spec.kind}: a diagonal block of size {len(b)} is not Hermitian")
     return BuiltHamiltonian(
-        matrix=matrix, spec=spec, hermitian=is_hermitian(matrix),
-        qubits=qubits_of_dim(matrix.shape[0]),
+        matrix=matrix, spec=spec, hermitian=hermitian, qubits=qubits_of_dim(dim), blocks=blocks,
     )
+
+
+def _one_block(dim: int) -> tuple:
+    return (np.arange(dim),)
 
 
 def build_landau_cartesian(spec: HamiltonianSpec, squares: str = "projected") -> BuiltHamiltonian:
@@ -257,7 +291,10 @@ def build_landau_cartesian(spec: HamiltonianSpec, squares: str = "projected") ->
     n = spec.boson_trunc
     mats = _cartesian_factor_mats(basis.osc_q(n), basis.osc_p(n), squares,
                                   basis.osc_q2(n), basis.osc_p2(n))
-    return _finish(_landau_cartesian_matrix(spec, n, *mats), spec)
+    # every term moves n_x + n_y by an even amount: (-1)^(n_x + n_y) blocks
+    i = np.arange(n * n)
+    return _finish(_landau_cartesian_matrix(spec, n, *mats), spec,
+                   _blocks_by((i ^ (i >> qubits_of_dim(n))) & 1))
 
 
 def build_landau_cartesian_position(spec: HamiltonianSpec) -> BuiltHamiltonian:
@@ -276,7 +313,7 @@ def build_landau_cartesian_position(spec: HamiltonianSpec) -> BuiltHamiltonian:
     n = spec.boson_trunc
     q, p = basis.pos_q(n), basis.pos_p(n)
     mats = (q, p, q @ q, p @ p)
-    return _finish(_landau_cartesian_matrix(spec, n, *mats), spec)
+    return _finish(_landau_cartesian_matrix(spec, n, *mats), spec, _one_block(n * n))
 
 
 def _cartesian_factor_mats(q, p, squares, q2_proj, p2_proj):
@@ -338,7 +375,7 @@ def build_landau_polar(spec: HamiltonianSpec, basis_scale: float = POLAR_BASIS_S
     if m != 0:
         rho_m2 = matrix_function(q, lambda lam: np.abs(lam) ** -2.0)
         h = h + 0.5 * m ** 2 * rho_m2 - half_b * m * np.eye(n)
-    return _finish(h, spec)
+    return _finish(h, spec, _one_block(n))
 
 
 def build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
@@ -375,11 +412,16 @@ def build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
     psi = [basis.place(fermion, s, [2, 2, 2]) for s in range(3)]
     f12, f23, f31 = psi[0] @ psi[1], psi[1] @ psi[2], psi[2] @ psi[0]
 
+    k = qubits_of_dim(n)
     if spec.variant == "ScalarB":
-        b_op = -g_m / float(spec.r_ref) ** 2
+        b_op = -g_m / spec.r_ref ** 2
     else:
         r2 = x @ x + y @ y + z @ z
         b_op = -g_m * matrix_function(r2, lambda lam: 1.0 / lam)
+        # r^2 keeps each register's parity, so (r^2)^-1 does too; eigh
+        # leaves round-off between parities, which is zeroed here
+        reg = np.arange(n ** 3) & (1 | 1 << k | 1 << 2 * k)
+        b_op[reg[:, None] != reg[None, :]] = 0.0
     bx, by, bz = (np.dot(b_op, a) for a in (x, y, z))  # b_op may be a scalar
     one = np.eye(8, dtype=np.complex128)
     ts = (((px, one), (-by, f12), (bz, f31)),  # each t_i as (A_k, F_k) pairs
@@ -397,7 +439,19 @@ def build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
 
     if spec.variant == "HermitianPart":
         h = 0.5 * (h + h.conj().T)
-    return _finish(h, spec)
+
+    # index = boson * 8 + fermion pattern; each term keeps the fermion
+    # parity and the total boson parity (low bits at 3, 3 + k, 3 + 2k)
+    i = np.arange(8 * n ** 3)
+    occupation = np.bitwise_count(i & 7)
+    boson_parity = ((i >> 3) ^ (i >> (3 + k)) ^ (i >> (3 + 2 * k))) & 1
+    if spec.variant in ("Literal", "ScalarB"):
+        # raising-operator bilinears only lower the occupation: H is block
+        # upper-triangular by occupation, then fermion pattern
+        keys = (occupation * 8 + (i & 7)) * 2 + boson_parity
+    else:
+        keys = (occupation & 1) * 2 + boson_parity
+    return _finish(h, spec, _blocks_by(keys))
 
 
 _BUILDERS = {
@@ -416,8 +470,7 @@ def build(spec: HamiltonianSpec) -> BuiltHamiltonian:
 class VariantReport:
     """Lowest eigenvalues per monopole variant, compared to the references.
 
-    ``values[variant][g_m]`` is the lowest eigenvalue (real part for the
-    non-Hermitian literal form).  ``matches`` lists variants within
+    ``values[variant][g_m]`` is the lowest eigenvalue.  ``matches`` lists variants within
     ``tolerance`` of the reference at every coupling; ``closest`` is the
     variant with the smallest worst-case deviation, and
     ``closest_hermitian`` restricts that to Hermitian builds.

@@ -64,6 +64,24 @@ def test_vqe_rejects_literal_monopole(tmp_path, capsys):
     assert run(tmp_path, "vqe", cfg) == 2
 
 
+def test_monopole_spectrum_and_vqe_solve_only_blocks(tmp_path, monkeypatch, capsys):
+    # spectra come from the builder's symmetry blocks: no general eigvals,
+    # and no eigensolve above 128 on the 512-dim monopole
+    solved = []
+    for name in ("eig", "eigvals", "eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *r, _n=name, _f=solver, **k:
+                            solved.append((_n, np.shape(a)[-1])) or _f(a, *r, **k))
+    for variant in ("Literal", "MajoranaFermions", "HermitianPart", {"ScalarB": 1.0}):
+        assert run(tmp_path, "spectrum", {"hamiltonian": {"kind": "MonopoleSU2", "variant": variant},
+                                          "output": str(tmp_path / "s.csv")}) == 0
+    assert run(tmp_path, "vqe", {"hamiltonian": {"kind": "MonopoleSU2", "variant": "HermitianPart"},
+                                 "optimizer": {"max_iter": 2, "seed": 1},
+                                 "output": str(tmp_path / "v.csv")}) == 0
+    assert solved and not [n for n, _ in solved if n in ("eig", "eigvals")], solved
+    assert max(d for _, d in solved) <= 128, solved
+
+
 def test_variant_flag_override(tmp_path, capsys):
     out = tmp_path / "hp.csv"
     cfg = {

@@ -1,3 +1,4 @@
+import json
 import pathlib
 from dataclasses import replace
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from gaugesim.basis import osc_p, osc_p2, osc_q, osc_q2, place
-from gaugesim.errors import InvalidSpecError
+from gaugesim.errors import GaugesimError, InvalidSpecError
 from gaugesim.hamiltonians import (
     KINDS,
     POLAR_BASIS_SCALE,
@@ -62,6 +63,12 @@ _BAD_SPECS = [  # constructor arguments, and a fragment of the error message
     ({"kind": "LandauCartesian", "variant": "ScalarB", "r_ref": 2.0}, "variant is only valid"),
     ({"kind": "LandauPolar", "variant": "HermitianPart"}, "variant is only valid"),
     ({"kind": "MonopoleSU2", "angular_m": -3}, "angular_m"),
+    ({"kind": "LandauPolar", "boson_trunc": "16"}, "finite number"),
+    ({"kind": "LandauPolar", "boson_trunc": 16.5}, "integer"),
+    ({"kind": "LandauPolar", "b_field": float("nan")}, "finite number"),
+    ({"kind": "LandauPolar", "b_field": True}, "finite number"),
+    ({"kind": "LandauPolar", "angular_m": 1.5}, "integer"),
+    ({"kind": "MonopoleSU2", "variant": "ScalarB", "r_ref": "1"}, "finite number"),
 ]
 
 
@@ -78,6 +85,14 @@ def test_spec_validation_errors():
         if obj is not None:
             with pytest.raises(InvalidSpecError, match=message):
                 HamiltonianSpec.from_json(obj)
+
+
+def test_spec_reads_its_numbers():
+    # the constructor reads numbers as from_json does: 16.0 is the int 16
+    spec = HamiltonianSpec(kind="LandauPolar", b_field=2, boson_trunc=16.0)
+    assert spec == HamiltonianSpec.from_json({"kind": "LandauPolar", "b_field": 2, "boson_trunc": 16.0})
+    assert type(spec.boson_trunc) is int and type(spec.b_field) is float
+    assert spec.qubits == 4 and build(spec).dim == 16
 
 
 def test_spec_json_round_trip():
@@ -357,3 +372,119 @@ def test_build_dispatcher():
         built = build(HamiltonianSpec(kind=kind, b_field=1.0))
         assert isinstance(built, BuiltHamiltonian)
         assert built.dim == 2 ** built.qubits
+
+
+# ---------------------------------------------------------------- blocks
+
+
+def _groups(labels):
+    """The index sets of equal labels, as a set of tuples."""
+    labels = np.asarray(labels)
+    return {tuple(np.flatnonzero(labels == v)) for v in np.unique(labels)}
+
+
+def assert_exact_blocks(built):
+    # the invariant _finish checks, with an exact 0.0: nothing below the
+    # diagonal blocks (nothing off them at all when H is Hermitian), and
+    # every diagonal block Hermitian
+    block_of = np.full(built.dim, -1)
+    for k, b in enumerate(built.blocks):
+        block_of[b] = k
+    assert sorted(np.concatenate(built.blocks)) == list(range(built.dim))
+    below = block_of[:, None] > block_of[None, :]
+    assert np.all(built.matrix[below] == 0.0)
+    if built.hermitian:
+        assert np.all(built.matrix[below.T] == 0.0)
+    for b in built.blocks:
+        assert is_hermitian(built.matrix[np.ix_(b, b)])
+
+
+def _monopole_spec(variant, g_m, n):
+    return HamiltonianSpec(kind="MonopoleSU2", b_field=g_m, boson_trunc=n,
+                           variant=variant, r_ref=1.3 if variant == "ScalarB" else None)
+
+
+def _free_monopole_values(n):
+    """1/2 (px^2 + py^2 + pz^2) on three n-level factors, times 8 fermion states."""
+    a = np.linalg.eigvalsh(osc_p(n) @ osc_p(n))
+    sums = 0.5 * (a[:, None, None] + a[None, :, None] + a[None, None, :])
+    return np.sort(np.repeat(sums.ravel(), 8))
+
+
+@pytest.mark.parametrize("boson_trunc", [2, 4])
+@pytest.mark.parametrize("g_m", [0.0, 0.2, 2.0, 2.9])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_monopole_blocks_are_exact(variant, g_m, boson_trunc):
+    built = build_monopole_su2(_monopole_spec(variant, g_m, boson_trunc))
+    assert_exact_blocks(built)
+    # the labels, from the register layout [n, n, n, 2, 2, 2]
+    n = boson_trunc
+    bx, by, bz, f1, f2, f3 = np.unravel_index(np.arange(built.dim), (n, n, n, 2, 2, 2))
+    occupation, boson_parity = f1 + f2 + f3, (bx + by + bz) % 2
+    if variant in ("Literal", "ScalarB"):
+        assert len(built.blocks) == 16
+        assert _groups(f1 * 8 + f2 * 4 + f3 * 2 + boson_parity) == set(map(tuple, built.blocks))
+        # block order: fermion occupation never falls
+        occ = [occupation[b[0]] for b in built.blocks]
+        assert occ == sorted(occ)
+        np.testing.assert_allclose(built.spectrum(), _free_monopole_values(n), rtol=0, atol=1e-12)
+    else:
+        assert len(built.blocks) == 4
+        assert _groups(occupation % 2 * 2 + boson_parity) == set(map(tuple, built.blocks))
+        np.testing.assert_allclose(built.spectrum(), np.linalg.eigvalsh(built.matrix), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("boson_trunc", [2, 4, 8, 16])
+def test_cartesian_blocks_are_exact(boson_trunc):
+    n = boson_trunc
+    for squares in ("projected", "literal"):
+        built = build_landau_cartesian(cart_spec(boson_trunc=n), squares=squares)
+        assert_exact_blocks(built)
+        nx, ny = np.unravel_index(np.arange(built.dim), (n, n))
+        assert _groups((nx + ny) % 2) == set(map(tuple, built.blocks))
+        np.testing.assert_allclose(built.spectrum(), np.linalg.eigvalsh(built.matrix), rtol=0, atol=1e-12)
+
+
+def test_polar_and_position_builds_have_one_block():
+    # the position grid shares kind LandauCartesian but has no Z-parity
+    # structure: blocks come from the builder, not from the kind
+    for built in (build_landau_polar(HamiltonianSpec(kind="LandauPolar", angular_m=1)),
+                  build_landau_cartesian_position(cart_spec()),
+                  build_landau_cartesian_position(cart_spec(boson_trunc=4))):
+        assert len(built.blocks) == 1
+        assert_exact_blocks(built)
+        np.testing.assert_allclose(built.spectrum(), np.linalg.eigvalsh(built.matrix), rtol=0, atol=1e-12)
+
+
+def test_finish_refuses_a_matrix_that_breaks_its_blocks(tmp_path, monkeypatch, capsys):
+    import gaugesim.hamiltonians as hamiltonians
+    from gaugesim.cli import main
+
+    lit = build_monopole_su2(_monopole_spec("Literal", 2.0, 2))
+    blocks = lit.blocks
+    below = lit.matrix.copy()
+    below[blocks[-1][0], blocks[0][0]] = 1e-300
+    with pytest.raises(GaugesimError, match="below its diagonal blocks"):
+        hamiltonians._finish(below, lit.spec, blocks)
+    skew = lit.matrix.copy()
+    skew[blocks[0][0], blocks[0][1]] += 1.0
+    with pytest.raises(GaugesimError, match="not Hermitian"):
+        hamiltonians._finish(skew, lit.spec, blocks)
+    with pytest.raises(GaugesimError, match="partition"):
+        hamiltonians._finish(lit.matrix, lit.spec, blocks[:-1])
+    # the Hermitian variants' four blocks hold the Literal couplings inside
+    hp = build_monopole_su2(_monopole_spec("HermitianPart", 2.0, 2))
+    with pytest.raises(GaugesimError, match="not Hermitian"):
+        hamiltonians._finish(lit.matrix, lit.spec, hp.blocks)
+    # the position grid has no (-1)^(n_x + n_y) symmetry
+    osc = build_landau_cartesian(cart_spec(boson_trunc=4))
+    pos = build_landau_cartesian_position(cart_spec(boson_trunc=4))
+    with pytest.raises(GaugesimError):
+        hamiltonians._finish(pos.matrix, pos.spec, osc.blocks)
+    # a builder bug ends in exit 3, not in a spectrum
+    monkeypatch.setattr(hamiltonians, "_one_block", lambda dim: (np.arange(dim - 1),))
+    cfg = tmp_path / "polar.json"
+    cfg.write_text(json.dumps({"hamiltonian": {"kind": "LandauPolar"}, "output": str(tmp_path / "out.csv")}))
+    assert main(["spectrum", "--config", str(cfg)]) == 3
+    assert "partition" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()

@@ -47,4 +47,4 @@ class StepUnderflowError(GaugesimError):
 
 
 class InvalidTimesError(GaugesimError):
-    """Scattering insertion time outside [0, total_T]."""
+    """Evolution time not finite, or scattering insertion time outside [0, total_T]."""

@@ -103,3 +103,27 @@ def dense_monopole(spec) -> np.ndarray:
     if spec.variant == "HermitianPart":
         h = 0.5 * (h + h.conj().T)
     return h
+
+
+def pair_trotter(groups, ts, n_steps: int, psi0) -> np.ndarray:
+    """The first-order X-mask product one group at a time (test oracle only).
+
+    Each step applies every group of ``PauliTermList.groups`` in ascending
+    mask order as a gather and two elementwise products: on the pairs
+    (i, i ^ x), psi[i] -> cos(dt |d|) psi[i] - i sin(dt |d|) (d / |d|) psi[i ^ x].
+    Rows of the result index ``ts``.
+    """
+    dt = (np.asarray(ts, dtype=float) / n_steps)[:, None]
+    factors = []
+    for x, src, d in groups:
+        if x == 0:
+            factors.append((np.exp(-1j * dt * d), None, None))
+            continue
+        mag = np.abs(d)
+        unit = np.divide(d, mag, out=np.zeros_like(d), where=mag > 0.0)
+        factors.append((np.cos(dt * mag), -1j * np.sin(dt * mag) * unit, src))
+    psi = np.repeat(np.asarray(psi0)[None, :], len(dt), axis=0).astype(np.complex128)
+    for _ in range(n_steps):
+        for c, s, src in factors:
+            psi = c * psi if src is None else c * psi + s * psi[:, src]
+    return psi

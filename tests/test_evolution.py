@@ -15,6 +15,7 @@ from gaugesim.evolution import (
     PauliTermList,
     TransitionSeries,
     _apply_trotter,
+    _mask_runs,
     dual_lattice_period,
     momentum_state,
     pauli_decompose,
@@ -32,7 +33,7 @@ from gaugesim.evolution import (
 from gaugesim.hamiltonians import HamiltonianSpec, build_landau_cartesian
 from gaugesim.operators import evolve_unitary, hermitian_eig
 
-from conftest import PAULI, pauli_matrix, random_hermitian, random_state
+from conftest import PAULI, pair_trotter, pauli_matrix, random_hermitian, random_state
 
 
 # ------------------------------------------------------------ decomposition
@@ -97,6 +98,11 @@ def test_trotter_t0_identity(rng):
     terms = pauli_decompose(h)
     psi = random_state(rng, 8)
     np.testing.assert_allclose(trotter_evolve(terms, 0.0, 5, psi), psi, atol=1e-14)
+    # a t = 0 row is psi itself, not stepped: bit for bit, signed zeros too
+    psi[0] = complex(-0.0, -0.0)
+    row = _apply_trotter(terms.groups(), [0.0, 0.5], 3, psi)[0]
+    assert np.array_equal(row, psi)
+    assert np.array_equal(np.signbit(row.view(float)), np.signbit(psi.view(float)))
 
 
 def test_trotter_single_term_exact(rng):
@@ -196,12 +202,87 @@ def test_group_counts():
         assert len(pauli_decompose(built.matrix).groups()) == count
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n_steps", [1, 3, 7])
+def test_trotter_matches_pair_oracle(n, n_steps):
+    rng = np.random.default_rng(300 + n)
+    terms = pauli_decompose(random_hermitian(rng, 2 ** n))
+    assert any("Y" in label for label, _ in terms.terms)
+    psi = random_state(rng, 2 ** n)
+    ts = [0.0, -0.45, 0.3, 1.7]
+    np.testing.assert_allclose(_apply_trotter(terms.groups(), ts, n_steps, psi),
+                               pair_trotter(terms.groups(), ts, n_steps, psi), atol=1e-13)
+
+
+def _span_rank(masks):
+    """GF(2) rank by elimination on leading bits."""
+    pivots = {}
+    for x in masks:
+        while x and x.bit_length() in pivots:
+            x ^= pivots[x.bit_length()]
+        if x:
+            pivots[x.bit_length()] = x
+    return len(pivots)
+
+
+def test_run_partition():
+    from gaugesim.hamiltonians import build_landau_cartesian_position, build_monopole_su2
+
+    cart = HamiltonianSpec(kind="LandauCartesian", b_field=2.0)
+    monopole = HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant="HermitianPart")
+    for built, count in ((build_landau_cartesian_position(cart), 2),
+                         (build_landau_cartesian(cart), 4),
+                         (build_monopole_su2(monopole), 3)):
+        groups = pauli_decompose(built.matrix).groups()
+        runs = _mask_runs(groups)
+        assert len(runs) == count
+        flat = [g for run in runs for g in run]
+        assert len(flat) == len(groups) and all(a is b for a, b in zip(flat, groups))
+        masks = [[x for x, _, _ in run] for run in runs]
+        assert all(_span_rank(m) <= 4 for m in masks)
+        # maximal: the next run's first mask would lift the span past rank 4
+        assert all(_span_rank(m + nxt[:1]) > 4 for m, nxt in zip(masks, masks[1:]))
+
+
 def test_trotter_guards(rng):
     terms = PauliTermList(n_qubits=2, terms=[("XI", 0.3)])
     with pytest.raises(DimensionMismatchError):
         trotter_evolve(terms, 0.1, 3, np.ones(8))
     with pytest.raises(ValueError):
         trotter_evolve(terms, 0.1, 0, np.ones(4))
+
+
+@pytest.mark.parametrize("steps", [2.7, 0.5, True, False, np.bool_(True), -1])
+def test_trotter_step_count_guards(rng, steps):
+    h = random_hermitian(rng, 4)
+    terms = pauli_decompose(h)
+    psi = random_state(rng, 4)
+    with pytest.raises(ValueError, match=repr(steps)):
+        trotter_evolve(terms, 1.0, steps, psi)
+    with pytest.raises(ValueError, match=repr(steps)):
+        transition_series(h, psi, "all", [0.5], method="trotter", trotter_steps=steps)
+
+
+def test_trotter_integral_step_counts_accepted(rng):
+    h = random_hermitian(rng, 4)
+    terms = pauli_decompose(h)
+    psi = random_state(rng, 4)
+    expected = trotter_evolve(terms, 1.0, 3, psi)
+    for steps in (3.0, np.int64(3), np.float64(3.0)):
+        assert np.array_equal(trotter_evolve(terms, 1.0, steps, psi), expected)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_times_refused(rng, bad):
+    h = random_hermitian(rng, 4)
+    psi = random_state(rng, 4)
+    with pytest.raises(InvalidTimesError):
+        trotter_evolve(pauli_decompose(h), bad, 3, psi)
+    for method in ("exact", "trotter"):
+        with pytest.raises(InvalidTimesError):
+            transition_series(h, psi, "all", [0.0, bad], method=method)
+    with pytest.raises(InvalidTimesError):
+        scattering_process(h, 0.1, 0.0, bad, psi)
 
 
 # ------------------------------------------------------------- transitions

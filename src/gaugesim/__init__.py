@@ -9,11 +9,9 @@ against.
 
 from .operators import (
     EigenSystem,
-    evolve_unitary,
     herm_defect,
     hermitian_eig,
     is_hermitian,
-    kron,
     matrix_function,
 )
 from .basis import (
@@ -50,7 +48,7 @@ from .analytic import (
     wu_yang_solve,
 )
 from .circuits import AnsatzConfig, ansatz_state, expectation
-from .vqe import OptimizerSettings, VqeResult, minimize, sweep
+from .vqe import OptimizerSettings, VqeResult, minimize
 from .evolution import (
     PauliTermList,
     TransitionSeries,

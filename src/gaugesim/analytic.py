@@ -155,10 +155,14 @@ def wu_yang_solve(r_start, r_end, steps, g_start, gprime_start) -> np.ndarray:
     grid must be non-degenerate and stay clear of r = 0, where the
     equation is singular.
     """
+    if not (math.isfinite(steps) and steps == int(steps)):
+        raise StepUnderflowError(f"steps must be a finite whole number, got {steps!r}")
     steps = int(steps)
     if steps < 10:
         raise StepUnderflowError(f"need at least 10 steps, got {steps}")
     r_start, r_end = float(r_start), float(r_end)
+    if not (math.isfinite(r_start) and math.isfinite(r_end)):
+        raise StepUnderflowError(f"radial grid needs finite radii, got r_start={r_start}, r_end={r_end}")
     if r_start <= 0.0 or r_end <= 0.0:
         raise StepUnderflowError("radial grid must stay at r > 0")
     h = (r_end - r_start) / steps

@@ -77,10 +77,7 @@ def _optimizer_from(cfg, args) -> vqe_mod.OptimizerSettings:
     o = cfg.get("optimizer", {})
     if args.seed is not None and isinstance(o, Mapping):
         o = dict(o, seed=args.seed)
-    o = read_fields(o, "optimizer", {
-        "max_iter": (int, 1, 100000), "seed": (int, 0), "tolerance": (float, 0.0), "restarts": (int, 1, 100),
-    })
-    return vqe_mod.OptimizerSettings(**o)
+    return vqe_mod.OptimizerSettings(**read_fields(o, "optimizer", vqe_mod.OptimizerSettings.FIELDS))
 
 
 def _require_finite(values, what):
@@ -158,9 +155,8 @@ def cmd_eoh(cfg, args) -> int:
                 f"final_states must be 'all' or a list of 1 to {built.dim} basis indices"
             )
         indices = [read_number(k, "final_states[]", int, 0, built.dim - 1) for k in finals]
-        basis_vectors = np.eye(built.dim)[indices]  # one row e_k per index
     else:
-        indices, basis_vectors = list(range(built.dim)), "all"
+        indices = list(range(built.dim))
 
     # initial particle position nearest the origin: with an even grid zero is
     # not a point, so both axes sit at the smallest positive value.
@@ -170,19 +166,19 @@ def cmd_eoh(cfg, args) -> int:
     ts = np.linspace(0.0, ev.get("t_max", 1.0), ev.get("t_points", 11))
 
     series = {}
-    if method in ("Both", "Exact"):
-        series["exact"] = transition_series(built, psi_i, basis_vectors, ts, method="exact")
-    if method in ("Both", "Trotter"):
-        series["trotter"] = transition_series(
-            built, psi_i, basis_vectors, ts, method="trotter", trotter_steps=ev.get("trotter_steps", 100)
-        )
+    for name in ("exact", "trotter"):
+        if method in ("Both", name.capitalize()):
+            s = transition_series(built, psi_i, "all", ts, method=name,
+                                  trotter_steps=ev.get("trotter_steps", 100))
+            # the requested columns of the full basis, named by grid index
+            series[name] = replace(s, amplitudes=s.amplitudes[:, indices], labels=indices)
     for s in series.values():
         _require_finite(s.amplitudes, "the transition amplitudes")
     paths = {}
     stem, ext = os.path.splitext(out)
     for name, s in series.items():
         path = f"{stem}_{name}{ext}"
-        write_transition_csv(replace(s, labels=indices), path)  # columns named by grid index
+        write_transition_csv(s, path)
         paths[name] = path
     if len(series) == 2:
         dev = float(np.max(np.abs(series["exact"].probabilities() - series["trotter"].probabilities())))

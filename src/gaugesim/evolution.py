@@ -343,9 +343,9 @@ class TransitionSeries:
 
 
 def _final_states(psi_fs, dim: int):
-    """Matrix whose columns are the requested final states, plus labels."""
+    """Matrix whose columns are the requested final states (None for "all"), plus labels."""
     if isinstance(psi_fs, str) and psi_fs == "all":
-        return np.eye(dim, dtype=np.complex128), list(range(dim))
+        return None, list(range(dim))
     mat = np.column_stack([np.asarray(p, dtype=np.complex128) for p in psi_fs])
     if mat.shape[0] != dim:
         raise DimensionMismatchError("final states do not match H dimension")
@@ -386,7 +386,7 @@ def transition_series(h, psi_i, psi_fs, ts, method: str = "exact",
     ts = _finite_times(ts)
     finals, labels = _final_states(psi_fs, hm.shape[0])
     states = _evolver(hm, method, trotter_steps)(psi_i, ts)
-    amps = states @ finals.conj()
+    amps = states if finals is None else states @ finals.conj()
     return TransitionSeries(ts=ts, amplitudes=amps, labels=labels)
 
 

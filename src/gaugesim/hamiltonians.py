@@ -325,16 +325,13 @@ def _cartesian_factor_mats(q, p, squares, q2_proj, p2_proj):
 
 
 def _landau_cartesian_matrix(spec, n, q, p, q2, p2) -> np.ndarray:
-    dims = [n, n]
-    x = basis.place(q, 0, dims)
-    y = basis.place(q, 1, dims)
-    px = basis.place(p, 0, dims)
-    py = basis.place(p, 1, dims)
+    one = np.eye(n, dtype=np.complex128)
     hb = 0.5 * spec.b_field
-    # (p_x + hb y)^2 + (p_y - hb x)^2 expanded; cross factors commute.
-    h = 0.5 * (basis.place(p2, 0, dims) + basis.place(p2, 1, dims))
-    h += 0.5 * hb ** 2 * (basis.place(q2, 0, dims) + basis.place(q2, 1, dims))
-    h += hb * (px @ y) - hb * (py @ x)
+    # (p_x + hb y)^2 + (p_y - hb x)^2 expanded; cross factors commute, and
+    # each term is one Kronecker product: p_x y = p (x) q, p_y x = q (x) p.
+    h = 0.5 * (np.kron(p2, one) + np.kron(one, p2))
+    h += 0.5 * hb ** 2 * (np.kron(q2, one) + np.kron(one, q2))
+    h += hb * np.kron(p, q) - hb * np.kron(q, p)
     return h
 
 

@@ -20,10 +20,8 @@ __all__ = [
     "as_operator",
     "herm_defect",
     "is_hermitian",
-    "kron",
     "hermitian_eig",
     "matrix_function",
-    "evolve_unitary",
     "qubits_of_dim",
 ]
 
@@ -61,15 +59,6 @@ def is_hermitian(a) -> bool:
     return herm_defect(m) <= HERM_TOL * scale
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two square operators.
-
-    (a (x) b)[i*db + j, k*db + l] = a[i, k] * b[j, l], so the left factor
-    owns the most significant part of the index.
-    """
-    return np.kron(as_operator(a), as_operator(b))
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Full spectrum of a Hermitian operator.
@@ -80,10 +69,6 @@ class EigenSystem:
 
     values: np.ndarray
     vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.vectors
-        return (v * self.values) @ v.conj().T
 
 
 def hermitian_eig(a) -> EigenSystem:
@@ -122,9 +107,3 @@ def _propagate(es: EigenSystem, states, ts) -> np.ndarray:
     x = phases.reshape(phases.shape + (1,) * (coeff.ndim - 1)) * coeff[:, None]
     out = es.vectors @ x.reshape(len(coeff), -1)
     return np.moveaxis(out.reshape(x.shape), 1, 0)
-
-
-def evolve_unitary(h, t: float) -> np.ndarray:
-    """U = exp(-i h t) for Hermitian h, computed spectrally."""
-    m = as_operator(h)
-    return _propagate(hermitian_eig(m), np.eye(len(m), dtype=np.complex128), [t])[0]

@@ -14,24 +14,21 @@ a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
 
 import numpy as np
 import scipy.optimize
 
 from .circuits import AnsatzConfig, adjoint_gradient, ansatz_state
-from .errors import DimensionMismatchError, InvalidConfigError, NotHermitianError
-from .hamiltonians import BuiltHamiltonian, matrix_of
+from .errors import DimensionMismatchError, NotHermitianError
+from .hamiltonians import BuiltHamiltonian, matrix_of, read_number
 from .operators import is_hermitian
 
 __all__ = [
     "OptimizerSettings",
     "VqeResult",
-    "SweepCell",
     "template",
     "energy_gradient",
     "minimize",
-    "sweep",
     "write_trace_csv",
 ]
 
@@ -46,6 +43,9 @@ class OptimizerSettings:
     the best result.  Each run starts from parameters drawn uniformly in
     [-pi, pi] with its seed; the all-zeros start is a stationary point of
     some objectives.
+
+    ``FIELDS`` is each field's ``read_number`` rule, caps included; the
+    CLI reads its ``optimizer`` section with the same table.
     """
 
     max_iter: int = 600
@@ -53,9 +53,12 @@ class OptimizerSettings:
     seed: int = DEFAULT_SEED
     restarts: int = 1
 
+    FIELDS = {"max_iter": (int, 1, 100000), "tolerance": (float, 0.0), "seed": (int, 0),
+              "restarts": (int, 1, 100)}
+
     def __post_init__(self):
-        if not (self.max_iter >= 1 and self.restarts >= 1 and self.tolerance >= 0.0):
-            raise InvalidConfigError(f"need max_iter >= 1, restarts >= 1, tolerance >= 0: {self}")
+        for name, rule in self.FIELDS.items():
+            object.__setattr__(self, name, read_number(getattr(self, name), f"optimizer.{name}", *rule))
 
 
 @dataclass(frozen=True)
@@ -79,15 +82,6 @@ class VqeResult:
 
     def best_so_far(self) -> np.ndarray:
         return np.minimum.accumulate([e for _, e in self.trace])
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """One grid cell of a sweep: the cell value plus result or error."""
-
-    cell: object
-    result: VqeResult | None = None
-    error: Exception | None = None
 
 
 def template(n_qubits: int, depth: int = 3, entangler: str = "cz") -> AnsatzConfig:
@@ -225,27 +219,6 @@ def minimize(h, ansatz: AnsatzConfig, opt: OptimizerSettings | None = None) -> V
         if best is None or run.energy < best.energy:
             best = run
     return replace(best, evaluations=total_evals)
-
-
-def sweep(build: Callable[[object], BuiltHamiltonian], grid: Sequence,
-          ansatz: AnsatzConfig, opt: OptimizerSettings | None = None) -> list[SweepCell]:
-    """Independent minimize runs over a parameter grid, one cell after another.
-
-    Each cell gets a deterministic seed (base seed + cell index), so a
-    fixed base seed reproduces every trace bit for bit.  Per-cell failures
-    are captured in the cell instead of aborting the sweep.
-    """
-    opt = opt or OptimizerSettings()
-    if len(grid) == 0:
-        raise ValueError("sweep grid is empty")
-    cells = []
-    for i, cell in enumerate(grid):
-        try:
-            result = minimize(build(cell), ansatz, replace(opt, seed=opt.seed + i))
-            cells.append(SweepCell(cell=cell, result=result))
-        except Exception as exc:  # noqa: BLE001 - propagated per cell
-            cells.append(SweepCell(cell=cell, error=exc))
-    return cells
 
 
 def write_trace_csv(result: VqeResult, path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from gaugesim.basis import fermion_factor, osc_p, osc_q, place
 
@@ -17,6 +18,14 @@ def pauli_matrix(label: str) -> np.ndarray:
     for ch in label[1:]:
         out = np.kron(out, PAULI[ch])
     return out
+
+
+def exact_unitary(h, t: float) -> np.ndarray:
+    """exp(-i t h) by scipy's Pade scaling and squaring (test oracle only).
+
+    Independent of the library's spectral propagator, which it checks.
+    """
+    return expm(-1j * t * np.asarray(h, dtype=np.complex128))
 
 
 def random_hermitian(rng, dim: int) -> np.ndarray:

@@ -37,10 +37,10 @@ from gaugesim.hamiltonians import (
     build_monopole_su2,
     variant_selection_report,
 )
-from gaugesim.operators import evolve_unitary, herm_defect, hermitian_eig
+from gaugesim.operators import herm_defect, hermitian_eig
 from gaugesim.vqe import OptimizerSettings, minimize, template
 
-from conftest import random_hermitian, random_state
+from conftest import exact_unitary, random_hermitian, random_state
 
 POLAR_REFERENCE = 0.9980452
 
@@ -141,7 +141,7 @@ def test_criterion_6_trotter_convergence(cartesian):
     terms = pauli_decompose(built.matrix)
     rng = np.random.default_rng(5)
     psi = random_state(rng, 256)
-    exact = evolve_unitary(built.matrix, 0.5) @ psi
+    exact = exact_unitary(built.matrix, 0.5) @ psi
     errs = {n: np.linalg.norm(trotter_evolve(terms, 0.5, n, psi) - exact)
             for n in (25, 50, 100, 200)}
     ratios = [errs[25] / errs[50], errs[50] / errs[100], errs[100] / errs[200]]

@@ -164,3 +164,11 @@ def test_wu_yang_grid_errors():
         wu_yang_solve(0.1, 0.1, 100, 1.0, 0.0)
     with pytest.raises(StepUnderflowError):
         wu_yang_solve(-0.1, 1.0, 100, 1.0, 0.0)
+    # a non-integral or non-finite step count, or a non-finite radius, is
+    # refused by name instead of truncated or integrated into NaN rows
+    for steps in (16.9, float("nan"), float("inf")):
+        with pytest.raises(StepUnderflowError, match=str(steps)):
+            wu_yang_solve(0.1, 1.0, steps, 1.0, 0.0)
+    for r_start, r_end in ((0.1, float("nan")), (float("nan"), 1.0), (0.1, float("inf"))):
+        with pytest.raises(StepUnderflowError, match="finite radii"):
+            wu_yang_solve(r_start, r_end, 100, 1.0, 0.0)

@@ -142,6 +142,22 @@ def test_eoh_columns_named_by_grid_index(tmp_path):
     assert header == "t,re_5,im_5,prob_5,re_9,im_9,prob_9"
 
 
+def test_eoh_repeated_index_writes_identical_columns(tmp_path):
+    cfg = {
+        "hamiltonian": {"kind": "LandauCartesian", "b_field": 2.0, "boson_trunc": 4},
+        "evolution": {"t_max": 0.5, "t_points": 3, "trotter_steps": 25},
+        "final_states": [9, 5, 9],
+        "output": str(tmp_path / "eoh.csv"),
+    }
+    assert run(tmp_path, "eoh", cfg) == 0
+    for name in ("eoh_exact.csv", "eoh_trotter.csv"):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == "t,re_9,im_9,prob_9,re_5,im_5,prob_5,re_9,im_9,prob_9"
+        rows = [line.split(",") for line in lines[1:]]
+        assert all(cells[1:4] == cells[7:10] for cells in rows)
+        assert float(rows[-1][3]) > 0.0  # the particle has reached grid point 9
+
+
 @pytest.mark.parametrize("out, written", [
     ("eoh.csv", "eoh_exact.csv"),
     ("eoh", "eoh_exact"),

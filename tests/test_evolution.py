@@ -31,9 +31,9 @@ from gaugesim.evolution import (
     write_transition_csv,
 )
 from gaugesim.hamiltonians import HamiltonianSpec, build_landau_cartesian
-from gaugesim.operators import evolve_unitary, hermitian_eig
+from gaugesim.operators import _propagate, hermitian_eig
 
-from conftest import PAULI, pair_trotter, pauli_matrix, random_hermitian, random_state
+from conftest import PAULI, exact_unitary, pair_trotter, pauli_matrix, random_hermitian, random_state
 
 
 # ------------------------------------------------------------ decomposition
@@ -109,7 +109,7 @@ def test_trotter_single_term_exact(rng):
     terms = PauliTermList(n_qubits=3, terms=[("XYZ", 0.37)])
     psi = random_state(rng, 8)
     approx = trotter_evolve(terms, 1.3, 1, psi)
-    exact = evolve_unitary(0.37 * pauli_matrix("XYZ"), 1.3) @ psi
+    exact = exact_unitary(0.37 * pauli_matrix("XYZ"), 1.3) @ psi
     np.testing.assert_allclose(approx, exact, atol=1e-10)
     # n_steps does not matter for a single term
     np.testing.assert_allclose(trotter_evolve(terms, 1.3, 17, psi), exact, atol=1e-10)
@@ -120,7 +120,7 @@ def test_trotter_first_order_on_toy_pair(rng):
     terms = PauliTermList(n_qubits=1, terms=[("X", 0.7), ("Z", 0.4)])
     h = 0.7 * PAULI["X"] + 0.4 * PAULI["Z"]
     psi = random_state(rng, 2)
-    exact = evolve_unitary(h, 1.0) @ psi
+    exact = exact_unitary(h, 1.0) @ psi
     errs = [np.linalg.norm(trotter_evolve(terms, 1.0, n, psi) - exact) for n in (8, 16, 32, 64)]
     orders = [np.log2(e1 / e2) for e1, e2 in zip(errs, errs[1:])]
     assert all(0.8 <= o <= 1.2 for o in orders)
@@ -138,7 +138,7 @@ def test_trotter_landau_convergence(rng):
     built = build_landau_cartesian(HamiltonianSpec(kind="LandauCartesian", b_field=2.0))
     terms = pauli_decompose(built.matrix)
     psi = random_state(rng, 256)
-    exact = evolve_unitary(built.matrix, 0.5) @ psi
+    exact = exact_unitary(built.matrix, 0.5) @ psi
     errs = [np.linalg.norm(trotter_evolve(terms, 0.5, n, psi) - exact) for n in (25, 50, 100)]
     for e1, e2 in zip(errs, errs[1:]):
         assert 1.6 <= e1 / e2 <= 2.4
@@ -337,11 +337,13 @@ def test_transition_series_batched_matches_single_calls(rng):
     h = random_hermitian(rng, 8)
     terms = pauli_decompose(h)
     psi_i = random_state(rng, 8)
-    ts = [0.3, 0.9]
+    ts = [0.0, 0.3, 0.9]
+    # for "all" the amplitudes are the evolved states themselves, bit for bit
     series = transition_series(h, psi_i, "all", ts, method="trotter", trotter_steps=20)
     for j, t in enumerate(ts):
-        single = trotter_evolve(terms, t, 20, psi_i)
-        np.testing.assert_allclose(series.amplitudes[j], single, atol=1e-13)
+        assert np.array_equal(series.amplitudes[j], trotter_evolve(terms, t, 20, psi_i))
+    exact = transition_series(h, psi_i, "all", ts, method="exact")
+    assert np.array_equal(exact.amplitudes, _propagate(hermitian_eig(h), psi_i, ts))
 
 
 def test_transition_csv(tmp_path, rng):
@@ -435,7 +437,7 @@ def test_scattering_zero_momentum_is_plain_evolution(rng):
     h = _free_position_h(16)
     psi0 = random_state(rng, 16)
     out = scattering_process(h, 0.0, 0.4, 1.0, psi0)
-    exact = evolve_unitary(h, 1.0) @ psi0
+    exact = exact_unitary(h, 1.0) @ psi0
     np.testing.assert_allclose(out, exact, atol=1e-10)
 
 
@@ -444,9 +446,9 @@ def test_scattering_endpoint_limits(rng):
     psi0 = random_state(rng, 16)
     phase = np.exp(1j * 0.8 * pos_grid(16))
     early = scattering_process(h, 0.8, 0.0, 1.0, psi0)
-    np.testing.assert_allclose(early, evolve_unitary(h, 1.0) @ (phase * psi0), atol=1e-10)
+    np.testing.assert_allclose(early, exact_unitary(h, 1.0) @ (phase * psi0), atol=1e-10)
     late = scattering_process(h, 0.8, 1.0, 1.0, psi0)
-    np.testing.assert_allclose(late, phase * (evolve_unitary(h, 1.0) @ psi0), atol=1e-10)
+    np.testing.assert_allclose(late, phase * (exact_unitary(h, 1.0) @ psi0), atol=1e-10)
 
 
 def test_scattering_unitary(rng):
@@ -475,10 +477,10 @@ def test_scattering_decomposes_once(rng, monkeypatch, method, counted):
     psi0 = random_state(rng, 16)
     out = scattering_process(h, 0.9, 0.4, 1.0, psi0, method=method, trotter_steps=50)
     assert len(calls) == 1
-    # reference: each leg evolved on its own, from a fresh decomposition
+    # reference: each leg evolved on its own, by expm or from a fresh decomposition
     phase = np.exp(1j * 0.9 * pos_grid(16))
     if method == "exact":
-        expected = evolve_unitary(h, 0.6) @ (phase * (evolve_unitary(h, 0.4) @ psi0))
+        expected = exact_unitary(h, 0.6) @ (phase * (exact_unitary(h, 0.4) @ psi0))
     else:
         expected = trotter_evolve(pauli_decompose(h), 0.6, 50,
                                   phase * trotter_evolve(pauli_decompose(h), 0.4, 50, psi0))

@@ -5,54 +5,20 @@ from gaugesim.basis import osc_q
 from gaugesim.errors import DimensionMismatchError, NotHermitianError, NotPowerOfTwoError
 from gaugesim.evolution import pauli_decompose, transition_series
 from gaugesim.operators import (
-    evolve_unitary,
+    _propagate,
     herm_defect,
     hermitian_eig,
     is_hermitian,
-    kron,
     matrix_function,
     qubits_of_dim,
 )
 
-from conftest import PAULI, random_hermitian
+from conftest import PAULI, exact_unitary, random_hermitian
 
 
-def test_kron_identity():
-    np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_block_structure():
-    # Z (x) X has X in the upper-left block and -X in the lower-right.
-    zx = kron(PAULI["Z"], PAULI["X"])
-    np.testing.assert_array_equal(zx[:2, :2], PAULI["X"])
-    np.testing.assert_array_equal(zx[2:, 2:], -PAULI["X"])
-    np.testing.assert_array_equal(zx[:2, 2:], np.zeros((2, 2)))
-
-
-def test_kron_q2_with_identity_spectrum():
-    # oracle: brute-force 4x4 diagonalization
-    m = kron(osc_q(2), np.eye(2))
-    vals = np.linalg.eigvalsh(m)
-    expected = np.sort([1 / np.sqrt(2), 1 / np.sqrt(2), -1 / np.sqrt(2), -1 / np.sqrt(2)])
-    np.testing.assert_allclose(vals, expected, atol=1e-12)
-
-
-def test_kron_associative_exact_on_representable_entries(rng):
-    # entries whose pairwise products are exact in binary floating point
-    pool = np.array([0.0, 1.0, -1.0, 0.5, -0.5, 2.0])
-    for _ in range(20):
-        a, b, c = (rng.choice(pool, size=(2, 2)) + 1j * rng.choice(pool, size=(2, 2))
-                   for _ in range(3))
-        left = kron(kron(a, b), c)
-        right = kron(a, kron(b, c))
-        np.testing.assert_array_equal(left, right)
-
-
-def test_kron_associative_close_on_random(rng):
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    c = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    np.testing.assert_allclose(kron(kron(a, b), c), kron(a, kron(b, c)), rtol=1e-15, atol=1e-15)
+def propagated(h, ts) -> np.ndarray:
+    """exp(-i h t) for every t in ts from the library's spectral propagator."""
+    return _propagate(hermitian_eig(h), np.eye(len(h), dtype=np.complex128), ts)
 
 
 def test_eig_pauli_z():
@@ -79,7 +45,8 @@ def test_eig_reconstruction_and_residuals(rng):
         a = random_hermitian(rng, dim)
         es = hermitian_eig(a)
         fro = np.linalg.norm(a)
-        assert np.linalg.norm(es.reconstruct() - a) <= 1e-9 * fro
+        v = es.vectors
+        assert np.linalg.norm((v * es.values) @ v.conj().T - a) <= 1e-9 * fro
         for k in range(dim):
             v = es.vectors[:, k]
             assert np.linalg.norm(a @ v - es.values[k] * v) <= 1e-9 * fro
@@ -110,21 +77,24 @@ def test_matrix_function_rejects_non_hermitian():
 
 def test_evolve_t0_is_identity(rng):
     a = random_hermitian(rng, 5)
-    np.testing.assert_allclose(evolve_unitary(a, 0.0), np.eye(5), atol=1e-12)
+    u = propagated(a, [0.0])[0]
+    np.testing.assert_allclose(u, exact_unitary(a, 0.0), atol=1e-12)
+    np.testing.assert_allclose(u, np.eye(5), atol=1e-12)
 
 
 def test_evolve_diagonal_phases():
-    u = evolve_unitary(PAULI["Z"], np.pi / 2)
+    u = propagated(PAULI["Z"], [np.pi / 2])[0]
+    np.testing.assert_allclose(u, exact_unitary(PAULI["Z"], np.pi / 2), atol=1e-12)
     np.testing.assert_allclose(u, np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)]), atol=1e-12)
 
 
 def test_evolve_unitarity_and_composition(rng):
     a = random_hermitian(rng, 7)
-    u1 = evolve_unitary(a, 0.7)
+    u1, u2, u12 = propagated(a, [0.7, 0.4, 1.1])
     assert np.max(np.abs(u1 @ u1.conj().T - np.eye(7))) <= 1e-10
-    u2 = evolve_unitary(a, 0.4)
-    u12 = evolve_unitary(a, 1.1)
-    np.testing.assert_allclose(u1 @ u2, u12, atol=1e-9)
+    np.testing.assert_allclose(u1, exact_unitary(a, 0.7), atol=1e-9)
+    np.testing.assert_allclose(u1 @ u2, exact_unitary(a, 1.1), atol=1e-9)
+    np.testing.assert_allclose(u12, exact_unitary(a, 1.1), atol=1e-9)
 
 
 def test_matrix_function_matches_evolve_on_diagonals():
@@ -133,7 +103,8 @@ def test_matrix_function_matches_evolve_on_diagonals():
     rebuilt = matrix_function(h, lambda lam: np.cos(lam * t)) - 1j * matrix_function(
         h, lambda lam: np.sin(lam * t)
     )
-    np.testing.assert_allclose(rebuilt, evolve_unitary(h, t), atol=1e-12)
+    np.testing.assert_allclose(rebuilt, exact_unitary(h, t), atol=1e-12)
+    np.testing.assert_allclose(propagated(h, [t])[0], exact_unitary(h, t), atol=1e-12)
 
 
 def test_herm_defect_and_is_hermitian():

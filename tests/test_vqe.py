@@ -14,7 +14,6 @@ from gaugesim.vqe import (
     OptimizerSettings,
     energy_gradient,
     minimize,
-    sweep,
     template,
     write_trace_csv,
 )
@@ -140,7 +139,8 @@ def test_budget_exhaustion_returns_best_so_far():
 
 def test_optimizer_settings_validate_themselves():
     for bad in ({"max_iter": 0}, {"restarts": 0}, {"restarts": -3}, {"tolerance": -1e-9},
-                {"tolerance": float("nan")}):
+                {"tolerance": float("nan")}, {"seed": -1}, {"seed": 1.5}, {"restarts": 2.5},
+                {"max_iter": True}, {"max_iter": 2.5}):
         with pytest.raises(InvalidConfigError):
             OptimizerSettings(**bad)
 
@@ -158,44 +158,19 @@ def test_determinism_and_restarts():
     assert multi.evaluations > r1.evaluations
 
 
-def test_sweep_single_cell_equals_minimize():
-    built = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
-    opt = OptimizerSettings(seed=9, max_iter=60)
-    cells = sweep(lambda _: built, [None], template(4, depth=2), opt)
-    assert len(cells) == 1 and cells[0].error is None
-    direct = minimize(built, template(4, depth=2), opt)
-    assert cells[0].result.trace == direct.trace
-
-
 def test_sweep_monopole_reaches_real_state_floor():
     # Ry/CZ circuits produce real amplitudes, so the reachable optimum is
     # lambda_min of Re(H); for the Hermitian-part monopole that floor is the
     # free ground energy (the coupling's real part vanishes identically).
-    def build_cell(gm):
-        return build_monopole_su2(
-            HamiltonianSpec(kind="MonopoleSU2", b_field=gm, variant="HermitianPart")
-        )
-
-    cells = sweep(build_cell, [0.2], template(9, depth=3),
-                  OptimizerSettings(seed=11, max_iter=300))
-    res = cells[0].result
-    h = build_cell(0.2).matrix
+    built = build_monopole_su2(
+        HamiltonianSpec(kind="MonopoleSU2", b_field=0.2, variant="HermitianPart")
+    )
+    res = minimize(built, template(9, depth=3), OptimizerSettings(seed=11, max_iter=300))
+    h = built.matrix
     floor = np.linalg.eigvalsh(0.5 * (h.real + h.real.T))[0]
     lam = np.linalg.eigvalsh(h)[0]
     assert res.energy >= lam - 1e-9
     assert abs(res.energy - floor) <= 2e-2
-
-
-def test_sweep_captures_cell_errors():
-    def build_cell(gm):
-        if gm < 0:
-            raise ValueError("negative coupling not supported here")
-        return build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
-
-    cells = sweep(build_cell, [2.0, -1.0], template(4, depth=1),
-                  OptimizerSettings(seed=2, max_iter=20))
-    assert cells[0].error is None and cells[0].result is not None
-    assert isinstance(cells[1].error, ValueError) and cells[1].result is None
 
 
 def test_trace_csv_format(tmp_path):

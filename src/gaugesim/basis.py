@@ -14,6 +14,8 @@ Conventions:
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSizeError
@@ -33,11 +35,14 @@ __all__ = [
 ]
 
 
-def _check_size(n: int) -> int:
-    n = int(n)
-    if n < 2:
-        raise InvalidSizeError(f"basis size must be >= 2, got {n}")
-    return n
+def _check_size(n) -> int:
+    """``n`` as an int >= 2; bools and non-integral or non-finite sizes
+    are refused, not truncated."""
+    integral = isinstance(n, numbers.Integral) or (
+        isinstance(n, numbers.Real) and float(n).is_integer())
+    if isinstance(n, (bool, np.bool_)) or not integral or n < 2:
+        raise InvalidSizeError(f"basis size must be an integer >= 2, got {n!r}")
+    return int(n)
 
 
 def osc_q(n: int) -> np.ndarray:

@@ -5,8 +5,10 @@ most significant bit of the basis index, matching the tensor-slot
 convention of the basis module (slot 0 = leftmost Kronecker factor).
 Ry, CZ and CX have real matrices, so ``ansatz_state`` prepares a real
 state, and ``adjoint_gradient`` differentiates it with one backward
-sweep (Jones & Gacon, arXiv:2009.02823).  ``expectation`` gives
-<psi|H|psi> for any (complex) state and Hermitian H.
+sweep (Jones & Gacon, arXiv:2009.02823).  Both apply each rotation layer
+through one kernel, ``_ry_layer``: two small matrix products with the
+Kronecker factors of the layer's rotations, not one call per gate.
+``expectation`` gives <psi|H|psi> for any (complex) state and Hermitian H.
 """
 
 from __future__ import annotations
@@ -26,16 +28,55 @@ __all__ = [
 ]
 
 
-def _ry(psi: np.ndarray, qubit: int, theta: float) -> np.ndarray:
-    """Ry(theta) on ``qubit`` of each state along the last axis of the
-    contiguous array ``psi``, in place."""
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    view = psi.reshape(psi.shape[:-1] + (2 ** qubit, 2, -1))
-    a = view[..., 0, :].copy()
-    b = view[..., 1, :]
-    view[..., 0, :] = c * a - s * b
-    view[..., 1, :] = s * a + c * b
-    return psi
+@lru_cache(maxsize=None)
+def _kron_tables(k: int) -> tuple:
+    """Index tables for the Kronecker product K of k rotations [[c, -s], [s, c]].
+
+    K[i, j] = sign[i, j] * mag[i ^ j], where mag[m] is the product over
+    qubits q of s_q if bit q of m is set and c_q otherwise: the gather
+    (rows, bits) of the (k, 2) table [c_q, s_q].  Each factor -s comes
+    from a bit that is 0 in i and 1 in j.
+    """
+    idx = np.arange(2 ** k)
+    rows = np.arange(k)[:, None]
+    bits = (idx >> (k - 1 - rows)) & 1
+    xor = idx[:, None] ^ idx
+    sign = np.where(np.bitwise_count(idx & ~idx[:, None]) % 2, -1.0, 1.0)
+    for table in (rows, bits, xor, sign):
+        table.flags.writeable = False
+    return rows, bits, xor, sign
+
+
+def _ry_layer(psi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Ry(t_0) (x) ... (x) Ry(t_{n-1}) on each state along the last axis of ``psi``.
+
+    Each state is viewed as a (2**h, 2**(n-h)) matrix M with h = n // 2,
+    and the layer acts as L M R^T: L and R are the Kronecker products of
+    the rotations on qubits [0, h) and [h, n).  Negated angles give L^T
+    and R^T exactly, which undoes the layer.
+    """
+    n = len(thetas)
+    h = n // 2
+    cs = np.stack([np.cos(thetas / 2.0), np.sin(thetas / 2.0)], axis=1)
+    factors = []
+    for part in (cs[:h], cs[h:]):
+        rows, bits, xor, sign = _kron_tables(len(part))
+        factors.append(sign * part[rows, bits].prod(axis=0)[xor])
+    left, right = factors
+    view = psi.reshape(psi.shape[:-1] + (2 ** h, 2 ** (n - h)))
+    return (left @ view @ right.T).reshape(psi.shape)
+
+
+@lru_cache(maxsize=None)
+def _flip_tables(n: int) -> tuple:
+    """Gather indices and signs of A = [[0, -1], [1, 0]] on each qubit:
+    (A_q phi)[i] = sign[q, i] * phi[flip[q, i]]."""
+    idx = np.arange(2 ** n)
+    bits = 1 << (n - 1 - np.arange(n))[:, None]
+    flip = idx ^ bits
+    sign = np.where(idx & bits, 1.0, -1.0)
+    flip.flags.writeable = sign.flags.writeable = False
+    return flip, sign
 
 
 @lru_cache(maxsize=None)
@@ -127,8 +168,7 @@ def ansatz_state(cfg: AnsatzConfig) -> np.ndarray:
     for d, thetas in enumerate(cfg.params.reshape(cfg.depth + 1, n)):
         if d:
             psi = _entangle(psi, n, cfg.entangler)
-        for q in range(n):
-            _ry(psi, q, thetas[q])
+        psi = _ry_layer(psi, thetas)
     return psi
 
 
@@ -136,22 +176,21 @@ def adjoint_gradient(cfg: AnsatzConfig, state, h_state) -> np.ndarray:
     """Gradient of psi^T S psi over ``cfg.params`` by one backward sweep.
 
     ``state`` is ``ansatz_state(cfg)`` and ``h_state`` is ``S @ state`` for
-    a real symmetric S.  Walking the gates in reverse, the entry of the Ry
-    on qubit q is <lam|A_q|phi> with A = [[0, -1], [1, 0]] (dRy/dt =
-    A Ry / 2), read before that Ry is undone on both phi and lam.
+    a real symmetric S.  Walking the layers in reverse, the entry of the
+    Ry on qubit q is <lam|A_q|phi> with A = [[0, -1], [1, 0]] (dRy/dt =
+    A Ry / 2).  The rotations of one layer commute, so all its entries are
+    read at the layer's output before the whole layer is undone on both
+    phi and lam.
     """
     n = cfg.n_qubits
     layers = cfg.params.reshape(cfg.depth + 1, n)
     grad = np.empty_like(layers)
+    flip, sign = _flip_tables(n)
     pair = np.stack([state, h_state])
     for d in range(cfg.depth, -1, -1):
-        for q in range(n - 1, -1, -1):
-            view = pair.reshape(2, 2 ** q, 2, -1)
-            grad[d, q] = (np.vdot(view[1, :, 1, :], view[0, :, 0, :])
-                          - np.vdot(view[1, :, 0, :], view[0, :, 1, :]))
-            _ry(pair, q, -layers[d, q])
+        grad[d] = (sign * pair[0][flip]) @ pair[1]
         if d:
-            pair = _entangle(pair, n, cfg.entangler, inverse=True)
+            pair = _entangle(_ry_layer(pair, -layers[d]), n, cfg.entangler, inverse=True)
     return grad.reshape(-1)
 
 

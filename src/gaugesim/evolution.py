@@ -413,9 +413,10 @@ def momentum_state(k: int, n: int) -> np.ndarray:
     the symmetric Sylvester matrix): it satisfies
     pos_p(n) |p_k> = x_k |p_k> with x_k the k-th grid value.
     """
-    if not 0 <= k < n:
+    f = sylvester_f(n)  # refuses a bad size before k is compared with it
+    if not 0 <= k < len(f):
         raise IndexOutOfRangeError(f"momentum index {k} outside grid of {n}")
-    return np.conj(sylvester_f(n)[:, k])
+    return np.conj(f[:, k])
 
 
 def vertex_amplitude(k1: int, p2: float, k3: int, n: int) -> complex:
@@ -449,12 +450,21 @@ def wrap_momentum(p2: float, n: int) -> float:
 
 
 def vertex_scan(k1: int, k3: int, n: int, p2_values) -> np.ndarray:
-    """|vertex_amplitude| over a grid of p2 values."""
-    bra = momentum_state(k1, n)
-    ket = momentum_state(k3, n)
+    """|vertex_amplitude| over any list of p2 values.
+
+    The grid is uniform, x_j = x_0 + j dx, so the amplitude is the
+    unimodular exp(i p2 x_0) times a polynomial in z = exp(i p2 dx) with
+    coefficients conj(bra) * ket; Horner's rule evaluates it with one
+    exponential per p2 value.
+    """
+    weights = np.conj(momentum_state(k1, n)) * momentum_state(k3, n)
     grid = pos_grid(n)
-    phases = np.exp(1j * np.outer(np.asarray(p2_values, dtype=float), grid))
-    return np.abs(phases @ (np.conj(bra) * ket))
+    z = np.exp(1j * (grid[1] - grid[0]) * np.ravel(np.asarray(p2_values, dtype=float)))
+    amp = np.full_like(z, weights[-1])
+    for w in weights[-2::-1]:
+        amp *= z
+        amp += w
+    return np.abs(amp)
 
 
 def scattering_process(h_free, p2: float, tau: float, total_t: float, psi0,

@@ -390,7 +390,8 @@ def build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
     Each operator is A (x) F: x, p and B act on the N^3-dim boson space
     (B from the N^3 x N^3 r^2), the bilinears on the 8-dim fermion space.
     So t_i = sum_k A_k (x) F_k and H = 1/2 sum_i sum_{k,l} (A_k A_l) (x)
-    (F_k F_l), with one Kronecker product per distinct fermion product.
+    (F_k F_l): the boson factors are summed per distinct fermion product,
+    and the full matrix is formed by one matrix product over the groups.
     """
     if spec.kind != "MonopoleSU2":
         raise InvalidSpecError(f"build_monopole_su2 got kind {spec.kind!r}")
@@ -432,7 +433,11 @@ def build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
                 f = f_k @ f_l
                 if f.any():  # products of raising-operator bilinears vanish
                     groups.setdefault(f.tobytes(), [f, 0])[1] += a_k @ a_l
-    h = 0.5 * sum(np.kron(a, f) for f, a in groups.values())
+    # 1/2 sum_g A_g (x) F_g as one product over g: rows (a, b) of the F_g
+    # times columns (i, j) of the A_g, then reordered once to (i, a, j, b)
+    fs, a_sums = zip(*groups.values())
+    h = (0.5 * np.stack(fs)).reshape(len(fs), -1).T @ np.stack(a_sums).reshape(len(fs), -1)
+    h = h.reshape(8, 8, n ** 3, n ** 3).transpose(2, 0, 3, 1).reshape(8 * n ** 3, -1)
 
     if spec.variant == "HermitianPart":
         h = 0.5 * (h + h.conj().T)

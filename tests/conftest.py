@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gaugesim.basis import fermion_factor, osc_p, osc_q, place
+from gaugesim.basis import fermion_factor, osc_p, osc_q, place, pos_grid
+from gaugesim.evolution import momentum_state
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -81,6 +82,14 @@ def dense_ansatz_state(n: int, depth: int, params, entangler: str = "cz") -> np.
         for q in range(n):
             psi = dense_ry(n, q, thetas[q]) @ psi
     return psi
+
+
+def outer_vertex_scan(k1: int, k3: int, n: int, p2_values) -> np.ndarray:
+    """|vertex_amplitude| over p2 with one exponential per (p2, grid point)
+    pair: the phases exp(i p2 x_j) as one outer product (test oracle only)."""
+    weights = np.conj(momentum_state(k1, n)) * momentum_state(k3, n)
+    phases = np.exp(1j * np.outer(np.asarray(p2_values, dtype=float), pos_grid(n)))
+    return np.abs(phases @ weights)
 
 
 def dense_monopole(spec) -> np.ndarray:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from gaugesim.basis import (
     sylvester_f,
 )
 from gaugesim.errors import DimensionMismatchError, InvalidSizeError
+from gaugesim.evolution import momentum_state, vertex_amplitude, vertex_scan
 
 
 def test_osc_q_smallest():
@@ -162,3 +165,32 @@ def test_size_and_dimension_errors():
         place(np.eye(3), 0, [2, 2])
     with pytest.raises(DimensionMismatchError):
         place(np.eye(2), 5, [2, 2])
+
+
+SIZED = {
+    "osc_q": osc_q,
+    "osc_p": osc_p,
+    "osc_q2": osc_q2,
+    "osc_p2": osc_p2,
+    "pos_grid": pos_grid,
+    "pos_q": pos_q,
+    "sylvester_f": sylvester_f,
+    "pos_p": pos_p,
+    "momentum_state": lambda n: momentum_state(3, n),
+    "vertex_amplitude": lambda n: vertex_amplitude(3, 0.5, 9, n),
+    "vertex_scan": lambda n: vertex_scan(3, 9, n, [0.0]),
+}
+
+
+@pytest.mark.parametrize("name", SIZED)
+@pytest.mark.parametrize("size", [16.9, 16.5, 4.5, True, np.True_, float("nan"), float("inf"), "16"])
+def test_non_integral_sizes_are_refused_not_truncated(name, size):
+    with pytest.raises(InvalidSizeError, match=re.escape(repr(size))):
+        SIZED[name](size)
+
+
+@pytest.mark.parametrize("name", SIZED)
+def test_integral_sizes_of_any_numeric_type_are_accepted(name):
+    expected = SIZED[name](16)
+    for size in (16.0, np.int64(16), np.float32(16.0)):
+        np.testing.assert_array_equal(SIZED[name](size), expected)

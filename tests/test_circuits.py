@@ -21,16 +21,19 @@ def test_ry_identity_and_flip():
     np.testing.assert_allclose(_state(1, 0, [np.pi / 2]), [1, 1] / np.sqrt(2), atol=1e-12)
 
 
-def test_ry_matches_dense_matrix(rng):
-    # the in-place kernel, on one state and on a stack along the last axis
-    theta = 0.77
-    states = rng.normal(size=(2, 8))
-    for qubit in range(3):
-        dense = dense_ry(3, qubit, theta)
-        np.testing.assert_allclose(circuits._ry(states[0].copy(), qubit, theta),
-                                   dense @ states[0], atol=1e-12)
-        np.testing.assert_allclose(circuits._ry(states.copy(), qubit, theta),
-                                   states @ dense.T, atol=1e-12)
+@pytest.mark.parametrize("n", range(1, 10))
+def test_ry_layer_matches_dense_gates(rng, n):
+    # the two-factor layer kernel (n = 1 gives an empty left factor), on one
+    # state and on a stack along the last axis, against the gates one by one
+    thetas = rng.uniform(-np.pi, np.pi, n)
+    dense = np.eye(2 ** n)
+    for q in range(n):
+        dense = dense_ry(n, q, thetas[q]) @ dense
+    states = rng.normal(size=(2, 2 ** n))
+    np.testing.assert_allclose(circuits._ry_layer(states[0], thetas), dense @ states[0],
+                               rtol=0, atol=1e-13)
+    np.testing.assert_allclose(circuits._ry_layer(states, thetas), states @ dense.T,
+                               rtol=0, atol=1e-13)
 
 
 def test_cz_phases():
@@ -72,6 +75,13 @@ def _check_against_dense_oracle(rng, entangler):
             assert state.dtype == np.float64
             np.testing.assert_allclose(state, dense_ansatz_state(n, depth, params, entangler),
                                        rtol=0, atol=1e-13, err_msg=f"n={n} depth={depth}")
+
+
+@pytest.mark.parametrize("entangler", ["cz", "cx"])
+def test_ansatz_matches_explicit_gates_at_nine_qubits(rng, entangler):
+    params = rng.uniform(-np.pi, np.pi, 9 * 2)
+    np.testing.assert_allclose(_state(9, 1, params, entangler),
+                               dense_ansatz_state(9, 1, params, entangler), rtol=0, atol=1e-13)
 
 
 def test_ansatz_cz_layer_matches_explicit_gates(rng):

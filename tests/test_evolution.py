@@ -33,7 +33,15 @@ from gaugesim.evolution import (
 from gaugesim.hamiltonians import HamiltonianSpec, build_landau_cartesian
 from gaugesim.operators import _propagate, hermitian_eig
 
-from conftest import PAULI, exact_unitary, pair_trotter, pauli_matrix, random_hermitian, random_state
+from conftest import (
+    PAULI,
+    exact_unitary,
+    outer_vertex_scan,
+    pair_trotter,
+    pauli_matrix,
+    random_hermitian,
+    random_state,
+)
 
 
 # ------------------------------------------------------------ decomposition
@@ -408,6 +416,24 @@ def test_vertex_scan_peak_and_wrapping():
         predicted = wrap_momentum(grid[k3] - grid[k1], n)
         assert abs(p2s[int(np.argmax(amps))] - predicted) < 1e-9
         assert abs(np.max(amps) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_vertex_scan_horner_matches_outer_product_oracle(n):
+    period = dual_lattice_period(n)
+    p2s = np.linspace(-period / 2, period / 2, 4 * n)
+    for k1, k3 in ((3, 9), (0, n - 1), (5, 5)):
+        amps = vertex_scan(k1, k3, n, p2s)
+        np.testing.assert_allclose(amps, outer_vertex_scan(k1, k3, n, p2s), rtol=0, atol=1e-12)
+
+
+def test_vertex_scan_takes_any_p2_list(rng):
+    # unsorted, unevenly spaced, repeated and far outside one period
+    p2s = np.concatenate([rng.uniform(-40.0, 40.0, 50), [0.0, 0.0, 1e-9, -7.25]])
+    np.testing.assert_allclose(vertex_scan(2, 11, 16, p2s), outer_vertex_scan(2, 11, 16, p2s),
+                               rtol=0, atol=1e-12)
+    assert vertex_scan(2, 11, 16, [0.37]).shape == vertex_scan(2, 11, 16, 0.37).shape == (1,)
+    assert abs(vertex_scan(2, 11, 16, [0.37])[0] - abs(vertex_amplitude(2, 0.37, 11, 16))) < 1e-12
 
 
 def test_vertex_amplitude_unitarity():

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import SingularTimeError, StepUnderflowError
+from .errors import SingularTimeError, StepUnderflowError, read_number
 
 __all__ = [
     "landau_energy",
@@ -39,13 +39,14 @@ SINGULAR_TOL = 1e-9
 
 def landau_energy(b_field: float, n: int) -> float:
     """Landau level energy |B| (n + 1/2)."""
-    if n < 0:
-        raise ValueError(f"level index must be >= 0, got {n}")
+    n = read_number(n, "level index", int, 0, error=ValueError)
     return abs(b_field) * (n + 0.5)
 
 
 def polar_energy(b_field: float, n: int, m: int) -> float:
     """Radial-sector energy (n + 1 - m) B / 2, where n = 2 n_r + |m| with n_r >= 0."""
+    n = read_number(n, "n", int, error=ValueError)
+    m = read_number(m, "m", int, error=ValueError)
     if n < abs(m) or (n - m) % 2:
         raise ValueError(f"n must be 2 n_r + |m| with n_r >= 0, got n={n}, m={m}")
     return (n + 1 - m) * b_field / 2.0
@@ -96,9 +97,7 @@ def bessel_i(nu: int, z: complex) -> complex:
     moderate arguments used here (|z| < 20); large arguments would need
     the scaled asymptotic form instead.
     """
-    nu = int(nu)
-    if nu < 0:
-        raise ValueError(f"order must be >= 0, got {nu}")
+    nu = read_number(nu, "order", int, 0, error=ValueError)
     z = complex(z)
     if z == 0.0:
         return 1.0 + 0.0j if nu == 0 else 0.0 + 0.0j
@@ -127,8 +126,7 @@ def kernel_polar(rho_i, phi_i, rho_f, phi_f, t, b_field, m_max: int = 20) -> com
     The Bessel argument decays the terms rapidly, so modest m_max already
     converges to full precision for desk-scale arguments.
     """
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+    m_max = read_number(m_max, "m_max", int, 1, error=ValueError)
     s = _half_angle(b_field, t)
     sin_s = np.sin(s)
     rr = rho_f ** 2 + rho_i ** 2
@@ -155,11 +153,7 @@ def wu_yang_solve(r_start, r_end, steps, g_start, gprime_start) -> np.ndarray:
     grid must be non-degenerate and stay clear of r = 0, where the
     equation is singular.
     """
-    if not (math.isfinite(steps) and steps == int(steps)):
-        raise StepUnderflowError(f"steps must be a finite whole number, got {steps!r}")
-    steps = int(steps)
-    if steps < 10:
-        raise StepUnderflowError(f"need at least 10 steps, got {steps}")
+    steps = read_number(steps, "steps", int, 10, error=StepUnderflowError)
     r_start, r_end = float(r_start), float(r_end)
     if not (math.isfinite(r_start) and math.isfinite(r_end)):
         raise StepUnderflowError(f"radial grid needs finite radii, got r_start={r_start}, r_end={r_end}")

@@ -14,11 +14,9 @@ Conventions:
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidSizeError
+from .errors import DimensionMismatchError, InvalidSizeError, read_number
 from .operators import as_operator
 
 __all__ = [
@@ -35,22 +33,12 @@ __all__ = [
 ]
 
 
-def _check_size(n) -> int:
-    """``n`` as an int >= 2; bools and non-integral or non-finite sizes
-    are refused, not truncated."""
-    integral = isinstance(n, numbers.Integral) or (
-        isinstance(n, numbers.Real) and float(n).is_integer())
-    if isinstance(n, (bool, np.bool_)) or not integral or n < 2:
-        raise InvalidSizeError(f"basis size must be an integer >= 2, got {n!r}")
-    return int(n)
-
-
 def osc_q(n: int) -> np.ndarray:
     """Position operator in the truncated oscillator basis.
 
     Tridiagonal with Q[j, j+1] = Q[j+1, j] = sqrt(j+1)/sqrt(2).
     """
-    n = _check_size(n)
+    n = read_number(n, "basis size", int, 2, error=InvalidSizeError)
     off = np.sqrt(np.arange(1, n)) / np.sqrt(2.0)
     q = np.zeros((n, n), dtype=np.complex128)
     idx = np.arange(n - 1)
@@ -61,7 +49,7 @@ def osc_q(n: int) -> np.ndarray:
 
 def osc_p(n: int) -> np.ndarray:
     """Momentum operator in the truncated oscillator basis (purely imaginary)."""
-    n = _check_size(n)
+    n = read_number(n, "basis size", int, 2, error=InvalidSizeError)
     off = np.sqrt(np.arange(1, n)) / np.sqrt(2.0)
     p = np.zeros((n, n), dtype=np.complex128)
     idx = np.arange(n - 1)
@@ -79,7 +67,7 @@ def osc_q2(n: int) -> np.ndarray:
     states.  Entries: diag (2j+1)/2, second off-diagonals
     sqrt((j+1)(j+2))/2.
     """
-    n = _check_size(n)
+    n = read_number(n, "basis size", int, 2, error=InvalidSizeError)
     m = np.zeros((n, n), dtype=np.complex128)
     j = np.arange(n)
     m[j, j] = (2 * j + 1) / 2.0
@@ -104,7 +92,7 @@ def osc_p2(n: int) -> np.ndarray:
 
 def pos_grid(n: int) -> np.ndarray:
     """The n position-grid values sqrt(2*pi/(4n)) * (2j - (n+1)), j = 1..n."""
-    n = _check_size(n)
+    n = read_number(n, "basis size", int, 2, error=InvalidSizeError)
     j = np.arange(1, n + 1)
     return np.sqrt(2.0 * np.pi / (4.0 * n)) * (2 * j - (n + 1))
 
@@ -121,7 +109,7 @@ def sylvester_f(n: int) -> np.ndarray:
     with 1-based j, k.  All entries are unimodular up to the 1/sqrt(n)
     normalization, and F is symmetric (not Hermitian).
     """
-    n = _check_size(n)
+    n = read_number(n, "basis size", int, 2, error=InvalidSizeError)
     o = 2 * np.arange(1, n + 1) - (n + 1)
     phase = (2.0 * np.pi / (4.0 * n)) * np.outer(o, o)
     return np.exp(1j * phase) / np.sqrt(n)
@@ -145,9 +133,8 @@ def place(op, slot: int, dims) -> np.ndarray:
     dimensions in ``dims``.  Requires dim(op) == dims[slot].
     """
     m = as_operator(op)
-    dims = [int(d) for d in dims]
-    if not 0 <= slot < len(dims):
-        raise DimensionMismatchError(f"slot {slot} outside dims of length {len(dims)}")
+    dims = [read_number(d, "dims[]", int, 1, error=InvalidSizeError) for d in dims]
+    slot = read_number(slot, "slot", int, 0, len(dims) - 1, error=DimensionMismatchError)
     if m.shape[0] != dims[slot]:
         raise DimensionMismatchError(
             f"operator dim {m.shape[0]} does not match dims[{slot}] = {dims[slot]}"

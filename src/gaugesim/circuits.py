@@ -13,12 +13,12 @@ Kronecker factors of the layer's rotations, not one call per gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidConfigError, NotHermitianError
+from .errors import DimensionMismatchError, InvalidConfigError, NotHermitianError, read_fields
 
 __all__ = [
     "AnsatzConfig",
@@ -126,6 +126,9 @@ class AnsatzConfig:
     ``params`` must hold n_qubits * (depth + 1) angles, ordered layer by
     layer.  ``entangler`` is "cz" (default; order-free) or "cx" (pairs
     applied in ascending (control < target) order).
+
+    ``FIELDS`` is each field's ``read_fields`` rule, caps included; the
+    CLI reads its ``ansatz`` section with the same table.
     """
 
     n_qubits: int
@@ -133,13 +136,12 @@ class AnsatzConfig:
     params: np.ndarray
     entangler: str = "cz"
 
+    FIELDS = {"n_qubits": (int, 1), "depth": (int, 0, 64), "entangler": ("cz", "cx")}
+
     def __post_init__(self):
-        if self.n_qubits < 1 or self.depth < 0:
-            raise InvalidConfigError(
-                f"bad ansatz shape: n_qubits={self.n_qubits}, depth={self.depth}"
-            )
-        if self.entangler not in ("cz", "cx"):
-            raise InvalidConfigError(f"unsupported entangler {self.entangler!r}")
+        shape = read_fields({name: getattr(self, name) for name in self.FIELDS}, "ansatz", self.FIELDS)
+        for name, value in shape.items():
+            object.__setattr__(self, name, value)
         p = np.asarray(self.params, dtype=float)
         if p.shape != (self.n_params,):
             raise InvalidConfigError(
@@ -152,12 +154,7 @@ class AnsatzConfig:
         return self.n_qubits * (self.depth + 1)
 
     def with_params(self, params) -> "AnsatzConfig":
-        return AnsatzConfig(
-            n_qubits=self.n_qubits,
-            depth=self.depth,
-            params=np.asarray(params, dtype=float),
-            entangler=self.entangler,
-        )
+        return replace(self, params=params)
 
 
 def ansatz_state(cfg: AnsatzConfig) -> np.ndarray:

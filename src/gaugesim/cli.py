@@ -21,7 +21,7 @@ from . import vqe as vqe_mod
 from .analytic import wu_yang_series_large, wu_yang_series_small, wu_yang_series_small_prime, wu_yang_solve
 from .basis import pos_grid
 from .circuits import AnsatzConfig
-from .errors import GaugesimError, InvalidConfigError
+from .errors import GaugesimError, InvalidConfigError, read_fields, read_number
 from .evolution import (
     dual_lattice_period,
     transition_series,
@@ -34,8 +34,6 @@ from .hamiltonians import (
     HamiltonianSpec,
     build,
     build_landau_cartesian_position,
-    read_fields,
-    read_number,
 )
 
 
@@ -69,8 +67,9 @@ def _output_path(cfg, args) -> str:
 
 
 def _ansatz_from(cfg, n_qubits) -> AnsatzConfig:
-    a = read_fields(cfg.get("ansatz", {}), "ansatz", {"depth": (int, 0, 64), "entangler": ("cz", "cx")})
-    return vqe_mod.template(n_qubits, a.get("depth", 3), a.get("entangler", "cz"))
+    # n_qubits is the register of the Hamiltonian, not a config key
+    fields = {k: rule for k, rule in AnsatzConfig.FIELDS.items() if k != "n_qubits"}
+    return vqe_mod.template(n_qubits, **read_fields(cfg.get("ansatz", {}), "ansatz", fields))
 
 
 def _optimizer_from(cfg, args) -> vqe_mod.OptimizerSettings:

@@ -25,6 +25,7 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidTimesError,
     NotHermitianError,
+    read_number,
 )
 from .hamiltonians import matrix_of
 from .operators import _propagate, hermitian_eig, is_hermitian, qubits_of_dim
@@ -256,7 +257,6 @@ def _apply_trotter(groups, ts, n_steps: int, psi0: np.ndarray) -> np.ndarray:
     followed by a gather into the next run's coset layout.  Rows with
     t == 0 are psi0 itself.
     """
-    n_steps = _step_count(n_steps)
     ts = np.asarray(ts, dtype=float)
     psi0 = np.asarray(psi0, dtype=np.complex128)
     out = np.repeat(psi0[None, :], len(ts), axis=0)
@@ -280,19 +280,18 @@ def _apply_trotter(groups, ts, n_steps: int, psi0: np.ndarray) -> np.ndarray:
     return out
 
 
-def _step_count(n_steps) -> int:
-    """``n_steps`` as an int >= 1; bools and non-integral values are refused."""
-    if isinstance(n_steps, (bool, np.bool_)) or not float(n_steps).is_integer() or n_steps < 1:
-        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
-    return int(n_steps)
-
-
 def _finite_times(ts) -> np.ndarray:
-    """``ts`` as a float array; NaN and infinite times are refused."""
-    ts = np.asarray(ts, dtype=float)
-    if not np.all(np.isfinite(ts)):
-        raise InvalidTimesError(f"evolution times must be finite, got {ts.tolist()}")
-    return ts
+    """``ts`` as a float array: the array form of ``read_number``'s rule.
+
+    NaN and infinite times are refused, and so are bool and string
+    entries, which a float conversion would read as 0, 1 or a number.
+    """
+    entries = np.asarray(ts, dtype=object)
+    if not any(isinstance(t, (bool, np.bool_, str)) for t in entries.flat):
+        ts = np.asarray(ts, dtype=float)
+        if np.all(np.isfinite(ts)):
+            return ts
+    raise InvalidTimesError(f"evolution times must be finite numbers, got {entries.tolist()}")
 
 
 def trotter_evolve(terms: PauliTermList, t: float, n_steps: int, psi0) -> np.ndarray:
@@ -315,7 +314,9 @@ def trotter_evolve(terms: PauliTermList, t: float, n_steps: int, psi0) -> np.nda
         raise DimensionMismatchError(
             f"state length {len(psi0)} vs operator dim {terms.dim}"
         )
-    return _apply_trotter(terms.groups(), _finite_times([t]), n_steps, psi0)[0]
+    ts = _finite_times([t])
+    n_steps = read_number(n_steps, "n_steps", int, 1, error=ValueError)
+    return _apply_trotter(terms.groups(), ts, n_steps, psi0)[0]
 
 
 @dataclass(frozen=True)
@@ -362,7 +363,7 @@ def _evolver(hm, method: str, trotter_steps: int):
         es = hermitian_eig(hm)
         return lambda psi, ts: _propagate(es, psi, ts)
     if method == "trotter":
-        steps = _step_count(trotter_steps)
+        steps = read_number(trotter_steps, "trotter_steps", int, 1, error=ValueError)
         terms = pauli_decompose(hm)
         return lambda psi, ts: _apply_trotter(terms.groups(), ts, steps, psi)
     raise ValueError(f"method must be 'exact' or 'trotter', got {method!r}")
@@ -414,8 +415,7 @@ def momentum_state(k: int, n: int) -> np.ndarray:
     pos_p(n) |p_k> = x_k |p_k> with x_k the k-th grid value.
     """
     f = sylvester_f(n)  # refuses a bad size before k is compared with it
-    if not 0 <= k < len(f):
-        raise IndexOutOfRangeError(f"momentum index {k} outside grid of {n}")
+    k = read_number(k, "momentum index", int, 0, len(f) - 1, error=IndexOutOfRangeError)
     return np.conj(f[:, k])
 
 

@@ -20,14 +20,13 @@ which one reproduces them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from . import basis
-from .errors import GaugesimError, InvalidConfigError, InvalidSpecError, NotPowerOfTwoError
+from .errors import GaugesimError, InvalidSpecError, NotPowerOfTwoError, read_fields, read_number
 from .operators import is_hermitian, matrix_function, qubits_of_dim
 
 __all__ = [
@@ -58,57 +57,6 @@ MONOPOLE_REFERENCE_ENERGIES = {2.0: -2.53854786, 0.2: 0.31120022}
 
 #: Largest register a config may ask for: dense matrices stay at 512x512.
 MAX_QUBITS = 9
-
-
-def read_number(val, where: str, kind, minimum=None, maximum=None):
-    """A finite JSON number as ``kind`` (float or int), within the bounds.
-
-    Bools and strings are not numbers here, and an int must hold an
-    integral value.
-    """
-    try:
-        finite = not isinstance(val, bool) and math.isfinite(val)
-    except (TypeError, OverflowError):
-        finite = False
-    if not finite:
-        raise InvalidConfigError(f"{where}: expected a finite number, got {val!r}")
-    if kind is int and val != int(val):
-        raise InvalidConfigError(f"{where}: expected an integer, got {val!r}")
-    val = kind(val)
-    if minimum is not None and val < minimum:
-        raise InvalidConfigError(f"{where}: must be >= {minimum}, got {val}")
-    if maximum is not None and val > maximum:
-        raise InvalidConfigError(f"{where}: must be <= {maximum}, got {val}")
-    return val
-
-
-def read_fields(obj, where: str, fields: Mapping, required=()) -> dict:
-    """Strictly read one JSON object of a config or spec.
-
-    ``fields`` maps every known key to its rule: ``float`` or ``int`` for
-    a number (see ``read_number``), or ``(kind, minimum[, maximum])`` for
-    a bounded one; any other tuple lists the allowed values; ``None``
-    passes the value on for the caller to check.  Unknown keys and
-    missing ``required`` keys are errors.  Returns the keys present.
-    """
-    if not isinstance(obj, Mapping):
-        raise InvalidConfigError(f"{where}: expected an object, got {type(obj).__name__}")
-    unknown = set(obj) - set(fields)
-    if unknown:
-        raise InvalidConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = set(required) - set(obj)
-    if missing:
-        raise InvalidConfigError(f"{where}: missing keys {sorted(missing)}")
-    out = dict(obj)
-    for key, val in obj.items():
-        rule = (fields[key],) if fields[key] in (int, float) else fields[key]
-        if rule is None:
-            continue
-        if rule[0] in (int, float):
-            out[key] = read_number(val, f"{where}.{key}", *rule)
-        elif not any(type(val) is type(c) and val == c for c in rule):
-            raise InvalidConfigError(f"{where}.{key}: expected one of {list(rule)}, got {val!r}")
-    return out
 
 
 @dataclass(frozen=True)
@@ -186,10 +134,9 @@ class HamiltonianSpec:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "HamiltonianSpec":
-        fields = read_fields(obj, "hamiltonian", {
-            "kind": None, "b_field": float, "boson_trunc": int, "angular_m": int,
-            "variant": None,
-        }, required=("kind",))
+        # keys only: the constructor reads the numbers
+        fields = read_fields(obj, "hamiltonian", dict.fromkeys(
+            ("kind", "b_field", "boson_trunc", "angular_m", "variant")), required=("kind",))
         if isinstance(fields.get("variant"), Mapping):
             scalar_b = read_fields(fields["variant"], "hamiltonian.variant",
                                    {"ScalarB": float}, required=("ScalarB",))
@@ -358,6 +305,7 @@ def build_landau_polar(spec: HamiltonianSpec, basis_scale: float = POLAR_BASIS_S
     """
     if spec.kind != "LandauPolar":
         raise InvalidSpecError(f"build_landau_polar got kind {spec.kind!r}")
+    basis_scale = read_number(basis_scale, "basis_scale", float, error=InvalidSpecError)
     if basis_scale <= 0.0:
         raise InvalidSpecError(f"basis_scale must be positive, got {basis_scale}")
     n = spec.boson_trunc

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NotHermitianError, NotPowerOfTwoError
+from .errors import NotHermitianError, NotPowerOfTwoError, read_number
 
 __all__ = [
     "EigenSystem",
@@ -39,9 +39,10 @@ def as_operator(a) -> np.ndarray:
 
 def qubits_of_dim(dim: int) -> int:
     """The n with dim == 2**n; NotPowerOfTwoError for any other dim (0 included)."""
-    if dim < 1 or dim & (dim - 1):
+    dim = read_number(dim, "dimension", int, 1, error=NotPowerOfTwoError)
+    if dim & (dim - 1):
         raise NotPowerOfTwoError(f"dimension {dim} is not a power of two")
-    return int(dim).bit_length() - 1
+    return dim.bit_length() - 1
 
 
 def herm_defect(a) -> float:

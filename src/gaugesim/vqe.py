@@ -19,8 +19,8 @@ import numpy as np
 import scipy.optimize
 
 from .circuits import AnsatzConfig, adjoint_gradient, ansatz_state
-from .errors import DimensionMismatchError, NotHermitianError
-from .hamiltonians import BuiltHamiltonian, matrix_of, read_number
+from .errors import DimensionMismatchError, NotHermitianError, read_fields, read_number
+from .hamiltonians import BuiltHamiltonian, matrix_of
 from .operators import is_hermitian
 
 __all__ = [
@@ -86,12 +86,9 @@ class VqeResult:
 
 def template(n_qubits: int, depth: int = 3, entangler: str = "cz") -> AnsatzConfig:
     """Ansatz template with zeroed parameters (shape carrier for minimize)."""
-    return AnsatzConfig(
-        n_qubits=n_qubits,
-        depth=depth,
-        params=np.zeros(n_qubits * (depth + 1)),
-        entangler=entangler,
-    )
+    shape = read_fields({"n_qubits": n_qubits, "depth": depth, "entangler": entangler},
+                        "ansatz", AnsatzConfig.FIELDS)
+    return AnsatzConfig(params=np.zeros(shape["n_qubits"] * (shape["depth"] + 1)), **shape)
 
 
 def _check_inputs(h, ansatz: AnsatzConfig) -> np.ndarray:

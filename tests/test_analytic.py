@@ -42,6 +42,12 @@ def test_polar_energy_refuses_n_outside_2nr_plus_abs_m(n, m):
         polar_energy(2.0, n, m)
 
 
+def test_polar_energy_refuses_non_integral_quantum_numbers():
+    # 2.5 - 0.5 is even as a float, so the parity check alone would accept it
+    with pytest.raises(ValueError, match="n: expected an integer, got 2.5"):
+        polar_energy(2.0, 2.5, 0.5)
+
+
 def _kernel_cartesian_reference(x_i, y_i, x_f, y_f, t, b, z_i=0.0, z_f=0.0):
     """Independent transcription of the same printed formula (cmath, stepwise)."""
     s = b * t / 2.0

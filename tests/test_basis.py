@@ -15,8 +15,17 @@ from gaugesim.basis import (
     pos_q,
     sylvester_f,
 )
-from gaugesim.errors import DimensionMismatchError, InvalidSizeError
-from gaugesim.evolution import momentum_state, vertex_amplitude, vertex_scan
+from gaugesim.analytic import bessel_i, kernel_polar, landau_energy, polar_energy
+from gaugesim.circuits import AnsatzConfig, ansatz_state
+from gaugesim.errors import (
+    DimensionMismatchError,
+    IndexOutOfRangeError,
+    InvalidConfigError,
+    InvalidSizeError,
+    NotPowerOfTwoError,
+)
+from gaugesim.evolution import momentum_state, pauli_decompose, trotter_evolve, vertex_amplitude, vertex_scan
+from gaugesim.operators import qubits_of_dim
 
 
 def test_osc_q_smallest():
@@ -194,3 +203,42 @@ def test_integral_sizes_of_any_numeric_type_are_accepted(name):
     expected = SIZED[name](16)
     for size in (16.0, np.int64(16), np.float32(16.0)):
         np.testing.assert_array_equal(SIZED[name](size), expected)
+
+
+_H = np.diag([0.3, -0.1, 0.7, 0.2]) + 0.1
+_PSI = np.full(4, 0.5)
+
+# caller-supplied counts and indices, each refused with the class its
+# callers catch; the value 2 is valid for every entry
+COUNTED = {
+    "bessel_i order": (lambda v: bessel_i(v, 1.0), ValueError),
+    "landau_energy level": (lambda v: landau_energy(2.0, v), ValueError),
+    "polar_energy n": (lambda v: polar_energy(2.0, v, 0), ValueError),
+    "kernel_polar m_max": (lambda v: kernel_polar(0.5, 0.1, 0.7, 0.4, 0.3, 2.0, m_max=v), ValueError),
+    "momentum_state index": (lambda v: momentum_state(v, 16), IndexOutOfRangeError),
+    "vertex_scan index": (lambda v: vertex_scan(v, 3, 16, [0.0, 1.3]), IndexOutOfRangeError),
+    "ansatz n_qubits": (lambda v: ansatz_state(AnsatzConfig(n_qubits=v, depth=0, params=[0.4, 1.1])),
+                        InvalidConfigError),
+    "ansatz depth": (lambda v: ansatz_state(AnsatzConfig(n_qubits=2, depth=v, params=np.linspace(0, 1, 6))),
+                     InvalidConfigError),
+    "trotter_evolve n_steps": (lambda v: trotter_evolve(pauli_decompose(_H), 0.5, v, _PSI), ValueError),
+    "place slot": (lambda v: place(np.eye(2), v, [2, 2, 2]), DimensionMismatchError),
+    "place dims": (lambda v: place(np.eye(2), 0, [2, v]), InvalidSizeError),
+    "qubits_of_dim": (qubits_of_dim, NotPowerOfTwoError),
+}
+
+
+@pytest.mark.parametrize("name", COUNTED)
+@pytest.mark.parametrize("value", [2.5, 1.5, True, np.True_, float("nan"), float("inf"), "2"])
+def test_non_integral_counts_and_indices_are_refused_not_truncated(name, value):
+    call, error = COUNTED[name]
+    with pytest.raises(error, match=re.escape(repr(value))):
+        call(value)
+
+
+@pytest.mark.parametrize("name", COUNTED)
+def test_integral_counts_and_indices_of_any_numeric_type_are_accepted(name):
+    call, _ = COUNTED[name]
+    expected = call(2)
+    for value in (2.0, np.int64(2), np.float32(2.0)):
+        np.testing.assert_array_equal(call(value), expected)

@@ -6,6 +6,7 @@ from gaugesim.circuits import AnsatzConfig, ansatz_state, expectation
 from gaugesim.errors import DimensionMismatchError, InvalidConfigError, NotHermitianError
 from gaugesim.hamiltonians import HamiltonianSpec, build_landau_cartesian
 from gaugesim.operators import hermitian_eig
+from gaugesim.vqe import template
 
 from conftest import PAULI, dense_ansatz_state, dense_ry, random_hermitian, random_state
 
@@ -106,6 +107,20 @@ def test_ansatz_config_validation():
         AnsatzConfig(n_qubits=2, depth=1, params=np.zeros(4), entangler="swap")
     with pytest.raises(InvalidConfigError):
         AnsatzConfig(n_qubits=0, depth=1, params=np.zeros(0))
+
+
+def test_ansatz_shape_is_read_by_name():
+    # refused when made, not later in ansatz_state; a bool is not a count
+    with pytest.raises(InvalidConfigError, match="ansatz.depth: expected an integer, got 1.5"):
+        AnsatzConfig(n_qubits=2, depth=1.5, params=np.zeros(5))
+    with pytest.raises(InvalidConfigError, match="ansatz.depth: expected a finite number, got True"):
+        AnsatzConfig(n_qubits=2, depth=True, params=np.zeros(4))
+    with pytest.raises(InvalidConfigError, match="ansatz.depth: expected an integer, got 1.5"):
+        template(2, 1.5)
+    with pytest.raises(InvalidConfigError, match="ansatz.depth: must be <= 64, got 65"):
+        template(1, 65)
+    cfg = AnsatzConfig(n_qubits=np.int64(2), depth=1.0, params=np.zeros(4))
+    assert type(cfg.n_qubits) is int and type(cfg.depth) is int
 
 
 def test_expectation_simple_cases():

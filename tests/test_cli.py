@@ -348,6 +348,8 @@ def _spec(**kw):
     ("spectrum", {"hamiltonian": _CART4}, ("--variant", "ScalarB=2"), 2),
     ("spectrum", {"hamiltonian": {"kind": "MonopoleSU2", "angular_m": -3}}, (), 2),
     ("vqe", {"hamiltonian": dict(_POLAR, variant="HermitianPart")}, (), 2),
+    # the register comes from the Hamiltonian, so n_qubits is not a config key
+    ("vqe", {"hamiltonian": _POLAR, "ansatz": {"n_qubits": 4}}, (), 2),
 ])
 def test_bad_input_exit_code_and_one_line_message(tmp_path, capsys, command, cfg, extra, code):
     out = tmp_path / "out.csv"

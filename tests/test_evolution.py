@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -260,7 +262,7 @@ def test_trotter_guards(rng):
         trotter_evolve(terms, 0.1, 0, np.ones(4))
 
 
-@pytest.mark.parametrize("steps", [2.7, 0.5, True, False, np.bool_(True), -1])
+@pytest.mark.parametrize("steps", [2.7, 0.5, True, False, np.bool_(True), -1, "3"])
 def test_trotter_step_count_guards(rng, steps):
     h = random_hermitian(rng, 4)
     terms = pauli_decompose(h)
@@ -291,6 +293,31 @@ def test_nonfinite_times_refused(rng, bad):
             transition_series(h, psi, "all", [0.0, bad], method=method)
     with pytest.raises(InvalidTimesError):
         scattering_process(h, 0.1, 0.0, bad, psi)
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_, "0.5"])
+def test_bool_and_string_times_refused(rng, bad):
+    # a float conversion would read these as t = 1, 0 or 0.5
+    h = random_hermitian(rng, 4)
+    psi = random_state(rng, 4)
+    named = re.escape(repr(bad))
+    with pytest.raises(InvalidTimesError, match=named):
+        trotter_evolve(pauli_decompose(h), bad, 3, psi)
+    for method in ("exact", "trotter"):
+        with pytest.raises(InvalidTimesError, match=named):
+            transition_series(h, psi, "all", [0.0, bad], method=method)
+    for tau, total_t in ((bad, 1.0), (0.0, bad)):
+        with pytest.raises(InvalidTimesError, match=named):
+            scattering_process(h, 0.1, tau, total_t, psi)
+
+
+def test_bool_time_arrays_refused(rng):
+    h = random_hermitian(rng, 4)
+    psi = random_state(rng, 4)
+    with pytest.raises(InvalidTimesError, match=re.escape("[False, True, '0.5']")):
+        transition_series(h, psi, "all", [False, True, "0.5"])
+    with pytest.raises(InvalidTimesError, match=re.escape("[False, True]")):
+        transition_series(h, psi, "all", np.array([False, True]))
 
 
 # ------------------------------------------------------------- transitions

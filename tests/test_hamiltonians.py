@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -69,6 +70,7 @@ _BAD_SPECS = [  # constructor arguments, and a fragment of the error message
     ({"kind": "LandauPolar", "b_field": True}, "finite number"),
     ({"kind": "LandauPolar", "angular_m": 1.5}, "integer"),
     ({"kind": "MonopoleSU2", "variant": "ScalarB", "r_ref": "1"}, "finite number"),
+    ({"kind": "LandauPolar", "angular_m": np.True_}, "finite number"),
 ]
 
 
@@ -231,6 +233,13 @@ def test_polar_uncalibrated_basis_value():
     lam = hermitian_eig(built.matrix).values[0]
     # unit-scale basis underestimates the ground energy by ~3% (documented)
     assert abs(lam - 0.9698777) < 1e-6
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), True, "5", 0.0, -1.0])
+def test_polar_basis_scale_must_be_finite_and_positive(scale):
+    spec = HamiltonianSpec(kind="LandauPolar")
+    with pytest.raises(InvalidSpecError, match=re.escape(repr(scale))):
+        build_landau_polar(spec, basis_scale=scale)
 
 
 def test_polar_angular_terms_enter_only_for_nonzero_m():

@@ -23,6 +23,7 @@ from .basis import pos_grid, sylvester_f
 from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
+    InvalidSizeError,
     InvalidTimesError,
     NotHermitianError,
     read_number,
@@ -54,11 +55,12 @@ _ZY_BITS = str.maketrans("IXYZ", "0011")
 
 
 def pauli_index_to_label(index: int, n_qubits: int) -> str:
-    chars = []
-    for q in range(n_qubits):
-        shift = 2 * (n_qubits - 1 - q)
-        chars.append(_DIGITS[(index >> shift) & 3])
-    return "".join(chars)
+    return _label(index, read_number(n_qubits, "n_qubits", int, 1, error=InvalidSizeError))
+
+
+def _label(index: int, n_qubits: int) -> str:
+    """``pauli_index_to_label`` for a register size already known to be valid."""
+    return "".join(_DIGITS[(index >> 2 * (n_qubits - 1 - q)) & 3] for q in range(n_qubits))
 
 
 def pauli_label_to_index(label: str) -> int:
@@ -156,7 +158,7 @@ def pauli_decompose(h) -> PauliTermList:
         raise NotHermitianError(f"complex Pauli coefficients (residue {resid:.3e})")
     real = coeffs.real
     keep = np.nonzero(np.abs(real) > 1e-12 * scale)[0]
-    terms = [(pauli_index_to_label(int(i), n), float(real[i])) for i in keep]
+    terms = [(_label(int(i), n), float(real[i])) for i in keep]
     return PauliTermList(n_qubits=n, terms=terms)
 
 
@@ -426,9 +428,10 @@ def vertex_amplitude(k1: int, p2: float, k3: int, n: int) -> complex:
     elementwise phase.  The modulus peaks (at exactly 1) when p2 matches
     the grid momentum transfer x_k3 - x_k1, up to the dual-lattice period.
     """
+    p2 = read_number(p2, "p2", float, error=ValueError)
     bra = momentum_state(k1, n)
     ket = momentum_state(k3, n)
-    phase = np.exp(1j * float(p2) * pos_grid(n))
+    phase = np.exp(1j * p2 * pos_grid(n))
     return complex(np.vdot(bra, phase * ket))
 
 
@@ -439,6 +442,7 @@ def dual_lattice_period(n: int) -> float:
     common sign, so the modulus is exactly periodic and the peak location
     is only defined modulo this value.
     """
+    n = read_number(n, "grid size", int, 2, error=InvalidSizeError)
     s = np.sqrt(2.0 * np.pi / (4.0 * n))
     return np.pi / s
 
@@ -476,6 +480,7 @@ def scattering_process(h_free, p2: float, tau: float, total_t: float, psi0,
     pure before/after limits).  H is decomposed once for both legs.
     """
     hm = matrix_of(h_free)
+    p2 = read_number(p2, "p2", float, error=ValueError)
     tau, total_t = _finite_times([tau, total_t])
     if not 0.0 <= tau <= total_t:
         raise InvalidTimesError(f"need 0 <= tau <= total_T, got tau={tau}, total_T={total_t}")
@@ -488,5 +493,5 @@ def scattering_process(h_free, p2: float, tau: float, total_t: float, psi0,
         return state if t == 0.0 else evolve(state, [t])[0]
 
     psi = leg(psi, tau)
-    psi = np.exp(1j * float(p2) * pos_grid(hm.shape[0])) * psi
+    psi = np.exp(1j * p2 * pos_grid(hm.shape[0])) * psi
     return leg(psi, total_t - tau)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import basis
 from .errors import GaugesimError, InvalidSpecError, NotPowerOfTwoError, read_fields, read_number
-from .operators import is_hermitian, matrix_function, qubits_of_dim
+from .operators import HERM_TOL, is_hermitian, matrix_function, qubits_of_dim
 
 __all__ = [
     "HamiltonianSpec",
@@ -172,7 +172,8 @@ class BuiltHamiltonian:
 
     def spectrum(self) -> np.ndarray:
         """Ascending eigenvalues: the union over the Hermitian diagonal blocks."""
-        return np.sort(np.concatenate([np.linalg.eigvalsh(self.matrix[np.ix_(b, b)]) for b in self.blocks]))
+        stacks = _diagonal_blocks(self.matrix, self.blocks)
+        return np.sort(np.concatenate([np.linalg.eigvalsh(sub).ravel() for sub in stacks]))
 
     def lowest_eigenvalue(self) -> float:
         """Ground energy: the lowest eigenvalue."""
@@ -190,6 +191,15 @@ def _blocks_by(keys) -> tuple:
     return tuple(np.flatnonzero(keys == k) for k in np.unique(keys))
 
 
+def _diagonal_blocks(matrix: np.ndarray, blocks: tuple) -> list:
+    """The diagonal blocks of ``matrix``, one (count, size, size) stack per block size."""
+    stacks = []
+    for size in sorted({len(b) for b in blocks}):
+        idx = np.stack([b for b in blocks if len(b) == size])
+        stacks.append(matrix[idx[:, :, None], idx[:, None, :]])
+    return stacks
+
+
 def _finish(matrix: np.ndarray, spec: HamiltonianSpec, blocks: tuple) -> BuiltHamiltonian:
     """Wrap a built matrix, refusing one that breaks its ``blocks``."""
     dim = matrix.shape[0]
@@ -201,10 +211,13 @@ def _finish(matrix: np.ndarray, spec: HamiltonianSpec, blocks: tuple) -> BuiltHa
     if np.any(matrix[block_of[:, None] > block_of[None, :]]):
         raise GaugesimError(f"{spec.kind}: non-zero entry below its diagonal blocks")
     hermitian = is_hermitian(matrix)
-    for b in blocks:
-        # a single block is the whole matrix, already checked
-        if not (hermitian if len(blocks) == 1 else is_hermitian(matrix[np.ix_(b, b)])):
-            raise GaugesimError(f"{spec.kind}: a diagonal block of size {len(b)} is not Hermitian")
+    if len(blocks) == 1 and not hermitian:  # the one block is the whole matrix
+        raise GaugesimError(f"{spec.kind}: a diagonal block of size {dim} is not Hermitian")
+    for sub in _diagonal_blocks(matrix, blocks) if len(blocks) > 1 else ():
+        # is_hermitian's rule, on every block of the stack at once
+        defect = np.abs(sub - sub.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        if np.any(defect > HERM_TOL * np.abs(sub).max(axis=(1, 2))):
+            raise GaugesimError(f"{spec.kind}: a diagonal block of size {sub.shape[1]} is not Hermitian")
     return BuiltHamiltonian(
         matrix=matrix, spec=spec, hermitian=hermitian, qubits=qubits_of_dim(dim), blocks=blocks,
     )
@@ -335,11 +348,15 @@ def build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
     replaces it by the constant -g_m / r_ref^2).  The sums are squared as
     written, without extra symmetrization.
 
-    Each operator is A (x) F: x, p and B act on the N^3-dim boson space
-    (B from the N^3 x N^3 r^2), the bilinears on the 8-dim fermion space.
-    So t_i = sum_k A_k (x) F_k and H = 1/2 sum_i sum_{k,l} (A_k A_l) (x)
-    (F_k F_l): the boson factors are summed per distinct fermion product,
-    and the full matrix is formed by one matrix product over the groups.
+    Each operator is A (x) F: x, p and B act on the N^3-dim boson space,
+    the bilinears on the 8-dim fermion space.  So t_i = sum_k A_k (x) F_k
+    and H = 1/2 sum_i sum_{k,l} (A_k A_l) (x) (F_k F_l): the boson factors
+    are summed per distinct fermion product.  x, y, z and B are real and
+    p = i P with P real, so every boson product is a real one.
+
+    Every term keeps the fermion parity and, per axis i, the charge
+    Q_i = (-1)^(n_i) pi_i of fermion slot i and the parity pi_i of boson
+    register i, so H is assembled block by block on these 16 sectors.
     """
     if spec.kind != "MonopoleSU2":
         raise InvalidSpecError(f"build_monopole_su2 got kind {spec.kind!r}")
@@ -351,56 +368,68 @@ def build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
         # Hermitian per-slot fermions (psi + psi^dag)/sqrt(2); keeps the
         # qubit layout, makes every bilinear Hermitian.
         fermion = (fermion + fermion.conj().T) / np.sqrt(2.0)
-
-    dims = [n, n, n]
-    x, y, z = (basis.place(basis.osc_q(n), s, dims) for s in range(3))
-    px, py, pz = (basis.place(basis.osc_p(n), s, dims) for s in range(3))
     psi = [basis.place(fermion, s, [2, 2, 2]) for s in range(3)]
     f12, f23, f31 = psi[0] @ psi[1], psi[1] @ psi[2], psi[2] @ psi[0]
+
+    dims = [n, n, n]
+    x, y, z = (basis.place(basis.osc_q(n), s, dims).real for s in range(3))
+    px, py, pz = (basis.place(basis.osc_p(n), s, dims).imag for s in range(3))  # p = i P
 
     k = qubits_of_dim(n)
     if spec.variant == "ScalarB":
         b_op = -g_m / spec.r_ref ** 2
     else:
-        r2 = x @ x + y @ y + z @ z
-        b_op = -g_m * matrix_function(r2, lambda lam: 1.0 / lam)
-        # r^2 keeps each register's parity, so (r^2)^-1 does too; eigh
-        # leaves round-off between parities, which is zeroed here
+        # r^2 is diagonal in W = V (x) V (x) V, where q^2 = V diag(lam) V^T
+        q = basis.osc_q(n).real
+        lam, v = np.linalg.eigh(q @ q)
+        w = np.kron(np.kron(v, v), v)
+        lam3 = (lam[:, None, None] + lam[None, :, None] + lam[None, None, :]).ravel()
+        b_op = -g_m * ((w / lam3) @ w.T)
+        # r^2 keeps each register's parity, so (r^2)^-1 does too; eigh may
+        # mix parities within the degenerate levels of q^2, and the
+        # round-off that leaves between parities is zeroed here
         reg = np.arange(n ** 3) & (1 | 1 << k | 1 << 2 * k)
         b_op[reg[:, None] != reg[None, :]] = 0.0
     bx, by, bz = (np.dot(b_op, a) for a in (x, y, z))  # b_op may be a scalar
-    one = np.eye(8, dtype=np.complex128)
-    ts = (((px, one), (-by, f12), (bz, f31)),  # each t_i as (A_k, F_k) pairs
-          ((py, one), (-bz, f23), (bx, f12)),
-          ((pz, one), (-bx, f31), (by, f23)))
+    one = np.eye(8)
+    ts = (((1j, px, one), (-1, by, f12), (1, bz, f31)),  # each t_i as (phase, R_k, F_k): A_k = phase R_k
+          ((1j, py, one), (-1, bz, f23), (1, bx, f12)),
+          ((1j, pz, one), (-1, bx, f31), (1, by, f23)))
 
     groups: dict = {}  # F_k F_l as bytes -> [F_k F_l, sum of A_k A_l]
     for t in ts:
-        for a_k, f_k in t:
-            for a_l, f_l in t:
+        for c_k, r_k, f_k in t:
+            for c_l, r_l, f_l in t:
                 f = f_k @ f_l
                 if f.any():  # products of raising-operator bilinears vanish
-                    groups.setdefault(f.tobytes(), [f, 0])[1] += a_k @ a_l
-    # 1/2 sum_g A_g (x) F_g as one product over g: rows (a, b) of the F_g
-    # times columns (i, j) of the A_g, then reordered once to (i, a, j, b)
-    fs, a_sums = zip(*groups.values())
-    h = (0.5 * np.stack(fs)).reshape(len(fs), -1).T @ np.stack(a_sums).reshape(len(fs), -1)
-    h = h.reshape(8, 8, n ** 3, n ** 3).transpose(2, 0, 3, 1).reshape(8 * n ** 3, -1)
+                    groups.setdefault(f.tobytes(), [f, 0])[1] += (c_k * c_l) * (r_k @ r_l)
 
-    if spec.variant == "HermitianPart":
-        h = 0.5 * (h + h.conj().T)
-
-    # index = boson * 8 + fermion pattern; each term keeps the fermion
-    # parity and the total boson parity (low bits at 3, 3 + k, 3 + 2k)
+    # index = boson * 8 + fermion pattern; the low bits of the boson
+    # registers x, y, z sit at 3 + 2k, 3 + k and 3
     i = np.arange(8 * n ** 3)
+    slots = (i >> 2) & 1, (i >> 1) & 1, i & 1
+    parities = (i >> (3 + 2 * k)) & 1, (i >> (3 + k)) & 1, (i >> 3) & 1
     occupation = np.bitwise_count(i & 7)
-    boson_parity = ((i >> 3) ^ (i >> (3 + k)) ^ (i >> (3 + 2 * k))) & 1
+    charges = [s ^ p for s, p in zip(slots, parities)]
+    sector = (occupation & 1) * 8 + charges[0] * 4 + charges[1] * 2 + charges[2]
+    sectors = np.stack(_blocks_by(sector))
+
+    # 1/2 sum_g A_g (x) F_g on each sector: its boson and fermion indices
+    # gather the sector's block from every factor pair
+    rows, cols = sectors[:, :, None], sectors[:, None, :]
+    h_blocks = 0.5 * sum(a[rows >> 3, cols >> 3] * f[rows & 7, cols & 7] for f, a in groups.values())
+    if spec.variant == "HermitianPart":
+        h_blocks = 0.5 * (h_blocks + h_blocks.conj().transpose(0, 2, 1))
+    h = np.zeros((len(i), len(i)), dtype=np.complex128)
+    h[rows, cols] = h_blocks
+
     if spec.variant in ("Literal", "ScalarB"):
         # raising-operator bilinears only lower the occupation: H is block
-        # upper-triangular by occupation, then fermion pattern
-        keys = (occupation * 8 + (i & 7)) * 2 + boson_parity
+        # upper-triangular by occupation, then fermion pattern, then the
+        # three register parities
+        keys = (occupation * 8 + (i & 7)) * 8 + parities[0] * 4 + parities[1] * 2 + parities[2]
     else:
-        keys = (occupation & 1) * 2 + boson_parity
+        keys = sector
     return _finish(h, spec, _blocks_by(keys))
 
 

@@ -24,7 +24,16 @@ from gaugesim.errors import (
     InvalidSizeError,
     NotPowerOfTwoError,
 )
-from gaugesim.evolution import momentum_state, pauli_decompose, trotter_evolve, vertex_amplitude, vertex_scan
+from gaugesim.evolution import (
+    dual_lattice_period,
+    momentum_state,
+    pauli_decompose,
+    pauli_index_to_label,
+    trotter_evolve,
+    vertex_amplitude,
+    vertex_scan,
+    wrap_momentum,
+)
 from gaugesim.operators import qubits_of_dim
 
 
@@ -170,6 +179,10 @@ def test_size_and_dimension_errors():
         pos_q(1)
     with pytest.raises(InvalidSizeError):
         sylvester_f(1)
+    for call in (lambda: dual_lattice_period(0), lambda: wrap_momentum(1.0, 1),
+                 lambda: pauli_index_to_label(3, 0)):
+        with pytest.raises(InvalidSizeError):
+            call()
     with pytest.raises(DimensionMismatchError):
         place(np.eye(3), 0, [2, 2])
     with pytest.raises(DimensionMismatchError):
@@ -225,6 +238,9 @@ COUNTED = {
     "place slot": (lambda v: place(np.eye(2), v, [2, 2, 2]), DimensionMismatchError),
     "place dims": (lambda v: place(np.eye(2), 0, [2, v]), InvalidSizeError),
     "qubits_of_dim": (qubits_of_dim, NotPowerOfTwoError),
+    "dual_lattice_period n": (dual_lattice_period, InvalidSizeError),
+    "wrap_momentum n": (lambda v: wrap_momentum(1.0, v), InvalidSizeError),
+    "pauli_index_to_label n_qubits": (lambda v: pauli_index_to_label(3, v), InvalidSizeError),
 }
 
 

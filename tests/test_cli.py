@@ -66,7 +66,7 @@ def test_vqe_rejects_literal_monopole(tmp_path, capsys):
 
 def test_monopole_spectrum_and_vqe_solve_only_blocks(tmp_path, monkeypatch, capsys):
     # spectra come from the builder's symmetry blocks: no general eigvals,
-    # and no eigensolve above 128 on the 512-dim monopole
+    # and no eigensolve above 32 on the 512-dim monopole
     solved = []
     for name in ("eig", "eigvals", "eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
@@ -79,7 +79,7 @@ def test_monopole_spectrum_and_vqe_solve_only_blocks(tmp_path, monkeypatch, caps
                                  "optimizer": {"max_iter": 2, "seed": 1},
                                  "output": str(tmp_path / "v.csv")}) == 0
     assert solved and not [n for n, _ in solved if n in ("eig", "eigvals")], solved
-    assert max(d for _, d in solved) <= 128, solved
+    assert max(d for _, d in solved) <= 32, solved
 
 
 def test_variant_flag_override(tmp_path, capsys):

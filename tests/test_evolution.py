@@ -311,6 +311,18 @@ def test_bool_and_string_times_refused(rng, bad):
             scattering_process(h, 0.1, tau, total_t, psi)
 
 
+@pytest.mark.parametrize("bad", [True, np.True_, "0.5", np.nan, np.inf])
+def test_bool_string_and_nonfinite_momenta_refused(rng, bad):
+    # a float conversion would read these as p2 = 1 or 0.5
+    h = random_hermitian(rng, 4)
+    psi = random_state(rng, 4)
+    named = re.escape(repr(bad))
+    with pytest.raises(ValueError, match=named):
+        vertex_amplitude(3, bad, 9, 16)
+    with pytest.raises(ValueError, match=named):
+        scattering_process(h, bad, 0.2, 1.0, psi)
+
+
 def test_bool_time_arrays_refused(rng):
     h = random_hermitian(rng, 4)
     psi = random_state(rng, 4)

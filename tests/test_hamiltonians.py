@@ -297,32 +297,62 @@ def test_monopole_matches_dense_oracle(variant, g_m, boson_trunc):
     np.testing.assert_allclose(built.matrix, dense_monopole(spec), rtol=0, atol=1e-13)
 
 
+class _Watched(np.ndarray):
+    """An array that logs (dtype, shapes) of every matrix product it enters."""
+
+    products: list = []
+
+    @staticmethod
+    def _plain(a):
+        return a.view(np.ndarray) if isinstance(a, _Watched) else a
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.products.append((np.result_type(*inputs), [np.shape(a) for a in inputs]))
+        if "out" in kwargs:
+            kwargs["out"] = tuple(map(self._plain, kwargs["out"]))
+        out = getattr(ufunc, method)(*map(self._plain, inputs), **kwargs)
+        return out.view(_Watched) if isinstance(out, np.ndarray) else out
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func in (np.dot, np.einsum, np.tensordot, np.inner, np.vdot):
+            operands = [a for a in args if isinstance(a, np.ndarray)]
+            self.products.append((np.result_type(*operands), [a.shape for a in operands]))
+        return super().__array_function__(func, types, args, kwargs)
+
+
 def test_monopole_build_stays_on_the_factors(monkeypatch):
-    # structural guard for the factored build: the only eigendecomposition
-    # is the boson-space r^2 (64x64 at N = 4), and no operator is placed on
-    # the full 512-dim register
+    # structural guard for the factored build: no operator is placed on the
+    # full 512-dim register, the only eigendecomposition is the 4x4 q^2 of
+    # one register, and every product of 64x64 boson factors is real (a
+    # complex 64^3 product or a larger eigensolve wakes OpenBLAS threads)
     import gaugesim.basis as basis_module
-    import gaugesim.operators as operators
 
     eig_dims, place_dims = [], []
-    hermitian_eig, place_op = operators.hermitian_eig, basis_module.place
+    place_op = basis_module.place
 
     def counted_place(*a, **k):
         out = place_op(*a, **k)
         place_dims.append(out.shape[0])
-        return out
+        return out.view(_Watched)
 
-    monkeypatch.setattr(operators, "hermitian_eig",
-                        lambda a: eig_dims.append(np.shape(a)[0]) or hermitian_eig(a))
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *r, _f=solver, **k:
+                            eig_dims.append(np.shape(a)[-1]) or _f(a, *r, **k))
     monkeypatch.setattr(basis_module, "place", counted_place)
     for variant in VARIANTS:
         eig_dims.clear()
         place_dims.clear()
+        _Watched.products.clear()
         spec = HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant=variant,
                                r_ref=1.0 if variant == "ScalarB" else None)
         assert build_monopole_su2(spec).dim == 512
-        assert len(eig_dims) <= 1 and all(d <= 64 for d in eig_dims), (variant, eig_dims)
+        assert all(d <= 4 for d in eig_dims), (variant, eig_dims)
         assert place_dims and max(place_dims) <= 64, (variant, place_dims)
+        boson = [(t, shapes) for t, shapes in _Watched.products if max(map(max, shapes)) >= 64]
+        assert boson, variant  # the boson products are seen
+        assert not [t for t, _ in boson if np.issubdtype(t, np.complexfloating)], (variant, boson)
 
 
 def test_monopole_zero_coupling_is_free():
@@ -429,17 +459,21 @@ def test_monopole_blocks_are_exact(variant, g_m, boson_trunc):
     # the labels, from the register layout [n, n, n, 2, 2, 2]
     n = boson_trunc
     bx, by, bz, f1, f2, f3 = np.unravel_index(np.arange(built.dim), (n, n, n, 2, 2, 2))
-    occupation, boson_parity = f1 + f2 + f3, (bx + by + bz) % 2
+    occupation = f1 + f2 + f3
+    # Q_i = (-1)^(n_i) pi_i pairs fermion slot i with the parity of register i
+    charges = (f1 + bx) % 2 * 4 + (f2 + by) % 2 * 2 + (f3 + bz) % 2
     if variant in ("Literal", "ScalarB"):
-        assert len(built.blocks) == 16
-        assert _groups(f1 * 8 + f2 * 4 + f3 * 2 + boson_parity) == set(map(tuple, built.blocks))
+        assert len(built.blocks) == 64
+        pattern = f1 * 4 + f2 * 2 + f3
+        register_parities = bx % 2 * 4 + by % 2 * 2 + bz % 2
+        assert _groups(pattern * 8 + register_parities) == set(map(tuple, built.blocks))
         # block order: fermion occupation never falls
         occ = [occupation[b[0]] for b in built.blocks]
         assert occ == sorted(occ)
         np.testing.assert_allclose(built.spectrum(), _free_monopole_values(n), rtol=0, atol=1e-12)
     else:
-        assert len(built.blocks) == 4
-        assert _groups(occupation % 2 * 2 + boson_parity) == set(map(tuple, built.blocks))
+        assert len(built.blocks) == 16
+        assert _groups(occupation % 2 * 8 + charges) == set(map(tuple, built.blocks))
         np.testing.assert_allclose(built.spectrum(), np.linalg.eigvalsh(built.matrix), rtol=0, atol=1e-12)
 
 
@@ -475,14 +509,16 @@ def test_finish_refuses_a_matrix_that_breaks_its_blocks(tmp_path, monkeypatch, c
     below[blocks[-1][0], blocks[0][0]] = 1e-300
     with pytest.raises(GaugesimError, match="below its diagonal blocks"):
         hamiltonians._finish(below, lit.spec, blocks)
-    skew = lit.matrix.copy()
-    skew[blocks[0][0], blocks[0][1]] += 1.0
-    with pytest.raises(GaugesimError, match="not Hermitian"):
-        hamiltonians._finish(skew, lit.spec, blocks)
     with pytest.raises(GaugesimError, match="partition"):
         hamiltonians._finish(lit.matrix, lit.spec, blocks[:-1])
-    # the Hermitian variants' four blocks hold the Literal couplings inside
+    # at N = 2 the Literal blocks are 1x1: skew a block of the Hermitian part
     hp = build_monopole_su2(_monopole_spec("HermitianPart", 2.0, 2))
+    pair = next(b for b in hp.blocks if len(b) >= 2)
+    skew = hp.matrix.copy()
+    skew[pair[0], pair[1]] += 1.0
+    with pytest.raises(GaugesimError, match="not Hermitian"):
+        hamiltonians._finish(skew, hp.spec, hp.blocks)
+    # the Hermitian variants' sixteen blocks hold the Literal couplings inside
     with pytest.raises(GaugesimError, match="not Hermitian"):
         hamiltonians._finish(lit.matrix, lit.spec, hp.blocks)
     # the position grid has no (-1)^(n_x + n_y) symmetry

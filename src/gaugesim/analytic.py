@@ -26,7 +26,6 @@ __all__ = [
     "kernel_cartesian_free_limit",
     "kernel_polar",
     "bessel_i",
-    "wu_yang_rhs",
     "wu_yang_solve",
     "wu_yang_series_small",
     "wu_yang_series_small_prime",
@@ -141,7 +140,7 @@ def kernel_polar(rho_i, phi_i, rho_f, phi_f, t, b_field, m_max: int = 20) -> com
     return complex(pref * total)
 
 
-def wu_yang_rhs(r: float, g: float, gp: float):
+def _wu_yang_rhs(r: float, g: float, gp: float):
     """First-order form of g'' = g (g^2 - 1) / r^2."""
     return gp, g * (g * g - 1.0) / (r * r)
 
@@ -151,25 +150,26 @@ def wu_yang_solve(r_start, r_end, steps, g_start, gprime_start) -> np.ndarray:
 
     Returns an array of shape (steps + 1, 3) with rows (r, g, g').  The
     grid must be non-degenerate and stay clear of r = 0, where the
-    equation is singular.
+    equation is singular; the initial values must be finite.
     """
     steps = read_number(steps, "steps", int, 10, error=StepUnderflowError)
-    r_start, r_end = float(r_start), float(r_end)
-    if not (math.isfinite(r_start) and math.isfinite(r_end)):
-        raise StepUnderflowError(f"radial grid needs finite radii, got r_start={r_start}, r_end={r_end}")
+    r_start = read_number(r_start, "r_start", float, error=StepUnderflowError)
+    r_end = read_number(r_end, "r_end", float, error=StepUnderflowError)
+    g = read_number(g_start, "g_start", float, error=ValueError)
+    gp = read_number(gprime_start, "gprime_start", float, error=ValueError)
     if r_start <= 0.0 or r_end <= 0.0:
         raise StepUnderflowError("radial grid must stay at r > 0")
     h = (r_end - r_start) / steps
     if h == 0.0:
         raise StepUnderflowError("degenerate radial grid (r_start == r_end)")
     out = np.empty((steps + 1, 3))
-    r, g, gp = r_start, float(g_start), float(gprime_start)
+    r = r_start
     out[0] = (r, g, gp)
     for k in range(steps):
-        k1g, k1p = wu_yang_rhs(r, g, gp)
-        k2g, k2p = wu_yang_rhs(r + h / 2, g + h / 2 * k1g, gp + h / 2 * k1p)
-        k3g, k3p = wu_yang_rhs(r + h / 2, g + h / 2 * k2g, gp + h / 2 * k2p)
-        k4g, k4p = wu_yang_rhs(r + h, g + h * k3g, gp + h * k3p)
+        k1g, k1p = _wu_yang_rhs(r, g, gp)
+        k2g, k2p = _wu_yang_rhs(r + h / 2, g + h / 2 * k1g, gp + h / 2 * k1p)
+        k3g, k3p = _wu_yang_rhs(r + h / 2, g + h / 2 * k2g, gp + h / 2 * k2p)
+        k4g, k4p = _wu_yang_rhs(r + h, g + h * k3g, gp + h * k3p)
         g += h / 6.0 * (k1g + 2 * k2g + 2 * k3g + k4g)
         gp += h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
         r = r_start + (k + 1) * h

@@ -128,7 +128,7 @@ class AnsatzConfig:
     applied in ascending (control < target) order).
 
     ``FIELDS`` is each field's ``read_fields`` rule, caps included; the
-    CLI reads its ``ansatz`` section with the same table.
+    constructor applies it, so the CLI passes its ``ansatz`` keys as given.
     """
 
     n_qubits: int

@@ -67,16 +67,17 @@ def _output_path(cfg, args) -> str:
 
 
 def _ansatz_from(cfg, n_qubits) -> AnsatzConfig:
-    # n_qubits is the register of the Hamiltonian, not a config key
-    fields = {k: rule for k, rule in AnsatzConfig.FIELDS.items() if k != "n_qubits"}
-    return vqe_mod.template(n_qubits, **read_fields(cfg.get("ansatz", {}), "ansatz", fields))
+    # keys only: template reads the numbers; n_qubits is the Hamiltonian's register
+    keys = dict.fromkeys(("depth", "entangler"))
+    return vqe_mod.template(n_qubits, **read_fields(cfg.get("ansatz", {}), "ansatz", keys))
 
 
 def _optimizer_from(cfg, args) -> vqe_mod.OptimizerSettings:
     o = cfg.get("optimizer", {})
     if args.seed is not None and isinstance(o, Mapping):
         o = dict(o, seed=args.seed)
-    return vqe_mod.OptimizerSettings(**read_fields(o, "optimizer", vqe_mod.OptimizerSettings.FIELDS))
+    keys = dict.fromkeys(vqe_mod.OptimizerSettings.FIELDS)  # keys only: the constructor reads the numbers
+    return vqe_mod.OptimizerSettings(**read_fields(o, "optimizer", keys))
 
 
 def _require_finite(values, what):

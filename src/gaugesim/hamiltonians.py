@@ -148,16 +148,16 @@ class HamiltonianSpec:
 class BuiltHamiltonian:
     """A concrete Hamiltonian matrix plus the spec that produced it.
 
-    ``hermitian`` is measured at build time (relative defect <= 1e-10);
-    the Literal and ScalarB monopole variants are expected to fail that
-    check (their raising-operator bilinears are non-Hermitian).
+    ``hermitian`` is ``is_hermitian(matrix)`` (relative defect <= 1e-10),
+    read at build time from the blocks; the Literal and ScalarB monopole
+    variants are expected to fail it (their bilinears are non-Hermitian).
 
-    ``blocks`` is an ordered partition of the basis indices, set by the
-    builder from the symmetries of its basis.  Every entry whose row
-    block comes after its column block is exactly zero, and every
-    diagonal block is Hermitian, so H is block upper-triangular (block
-    diagonal when H is Hermitian) and its spectrum is the union of the
-    diagonal blocks' spectra.
+    ``blocks`` holds the basis indices of each symmetry sector, in the
+    order of the sector labels the builder gives its basis.  Every entry
+    whose row block comes after its column block is exactly zero, and
+    every diagonal block is Hermitian, so H is block upper-triangular
+    (block diagonal when H is Hermitian) and its spectrum is the union of
+    the diagonal blocks' spectra.
     """
 
     matrix: np.ndarray
@@ -200,31 +200,23 @@ def _diagonal_blocks(matrix: np.ndarray, blocks: tuple) -> list:
     return stacks
 
 
-def _finish(matrix: np.ndarray, spec: HamiltonianSpec, blocks: tuple) -> BuiltHamiltonian:
-    """Wrap a built matrix, refusing one that breaks its ``blocks``."""
-    dim = matrix.shape[0]
-    block_of = np.full(dim, -1)
-    for k, b in enumerate(blocks):
-        block_of[b] = k
-    if np.any(block_of < 0) or sum(len(b) for b in blocks) != dim:
-        raise GaugesimError(f"{spec.kind}: blocks do not partition the {dim} basis indices")
-    if np.any(matrix[block_of[:, None] > block_of[None, :]]):
+def _finish(matrix: np.ndarray, spec: HamiltonianSpec, labels) -> BuiltHamiltonian:
+    """Wrap a built matrix given each basis index's sector label (or one for
+    all), refusing an entry below the sector blocks or a non-Hermitian
+    block.  The whole matrix's Hermiticity defect is then the larger of the
+    blocks' and the largest entry above them, so ``hermitian`` holds exactly
+    when that entry is within ``HERM_TOL`` of the largest entry of all."""
+    labels = np.broadcast_to(labels, matrix.shape[:1])
+    if np.any(matrix[labels[:, None] > labels[None, :]]):
         raise GaugesimError(f"{spec.kind}: non-zero entry below its diagonal blocks")
-    hermitian = is_hermitian(matrix)
-    if len(blocks) == 1 and not hermitian:  # the one block is the whole matrix
-        raise GaugesimError(f"{spec.kind}: a diagonal block of size {dim} is not Hermitian")
-    for sub in _diagonal_blocks(matrix, blocks) if len(blocks) > 1 else ():
-        # is_hermitian's rule, on every block of the stack at once
-        defect = np.abs(sub - sub.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-        if np.any(defect > HERM_TOL * np.abs(sub).max(axis=(1, 2))):
+    blocks = _blocks_by(labels)
+    above = scale = np.abs(matrix[labels[:, None] < labels[None, :]]).max(initial=0.0)
+    for sub in _diagonal_blocks(matrix, blocks):
+        if not np.all(is_hermitian(sub)):
             raise GaugesimError(f"{spec.kind}: a diagonal block of size {sub.shape[1]} is not Hermitian")
-    return BuiltHamiltonian(
-        matrix=matrix, spec=spec, hermitian=hermitian, qubits=qubits_of_dim(dim), blocks=blocks,
-    )
-
-
-def _one_block(dim: int) -> tuple:
-    return (np.arange(dim),)
+        scale = max(scale, np.abs(sub).max())
+    return BuiltHamiltonian(matrix=matrix, spec=spec, hermitian=bool(above <= HERM_TOL * scale),
+                            qubits=qubits_of_dim(len(labels)), blocks=blocks)
 
 
 def build_landau_cartesian(spec: HamiltonianSpec, squares: str = "projected") -> BuiltHamiltonian:
@@ -251,10 +243,9 @@ def build_landau_cartesian(spec: HamiltonianSpec, squares: str = "projected") ->
     n = spec.boson_trunc
     mats = _cartesian_factor_mats(basis.osc_q(n), basis.osc_p(n), squares,
                                   basis.osc_q2(n), basis.osc_p2(n))
-    # every term moves n_x + n_y by an even amount: (-1)^(n_x + n_y) blocks
+    # every term moves n_x + n_y by an even amount: (-1)^(n_x + n_y) sectors
     i = np.arange(n * n)
-    return _finish(_landau_cartesian_matrix(spec, n, *mats), spec,
-                   _blocks_by((i ^ (i >> qubits_of_dim(n))) & 1))
+    return _finish(_landau_cartesian_matrix(spec, n, *mats), spec, (i ^ (i >> qubits_of_dim(n))) & 1)
 
 
 def build_landau_cartesian_position(spec: HamiltonianSpec) -> BuiltHamiltonian:
@@ -273,7 +264,7 @@ def build_landau_cartesian_position(spec: HamiltonianSpec) -> BuiltHamiltonian:
     n = spec.boson_trunc
     q, p = basis.pos_q(n), basis.pos_p(n)
     mats = (q, p, q @ q, p @ p)
-    return _finish(_landau_cartesian_matrix(spec, n, *mats), spec, _one_block(n * n))
+    return _finish(_landau_cartesian_matrix(spec, n, *mats), spec, 0)
 
 
 def _cartesian_factor_mats(q, p, squares, q2_proj, p2_proj):
@@ -333,7 +324,7 @@ def build_landau_polar(spec: HamiltonianSpec, basis_scale: float = POLAR_BASIS_S
     if m != 0:
         rho_m2 = matrix_function(q, lambda lam: np.abs(lam) ** -2.0)
         h = h + 0.5 * m ** 2 * rho_m2 - half_b * m * np.eye(n)
-    return _finish(h, spec, _one_block(n))
+    return _finish(h, spec, 0)
 
 
 def build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
@@ -430,7 +421,7 @@ def build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
         keys = (occupation * 8 + (i & 7)) * 8 + parities[0] * 4 + parities[1] * 2 + parities[2]
     else:
         keys = sector
-    return _finish(h, spec, _blocks_by(keys))
+    return _finish(h, spec, keys)
 
 
 _BUILDERS = {

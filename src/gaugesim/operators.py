@@ -45,19 +45,24 @@ def qubits_of_dim(dim: int) -> int:
     return dim.bit_length() - 1
 
 
-def herm_defect(a) -> float:
-    """max |a - a^dag| entrywise, the absolute deviation from Hermiticity."""
-    m = as_operator(a)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+def herm_defect(a):
+    """max |a - a^dag| entrywise, the absolute deviation from Hermiticity;
+    an array of one defect per matrix for a (..., d, d) stack."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    defect = np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1), initial=0.0)
+    return float(defect) if defect.ndim == 0 else defect
 
 
-def is_hermitian(a) -> bool:
-    """True when the Hermiticity defect is below ``HERM_TOL * max|a|``."""
-    m = as_operator(a)
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    if scale == 0.0:
-        return True
-    return herm_defect(m) <= HERM_TOL * scale
+def is_hermitian(a):
+    """True when the Hermiticity defect is below ``HERM_TOL * max|a|`` (never
+    with a NaN entry); an array of one answer per matrix for a stack."""
+    m = np.asarray(a, dtype=np.complex128)
+    defect = herm_defect(m)
+    scale = np.abs(m).max(axis=(-2, -1), initial=0.0)
+    ok = (scale == 0.0) | (defect <= HERM_TOL * scale)
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 @dataclass(frozen=True)

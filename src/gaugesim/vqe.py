@@ -45,7 +45,7 @@ class OptimizerSettings:
     some objectives.
 
     ``FIELDS`` is each field's ``read_number`` rule, caps included; the
-    CLI reads its ``optimizer`` section with the same table.
+    constructor applies it, so the CLI passes its ``optimizer`` keys as given.
     """
 
     max_iter: int = 600

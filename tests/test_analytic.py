@@ -176,5 +176,13 @@ def test_wu_yang_grid_errors():
         with pytest.raises(StepUnderflowError, match=str(steps)):
             wu_yang_solve(0.1, 1.0, steps, 1.0, 0.0)
     for r_start, r_end in ((0.1, float("nan")), (float("nan"), 1.0), (0.1, float("inf"))):
-        with pytest.raises(StepUnderflowError, match="finite radii"):
+        with pytest.raises(StepUnderflowError, match="r_(start|end): expected a finite number"):
             wu_yang_solve(r_start, r_end, 100, 1.0, 0.0)
+    # radii and initial values follow the one number rule: bools and
+    # strings are not numbers, and a NaN start is refused, not integrated
+    for r_start, r_end in (("0.05", 1.0), (True, 1.0), (0.1, "1.0"), (0.1, None)):
+        with pytest.raises(StepUnderflowError, match="r_(start|end): expected a finite number"):
+            wu_yang_solve(r_start, r_end, 100, 1.0, 0.0)
+    for g_start, gprime_start in ((float("nan"), 0.0), (1.0, "0.5"), (True, 0.0), (1.0, float("-inf"))):
+        with pytest.raises(ValueError, match="g(prime)?_start: expected a finite number"):
+            wu_yang_solve(0.1, 1.0, 100, g_start, gprime_start)

@@ -324,12 +324,19 @@ class _Watched(np.ndarray):
 def test_monopole_build_stays_on_the_factors(monkeypatch):
     # structural guard for the factored build: no operator is placed on the
     # full 512-dim register, the only eigendecomposition is the 4x4 q^2 of
-    # one register, and every product of 64x64 boson factors is real (a
-    # complex 64^3 product or a larger eigensolve wakes OpenBLAS threads)
+    # one register, every product of 64x64 boson factors is real (a
+    # complex 64^3 product or a larger eigensolve wakes OpenBLAS threads),
+    # and no Hermiticity check sees more than one diagonal block
     import gaugesim.basis as basis_module
+    import gaugesim.hamiltonians as hamiltonians_module
+    import gaugesim.operators as operators_module
 
-    eig_dims, place_dims = [], []
+    eig_dims, place_dims, check_dims = [], [], []
     place_op = basis_module.place
+    for module, name in ((hamiltonians_module, "is_hermitian"), (operators_module, "is_hermitian"),
+                         (operators_module, "herm_defect")):
+        monkeypatch.setattr(module, name, lambda a, _f=getattr(module, name):
+                            check_dims.append(np.shape(a)[-1]) or _f(a))
 
     def counted_place(*a, **k):
         out = place_op(*a, **k)
@@ -344,10 +351,13 @@ def test_monopole_build_stays_on_the_factors(monkeypatch):
     for variant in VARIANTS:
         eig_dims.clear()
         place_dims.clear()
+        check_dims.clear()
         _Watched.products.clear()
         spec = HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant=variant,
                                r_ref=1.0 if variant == "ScalarB" else None)
-        assert build_monopole_su2(spec).dim == 512
+        built = build_monopole_su2(spec)
+        assert built.dim == 512
+        assert check_dims and max(check_dims) <= max(map(len, built.blocks)), (variant, check_dims)
         assert all(d <= 4 for d in eig_dims), (variant, eig_dims)
         assert place_dims and max(place_dims) <= 64, (variant, place_dims)
         boson = [(t, shapes) for t, shapes in _Watched.products if max(map(max, shapes)) >= 64]
@@ -499,7 +509,55 @@ def test_polar_and_position_builds_have_one_block():
         np.testing.assert_allclose(built.spectrum(), np.linalg.eigvalsh(built.matrix), rtol=0, atol=1e-12)
 
 
+def _labels_of(built):
+    """The builder's sector labels up to their order: block k gets label k."""
+    labels = np.empty(built.dim, dtype=int)
+    for k, b in enumerate(built.blocks):
+        labels[b] = k
+    return labels
+
+
+def _parity_labels(n):
+    """(-1)^(n_x + n_y) on the n x n oscillator basis, as 0 or 1."""
+    nx, ny = np.unravel_index(np.arange(n * n), (n, n))
+    return (nx + ny) % 2
+
+
+def _monopole_labels(variant, n):
+    """The monopole sector labels, from the register layout [n, n, n, 2, 2, 2]."""
+    bx, by, bz, f1, f2, f3 = np.unravel_index(np.arange(8 * n ** 3), (n, n, n, 2, 2, 2))
+    if variant in ("Literal", "ScalarB"):
+        pattern = f1 * 4 + f2 * 2 + f3
+        return ((f1 + f2 + f3) * 8 + pattern) * 8 + bx % 2 * 4 + by % 2 * 2 + bz % 2
+    return (f1 + f2 + f3) % 2 * 8 + (f1 + bx) % 2 * 4 + (f2 + by) % 2 * 2 + (f3 + bz) % 2
+
+
+@pytest.mark.parametrize("boson_trunc", [2, 4])
+@pytest.mark.parametrize("g", [0.0, 1e-12, 0.2, 2.0, 2.9])
+def test_hermitian_flag_and_blocks_equal_the_whole_matrix_checks(g, boson_trunc):
+    # hermitian is read from the blocks and the entries above them, and must
+    # equal is_hermitian of the whole matrix; the blocks are the sectors in
+    # ascending label order.  At g_m = 1e-12 the Literal and ScalarB
+    # couplings above the blocks are inside HERM_TOL of max|H|.
+    n = boson_trunc
+    cart = cart_spec(b_field=g, boson_trunc=n)
+    builds = [(build_landau_cartesian(cart), _parity_labels(n)),
+              (build_landau_cartesian(cart, squares="literal"), _parity_labels(n)),
+              (build_landau_cartesian_position(cart), np.zeros(n * n)),
+              (build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=g, boson_trunc=n,
+                                                  angular_m=1)), np.zeros(n))]
+    builds += [(build(_monopole_spec(v, g, n)), _monopole_labels(v, n)) for v in VARIANTS]
+    for built, labels in builds:
+        assert built.hermitian == is_hermitian(built.matrix), built.spec
+        expected = [np.flatnonzero(labels == v) for v in np.unique(labels)]
+        assert len(built.blocks) == len(expected), built.spec
+        assert all(np.array_equal(a, b) for a, b in zip(built.blocks, expected)), built.spec
+        if built.spec.variant in ("Literal", "ScalarB") and built.spec.kind == "MonopoleSU2":
+            assert built.hermitian == (g <= 1e-12), built.spec
+
+
 def test_finish_refuses_a_matrix_that_breaks_its_blocks(tmp_path, monkeypatch, capsys):
+    import gaugesim.basis as basis_module
     import gaugesim.hamiltonians as hamiltonians
     from gaugesim.cli import main
 
@@ -508,28 +566,54 @@ def test_finish_refuses_a_matrix_that_breaks_its_blocks(tmp_path, monkeypatch, c
     below = lit.matrix.copy()
     below[blocks[-1][0], blocks[0][0]] = 1e-300
     with pytest.raises(GaugesimError, match="below its diagonal blocks"):
-        hamiltonians._finish(below, lit.spec, blocks)
-    with pytest.raises(GaugesimError, match="partition"):
-        hamiltonians._finish(lit.matrix, lit.spec, blocks[:-1])
+        hamiltonians._finish(below, lit.spec, _labels_of(lit))
     # at N = 2 the Literal blocks are 1x1: skew a block of the Hermitian part
     hp = build_monopole_su2(_monopole_spec("HermitianPart", 2.0, 2))
     pair = next(b for b in hp.blocks if len(b) >= 2)
     skew = hp.matrix.copy()
     skew[pair[0], pair[1]] += 1.0
     with pytest.raises(GaugesimError, match="not Hermitian"):
-        hamiltonians._finish(skew, hp.spec, hp.blocks)
+        hamiltonians._finish(skew, hp.spec, _labels_of(hp))
     # the Hermitian variants' sixteen blocks hold the Literal couplings inside
     with pytest.raises(GaugesimError, match="not Hermitian"):
-        hamiltonians._finish(lit.matrix, lit.spec, hp.blocks)
+        hamiltonians._finish(lit.matrix, lit.spec, _labels_of(hp))
     # the position grid has no (-1)^(n_x + n_y) symmetry
-    osc = build_landau_cartesian(cart_spec(boson_trunc=4))
     pos = build_landau_cartesian_position(cart_spec(boson_trunc=4))
     with pytest.raises(GaugesimError):
-        hamiltonians._finish(pos.matrix, pos.spec, osc.blocks)
-    # a builder bug ends in exit 3, not in a spectrum
-    monkeypatch.setattr(hamiltonians, "_one_block", lambda dim: (np.arange(dim - 1),))
+        hamiltonians._finish(pos.matrix, pos.spec, _parity_labels(4))
+    # a builder bug ends in exit 3, not in a spectrum: a non-Hermitian P
+    # makes the polar Hamiltonian's one block non-Hermitian
+    osc_p = basis_module.osc_p
+    monkeypatch.setattr(basis_module, "osc_p", lambda n: np.triu(osc_p(n)))
     cfg = tmp_path / "polar.json"
     cfg.write_text(json.dumps({"hamiltonian": {"kind": "LandauPolar"}, "output": str(tmp_path / "out.csv")}))
     assert main(["spectrum", "--config", str(cfg)]) == 3
-    assert "partition" in capsys.readouterr().err
+    assert "not Hermitian" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("position", [True, False])
+def test_finish_refuses_a_nan_in_any_diagonal_block(position):
+    # one block (position grid) or two (oscillator basis), with the
+    # builder's own labels: a NaN inside a block is never Hermitian
+    import gaugesim.hamiltonians as hamiltonians
+
+    spec = cart_spec(boson_trunc=4)
+    if position:
+        built, labels = build_landau_cartesian_position(spec), 0
+    else:
+        built, labels = build_landau_cartesian(spec), _parity_labels(4)
+    assert len(built.blocks) == (1 if position else 2)
+    for b in built.blocks:
+        for entry in ((b[0], b[0]), (b[-1], b[0])):
+            bad = built.matrix.copy()
+            bad[entry] = np.nan
+            with pytest.raises(GaugesimError, match="not Hermitian"):
+                hamiltonians._finish(bad, spec, labels)
+    if not position:
+        # above the blocks a NaN is no block's entry: the build is kept and
+        # is not Hermitian, as is_hermitian of the whole matrix says
+        above = built.matrix.copy()
+        above[built.blocks[0][0], built.blocks[1][0]] = np.nan
+        assert not hamiltonians._finish(above, spec, labels).hermitian
+        assert not is_hermitian(above)

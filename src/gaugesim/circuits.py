@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidConfigError, NotHermitianError, read_fields
+from .operators import MAX_QUBITS
 
 __all__ = [
     "AnsatzConfig",
@@ -124,25 +125,27 @@ class AnsatzConfig:
     [all-pairs entangler, rotation layer].
 
     ``params`` must hold n_qubits * (depth + 1) angles, ordered layer by
-    layer.  ``entangler`` is "cz" (default; order-free) or "cx" (pairs
-    applied in ascending (control < target) order).
+    layer; None gives all zeros.  ``entangler`` is "cz" (default;
+    order-free) or "cx" (pairs applied in ascending (control < target)
+    order).
 
-    ``FIELDS`` is each field's ``read_fields`` rule, caps included; the
-    constructor applies it, so the CLI passes its ``ansatz`` keys as given.
+    ``FIELDS`` is each field's ``read_fields`` rule, caps included (the
+    register at ``MAX_QUBITS``); the constructor applies it, so the CLI
+    passes its ``ansatz`` keys as given.
     """
 
     n_qubits: int
     depth: int
-    params: np.ndarray
+    params: np.ndarray | None = None
     entangler: str = "cz"
 
-    FIELDS = {"n_qubits": (int, 1), "depth": (int, 0, 64), "entangler": ("cz", "cx")}
+    FIELDS = {"n_qubits": (int, 1, MAX_QUBITS), "depth": (int, 0, 64), "entangler": ("cz", "cx")}
 
     def __post_init__(self):
         shape = read_fields({name: getattr(self, name) for name in self.FIELDS}, "ansatz", self.FIELDS)
         for name, value in shape.items():
             object.__setattr__(self, name, value)
-        p = np.asarray(self.params, dtype=float)
+        p = np.zeros(self.n_params) if self.params is None else np.asarray(self.params, dtype=float)
         if p.shape != (self.n_params,):
             raise InvalidConfigError(
                 f"expected {self.n_params} parameters, got shape {p.shape}"

@@ -29,12 +29,8 @@ from .evolution import (
     wrap_momentum,
     write_transition_csv,
 )
-from .hamiltonians import (
-    MAX_QUBITS,
-    HamiltonianSpec,
-    build,
-    build_landau_cartesian_position,
-)
+from .hamiltonians import HamiltonianSpec, build, build_landau_cartesian_position
+from .operators import MAX_QUBITS
 
 
 def _load_config(path):

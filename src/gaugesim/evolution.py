@@ -6,7 +6,9 @@ on qubit 0, the most significant bit of the basis index, and labels are
 ordered lexicographically over {I, X, Y, Z} (which is exactly the base-4
 enumeration the fast transform produces).  Trotter steps do not follow that
 order: they apply one exact exponential per X-mask group of strings, in
-ascending mask order (see ``PauliTermList.groups``).  Each maximal run of
+ascending mask order.  A group's operator H_x holds the entries H[i, i ^ x]
+of H, so ``_groups`` reads it off the matrix itself; the strings only say
+which masks to keep.  Each maximal run of
 consecutive groups whose masks span at most 4 dimensions over GF(2) keeps
 every coset of that span, so the run's factors are multiplied out once per
 call into one block of at most 16x16 per coset and time; a step is then one
@@ -15,7 +17,8 @@ batched matmul and one gather per run (see ``_apply_trotter``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +54,6 @@ __all__ = [
 
 _DIGITS = "IXYZ"
 _X_BITS = str.maketrans("IXYZ", "0110")
-_ZY_BITS = str.maketrans("IXYZ", "0011")
 
 
 def pauli_index_to_label(index: int, n_qubits: int) -> str:
@@ -74,13 +76,11 @@ def pauli_label_to_index(label: str) -> int:
 class PauliTermList:
     """Hermitian operator as a list of (Pauli label, real coefficient).
 
-    Labels are unique and kept in lexicographic order.  Trotter steps act
-    by X-mask groups of terms (see ``groups``), built lazily and cached.
+    Labels are unique and kept in lexicographic order.
     """
 
     n_qubits: int
     terms: list
-    _groups: list | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -92,34 +92,6 @@ class PauliTermList:
         for label, coeff in self.terms:
             vec[pauli_label_to_index(label)] = coeff
         return vec
-
-    def groups(self) -> list:
-        """(x, src, d) per distinct X-mask x of the terms, x ascending.
-
-        The strings sharing the X/Y pattern x sum to H_x with
-        (H_x psi)[i] = d[i] psi[src[i]], src[i] = i ^ x and
-
-            d[i] = sum_s c_s * i**n_Y(s) * (-1)**popcount((i ^ x) & zy_s),
-
-        zy_s being the Z/Y pattern of string s.  H_x is Hermitian, so
-        d[i ^ x] = conj(d[i]): H_x is a direct sum of 2x2 blocks
-        [[0, d], [conj d, 0]] on the pairs (i, i ^ x), or diagonal for x = 0.
-        """
-        if self._groups is None:
-            by_mask = {}
-            for label, coeff in self.terms:
-                x = int(label.translate(_X_BITS), 2)
-                zy = int(label.translate(_ZY_BITS), 2)
-                by_mask.setdefault(x, []).append((zy, coeff * 1j ** label.count("Y")))
-            idx = np.arange(self.dim)
-            groups = []
-            for x in sorted(by_mask):
-                zys, weights = (np.array(v) for v in zip(*by_mask[x]))
-                src = idx ^ x
-                signs = 1.0 - 2.0 * (np.bitwise_count(src[None, :] & zys[:, None]) & 1)
-                groups.append((x, src, (weights[:, None] * signs).sum(axis=0)))
-            self._groups = groups
-        return self._groups
 
 
 def pauli_decompose(h) -> PauliTermList:
@@ -174,6 +146,21 @@ def pauli_reconstruct(terms: PauliTermList) -> np.ndarray:
         bot = np.concatenate([cx + 1j * cy, ci - cz], axis=2)
         work = np.concatenate([top, bot], axis=1)
     return work.reshape(terms.dim, terms.dim)
+
+
+def _groups(hm: np.ndarray) -> list:
+    """(x, src, d) per X-mask x of the strings ``pauli_decompose(hm)`` keeps, x ascending.
+
+    The strings sharing the X/Y pattern x sum to H_x, the part of H on the
+    index pairs (i, i ^ x): (H_x psi)[i] = d[i] psi[src[i]] with
+    src[i] = i ^ x and d[i] = H[i, i ^ x].  d is read from the Hermitian
+    part, (H[i, i ^ x] + conj H[i ^ x, i]) / 2, so d[i ^ x] = conj(d[i])
+    bit for bit: H_x is a direct sum of 2x2 blocks [[0, d], [conj d, 0]]
+    on the pairs, or diagonal and real for x = 0.
+    """
+    masks = {int(label.translate(_X_BITS), 2) for label, _ in pauli_decompose(hm).terms}
+    idx = np.arange(hm.shape[0])
+    return [(x, idx ^ x, 0.5 * (hm[idx, idx ^ x] + hm[idx ^ x, idx].conj())) for x in sorted(masks)]
 
 
 #: Largest GF(2) rank of the X-masks that one run composes into a block, so
@@ -282,43 +269,48 @@ def _apply_trotter(groups, ts, n_steps: int, psi0: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finite_times(ts) -> np.ndarray:
-    """``ts`` as a float array: the array form of ``read_number``'s rule.
+def _finite_numbers(values, what: str = "evolution times", error=InvalidTimesError) -> np.ndarray:
+    """``values`` as a float array: the array form of ``read_number``'s rule.
 
-    NaN and infinite times are refused, and so are bool and string
-    entries, which a float conversion would read as 0, 1 or a number.
+    NaN and infinite entries are refused with ``error`` naming ``what``,
+    and so is every entry that is not a real number: bools and strings,
+    which a float conversion would read as 0, 1 or a number, complex
+    numbers and None.  A floating ndarray holds only real numbers, so it
+    needs the finiteness pass alone.
     """
-    entries = np.asarray(ts, dtype=object)
-    if not any(isinstance(t, (bool, np.bool_, str)) for t in entries.flat):
-        ts = np.asarray(ts, dtype=float)
-        if np.all(np.isfinite(ts)):
-            return ts
-    raise InvalidTimesError(f"evolution times must be finite numbers, got {entries.tolist()}")
+    if (isinstance(values, np.ndarray) and values.dtype.kind == "f"
+            or all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   for v in np.asarray(values, dtype=object).flat)):
+        floats = np.asarray(values, dtype=float)
+        if np.all(np.isfinite(floats)):
+            return floats
+    raise error(f"{what} must be finite numbers, got {np.asarray(values, dtype=object).tolist()}")
 
 
-def trotter_evolve(terms: PauliTermList, t: float, n_steps: int, psi0) -> np.ndarray:
+def trotter_evolve(h, t: float, n_steps: int, psi0) -> np.ndarray:
     """Apply the first-order product [prod_x exp(-i H_x t/n)]**n to psi0.
 
-    H_x sums the terms with X-mask x (see ``PauliTermList.groups``); the
-    factors apply in ascending x, each an exact closed-form exponential of
-    2x2 blocks, so no matrix exponential is formed.  Runs of consecutive
-    groups whose masks span at most 4 dimensions over GF(2) are multiplied
-    out once per call into blocks of at most 16x16 on the cosets of that
-    span: 2 runs of 16x16 blocks for the 16x16 position grid (31 groups),
-    4 for the oscillator basis (17 groups) and 3 for the Hermitian-part
+    ``h`` is a matrix or a BuiltHamiltonian.  H_x is the part of H on the
+    index pairs (i, i ^ x), for each X-mask x of the Pauli strings that
+    ``pauli_decompose`` keeps (see ``_groups``); the factors apply in
+    ascending x, each an exact closed-form exponential of 2x2 blocks, so
+    no matrix exponential is formed.  Runs of consecutive groups whose
+    masks span at most 4 dimensions over GF(2) are multiplied out once
+    per call into blocks of at most 16x16 on the cosets of that span: 2
+    runs of 16x16 blocks for the 16x16 position grid (31 groups), 4 for
+    the oscillator basis (17 groups) and 3 for the Hermitian-part
     monopole (28 groups).  A step costs one batched matmul and one gather
     per run.  On the position grid, 11 times x 100 steps take 19-34 ms
     (2-vCPU host, OpenBLAS with 2 threads), about 3.2x (2.9-3.5x) less
     than one gather update per group and step.
     """
+    hm = matrix_of(h)
     psi0 = np.asarray(psi0, dtype=np.complex128)
-    if len(psi0) != terms.dim:
-        raise DimensionMismatchError(
-            f"state length {len(psi0)} vs operator dim {terms.dim}"
-        )
-    ts = _finite_times([t])
+    if len(psi0) != hm.shape[0]:
+        raise DimensionMismatchError(f"state length {len(psi0)} vs operator dim {hm.shape[0]}")
+    ts = _finite_numbers([t])
     n_steps = read_number(n_steps, "n_steps", int, 1, error=ValueError)
-    return _apply_trotter(terms.groups(), ts, n_steps, psi0)[0]
+    return _apply_trotter(_groups(hm), ts, n_steps, psi0)[0]
 
 
 @dataclass(frozen=True)
@@ -366,8 +358,8 @@ def _evolver(hm, method: str, trotter_steps: int):
         return lambda psi, ts: _propagate(es, psi, ts)
     if method == "trotter":
         steps = read_number(trotter_steps, "trotter_steps", int, 1, error=ValueError)
-        terms = pauli_decompose(hm)
-        return lambda psi, ts: _apply_trotter(terms.groups(), ts, steps, psi)
+        groups = _groups(hm)
+        return lambda psi, ts: _apply_trotter(groups, ts, steps, psi)
     raise ValueError(f"method must be 'exact' or 'trotter', got {method!r}")
 
 
@@ -386,7 +378,7 @@ def transition_series(h, psi_i, psi_fs, ts, method: str = "exact",
         raise DimensionMismatchError(
             f"initial state length {len(psi_i)} vs H dim {hm.shape[0]}"
         )
-    ts = _finite_times(ts)
+    ts = _finite_numbers(ts)
     finals, labels = _final_states(psi_fs, hm.shape[0])
     states = _evolver(hm, method, trotter_steps)(psi_i, ts)
     amps = states if finals is None else states @ finals.conj()
@@ -454,16 +446,17 @@ def wrap_momentum(p2: float, n: int) -> float:
 
 
 def vertex_scan(k1: int, k3: int, n: int, p2_values) -> np.ndarray:
-    """|vertex_amplitude| over any list of p2 values.
+    """|vertex_amplitude| over any list of p2 values, each a finite number.
 
     The grid is uniform, x_j = x_0 + j dx, so the amplitude is the
     unimodular exp(i p2 x_0) times a polynomial in z = exp(i p2 dx) with
     coefficients conj(bra) * ket; Horner's rule evaluates it with one
     exponential per p2 value.
     """
+    p2s = np.ravel(_finite_numbers(p2_values, "p2 values", ValueError))
     weights = np.conj(momentum_state(k1, n)) * momentum_state(k3, n)
     grid = pos_grid(n)
-    z = np.exp(1j * (grid[1] - grid[0]) * np.ravel(np.asarray(p2_values, dtype=float)))
+    z = np.exp(1j * (grid[1] - grid[0]) * p2s)
     amp = np.full_like(z, weights[-1])
     for w in weights[-2::-1]:
         amp *= z
@@ -481,7 +474,7 @@ def scattering_process(h_free, p2: float, tau: float, total_t: float, psi0,
     """
     hm = matrix_of(h_free)
     p2 = read_number(p2, "p2", float, error=ValueError)
-    tau, total_t = _finite_times([tau, total_t])
+    tau, total_t = _finite_numbers([tau, total_t])
     if not 0.0 <= tau <= total_t:
         raise InvalidTimesError(f"need 0 <= tau <= total_T, got tau={tau}, total_T={total_t}")
     psi = np.asarray(psi0, dtype=np.complex128)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import basis
 from .errors import GaugesimError, InvalidSpecError, NotPowerOfTwoError, read_fields, read_number
-from .operators import HERM_TOL, is_hermitian, matrix_function, qubits_of_dim
+from .operators import HERM_TOL, MAX_QUBITS, _spectral, hermitian_eig, is_hermitian, qubits_of_dim
 
 __all__ = [
     "HamiltonianSpec",
@@ -54,9 +54,6 @@ DEFAULT_TRUNC = {"LandauCartesian": 16, "LandauPolar": 16, "MonopoleSU2": 4}
 #: Reference monopole ground energies used by the variant report
 #: (lowest eigenvalue at g_m = 2 and g_m = 0.2).
 MONOPOLE_REFERENCE_ENERGIES = {2.0: -2.53854786, 0.2: 0.31120022}
-
-#: Largest register a config may ask for: dense matrices stay at 512x512.
-MAX_QUBITS = 9
 
 
 @dataclass(frozen=True)
@@ -315,14 +312,15 @@ def build_landau_polar(spec: HamiltonianSpec, basis_scale: float = POLAR_BASIS_S
     n = spec.boson_trunc
     q = basis.osc_q(n) / np.sqrt(basis_scale)
     p = basis.osc_p(n) * np.sqrt(basis_scale)
-    rho = matrix_function(q, np.abs)
-    rho2 = matrix_function(q, np.square)
-    rho_mh = matrix_function(q, lambda lam: np.abs(lam) ** -0.5)
+    es = hermitian_eig(q)
+    rho = _spectral(es, np.abs)
+    rho2 = _spectral(es, np.square)
+    rho_mh = _spectral(es, lambda lam: np.abs(lam) ** -0.5)
     m = spec.angular_m
     half_b = 0.5 * spec.b_field
     h = 0.5 * (rho_mh @ p @ rho @ p @ rho_mh) + 0.5 * half_b ** 2 * rho2
     if m != 0:
-        rho_m2 = matrix_function(q, lambda lam: np.abs(lam) ** -2.0)
+        rho_m2 = _spectral(es, lambda lam: np.abs(lam) ** -2.0)
         h = h + 0.5 * m ** 2 * rho_m2 - half_b * m * np.eye(n)
     return _finish(h, spec, 0)
 

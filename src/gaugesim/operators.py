@@ -28,6 +28,10 @@ __all__ = [
 #: Relative Hermiticity tolerance of ``is_hermitian`` and ``hermitian_eig``.
 HERM_TOL = 1e-10
 
+#: Largest register a spec, an ansatz or a scan may ask for: dense matrices
+#: stay at 512x512.
+MAX_QUBITS = 9
+
 
 def as_operator(a) -> np.ndarray:
     """Coerce to a square complex128 matrix (no copy when already one)."""
@@ -96,7 +100,11 @@ def hermitian_eig(a) -> EigenSystem:
 
 def matrix_function(a, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Spectral function f(a) of a Hermitian operator."""
-    es = hermitian_eig(a)
+    return _spectral(hermitian_eig(a), f)
+
+
+def _spectral(es: EigenSystem, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """f(a) from the eigensystem ``es`` of a, so several functions of one a share it."""
     flam = np.asarray(f(es.values), dtype=np.complex128)
     v = es.vectors
     return (v * flam) @ v.conj().T

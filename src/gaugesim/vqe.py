@@ -19,7 +19,7 @@ import numpy as np
 import scipy.optimize
 
 from .circuits import AnsatzConfig, adjoint_gradient, ansatz_state
-from .errors import DimensionMismatchError, NotHermitianError, read_fields, read_number
+from .errors import DimensionMismatchError, NotHermitianError, read_number
 from .hamiltonians import BuiltHamiltonian, matrix_of
 from .operators import is_hermitian
 
@@ -86,9 +86,7 @@ class VqeResult:
 
 def template(n_qubits: int, depth: int = 3, entangler: str = "cz") -> AnsatzConfig:
     """Ansatz template with zeroed parameters (shape carrier for minimize)."""
-    shape = read_fields({"n_qubits": n_qubits, "depth": depth, "entangler": entangler},
-                        "ansatz", AnsatzConfig.FIELDS)
-    return AnsatzConfig(params=np.zeros(shape["n_qubits"] * (shape["depth"] + 1)), **shape)
+    return AnsatzConfig(n_qubits, depth, entangler=entangler)
 
 
 def _check_inputs(h, ansatz: AnsatzConfig) -> np.ndarray:

@@ -126,8 +126,8 @@ def dense_monopole(spec) -> np.ndarray:
 def pair_trotter(groups, ts, n_steps: int, psi0) -> np.ndarray:
     """The first-order X-mask product one group at a time (test oracle only).
 
-    Each step applies every group of ``PauliTermList.groups`` in ascending
-    mask order as a gather and two elementwise products: on the pairs
+    Each step applies every (x, src, d) group of ``evolution._groups`` in
+    ascending mask order as a gather and two elementwise products: on the pairs
     (i, i ^ x), psi[i] -> cos(dt |d|) psi[i] - i sin(dt |d|) (d / |d|) psi[i ^ x].
     Rows of the result index ``ts``.
     """

@@ -138,11 +138,10 @@ def test_criterion_5_pauli_round_trip():
 
 def test_criterion_6_trotter_convergence(cartesian):
     built, _ = cartesian
-    terms = pauli_decompose(built.matrix)
     rng = np.random.default_rng(5)
     psi = random_state(rng, 256)
     exact = exact_unitary(built.matrix, 0.5) @ psi
-    errs = {n: np.linalg.norm(trotter_evolve(terms, 0.5, n, psi) - exact)
+    errs = {n: np.linalg.norm(trotter_evolve(built, 0.5, n, psi) - exact)
             for n in (25, 50, 100, 200)}
     ratios = [errs[25] / errs[50], errs[50] / errs[100], errs[100] / errs[200]]
     ratios_ok = all(1.6 <= r <= 2.4 for r in ratios)

@@ -1,5 +1,6 @@
 """The public names: each module's ``__all__``, the package re-exports and
-the names the demo scripts import all resolve; the demo scripts run."""
+the names the demo scripts import all resolve; the demo scripts run; the
+library leaves the process environment alone."""
 
 import ast
 import importlib
@@ -58,3 +59,29 @@ def test_demos_run_and_regenerate_the_committed_doc(tmp_path, capsys):
         assert capsys.readouterr().out, demo.name
     doc = "docs/monopole_variants.md"
     assert (tmp_path / doc).read_bytes() == (ROOT / doc).read_bytes()
+
+
+def _writes_environ(node):
+    """True for ``os.environ[...] = / del``, a mutating ``os.environ`` method
+    call, and ``os.putenv`` / ``os.unsetenv``."""
+    def is_environ(n):
+        return isinstance(n, ast.Attribute) and n.attr == "environ"
+
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+        targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+        return any(isinstance(t, ast.Subscript) and is_environ(t.value) for t in targets)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        func = node.func
+        return ((is_environ(func.value) and func.attr in ("update", "setdefault", "pop", "popitem", "clear"))
+                or func.attr in ("putenv", "unsetenv"))
+    return False
+
+
+def test_library_sets_no_environment_variable():
+    # README: the library sets no OPENBLAS_* variable; thread settings are the caller's
+    sources = sorted(pathlib.Path(gaugesim.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        assert "OPENBLAS_" not in text, path.name
+        assert not any(_writes_environ(n) for n in ast.walk(ast.parse(text))), path.name

@@ -27,7 +27,6 @@ from gaugesim.errors import (
 from gaugesim.evolution import (
     dual_lattice_period,
     momentum_state,
-    pauli_decompose,
     pauli_index_to_label,
     trotter_evolve,
     vertex_amplitude,
@@ -234,7 +233,7 @@ COUNTED = {
                         InvalidConfigError),
     "ansatz depth": (lambda v: ansatz_state(AnsatzConfig(n_qubits=2, depth=v, params=np.linspace(0, 1, 6))),
                      InvalidConfigError),
-    "trotter_evolve n_steps": (lambda v: trotter_evolve(pauli_decompose(_H), 0.5, v, _PSI), ValueError),
+    "trotter_evolve n_steps": (lambda v: trotter_evolve(_H, 0.5, v, _PSI), ValueError),
     "place slot": (lambda v: place(np.eye(2), v, [2, 2, 2]), DimensionMismatchError),
     "place dims": (lambda v: place(np.eye(2), 0, [2, v]), InvalidSizeError),
     "qubits_of_dim": (qubits_of_dim, NotPowerOfTwoError),

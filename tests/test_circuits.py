@@ -109,6 +109,16 @@ def test_ansatz_config_validation():
         AnsatzConfig(n_qubits=0, depth=1, params=np.zeros(0))
 
 
+def test_ansatz_register_is_capped_and_params_default_to_zeros():
+    with pytest.raises(InvalidConfigError, match="ansatz.n_qubits: must be <= 9, got 10"):
+        AnsatzConfig(n_qubits=10, depth=0, params=np.zeros(10))
+    cfg = AnsatzConfig(n_qubits=3, depth=2)
+    assert np.array_equal(cfg.params, np.zeros(9))
+    made = template(3, depth=2)
+    assert (made.n_qubits, made.depth, made.entangler) == (3, 2, "cz")
+    assert np.array_equal(made.params, cfg.params)
+
+
 def test_ansatz_shape_is_read_by_name():
     # refused when made, not later in ansatz_state; a bool is not a count
     with pytest.raises(InvalidConfigError, match="ansatz.depth: expected an integer, got 1.5"):

@@ -14,9 +14,9 @@ from gaugesim.errors import (
 from scipy.linalg import expm
 
 from gaugesim.evolution import (
-    PauliTermList,
     TransitionSeries,
     _apply_trotter,
+    _groups,
     _mask_runs,
     dual_lattice_period,
     momentum_state,
@@ -105,51 +105,47 @@ def test_decompose_prunes_small_coefficients(rng):
 
 def test_trotter_t0_identity(rng):
     h = random_hermitian(rng, 8)
-    terms = pauli_decompose(h)
     psi = random_state(rng, 8)
-    np.testing.assert_allclose(trotter_evolve(terms, 0.0, 5, psi), psi, atol=1e-14)
+    np.testing.assert_allclose(trotter_evolve(h, 0.0, 5, psi), psi, atol=1e-14)
     # a t = 0 row is psi itself, not stepped: bit for bit, signed zeros too
     psi[0] = complex(-0.0, -0.0)
-    row = _apply_trotter(terms.groups(), [0.0, 0.5], 3, psi)[0]
+    row = _apply_trotter(_groups(h), [0.0, 0.5], 3, psi)[0]
     assert np.array_equal(row, psi)
     assert np.array_equal(np.signbit(row.view(float)), np.signbit(psi.view(float)))
 
 
 def test_trotter_single_term_exact(rng):
-    terms = PauliTermList(n_qubits=3, terms=[("XYZ", 0.37)])
+    h = 0.37 * pauli_matrix("XYZ")
     psi = random_state(rng, 8)
-    approx = trotter_evolve(terms, 1.3, 1, psi)
-    exact = exact_unitary(0.37 * pauli_matrix("XYZ"), 1.3) @ psi
+    approx = trotter_evolve(h, 1.3, 1, psi)
+    exact = exact_unitary(h, 1.3) @ psi
     np.testing.assert_allclose(approx, exact, atol=1e-10)
     # n_steps does not matter for a single term
-    np.testing.assert_allclose(trotter_evolve(terms, 1.3, 17, psi), exact, atol=1e-10)
+    np.testing.assert_allclose(trotter_evolve(h, 1.3, 17, psi), exact, atol=1e-10)
 
 
 def test_trotter_first_order_on_toy_pair(rng):
     # H = 0.7 X + 0.4 Z: error vs exact scales ~ 1/n_steps (order 1.0 +- 0.2)
-    terms = PauliTermList(n_qubits=1, terms=[("X", 0.7), ("Z", 0.4)])
     h = 0.7 * PAULI["X"] + 0.4 * PAULI["Z"]
     psi = random_state(rng, 2)
     exact = exact_unitary(h, 1.0) @ psi
-    errs = [np.linalg.norm(trotter_evolve(terms, 1.0, n, psi) - exact) for n in (8, 16, 32, 64)]
+    errs = [np.linalg.norm(trotter_evolve(h, 1.0, n, psi) - exact) for n in (8, 16, 32, 64)]
     orders = [np.log2(e1 / e2) for e1, e2 in zip(errs, errs[1:])]
     assert all(0.8 <= o <= 1.2 for o in orders)
 
 
 def test_trotter_preserves_norm(rng):
     h = random_hermitian(rng, 16)
-    terms = pauli_decompose(h)
     psi = random_state(rng, 16)
-    out = trotter_evolve(terms, 0.9, 7, psi)
+    out = trotter_evolve(h, 0.9, 7, psi)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
 def test_trotter_landau_convergence(rng):
     built = build_landau_cartesian(HamiltonianSpec(kind="LandauCartesian", b_field=2.0))
-    terms = pauli_decompose(built.matrix)
     psi = random_state(rng, 256)
     exact = exact_unitary(built.matrix, 0.5) @ psi
-    errs = [np.linalg.norm(trotter_evolve(terms, 0.5, n, psi) - exact) for n in (25, 50, 100)]
+    errs = [np.linalg.norm(trotter_evolve(built, 0.5, n, psi) - exact) for n in (25, 50, 100)]
     for e1, e2 in zip(errs, errs[1:]):
         assert 1.6 <= e1 / e2 <= 2.4
 
@@ -173,7 +169,7 @@ def test_group_factor_is_exact_exponential(n):
     h = random_hermitian(rng, 2 ** n)
     terms = pauli_decompose(h)
     assert any("Y" in label for label, _ in terms.terms)
-    groups = terms.groups()
+    groups = _groups(h)
     oracles = _group_matrices(terms)
     assert [x for x, _, _ in groups] == sorted({_x_mask(lab) for lab, _ in terms.terms})
     eye = np.eye(2 ** n)
@@ -198,7 +194,7 @@ def test_trotter_step_is_ascending_mask_product(n):
         for h_x in _group_matrices(terms):
             step = expm(-1j * t / n_steps * h_x) @ step
         expected = np.linalg.matrix_power(step, n_steps) @ psi
-        np.testing.assert_allclose(trotter_evolve(terms, t, n_steps, psi), expected, atol=1e-12)
+        np.testing.assert_allclose(trotter_evolve(h, t, n_steps, psi), expected, atol=1e-12)
 
 
 def test_group_counts():
@@ -209,19 +205,32 @@ def test_group_counts():
     for built, count in ((build_landau_cartesian(cart), 17),
                          (build_landau_cartesian_position(cart), 31),
                          (build_monopole_su2(monopole), 28)):
-        assert len(pauli_decompose(built.matrix).groups()) == count
+        assert len(_groups(built.matrix)) == count
+
+
+def test_group_blocks_are_exactly_conjugate():
+    # the position grid is Hermitian only to about 1e-15 bitwise; the groups
+    # read its Hermitian part, so every pair block is conjugate bit for bit
+    from gaugesim.hamiltonians import build_landau_cartesian_position
+
+    built = build_landau_cartesian_position(HamiltonianSpec(kind="LandauCartesian", b_field=2.0))
+    assert not np.array_equal(built.matrix, built.matrix.conj().T)
+    for x, src, d in _groups(built.matrix):
+        assert np.array_equal(src, np.arange(256) ^ x)
+        assert np.array_equal(d[src], d.conj())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("n_steps", [1, 3, 7])
 def test_trotter_matches_pair_oracle(n, n_steps):
     rng = np.random.default_rng(300 + n)
-    terms = pauli_decompose(random_hermitian(rng, 2 ** n))
-    assert any("Y" in label for label, _ in terms.terms)
+    h = random_hermitian(rng, 2 ** n)
+    assert any("Y" in label for label, _ in pauli_decompose(h).terms)
     psi = random_state(rng, 2 ** n)
     ts = [0.0, -0.45, 0.3, 1.7]
-    np.testing.assert_allclose(_apply_trotter(terms.groups(), ts, n_steps, psi),
-                               pair_trotter(terms.groups(), ts, n_steps, psi), atol=1e-13)
+    groups = _groups(h)
+    np.testing.assert_allclose(_apply_trotter(groups, ts, n_steps, psi),
+                               pair_trotter(groups, ts, n_steps, psi), atol=1e-13)
 
 
 def _span_rank(masks):
@@ -243,7 +252,7 @@ def test_run_partition():
     for built, count in ((build_landau_cartesian_position(cart), 2),
                          (build_landau_cartesian(cart), 4),
                          (build_monopole_su2(monopole), 3)):
-        groups = pauli_decompose(built.matrix).groups()
+        groups = _groups(built.matrix)
         runs = _mask_runs(groups)
         assert len(runs) == count
         flat = [g for run in runs for g in run]
@@ -255,31 +264,29 @@ def test_run_partition():
 
 
 def test_trotter_guards(rng):
-    terms = PauliTermList(n_qubits=2, terms=[("XI", 0.3)])
+    h = 0.3 * pauli_matrix("XI")
     with pytest.raises(DimensionMismatchError):
-        trotter_evolve(terms, 0.1, 3, np.ones(8))
+        trotter_evolve(h, 0.1, 3, np.ones(8))
     with pytest.raises(ValueError):
-        trotter_evolve(terms, 0.1, 0, np.ones(4))
+        trotter_evolve(h, 0.1, 0, np.ones(4))
 
 
 @pytest.mark.parametrize("steps", [2.7, 0.5, True, False, np.bool_(True), -1, "3"])
 def test_trotter_step_count_guards(rng, steps):
     h = random_hermitian(rng, 4)
-    terms = pauli_decompose(h)
     psi = random_state(rng, 4)
     with pytest.raises(ValueError, match=repr(steps)):
-        trotter_evolve(terms, 1.0, steps, psi)
+        trotter_evolve(h, 1.0, steps, psi)
     with pytest.raises(ValueError, match=repr(steps)):
         transition_series(h, psi, "all", [0.5], method="trotter", trotter_steps=steps)
 
 
 def test_trotter_integral_step_counts_accepted(rng):
     h = random_hermitian(rng, 4)
-    terms = pauli_decompose(h)
     psi = random_state(rng, 4)
-    expected = trotter_evolve(terms, 1.0, 3, psi)
+    expected = trotter_evolve(h, 1.0, 3, psi)
     for steps in (3.0, np.int64(3), np.float64(3.0)):
-        assert np.array_equal(trotter_evolve(terms, 1.0, steps, psi), expected)
+        assert np.array_equal(trotter_evolve(h, 1.0, steps, psi), expected)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -287,7 +294,7 @@ def test_nonfinite_times_refused(rng, bad):
     h = random_hermitian(rng, 4)
     psi = random_state(rng, 4)
     with pytest.raises(InvalidTimesError):
-        trotter_evolve(pauli_decompose(h), bad, 3, psi)
+        trotter_evolve(h, bad, 3, psi)
     for method in ("exact", "trotter"):
         with pytest.raises(InvalidTimesError):
             transition_series(h, psi, "all", [0.0, bad], method=method)
@@ -295,14 +302,14 @@ def test_nonfinite_times_refused(rng, bad):
         scattering_process(h, 0.1, 0.0, bad, psi)
 
 
-@pytest.mark.parametrize("bad", [True, False, np.True_, "0.5"])
+@pytest.mark.parametrize("bad", [True, False, np.True_, "0.5", 0.5j])
 def test_bool_and_string_times_refused(rng, bad):
     # a float conversion would read these as t = 1, 0 or 0.5
     h = random_hermitian(rng, 4)
     psi = random_state(rng, 4)
     named = re.escape(repr(bad))
     with pytest.raises(InvalidTimesError, match=named):
-        trotter_evolve(pauli_decompose(h), bad, 3, psi)
+        trotter_evolve(h, bad, 3, psi)
     for method in ("exact", "trotter"):
         with pytest.raises(InvalidTimesError, match=named):
             transition_series(h, psi, "all", [0.0, bad], method=method)
@@ -311,7 +318,7 @@ def test_bool_and_string_times_refused(rng, bad):
             scattering_process(h, 0.1, tau, total_t, psi)
 
 
-@pytest.mark.parametrize("bad", [True, np.True_, "0.5", np.nan, np.inf])
+@pytest.mark.parametrize("bad", [True, np.True_, "0.5", np.nan, np.inf, 0.5j])
 def test_bool_string_and_nonfinite_momenta_refused(rng, bad):
     # a float conversion would read these as p2 = 1 or 0.5
     h = random_hermitian(rng, 4)
@@ -321,6 +328,11 @@ def test_bool_string_and_nonfinite_momenta_refused(rng, bad):
         vertex_amplitude(3, bad, 9, 16)
     with pytest.raises(ValueError, match=named):
         scattering_process(h, bad, 0.2, 1.0, psi)
+    with pytest.raises(ValueError, match=f"p2 values .*{named}"):
+        vertex_scan(3, 9, 16, [0.2, bad])
+    if isinstance(bad, float):  # a float array takes the finiteness pass alone
+        with pytest.raises(ValueError, match="p2 values"):
+            vertex_scan(3, 9, 16, np.array([0.2, bad]))
 
 
 def test_bool_time_arrays_refused(rng):
@@ -382,13 +394,12 @@ def test_transition_trotter_agrees_with_exact_position_basis():
 
 def test_transition_series_batched_matches_single_calls(rng):
     h = random_hermitian(rng, 8)
-    terms = pauli_decompose(h)
     psi_i = random_state(rng, 8)
     ts = [0.0, 0.3, 0.9]
     # for "all" the amplitudes are the evolved states themselves, bit for bit
     series = transition_series(h, psi_i, "all", ts, method="trotter", trotter_steps=20)
     for j, t in enumerate(ts):
-        assert np.array_equal(series.amplitudes[j], trotter_evolve(terms, t, 20, psi_i))
+        assert np.array_equal(series.amplitudes[j], trotter_evolve(h, t, 20, psi_i))
     exact = transition_series(h, psi_i, "all", ts, method="exact")
     assert np.array_equal(exact.amplitudes, _propagate(hermitian_eig(h), psi_i, ts))
 
@@ -531,8 +542,24 @@ def test_scattering_trotter_mode_close_to_exact(rng):
     assert np.linalg.norm(exact - trot) < 5e-2
 
 
-@pytest.mark.parametrize("method, counted", [("exact", "hermitian_eig"), ("trotter", "pauli_decompose")])
-def test_scattering_decomposes_once(rng, monkeypatch, method, counted):
+_ONE_DECOMPOSITION = {
+    "scattering": lambda h, psi, method: scattering_process(h, 0.9, 0.4, 1.0, psi, method=method,
+                                                            trotter_steps=50),
+    "trotter_evolve": lambda h, psi, _: trotter_evolve(h, 0.4, 50, psi),
+    "transition_series": lambda h, psi, method: transition_series(
+        h, psi, "all", [0.0, 0.4], method=method, trotter_steps=50).amplitudes[1],
+}
+
+
+@pytest.mark.parametrize("call, method, counted", [
+    pytest.param("scattering", "exact", "hermitian_eig", id="exact-hermitian_eig"),
+    pytest.param("scattering", "trotter", "pauli_decompose", id="trotter-pauli_decompose"),
+    pytest.param("trotter_evolve", "trotter", "pauli_decompose", id="trotter_evolve-pauli_decompose"),
+    pytest.param("transition_series", "trotter", "pauli_decompose",
+                 id="transition_series-pauli_decompose"),
+])
+def test_scattering_decomposes_once(rng, monkeypatch, call, method, counted):
+    # one decomposition per call, each leg and time included
     import gaugesim.evolution as evolution
 
     original = getattr(evolution, counted)
@@ -540,15 +567,16 @@ def test_scattering_decomposes_once(rng, monkeypatch, method, counted):
     monkeypatch.setattr(evolution, counted, lambda *a, **k: calls.append(1) or original(*a, **k))
     h = _free_position_h(16)
     psi0 = random_state(rng, 16)
-    out = scattering_process(h, 0.9, 0.4, 1.0, psi0, method=method, trotter_steps=50)
+    out = _ONE_DECOMPOSITION[call](h, psi0, method)
     assert len(calls) == 1
     # reference: each leg evolved on its own, by expm or from a fresh decomposition
     phase = np.exp(1j * 0.9 * pos_grid(16))
-    if method == "exact":
+    if call != "scattering":
+        expected = pair_trotter(_groups(h), [0.4], 50, psi0)[0]
+    elif method == "exact":
         expected = exact_unitary(h, 0.6) @ (phase * (exact_unitary(h, 0.4) @ psi0))
     else:
-        expected = trotter_evolve(pauli_decompose(h), 0.6, 50,
-                                  phase * trotter_evolve(pauli_decompose(h), 0.4, 50, psi0))
+        expected = trotter_evolve(h, 0.6, 50, phase * trotter_evolve(h, 0.4, 50, psi0))
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 

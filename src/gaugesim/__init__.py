@@ -54,10 +54,8 @@ from .evolution import (
     TransitionSeries,
     momentum_state,
     pauli_decompose,
-    pauli_reconstruct,
     scattering_process,
     transition_series,
-    trotter_evolve,
     vertex_amplitude,
     vertex_scan,
 )

@@ -13,7 +13,8 @@ Kronecker factors of the layer's rotations, not one call per gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -145,19 +146,27 @@ class AnsatzConfig:
         shape = read_fields({name: getattr(self, name) for name in self.FIELDS}, "ansatz", self.FIELDS)
         for name, value in shape.items():
             object.__setattr__(self, name, value)
-        p = np.zeros(self.n_params) if self.params is None else np.asarray(self.params, dtype=float)
-        if p.shape != (self.n_params,):
-            raise InvalidConfigError(
-                f"expected {self.n_params} parameters, got shape {p.shape}"
-            )
-        object.__setattr__(self, "params", p)
+        object.__setattr__(self, "params", self._angles(self.params))
 
     @property
     def n_params(self) -> int:
         return self.n_qubits * (self.depth + 1)
 
+    def _angles(self, params) -> np.ndarray:
+        """``params`` as the float array of ``n_params`` angles (None: zeros)."""
+        p = np.zeros(self.n_params) if params is None else np.asarray(params, dtype=float)
+        if p.shape != (self.n_params,):
+            raise InvalidConfigError(
+                f"expected {self.n_params} parameters, got shape {p.shape}"
+            )
+        return p
+
     def with_params(self, params) -> "AnsatzConfig":
-        return replace(self, params=params)
+        """This ansatz with new angles; the shape, read once at construction,
+        is not read again."""
+        new = copy.copy(self)
+        object.__setattr__(new, "params", self._angles(params))
+        return new
 
 
 def ansatz_state(cfg: AnsatzConfig) -> np.ndarray:

@@ -31,16 +31,11 @@ from .errors import (
     NotHermitianError,
     read_number,
 )
-from .hamiltonians import matrix_of
-from .operators import _propagate, hermitian_eig, is_hermitian, qubits_of_dim
+from .operators import _propagate, as_operator, hermitian_eig, is_hermitian, qubits_of_dim
 
 __all__ = [
     "PauliTermList",
     "pauli_decompose",
-    "pauli_reconstruct",
-    "pauli_label_to_index",
-    "pauli_index_to_label",
-    "trotter_evolve",
     "TransitionSeries",
     "transition_series",
     "write_transition_csv",
@@ -56,42 +51,23 @@ _DIGITS = "IXYZ"
 _X_BITS = str.maketrans("IXYZ", "0110")
 
 
-def pauli_index_to_label(index: int, n_qubits: int) -> str:
-    return _label(index, read_number(n_qubits, "n_qubits", int, 1, error=InvalidSizeError))
-
-
 def _label(index: int, n_qubits: int) -> str:
-    """``pauli_index_to_label`` for a register size already known to be valid."""
+    """The Pauli string at base-4 ``index`` of the transform's output, one
+    character per qubit, qubit 0 from the most significant digit pair."""
     return "".join(_DIGITS[(index >> 2 * (n_qubits - 1 - q)) & 3] for q in range(n_qubits))
-
-
-def pauli_label_to_index(label: str) -> int:
-    idx = 0
-    for ch in label:
-        idx = (idx << 2) | _DIGITS.index(ch)
-    return idx
 
 
 @dataclass
 class PauliTermList:
-    """Hermitian operator as a list of (Pauli label, real coefficient).
+    """The paper's Pauli-string view of a Hermitian operator on ``n_qubits``:
+    (label, real coefficient) pairs, labels unique and in lexicographic order.
 
-    Labels are unique and kept in lexicographic order.
+    ``pauli_decompose`` makes it; the Trotter groups use only the labels'
+    X/Y patterns (see ``_groups``).
     """
 
     n_qubits: int
     terms: list
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.n_qubits
-
-    def coefficients_vector(self) -> np.ndarray:
-        """Dense 4**n coefficient vector in label order (zeros where pruned)."""
-        vec = np.zeros(4 ** self.n_qubits)
-        for label, coeff in self.terms:
-            vec[pauli_label_to_index(label)] = coeff
-        return vec
 
 
 def pauli_decompose(h) -> PauliTermList:
@@ -104,13 +80,12 @@ def pauli_decompose(h) -> PauliTermList:
 
     yields the I, X, Y, Z coefficient blocks for the leading qubit, and
     recursion on the blocks handles the rest.  Coefficients at or below
-    1e-12 * max|c| are dropped.
+    1e-12 * max|c| are dropped.  ``h`` is a matrix or a build (see
+    ``operators.as_operator``).
     """
-    m = np.asarray(h, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got {m.shape}")
+    m = as_operator(h)
     n = qubits_of_dim(m.shape[0])
-    if not is_hermitian(m):
+    if not is_hermitian(h):
         raise NotHermitianError("pauli_decompose requires a Hermitian matrix")
 
     work = m.reshape(1, m.shape[0], m.shape[0])
@@ -134,31 +109,20 @@ def pauli_decompose(h) -> PauliTermList:
     return PauliTermList(n_qubits=n, terms=terms)
 
 
-def pauli_reconstruct(terms: PauliTermList) -> np.ndarray:
-    """Rebuild the matrix sum_s c_s P_s by inverting the block transform."""
-    n = terms.n_qubits
-    work = terms.coefficients_vector().astype(np.complex128).reshape(-1, 1, 1)
-    for _ in range(n):
-        half = work.shape[-1]
-        blocks = work.reshape(-1, 4, half, half)
-        ci, cx, cy, cz = (blocks[:, k] for k in range(4))
-        top = np.concatenate([ci + cz, cx - 1j * cy], axis=2)
-        bot = np.concatenate([cx + 1j * cy, ci - cz], axis=2)
-        work = np.concatenate([top, bot], axis=1)
-    return work.reshape(terms.dim, terms.dim)
-
-
-def _groups(hm: np.ndarray) -> list:
-    """(x, src, d) per X-mask x of the strings ``pauli_decompose(hm)`` keeps, x ascending.
+def _groups(h) -> list:
+    """(x, src, d) per X-mask x of the strings ``pauli_decompose(h)`` keeps, x ascending.
 
     The strings sharing the X/Y pattern x sum to H_x, the part of H on the
     index pairs (i, i ^ x): (H_x psi)[i] = d[i] psi[src[i]] with
     src[i] = i ^ x and d[i] = H[i, i ^ x].  d is read from the Hermitian
     part, (H[i, i ^ x] + conj H[i ^ x, i]) / 2, so d[i ^ x] = conj(d[i])
     bit for bit: H_x is a direct sum of 2x2 blocks [[0, d], [conj d, 0]]
-    on the pairs, or diagonal and real for x = 0.
+    on the pairs, or diagonal and real for x = 0.  ``h`` is a matrix or a
+    build, passed on as given, so ``pauli_decompose`` makes the one
+    Hermiticity check (none for a build, which carries its flag).
     """
-    masks = {int(label.translate(_X_BITS), 2) for label, _ in pauli_decompose(hm).terms}
+    masks = {int(label.translate(_X_BITS), 2) for label, _ in pauli_decompose(h).terms}
+    hm = as_operator(h)
     idx = np.arange(hm.shape[0])
     return [(x, idx ^ x, 0.5 * (hm[idx, idx ^ x] + hm[idx ^ x, idx].conj())) for x in sorted(masks)]
 
@@ -287,32 +251,6 @@ def _finite_numbers(values, what: str = "evolution times", error=InvalidTimesErr
     raise error(f"{what} must be finite numbers, got {np.asarray(values, dtype=object).tolist()}")
 
 
-def trotter_evolve(h, t: float, n_steps: int, psi0) -> np.ndarray:
-    """Apply the first-order product [prod_x exp(-i H_x t/n)]**n to psi0.
-
-    ``h`` is a matrix or a BuiltHamiltonian.  H_x is the part of H on the
-    index pairs (i, i ^ x), for each X-mask x of the Pauli strings that
-    ``pauli_decompose`` keeps (see ``_groups``); the factors apply in
-    ascending x, each an exact closed-form exponential of 2x2 blocks, so
-    no matrix exponential is formed.  Runs of consecutive groups whose
-    masks span at most 4 dimensions over GF(2) are multiplied out once
-    per call into blocks of at most 16x16 on the cosets of that span: 2
-    runs of 16x16 blocks for the 16x16 position grid (31 groups), 4 for
-    the oscillator basis (17 groups) and 3 for the Hermitian-part
-    monopole (28 groups).  A step costs one batched matmul and one gather
-    per run.  On the position grid, 11 times x 100 steps take 19-34 ms
-    (2-vCPU host, OpenBLAS with 2 threads), about 3.2x (2.9-3.5x) less
-    than one gather update per group and step.
-    """
-    hm = matrix_of(h)
-    psi0 = np.asarray(psi0, dtype=np.complex128)
-    if len(psi0) != hm.shape[0]:
-        raise DimensionMismatchError(f"state length {len(psi0)} vs operator dim {hm.shape[0]}")
-    ts = _finite_numbers([t])
-    n_steps = read_number(n_steps, "n_steps", int, 1, error=ValueError)
-    return _apply_trotter(_groups(hm), ts, n_steps, psi0)[0]
-
-
 @dataclass(frozen=True)
 class TransitionSeries:
     """Amplitudes <f| U(t) |i> over a time grid.
@@ -347,18 +285,21 @@ def _final_states(psi_fs, dim: int):
     return mat, list(range(mat.shape[1]))
 
 
-def _evolver(hm, method: str, trotter_steps: int):
+def _evolver(h, method: str, trotter_steps: int):
     """Decompose H once; returns evolve(psi, ts), exp(-iHt) psi per t in ts.
 
     "exact" propagates spectrally, "trotter" by the grouped first-order
-    product with ``trotter_steps`` steps.
+    product [prod_x exp(-i H_x t/n)]**n with n = ``trotter_steps`` (see
+    ``_apply_trotter``).  ``h``, a matrix or a build, goes to
+    ``hermitian_eig`` or ``_groups`` as given, so a build's matrix is not
+    checked again and a plain array is checked once.
     """
     if method == "exact":
-        es = hermitian_eig(hm)
+        es = hermitian_eig(h)
         return lambda psi, ts: _propagate(es, psi, ts)
     if method == "trotter":
         steps = read_number(trotter_steps, "trotter_steps", int, 1, error=ValueError)
-        groups = _groups(hm)
+        groups = _groups(h)
         return lambda psi, ts: _apply_trotter(groups, ts, steps, psi)
     raise ValueError(f"method must be 'exact' or 'trotter', got {method!r}")
 
@@ -370,17 +311,15 @@ def transition_series(h, psi_i, psi_fs, ts, method: str = "exact",
     ``psi_fs`` is a list of final statevectors or "all" for the full
     computational basis.  method "exact" uses the spectral propagator;
     "trotter" uses the first-order product with ``trotter_steps`` per
-    time point.
+    time point.  ``h`` is a matrix or a BuiltHamiltonian.
     """
-    hm = matrix_of(h)
+    dim = as_operator(h).shape[0]
     psi_i = np.asarray(psi_i, dtype=np.complex128)
-    if len(psi_i) != hm.shape[0]:
-        raise DimensionMismatchError(
-            f"initial state length {len(psi_i)} vs H dim {hm.shape[0]}"
-        )
+    if len(psi_i) != dim:
+        raise DimensionMismatchError(f"initial state length {len(psi_i)} vs H dim {dim}")
     ts = _finite_numbers(ts)
-    finals, labels = _final_states(psi_fs, hm.shape[0])
-    states = _evolver(hm, method, trotter_steps)(psi_i, ts)
+    finals, labels = _final_states(psi_fs, dim)
+    states = _evolver(h, method, trotter_steps)(psi_i, ts)
     amps = states if finals is None else states @ finals.conj()
     return TransitionSeries(ts=ts, amplitudes=amps, labels=labels)
 
@@ -470,21 +409,22 @@ def scattering_process(h_free, p2: float, tau: float, total_t: float, psi0,
 
     Returns U(total_t - tau) V(p2) U(tau) |psi0>, X the diagonal position
     operator of the matching grid.  tau may sit at either endpoint (the
-    pure before/after limits).  H is decomposed once for both legs.
+    pure before/after limits).  H, a matrix or a BuiltHamiltonian, is
+    decomposed once for both legs.
     """
-    hm = matrix_of(h_free)
+    dim = as_operator(h_free).shape[0]
     p2 = read_number(p2, "p2", float, error=ValueError)
     tau, total_t = _finite_numbers([tau, total_t])
     if not 0.0 <= tau <= total_t:
         raise InvalidTimesError(f"need 0 <= tau <= total_T, got tau={tau}, total_T={total_t}")
     psi = np.asarray(psi0, dtype=np.complex128)
-    if len(psi) != hm.shape[0]:
-        raise DimensionMismatchError(f"initial state length {len(psi)} vs H dim {hm.shape[0]}")
-    evolve = _evolver(hm, method, trotter_steps)
+    if len(psi) != dim:
+        raise DimensionMismatchError(f"initial state length {len(psi)} vs H dim {dim}")
+    evolve = _evolver(h_free, method, trotter_steps)
 
     def leg(state, t):
         return state if t == 0.0 else evolve(state, [t])[0]
 
     psi = leg(psi, tau)
-    psi = np.exp(1j * p2 * pos_grid(hm.shape[0])) * psi
+    psi = np.exp(1j * p2 * pos_grid(dim)) * psi
     return leg(psi, total_t - tau)

@@ -148,6 +148,9 @@ class BuiltHamiltonian:
     ``hermitian`` is ``is_hermitian(matrix)`` (relative defect <= 1e-10),
     read at build time from the blocks; the Literal and ScalarB monopole
     variants are expected to fail it (their bilinears are non-Hermitian).
+    Every entry point that takes an operator takes a build as well:
+    ``operators.as_operator`` reads its ``matrix`` and ``is_hermitian`` its
+    ``hermitian``, so its matrix is never checked again.
 
     ``blocks`` holds the basis indices of each symmetry sector, in the
     order of the sector labels the builder gives its basis.  Every entry
@@ -175,11 +178,6 @@ class BuiltHamiltonian:
     def lowest_eigenvalue(self) -> float:
         """Ground energy: the lowest eigenvalue."""
         return float(self.spectrum()[0])
-
-
-def matrix_of(h) -> np.ndarray:
-    """The matrix of a BuiltHamiltonian, or ``h`` itself as a complex array."""
-    return h.matrix if isinstance(h, BuiltHamiltonian) else np.asarray(h, dtype=complex)
 
 
 def _blocks_by(keys) -> tuple:

@@ -34,8 +34,9 @@ MAX_QUBITS = 9
 
 
 def as_operator(a) -> np.ndarray:
-    """Coerce to a square complex128 matrix (no copy when already one)."""
-    m = np.asarray(a, dtype=np.complex128)
+    """Coerce to a square complex128 matrix (no copy when already one): the
+    one operator intake, which takes a build (a BuiltHamiltonian) as its ``matrix``."""
+    m = np.asarray(getattr(a, "matrix", a), dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -61,7 +62,10 @@ def herm_defect(a):
 
 def is_hermitian(a):
     """True when the Hermiticity defect is below ``HERM_TOL * max|a|`` (never
-    with a NaN entry); an array of one answer per matrix for a stack."""
+    with a NaN entry); an array of one answer per matrix for a stack.  A build
+    answers with its ``hermitian`` flag, which its builder set by this rule."""
+    if hasattr(a, "hermitian"):
+        return a.hermitian
     m = np.asarray(a, dtype=np.complex128)
     defect = herm_defect(m)
     scale = np.abs(m).max(axis=(-2, -1), initial=0.0)
@@ -84,18 +88,18 @@ class EigenSystem:
 def hermitian_eig(a) -> EigenSystem:
     """Diagonalize a Hermitian operator (ascending real spectrum).
 
-    Raises NotHermitianError when the input violates ``HERM_TOL``.  Backed
-    by LAPACK's dense Hermitian solver, which is robust and deterministic at
-    these sizes.
+    ``a`` is a matrix or a build (see ``as_operator``).  Raises
+    NotHermitianError when ``is_hermitian(a)`` fails.  Backed by LAPACK's
+    dense Hermitian solver, which is robust and deterministic at these sizes.
     """
     m = as_operator(a)
-    if not is_hermitian(m):
+    if not is_hermitian(a):
         raise NotHermitianError(
             f"hermitian_eig: matrix is not Hermitian to tolerance {HERM_TOL:g} "
             f"(defect {herm_defect(m):.3e})"
         )
     values, vectors = np.linalg.eigh(m)
-    return EigenSystem(values=values.astype(float), vectors=vectors.astype(np.complex128))
+    return EigenSystem(values=values, vectors=vectors)
 
 
 def matrix_function(a, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

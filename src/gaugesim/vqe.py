@@ -20,8 +20,7 @@ import scipy.optimize
 
 from .circuits import AnsatzConfig, adjoint_gradient, ansatz_state
 from .errors import DimensionMismatchError, NotHermitianError, read_number
-from .hamiltonians import BuiltHamiltonian, matrix_of
-from .operators import is_hermitian
+from .operators import as_operator, is_hermitian
 
 __all__ = [
     "OptimizerSettings",
@@ -90,16 +89,16 @@ def template(n_qubits: int, depth: int = 3, entangler: str = "cz") -> AnsatzConf
 
 
 def _check_inputs(h, ansatz: AnsatzConfig) -> np.ndarray:
-    m = matrix_of(h)
+    """The matrix of ``h`` (a matrix or a build), refused unless it is
+    Hermitian (a build's flag, see ``is_hermitian``) and fits the register."""
+    m = as_operator(h)
     if m.shape[0] != 2 ** ansatz.n_qubits:
         raise DimensionMismatchError(
             f"H dim {m.shape[0]} vs ansatz register of {ansatz.n_qubits} qubits"
         )
-    hermitian = h.hermitian if isinstance(h, BuiltHamiltonian) else is_hermitian(m)
-    if not hermitian:
-        variant = h.spec.variant if isinstance(h, BuiltHamiltonian) else "?"
+    if not is_hermitian(h):
         raise NotHermitianError(
-            f"refusing VQE on a non-Hermitian Hamiltonian (variant {variant!r}); "
+            "refusing VQE on a non-Hermitian Hamiltonian; "
             "rebuild with variant='HermitianPart' (or another Hermitian variant) "
             "so the variational quotient is real"
         )

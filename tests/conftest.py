@@ -21,6 +21,32 @@ def pauli_matrix(label: str) -> np.ndarray:
     return out
 
 
+def pauli_label_to_index(label: str) -> int:
+    """Base-4 index of a Pauli string, I, X, Y, Z = 0..3, qubit 0 most significant."""
+    idx = 0
+    for ch in label:
+        idx = (idx << 2) | "IXYZ".index(ch)
+    return idx
+
+
+def pauli_reconstruct(terms) -> np.ndarray:
+    """The matrix sum_s c_s P_s of a ``PauliTermList`` by inverting the block
+    transform of ``pauli_decompose`` (round-trip oracle, test only)."""
+    n = terms.n_qubits
+    work = np.zeros(4 ** n, dtype=np.complex128)
+    for label, coeff in terms.terms:
+        work[pauli_label_to_index(label)] = coeff
+    work = work.reshape(-1, 1, 1)
+    for _ in range(n):
+        half = work.shape[-1]
+        blocks = work.reshape(-1, 4, half, half)
+        ci, cx, cy, cz = (blocks[:, k] for k in range(4))
+        top = np.concatenate([ci + cz, cx - 1j * cy], axis=2)
+        bot = np.concatenate([cx + 1j * cy, ci - cz], axis=2)
+        work = np.concatenate([top, bot], axis=1)
+    return work.reshape(2 ** n, 2 ** n)
+
+
 def exact_unitary(h, t: float) -> np.ndarray:
     """exp(-i t h) by scipy's Pade scaling and squaring (test oracle only).
 

@@ -22,9 +22,7 @@ from gaugesim.cli import main as cli_main
 from gaugesim.evolution import (
     dual_lattice_period,
     pauli_decompose,
-    pauli_reconstruct,
     transition_series,
-    trotter_evolve,
     vertex_amplitude,
     vertex_scan,
     wrap_momentum,
@@ -40,7 +38,7 @@ from gaugesim.hamiltonians import (
 from gaugesim.operators import herm_defect, hermitian_eig
 from gaugesim.vqe import OptimizerSettings, minimize, template
 
-from conftest import exact_unitary, random_hermitian, random_state
+from conftest import exact_unitary, pauli_reconstruct, random_hermitian, random_state
 
 POLAR_REFERENCE = 0.9980452
 
@@ -141,7 +139,8 @@ def test_criterion_6_trotter_convergence(cartesian):
     rng = np.random.default_rng(5)
     psi = random_state(rng, 256)
     exact = exact_unitary(built.matrix, 0.5) @ psi
-    errs = {n: np.linalg.norm(trotter_evolve(built, 0.5, n, psi) - exact)
+    errs = {n: np.linalg.norm(transition_series(built, psi, "all", [0.5], method="trotter",
+                                                trotter_steps=n).amplitudes[0] - exact)
             for n in (25, 50, 100, 200)}
     ratios = [errs[25] / errs[50], errs[50] / errs[100], errs[100] / errs[200]]
     ratios_ok = all(1.6 <= r <= 2.4 for r in ratios)

@@ -1,11 +1,13 @@
-"""The public names: each module's ``__all__``, the package re-exports and
-the names the demo scripts import all resolve; the demo scripts run; the
-library leaves the process environment alone."""
+"""The public names: each module's ``__all__``, the package re-exports, the
+names the demo scripts import and the names README's library tour cites all
+resolve; the demo scripts run; the library leaves the process environment
+alone."""
 
 import ast
 import importlib
 import pathlib
 import pkgutil
+import re
 import runpy
 import shutil
 
@@ -46,6 +48,26 @@ def test_demo_imports_resolve(demo):
     imports = [(m, n) for m, n in _from_imports(demo) if m.split(".")[0] == "gaugesim"]
     assert imports
     missing = [(m, n) for m, n in imports if not hasattr(importlib.import_module(m), n)]
+    assert missing == []
+
+
+def _library_tour_names():
+    """Every backticked Python name in the contents column of README's
+    "Library tour" table (module paths, config keys and formulas are not
+    plain names and are left out)."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = text.split("\n## Library tour\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in tour.splitlines() if line.startswith("| `gaugesim.")]
+    cells = [row.split(" | ", 1)[1] for row in rows]
+    return sorted({name for cell in cells for name in re.findall(r"`([^`]+)`", cell)
+                   if name.isidentifier()})
+
+
+def test_library_tour_names_resolve():
+    names = _library_tour_names()
+    assert len(names) >= 30
+    modules = [gaugesim] + [importlib.import_module(m) for m in MODULES]
+    missing = [n for n in names if not any(hasattr(mod, n) for mod in modules)]
     assert missing == []
 
 

@@ -27,8 +27,7 @@ from gaugesim.errors import (
 from gaugesim.evolution import (
     dual_lattice_period,
     momentum_state,
-    pauli_index_to_label,
-    trotter_evolve,
+    transition_series,
     vertex_amplitude,
     vertex_scan,
     wrap_momentum,
@@ -178,8 +177,7 @@ def test_size_and_dimension_errors():
         pos_q(1)
     with pytest.raises(InvalidSizeError):
         sylvester_f(1)
-    for call in (lambda: dual_lattice_period(0), lambda: wrap_momentum(1.0, 1),
-                 lambda: pauli_index_to_label(3, 0)):
+    for call in (lambda: dual_lattice_period(0), lambda: wrap_momentum(1.0, 1)):
         with pytest.raises(InvalidSizeError):
             call()
     with pytest.raises(DimensionMismatchError):
@@ -233,13 +231,14 @@ COUNTED = {
                         InvalidConfigError),
     "ansatz depth": (lambda v: ansatz_state(AnsatzConfig(n_qubits=2, depth=v, params=np.linspace(0, 1, 6))),
                      InvalidConfigError),
-    "trotter_evolve n_steps": (lambda v: trotter_evolve(_H, 0.5, v, _PSI), ValueError),
+    "transition_series trotter_steps": (
+        lambda v: transition_series(_H, _PSI, "all", [0.5], method="trotter", trotter_steps=v).amplitudes,
+        ValueError),
     "place slot": (lambda v: place(np.eye(2), v, [2, 2, 2]), DimensionMismatchError),
     "place dims": (lambda v: place(np.eye(2), 0, [2, v]), InvalidSizeError),
     "qubits_of_dim": (qubits_of_dim, NotPowerOfTwoError),
     "dual_lattice_period n": (dual_lattice_period, InvalidSizeError),
     "wrap_momentum n": (lambda v: wrap_momentum(1.0, v), InvalidSizeError),
-    "pauli_index_to_label n_qubits": (lambda v: pauli_index_to_label(3, v), InvalidSizeError),
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -21,12 +22,8 @@ from gaugesim.evolution import (
     dual_lattice_period,
     momentum_state,
     pauli_decompose,
-    pauli_index_to_label,
-    pauli_label_to_index,
-    pauli_reconstruct,
     scattering_process,
     transition_series,
-    trotter_evolve,
     vertex_amplitude,
     vertex_scan,
     wrap_momentum,
@@ -41,19 +38,13 @@ from conftest import (
     outer_vertex_scan,
     pair_trotter,
     pauli_matrix,
+    pauli_reconstruct,
     random_hermitian,
     random_state,
 )
 
 
 # ------------------------------------------------------------ decomposition
-
-
-def test_labels_round_trip():
-    assert pauli_index_to_label(0, 3) == "III"
-    assert pauli_label_to_index("ZXY") == 3 * 16 + 1 * 4 + 2
-    for idx in (0, 5, 37, 63):
-        assert pauli_label_to_index(pauli_index_to_label(idx, 3)) == idx
 
 
 def test_decompose_simple_cases():
@@ -103,10 +94,16 @@ def test_decompose_prunes_small_coefficients(rng):
 # ----------------------------------------------------------------- trotter
 
 
+def _trotter(h, t, n_steps, psi):
+    """The first-order product [prod_x exp(-i H_x t/n)]**n applied to psi:
+    the one row of a Trotter transition series at t into the whole basis."""
+    return transition_series(h, psi, "all", [t], method="trotter", trotter_steps=n_steps).amplitudes[0]
+
+
 def test_trotter_t0_identity(rng):
     h = random_hermitian(rng, 8)
     psi = random_state(rng, 8)
-    np.testing.assert_allclose(trotter_evolve(h, 0.0, 5, psi), psi, atol=1e-14)
+    np.testing.assert_allclose(_trotter(h, 0.0, 5, psi), psi, atol=1e-14)
     # a t = 0 row is psi itself, not stepped: bit for bit, signed zeros too
     psi[0] = complex(-0.0, -0.0)
     row = _apply_trotter(_groups(h), [0.0, 0.5], 3, psi)[0]
@@ -117,11 +114,11 @@ def test_trotter_t0_identity(rng):
 def test_trotter_single_term_exact(rng):
     h = 0.37 * pauli_matrix("XYZ")
     psi = random_state(rng, 8)
-    approx = trotter_evolve(h, 1.3, 1, psi)
+    approx = _trotter(h, 1.3, 1, psi)
     exact = exact_unitary(h, 1.3) @ psi
     np.testing.assert_allclose(approx, exact, atol=1e-10)
     # n_steps does not matter for a single term
-    np.testing.assert_allclose(trotter_evolve(h, 1.3, 17, psi), exact, atol=1e-10)
+    np.testing.assert_allclose(_trotter(h, 1.3, 17, psi), exact, atol=1e-10)
 
 
 def test_trotter_first_order_on_toy_pair(rng):
@@ -129,7 +126,7 @@ def test_trotter_first_order_on_toy_pair(rng):
     h = 0.7 * PAULI["X"] + 0.4 * PAULI["Z"]
     psi = random_state(rng, 2)
     exact = exact_unitary(h, 1.0) @ psi
-    errs = [np.linalg.norm(trotter_evolve(h, 1.0, n, psi) - exact) for n in (8, 16, 32, 64)]
+    errs = [np.linalg.norm(_trotter(h, 1.0, n, psi) - exact) for n in (8, 16, 32, 64)]
     orders = [np.log2(e1 / e2) for e1, e2 in zip(errs, errs[1:])]
     assert all(0.8 <= o <= 1.2 for o in orders)
 
@@ -137,7 +134,7 @@ def test_trotter_first_order_on_toy_pair(rng):
 def test_trotter_preserves_norm(rng):
     h = random_hermitian(rng, 16)
     psi = random_state(rng, 16)
-    out = trotter_evolve(h, 0.9, 7, psi)
+    out = _trotter(h, 0.9, 7, psi)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
@@ -145,7 +142,7 @@ def test_trotter_landau_convergence(rng):
     built = build_landau_cartesian(HamiltonianSpec(kind="LandauCartesian", b_field=2.0))
     psi = random_state(rng, 256)
     exact = exact_unitary(built.matrix, 0.5) @ psi
-    errs = [np.linalg.norm(trotter_evolve(built, 0.5, n, psi) - exact) for n in (25, 50, 100)]
+    errs = [np.linalg.norm(_trotter(built, 0.5, n, psi) - exact) for n in (25, 50, 100)]
     for e1, e2 in zip(errs, errs[1:]):
         assert 1.6 <= e1 / e2 <= 2.4
 
@@ -194,7 +191,7 @@ def test_trotter_step_is_ascending_mask_product(n):
         for h_x in _group_matrices(terms):
             step = expm(-1j * t / n_steps * h_x) @ step
         expected = np.linalg.matrix_power(step, n_steps) @ psi
-        np.testing.assert_allclose(trotter_evolve(h, t, n_steps, psi), expected, atol=1e-12)
+        np.testing.assert_allclose(_trotter(h, t, n_steps, psi), expected, atol=1e-12)
 
 
 def test_group_counts():
@@ -266,9 +263,9 @@ def test_run_partition():
 def test_trotter_guards(rng):
     h = 0.3 * pauli_matrix("XI")
     with pytest.raises(DimensionMismatchError):
-        trotter_evolve(h, 0.1, 3, np.ones(8))
+        _trotter(h, 0.1, 3, np.ones(8))
     with pytest.raises(ValueError):
-        trotter_evolve(h, 0.1, 0, np.ones(4))
+        _trotter(h, 0.1, 0, np.ones(4))
 
 
 @pytest.mark.parametrize("steps", [2.7, 0.5, True, False, np.bool_(True), -1, "3"])
@@ -276,25 +273,23 @@ def test_trotter_step_count_guards(rng, steps):
     h = random_hermitian(rng, 4)
     psi = random_state(rng, 4)
     with pytest.raises(ValueError, match=repr(steps)):
-        trotter_evolve(h, 1.0, steps, psi)
-    with pytest.raises(ValueError, match=repr(steps)):
         transition_series(h, psi, "all", [0.5], method="trotter", trotter_steps=steps)
+    with pytest.raises(ValueError, match=repr(steps)):
+        scattering_process(h, 0.1, 0.2, 0.5, psi, method="trotter", trotter_steps=steps)
 
 
 def test_trotter_integral_step_counts_accepted(rng):
     h = random_hermitian(rng, 4)
     psi = random_state(rng, 4)
-    expected = trotter_evolve(h, 1.0, 3, psi)
+    expected = _trotter(h, 1.0, 3, psi)
     for steps in (3.0, np.int64(3), np.float64(3.0)):
-        assert np.array_equal(trotter_evolve(h, 1.0, steps, psi), expected)
+        assert np.array_equal(_trotter(h, 1.0, steps, psi), expected)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nonfinite_times_refused(rng, bad):
     h = random_hermitian(rng, 4)
     psi = random_state(rng, 4)
-    with pytest.raises(InvalidTimesError):
-        trotter_evolve(h, bad, 3, psi)
     for method in ("exact", "trotter"):
         with pytest.raises(InvalidTimesError):
             transition_series(h, psi, "all", [0.0, bad], method=method)
@@ -308,8 +303,6 @@ def test_bool_and_string_times_refused(rng, bad):
     h = random_hermitian(rng, 4)
     psi = random_state(rng, 4)
     named = re.escape(repr(bad))
-    with pytest.raises(InvalidTimesError, match=named):
-        trotter_evolve(h, bad, 3, psi)
     for method in ("exact", "trotter"):
         with pytest.raises(InvalidTimesError, match=named):
             transition_series(h, psi, "all", [0.0, bad], method=method)
@@ -399,7 +392,7 @@ def test_transition_series_batched_matches_single_calls(rng):
     # for "all" the amplitudes are the evolved states themselves, bit for bit
     series = transition_series(h, psi_i, "all", ts, method="trotter", trotter_steps=20)
     for j, t in enumerate(ts):
-        assert np.array_equal(series.amplitudes[j], trotter_evolve(h, t, 20, psi_i))
+        assert np.array_equal(series.amplitudes[j], _trotter(h, t, 20, psi_i))
     exact = transition_series(h, psi_i, "all", ts, method="exact")
     assert np.array_equal(exact.amplitudes, _propagate(hermitian_eig(h), psi_i, ts))
 
@@ -545,7 +538,6 @@ def test_scattering_trotter_mode_close_to_exact(rng):
 _ONE_DECOMPOSITION = {
     "scattering": lambda h, psi, method: scattering_process(h, 0.9, 0.4, 1.0, psi, method=method,
                                                             trotter_steps=50),
-    "trotter_evolve": lambda h, psi, _: trotter_evolve(h, 0.4, 50, psi),
     "transition_series": lambda h, psi, method: transition_series(
         h, psi, "all", [0.0, 0.4], method=method, trotter_steps=50).amplitudes[1],
 }
@@ -554,7 +546,6 @@ _ONE_DECOMPOSITION = {
 @pytest.mark.parametrize("call, method, counted", [
     pytest.param("scattering", "exact", "hermitian_eig", id="exact-hermitian_eig"),
     pytest.param("scattering", "trotter", "pauli_decompose", id="trotter-pauli_decompose"),
-    pytest.param("trotter_evolve", "trotter", "pauli_decompose", id="trotter_evolve-pauli_decompose"),
     pytest.param("transition_series", "trotter", "pauli_decompose",
                  id="transition_series-pauli_decompose"),
 ])
@@ -571,12 +562,13 @@ def test_scattering_decomposes_once(rng, monkeypatch, call, method, counted):
     assert len(calls) == 1
     # reference: each leg evolved on its own, by expm or from a fresh decomposition
     phase = np.exp(1j * 0.9 * pos_grid(16))
+    groups = _groups(h)
     if call != "scattering":
-        expected = pair_trotter(_groups(h), [0.4], 50, psi0)[0]
+        expected = pair_trotter(groups, [0.4], 50, psi0)[0]
     elif method == "exact":
         expected = exact_unitary(h, 0.6) @ (phase * (exact_unitary(h, 0.4) @ psi0))
     else:
-        expected = trotter_evolve(h, 0.6, 50, phase * trotter_evolve(h, 0.4, 50, psi0))
+        expected = pair_trotter(groups, [0.6], 50, phase * pair_trotter(groups, [0.4], 50, psi0)[0])[0]
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
@@ -584,3 +576,65 @@ def test_scattering_time_guard(rng):
     h = _free_position_h(4)
     with pytest.raises(InvalidTimesError):
         scattering_process(h, 0.1, 1.5, 1.0, random_state(rng, 4))
+
+
+# ------------------------------------------------------- Hermiticity intake
+
+
+def _whole_matrix_checks(monkeypatch, dim):
+    """Record every ``operators.herm_defect`` call on a dim x dim matrix."""
+    import gaugesim.operators as operators
+
+    original = operators.herm_defect
+    calls = []
+
+    def counted(a):
+        if np.shape(a)[-2:] == (dim, dim):
+            calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(operators, "herm_defect", counted)
+    return calls
+
+
+_EVOLUTIONS = {
+    "exact": lambda h, psi: transition_series(h, psi, "all", [0.0, 0.5]).amplitudes,
+    "trotter": lambda h, psi: transition_series(h, psi, "all", [0.0, 0.5], method="trotter",
+                                                trotter_steps=10).amplitudes,
+    "scattering-exact": lambda h, psi: scattering_process(h, 0.9, 0.2, 0.5, psi),
+    "scattering-trotter": lambda h, psi: scattering_process(h, 0.9, 0.2, 0.5, psi, method="trotter",
+                                                            trotter_steps=10),
+}
+
+
+@pytest.mark.parametrize("call", _EVOLUTIONS)
+def test_a_build_is_not_checked_again_and_an_array_once(monkeypatch, call):
+    # the README eoh build: its builder set ``hermitian``, so no entry point
+    # checks its 256x256 matrix again; the same matrix as an array is checked once
+    from gaugesim.hamiltonians import build_landau_cartesian_position
+
+    built = build_landau_cartesian_position(HamiltonianSpec(kind="LandauCartesian", b_field=2.0))
+    psi = np.zeros(256, dtype=complex)
+    psi[8 * 16 + 8] = 1.0
+    calls = _whole_matrix_checks(monkeypatch, 256)
+    from_build = _EVOLUTIONS[call](built, psi)
+    assert calls == []
+    from_array = _EVOLUTIONS[call](built.matrix, psi)
+    assert len(calls) == 1
+    assert np.array_equal(from_array, from_build)
+
+
+def test_a_build_flagged_non_hermitian_is_refused_by_its_flag():
+    from gaugesim.hamiltonians import build_monopole_su2
+    from gaugesim.vqe import minimize, template
+
+    literal = build_monopole_su2(HamiltonianSpec(kind="MonopoleSU2", b_field=2.0))
+    assert not literal.hermitian
+    # a Hermitian matrix carrying the flag False: only the flag can refuse it
+    flagged = dataclasses.replace(
+        build_monopole_su2(HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant="HermitianPart")),
+        hermitian=False)
+    for h in (literal, flagged):
+        for call in (pauli_decompose, hermitian_eig, lambda b: minimize(b, template(9, depth=1))):
+            with pytest.raises(NotHermitianError):
+                call(h)

@@ -1,14 +1,17 @@
 """Classical outer loop minimizing the ansatz energy.
 
 The objective theta -> <psi(theta)| H |psi(theta)> is smooth, so any local
-smooth minimizer is adequate; it is SLSQP, fed with the exact
-gradient of the Ry form by adjoint differentiation: one forward and one
-backward sweep through the circuit, equal to the parameter-shift gradient
-(which would take 2P circuit runs for P parameters).  The Ry form prepares
-real states, and for a real psi and a Hermitian H, <psi|H|psi> =
-psi^T Re(H) psi exactly (Im H is antisymmetric), so the objective and its
-gradient run on float64 states against Re(H).  Runs are deterministic for
-a fixed seed.
+smooth minimizer is adequate.  It is a port of SLSQP's unconstrained core
+(``_slsqp``: Powell-damped BFGS with a quadratic-interpolation Armijo line
+search), fed with the exact gradient of the Ry form by adjoint
+differentiation: one forward and one backward sweep through the circuit,
+equal to the parameter-shift gradient (which would take 2P circuit runs for
+P parameters).  The Ry form prepares real states, and for a real psi and a
+Hermitian H, <psi|H|psi> = psi^T Re(H) psi exactly (Im H is antisymmetric),
+so the objective and its gradient run on float64 states against Re(H).
+Up to 99 parameters (9 qubits up to depth 10) every step stays on the
+calling thread, so a fixed seed gives the same trace bytes whatever the
+BLAS thread count; above that OpenBLAS threads the optimizer's solve.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 
 from .circuits import AnsatzConfig, adjoint_gradient, ansatz_state
 from .errors import DimensionMismatchError, NotHermitianError, read_number
@@ -64,8 +66,9 @@ class OptimizerSettings:
 class VqeResult:
     """Outcome of a run: best energy, its parameters, and the trace.
 
-    ``trace`` holds (iteration, energy) pairs, one per accepted optimizer
-    iterate (plus the initial point and the returned optimum);
+    ``trace`` holds (iteration, energy) pairs: the start, one per optimizer
+    iteration and the returned point, so a run whose budget runs out has
+    ``max_iter`` + 2 rows;
     ``trace_evaluations`` gives the cumulative count of circuit runs (points
     at which the state was prepared; the energy and the gradient at one
     point share a run) when each row was recorded, and ``evaluations`` the
@@ -156,42 +159,88 @@ def energy_gradient(h, ansatz: AnsatzConfig, params) -> np.ndarray:
     return objective.gradient(params)
 
 
+def _slsqp(f, x0: np.ndarray, max_iter: int, tol: float):
+    """SLSQP without constraints (Kraft, DFVLR-FB 88-28, 1988).
+
+    The QP step is then the quasi-Newton direction d = -B^-1 g, with B = I
+    at the start and after a direction that does not descend (at most five
+    times in all; then the run stops).  The line search tries s = d, takes
+    a trial once f - f0 <= g.s / 10 or at the 11th, and otherwise scales s
+    by max(g.s / (2 (g.s - (f - f0))), 0.1), the minimum of the quadratic
+    through f0, g.s and f.  B then takes Powell's damped BFGS update: where
+    s.y < 0.2 s.Bs, y is blended towards Bs until s.y = 0.2 s.Bs.  The run
+    succeeds once |g.d| < tol or, after a line search, |f - f0| < tol or
+    |s| < tol.
+
+    ``f`` gives ``energy(x)``, ``gradient(x)`` at the point of the last
+    energy, and ``runs``.  Returns the rows (x, energy, runs): the start,
+    one per iteration (the point its line search took, or where the
+    gradient test stopped it) and the returned point; and the success flag.
+    A non-finite energy ends the run, unconverged, at the last finite row.
+    """
+    x, fx = x0, f.energy(x0)
+    rows = [(x, fx, f.runs)]
+    success = False
+    if np.isfinite(fx):
+        g = f.gradient(x)
+        b = np.eye(len(x))
+        resets = 1
+        for _ in range(max_iter):
+            d = -np.linalg.solve(b, g)
+            gd = float(g @ d)
+            if gd >= tol and resets < 5:  # neither descent nor converged
+                b, resets = np.eye(len(x)), resets + 1
+                d, gd = -g, -float(g @ g)
+            if abs(gd) < tol:
+                rows.append((x, fx, f.runs))
+                success = True
+                break
+            if gd >= 0.0:
+                break
+            x_start, f_start, s, gs, alpha = x, fx, d, gd, 1.0
+            for trial in range(1, 12):
+                gs *= alpha
+                s = alpha * s
+                x = x_start + s
+                fx = f.energy(x)
+                if not np.isfinite(fx) or fx - f_start <= gs / 10 or trial == 11:
+                    break
+                alpha = max(gs / (2.0 * (gs - (fx - f_start))), 0.1)
+            if not np.isfinite(fx):
+                break
+            rows.append((x, fx, f.runs))
+            if abs(fx - f_start) < tol or np.linalg.norm(s) < tol:
+                success = True
+                break
+            g_new = f.gradient(x)
+            y, g = g_new - g, g_new
+            b_s = b @ s
+            sy, s_b_s = float(s @ y), float(s @ b_s)
+            if sy < 0.2 * s_b_s:
+                theta = 0.8 * s_b_s / (s_b_s - sy)
+                y = theta * y + (1.0 - theta) * b_s
+                sy = 0.2 * s_b_s
+            b = b + np.outer(y, y) / sy - np.outer(b_s, b_s) / s_b_s
+    rows.append((*rows[-1][:2], f.runs))
+    return rows, success
+
+
 def _single_run(h_real, ansatz, opt: OptimizerSettings, seed: int):
     x0 = np.random.default_rng(seed).uniform(-np.pi, np.pi, ansatz.n_params)
-
     f = _RealObjective(h_real, ansatz)
-    trace = [(0, f.energy(x0))]
-    trace_x = [x0.copy()]
-    trace_evals = [f.runs]
+    rows, success = _slsqp(f, x0, opt.max_iter, opt.tolerance)
 
-    def callback(xk, *unused):
-        trace.append((len(trace), f.energy(xk)))
-        trace_x.append(np.array(xk, dtype=float))
-        trace_evals.append(f.runs)
-
-    res = scipy.optimize.minimize(
-        f.energy,
-        x0,
-        jac=f.gradient,
-        method="SLSQP",
-        callback=callback,
-        options={"maxiter": opt.max_iter, "ftol": opt.tolerance},
-    )
-    trace.append((len(trace), f.energy(res.x)))
-    trace_x.append(np.array(res.x, dtype=float))
-    trace_evals.append(f.runs)
-
-    energies = np.array([e for _, e in trace])
+    energies = np.array([e for _, e, _ in rows])
     k_best = int(np.argmin(energies))
     tail = energies[-6:]
     settled = len(tail) >= 6 and np.all(np.abs(np.diff(tail)) < opt.tolerance)
     return VqeResult(
         energy=float(energies[k_best]),
-        params=trace_x[k_best],
-        trace=trace,
-        trace_evaluations=trace_evals,
+        params=rows[k_best][0],
+        trace=list(enumerate(energies.tolist())),
+        trace_evaluations=[runs for _, _, runs in rows],
         evaluations=f.runs,
-        converged=bool(res.success or settled),
+        converged=bool(success or settled),
     )
 
 

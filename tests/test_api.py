@@ -1,15 +1,18 @@
 """The public names: each module's ``__all__``, the package re-exports, the
 names the demo scripts import and the names README's library tour cites all
 resolve; the demo scripts run; the library leaves the process environment
-alone."""
+alone, and imports no third-party package beyond its declared dependencies."""
 
 import ast
 import importlib
+import json
 import pathlib
 import pkgutil
 import re
 import runpy
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -107,3 +110,55 @@ def test_library_sets_no_environment_variable():
         text = path.read_text(encoding="utf-8")
         assert "OPENBLAS_" not in text, path.name
         assert not any(_writes_environ(n) for n in ast.walk(ast.parse(text))), path.name
+
+
+def _imported_top_levels(path):
+    """Top-level package of every absolute import in a file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_library_imports_exactly_its_declared_dependencies():
+    # pyproject's dependencies are the third-party packages src/gaugesim
+    # imports, no more and no fewer (scipy is a test extra only)
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in project["dependencies"]}
+    sources = sorted(pathlib.Path(gaugesim.__file__).parent.glob("*.py"))
+    imported = {name for path in sources for name in _imported_top_levels(path)}
+    assert imported - set(sys.stdlib_module_names) - {"gaugesim"} == declared
+
+
+_FRESH_RUN = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import gaugesim.cli
+for command, config in zip(sys.argv[2::2], sys.argv[3::2]):
+    assert gaugesim.cli.main([command, "--config", config, "--quiet"]) == 0, command
+print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # a fresh interpreter runs spectrum, eoh and vqe through cli.main and
+    # never loads scipy
+    configs = {
+        "spectrum": {"hamiltonian": {"kind": "LandauPolar", "b_field": 2.0}},
+        "eoh": {"hamiltonian": {"kind": "LandauCartesian", "b_field": 2.0, "boson_trunc": 4},
+                "evolution": {"t_max": 0.5, "t_points": 3, "trotter_steps": 10}},
+        "vqe": {"hamiltonian": {"kind": "LandauPolar", "b_field": 2.0},
+                "ansatz": {"depth": 1}, "optimizer": {"max_iter": 5, "seed": 3}},
+    }
+    argv = []
+    for command, cfg in configs.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(dict(cfg, output=str(tmp_path / f"{command}.csv"))))
+        argv += [command, str(path)]
+    src = str(pathlib.Path(gaugesim.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN, src, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gaugesim
 from gaugesim.cli import main
 
 
@@ -358,3 +363,37 @@ def test_bad_input_exit_code_and_one_line_message(tmp_path, capsys, command, cfg
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert not out.exists()
 
+
+
+_RUN_CONFIGS = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import gaugesim.cli
+for config in sys.argv[2:]:
+    assert gaugesim.cli.main(["vqe", "--config", config, "--quiet"]) == 0, config
+"""
+
+
+def test_vqe_traces_do_not_depend_on_blas_threads(tmp_path):
+    # README's six vqe configs give the same trace bytes at 1 and 2 BLAS threads
+    hamiltonians = {"cartesian": {"kind": "LandauCartesian", "b_field": 2.0},
+                    "polar": {"kind": "LandauPolar", "b_field": 2.0},
+                    "monopole": {"kind": "MonopoleSU2", "b_field": 2.0, "variant": "HermitianPart"}}
+    src = str(pathlib.Path(gaugesim.__file__).resolve().parents[1])
+    traces = {}
+    for threads in ("1", "2"):
+        configs = []
+        for name, spec in hamiltonians.items():
+            for entangler in ("cz", "cx"):
+                path = tmp_path / f"{name}_{entangler}_{threads}.json"
+                path.write_text(json.dumps({
+                    "hamiltonian": spec, "ansatz": {"depth": 3, "entangler": entangler},
+                    "optimizer": {"max_iter": 600, "seed": 11, "tolerance": 1e-9, "restarts": 1},
+                    "output": str(path.with_suffix(".csv"))}))
+                configs.append(path)
+        proc = subprocess.run([sys.executable, "-c", _RUN_CONFIGS, src, *map(str, configs)],
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        traces[threads] = [path.with_suffix(".csv").read_bytes() for path in configs]
+    assert traces["1"] == traces["2"]

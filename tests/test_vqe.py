@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 from gaugesim import circuits, vqe
 from gaugesim.errors import DimensionMismatchError, InvalidConfigError, NotHermitianError
@@ -135,6 +136,8 @@ def test_budget_exhaustion_returns_best_so_far():
     res = minimize(built, template(4, depth=3), OptimizerSettings(seed=11, max_iter=3))
     assert np.isfinite(res.energy)
     assert not res.converged
+    assert len(res.trace) == 3 + 2  # the start, max_iter iterates, the returned point
+    assert res.trace_evaluations[-1] == res.evaluations
 
 
 def test_optimizer_settings_validate_themselves():
@@ -183,3 +186,103 @@ def test_trace_csv_format(tmp_path):
     assert len(lines) == len(res.trace) + 1
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) == res.trace[0][1]
+
+
+class Quadratic:
+    """f(x) = (x - c)^T A (x - c) / 2, with the objective interface of
+    ``vqe._slsqp``; ``nan_inside`` makes f NaN within that distance of c,
+    and ``steep`` scales the gradient."""
+
+    def __init__(self, a, c, nan_inside=0.0, steep=1.0):
+        self.a, self.c, self.runs = np.asarray(a, float), np.asarray(c, float), 0
+        self.nan_inside, self.steep = nan_inside, steep
+
+    def energy(self, x):
+        self.runs += 1
+        r = x - self.c
+        return np.nan if np.linalg.norm(r) < self.nan_inside else 0.5 * float(r @ self.a @ r)
+
+    def gradient(self, x):
+        return self.steep * (self.a @ (x - self.c))
+
+
+ILL_CONDITIONED = np.diag([1.0, 10.0, 100.0, 1000.0])
+
+
+def test_slsqp_core_solves_a_convex_quadratic():
+    q = Quadratic(ILL_CONDITIONED + 0.3, [1.0, -2.0, 0.5, 3.0])
+    rows, success = vqe._slsqp(q, np.zeros(4), 100, 1e-12)
+    assert success
+    np.testing.assert_allclose(rows[-1][0], q.c, atol=1e-6)
+    assert rows[-1][1] < 1e-12
+    assert len(rows) < 100
+    assert [r for _, _, r in rows] == sorted(r for _, _, r in rows)
+    assert rows[-1][2] == q.runs
+
+
+def test_slsqp_core_budget_gives_max_iter_iterates():
+    q = Quadratic(ILL_CONDITIONED, [1.0, -2.0, 0.5, 3.0])
+    for max_iter in (1, 2, 3):
+        rows, success = vqe._slsqp(q, np.zeros(4), max_iter, 1e-12)
+        assert not success
+        assert len(rows) == max_iter + 2  # the start, max_iter iterates, the returned point
+
+
+def test_slsqp_core_stops_on_a_non_finite_energy():
+    # the first step lands inside the NaN ball around c: the run ends there
+    q = Quadratic(np.eye(2), [0.0, 0.0], nan_inside=0.5)
+    rows, success = vqe._slsqp(q, np.array([2.0, 1.0]), 1000, 1e-9)
+    assert not success
+    assert q.runs == 2
+    assert len(rows) == 2 and all(np.isfinite(e) for _, e, _ in rows)
+    # a non-finite start ends the run before any step
+    q = Quadratic(np.eye(2), [0.0, 0.0], nan_inside=5.0)
+    rows, success = vqe._slsqp(q, np.array([2.0, 1.0]), 1000, 1e-9)
+    assert not success and q.runs == 1 and len(rows) == 2
+
+
+def test_slsqp_core_line_search_matches_scipy_when_no_trial_passes():
+    # a gradient 1000x too steep: no trial passes Armijo's test, and the line
+    # search takes its 11th trial, as scipy's does
+    q, ref = Quadratic(np.eye(1), [0.0], steep=1000.0), Quadratic(np.eye(1), [0.0], steep=1000.0)
+    rows, _ = vqe._slsqp(q, np.array([1.0]), 1, 1e-9)
+    res = scipy.optimize.minimize(ref.energy, np.array([1.0]), jac=ref.gradient, method="SLSQP",
+                                  options={"maxiter": 1, "ftol": 1e-9})
+    assert q.runs == ref.runs == 1 + 11
+    np.testing.assert_allclose(rows[-1][0], res.x, rtol=1e-14)
+
+
+def scipy_slsqp(h, ans, opt):
+    """Reference: scipy's SLSQP on the same objective from the same start.
+    Returns its result and the circuit runs it took."""
+    f = vqe._RealObjective(vqe._real_part(h), ans)
+    x0 = np.random.default_rng(opt.seed).uniform(-np.pi, np.pi, ans.n_params)
+    res = scipy.optimize.minimize(f.energy, x0, jac=f.gradient, method="SLSQP",
+                                  options={"maxiter": opt.max_iter, "ftol": opt.tolerance})
+    return res, f.runs
+
+
+@pytest.mark.parametrize("problem, depth, entangler",
+                         [("polar", 3, "cz"), ("polar", 3, "cx"), ("random", 2, "cz"), ("random", 2, "cx")])
+def test_matches_scipy_slsqp(problem, depth, entangler, rng):
+    # At the default tolerance 1e-9 both stop on |f - f0| < tol, and on the
+    # polar's flat valleys a path that parts from scipy's at rounding level
+    # can stop 2e-8 to 1e-7 away (seed 7 at depth 2 and 3); at 1e-12 both
+    # reach the minimum they head for.
+    if problem == "polar":
+        h, n = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0)).matrix, 4
+    else:
+        h, n = random_hermitian(rng, 8), 3
+    ans = template(n, depth=depth, entangler=entangler)
+    both = 0
+    for seed in range(1, 5):
+        opt = OptimizerSettings(seed=seed, max_iter=600, tolerance=1e-12)
+        res = minimize(h, ans, opt)
+        reference, runs = scipy_slsqp(h, ans, opt)
+        if res.converged and reference.success:
+            both += 1
+            assert abs(res.energy - reference.fun) <= 1e-8, seed
+        if problem == "random":
+            # these paths do not part: the same iterations and circuit runs
+            assert (len(res.trace) - 2, res.evaluations) == (reference.nit, runs), seed
+    assert both >= 3

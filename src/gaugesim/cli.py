@@ -23,6 +23,7 @@ from .basis import pos_grid
 from .circuits import AnsatzConfig
 from .errors import GaugesimError, InvalidConfigError, read_fields, read_number
 from .evolution import (
+    _write_rows,
     dual_lattice_period,
     transition_series,
     vertex_scan,
@@ -85,10 +86,7 @@ def _write_csv(path, header, *columns):
     """Numeric columns as CSV, every cell formatted with .17g."""
     table = np.column_stack(columns)
     _require_finite(table, path)
-    row = ",".join(["{:.17g}"] * table.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.writelines(row.format(*cells) for cells in table.tolist())
+    _write_rows(path, header, table)
 
 
 def _say(args, text):

@@ -47,14 +47,17 @@ __all__ = [
     "scattering_process",
 ]
 
-_DIGITS = "IXYZ"
 _X_BITS = str.maketrans("IXYZ", "0110")
 
 
-def _label(index: int, n_qubits: int) -> str:
-    """The Pauli string at base-4 ``index`` of the transform's output, one
-    character per qubit, qubit 0 from the most significant digit pair."""
-    return "".join(_DIGITS[(index >> 2 * (n_qubits - 1 - q)) & 3] for q in range(n_qubits))
+def _labels(indices: np.ndarray, n_qubits: int) -> list:
+    """The Pauli strings at the base-4 ``indices`` of the transform's output,
+    one character per qubit, qubit 0 from the most significant digit pair:
+    the digits of every index at once, looked up in b"IXYZ" and read as
+    ``n_qubits``-byte strings."""
+    digits = (indices[:, None] >> 2 * np.arange(n_qubits - 1, -1, -1)) & 3
+    table = np.frombuffer(b"IXYZ", dtype=np.uint8)[digits]
+    return table.view(f"S{n_qubits}").ravel().astype(str).tolist()
 
 
 @dataclass
@@ -105,7 +108,7 @@ def pauli_decompose(h) -> PauliTermList:
         raise NotHermitianError(f"complex Pauli coefficients (residue {resid:.3e})")
     real = coeffs.real
     keep = np.nonzero(np.abs(real) > 1e-12 * scale)[0]
-    terms = [(_label(int(i), n), float(real[i])) for i in keep]
+    terms = list(zip(_labels(keep, n), real[keep].tolist()))
     return PauliTermList(n_qubits=n, terms=terms)
 
 
@@ -334,10 +337,16 @@ def write_transition_csv(series: TransitionSeries, path):
     table[:, 1::3] = series.amplitudes.real
     table[:, 2::3] = series.amplitudes.imag
     table[:, 3::3] = series.probabilities()
-    row = ",".join(["{:.17g}"] * table.shape[1]) + "\n"
+    _write_rows(path, "t," + ",".join(cols), table)
+
+
+def _write_rows(path, header: str, table: np.ndarray):
+    """``header`` and one line per row of ``table``, every cell formatted
+    %.17g, enough digits to read each float back exactly."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t," + ",".join(cols) + "\n")
-        fh.writelines(row.format(*cells) for cells in table.tolist())
+        fh.write(header + "\n")
+        fh.writelines(row % tuple(cells) for cells in table.tolist())
 
 
 def momentum_state(k: int, n: int) -> np.ndarray:

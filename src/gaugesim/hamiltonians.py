@@ -26,8 +26,23 @@ from typing import Mapping
 import numpy as np
 
 from . import basis
-from .errors import GaugesimError, InvalidSpecError, NotPowerOfTwoError, read_fields, read_number
-from .operators import HERM_TOL, MAX_QUBITS, _spectral, hermitian_eig, is_hermitian, qubits_of_dim
+from .errors import (
+    GaugesimError,
+    InvalidSpecError,
+    NotHermitianError,
+    NotPowerOfTwoError,
+    read_fields,
+    read_number,
+)
+from .operators import (
+    HERM_TOL,
+    MAX_QUBITS,
+    EigenSystem,
+    _spectral,
+    hermitian_eig,
+    is_hermitian,
+    qubits_of_dim,
+)
 
 __all__ = [
     "HamiltonianSpec",
@@ -158,6 +173,12 @@ class BuiltHamiltonian:
     every diagonal block is Hermitian, so H is block upper-triangular
     (block diagonal when H is Hermitian) and its spectrum is the union of
     the diagonal blocks' spectra.
+
+    ``orbits``, when set, is the orbit table of a quarter-turn R of the
+    basis that H commutes with exactly (row o: s_o, R s_o, R^2 s_o,
+    R^3 s_o).  Its four phase sectors, spanned by the combinations
+    1/2 sum_j i**-(k j) e_(R^j s_o) of each orbit (k = 0..3), then take the
+    place of the blocks: ``spectrum`` and ``eigensystem`` solve them.
     """
 
     matrix: np.ndarray
@@ -165,6 +186,7 @@ class BuiltHamiltonian:
     hermitian: bool
     qubits: int
     blocks: tuple
+    orbits: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -172,8 +194,29 @@ class BuiltHamiltonian:
 
     def spectrum(self) -> np.ndarray:
         """Ascending eigenvalues: the union over the Hermitian diagonal blocks."""
-        stacks = _diagonal_blocks(self.matrix, self.blocks)
-        return np.sort(np.concatenate([np.linalg.eigvalsh(sub).ravel() for sub in stacks]))
+        stacks = _diagonal_blocks(self.matrix, self.blocks, self.orbits)
+        return np.sort(np.concatenate([np.linalg.eigvalsh(sub).ravel() for sub, _, _ in stacks]))
+
+    def eigensystem(self) -> EigenSystem:
+        """Ascending eigenvalues and their eigenvectors in the basis of
+        ``matrix``, from one ``eigh`` per stack of diagonal blocks; what
+        ``operators.hermitian_eig`` returns for a build.  NotHermitianError
+        unless ``hermitian``: a block upper-triangular H is not diagonalized
+        by its blocks' eigenvectors."""
+        if not self.hermitian:
+            raise NotHermitianError(f"{self.spec.kind}: the build is not Hermitian")
+        values, vectors, start = [], np.zeros(self.matrix.shape, dtype=np.complex128), 0
+        for sub, tables, phases in _diagonal_blocks(self.matrix, self.blocks, self.orbits):
+            lam, u = np.linalg.eigh(sub)
+            count, size = tables.shape[:2]
+            # eigenvector e of sector c: sum_o u[c, o, e] sum_j phases[c, j] e_(tables[c, o, j])
+            cols = start + np.arange(count * size).reshape(count, 1, 1, size)
+            vectors[tables[..., None], cols] = phases[:, None, :, None] * u[:, :, None, :]
+            values.append(lam.ravel())
+            start += count * size
+        values = np.concatenate(values)
+        order = np.argsort(values, kind="stable")
+        return EigenSystem(values=values[order], vectors=vectors[:, order])
 
     def lowest_eigenvalue(self) -> float:
         """Ground energy: the lowest eigenvalue."""
@@ -186,32 +229,74 @@ def _blocks_by(keys) -> tuple:
     return tuple(np.flatnonzero(keys == k) for k in np.unique(keys))
 
 
-def _diagonal_blocks(matrix: np.ndarray, blocks: tuple) -> list:
-    """The diagonal blocks of ``matrix``, one (count, size, size) stack per block size."""
+#: [k, m] = i**-(k m), exactly: the quarter-turn sectors' phase factors
+_QUARTER = np.array([1.0, -1j, -1.0, 1j])[np.outer(np.arange(4), np.arange(4)) % 4]
+
+
+def _diagonal_blocks(matrix: np.ndarray, blocks: tuple, orbits=None) -> list:
+    """The diagonal blocks of ``matrix``, one (sub, tables, phases) per stack
+    of equal-sized sectors: sub[c] is sector c's block, and its basis vector
+    o is sum_j phases[c, j] e_(tables[c, o, j]).
+
+    A block is a plain index set (one index, phase 1), so sub[c] is a
+    gather.  With ``orbits`` the sectors are the quarter-turn's four phase
+    sectors instead (see ``BuiltHamiltonian``): as H[R a, R b] = H[a, b],
+    sub[k][o, o'] = sum_m i**-(k m) H[s_o, R^m s_o'], four gathers and no
+    dense change of basis.
+    """
+    if orbits is not None:
+        parts = matrix[orbits[:, None, :1], orbits[None, :, :]]  # [o, o', m] = H[s_o, R^m s_o']
+        sub = parts[..., 0] + sum(_QUARTER[:, m, None, None] * parts[..., m] for m in (1, 2, 3))
+        return [(sub, np.broadcast_to(orbits, (4,) + orbits.shape), _QUARTER / 2)]
     stacks = []
     for size in sorted({len(b) for b in blocks}):
         idx = np.stack([b for b in blocks if len(b) == size])
-        stacks.append(matrix[idx[:, :, None], idx[:, None, :]])
+        stacks.append((matrix[idx[:, :, None], idx[:, None, :]], idx[:, :, None], np.ones((len(idx), 1))))
     return stacks
 
 
-def _finish(matrix: np.ndarray, spec: HamiltonianSpec, labels) -> BuiltHamiltonian:
+def _quarter_orbits(rotation: np.ndarray) -> np.ndarray:
+    """Orbit table of the basis permutation ``rotation`` (R), one row
+    s_o, R s_o, R^2 s_o, R^3 s_o per orbit with s_o its smallest index;
+    GaugesimError unless R^4 = 1 and every orbit has four indices."""
+    table = [np.arange(len(rotation))]
+    for _ in range(3):
+        table.append(rotation[table[-1]])
+    table = np.stack(table, axis=1)
+    orbits = table[table.min(axis=1) == table[:, 0]]
+    if not (np.array_equal(rotation[table[:, 3]], table[:, 0]) and 4 * len(orbits) == len(rotation)):
+        raise GaugesimError("the rotation is not a quarter-turn with orbits of four")
+    return orbits
+
+
+def _finish(matrix: np.ndarray, spec: HamiltonianSpec, labels, rotation=None) -> BuiltHamiltonian:
     """Wrap a built matrix given each basis index's sector label (or one for
     all), refusing an entry below the sector blocks or a non-Hermitian
     block.  The whole matrix's Hermiticity defect is then the larger of the
     blocks' and the largest entry above them, so ``hermitian`` holds exactly
-    when that entry is within ``HERM_TOL`` of the largest entry of all."""
+    when that entry is within ``HERM_TOL`` of the largest entry of all.
+
+    A builder that passes a ``rotation`` (a quarter-turn permutation of the
+    basis, as index array) also needs H to commute with it bit for bit,
+    H[R a, R b] == H[a, b], the sector-basis form of the zeros below the
+    blocks; the Hermiticity check then runs on its four phase sectors.
+    """
     labels = np.broadcast_to(labels, matrix.shape[:1])
     if np.any(matrix[labels[:, None] > labels[None, :]]):
         raise GaugesimError(f"{spec.kind}: non-zero entry below its diagonal blocks")
+    orbits = None
+    if rotation is not None:
+        orbits = _quarter_orbits(rotation)
+        if not np.array_equal(matrix[rotation[:, None], rotation], matrix):
+            raise GaugesimError(f"{spec.kind}: does not commute exactly with its quarter-turn")
     blocks = _blocks_by(labels)
     above = scale = np.abs(matrix[labels[:, None] < labels[None, :]]).max(initial=0.0)
-    for sub in _diagonal_blocks(matrix, blocks):
+    for sub, _, _ in _diagonal_blocks(matrix, blocks, orbits):
         if not np.all(is_hermitian(sub)):
             raise GaugesimError(f"{spec.kind}: a diagonal block of size {sub.shape[1]} is not Hermitian")
         scale = max(scale, np.abs(sub).max())
     return BuiltHamiltonian(matrix=matrix, spec=spec, hermitian=bool(above <= HERM_TOL * scale),
-                            qubits=qubits_of_dim(len(labels)), blocks=blocks)
+                            qubits=qubits_of_dim(len(labels)), blocks=blocks, orbits=orbits)
 
 
 def build_landau_cartesian(spec: HamiltonianSpec, squares: str = "projected") -> BuiltHamiltonian:
@@ -253,13 +338,24 @@ def build_landau_cartesian_position(spec: HamiltonianSpec) -> BuiltHamiltonian:
     convention is moot here: the position matrix is diagonal and the
     momentum matrix is an exact unitary conjugation of it, so literal
     squares already equal the conjugated squares.
+
+    H commutes with the quarter-turn (x, y) -> (-y, x) of the grid, and
+    the build makes that exact: q is antisymmetric under the grid reversal
+    J bit for bit, p and p^2 are made so by p <- (p - JpJ)/2 and
+    p^2 <- (p^2 + Jp^2J)/2 (a change of at most a few ulp), and the
+    turn then maps each Kronecker term onto its partner.  So its four
+    64x64 phase sectors (at 16x16 points) carry every eigen-solve.
     """
     if spec.kind != "LandauCartesian":
         raise InvalidSpecError(f"build_landau_cartesian_position got kind {spec.kind!r}")
     n = spec.boson_trunc
     q, p = basis.pos_q(n), basis.pos_p(n)
-    mats = (q, p, q @ q, p @ p)
-    return _finish(_landau_cartesian_matrix(spec, n, *mats), spec, 0)
+    rev = np.arange(n)[::-1]
+    p2 = p @ p
+    p, p2 = 0.5 * (p - p[rev][:, rev]), 0.5 * (p2 + p2[rev][:, rev])
+    ix, iy = np.divmod(np.arange(n * n), n)  # index ix * n + iy, turned to (n - 1 - iy, ix)
+    return _finish(_landau_cartesian_matrix(spec, n, q, p, q @ q, p2), spec, 0,
+                   rotation=(n - 1 - iy) * n + ix)
 
 
 def _cartesian_factor_mats(q, p, squares, q2_proj, p2_proj):

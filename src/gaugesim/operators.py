@@ -88,12 +88,17 @@ class EigenSystem:
 def hermitian_eig(a) -> EigenSystem:
     """Diagonalize a Hermitian operator (ascending real spectrum).
 
-    ``a`` is a matrix or a build (see ``as_operator``).  Raises
-    NotHermitianError when ``is_hermitian(a)`` fails.  Backed by LAPACK's
-    dense Hermitian solver, which is robust and deterministic at these sizes.
+    A build (anything with an ``eigensystem``, in practice a
+    BuiltHamiltonian) answers from its own symmetry sectors, and refuses
+    itself unless flagged Hermitian.  A matrix (see ``as_operator``) raises
+    NotHermitianError when ``is_hermitian`` fails, and goes whole to
+    LAPACK's dense Hermitian solver, which is robust and deterministic at
+    these sizes.
     """
+    if hasattr(a, "eigensystem"):
+        return a.eigensystem()
     m = as_operator(a)
-    if not is_hermitian(a):
+    if not is_hermitian(m):
         raise NotHermitianError(
             f"hermitian_eig: matrix is not Hermitian to tolerance {HERM_TOL:g} "
             f"(defect {herm_defect(m):.3e})"

@@ -87,6 +87,23 @@ def test_monopole_spectrum_and_vqe_solve_only_blocks(tmp_path, monkeypatch, caps
     assert max(d for _, d in solved) <= 32, solved
 
 
+#: README's eoh config: the 16x16 position grid at B = 2, both methods
+_README_EOH = {"hamiltonian": {"kind": "LandauCartesian", "b_field": 2.0},
+               "evolution": {"t_max": 1.0, "t_points": 11, "trotter_steps": 100, "method": "Both"}}
+
+
+def test_eoh_solves_no_eigenproblem_above_64(tmp_path, monkeypatch):
+    # the exact propagator of the 256-point grid comes from its four 64x64
+    # quarter-turn sectors, never from a 256x256 solve
+    solved = []
+    for name in ("eig", "eigvals", "eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *r, _n=name, _f=solver, **k:
+                            solved.append((_n, np.shape(a))) or _f(a, *r, **k))
+    assert run(tmp_path, "eoh", dict(_README_EOH, output=str(tmp_path / "eoh.csv"))) == 0
+    assert solved == [("eigh", (4, 64, 64))], solved
+
+
 def test_variant_flag_override(tmp_path, capsys):
     out = tmp_path / "hp.csv"
     cfg = {
@@ -397,3 +414,26 @@ def test_vqe_traces_do_not_depend_on_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         traces[threads] = [path.with_suffix(".csv").read_bytes() for path in configs]
     assert traces["1"] == traces["2"]
+
+
+_RUN_EOH = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import gaugesim.cli
+assert gaugesim.cli.main(["eoh", "--config", sys.argv[2], "--quiet"]) == 0
+"""
+
+
+def test_eoh_csvs_do_not_depend_on_blas_threads(tmp_path):
+    # README's eoh config gives the same exact and Trotter bytes at 1 and 2 BLAS threads
+    src = str(pathlib.Path(gaugesim.__file__).resolve().parents[1])
+    csvs = {}
+    for threads in ("1", "2"):
+        path = tmp_path / f"eoh_{threads}.json"
+        path.write_text(json.dumps(dict(_README_EOH, output=str(tmp_path / f"eoh_{threads}.csv"))))
+        proc = subprocess.run([sys.executable, "-c", _RUN_EOH, src, str(path)],
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        csvs[threads] = [(tmp_path / f"eoh_{threads}_{m}.csv").read_bytes() for m in ("exact", "trotter")]
+    assert csvs["1"] == csvs["2"]

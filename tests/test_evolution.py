@@ -18,7 +18,9 @@ from gaugesim.evolution import (
     TransitionSeries,
     _apply_trotter,
     _groups,
+    _labels,
     _mask_runs,
+    _write_rows,
     dual_lattice_period,
     momentum_state,
     pauli_decompose,
@@ -89,6 +91,27 @@ def test_decompose_prunes_small_coefficients(rng):
     h = pauli_matrix("XZ") * 2.0 + np.eye(4) * 1e-15
     terms = pauli_decompose(h)
     assert [lab for lab, _ in terms.terms] == ["XZ"]
+
+
+def _label(index, n_qubits):
+    """One Pauli string, character by character: qubit q is base-4 digit
+    n_qubits - 1 - q of ``index`` (0 I, 1 X, 2 Y, 3 Z)."""
+    return "".join("IXYZ"[(index >> 2 * (n_qubits - 1 - q)) & 3] for q in range(n_qubits))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_labels_match_one_label_at_a_time(n, rng):
+    size = 4 ** n
+    indices = np.arange(size) if size <= 4096 else np.concatenate(
+        [[0, 1, size - 2, size - 1], np.sort(rng.choice(size, 2000, replace=False))])
+    labels = _labels(indices, n)
+    assert labels == [_label(int(i), n) for i in indices]
+    assert all(type(lab) is str for lab in labels)
+
+
+def test_decompose_keeps_plain_labels_and_floats(rng):
+    terms = pauli_decompose(random_hermitian(rng, 8)).terms
+    assert terms and all(type(lab) is str and type(c) is float for lab, c in terms)
 
 
 # ----------------------------------------------------------------- trotter
@@ -416,6 +439,19 @@ def test_transition_csv(tmp_path, rng):
     np.testing.assert_array_equal(np.loadtxt(path, delimiter=",", skiprows=1)[:, 3::3], probs)
 
 
+def test_row_writer_matches_str_format_bytes(tmp_path):
+    # -0.0, the smallest subnormal, a huge value, an integral float and
+    # ordinary ones: %-formatting writes the bytes str.format wrote
+    table = np.array([[-0.0, 5e-324, 1e308, 3.0],
+                      [0.1, -2.5e-17, np.pi, 1.0 / 3.0],
+                      [123456789.0, -1e-300, 2.0 ** 0.5, 0.0]])
+    path = tmp_path / "rows.csv"
+    _write_rows(path, "a,b,c,d", table)
+    row = ",".join(["{:.17g}"] * 4) + "\n"
+    expected = "a,b,c,d\n" + "".join(row.format(*cells) for cells in table.tolist())
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 # ------------------------------------------------------- momentum / vertex
 
 
@@ -621,7 +657,17 @@ def test_a_build_is_not_checked_again_and_an_array_once(monkeypatch, call):
     assert calls == []
     from_array = _EVOLUTIONS[call](built.matrix, psi)
     assert len(calls) == 1
-    assert np.array_equal(from_array, from_build)
+    if "trotter" in call:
+        assert np.array_equal(from_array, from_build)
+        return
+    # exact: the build solves its four quarter-turn sectors, the array goes
+    # to one dense eigh, so each is held to the expm oracle instead
+    phase = np.exp(1j * 0.9 * pos_grid(256))  # the vertex as scattering_process inserts it
+    expected = (exact_unitary(built.matrix, 0.3) @ (phase * (exact_unitary(built.matrix, 0.2) @ psi))
+                if call.startswith("scattering") else
+                np.stack([psi, exact_unitary(built.matrix, 0.5) @ psi]))
+    for result in (from_build, from_array):
+        np.testing.assert_allclose(result, expected, rtol=0, atol=1e-12)
 
 
 def test_a_build_flagged_non_hermitian_is_refused_by_its_flag():

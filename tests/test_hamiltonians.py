@@ -509,6 +509,73 @@ def test_polar_and_position_builds_have_one_block():
         np.testing.assert_allclose(built.spectrum(), np.linalg.eigvalsh(built.matrix), rtol=0, atol=1e-12)
 
 
+def _quarter_turn(n):
+    """rot[(ix, iy)] = (n - 1 - iy, ix) on the n x n grid, index ix * n + iy."""
+    ix, iy = np.unravel_index(np.arange(n * n), (n, n))
+    return (n - 1 - iy) * n + ix
+
+
+_FIELDS = [-1.5, 0.0, 1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("b_field", _FIELDS)
+@pytest.mark.parametrize("boson_trunc", [2, 4, 8, 16])
+def test_position_grid_commutes_with_the_quarter_turn_bit_for_bit(boson_trunc, b_field):
+    n = boson_trunc
+    built = build_landau_cartesian_position(cart_spec(b_field=b_field, boson_trunc=n))
+    rot = _quarter_turn(n)
+    assert np.array_equal(built.matrix[rot][:, rot], built.matrix)
+    # the orbits s, R s, R^2 s, R^3 s partition the grid
+    assert built.orbits.shape == (n * n // 4, 4)
+    assert np.array_equal(np.sort(built.orbits, axis=None), np.arange(n * n))
+    assert all(np.array_equal(rot[built.orbits[:, j]], built.orbits[:, j + 1]) for j in range(3))
+
+
+def test_finish_refuses_a_grid_entry_one_ulp_off_the_quarter_turn():
+    import gaugesim.hamiltonians as hamiltonians
+
+    built = build_landau_cartesian_position(cart_spec())
+    rot = _quarter_turn(16)
+    assert hamiltonians._finish(built.matrix, built.spec, 0, rotation=rot).hermitian
+    with pytest.raises(GaugesimError, match="quarter-turn"):  # the half-turn has orbits of two
+        hamiltonians._finish(built.matrix, built.spec, 0, rotation=rot[rot])
+    for entry in ((0, 0), (17, 18), (40, 200)):
+        nudged = built.matrix.copy()
+        nudged[entry] = complex(np.nextafter(nudged[entry].real, np.inf), nudged[entry].imag)
+        # one ulp is far inside HERM_TOL: only the commutation refuses it
+        assert is_hermitian(nudged)
+        with pytest.raises(GaugesimError, match="commute"):
+            hamiltonians._finish(nudged, built.spec, 0, rotation=rot)
+
+
+@pytest.mark.parametrize("b_field", _FIELDS)
+@pytest.mark.parametrize("boson_trunc", [2, 4, 8, 16])
+def test_position_grid_sectors_give_the_whole_eigensystem(boson_trunc, b_field):
+    built = build_landau_cartesian_position(cart_spec(b_field=b_field, boson_trunc=boson_trunc))
+    es = hermitian_eig(built)
+    whole = np.linalg.eigvalsh(built.matrix)
+    np.testing.assert_allclose(es.values, whole, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(built.spectrum(), whole, rtol=0, atol=1e-12)
+    assert np.all(np.diff(es.values) >= 0.0)
+    v = es.vectors
+    np.testing.assert_allclose((v * es.values) @ v.conj().T, built.matrix, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(built.dim), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [cart_spec(), HamiltonianSpec(kind="LandauPolar", angular_m=1),
+                                  _monopole_spec("HermitianPart", 2.0, 4),
+                                  _monopole_spec("MajoranaFermions", 0.2, 2)],
+                         ids=["cartesian", "polar-m1", "monopole-hermitian-part", "monopole-majorana"])
+def test_label_sector_builds_give_the_whole_eigensystem(spec):
+    # hermitian_eig of a build solves its label blocks and places each
+    # block's eigenvectors on the block's indices
+    built = build(spec)
+    es = hermitian_eig(built)
+    np.testing.assert_allclose(es.values, np.linalg.eigvalsh(built.matrix), rtol=0, atol=1e-12)
+    v = es.vectors
+    np.testing.assert_allclose((v * es.values) @ v.conj().T, built.matrix, rtol=0, atol=1e-12)
+
+
 def _labels_of(built):
     """The builder's sector labels up to their order: block k gets label k."""
     labels = np.empty(built.dim, dtype=int)

@@ -7,8 +7,8 @@ traces, and writes them as CSV files next to this script.
 
 import pathlib
 
-from gaugesim import HamiltonianSpec, build_landau_cartesian, build_landau_polar, hermitian_eig
-from gaugesim.vqe import OptimizerSettings, minimize, template, write_trace_csv
+from gaugesim import AnsatzConfig, HamiltonianSpec, build_landau_cartesian, build_landau_polar, hermitian_eig
+from gaugesim.vqe import OptimizerSettings, minimize, write_trace_csv
 
 OUT = pathlib.Path(__file__).resolve().parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -20,7 +20,7 @@ RUNS = [
 
 for name, built, qubits in RUNS:
     lam = hermitian_eig(built.matrix).values[0]
-    result = minimize(built, template(qubits, depth=3), OptimizerSettings(max_iter=600, seed=11))
+    result = minimize(built, AnsatzConfig(qubits, depth=3), OptimizerSettings(max_iter=600, seed=11))
     path = OUT / f"vqe_trace_{name}.csv"
     write_trace_csv(result, path)
     print(f"--- {name}: {qubits} qubits, depth 3, seed 11")

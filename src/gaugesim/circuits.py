@@ -13,13 +13,12 @@ Kronecker factors of the layer's rotations, not one call per gate.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidConfigError, NotHermitianError, read_fields
+from .errors import DimensionMismatchError, InvalidConfigError, NotHermitianError, read_own_fields
 from .operators import MAX_QUBITS
 
 __all__ = [
@@ -125,74 +124,65 @@ class AnsatzConfig:
     """Layered Ry form: a rotation layer, then ``depth`` blocks of
     [all-pairs entangler, rotation layer].
 
-    ``params`` must hold n_qubits * (depth + 1) angles, ordered layer by
-    layer; None gives all zeros.  ``entangler`` is "cz" (default;
-    order-free) or "cx" (pairs applied in ascending (control < target)
-    order).
+    The form only: the optimizer owns the angles, n_qubits * (depth + 1)
+    of them (``n_params``), ordered layer by layer, and passes them to
+    ``ansatz_state`` and ``adjoint_gradient``.  ``entangler`` is "cz"
+    (default; order-free) or "cx" (pairs applied in ascending
+    (control < target) order).
 
     ``FIELDS`` is each field's ``read_fields`` rule, caps included (the
     register at ``MAX_QUBITS``); the constructor applies it, so the CLI
-    passes its ``ansatz`` keys as given.
+    passes its ``ansatz`` keys (all but ``n_qubits``) as given.
     """
 
     n_qubits: int
-    depth: int
-    params: np.ndarray | None = None
+    depth: int = 3
     entangler: str = "cz"
 
     FIELDS = {"n_qubits": (int, 1, MAX_QUBITS), "depth": (int, 0, 64), "entangler": ("cz", "cx")}
 
     def __post_init__(self):
-        shape = read_fields({name: getattr(self, name) for name in self.FIELDS}, "ansatz", self.FIELDS)
-        for name, value in shape.items():
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "params", self._angles(self.params))
+        read_own_fields(self, "ansatz")
 
     @property
     def n_params(self) -> int:
         return self.n_qubits * (self.depth + 1)
 
-    def _angles(self, params) -> np.ndarray:
-        """``params`` as the float array of ``n_params`` angles (None: zeros)."""
-        p = np.zeros(self.n_params) if params is None else np.asarray(params, dtype=float)
-        if p.shape != (self.n_params,):
-            raise InvalidConfigError(
-                f"expected {self.n_params} parameters, got shape {p.shape}"
-            )
-        return p
 
-    def with_params(self, params) -> "AnsatzConfig":
-        """This ansatz with new angles; the shape, read once at construction,
-        is not read again."""
-        new = copy.copy(self)
-        object.__setattr__(new, "params", self._angles(params))
-        return new
+def _layers(cfg: AnsatzConfig, params) -> np.ndarray:
+    """``params`` as the (depth + 1, n_qubits) float array of angles, one row
+    per rotation layer; InvalidConfigError unless ``cfg.n_params`` are given."""
+    p = np.asarray(params, dtype=float)
+    if p.shape != (cfg.n_params,):
+        raise InvalidConfigError(f"expected {cfg.n_params} parameters, got shape {p.shape}")
+    return p.reshape(cfg.depth + 1, cfg.n_qubits)
 
 
-def ansatz_state(cfg: AnsatzConfig) -> np.ndarray:
-    """Real (float64) statevector prepared by the ansatz from |0...0>."""
+def ansatz_state(cfg: AnsatzConfig, params) -> np.ndarray:
+    """Real (float64) statevector prepared by the ansatz with angles
+    ``params`` from |0...0>."""
     n = cfg.n_qubits
     psi = np.zeros(2 ** n)
     psi[0] = 1.0
-    for d, thetas in enumerate(cfg.params.reshape(cfg.depth + 1, n)):
+    for d, thetas in enumerate(_layers(cfg, params)):
         if d:
             psi = _entangle(psi, n, cfg.entangler)
         psi = _ry_layer(psi, thetas)
     return psi
 
 
-def adjoint_gradient(cfg: AnsatzConfig, state, h_state) -> np.ndarray:
-    """Gradient of psi^T S psi over ``cfg.params`` by one backward sweep.
+def adjoint_gradient(cfg: AnsatzConfig, params, state, h_state) -> np.ndarray:
+    """Gradient of psi^T S psi over ``params`` by one backward sweep.
 
-    ``state`` is ``ansatz_state(cfg)`` and ``h_state`` is ``S @ state`` for
-    a real symmetric S.  Walking the layers in reverse, the entry of the
-    Ry on qubit q is <lam|A_q|phi> with A = [[0, -1], [1, 0]] (dRy/dt =
-    A Ry / 2).  The rotations of one layer commute, so all its entries are
-    read at the layer's output before the whole layer is undone on both
-    phi and lam.
+    ``state`` is ``ansatz_state(cfg, params)`` and ``h_state`` is
+    ``S @ state`` for a real symmetric S.  Walking the layers in reverse,
+    the entry of the Ry on qubit q is <lam|A_q|phi> with A = [[0, -1],
+    [1, 0]] (dRy/dt = A Ry / 2).  The rotations of one layer commute, so
+    all its entries are read at the layer's output before the whole layer
+    is undone on both phi and lam.
     """
     n = cfg.n_qubits
-    layers = cfg.params.reshape(cfg.depth + 1, n)
+    layers = _layers(cfg, params)
     grad = np.empty_like(layers)
     flip, sign = _flip_tables(n)
     pair = np.stack([state, h_state])

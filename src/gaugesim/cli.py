@@ -64,16 +64,16 @@ def _output_path(cfg, args) -> str:
 
 
 def _ansatz_from(cfg, n_qubits) -> AnsatzConfig:
-    # keys only: template reads the numbers; n_qubits is the Hamiltonian's register
-    keys = dict.fromkeys(("depth", "entangler"))
-    return vqe_mod.template(n_qubits, **read_fields(cfg.get("ansatz", {}), "ansatz", keys))
+    # keys only: the constructor reads the values; n_qubits is the Hamiltonian's register
+    keys = dict.fromkeys(name for name in AnsatzConfig.FIELDS if name != "n_qubits")
+    return AnsatzConfig(n_qubits, **read_fields(cfg.get("ansatz", {}), "ansatz", keys))
 
 
 def _optimizer_from(cfg, args) -> vqe_mod.OptimizerSettings:
     o = cfg.get("optimizer", {})
     if args.seed is not None and isinstance(o, Mapping):
         o = dict(o, seed=args.seed)
-    keys = dict.fromkeys(vqe_mod.OptimizerSettings.FIELDS)  # keys only: the constructor reads the numbers
+    keys = dict.fromkeys(vqe_mod.OptimizerSettings.FIELDS)  # keys only: the constructor reads the values
     return vqe_mod.OptimizerSettings(**read_fields(o, "optimizer", keys))
 
 
@@ -201,6 +201,8 @@ def cmd_scatter(cfg, args) -> int:
     hi = scan.get("max", period / 2.0)
     if hi <= lo:
         raise InvalidConfigError("p2_scan.max must exceed p2_scan.min")
+    if not np.isfinite(hi - lo):
+        raise InvalidConfigError(f"p2_scan window [{lo}, {hi}] is wider than the float range")
     p2s = np.linspace(lo, hi, scan.get("points", 16 * n), endpoint=False)
     amps = vertex_scan(p1, p3, n, p2s)
     _write_csv(out, "p2,abs_amplitude", p2s, amps)

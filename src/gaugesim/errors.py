@@ -7,12 +7,15 @@ computation.
 ``read_number`` is the rule every entry point applies to a caller-supplied
 count, index or scale: a finite number (bools and strings are not numbers),
 integral where an int is asked for, within its bounds.  Each caller names
-the exception class its failures raise.  ``read_fields`` applies it to one
-JSON object of a config or spec.  Both live here, below every other module,
-so that every layer can use them.
+the exception class its failures raise.  ``read_numbers`` is its array
+form, ``read_fields`` applies it to one JSON object of a config or spec,
+and ``read_own_fields`` to a config object's ``FIELDS``.  They live here,
+below every other module, so that every layer can use them.
 """
 
+import dataclasses
 import math
+import numbers
 from typing import Mapping
 
 import numpy as np
@@ -85,6 +88,24 @@ def read_number(val, where: str, kind, minimum=None, maximum=None, error=Invalid
     return val
 
 
+def read_numbers(values, what: str, error=InvalidConfigError) -> np.ndarray:
+    """``values`` as a float array: the array form of ``read_number``'s rule.
+
+    NaN and infinite entries are refused with ``error`` naming ``what``,
+    and so is every entry that is not a real number: bools and strings,
+    which a float conversion would read as 0, 1 or a number, complex
+    numbers and None.  A floating ndarray holds only real numbers, so it
+    needs the finiteness pass alone.
+    """
+    if (isinstance(values, np.ndarray) and values.dtype.kind == "f"
+            or all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   for v in np.asarray(values, dtype=object).flat)):
+        floats = np.asarray(values, dtype=float)
+        if np.all(np.isfinite(floats)):
+            return floats
+    raise error(f"{what} must be finite numbers, got {np.asarray(values, dtype=object).tolist()}")
+
+
 def read_fields(obj, where: str, fields: Mapping, required=()) -> dict:
     """Strictly read one JSON object of a config or spec.
 
@@ -112,3 +133,16 @@ def read_fields(obj, where: str, fields: Mapping, required=()) -> dict:
         elif not any(type(val) is type(c) and val == c for c in rule):
             raise InvalidConfigError(f"{where}.{key}: expected one of {list(rule)}, got {val!r}")
     return out
+
+
+def read_own_fields(config, where: str) -> None:
+    """One ``read_fields`` pass over a frozen dataclass's ``FIELDS``, in place.
+
+    The table names the fields a config object reads from JSON and their
+    rules; a field whose declared default is None may stay None (not given).
+    """
+    optional = {f.name for f in dataclasses.fields(config) if f.default is None}
+    given = {name: getattr(config, name) for name in config.FIELDS}
+    given = {name: val for name, val in given.items() if not (val is None and name in optional)}
+    for name, val in read_fields(given, where, config.FIELDS).items():
+        object.__setattr__(config, name, val)

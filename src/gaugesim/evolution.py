@@ -17,12 +17,11 @@ batched matmul and one gather per run (see ``_apply_trotter``).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import pos_grid, sylvester_f
+from .basis import pos_grid
 from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
@@ -30,6 +29,7 @@ from .errors import (
     InvalidTimesError,
     NotHermitianError,
     read_number,
+    read_numbers,
 )
 from .operators import _propagate, as_operator, hermitian_eig, is_hermitian, qubits_of_dim
 
@@ -236,24 +236,6 @@ def _apply_trotter(groups, ts, n_steps: int, psi0: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finite_numbers(values, what: str = "evolution times", error=InvalidTimesError) -> np.ndarray:
-    """``values`` as a float array: the array form of ``read_number``'s rule.
-
-    NaN and infinite entries are refused with ``error`` naming ``what``,
-    and so is every entry that is not a real number: bools and strings,
-    which a float conversion would read as 0, 1 or a number, complex
-    numbers and None.  A floating ndarray holds only real numbers, so it
-    needs the finiteness pass alone.
-    """
-    if (isinstance(values, np.ndarray) and values.dtype.kind == "f"
-            or all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                   for v in np.asarray(values, dtype=object).flat)):
-        floats = np.asarray(values, dtype=float)
-        if np.all(np.isfinite(floats)):
-            return floats
-    raise error(f"{what} must be finite numbers, got {np.asarray(values, dtype=object).tolist()}")
-
-
 @dataclass(frozen=True)
 class TransitionSeries:
     """Amplitudes <f| U(t) |i> over a time grid.
@@ -320,7 +302,7 @@ def transition_series(h, psi_i, psi_fs, ts, method: str = "exact",
     psi_i = np.asarray(psi_i, dtype=np.complex128)
     if len(psi_i) != dim:
         raise DimensionMismatchError(f"initial state length {len(psi_i)} vs H dim {dim}")
-    ts = _finite_numbers(ts)
+    ts = read_numbers(ts, "evolution times", InvalidTimesError)
     finals, labels = _final_states(psi_fs, dim)
     states = _evolver(h, method, trotter_steps)(psi_i, ts)
     amps = states if finals is None else states @ finals.conj()
@@ -352,13 +334,15 @@ def _write_rows(path, header: str, table: np.ndarray):
 def momentum_state(k: int, n: int) -> np.ndarray:
     """k-th momentum eigenstate on the n-point grid.
 
-    This is the k-th column of F^dag (the conjugate of the k-th column of
-    the symmetric Sylvester matrix): it satisfies
+    The k-th column of F^dag: column k of ``basis.sylvester_f``, computed
+    alone by the same expression, conjugated.  It satisfies
     pos_p(n) |p_k> = x_k |p_k> with x_k the k-th grid value.
     """
-    f = sylvester_f(n)  # refuses a bad size before k is compared with it
-    k = read_number(k, "momentum index", int, 0, len(f) - 1, error=IndexOutOfRangeError)
-    return np.conj(f[:, k])
+    n = read_number(n, "basis size", int, 2, error=InvalidSizeError)
+    k = read_number(k, "momentum index", int, 0, n - 1, error=IndexOutOfRangeError)
+    o = 2 * np.arange(1, n + 1) - (n + 1)
+    phase = (2.0 * np.pi / (4.0 * n)) * (o * o[k])
+    return np.conj(np.exp(1j * phase) / np.sqrt(n))
 
 
 def vertex_amplitude(k1: int, p2: float, k3: int, n: int) -> complex:
@@ -401,7 +385,7 @@ def vertex_scan(k1: int, k3: int, n: int, p2_values) -> np.ndarray:
     coefficients conj(bra) * ket; Horner's rule evaluates it with one
     exponential per p2 value.
     """
-    p2s = np.ravel(_finite_numbers(p2_values, "p2 values", ValueError))
+    p2s = np.ravel(read_numbers(p2_values, "p2 values", ValueError))
     weights = np.conj(momentum_state(k1, n)) * momentum_state(k3, n)
     grid = pos_grid(n)
     z = np.exp(1j * (grid[1] - grid[0]) * p2s)
@@ -423,7 +407,7 @@ def scattering_process(h_free, p2: float, tau: float, total_t: float, psi0,
     """
     dim = as_operator(h_free).shape[0]
     p2 = read_number(p2, "p2", float, error=ValueError)
-    tau, total_t = _finite_numbers([tau, total_t])
+    tau, total_t = read_numbers([tau, total_t], "evolution times", InvalidTimesError)
     if not 0.0 <= tau <= total_t:
         raise InvalidTimesError(f"need 0 <= tau <= total_T, got tau={tau}, total_T={total_t}")
     psi = np.asarray(psi0, dtype=np.complex128)

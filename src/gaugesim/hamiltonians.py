@@ -33,6 +33,7 @@ from .errors import (
     NotPowerOfTwoError,
     read_fields,
     read_number,
+    read_own_fields,
 )
 from .operators import (
     HERM_TOL,
@@ -83,6 +84,10 @@ class HamiltonianSpec:
     A spec is valid once it exists: construction (and so
     ``dataclasses.replace`` and ``from_json``) fills the kind's default
     ``boson_trunc`` and raises InvalidSpecError for anything else.
+    ``FIELDS`` is each field's ``read_fields`` rule (``kind`` and
+    ``variant`` are checked against ``KINDS`` and ``VARIANTS`` before it);
+    the JSON form has the same keys, except that ``r_ref`` travels as
+    ``{"ScalarB": r_ref}`` under ``variant``.
     """
 
     kind: str
@@ -91,6 +96,9 @@ class HamiltonianSpec:
     angular_m: int = 0
     variant: str = "Literal"
     r_ref: float | None = None
+
+    FIELDS = {"kind": None, "b_field": float, "boson_trunc": int, "angular_m": int, "variant": None,
+              "r_ref": float}
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -101,11 +109,7 @@ class HamiltonianSpec:
             )
         if self.boson_trunc is None:
             object.__setattr__(self, "boson_trunc", DEFAULT_TRUNC[self.kind])
-        numbers = {"b_field": float, "boson_trunc": int, "angular_m": int}
-        if self.r_ref is not None:
-            numbers["r_ref"] = float
-        for name, kind in numbers.items():
-            object.__setattr__(self, name, read_number(getattr(self, name), f"hamiltonian.{name}", kind))
+        read_own_fields(self, "hamiltonian")
         trunc = self.boson_trunc
         try:
             qubits = self.qubits
@@ -133,25 +137,19 @@ class HamiltonianSpec:
         return {"LandauCartesian": 2 * k, "LandauPolar": k}.get(self.kind, 3 * k + 3)
 
     def to_json(self) -> dict:
-        variant: object = self.variant
+        blob = {name: getattr(self, name) for name in self.FIELDS if name != "r_ref"}
         if self.variant == "ScalarB":
-            variant = {"ScalarB": self.r_ref}
-        return {
-            "kind": self.kind,
-            "b_field": self.b_field,
-            "boson_trunc": self.boson_trunc,
-            "angular_m": self.angular_m,
-            "variant": variant,
-        }
+            blob["variant"] = {"ScalarB": self.r_ref}
+        return blob
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "HamiltonianSpec":
-        # keys only: the constructor reads the numbers
-        fields = read_fields(obj, "hamiltonian", dict.fromkeys(
-            ("kind", "b_field", "boson_trunc", "angular_m", "variant")), required=("kind",))
+        # keys only: the constructor reads the values
+        keys = dict.fromkeys(name for name in cls.FIELDS if name != "r_ref")
+        fields = read_fields(obj, "hamiltonian", keys, required=("kind",))
         if isinstance(fields.get("variant"), Mapping):
             scalar_b = read_fields(fields["variant"], "hamiltonian.variant",
-                                   {"ScalarB": float}, required=("ScalarB",))
+                                   {"ScalarB": cls.FIELDS["r_ref"]}, required=("ScalarB",))
             fields.update(variant="ScalarB", r_ref=scalar_b["ScalarB"])
         return cls(**fields)
 

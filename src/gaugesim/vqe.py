@@ -21,13 +21,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuits import AnsatzConfig, adjoint_gradient, ansatz_state
-from .errors import DimensionMismatchError, NotHermitianError, read_number
+from .errors import DimensionMismatchError, NotHermitianError, read_own_fields
 from .operators import as_operator, is_hermitian
 
 __all__ = [
     "OptimizerSettings",
     "VqeResult",
-    "template",
     "energy_gradient",
     "minimize",
     "write_trace_csv",
@@ -45,7 +44,7 @@ class OptimizerSettings:
     [-pi, pi] with its seed; the all-zeros start is a stationary point of
     some objectives.
 
-    ``FIELDS`` is each field's ``read_number`` rule, caps included; the
+    ``FIELDS`` is each field's ``read_fields`` rule, caps included; the
     constructor applies it, so the CLI passes its ``optimizer`` keys as given.
     """
 
@@ -58,8 +57,7 @@ class OptimizerSettings:
               "restarts": (int, 1, 100)}
 
     def __post_init__(self):
-        for name, rule in self.FIELDS.items():
-            object.__setattr__(self, name, read_number(getattr(self, name), f"optimizer.{name}", *rule))
+        read_own_fields(self, "optimizer")
 
 
 @dataclass(frozen=True)
@@ -84,11 +82,6 @@ class VqeResult:
 
     def best_so_far(self) -> np.ndarray:
         return np.minimum.accumulate([e for _, e in self.trace])
-
-
-def template(n_qubits: int, depth: int = 3, entangler: str = "cz") -> AnsatzConfig:
-    """Ansatz template with zeroed parameters (shape carrier for minimize)."""
-    return AnsatzConfig(n_qubits, depth, entangler=entangler)
 
 
 def _check_inputs(h, ansatz: AnsatzConfig) -> np.ndarray:
@@ -132,8 +125,7 @@ class _RealObjective:
     def _run(self, x):
         x = np.asarray(x, dtype=float)
         if self._x is None or not np.array_equal(x, self._x):
-            self._cfg = self.ansatz.with_params(x)
-            self._psi = ansatz_state(self._cfg)
+            self._psi = ansatz_state(self.ansatz, x)
             self._h_psi = self.h_real @ self._psi
             self._energy = float(self._psi @ self._h_psi)
             self._x = x.copy()
@@ -145,7 +137,7 @@ class _RealObjective:
 
     def gradient(self, x) -> np.ndarray:
         self._run(x)
-        return adjoint_gradient(self._cfg, self._psi, self._h_psi)
+        return adjoint_gradient(self.ansatz, self._x, self._psi, self._h_psi)
 
 
 def energy_gradient(h, ansatz: AnsatzConfig, params) -> np.ndarray:
@@ -232,15 +224,13 @@ def _single_run(h_real, ansatz, opt: OptimizerSettings, seed: int):
 
     energies = np.array([e for _, e, _ in rows])
     k_best = int(np.argmin(energies))
-    tail = energies[-6:]
-    settled = len(tail) >= 6 and np.all(np.abs(np.diff(tail)) < opt.tolerance)
     return VqeResult(
         energy=float(energies[k_best]),
         params=rows[k_best][0],
         trace=list(enumerate(energies.tolist())),
         trace_evaluations=[runs for _, _, runs in rows],
         evaluations=f.runs,
-        converged=bool(success or settled),
+        converged=success,
     )
 
 

@@ -18,6 +18,7 @@ from gaugesim.analytic import (
     wu_yang_solve,
 )
 from gaugesim.basis import pos_grid
+from gaugesim.circuits import AnsatzConfig
 from gaugesim.cli import main as cli_main
 from gaugesim.evolution import (
     dual_lattice_period,
@@ -36,7 +37,7 @@ from gaugesim.hamiltonians import (
     variant_selection_report,
 )
 from gaugesim.operators import herm_defect, hermitian_eig
-from gaugesim.vqe import OptimizerSettings, minimize, template
+from gaugesim.vqe import OptimizerSettings, minimize
 
 from conftest import exact_unitary, pauli_reconstruct, random_hermitian, random_state
 
@@ -66,7 +67,7 @@ def test_criterion_1_cartesian_exact_spectrum(cartesian):
 
 def test_criterion_2_cartesian_vqe(cartesian):
     built, values = cartesian
-    res = minimize(built, template(8, depth=3), OptimizerSettings(max_iter=600, seed=11))
+    res = minimize(built, AnsatzConfig(8, depth=3), OptimizerSettings(max_iter=600, seed=11))
     iters = len(res.trace) - 2
     ok = res.energy <= 1.005 and res.energy >= 1.0 - 1e-9 and iters <= 600
     report(2, ok, f"8-qubit depth-3 VQE energy={res.energy:.9f} in {iters} iterations "
@@ -83,7 +84,7 @@ def test_criterion_3_polar_exact_spectrum():
         return
     # degraded branch: record the deviation, then demand the band plus
     # VQE-vs-exact self-consistency
-    res = minimize(built, template(4, depth=3), OptimizerSettings(max_iter=600, seed=11))
+    res = minimize(built, AnsatzConfig(4, depth=3), OptimizerSettings(max_iter=600, seed=11))
     gap = abs(res.energy - lam)
     ok = 0.99 <= lam <= 1.0 and gap <= 2e-3
     report(3, ok, f"primary band missed (lambda_min={lam:.7f}); degraded: "
@@ -107,7 +108,7 @@ def test_criterion_4_monopole_variants():
     built = build_monopole_su2(spec)
     defect = herm_defect(built.matrix) / np.max(np.abs(built.matrix))
     lam = hermitian_eig(built.matrix).values[0]
-    res = minimize(built, template(9, depth=3), OptimizerSettings(max_iter=600, seed=11))
+    res = minimize(built, AnsatzConfig(9, depth=3), OptimizerSettings(max_iter=600, seed=11))
     ok = defect <= 1e-10 and res.energy >= lam - 1e-9 and res.energy - lam <= 0.7
     report(4, ok, f"no variant matches the references ({lines}); fallback on {chosen}: "
                   f"herm defect {defect:.1e} <= 1e-10, VQE {res.energy:.6f} vs "

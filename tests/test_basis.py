@@ -227,9 +227,9 @@ COUNTED = {
     "kernel_polar m_max": (lambda v: kernel_polar(0.5, 0.1, 0.7, 0.4, 0.3, 2.0, m_max=v), ValueError),
     "momentum_state index": (lambda v: momentum_state(v, 16), IndexOutOfRangeError),
     "vertex_scan index": (lambda v: vertex_scan(v, 3, 16, [0.0, 1.3]), IndexOutOfRangeError),
-    "ansatz n_qubits": (lambda v: ansatz_state(AnsatzConfig(n_qubits=v, depth=0, params=[0.4, 1.1])),
+    "ansatz n_qubits": (lambda v: ansatz_state(AnsatzConfig(n_qubits=v, depth=0), [0.4, 1.1]),
                         InvalidConfigError),
-    "ansatz depth": (lambda v: ansatz_state(AnsatzConfig(n_qubits=2, depth=v, params=np.linspace(0, 1, 6))),
+    "ansatz depth": (lambda v: ansatz_state(AnsatzConfig(n_qubits=2, depth=v), np.linspace(0, 1, 6)),
                      InvalidConfigError),
     "transition_series trotter_steps": (
         lambda v: transition_series(_H, _PSI, "all", [0.5], method="trotter", trotter_steps=v).amplitudes,

@@ -6,14 +6,13 @@ from gaugesim.circuits import AnsatzConfig, ansatz_state, expectation
 from gaugesim.errors import DimensionMismatchError, InvalidConfigError, NotHermitianError
 from gaugesim.hamiltonians import HamiltonianSpec, build_landau_cartesian
 from gaugesim.operators import hermitian_eig
-from gaugesim.vqe import template
 
 from conftest import PAULI, dense_ansatz_state, dense_ry, random_hermitian, random_state
 
 
 def _state(n, depth, params, entangler="cz"):
-    return ansatz_state(AnsatzConfig(n_qubits=n, depth=depth, params=np.array(params, dtype=float),
-                                     entangler=entangler))
+    return ansatz_state(AnsatzConfig(n_qubits=n, depth=depth, entangler=entangler),
+                        np.array(params, dtype=float))
 
 
 def test_ry_identity_and_flip():
@@ -55,15 +54,15 @@ def test_ansatz_zero_params_is_vacuum():
 
 
 def test_ansatz_single_qubit_depth0():
-    cfg = AnsatzConfig(n_qubits=1, depth=0, params=np.array([np.pi]))
-    np.testing.assert_allclose(ansatz_state(cfg), [0, 1], atol=1e-12)
+    cfg = AnsatzConfig(n_qubits=1, depth=0)
+    np.testing.assert_allclose(ansatz_state(cfg, np.array([np.pi])), [0, 1], atol=1e-12)
 
 
 def test_ansatz_normalized_and_deterministic(rng):
     params = rng.uniform(-np.pi, np.pi, 32)
-    cfg = AnsatzConfig(n_qubits=8, depth=3, params=params)
-    psi1 = ansatz_state(cfg)
-    psi2 = ansatz_state(cfg)
+    cfg = AnsatzConfig(n_qubits=8, depth=3)
+    psi1 = ansatz_state(cfg, params)
+    psi2 = ansatz_state(cfg, params)
     assert abs(np.linalg.norm(psi1) - 1.0) < 1e-12
     np.testing.assert_array_equal(psi1, psi2)
 
@@ -91,8 +90,8 @@ def test_ansatz_cz_layer_matches_explicit_gates(rng):
 
 
 def test_ansatz_cx_entangler_runs(rng):
-    cfg = AnsatzConfig(n_qubits=3, depth=2, params=rng.uniform(-1, 1, 9), entangler="cx")
-    assert abs(np.linalg.norm(ansatz_state(cfg)) - 1.0) < 1e-12
+    cfg = AnsatzConfig(n_qubits=3, depth=2, entangler="cx")
+    assert abs(np.linalg.norm(ansatz_state(cfg, rng.uniform(-1, 1, 9))) - 1.0) < 1e-12
 
 
 def test_ansatz_cx_layer_matches_explicit_gates(rng):
@@ -101,35 +100,32 @@ def test_ansatz_cx_layer_matches_explicit_gates(rng):
 
 
 def test_ansatz_config_validation():
+    with pytest.raises(InvalidConfigError, match="expected 4 parameters, got shape"):
+        ansatz_state(AnsatzConfig(n_qubits=2, depth=1), np.zeros(3))
     with pytest.raises(InvalidConfigError):
-        AnsatzConfig(n_qubits=2, depth=1, params=np.zeros(3))
+        AnsatzConfig(n_qubits=2, depth=1, entangler="swap")
     with pytest.raises(InvalidConfigError):
-        AnsatzConfig(n_qubits=2, depth=1, params=np.zeros(4), entangler="swap")
-    with pytest.raises(InvalidConfigError):
-        AnsatzConfig(n_qubits=0, depth=1, params=np.zeros(0))
+        AnsatzConfig(n_qubits=0, depth=1)
 
 
-def test_ansatz_register_is_capped_and_params_default_to_zeros():
+def test_ansatz_register_is_capped_and_depth_defaults_to_three():
     with pytest.raises(InvalidConfigError, match="ansatz.n_qubits: must be <= 9, got 10"):
-        AnsatzConfig(n_qubits=10, depth=0, params=np.zeros(10))
-    cfg = AnsatzConfig(n_qubits=3, depth=2)
-    assert np.array_equal(cfg.params, np.zeros(9))
-    made = template(3, depth=2)
-    assert (made.n_qubits, made.depth, made.entangler) == (3, 2, "cz")
-    assert np.array_equal(made.params, cfg.params)
+        AnsatzConfig(n_qubits=10, depth=0)
+    made = AnsatzConfig(3)
+    assert (made.n_qubits, made.depth, made.entangler, made.n_params) == (3, 3, "cz", 12)
 
 
 def test_ansatz_shape_is_read_by_name():
     # refused when made, not later in ansatz_state; a bool is not a count
     with pytest.raises(InvalidConfigError, match="ansatz.depth: expected an integer, got 1.5"):
-        AnsatzConfig(n_qubits=2, depth=1.5, params=np.zeros(5))
+        AnsatzConfig(n_qubits=2, depth=1.5)
     with pytest.raises(InvalidConfigError, match="ansatz.depth: expected a finite number, got True"):
-        AnsatzConfig(n_qubits=2, depth=True, params=np.zeros(4))
+        AnsatzConfig(n_qubits=2, depth=True)
     with pytest.raises(InvalidConfigError, match="ansatz.depth: expected an integer, got 1.5"):
-        template(2, 1.5)
+        AnsatzConfig(2, 1.5)
     with pytest.raises(InvalidConfigError, match="ansatz.depth: must be <= 64, got 65"):
-        template(1, 65)
-    cfg = AnsatzConfig(n_qubits=np.int64(2), depth=1.0, params=np.zeros(4))
+        AnsatzConfig(1, 65)
+    cfg = AnsatzConfig(n_qubits=np.int64(2), depth=1.0)
     assert type(cfg.n_qubits) is int and type(cfg.depth) is int
 
 

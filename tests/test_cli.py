@@ -3,12 +3,18 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import gaugesim
-from gaugesim.cli import main
+from gaugesim.circuits import AnsatzConfig, adjoint_gradient, ansatz_state
+from gaugesim.cli import _ansatz_from, _optimizer_from, main
+from gaugesim.errors import InvalidConfigError
+from gaugesim.hamiltonians import HamiltonianSpec
+from gaugesim.vqe import OptimizerSettings
 
 
 def run(tmp_path, command, cfg, extra=()):
@@ -372,6 +378,8 @@ def _spec(**kw):
     ("vqe", {"hamiltonian": dict(_POLAR, variant="HermitianPart")}, (), 2),
     # the register comes from the Hamiltonian, so n_qubits is not a config key
     ("vqe", {"hamiltonian": _POLAR, "ansatz": {"n_qubits": 4}}, (), 2),
+    # a window whose span overflows the float range
+    ("scatter", {"scatter": {"p1": 1, "p3": 2, "p2_scan": {"min": -1e308, "max": 1e308}}}, (), 2),
 ])
 def test_bad_input_exit_code_and_one_line_message(tmp_path, capsys, command, cfg, extra, code):
     out = tmp_path / "out.csv"
@@ -380,6 +388,35 @@ def test_bad_input_exit_code_and_one_line_message(tmp_path, capsys, command, cfg
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert not out.exists()
 
+
+def test_each_json_section_accepts_exactly_its_class_table():
+    # one intake per config object: a section's keys are its class's FIELDS,
+    # less the register (the Hamiltonian's) and r_ref (the ScalarB mapping)
+    spec = HamiltonianSpec("MonopoleSU2", b_field=0.2, variant="HermitianPart")
+    hamiltonian = {name: getattr(spec, name) for name in HamiltonianSpec.FIELDS if name != "r_ref"}
+    assert HamiltonianSpec.from_json(hamiltonian) == spec
+    scalar_b = dict(hamiltonian, variant={"ScalarB": 1.5})
+    assert HamiltonianSpec.from_json(scalar_b) == replace(spec, variant="ScalarB", r_ref=1.5)
+    shape = AnsatzConfig(4, 2, "cx")
+    ansatz = {name: getattr(shape, name) for name in AnsatzConfig.FIELDS if name != "n_qubits"}
+    assert _ansatz_from({"ansatz": ansatz}, 4) == shape
+    settings = OptimizerSettings(max_iter=7, tolerance=1e-6, seed=5, restarts=2)
+    optimizer = {name: getattr(settings, name) for name in OptimizerSettings.FIELDS}
+    assert _optimizer_from({"optimizer": optimizer}, SimpleNamespace(seed=None)) == settings
+    readers = [(HamiltonianSpec.from_json, hamiltonian, "r_ref"),
+               (lambda obj: _ansatz_from({"ansatz": obj}, 4), ansatz, "n_qubits"),
+               (lambda obj: _optimizer_from({"optimizer": obj}, SimpleNamespace(seed=None)), optimizer,
+                "method")]
+    for read, section, extra in readers:
+        with pytest.raises(InvalidConfigError, match=rf"unknown keys \['{extra}'\]"):
+            read(dict(section, **{extra: 1.0}))
+    # the angles are the optimizer's, passed next to the form and counted there
+    state = np.eye(2 ** shape.n_qubits)[0]
+    for params in (np.zeros(shape.n_params - 1), np.zeros(shape.n_params + 1), np.zeros((3, 4))):
+        with pytest.raises(InvalidConfigError, match=f"expected {shape.n_params} parameters"):
+            ansatz_state(shape, params)
+        with pytest.raises(InvalidConfigError, match=f"expected {shape.n_params} parameters"):
+            adjoint_gradient(shape, params, state, state)
 
 
 _RUN_CONFIGS = """\

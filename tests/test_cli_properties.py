@@ -1,11 +1,13 @@
 """Property test of the command line: perturbed configs never end in a traceback.
 
 Small valid configs of all five commands get one or two edits (a value
-replaced by a bool, a string, null, NaN, +-inf, a small negative or
+replaced by a bool, a string, null, NaN, +-inf, a number at the edge of
+the float range (+-1e308, 1e300, 5e-324, -0.0), a small negative or
 non-integral number or a wrong container; a key deleted; an unknown key
 added).  Every run must exit 0, 2 or 3 with at most a one-line message,
-and exit 0 must write and print only finite numbers.  Counts are drawn
-from a small range, so no edit can ask for a large run.
+and exit 0 must write and print only finite numbers.  Small counts are
+drawn from a small range, and a huge one is refused by its cap or costs no
+more than a small one, so no edit can ask for a large run.
 """
 
 import contextlib
@@ -41,7 +43,7 @@ BASE = {
 
 BAD_VALUES = st.one_of(
     st.sampled_from([True, False, None, "abc", "4", [], {}, [1, 2], {"x": 1},
-                     math.nan, math.inf, -math.inf]),
+                     math.nan, math.inf, -math.inf, 1e308, -1e308, 1e300, 5e-324, -0.0]),
     st.integers(-2, 4),
     st.floats(-3.0, 3.0).filter(lambda x: not x.is_integer()),
 )

@@ -4,10 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from gaugesim.basis import pos_grid, pos_p, pos_q
+from gaugesim.basis import pos_grid, pos_p, pos_q, sylvester_f
 from gaugesim.errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
+    InvalidSizeError,
     InvalidTimesError,
     NotHermitianError,
     NotPowerOfTwoError,
@@ -469,6 +470,16 @@ def test_momentum_states_orthonormal_eigenvectors():
         momentum_state(16, 16)
 
 
+@pytest.mark.parametrize("n", [2, 4, 16, 256, 512])
+def test_momentum_state_is_the_conjugate_sylvester_column_bit_for_bit(n):
+    columns = np.conj(sylvester_f(n))
+    for k in range(n):
+        assert np.array_equal(momentum_state(k, n), columns[:, k]), k
+    # the size is refused before the index is compared with it
+    with pytest.raises(InvalidSizeError, match="basis size"):
+        momentum_state(n, 1)
+
+
 def test_vertex_amplitude_identity_at_zero_momentum():
     n = 16
     assert abs(vertex_amplitude(5, 0.0, 5, n) - 1.0) < 1e-12
@@ -671,8 +682,9 @@ def test_a_build_is_not_checked_again_and_an_array_once(monkeypatch, call):
 
 
 def test_a_build_flagged_non_hermitian_is_refused_by_its_flag():
+    from gaugesim.circuits import AnsatzConfig
     from gaugesim.hamiltonians import build_monopole_su2
-    from gaugesim.vqe import minimize, template
+    from gaugesim.vqe import minimize
 
     literal = build_monopole_su2(HamiltonianSpec(kind="MonopoleSU2", b_field=2.0))
     assert not literal.hermitian
@@ -681,6 +693,6 @@ def test_a_build_flagged_non_hermitian_is_refused_by_its_flag():
         build_monopole_su2(HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant="HermitianPart")),
         hermitian=False)
     for h in (literal, flagged):
-        for call in (pauli_decompose, hermitian_eig, lambda b: minimize(b, template(9, depth=1))):
+        for call in (pauli_decompose, hermitian_eig, lambda b: minimize(b, AnsatzConfig(9, depth=1))):
             with pytest.raises(NotHermitianError):
                 call(h)

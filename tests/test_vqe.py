@@ -3,6 +3,7 @@ import pytest
 import scipy.optimize
 
 from gaugesim import circuits, vqe
+from gaugesim.circuits import AnsatzConfig
 from gaugesim.errors import DimensionMismatchError, InvalidConfigError, NotHermitianError
 from gaugesim.hamiltonians import (
     HamiltonianSpec,
@@ -15,7 +16,6 @@ from gaugesim.vqe import (
     OptimizerSettings,
     energy_gradient,
     minimize,
-    template,
     write_trace_csv,
 )
 
@@ -23,7 +23,7 @@ from conftest import PAULI, random_hermitian
 
 
 def test_single_qubit_z_reaches_minus_one():
-    res = minimize(PAULI["Z"], template(1, depth=0), OptimizerSettings(seed=3))
+    res = minimize(PAULI["Z"], AnsatzConfig(1, depth=0), OptimizerSettings(seed=3))
     assert res.energy < -1.0 + 1e-6
     assert res.converged
 
@@ -31,7 +31,7 @@ def test_single_qubit_z_reaches_minus_one():
 def test_polar_run_matches_exact_ground():
     built = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
     lam = hermitian_eig(built.matrix).values[0]
-    res = minimize(built, template(4, depth=3))
+    res = minimize(built, AnsatzConfig(4, depth=3))
     assert res.energy - lam >= -1e-9
     assert res.energy - lam <= 2e-3
     assert len(res.trace) - 2 <= 600
@@ -40,11 +40,11 @@ def test_polar_run_matches_exact_ground():
 def test_trace_contract(rng):
     h = random_hermitian(rng, 8)
     lam = hermitian_eig(h).values[0]
-    res = minimize(h, template(3, depth=1), OptimizerSettings(seed=5, max_iter=80))
+    res = minimize(h, AnsatzConfig(3, depth=1), OptimizerSettings(seed=5, max_iter=80))
     energies = np.array([e for _, e in res.trace])
     assert np.all(energies >= lam - 1e-9)
     assert abs(res.energy - energies.min()) <= 1e-12
-    assert abs(energy(h, template(3, depth=1), res.params) - res.energy) < 1e-10
+    assert abs(energy(h, AnsatzConfig(3, depth=1), res.params) - res.energy) < 1e-10
     best = res.best_so_far()
     assert np.all(np.diff(best) <= 1e-15)
     assert res.trace_evaluations == sorted(res.trace_evaluations)
@@ -52,15 +52,14 @@ def test_trace_contract(rng):
 
 def energy(h, ans, x):
     """Oracle energy E(x) = Re <psi(x)| H |psi(x)> on the complex H."""
-    psi = circuits.ansatz_state(ans.with_params(x))
+    psi = circuits.ansatz_state(ans, x)
     return np.vdot(psi, h @ psi).real
 
 
 def adjoint(h, ans, x):
     """The adjoint sweep against Re(H), as minimize runs it."""
-    cfg = ans.with_params(x)
-    psi = circuits.ansatz_state(cfg)
-    return circuits.adjoint_gradient(cfg, psi, h.real @ psi)
+    psi = circuits.ansatz_state(ans, x)
+    return circuits.adjoint_gradient(ans, x, psi, h.real @ psi)
 
 
 def shift_gradient(h, ans, x):
@@ -83,7 +82,7 @@ def test_adjoint_gradient_matches_parameter_shift_oracle(rng, entangler):
         for depth in range(4):
             h = random_hermitian(rng, 2 ** n)
             assert np.any(h.imag != 0)
-            ans = template(n, depth=depth, entangler=entangler)
+            ans = AnsatzConfig(n, depth=depth, entangler=entangler)
             x = rng.uniform(-np.pi, np.pi, ans.n_params)
             g = adjoint(h, ans, x)
             assert np.max(np.abs(g - shift_gradient(h, ans, x))) <= 1e-12, (n, depth)
@@ -91,7 +90,7 @@ def test_adjoint_gradient_matches_parameter_shift_oracle(rng, entangler):
 
 def test_gradient_matches_central_difference_oracle(rng):
     h = random_hermitian(rng, 8)
-    ans = template(3, depth=2)
+    ans = AnsatzConfig(3, depth=2)
     for _ in range(10):
         x = rng.uniform(-np.pi, np.pi, ans.n_params)
         g = adjoint(h, ans, x)
@@ -101,9 +100,9 @@ def test_gradient_matches_central_difference_oracle(rng):
 
 def test_gradient_guards():
     with pytest.raises(NotHermitianError):
-        energy_gradient(np.array([[0.0, 1.0], [0.0, 0.0]]), template(1, depth=0), [0.3])
+        energy_gradient(np.array([[0.0, 1.0], [0.0, 0.0]]), AnsatzConfig(1, depth=0), [0.3])
     with pytest.raises(DimensionMismatchError):
-        energy_gradient(PAULI["Z"], template(2, depth=0), [0.3, 0.1])
+        energy_gradient(PAULI["Z"], AnsatzConfig(2, depth=0), [0.3, 0.1])
 
 
 def test_evaluations_count_circuit_runs(monkeypatch):
@@ -111,13 +110,13 @@ def test_evaluations_count_circuit_runs(monkeypatch):
     # points already evaluated, share one circuit run
     runs = []
 
-    def counted(cfg):
-        runs.append(cfg.params.copy())
-        return circuits.ansatz_state(cfg)
+    def counted(cfg, params):
+        runs.append(np.array(params))
+        return circuits.ansatz_state(cfg, params)
 
     monkeypatch.setattr(vqe, "ansatz_state", counted)
     built = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
-    res = minimize(built, template(4, depth=2), OptimizerSettings(seed=3, max_iter=30))
+    res = minimize(built, AnsatzConfig(4, depth=2), OptimizerSettings(seed=3, max_iter=30))
     assert res.evaluations == len(runs)
     assert res.trace_evaluations[-1] == res.evaluations
     assert all(not np.array_equal(a, b) for a, b in zip(runs, runs[1:]))
@@ -126,14 +125,14 @@ def test_evaluations_count_circuit_runs(monkeypatch):
 def test_minimize_guards():
     built = build_monopole_su2(HamiltonianSpec(kind="MonopoleSU2", b_field=2.0))
     with pytest.raises(NotHermitianError, match="HermitianPart"):
-        minimize(built, template(9, depth=1))
+        minimize(built, AnsatzConfig(9, depth=1))
     with pytest.raises(DimensionMismatchError):
-        minimize(PAULI["Z"], template(2, depth=0))
+        minimize(PAULI["Z"], AnsatzConfig(2, depth=0))
 
 
 def test_budget_exhaustion_returns_best_so_far():
     built = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
-    res = minimize(built, template(4, depth=3), OptimizerSettings(seed=11, max_iter=3))
+    res = minimize(built, AnsatzConfig(4, depth=3), OptimizerSettings(seed=11, max_iter=3))
     assert np.isfinite(res.energy)
     assert not res.converged
     assert len(res.trace) == 3 + 2  # the start, max_iter iterates, the returned point
@@ -151,11 +150,11 @@ def test_optimizer_settings_validate_themselves():
 def test_determinism_and_restarts():
     built = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
     opt = OptimizerSettings(seed=7, max_iter=60)
-    r1 = minimize(built, template(4, depth=2), opt)
-    r2 = minimize(built, template(4, depth=2), opt)
+    r1 = minimize(built, AnsatzConfig(4, depth=2), opt)
+    r2 = minimize(built, AnsatzConfig(4, depth=2), opt)
     assert r1.trace == r2.trace
     np.testing.assert_array_equal(r1.params, r2.params)
-    multi = minimize(built, template(4, depth=2),
+    multi = minimize(built, AnsatzConfig(4, depth=2),
                      OptimizerSettings(seed=7, max_iter=60, restarts=3))
     assert multi.energy <= r1.energy + 1e-12
     assert multi.evaluations > r1.evaluations
@@ -168,7 +167,7 @@ def test_sweep_monopole_reaches_real_state_floor():
     built = build_monopole_su2(
         HamiltonianSpec(kind="MonopoleSU2", b_field=0.2, variant="HermitianPart")
     )
-    res = minimize(built, template(9, depth=3), OptimizerSettings(seed=11, max_iter=300))
+    res = minimize(built, AnsatzConfig(9, depth=3), OptimizerSettings(seed=11, max_iter=300))
     h = built.matrix
     floor = np.linalg.eigvalsh(0.5 * (h.real + h.real.T))[0]
     lam = np.linalg.eigvalsh(h)[0]
@@ -178,7 +177,7 @@ def test_sweep_monopole_reaches_real_state_floor():
 
 def test_trace_csv_format(tmp_path):
     built = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
-    res = minimize(built, template(4, depth=1), OptimizerSettings(seed=1, max_iter=25))
+    res = minimize(built, AnsatzConfig(4, depth=1), OptimizerSettings(seed=1, max_iter=25))
     path = tmp_path / "trace.csv"
     write_trace_csv(res, path)
     lines = path.read_text().strip().splitlines()
@@ -273,7 +272,7 @@ def test_matches_scipy_slsqp(problem, depth, entangler, rng):
         h, n = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0)).matrix, 4
     else:
         h, n = random_hermitian(rng, 8), 3
-    ans = template(n, depth=depth, entangler=entangler)
+    ans = AnsatzConfig(n, depth=depth, entangler=entangler)
     both = 0
     for seed in range(1, 5):
         opt = OptimizerSettings(seed=seed, max_iter=600, tolerance=1e-12)

@@ -39,6 +39,7 @@ from .operators import (
     HERM_TOL,
     MAX_QUBITS,
     EigenSystem,
+    _size_stacks,
     _spectral,
     hermitian_eig,
     is_hermitian,
@@ -246,11 +247,8 @@ def _diagonal_blocks(matrix: np.ndarray, blocks: tuple, orbits=None) -> list:
         parts = matrix[orbits[:, None, :1], orbits[None, :, :]]  # [o, o', m] = H[s_o, R^m s_o']
         sub = parts[..., 0] + sum(_QUARTER[:, m, None, None] * parts[..., m] for m in (1, 2, 3))
         return [(sub, np.broadcast_to(orbits, (4,) + orbits.shape), _QUARTER / 2)]
-    stacks = []
-    for size in sorted({len(b) for b in blocks}):
-        idx = np.stack([b for b in blocks if len(b) == size])
-        stacks.append((matrix[idx[:, :, None], idx[:, None, :]], idx[:, :, None], np.ones((len(idx), 1))))
-    return stacks
+    return [(matrix[idx[:, :, None], idx[:, None, :]], idx[:, :, None], np.ones((len(idx), 1)))
+            for idx in _size_stacks(blocks)]
 
 
 def _quarter_orbits(rotation: np.ndarray) -> np.ndarray:
@@ -273,6 +271,10 @@ def _finish(matrix: np.ndarray, spec: HamiltonianSpec, labels, rotation=None) ->
     block.  The whole matrix's Hermiticity defect is then the larger of the
     blocks' and the largest entry above them, so ``hermitian`` holds exactly
     when that entry is within ``HERM_TOL`` of the largest entry of all.
+    The blocks are gathered first: when they hold as many 64-bit words
+    with a bit set as the whole matrix, every entry off them is exactly
+    +0.0 and the scans for entries below and above them are skipped
+    (anything else off them, -0.0 and NaN included, makes them run).
 
     A builder that passes a ``rotation`` (a quarter-turn permutation of the
     basis, as index array) also needs H to commute with it bit for bit,
@@ -280,16 +282,22 @@ def _finish(matrix: np.ndarray, spec: HamiltonianSpec, labels, rotation=None) ->
     blocks; the Hermiticity check then runs on its four phase sectors.
     """
     labels = np.broadcast_to(labels, matrix.shape[:1])
-    if np.any(matrix[labels[:, None] > labels[None, :]]):
-        raise GaugesimError(f"{spec.kind}: non-zero entry below its diagonal blocks")
+    blocks = _blocks_by(labels)
+    stacks = _diagonal_blocks(matrix, blocks) if rotation is None else None
+    above = 0.0
+    if stacks is None or (np.count_nonzero(matrix.view(np.uint64))
+                          != sum(np.count_nonzero(sub.view(np.uint64)) for sub, _, _ in stacks)):
+        if np.any(matrix[labels[:, None] > labels[None, :]]):
+            raise GaugesimError(f"{spec.kind}: non-zero entry below its diagonal blocks")
+        above = np.abs(matrix[labels[:, None] < labels[None, :]]).max(initial=0.0)
     orbits = None
     if rotation is not None:
         orbits = _quarter_orbits(rotation)
         if not np.array_equal(matrix[rotation[:, None], rotation], matrix):
             raise GaugesimError(f"{spec.kind}: does not commute exactly with its quarter-turn")
-    blocks = _blocks_by(labels)
-    above = scale = np.abs(matrix[labels[:, None] < labels[None, :]]).max(initial=0.0)
-    for sub, _, _ in _diagonal_blocks(matrix, blocks, orbits):
+        stacks = _diagonal_blocks(matrix, blocks, orbits)
+    scale = above
+    for sub, _, _ in stacks:
         if not np.all(is_hermitian(sub)):
             raise GaugesimError(f"{spec.kind}: a diagonal block of size {sub.shape[1]} is not Hermitian")
         scale = max(scale, np.abs(sub).max())

@@ -50,6 +50,12 @@ def qubits_of_dim(dim: int) -> int:
     return dim.bit_length() - 1
 
 
+def _size_stacks(blocks) -> list:
+    """The index sets ``blocks`` stacked by size: one (count, size) array
+    per distinct size, ascending, each holding that size's sets in order."""
+    return [np.stack([b for b in blocks if len(b) == size]) for size in sorted({len(b) for b in blocks})]
+
+
 def herm_defect(a):
     """max |a - a^dag| entrywise, the absolute deviation from Hermiticity;
     an array of one defect per matrix for a (..., d, d) stack."""

@@ -8,7 +8,10 @@ differentiation: one forward and one backward sweep through the circuit,
 equal to the parameter-shift gradient (which would take 2P circuit runs for
 P parameters).  The Ry form prepares real states, and for a real psi and a
 Hermitian H, <psi|H|psi> = psi^T Re(H) psi exactly (Im H is antisymmetric),
-so the objective and its gradient run on float64 states against Re(H).
+so the objective and its gradient run on float64 states against Re(H),
+held as the real parts of H's diagonal blocks (a build's ``blocks``; a
+plain matrix is one block), stacked by size: H psi is one batched product
+per size of block, never a dense Re(H).
 Up to 99 parameters (9 qubits up to depth 10) every step stays on the
 calling thread, so a fixed seed gives the same trace bytes whatever the
 BLAS thread count; above that OpenBLAS threads the optimizer's solve.
@@ -22,7 +25,7 @@ import numpy as np
 
 from .circuits import AnsatzConfig, adjoint_gradient, ansatz_state
 from .errors import DimensionMismatchError, NotHermitianError, read_own_fields
-from .operators import as_operator, is_hermitian
+from .operators import _size_stacks, as_operator, is_hermitian
 
 __all__ = [
     "OptimizerSettings",
@@ -84,13 +87,13 @@ class VqeResult:
         return np.minimum.accumulate([e for _, e in self.trace])
 
 
-def _check_inputs(h, ansatz: AnsatzConfig) -> np.ndarray:
-    """The matrix of ``h`` (a matrix or a build), refused unless it is
-    Hermitian (a build's flag, see ``is_hermitian``) and fits the register."""
-    m = as_operator(h)
-    if m.shape[0] != 2 ** ansatz.n_qubits:
+def _check_inputs(h, ansatz: AnsatzConfig) -> None:
+    """Refuse ``h`` (a matrix or a build) unless it is Hermitian (a build's
+    flag, see ``is_hermitian``) and fits the register."""
+    dim = as_operator(h).shape[0]
+    if dim != 2 ** ansatz.n_qubits:
         raise DimensionMismatchError(
-            f"H dim {m.shape[0]} vs ansatz register of {ansatz.n_qubits} qubits"
+            f"H dim {dim} vs ansatz register of {ansatz.n_qubits} qubits"
         )
     if not is_hermitian(h):
         raise NotHermitianError(
@@ -98,25 +101,36 @@ def _check_inputs(h, ansatz: AnsatzConfig) -> np.ndarray:
             "rebuild with variant='HermitianPart' (or another Hermitian variant) "
             "so the variational quotient is real"
         )
-    return m
 
 
-def _real_part(m) -> np.ndarray:
-    """The symmetric real part of H as one contiguous float64 matrix.
+def _real_part(h) -> list:
+    """The symmetric real part 0.5 (Re H + Re H^T) of ``h`` (a matrix or a
+    build) on its diagonal blocks, one (idx, sub) pair per size of block:
+    sub[c] is the part on the indices idx[c], bit for bit the dense one
+    gathered there.
 
-    For an exactly Hermitian H this is Re(H) itself, bit for bit.
+    A build's blocks are its ``blocks``, a matrix is one block.  A Hermitian
+    build is block diagonal over its blocks (as ``spectrum`` and
+    ``eigensystem`` take it), so these pairs are the whole of Re H.
     """
-    return np.ascontiguousarray(0.5 * (m.real + m.real.T))
+    m = as_operator(h)
+    stacks = []
+    for idx in _size_stacks(getattr(h, "blocks", (np.arange(len(m)),))):
+        sub = m.real[idx[:, :, None], idx[:, None, :]]
+        stacks.append((idx, 0.5 * (sub + sub.transpose(0, 2, 1))))
+    return stacks
 
 
 class _RealObjective:
-    """Energy and adjoint gradient against a real symmetric matrix.
+    """Energy and adjoint gradient against a real symmetric matrix, given
+    as the block stacks of ``_real_part``: H psi is a gather, one batched
+    product and a scatter per stack.
 
     Both share the forward state of the last point, so the energy and the
     gradient at one point cost one circuit run; ``runs`` counts them.
     """
 
-    def __init__(self, h_real: np.ndarray, ansatz: AnsatzConfig):
+    def __init__(self, h_real: list, ansatz: AnsatzConfig):
         self.h_real = h_real
         self.ansatz = ansatz
         self.runs = 0
@@ -126,7 +140,9 @@ class _RealObjective:
         x = np.asarray(x, dtype=float)
         if self._x is None or not np.array_equal(x, self._x):
             self._psi = ansatz_state(self.ansatz, x)
-            self._h_psi = self.h_real @ self._psi
+            self._h_psi = np.empty_like(self._psi)
+            for idx, sub in self.h_real:
+                self._h_psi[idx] = (sub @ self._psi[idx][..., None])[..., 0]
             self._energy = float(self._psi @ self._h_psi)
             self._x = x.copy()
             self.runs += 1
@@ -147,7 +163,8 @@ def energy_gradient(h, ansatz: AnsatzConfig, params) -> np.ndarray:
     g_k = (E(+pi/2 e_k) - E(-pi/2 e_k))/2 up to rounding.  Raises like
     ``minimize`` for a non-Hermitian H or a register mismatch.
     """
-    objective = _RealObjective(_real_part(_check_inputs(h, ansatz)), ansatz)
+    _check_inputs(h, ansatz)
+    objective = _RealObjective(_real_part(h), ansatz)
     return objective.gradient(params)
 
 
@@ -243,7 +260,8 @@ def minimize(h, ansatz: AnsatzConfig, opt: OptimizerSettings | None = None) -> V
     comes back with converged=False.
     """
     opt = opt or OptimizerSettings()
-    h_real = _real_part(_check_inputs(h, ansatz))
+    _check_inputs(h, ansatz)
+    h_real = _real_part(h)
     best = None
     total_evals = 0
     for r in range(opt.restarts):

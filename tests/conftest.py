@@ -3,7 +3,10 @@ import pytest
 from scipy.linalg import expm
 
 from gaugesim.basis import fermion_factor, osc_p, osc_q, place, pos_grid
+from gaugesim.errors import GaugesimError
 from gaugesim.evolution import momentum_state
+from gaugesim.hamiltonians import BuiltHamiltonian, _blocks_by, _diagonal_blocks, _quarter_orbits
+from gaugesim.operators import HERM_TOL, is_hermitian, qubits_of_dim
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -147,6 +150,28 @@ def dense_monopole(spec) -> np.ndarray:
     if spec.variant == "HermitianPart":
         h = 0.5 * (h + h.conj().T)
     return h
+
+
+def two_scan_finish(matrix, spec, labels, rotation=None) -> BuiltHamiltonian:
+    """``hamiltonians._finish`` with no nonzero-count shortcut (test oracle
+    only): a boolean mask of the whole matrix finds the entries below the
+    sector blocks, and another the largest entry above them, every time."""
+    labels = np.broadcast_to(labels, matrix.shape[:1])
+    if np.any(matrix[labels[:, None] > labels[None, :]]):
+        raise GaugesimError(f"{spec.kind}: non-zero entry below its diagonal blocks")
+    orbits = None
+    if rotation is not None:
+        orbits = _quarter_orbits(rotation)
+        if not np.array_equal(matrix[rotation[:, None], rotation], matrix):
+            raise GaugesimError(f"{spec.kind}: does not commute exactly with its quarter-turn")
+    blocks = _blocks_by(labels)
+    above = scale = np.abs(matrix[labels[:, None] < labels[None, :]]).max(initial=0.0)
+    for sub, _, _ in _diagonal_blocks(matrix, blocks, orbits):
+        if not np.all(is_hermitian(sub)):
+            raise GaugesimError(f"{spec.kind}: a diagonal block of size {sub.shape[1]} is not Hermitian")
+        scale = max(scale, np.abs(sub).max())
+    return BuiltHamiltonian(matrix=matrix, spec=spec, hermitian=bool(above <= HERM_TOL * scale),
+                            qubits=qubits_of_dim(len(labels)), blocks=blocks, orbits=orbits)
 
 
 def pair_trotter(groups, ts, n_steps: int, psi0) -> np.ndarray:

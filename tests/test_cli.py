@@ -429,10 +429,12 @@ for config in sys.argv[2:]:
 
 
 def test_vqe_traces_do_not_depend_on_blas_threads(tmp_path):
-    # README's six vqe configs give the same trace bytes at 1 and 2 BLAS threads
+    # README's six vqe configs, and the MajoranaFermions monopole (the other
+    # build with 16 sectors), give the same trace bytes at 1 and 2 BLAS threads
     hamiltonians = {"cartesian": {"kind": "LandauCartesian", "b_field": 2.0},
                     "polar": {"kind": "LandauPolar", "b_field": 2.0},
-                    "monopole": {"kind": "MonopoleSU2", "b_field": 2.0, "variant": "HermitianPart"}}
+                    "monopole": {"kind": "MonopoleSU2", "b_field": 2.0, "variant": "HermitianPart"},
+                    "majorana": {"kind": "MonopoleSU2", "b_field": 2.0, "variant": "MajoranaFermions"}}
     src = str(pathlib.Path(gaugesim.__file__).resolve().parents[1])
     traces = {}
     for threads in ("1", "2"):

@@ -4,8 +4,12 @@ Small valid configs of all five commands get one or two edits (a value
 replaced by a bool, a string, null, NaN, +-inf, a number at the edge of
 the float range (+-1e308, 1e300, 5e-324, -0.0), a small negative or
 non-integral number or a wrong container; a key deleted; an unknown key
-added).  Every run must exit 0, 2 or 3 with at most a one-line message,
-and exit 0 must write and print only finite numbers.  Small counts are
+added).  Independent edits practically never move two numbers together,
+so a second strategy sets two sibling numbers of one object to opposite
+edges of the float range (-1e308 and 1e308, as a ``p2_scan`` window),
+then perhaps makes one more edit.  Every run must exit 0, 2 or 3 with at
+most a one-line message, and exit 0 must write and print only finite
+numbers.  Small counts are
 drawn from a small range, and a huge one is refused by its cap or costs no
 more than a small one, so no edit can ask for a large run.
 """
@@ -89,6 +93,25 @@ def perturbed(draw, base):
     return cfg
 
 
+@st.composite
+def opposite_edges(draw, base):
+    """``base`` with two numbers of one object or list set to -1e308 and
+    1e308, then, on half the draws, the edits of ``perturbed``."""
+    cfg = copy.deepcopy(base)
+    pairs = []
+    for path in [()] + list(_paths(cfg)):
+        obj = cfg
+        for key in path:
+            obj = obj[key]
+        if isinstance(obj, (dict, list)):
+            keys = [k for k, v in (obj.items() if isinstance(obj, dict) else enumerate(obj))
+                    if isinstance(v, (int, float)) and not isinstance(v, bool)]
+            pairs += [(obj, low, high) for low in keys for high in keys if low != high]
+    obj, low, high = draw(st.sampled_from(pairs))
+    obj[low], obj[high] = -1e308, 1e308
+    return draw(perturbed(cfg)) if draw(st.booleans()) else cfg
+
+
 def _numbers_in_summary(text):
     for token in text.replace(",", " ").split():
         _, eq, value = token.partition("=")
@@ -121,10 +144,9 @@ def test_base_configs_run(command):
     assert cells
 
 
-@pytest.mark.parametrize("command", sorted(BASE))
-def test_perturbed_configs_end_in_exit_0_2_or_3(command):
+def _check_every_draw(strategy, command):
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
-    @given(perturbed(BASE[command]))
+    @given(strategy(BASE[command]))
     def check(cfg):
         code, out, err, cells = _run(command, cfg)
         assert code in (0, 2, 3), err
@@ -135,3 +157,13 @@ def test_perturbed_configs_end_in_exit_0_2_or_3(command):
         assert all(math.isfinite(x) for x in _numbers_in_summary(out))
 
     check()
+
+
+@pytest.mark.parametrize("command", sorted(BASE))
+def test_perturbed_configs_end_in_exit_0_2_or_3(command):
+    _check_every_draw(perturbed, command)
+
+
+@pytest.mark.parametrize("command", sorted(BASE))
+def test_sibling_numbers_at_opposite_float_edges_end_in_exit_0_2_or_3(command):
+    _check_every_draw(opposite_edges, command)

@@ -23,7 +23,7 @@ from gaugesim.hamiltonians import (
 )
 from gaugesim.operators import hermitian_eig, is_hermitian
 
-from conftest import dense_monopole
+from conftest import dense_monopole, two_scan_finish
 
 
 def cart_spec(**kw):
@@ -684,3 +684,69 @@ def test_finish_refuses_a_nan_in_any_diagonal_block(position):
         above[built.blocks[0][0], built.blocks[1][0]] = np.nan
         assert not hamiltonians._finish(above, spec, labels).hermitian
         assert not is_hermitian(above)
+
+
+def _finish_outcome(finish, matrix, spec, labels, rotation=None):
+    """(hermitian, blocks as lists) of a finished build, or its refusal's message."""
+    try:
+        built = finish(matrix, spec, labels, rotation=rotation)
+    except GaugesimError as exc:
+        return str(exc)
+    return built.hermitian, [b.tolist() for b in built.blocks]
+
+
+def _finish_input(case):
+    """(matrix, spec, labels, rotation) of a build, with the builder's own labels."""
+    kind, *args = case
+    if kind == "monopole":
+        variant, g_m, n = args
+        built = build_monopole_su2(_monopole_spec(variant, g_m, n))
+        return built.matrix, built.spec, _monopole_labels(variant, n), None
+    if kind == "cartesian":
+        return build_landau_cartesian(cart_spec()).matrix, cart_spec(), _parity_labels(16), None
+    if kind == "grid":
+        return build_landau_cartesian_position(cart_spec()).matrix, cart_spec(), 0, _quarter_turn(16)
+    spec = HamiltonianSpec(kind="LandauPolar", b_field=2.0, angular_m=args[0])
+    return build_landau_polar(spec).matrix, spec, 0, None
+
+
+_FINISH_CASES = ([("monopole", v, g, n) for v in VARIANTS for g in (1e-12, 2.0) for n in (2, 4)]
+                 + [("cartesian",), ("grid",)] + [("polar", m) for m in (0, 1, 2)])
+
+
+@pytest.mark.parametrize("case", _FINISH_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_finish_count_path_agrees_with_the_two_scans(case):
+    # a build whose blocks hold all its nonzero entries skips the scans
+    # below and above them; every builder's outcome stays the two-scan one
+    import gaugesim.hamiltonians as hamiltonians
+
+    matrix, spec, labels, rotation = _finish_input(case)
+    outcome = _finish_outcome(hamiltonians._finish, matrix, spec, labels, rotation)
+    assert outcome == _finish_outcome(two_scan_finish, matrix, spec, labels, rotation)
+    assert not isinstance(outcome, str)
+
+
+@pytest.mark.parametrize("case", [("monopole", "HermitianPart", 2.0, 2), ("cartesian",)],
+                         ids=["monopole", "cartesian"])
+@pytest.mark.parametrize("edit", ["tiny above", "minus zero above", "nan above", "nan inside", "below"])
+def test_finish_count_path_agrees_with_the_two_scans_on_edited_matrices(case, edit):
+    # one entry off the blocks (-0.0 too) makes the counts differ, so the
+    # scans run; a NaN inside a block leaves them equal and the block check
+    # refuses it
+    import gaugesim.hamiltonians as hamiltonians
+
+    matrix, spec, labels, _ = _finish_input(case)
+    first, second = (b[0] for b in hamiltonians._blocks_by(labels)[:2])
+    entry, value, expected = {"tiny above": ((first, second), 1e-300, True),
+                              "minus zero above": ((first, second), -0.0, True),
+                              "nan above": ((first, second), np.nan, False),
+                              "nan inside": ((first, first), np.nan, "not Hermitian"),
+                              "below": ((second, first), 1.0, "below")}[edit]
+    matrix = matrix.copy()
+    matrix[entry] = value
+    outcome = _finish_outcome(hamiltonians._finish, matrix, spec, labels)
+    assert outcome == _finish_outcome(two_scan_finish, matrix, spec, labels)
+    if isinstance(expected, str):
+        assert expected in outcome
+    else:
+        assert outcome[0] is expected

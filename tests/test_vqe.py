@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -173,6 +175,55 @@ def test_sweep_monopole_reaches_real_state_floor():
     lam = np.linalg.eigvalsh(h)[0]
     assert res.energy >= lam - 1e-9
     assert abs(res.energy - floor) <= 2e-2
+
+
+def _objective_problem(problem, rng):
+    """(H, its qubits, the expected (count, size) of each block stack)."""
+    if problem == "random":
+        return random_hermitian(rng, 16), 4, [(1, 16)]
+    if problem == "cartesian":
+        return build_landau_cartesian(HamiltonianSpec(kind="LandauCartesian", b_field=2.0)), 8, [(2, 128)]
+    if problem == "polar":
+        return build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0)), 4, [(1, 16)]
+    spec = HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant=problem)
+    return build_monopole_su2(spec), 9, [(16, 32)]
+
+
+@pytest.mark.parametrize("problem", ["HermitianPart", "MajoranaFermions", "cartesian", "polar", "random"])
+def test_stacked_objective_equals_the_dense_real_part(problem, rng):
+    # the objective's blocks are the dense 0.5 (Re H + Re H^T) gathered on
+    # each block, bit for bit, and together they give its energies and
+    # adjoint gradients to rounding
+    h, n, shapes = _objective_problem(problem, rng)
+    m = np.asarray(getattr(h, "matrix", h))
+    dense = 0.5 * (m.real + m.real.T)
+    stacks = vqe._real_part(h)
+    assert [idx.shape for idx, _ in stacks] == shapes
+    assert np.array_equal(np.sort(np.concatenate([idx.ravel() for idx, _ in stacks])), np.arange(len(m)))
+    for idx, sub in stacks:
+        assert np.array_equal(sub, dense[idx[:, :, None], idx[:, None, :]])
+    ans = AnsatzConfig(n, depth=2, entangler="cx")
+    objective = vqe._RealObjective(stacks, ans)
+    for _ in range(3):
+        x = rng.uniform(-np.pi, np.pi, ans.n_params)
+        psi = circuits.ansatz_state(ans, x)
+        h_psi = dense @ psi
+        scale = 1e-13 * np.linalg.norm(h_psi)  # bounds |energy| and every |gradient entry| / 2
+        assert abs(objective.energy(x) - psi @ h_psi) <= scale
+        np.testing.assert_allclose(objective.gradient(x), circuits.adjoint_gradient(ans, x, psi, h_psi),
+                                   rtol=0, atol=scale)
+
+
+def test_monopole_minimize_never_forms_a_dense_real_part():
+    # a dense float64 Re H at 9 qubits alone is 2 MiB of numpy memory
+    built = build_monopole_su2(HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant="HermitianPart"))
+    tracemalloc.start()
+    try:
+        minimize(built, AnsatzConfig(9, depth=3), OptimizerSettings(seed=11, max_iter=20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_trace_csv_format(tmp_path):

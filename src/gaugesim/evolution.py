@@ -3,8 +3,9 @@ and vertex-operator scattering on the position-basis grid.
 
 Pauli-string conventions match the circuit engine: label character 0 acts
 on qubit 0, the most significant bit of the basis index, and labels are
-ordered lexicographically over {I, X, Y, Z} (which is exactly the base-4
-enumeration the fast transform produces).  Trotter steps do not follow that
+ordered lexicographically over {I, X, Y, Z}.  The decomposition reads each
+X/Y pattern x off the matrix entries H[c, c ^ x] and takes one
+Walsh-Hadamard transform over c.  Trotter steps do not follow the label
 order: they apply one exact exponential per X-mask group of strings, in
 ascending mask order.  A group's operator H_x holds the entries H[i, i ^ x]
 of H, so ``_groups`` reads it off the matrix itself; the strings only say
@@ -12,7 +13,12 @@ which masks to keep.  Each maximal run of
 consecutive groups whose masks span at most 4 dimensions over GF(2) keeps
 every coset of that span, so the run's factors are multiplied out once per
 call into one block of at most 16x16 per coset and time; a step is then one
-batched matmul and one gather per run (see ``_apply_trotter``).
+batched matmul and one gather per run (see ``_apply_trotter``).  The
+position grid's build carries its quarter-turn, which maps the masks of
+one grid register onto the other's with equal entries; there the two
+register runs share one composition, and a step is one batched matmul
+along each axis of the (time, x, y) state, with no gather (see
+``_registers``).
 """
 
 from __future__ import annotations
@@ -73,17 +79,31 @@ class PauliTermList:
     terms: list
 
 
+#: [x bit, z bit] -> base-4 digit of the Pauli letter: I 0, Z 3, X 1, Y 2
+_DIGITS = np.array([[0, 3], [1, 2]])
+
+#: i**k for k = popcount(x & z) mod 4: the phase of X^x Z^z in its string
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
+
+
+def _hadamard(bits: int) -> np.ndarray:
+    """The 2**bits x 2**bits Walsh-Hadamard matrix, [z, c] = (-1)**popcount(z & c)."""
+    i = np.arange(1 << bits)
+    return 1.0 - 2.0 * (np.bitwise_count(i[:, None] & i) & 1)
+
+
 def pauli_decompose(h) -> PauliTermList:
     """Expand a Hermitian matrix over Pauli strings, c_s = Tr(P_s H) / 2**n.
 
-    Runs the tensored block transform qubit by qubit, O(n 4**n) total,
-    without ever materializing a Pauli matrix:
-
-        [[A, B], [C, D]]  ->  (A+D)/2, (B+C)/2, i(B-C)/2, (A-D)/2
-
-    yields the I, X, Y, Z coefficient blocks for the leading qubit, and
-    recursion on the blocks handles the rest.  Coefficients at or below
-    1e-12 * max|c| are dropped.  ``h`` is a matrix or a build (see
+    A string with X/Y pattern x and Z/Y pattern z is
+    P = i**popcount(x & z) X^x Z^z, so c = i**popcount(x & z) / 2**n
+    sum_c (-1)**popcount(z & c) H[c, c ^ x]: one gather d[x, c] = H[c, c ^ x],
+    then a Walsh-Hadamard transform over c, O(n 4**n) in all and without
+    ever materializing a Pauli matrix.  The transform is the Kronecker
+    product of two Hadamard matrices, one per half of c's bits, so it is
+    two small real matmuls per x on the real and imaginary parts alike.
+    Coefficients at or below 1e-12 * max|c| are dropped, and labels are
+    built only for the kept ones.  ``h`` is a matrix or a build (see
     ``operators.as_operator``).
     """
     m = as_operator(h)
@@ -91,24 +111,30 @@ def pauli_decompose(h) -> PauliTermList:
     if not is_hermitian(h):
         raise NotHermitianError("pauli_decompose requires a Hermitian matrix")
 
-    work = m.reshape(1, m.shape[0], m.shape[0])
-    for _ in range(n):
-        half = work.shape[-1] // 2
-        a = work[:, :half, :half]
-        b = work[:, :half, half:]
-        c = work[:, half:, :half]
-        d = work[:, half:, half:]
-        work = 0.5 * np.stack([a + d, b + c, 1j * (b - c), a - d], axis=1)
-        work = work.reshape(-1, half, half)
-    coeffs = work.reshape(-1)
+    dim = m.shape[0]
+    c = np.arange(dim)
+    index = c ^ c[:, None]
+    index += dim * c
+    d = m.ravel()[index]  # [x, c] = H[c, c ^ x]
+    del index
+    low = n // 2
+    # c = (high, low) bits; the interleaved (re, im) pairs pass the low factor as kron(., I2)
+    half = d.view(float).reshape(dim, 2 ** (n - low), 2 ** (low + 1)) @ np.kron(_hadamard(low), np.eye(2))
+    del d
+    coeffs = (_hadamard(n - low) @ half).view(np.complex128).reshape(dim, dim)  # [x, z]
+    del half
+    coeffs *= (_I_POWERS / dim)[np.bitwise_count(c[:, None] & c) & 3]
 
     scale = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
     resid = float(np.max(np.abs(coeffs.imag))) if coeffs.size else 0.0
     if scale > 0.0 and resid > 1e-10 * scale:
         raise NotHermitianError(f"complex Pauli coefficients (residue {resid:.3e})")
-    real = coeffs.real
-    keep = np.nonzero(np.abs(real) > 1e-12 * scale)[0]
-    terms = list(zip(_labels(keep, n), real[keep].tolist()))
+    xs, zs = np.nonzero(np.abs(coeffs.real) > 1e-12 * scale)
+    keep = np.zeros(len(xs), dtype=np.int64)  # base-4 label index, qubit 0 most significant
+    for b in range(n):
+        keep |= _DIGITS[(xs >> b) & 1, (zs >> b) & 1] << 2 * b
+    order = np.argsort(keep)
+    terms = list(zip(_labels(keep[order], n), coeffs.real[xs[order], zs[order]].tolist()))
     return PauliTermList(n_qubits=n, terms=terms)
 
 
@@ -184,7 +210,9 @@ def _run_blocks(run, dt, dim: int):
     mag = np.abs(d)
     unit = np.divide(d, mag, out=np.zeros_like(d), where=mag > 0.0)
     angle = dt[:, None] * mag
-    cos, sin = np.cos(angle), np.sin(angle) * (-1j * unit)
+    cos = np.cos(angle)
+    sin = np.sin(angle, out=angle) * (-1j * unit)
+    del angle
     prod = np.zeros((k, k) + tail, dtype=np.complex128)
     prod[np.arange(k), np.arange(k)] = 1.0
     swapped = np.empty_like(prod)
@@ -201,27 +229,84 @@ def _run_blocks(run, dt, dim: int):
                     out=swapped.reshape(row_bits))
         prod *= cos[g][:, None]
         prod += swapped
+    del swapped, cos, sin  # freed before the copy below: less fresh memory per call
     return np.ascontiguousarray(prod.transpose(2, 3, 0, 1)), layout.ravel()
 
 
-def _apply_trotter(groups, ts, n_steps: int, psi0: np.ndarray) -> np.ndarray:
+def _registers(h, groups):
+    """The y register's non-diagonal groups when ``h`` is a grid build whose
+    x register repeats them under its quarter-turn; otherwise None.
+
+    On the n x n position grid (index ix * n + iy) a mask m < n pairs iy
+    with iy ^ m and a mask m * n pairs ix with ix ^ m.  The turn R:
+    (ix, iy) -> (n-1-iy, ix) carries the pair (i, i ^ m n) onto
+    (R i, R i ^ m), so where H commutes with R bit for bit (a build with
+    ``orbits``), d_(m n)[ix n + iy] == d_m[(n-1-iy) n + ix].  That equality
+    is checked here entry for entry, and so are the masks: apart from
+    x = 0 they must be masks m < n that span the y register, and the same
+    masks times n.
+    """
+    if getattr(h, "orbits", None) is None or not groups:
+        return None
+    dim = len(groups[0][1])
+    n = 1 << qubits_of_dim(dim) // 2
+    ys = [g for g in groups if 0 < g[0] < n]
+    xs = [g for g in groups if g[0] >= n]
+    if (n * n != dim or len(_span_basis([m for m, _, _ in ys])) != qubits_of_dim(n)
+            or [x for x, _, _ in xs] != [m * n for m, _, _ in ys]):
+        return None
+    ix, iy = np.divmod(np.arange(dim), n)
+    turn = (n - 1 - iy) * n + ix
+    return ys if all(np.array_equal(dx, dy[turn]) for (_, _, dx), (_, _, dy) in zip(xs, ys)) else None
+
+
+def _register_steps(groups, ys, dt, n_steps: int, psi: np.ndarray) -> np.ndarray:
+    """The first-order product on the grid's two registers (see ``_registers``).
+
+    The product P' of the y register's non-diagonal groups is composed
+    once per time, as one n x n block per ix (``_run_blocks``, put in iy
+    order).  The y run is P' with its columns scaled by the x = 0 phases;
+    the x run is the same P' read at coset n-1-iy, acting on ix.  With
+    the state held as (time, ix, iy), a step is one batched matmul along
+    each axis, and no gather.
+    """
+    count, dim = psi.shape
+    n = 1 << qubits_of_dim(dim) // 2
+    blocks, layout = _run_blocks(ys, dt, dim)
+    order = np.argsort(layout[:n])
+    y_run = np.ascontiguousarray(blocks[:, :, order[:, None], order])  # [t, ix, iy out, iy in]
+    x_run = np.ascontiguousarray(y_run[:, ::-1])  # [t, iy, ix out, ix in]
+    if groups[0][0] == 0:
+        y_run *= np.exp(-1j * dt[:, None] * groups[0][2]).reshape(count, n, 1, n)
+    state = psi.reshape(count, n, n)
+    turned = np.empty_like(state)
+    for _ in range(n_steps):
+        np.matmul(y_run, state[..., None], out=turned[..., None])
+        np.matmul(x_run, turned.transpose(0, 2, 1)[..., None], out=state.transpose(0, 2, 1)[..., None])
+    return state.reshape(count, dim)
+
+
+def _apply_trotter(groups, ts, n_steps: int, psi0: np.ndarray, registers=None) -> np.ndarray:
     """First-order product over the X-mask groups for a batch of times; rows index ts.
 
-    Consecutive groups are composed, once per time and before the steps,
-    into one block per coset of their span (see ``_mask_runs`` and
-    ``_run_blocks``).  A step is then one batched matmul per run, each
-    followed by a gather into the next run's coset layout.  Rows with
-    t == 0 are psi0 itself.
+    With ``registers`` (from ``_registers``) the grid's two register runs
+    share one composition (``_register_steps``).  Otherwise consecutive
+    groups are composed, once per time and before the steps, into one
+    block per coset of their span (see ``_mask_runs`` and ``_run_blocks``),
+    and a step is one batched matmul per run, each followed by a gather
+    into the next run's coset layout.  Rows with t == 0 are psi0 itself.
     """
     ts = np.asarray(ts, dtype=float)
     psi0 = np.asarray(psi0, dtype=np.complex128)
     out = np.repeat(psi0[None, :], len(ts), axis=0)
     live = np.flatnonzero(ts != 0.0)
-    runs = _mask_runs(groups)
-    if not (runs and live.size):
+    if not (groups and live.size):
         return out
     dt = ts[live] / n_steps
-    stages = [_run_blocks(run, dt, len(psi0)) for run in runs]
+    if registers is not None:
+        out[live] = _register_steps(groups, registers, dt, n_steps, out[live])
+        return out
+    stages = [_run_blocks(run, dt, len(psi0)) for run in _mask_runs(groups)]
     layouts = [layout for _, layout in stages]
     # moves[j] gathers run j's layout into the next run's (cyclically)
     moves = [np.argsort(a)[b] for a, b in zip(layouts, layouts[1:] + layouts[:1])]
@@ -285,7 +370,8 @@ def _evolver(h, method: str, trotter_steps: int):
     if method == "trotter":
         steps = read_number(trotter_steps, "trotter_steps", int, 1, error=ValueError)
         groups = _groups(h)
-        return lambda psi, ts: _apply_trotter(groups, ts, steps, psi)
+        registers = _registers(h, groups)
+        return lambda psi, ts: _apply_trotter(groups, ts, steps, psi, registers)
     raise ValueError(f"method must be 'exact' or 'trotter', got {method!r}")
 
 

@@ -372,13 +372,24 @@ def _cartesian_factor_mats(q, p, squares, q2_proj, p2_proj):
     raise InvalidSpecError(f"squares must be 'projected' or 'literal', got {squares!r}")
 
 
+def _with_identity(a: np.ndarray) -> np.ndarray:
+    """a (x) 1 + 1 (x) a, written into two strided views of the zero
+    (n, n, n, n) matrix [i, k, j, l] (row i n + k, column j n + l): a[i, j]
+    where k == l, then a[k, l] added where i == j.  Entry by entry these
+    are the sums ``np.kron`` gives, without its n**4 products by 1 and 0."""
+    n = len(a)
+    out = np.zeros((n, n, n, n), dtype=np.complex128)
+    np.einsum("ikjk->ijk", out)[...] = a[:, :, None]
+    np.einsum("ikil->ikl", out)[...] += a
+    return out.reshape(n * n, n * n)
+
+
 def _landau_cartesian_matrix(spec, n, q, p, q2, p2) -> np.ndarray:
-    one = np.eye(n, dtype=np.complex128)
     hb = 0.5 * spec.b_field
     # (p_x + hb y)^2 + (p_y - hb x)^2 expanded; cross factors commute, and
     # each term is one Kronecker product: p_x y = p (x) q, p_y x = q (x) p.
-    h = 0.5 * (np.kron(p2, one) + np.kron(one, p2))
-    h += 0.5 * hb ** 2 * (np.kron(q2, one) + np.kron(one, q2))
+    h = 0.5 * _with_identity(p2)
+    h += 0.5 * hb ** 2 * _with_identity(q2)
     h += hb * np.kron(p, q) - hb * np.kron(q, p)
     return h
 

@@ -50,6 +50,44 @@ def pauli_reconstruct(terms) -> np.ndarray:
     return work.reshape(2 ** n, 2 ** n)
 
 
+def butterfly_decompose(h) -> list:
+    """(label, coefficient) pairs of a Hermitian matrix by the tensored block
+    transform, qubit by qubit (test oracle only, independent of the
+    Walsh-Hadamard form of ``pauli_decompose``):
+
+        [[A, B], [C, D]]  ->  (A+D)/2, (B+C)/2, i(B-C)/2, (A-D)/2
+
+    gives the I, X, Y, Z coefficient blocks of the leading qubit, and the
+    blocks recurse.  Same 1e-12 * max|c| pruning and lexicographic order."""
+    m = np.asarray(h, dtype=np.complex128)
+    n = qubits_of_dim(m.shape[0])
+    work = m.reshape(1, m.shape[0], m.shape[0])
+    for _ in range(n):
+        half = work.shape[-1] // 2
+        a = work[:, :half, :half]
+        b = work[:, :half, half:]
+        c = work[:, half:, :half]
+        d = work[:, half:, half:]
+        work = 0.5 * np.stack([a + d, b + c, 1j * (b - c), a - d], axis=1)
+        work = work.reshape(-1, half, half)
+    coeffs = work.reshape(-1)
+    scale = float(np.max(np.abs(coeffs)))
+    keep = np.nonzero(np.abs(coeffs.real) > 1e-12 * scale)[0]
+    return [("".join("IXYZ"[(int(i) >> 2 * (n - 1 - q)) & 3] for q in range(n)), float(coeffs.real[i]))
+            for i in keep]
+
+
+def kron_landau_cartesian_matrix(spec, n, q, p, q2, p2) -> np.ndarray:
+    """``hamiltonians._landau_cartesian_matrix`` from six ``np.kron``
+    products, the identity factors included (test oracle only)."""
+    one = np.eye(n, dtype=np.complex128)
+    hb = 0.5 * spec.b_field
+    h = 0.5 * (np.kron(p2, one) + np.kron(one, p2))
+    h += 0.5 * hb ** 2 * (np.kron(q2, one) + np.kron(one, q2))
+    h += hb * np.kron(p, q) - hb * np.kron(q, p)
+    return h
+
+
 def exact_unitary(h, t: float) -> np.ndarray:
     """exp(-i t h) by scipy's Pade scaling and squaring (test oracle only).
 

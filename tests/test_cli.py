@@ -459,20 +459,30 @@ _RUN_EOH = """\
 import sys
 sys.path.insert(0, sys.argv[1])
 import gaugesim.cli
-assert gaugesim.cli.main(["eoh", "--config", sys.argv[2], "--quiet"]) == 0
+for config in sys.argv[2:]:
+    assert gaugesim.cli.main(["eoh", "--config", config, "--quiet"]) == 0
 """
+
+#: README's eoh config, and the 8x8 grid, whose Trotter product steps on
+#: two 3-bit registers (the general runs would split its groups 9 + 6)
+_THREAD_EOH = {"readme": _README_EOH,
+               "grid8": dict(_README_EOH, hamiltonian={"kind": "LandauCartesian", "b_field": 2.0,
+                                                       "boson_trunc": 8})}
 
 
 def test_eoh_csvs_do_not_depend_on_blas_threads(tmp_path):
-    # README's eoh config gives the same exact and Trotter bytes at 1 and 2 BLAS threads
+    # the eoh configs give the same exact and Trotter bytes at 1 and 2 BLAS threads
     src = str(pathlib.Path(gaugesim.__file__).resolve().parents[1])
     csvs = {}
     for threads in ("1", "2"):
-        path = tmp_path / f"eoh_{threads}.json"
-        path.write_text(json.dumps(dict(_README_EOH, output=str(tmp_path / f"eoh_{threads}.csv"))))
-        proc = subprocess.run([sys.executable, "-c", _RUN_EOH, src, str(path)],
+        paths = []
+        for name, cfg in _THREAD_EOH.items():
+            paths.append(tmp_path / f"{name}_{threads}.json")
+            paths[-1].write_text(json.dumps(dict(cfg, output=str(tmp_path / f"{name}_{threads}.csv"))))
+        proc = subprocess.run([sys.executable, "-c", _RUN_EOH, src, *map(str, paths)],
                               env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        csvs[threads] = [(tmp_path / f"eoh_{threads}_{m}.csv").read_bytes() for m in ("exact", "trotter")]
+        csvs[threads] = [(tmp_path / f"{name}_{threads}_{m}.csv").read_bytes()
+                         for name in _THREAD_EOH for m in ("exact", "trotter")]
     assert csvs["1"] == csvs["2"]

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from gaugesim.evolution import (
     _groups,
     _labels,
     _mask_runs,
+    _registers,
     _write_rows,
     dual_lattice_period,
     momentum_state,
@@ -32,11 +34,18 @@ from gaugesim.evolution import (
     wrap_momentum,
     write_transition_csv,
 )
-from gaugesim.hamiltonians import HamiltonianSpec, build_landau_cartesian
+from gaugesim.hamiltonians import (
+    VARIANTS,
+    HamiltonianSpec,
+    build,
+    build_landau_cartesian,
+    build_landau_cartesian_position,
+)
 from gaugesim.operators import _propagate, hermitian_eig
 
 from conftest import (
     PAULI,
+    butterfly_decompose,
     exact_unitary,
     outer_vertex_scan,
     pair_trotter,
@@ -113,6 +122,55 @@ def test_labels_match_one_label_at_a_time(n, rng):
 def test_decompose_keeps_plain_labels_and_floats(rng):
     terms = pauli_decompose(random_hermitian(rng, 8)).terms
     assert terms and all(type(lab) is str and type(c) is float for lab, c in terms)
+
+
+def _builds_for_decompose():
+    """(name, operator) for every builder: the Hermitian part of the two
+    non-Hermitian monopole variants, which ``pauli_decompose`` refuses."""
+    out = []
+    for variant in VARIANTS:
+        built = build(HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant=variant,
+                                      r_ref=1.0 if variant == "ScalarB" else None))
+        out.append((variant, built if built.hermitian else 0.5 * (built.matrix + built.matrix.conj().T)))
+    cart = HamiltonianSpec(kind="LandauCartesian", b_field=2.0)
+    out += [("oscillator", build_landau_cartesian(cart)), ("grid", build_landau_cartesian_position(cart))]
+    out += [(f"polar m={m}", build(HamiltonianSpec(kind="LandauPolar", b_field=2.0, angular_m=m)))
+            for m in range(3)]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_decompose_matches_butterfly_on_random_matrices(n):
+    h = random_hermitian(np.random.default_rng(500 + n), 2 ** n)
+    _assert_same_terms(pauli_decompose(h).terms, butterfly_decompose(h))
+
+
+def test_decompose_matches_butterfly_on_every_builder():
+    for name, h in _builds_for_decompose():
+        _assert_same_terms(pauli_decompose(h).terms, butterfly_decompose(getattr(h, "matrix", h)), name)
+
+
+def _assert_same_terms(terms, oracle, name=""):
+    assert [lab for lab, _ in terms] == [lab for lab, _ in oracle], name
+    got, want = (np.array([c for _, c in t]) for t in (terms, oracle))
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), name
+
+
+def test_decompose_peak_memory():
+    # the block transform peaked at 3.0 MB on the grid and 12.0 MB on the
+    # 9-qubit monopole; and what a call leaves allocated is its result, not
+    # a table of 4**n entries (a complex one is 1 MB and 4 MB here)
+    grid = build_landau_cartesian_position(HamiltonianSpec(kind="LandauCartesian", b_field=2.0))
+    monopole = build(HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant="HermitianPart"))
+    for built, block_transform_mb in ((grid, 3.0), (monopole, 12.0)):
+        tracemalloc.start()
+        try:
+            terms = pauli_decompose(built)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * block_transform_mb * 2 ** 20, (built.spec.variant, peak)
+        assert kept <= 2 * 4 ** built.qubits, (built.spec.variant, kept, len(terms.terms))
 
 
 # ----------------------------------------------------------------- trotter
@@ -282,6 +340,62 @@ def test_run_partition():
         assert all(_span_rank(m) <= 4 for m in masks)
         # maximal: the next run's first mask would lift the span past rank 4
         assert all(_span_rank(m + nxt[:1]) > 4 for m, nxt in zip(masks, masks[1:]))
+
+
+def _grid(n, b_field):
+    return build_landau_cartesian_position(HamiltonianSpec(kind="LandauCartesian", b_field=b_field,
+                                                           boson_trunc=n))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+@pytest.mark.parametrize("b_field", [-2.5, 0.0, 2.0, 7.5])
+def test_register_path_matches_general_runs_and_pair_oracle(n, b_field):
+    built = _grid(n, b_field)
+    groups = _groups(built)
+    registers = _registers(built, groups)
+    # at n = 2 and B = 0, H is a multiple of 1: one diagonal group, no register to share
+    assert (registers is None) == (n == 2 and b_field == 0.0)
+    psi = random_state(np.random.default_rng(n), n * n)
+    ts = [0.0, -0.45, 0.3, 1.7]
+    for n_steps in (1, 7):
+        on_registers = _apply_trotter(groups, ts, n_steps, psi, registers)
+        np.testing.assert_allclose(on_registers, _apply_trotter(groups, ts, n_steps, psi), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(on_registers, pair_trotter(groups, ts, n_steps, psi), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_registers_correspond_under_the_quarter_turn(n):
+    # every grid mask lies in one register, the x register's masks are the
+    # y register's times n, and d_(m n)[ix n + iy] == d_m[(n-1-iy) n + ix] bit for bit
+    ix, iy = np.divmod(np.arange(n * n), n)
+    turn = (n - 1 - iy) * n + ix
+    for b_field in (-2.5, -1.0, 0.0, 1e-9, 0.5, 1.0, 2.0, 3.0, 7.5):
+        groups = {x: d for x, _, d in _groups(_grid(n, b_field))}
+        ys = sorted(m for m in groups if 0 < m < n)
+        assert sorted(x for x in groups if x >= n) == [m * n for m in ys]
+        assert set(groups) <= {0, *ys, *(m * n for m in ys)}
+        for m in ys:
+            assert groups[m * n].tobytes() == groups[m][turn].tobytes(), (b_field, m)
+
+
+def test_broken_correspondence_takes_the_general_path():
+    # one x-register entry (and its conjugate) off its y-register partner,
+    # or one entry on a mask that spans both registers
+    built = _grid(16, 2.0)
+    psi = random_state(np.random.default_rng(7), 256)
+    ts = [0.0, 0.4, -0.9]
+    a = 5 * 16 + 3
+    for mask in (16, 17):
+        matrix = built.matrix.copy()
+        matrix[a, a ^ mask] += 1e-6
+        matrix[a ^ mask, a] = matrix[a, a ^ mask].conjugate()
+        broken = dataclasses.replace(built, matrix=matrix)
+        for h in (broken, built.matrix):
+            groups = _groups(h)
+            assert _registers(h, groups) is None
+            series = transition_series(h, psi, "all", ts, method="trotter", trotter_steps=5)
+            assert np.array_equal(series.amplitudes, _apply_trotter(groups, ts, 5, psi))
+    assert _registers(built, _groups(built)) is not None
 
 
 def test_trotter_guards(rng):
@@ -669,7 +783,13 @@ def test_a_build_is_not_checked_again_and_an_array_once(monkeypatch, call):
     from_array = _EVOLUTIONS[call](built.matrix, psi)
     assert len(calls) == 1
     if "trotter" in call:
-        assert np.array_equal(from_array, from_build)
+        # the build steps on the grid's two registers, the array on the
+        # general runs, so each is held to the pair oracle instead
+        groups, vertex = _groups(built), np.exp(1j * 0.9 * pos_grid(256))
+        expected = (pair_trotter(groups, [0.3], 10, vertex * pair_trotter(groups, [0.2], 10, psi)[0])[0]
+                    if call.startswith("scattering") else pair_trotter(groups, [0.0, 0.5], 10, psi))
+        for result in (from_build, from_array):
+            np.testing.assert_allclose(result, expected, rtol=0, atol=1e-13)
         return
     # exact: the build solves its four quarter-turn sectors, the array goes
     # to one dense eigh, so each is held to the expm oracle instead

@@ -23,7 +23,7 @@ from gaugesim.hamiltonians import (
 )
 from gaugesim.operators import hermitian_eig, is_hermitian
 
-from conftest import dense_monopole, two_scan_finish
+from conftest import dense_monopole, kron_landau_cartesian_matrix, two_scan_finish
 
 
 def cart_spec(**kw):
@@ -202,6 +202,24 @@ def test_cartesian_position_basis():
     # positive kinetic + potential at B=0
     free = build_landau_cartesian_position(cart_spec(b_field=0.0))
     assert hermitian_eig(free.matrix).values[0] >= -1e-12
+
+
+def test_cartesian_assembly_matches_the_kron_oracle_byte_for_byte(monkeypatch):
+    # both bases (and both squares on the oscillator one) assemble the same
+    # bytes as six np.kron products, signed zeros included
+    import gaugesim.hamiltonians as hamiltonians
+
+    assemble, seen = hamiltonians._landau_cartesian_matrix, []
+    monkeypatch.setattr(hamiltonians, "_landau_cartesian_matrix",
+                        lambda *args: seen.append((args, assemble(*args))) or seen[-1][1])
+    for n in (2, 4, 8, 16):
+        for b in (-2.5, -1.5, 0.0, 1e-9, 1.0, 2.0, 7.5):
+            build_landau_cartesian(cart_spec(b_field=b, boson_trunc=n))
+            build_landau_cartesian(cart_spec(b_field=b, boson_trunc=n), squares="literal")
+            build_landau_cartesian_position(cart_spec(b_field=b, boson_trunc=n))
+    assert len(seen) == 4 * 7 * 3
+    for args, matrix in seen:
+        assert matrix.tobytes() == kron_landau_cartesian_matrix(*args).tobytes()
 
 
 def test_builder_kind_guards():

@@ -9,16 +9,13 @@ Walsh-Hadamard transform over c.  Trotter steps do not follow the label
 order: they apply one exact exponential per X-mask group of strings, in
 ascending mask order.  A group's operator H_x holds the entries H[i, i ^ x]
 of H, so ``_groups`` reads it off the matrix itself; the strings only say
-which masks to keep.  Each maximal run of
-consecutive groups whose masks span at most 4 dimensions over GF(2) keeps
-every coset of that span, so the run's factors are multiplied out once per
-call into one block of at most 16x16 per coset and time; a step is then one
-batched matmul and one gather per run (see ``_apply_trotter``).  The
-position grid's build carries its quarter-turn, which maps the masks of
-one grid register onto the other's with equal entries; there the two
-register runs share one composition, and a step is one batched matmul
-along each axis of the (time, x, y) state, with no gather (see
-``_registers``).
+which masks to keep.  One function, ``_product``, applies that product: a
+gather, two elementwise products and an add per group.  A step runs it
+once, except on the position grid's build, which carries its quarter-turn:
+that maps the masks of one grid register onto the other's with equal
+entries, so ``_product`` composes the y register's groups once per call,
+on n comb states, and a step is one batched matmul along each axis of the
+(time, x, y) state, with no gather (see ``_registers``).
 """
 
 from __future__ import annotations
@@ -60,7 +57,9 @@ def _labels(indices: np.ndarray, n_qubits: int) -> list:
     """The Pauli strings at the base-4 ``indices`` of the transform's output,
     one character per qubit, qubit 0 from the most significant digit pair:
     the digits of every index at once, looked up in b"IXYZ" and read as
-    ``n_qubits``-byte strings."""
+    ``n_qubits``-byte strings.  A 0-qubit operator's one string is ''."""
+    if n_qubits == 0:
+        return [""] * len(indices)
     digits = (indices[:, None] >> 2 * np.arange(n_qubits - 1, -1, -1)) & 3
     table = np.frombuffer(b"IXYZ", dtype=np.uint8)[digits]
     return table.view(f"S{n_qubits}").ravel().astype(str).tolist()
@@ -150,87 +149,49 @@ def _groups(h) -> list:
     build, passed on as given, so ``pauli_decompose`` makes the one
     Hermiticity check (none for a build, which carries its flag).
     """
-    masks = {int(label.translate(_X_BITS), 2) for label, _ in pauli_decompose(h).terms}
+    masks = {int(label.translate(_X_BITS) or "0", 2) for label, _ in pauli_decompose(h).terms}
     hm = as_operator(h)
     idx = np.arange(hm.shape[0])
     return [(x, idx ^ x, 0.5 * (hm[idx, idx ^ x] + hm[idx ^ x, idx].conj())) for x in sorted(masks)]
 
 
-#: Largest GF(2) rank of the X-masks that one run composes into a block, so
-#: blocks are at most 2**4 = 16 wide.  Larger blocks cost more to compose,
-#: smaller ones more matmuls per step; 4 was fastest on the position grid
-#: (30 ms per 11 x 100-step call, against 52 ms at rank 3 and 41 ms at 5,
-#: 2-vCPU host), on the oscillator basis and on the monopole.
-_RUN_RANK = 4
+def _factors(groups, dt) -> list:
+    """Each group's exponential exp(-i dt[t] H_x) as (src, cos, sin), every
+    array shaped (time, 1, dim) to act on a batch of states (time, k, dim).
 
-
-def _span_basis(masks) -> list:
-    """GF(2) basis of the span of ``masks``, one vector per leading bit, descending."""
-    basis = []
-    for x in masks:
-        for b in basis:
-            x = min(x, x ^ b)
-        if x:
-            basis = sorted(basis + [x], reverse=True)
-    return basis
-
-
-def _mask_runs(groups) -> list:
-    """Split the ascending groups into maximal consecutive runs whose X-masks
-    span at most ``_RUN_RANK`` dimensions over GF(2)."""
-    runs = []
-    for group in groups:
-        if runs and len(_span_basis([g[0] for g in runs[-1]] + [group[0]])) <= _RUN_RANK:
-            runs[-1].append(group)
-        else:
-            runs.append([group])
-    return runs
-
-
-def _run_blocks(run, dt, dim: int):
-    """One run's product of group exponentials as blocks on the cosets of its span.
-
-    With span S = <x of the run> = {span[c]}, ``layout[r, c]`` lists coset
-    r of S in the order span[c], and x = span[a] moves c to c ^ a inside
-    every coset.  On each pair (i, i ^ x) the block [[0, d], [conj d, 0]]
-    squares to |d|**2, so exp(-i dt H_x) maps psi[i] to
-    cos(dt |d|) psi[i] - i sin(dt |d|) (d / |d|) psi[i ^ x].  These
-    factors act, in ascending x, on the rows of identity blocks stored as
-    prod[row, col, t, r]; c -> c ^ a reverses some bit axes of the row
-    index, a strided view rather than a gather.  Returns blocks[t, r] =
-    the run's product at dt[t] on coset r, and the layout.
+    On each pair (i, i ^ x) the block [[0, d], [conj d, 0]] squares to
+    |d|**2, so the factor maps psi[i] to cos(dt |d|) psi[i]
+    - i sin(dt |d|) (d / |d|) psi[i ^ x].  For x = 0, H_x is diagonal and
+    real: src and sin are None and cos is the phase exp(-i dt d).
     """
-    span = np.zeros(1, dtype=np.int64)
-    for b in _span_basis([x for x, _, _ in run]):
-        span = np.concatenate([span, span ^ b])
-    reps = np.unique((np.arange(dim)[:, None] ^ span).min(axis=1))
-    layout = reps[:, None] ^ span
-    k, tail = len(span), (len(dt), len(reps))
-    d = np.stack([d for _, _, d in run])[:, layout.T][:, :, None]  # (group, c, 1, r)
-    mag = np.abs(d)
-    unit = np.divide(d, mag, out=np.zeros_like(d), where=mag > 0.0)
-    angle = dt[:, None] * mag
-    cos = np.cos(angle)
-    sin = np.sin(angle, out=angle) * (-1j * unit)
-    del angle
-    prod = np.zeros((k, k) + tail, dtype=np.complex128)
-    prod[np.arange(k), np.arange(k)] = 1.0
-    swapped = np.empty_like(prod)
-    bits = k.bit_length() - 1
-    row_bits = (2,) * bits + (k,) + tail  # the row index split into bits, high bit first
-    for g, (x, _, _) in enumerate(run):
+    factors = []
+    for x, src, d in groups:
         if x == 0:
-            prod *= np.exp(-1j * dt[:, None] * d[g])[:, None]
+            factors.append((None, np.exp(-1j * dt[:, None] * d)[:, None], None))
             continue
-        a = int(np.flatnonzero(span == x)[0])
-        flip = tuple(slice(None, None, -1) if a >> (bits - 1 - m) & 1 else slice(None)
-                     for m in range(bits))
-        np.multiply(prod.reshape(row_bits)[flip], sin[g].reshape(row_bits[:bits] + (1,) + tail),
-                    out=swapped.reshape(row_bits))
-        prod *= cos[g][:, None]
-        prod += swapped
-    del swapped, cos, sin  # freed before the copy below: less fresh memory per call
-    return np.ascontiguousarray(prod.transpose(2, 3, 0, 1)), layout.ravel()
+        mag = np.abs(d)
+        unit = np.divide(d, mag, out=np.zeros_like(d), where=mag > 0.0)
+        angle = dt[:, None] * mag
+        cos = np.cos(angle)
+        sin = np.sin(angle, out=angle) * (-1j * unit)
+        factors.append((src, cos[:, None], sin[:, None]))
+    return factors
+
+
+def _product(factors, states: np.ndarray) -> None:
+    """Apply the ``factors`` (see ``_factors``) in order, in place, to
+    ``states`` of shape (time, k, dim): per non-diagonal group one gather
+    states[..., i ^ x], two elementwise products and an add.  Every
+    src[i] = i ^ x is in range, so the gather's mode "clip" changes no
+    value; it only spares the copy of ``out`` that the default mode makes."""
+    swapped = np.empty_like(states)
+    for src, cos, sin in factors:
+        if src is not None:
+            np.take(states, src, axis=-1, out=swapped, mode="clip")
+            swapped *= sin
+        states *= cos
+        if src is not None:
+            states += swapped
 
 
 def _registers(h, groups):
@@ -243,8 +204,7 @@ def _registers(h, groups):
     (R i, R i ^ m), so where H commutes with R bit for bit (a build with
     ``orbits``), d_(m n)[ix n + iy] == d_m[(n-1-iy) n + ix].  That equality
     is checked here entry for entry, and so are the masks: apart from
-    x = 0 they must be masks m < n that span the y register, and the same
-    masks times n.
+    x = 0 they must be at least one mask m < n, and the same masks times n.
     """
     if getattr(h, "orbits", None) is None or not groups:
         return None
@@ -252,8 +212,7 @@ def _registers(h, groups):
     n = 1 << qubits_of_dim(dim) // 2
     ys = [g for g in groups if 0 < g[0] < n]
     xs = [g for g in groups if g[0] >= n]
-    if (n * n != dim or len(_span_basis([m for m, _, _ in ys])) != qubits_of_dim(n)
-            or [x for x, _, _ in xs] != [m * n for m, _, _ in ys]):
+    if not ys or n * n != dim or [x for x, _, _ in xs] != [m * n for m, _, _ in ys]:
         return None
     ix, iy = np.divmod(np.arange(dim), n)
     turn = (n - 1 - iy) * n + ix
@@ -264,17 +223,20 @@ def _register_steps(groups, ys, dt, n_steps: int, psi: np.ndarray) -> np.ndarray
     """The first-order product on the grid's two registers (see ``_registers``).
 
     The product P' of the y register's non-diagonal groups is composed
-    once per time, as one n x n block per ix (``_run_blocks``, put in iy
-    order).  The y run is P' with its columns scaled by the x = 0 phases;
-    the x run is the same P' read at coset n-1-iy, acting on ix.  With
-    the state held as (time, ix, iy), a step is one batched matmul along
-    each axis, and no gather.
+    once per time by ``_product`` on n comb states: comb iy_in is the sum
+    over ix of the basis states (ix, iy_in), and as the y masks never
+    change ix, its entry (ix, iy_out) is P'[ix][iy_out, iy_in], the n x n
+    block of P' at ix.  The y run is P' with its columns scaled by the
+    x = 0 phases; the x run is the same P' read at n-1-iy, acting on ix.
+    With the state held as (time, ix, iy), a step is one batched matmul
+    along each axis, and no gather.
     """
     count, dim = psi.shape
     n = 1 << qubits_of_dim(dim) // 2
-    blocks, layout = _run_blocks(ys, dt, dim)
-    order = np.argsort(layout[:n])
-    y_run = np.ascontiguousarray(blocks[:, :, order[:, None], order])  # [t, ix, iy out, iy in]
+    combs = np.zeros((count, n, n, n), dtype=np.complex128)  # [t, iy in, ix, iy out]
+    combs[:] = np.eye(n)[:, None]
+    _product(_factors(ys, dt), combs.reshape(count, n, dim))
+    y_run = np.ascontiguousarray(combs.transpose(0, 2, 3, 1))  # [t, ix, iy out, iy in]
     x_run = np.ascontiguousarray(y_run[:, ::-1])  # [t, iy, ix out, ix in]
     if groups[0][0] == 0:
         y_run *= np.exp(-1j * dt[:, None] * groups[0][2]).reshape(count, n, 1, n)
@@ -287,14 +249,12 @@ def _register_steps(groups, ys, dt, n_steps: int, psi: np.ndarray) -> np.ndarray
 
 
 def _apply_trotter(groups, ts, n_steps: int, psi0: np.ndarray, registers=None) -> np.ndarray:
-    """First-order product over the X-mask groups for a batch of times; rows index ts.
+    """First-order product over the X-mask groups at the 1-D times ``ts``, one row each.
 
-    With ``registers`` (from ``_registers``) the grid's two register runs
-    share one composition (``_register_steps``).  Otherwise consecutive
-    groups are composed, once per time and before the steps, into one
-    block per coset of their span (see ``_mask_runs`` and ``_run_blocks``),
-    and a step is one batched matmul per run, each followed by a gather
-    into the next run's coset layout.  Rows with t == 0 are psi0 itself.
+    With ``registers`` (from ``_registers``) the grid's two registers
+    share one composition (``_register_steps``).  Otherwise each step
+    applies every group's exponential in ascending mask order
+    (``_product``).  Rows with t == 0 are psi0 itself.
     """
     ts = np.asarray(ts, dtype=float)
     psi0 = np.asarray(psi0, dtype=np.complex128)
@@ -306,18 +266,11 @@ def _apply_trotter(groups, ts, n_steps: int, psi0: np.ndarray, registers=None) -
     if registers is not None:
         out[live] = _register_steps(groups, registers, dt, n_steps, out[live])
         return out
-    stages = [_run_blocks(run, dt, len(psi0)) for run in _mask_runs(groups)]
-    layouts = [layout for _, layout in stages]
-    # moves[j] gathers run j's layout into the next run's (cyclically)
-    moves = [np.argsort(a)[b] for a, b in zip(layouts, layouts[1:] + layouts[:1])]
-    psi = out[live][:, layouts[0]]
-    product = np.empty_like(psi)
+    factors = _factors(groups, dt)
+    psi = out[live][:, None]
     for _ in range(n_steps):
-        for (blocks, _), move in zip(stages, moves):
-            shape = blocks.shape[:3] + (1,)
-            np.matmul(blocks, psi.reshape(shape), out=product.reshape(shape))
-            np.take(product, move, axis=1, out=psi)
-    out[live] = psi[:, np.argsort(layouts[0])]
+        _product(factors, psi)
+    out[live] = psi[:, 0]
     return out
 
 
@@ -349,7 +302,10 @@ def _final_states(psi_fs, dim: int):
     """Matrix whose columns are the requested final states (None for "all"), plus labels."""
     if isinstance(psi_fs, str) and psi_fs == "all":
         return None, list(range(dim))
-    mat = np.column_stack([np.asarray(p, dtype=np.complex128) for p in psi_fs])
+    states = [np.asarray(p, dtype=np.complex128) for p in psi_fs]
+    if not states:
+        raise DimensionMismatchError("no final states given: pass a list of states or 'all'")
+    mat = np.column_stack(states)
     if mat.shape[0] != dim:
         raise DimensionMismatchError("final states do not match H dimension")
     return mat, list(range(mat.shape[1]))
@@ -380,15 +336,19 @@ def transition_series(h, psi_i, psi_fs, ts, method: str = "exact",
     """Transition amplitudes under exact or Trotterized evolution.
 
     ``psi_fs`` is a list of final statevectors or "all" for the full
-    computational basis.  method "exact" uses the spectral propagator;
-    "trotter" uses the first-order product with ``trotter_steps`` per
-    time point.  ``h`` is a matrix or a BuiltHamiltonian.
+    computational basis; ``ts`` is a list of times or one time.  method
+    "exact" uses the spectral propagator; "trotter" uses the first-order
+    product with ``trotter_steps`` per time point.  ``h`` is a matrix or a
+    BuiltHamiltonian.
     """
     dim = as_operator(h).shape[0]
     psi_i = np.asarray(psi_i, dtype=np.complex128)
     if len(psi_i) != dim:
         raise DimensionMismatchError(f"initial state length {len(psi_i)} vs H dim {dim}")
     ts = read_numbers(ts, "evolution times", InvalidTimesError)
+    if ts.ndim > 1:
+        raise InvalidTimesError(f"evolution times must be a number or a 1-D list, got shape {ts.shape}")
+    ts = ts.reshape(-1)
     finals, labels = _final_states(psi_fs, dim)
     states = _evolver(h, method, trotter_steps)(psi_i, ts)
     amps = states if finals is None else states @ finals.conj()

@@ -274,7 +274,8 @@ def _finish(matrix: np.ndarray, spec: HamiltonianSpec, labels, rotation=None) ->
     The blocks are gathered first: when they hold as many 64-bit words
     with a bit set as the whole matrix, every entry off them is exactly
     +0.0 and the scans for entries below and above them are skipped
-    (anything else off them, -0.0 and NaN included, makes them run).
+    (anything else off them, -0.0 and NaN included, makes them run).  With
+    one label there is nothing off the one block, and no scan runs.
 
     A builder that passes a ``rotation`` (a quarter-turn permutation of the
     basis, as index array) also needs H to commute with it bit for bit,
@@ -285,8 +286,8 @@ def _finish(matrix: np.ndarray, spec: HamiltonianSpec, labels, rotation=None) ->
     blocks = _blocks_by(labels)
     stacks = _diagonal_blocks(matrix, blocks) if rotation is None else None
     above = 0.0
-    if stacks is None or (np.count_nonzero(matrix.view(np.uint64))
-                          != sum(np.count_nonzero(sub.view(np.uint64)) for sub, _, _ in stacks)):
+    if len(blocks) > 1 and (stacks is None or np.count_nonzero(matrix.view(np.uint64))
+                            != sum(np.count_nonzero(sub.view(np.uint64)) for sub, _, _ in stacks)):
         if np.any(matrix[labels[:, None] > labels[None, :]]):
             raise GaugesimError(f"{spec.kind}: non-zero entry below its diagonal blocks")
         above = np.abs(matrix[labels[:, None] < labels[None, :]]).max(initial=0.0)

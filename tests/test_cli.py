@@ -464,7 +464,7 @@ for config in sys.argv[2:]:
 """
 
 #: README's eoh config, and the 8x8 grid, whose Trotter product steps on
-#: two 3-bit registers (the general runs would split its groups 9 + 6)
+#: two 3-bit registers
 _THREAD_EOH = {"readme": _README_EOH,
                "grid8": dict(_README_EOH, hamiltonian={"kind": "LandauCartesian", "b_field": 2.0,
                                                        "boson_trunc": 8})}

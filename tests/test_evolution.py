@@ -21,7 +21,6 @@ from gaugesim.evolution import (
     _apply_trotter,
     _groups,
     _labels,
-    _mask_runs,
     _registers,
     _write_rows,
     dual_lattice_period,
@@ -41,7 +40,7 @@ from gaugesim.hamiltonians import (
     build_landau_cartesian,
     build_landau_cartesian_position,
 )
-from gaugesim.operators import _propagate, hermitian_eig
+from gaugesim.operators import _propagate, as_operator, hermitian_eig
 
 from conftest import (
     PAULI,
@@ -95,6 +94,16 @@ def test_decompose_guards():
         pauli_decompose(np.eye(3))
     with pytest.raises(NotHermitianError):
         pauli_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_zero_qubit_operator_has_the_empty_label():
+    h, ts = 2.5 * np.eye(1), [0.0, 0.5, -1.25]
+    assert pauli_decompose(h).terms == [("", 2.5)]
+    assert [x for x, _, _ in _groups(h)] == [0]
+    trotter = transition_series(h, [1.0], "all", ts, method="trotter", trotter_steps=3)
+    exact = transition_series(h, [1.0], "all", ts, method="exact")
+    np.testing.assert_allclose(trotter.amplitudes, exact.amplitudes, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(exact.amplitudes[:, 0], np.exp(-2.5j * np.array(ts)), rtol=0, atol=1e-14)
 
 
 def test_decompose_prunes_small_coefficients(rng):
@@ -261,15 +270,30 @@ def test_group_factor_is_exact_exponential(n):
             np.testing.assert_allclose(factor, expm(-1j * t * h_x), atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 3, 5])
-def test_trotter_step_is_ascending_mask_product(n):
-    rng = np.random.default_rng(200 + n)
-    h = random_hermitian(rng, 2 ** n)
+def _oracle_input(case):
+    """(h, psi) for the dense product oracle: a random 2**case matrix, or a build."""
+    if isinstance(case, int):
+        rng = np.random.default_rng(200 + case)
+        h = random_hermitian(rng, 2 ** case)
+    else:
+        rng = np.random.default_rng(211)
+        h = build({"oscillator": HamiltonianSpec(kind="LandauCartesian", b_field=2.0, boson_trunc=4),
+                   "polar": HamiltonianSpec(kind="LandauPolar", b_field=2.0, angular_m=1),
+                   "monopole": HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, boson_trunc=2,
+                                               variant="HermitianPart")}[case])
+    return h, random_state(rng, as_operator(h).shape[0])
+
+
+@pytest.mark.parametrize("case", [1, 3, 5, "oscillator", "polar", "monopole"])
+def test_trotter_step_is_ascending_mask_product(case):
+    # a dense product of expm factors, one per X-mask group summed from the
+    # materialized strings: independent of the per-group kernel and of pair_trotter
+    h, psi = _oracle_input(case)
     terms = pauli_decompose(h)
-    psi = random_state(rng, 2 ** n)
+    assert isinstance(case, str) or any("Y" in label for label, _ in terms.terms)
     t = 0.8
     for n_steps in (1, 3):
-        step = np.eye(2 ** n)
+        step = np.eye(len(psi))
         for h_x in _group_matrices(terms):
             step = expm(-1j * t / n_steps * h_x) @ step
         expected = np.linalg.matrix_power(step, n_steps) @ psi
@@ -312,43 +336,13 @@ def test_trotter_matches_pair_oracle(n, n_steps):
                                pair_trotter(groups, ts, n_steps, psi), atol=1e-13)
 
 
-def _span_rank(masks):
-    """GF(2) rank by elimination on leading bits."""
-    pivots = {}
-    for x in masks:
-        while x and x.bit_length() in pivots:
-            x ^= pivots[x.bit_length()]
-        if x:
-            pivots[x.bit_length()] = x
-    return len(pivots)
-
-
-def test_run_partition():
-    from gaugesim.hamiltonians import build_landau_cartesian_position, build_monopole_su2
-
-    cart = HamiltonianSpec(kind="LandauCartesian", b_field=2.0)
-    monopole = HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant="HermitianPart")
-    for built, count in ((build_landau_cartesian_position(cart), 2),
-                         (build_landau_cartesian(cart), 4),
-                         (build_monopole_su2(monopole), 3)):
-        groups = _groups(built.matrix)
-        runs = _mask_runs(groups)
-        assert len(runs) == count
-        flat = [g for run in runs for g in run]
-        assert len(flat) == len(groups) and all(a is b for a, b in zip(flat, groups))
-        masks = [[x for x, _, _ in run] for run in runs]
-        assert all(_span_rank(m) <= 4 for m in masks)
-        # maximal: the next run's first mask would lift the span past rank 4
-        assert all(_span_rank(m + nxt[:1]) > 4 for m, nxt in zip(masks, masks[1:]))
-
-
 def _grid(n, b_field):
     return build_landau_cartesian_position(HamiltonianSpec(kind="LandauCartesian", b_field=b_field,
                                                            boson_trunc=n))
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
-@pytest.mark.parametrize("b_field", [-2.5, 0.0, 2.0, 7.5])
+@pytest.mark.parametrize("b_field", [-2.5, 0.0, 1.0, 1.37, 2.0, 2.9, 7.5])
 def test_register_path_matches_general_runs_and_pair_oracle(n, b_field):
     built = _grid(n, b_field)
     groups = _groups(built)
@@ -464,6 +458,32 @@ def test_bool_string_and_nonfinite_momenta_refused(rng, bad):
     if isinstance(bad, float):  # a float array takes the finiteness pass alone
         with pytest.raises(ValueError, match="p2 values"):
             vertex_scan(3, 9, 16, np.array([0.2, bad]))
+
+
+@pytest.mark.parametrize("method", ["exact", "trotter"])
+def test_a_scalar_time_is_one_time(rng, method):
+    h = random_hermitian(rng, 4)
+    psi = random_state(rng, 4)
+    one = transition_series(h, psi, "all", 0.7, method=method)
+    assert one.ts.shape == (1,) and one.amplitudes.shape == (1, 4)
+    assert np.array_equal(one.amplitudes, transition_series(h, psi, "all", [0.7], method=method).amplitudes)
+
+
+@pytest.mark.parametrize("method", ["exact", "trotter"])
+def test_time_grids_of_two_or_more_axes_refused(rng, method):
+    h = random_hermitian(rng, 4)
+    psi = random_state(rng, 4)
+    for ts in ([[0.1, 0.2]], np.zeros((2, 1, 1))):
+        with pytest.raises(InvalidTimesError, match="1-D"):
+            transition_series(h, psi, "all", ts, method=method)
+
+
+@pytest.mark.parametrize("method", ["exact", "trotter"])
+def test_an_empty_list_of_final_states_refused(rng, method):
+    h = random_hermitian(rng, 4)
+    psi = random_state(rng, 4)
+    with pytest.raises(DimensionMismatchError, match="no final states"):
+        transition_series(h, psi, [], [0.5], method=method)
 
 
 def test_bool_time_arrays_refused(rng):
@@ -784,7 +804,7 @@ def test_a_build_is_not_checked_again_and_an_array_once(monkeypatch, call):
     assert len(calls) == 1
     if "trotter" in call:
         # the build steps on the grid's two registers, the array on the
-        # general runs, so each is held to the pair oracle instead
+        # per-group path, so each is held to the pair oracle instead
         groups, vertex = _groups(built), np.exp(1j * 0.9 * pos_grid(256))
         expected = (pair_trotter(groups, [0.3], 10, vertex * pair_trotter(groups, [0.2], 10, psi)[0])[0]
                     if call.startswith("scattering") else pair_trotter(groups, [0.0, 0.5], 10, psi))

@@ -1,7 +1,9 @@
 """Command-line driver: JSON experiment configs in, CSV artifacts out.
 
 Commands: spectrum, vqe, eoh, scatter, wuyang.  Every command is a pure
-function of (config, seed): fixed seeds give byte-identical CSV output.
+function of its config file, seed included: one config gives
+byte-identical CSV output.  Each returns its summary line, which ``main``
+prints unless ``--quiet`` is given.
 Exit codes: 0 success, 2 configuration error, 3 numerical error.
 """
 
@@ -13,7 +15,6 @@ import os
 import sys
 import warnings
 from dataclasses import replace
-from typing import Mapping
 
 import numpy as np
 
@@ -21,15 +22,8 @@ from . import vqe as vqe_mod
 from .analytic import wu_yang_series_large, wu_yang_series_small, wu_yang_series_small_prime, wu_yang_solve
 from .basis import pos_grid
 from .circuits import AnsatzConfig
-from .errors import GaugesimError, InvalidConfigError, read_fields, read_number
-from .evolution import (
-    _write_rows,
-    dual_lattice_period,
-    transition_series,
-    vertex_scan,
-    wrap_momentum,
-    write_transition_csv,
-)
+from .errors import GaugesimError, InvalidConfigError, read_fields, read_number, write_rows
+from .evolution import dual_lattice_period, transition_series, vertex_scan, wrap_momentum, write_transition_csv
 from .hamiltonians import HamiltonianSpec, build, build_landau_cartesian_position
 from .operators import MAX_QUBITS
 
@@ -42,24 +36,10 @@ def _load_config(path):
             raise InvalidConfigError(f"config is not valid JSON: {exc}") from exc
 
 
-def _hamiltonian_spec(cfg, args) -> HamiltonianSpec:
-    ham = cfg["hamiltonian"]
-    if args.variant is not None and isinstance(ham, Mapping):
-        name, _, r_ref = args.variant.partition("=")
-        variant = args.variant
-        if name == "ScalarB":
-            try:
-                variant = {"ScalarB": float(r_ref)}
-            except ValueError:
-                raise InvalidConfigError(f"--variant ScalarB=R_REF needs a number, got {r_ref!r}") from None
-        ham = dict(ham, variant=variant)
-    return HamiltonianSpec.from_json(ham)
-
-
-def _output_path(cfg, args) -> str:
-    out = args.out if args.out is not None else cfg.get("output")
+def _output_path(cfg) -> str:
+    out = cfg.get("output")
     if not isinstance(out, str) or not out:
-        raise InvalidConfigError("an output path is required ('output' key or --out)")
+        raise InvalidConfigError("an output path is required ('output' key)")
     return out
 
 
@@ -69,12 +49,9 @@ def _ansatz_from(cfg, n_qubits) -> AnsatzConfig:
     return AnsatzConfig(n_qubits, **read_fields(cfg.get("ansatz", {}), "ansatz", keys))
 
 
-def _optimizer_from(cfg, args) -> vqe_mod.OptimizerSettings:
-    o = cfg.get("optimizer", {})
-    if args.seed is not None and isinstance(o, Mapping):
-        o = dict(o, seed=args.seed)
+def _optimizer_from(cfg) -> vqe_mod.OptimizerSettings:
     keys = dict.fromkeys(vqe_mod.OptimizerSettings.FIELDS)  # keys only: the constructor reads the values
-    return vqe_mod.OptimizerSettings(**read_fields(o, "optimizer", keys))
+    return vqe_mod.OptimizerSettings(**read_fields(cfg.get("optimizer", {}), "optimizer", keys))
 
 
 def _require_finite(values, what):
@@ -86,29 +63,23 @@ def _write_csv(path, header, *columns):
     """Numeric columns as CSV, every cell formatted with .17g."""
     table = np.column_stack(columns)
     _require_finite(table, path)
-    _write_rows(path, header, table)
+    write_rows(path, header, table)
 
 
-def _say(args, text):
-    if not args.quiet:
-        print(text)
-
-
-def cmd_spectrum(cfg, args) -> int:
+def cmd_spectrum(cfg) -> str:
     read_fields(cfg, "config", {"hamiltonian": None, "output": None}, required=("hamiltonian",))
-    spec = _hamiltonian_spec(cfg, args)
-    out = _output_path(cfg, args)
+    spec = HamiltonianSpec.from_json(cfg["hamiltonian"])
+    out = _output_path(cfg)
     values = build(spec).spectrum()
     _write_csv(out, "index,eigenvalue", np.arange(len(values)), values)
-    _say(args, f"lambda_min={values[0]:.9f}")
-    return 0
+    return f"lambda_min={values[0]:.9f}"
 
 
-def cmd_vqe(cfg, args) -> int:
+def cmd_vqe(cfg) -> str:
     read_fields(cfg, "config", {"hamiltonian": None, "ansatz": None, "optimizer": None, "output": None},
                 required=("hamiltonian",))
-    spec = _hamiltonian_spec(cfg, args)
-    out = _output_path(cfg, args)
+    spec = HamiltonianSpec.from_json(cfg["hamiltonian"])
+    out = _output_path(cfg)
     built = build(spec)
     if not built.hermitian:
         raise InvalidConfigError(
@@ -116,24 +87,23 @@ def cmd_vqe(cfg, args) -> int:
             "objective - select variant 'HermitianPart' (or 'MajoranaFermions')"
         )
     ansatz = _ansatz_from(cfg, built.qubits)
-    opt = _optimizer_from(cfg, args)
+    opt = _optimizer_from(cfg)
     result = vqe_mod.minimize(built, ansatz, opt)
     _require_finite([e for _, e in result.trace], "the VQE trace")
     vqe_mod.write_trace_csv(result, out)
     lam = built.lowest_eigenvalue()
-    _say(args, f"energy={result.energy:.9f}, lambda_min={lam:.9f}, gap={result.energy - lam:.3e}")
-    return 0
+    return f"energy={result.energy:.9f}, lambda_min={lam:.9f}, gap={result.energy - lam:.3e}"
 
 
-def cmd_eoh(cfg, args) -> int:
+def cmd_eoh(cfg) -> str:
     read_fields(cfg, "config", {"hamiltonian": None, "evolution": None, "final_states": None, "output": None},
                 required=("hamiltonian",))
-    spec = _hamiltonian_spec(cfg, args)
+    spec = HamiltonianSpec.from_json(cfg["hamiltonian"])
     if spec.kind != "LandauCartesian":
         raise InvalidConfigError(
             f"eoh supports kind 'LandauCartesian' (position-basis evolution), got {spec.kind!r}"
         )
-    out = _output_path(cfg, args)
+    out = _output_path(cfg)
     ev = read_fields(cfg.get("evolution", {}), "evolution", {
         "t_max": (float, 0.0), "t_points": (int, 1, 128), "trotter_steps": (int, 1, 100000),
         "method": ("Both", "Exact", "Trotter"),
@@ -176,14 +146,11 @@ def cmd_eoh(cfg, args) -> int:
         paths[name] = path
     if len(series) == 2:
         dev = float(np.max(np.abs(series["exact"].probabilities() - series["trotter"].probabilities())))
-        _say(args, f"max_deviation={dev:.3e} files={paths['exact']},{paths['trotter']}")
-    else:
-        only = next(iter(paths.values()))
-        _say(args, f"file={only}")
-    return 0
+        return f"max_deviation={dev:.3e} files={paths['exact']},{paths['trotter']}"
+    return f"file={next(iter(paths.values()))}"
 
 
-def cmd_scatter(cfg, args) -> int:
+def cmd_scatter(cfg) -> str:
     read_fields(cfg, "config", {"scatter": None, "output": None}, required=("scatter",))
     sc = read_fields(cfg["scatter"], "scatter", {
         "qubits": (int, 1, MAX_QUBITS), "p1": int, "p3": int, "p2_scan": None,
@@ -192,7 +159,7 @@ def cmd_scatter(cfg, args) -> int:
     p1, p3 = sc["p1"], sc["p3"]
     if not (0 <= p1 < n and 0 <= p3 < n):
         raise InvalidConfigError(f"p1/p3 must index the {n}-state momentum grid")
-    out = _output_path(cfg, args)
+    out = _output_path(cfg)
 
     scan = read_fields(sc.get("p2_scan", {}), "scatter.p2_scan",
                        {"min": float, "max": float, "points": (int, 2, 16384)})
@@ -209,23 +176,21 @@ def cmd_scatter(cfg, args) -> int:
     grid = pos_grid(n)
     predicted = float(grid[p3] - grid[p1])
     argmax = float(p2s[int(np.argmax(amps))])
-    _say(
-        args,
-        f"argmax_p2={argmax:.9f} predicted_p2={predicted:.9f} "
-        f"predicted_wrapped={wrap_momentum(predicted, n):.9f}",
-    )
-    return 0
+    return (f"argmax_p2={argmax:.9f} predicted_p2={predicted:.9f} "
+            f"predicted_wrapped={wrap_momentum(predicted, n):.9f}")
 
 
-def cmd_wuyang(cfg, args) -> int:
+def cmd_wuyang(cfg) -> str:
     read_fields(cfg, "config", {"wuyang": None, "output": None}, required=("wuyang",))
     wy = read_fields(cfg["wuyang"], "wuyang", {
         "r_start": float, "r_end": float, "steps": (int, 10, 100000), "seed_series": (True, False),
         "g_start": float, "gprime_start": float,
     }, required=("r_start", "r_end", "steps"))
     r_start, r_end, steps = wy["r_start"], wy["r_end"], wy["steps"]
-    out = _output_path(cfg, args)
+    out = _output_path(cfg)
     if wy.get("seed_series", False):
+        if "g_start" in wy or "gprime_start" in wy:
+            raise InvalidConfigError("wuyang takes seed_series=true or g_start/gprime_start, not both")
         g0 = wu_yang_series_small(r_start)
         gp0 = wu_yang_series_small_prime(r_start)
     elif "g_start" in wy and "gprime_start" in wy:
@@ -239,8 +204,7 @@ def cmd_wuyang(cfg, args) -> int:
     rs = traj[:, 0]
     _write_csv(out, "r,g,gprime,series_small,series_large", traj,
                [wu_yang_series_small(r) for r in rs], [wu_yang_series_large(r) for r in rs])
-    _say(args, f"final_r={traj[-1, 0]:.9f} final_g={traj[-1, 1]:.9f} max_error_vs_fine={max_err:.3e}")
-    return 0
+    return f"final_r={traj[-1, 0]:.9f} final_g={traj[-1, 1]:.9f} max_error_vs_fine={max_err:.3e}"
 
 
 _COMMANDS = {
@@ -259,9 +223,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON experiment config")
-    parser.add_argument("--out", help="override the config's output path")
-    parser.add_argument("--seed", type=int, help="override the optimizer seed")
-    parser.add_argument("--variant", help="override the Hamiltonian variant (monopole)")
     parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
     args = parser.parse_args(argv)
 
@@ -270,13 +231,16 @@ def main(argv=None) -> int:
         # with one message; numpy's warnings would add lines to stderr.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            return _COMMANDS[args.command](_load_config(args.config), args)
+            summary = _COMMANDS[args.command](_load_config(args.config))
     except (InvalidConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (GaugesimError, ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
+    if not args.quiet:
+        print(summary)
+    return 0
 
 
 if __name__ == "__main__":

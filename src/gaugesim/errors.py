@@ -9,8 +9,9 @@ count, index or scale: a finite number (bools and strings are not numbers),
 integral where an int is asked for, within its bounds.  Each caller names
 the exception class its failures raise.  ``read_numbers`` is its array
 form, ``read_fields`` applies it to one JSON object of a config or spec,
-and ``read_own_fields`` to a config object's ``FIELDS``.  They live here,
-below every other module, so that every layer can use them.
+and ``read_own_fields`` to a config object's ``FIELDS``.  ``write_rows``
+is the one CSV cell rule.  They live here, below every other module, so
+that every layer can use them.
 """
 
 import dataclasses
@@ -146,3 +147,12 @@ def read_own_fields(config, where: str) -> None:
     given = {name: val for name, val in given.items() if not (val is None and name in optional)}
     for name, val in read_fields(given, where, config.FIELDS).items():
         object.__setattr__(config, name, val)
+
+
+def write_rows(path, header: str, table: np.ndarray):
+    """``header`` and one line per row of ``table``, every cell formatted
+    %.17g, enough digits to read each float back exactly."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(row % tuple(cells) for cells in table.tolist())

@@ -33,6 +33,7 @@ from .errors import (
     NotHermitianError,
     read_number,
     read_numbers,
+    write_rows,
 )
 from .operators import _propagate, as_operator, hermitian_eig, is_hermitian, qubits_of_dim
 
@@ -302,13 +303,18 @@ def _final_states(psi_fs, dim: int):
     """Matrix whose columns are the requested final states (None for "all"), plus labels."""
     if isinstance(psi_fs, str) and psi_fs == "all":
         return None, list(range(dim))
-    states = [np.asarray(p, dtype=np.complex128) for p in psi_fs]
+    states = [_state(p, dim, f"final state {k}") for k, p in enumerate(psi_fs)]
     if not states:
         raise DimensionMismatchError("no final states given: pass a list of states or 'all'")
-    mat = np.column_stack(states)
-    if mat.shape[0] != dim:
-        raise DimensionMismatchError("final states do not match H dimension")
-    return mat, list(range(mat.shape[1]))
+    return np.column_stack(states), list(range(len(states)))
+
+
+def _state(psi, dim: int, what: str) -> np.ndarray:
+    """``psi`` as a complex statevector of H's shape (dim,), else DimensionMismatchError."""
+    psi = np.asarray(psi, dtype=np.complex128)
+    if psi.shape != (dim,):
+        raise DimensionMismatchError(f"{what} has shape {psi.shape}, H needs ({dim},)")
+    return psi
 
 
 def _evolver(h, method: str, trotter_steps: int):
@@ -342,9 +348,7 @@ def transition_series(h, psi_i, psi_fs, ts, method: str = "exact",
     BuiltHamiltonian.
     """
     dim = as_operator(h).shape[0]
-    psi_i = np.asarray(psi_i, dtype=np.complex128)
-    if len(psi_i) != dim:
-        raise DimensionMismatchError(f"initial state length {len(psi_i)} vs H dim {dim}")
+    psi_i = _state(psi_i, dim, "initial state")
     ts = read_numbers(ts, "evolution times", InvalidTimesError)
     if ts.ndim > 1:
         raise InvalidTimesError(f"evolution times must be a number or a 1-D list, got shape {ts.shape}")
@@ -365,16 +369,7 @@ def write_transition_csv(series: TransitionSeries, path):
     table[:, 1::3] = series.amplitudes.real
     table[:, 2::3] = series.amplitudes.imag
     table[:, 3::3] = series.probabilities()
-    _write_rows(path, "t," + ",".join(cols), table)
-
-
-def _write_rows(path, header: str, table: np.ndarray):
-    """``header`` and one line per row of ``table``, every cell formatted
-    %.17g, enough digits to read each float back exactly."""
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.writelines(row % tuple(cells) for cells in table.tolist())
+    write_rows(path, "t," + ",".join(cols), table)
 
 
 def momentum_state(k: int, n: int) -> np.ndarray:
@@ -456,9 +451,7 @@ def scattering_process(h_free, p2: float, tau: float, total_t: float, psi0,
     tau, total_t = read_numbers([tau, total_t], "evolution times", InvalidTimesError)
     if not 0.0 <= tau <= total_t:
         raise InvalidTimesError(f"need 0 <= tau <= total_T, got tau={tau}, total_T={total_t}")
-    psi = np.asarray(psi0, dtype=np.complex128)
-    if len(psi) != dim:
-        raise DimensionMismatchError(f"initial state length {len(psi)} vs H dim {dim}")
+    psi = _state(psi0, dim, "initial state")
     evolve = _evolver(h_free, method, trotter_steps)
 
     def leg(state, t):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuits import AnsatzConfig, adjoint_gradient, ansatz_state
-from .errors import DimensionMismatchError, NotHermitianError, read_own_fields
+from .errors import DimensionMismatchError, NotHermitianError, read_own_fields, write_rows
 from .operators import _size_stacks, as_operator, is_hermitian
 
 __all__ = [
@@ -274,7 +274,5 @@ def minimize(h, ansatz: AnsatzConfig, opt: OptimizerSettings | None = None) -> V
 
 def write_trace_csv(result: VqeResult, path):
     """Trace CSV: header iteration,energy,evaluations, one row per accepted iterate."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration,energy,evaluations\n")
-        for (it, energy), ev in zip(result.trace, result.trace_evaluations):
-            fh.write(f"{it},{energy:.17g},{ev}\n")
+    rows = [(it, energy, ev) for (it, energy), ev in zip(result.trace, result.trace_evaluations)]
+    write_rows(path, "iteration,energy,evaluations", np.array(rows, dtype=float).reshape(-1, 3))

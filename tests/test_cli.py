@@ -4,14 +4,13 @@ import pathlib
 import subprocess
 import sys
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import gaugesim
 from gaugesim.circuits import AnsatzConfig, adjoint_gradient, ansatz_state
-from gaugesim.cli import _ansatz_from, _optimizer_from, main
+from gaugesim.cli import _COMMANDS, _ansatz_from, _optimizer_from, main
 from gaugesim.errors import InvalidConfigError
 from gaugesim.hamiltonians import HamiltonianSpec
 from gaugesim.vqe import OptimizerSettings
@@ -108,16 +107,6 @@ def test_eoh_solves_no_eigenproblem_above_64(tmp_path, monkeypatch):
                             solved.append((_n, np.shape(a))) or _f(a, *r, **k))
     assert run(tmp_path, "eoh", dict(_README_EOH, output=str(tmp_path / "eoh.csv"))) == 0
     assert solved == [("eigh", (4, 64, 64))], solved
-
-
-def test_variant_flag_override(tmp_path, capsys):
-    out = tmp_path / "hp.csv"
-    cfg = {
-        "hamiltonian": {"kind": "MonopoleSU2", "b_field": 2.0},
-        "optimizer": {"max_iter": 4, "seed": 1},
-        "output": str(out),
-    }
-    assert run(tmp_path, "vqe", cfg, extra=["--variant", "HermitianPart"]) == 0
 
 
 def test_eoh_writes_both_series(tmp_path, capsys):
@@ -332,8 +321,10 @@ def _spec(**kw):
     (*_spec(b_field=_NAN), 2),
     (*_spec(b_field=_INF), 2),
     ("spectrum", {"hamiltonian": {"kind": "MonopoleSU2", "variant": {"ScalarB": _NAN}}}, (), 2),
-    ("spectrum", {"hamiltonian": {"kind": "MonopoleSU2"}}, ("--variant", "ScalarB=abc"), 2),
-    ("spectrum", {"hamiltonian": {"kind": "MonopoleSU2"}}, ("--variant", "ScalarB"), 2),
+    # --quiet on this row, the next, the string seed and the two ScalarB rows
+    # below silences only the summary line: the error line is still written
+    ("spectrum", {"hamiltonian": {"kind": "MonopoleSU2", "variant": {"ScalarB": "abc"}}}, ("--quiet",), 2),
+    ("spectrum", {"hamiltonian": {"kind": "MonopoleSU2", "variant": "ScalarB"}}, ("--quiet",), 2),
     ("spectrum", {"hamiltonian": [1, 2]}, (), 2),
     (*_spec(boson_trunc="16"), 2),
     (*_spec(boson_trunc=16.9), 2),
@@ -351,7 +342,7 @@ def _spec(**kw):
     ("vqe", {"hamiltonian": _POLAR, "optimizer": {"tolerance": _NAN}}, (), 2),
     ("vqe", {"hamiltonian": _POLAR, "ansatz": {"depth": True}}, (), 2),
     ("vqe", {"hamiltonian": _POLAR, "optimizer": {"seed": -1}}, (), 2),
-    ("vqe", {"hamiltonian": _POLAR}, ("--seed", "-1"), 2),
+    ("vqe", {"hamiltonian": _POLAR, "optimizer": {"seed": "-1"}}, ("--quiet",), 2),
     ("vqe", {"hamiltonian": _POLAR, "optimizer": {"method": "Nope"}}, (), 2),
     ("wuyang", {"wuyang": {"r_start": _NAN, "r_end": 1.0, "steps": 50, "seed_series": True}}, (), 2),
     ("wuyang", {"wuyang": {"r_start": 0.05, "r_end": 1e9, "steps": 50, "seed_series": True}}, (), 3),
@@ -372,21 +363,59 @@ def _spec(**kw):
     ("eoh", {"hamiltonian": _CART4, "final_states": [0] * 17}, (), 2),
     # a field the kind ignores: angular_m off LandauPolar, variant off MonopoleSU2
     ("spectrum", {"hamiltonian": _CART_M7}, (), 2),
-    ("spectrum", {"hamiltonian": _CART_M7}, ("--variant", "ScalarB=2"), 2),
-    ("spectrum", {"hamiltonian": _CART4}, ("--variant", "ScalarB=2"), 2),
+    ("spectrum", {"hamiltonian": dict(_CART_M7, variant={"ScalarB": 2})}, ("--quiet",), 2),
+    ("spectrum", {"hamiltonian": dict(_CART4, variant={"ScalarB": 2})}, ("--quiet",), 2),
     ("spectrum", {"hamiltonian": {"kind": "MonopoleSU2", "angular_m": -3}}, (), 2),
     ("vqe", {"hamiltonian": dict(_POLAR, variant="HermitianPart")}, (), 2),
     # the register comes from the Hamiltonian, so n_qubits is not a config key
     ("vqe", {"hamiltonian": _POLAR, "ansatz": {"n_qubits": 4}}, (), 2),
     # a window whose span overflows the float range
     ("scatter", {"scatter": {"p1": 1, "p3": 2, "p2_scan": {"min": -1e308, "max": 1e308}}}, (), 2),
+    # two initial conditions: the series seed and an explicit start value
+    ("wuyang", {"wuyang": {"r_start": 0.05, "r_end": 1.0, "steps": 50, "seed_series": True, "g_start": 7.0}}, (), 2),
+    ("wuyang", {"wuyang": {"r_start": 0.05, "r_end": 1.0, "steps": 50, "seed_series": True,
+                           "gprime_start": -3.0}}, (), 2),
+    ("wuyang", {"wuyang": {"r_start": 0.05, "r_end": 1.0, "steps": 50, "seed_series": True,
+                           "g_start": 7.0, "gprime_start": -3.0}}, (), 2),
 ])
 def test_bad_input_exit_code_and_one_line_message(tmp_path, capsys, command, cfg, extra, code):
     out = tmp_path / "out.csv"
     assert run(tmp_path, command, dict(cfg, output=str(out)), extra) == code
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
-    assert not out.exists()
+    printed = capsys.readouterr()
+    assert len(printed.err.splitlines()) == 1 and "Traceback" not in printed.err
+    assert printed.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--out", "x.csv"), ("--seed", "3"), ("--variant", "HermitianPart")])
+def test_removed_override_flags_are_refused(tmp_path, capsys, flag, value):
+    # a run is its config file: no flag changes what it does
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"hamiltonian": _POLAR, "output": str(tmp_path / "a.csv")}))
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--config", str(cfg), flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "a.csv").exists()
+
+
+def test_main_prints_each_summary_line_once_unless_quiet(tmp_path, capsys, monkeypatch):
+    # each command returns its summary line; main prints it, or nothing under --quiet
+    cases = [("spectrum", {"hamiltonian": _POLAR}),
+             ("vqe", {"hamiltonian": _POLAR, "optimizer": {"max_iter": 2, "seed": 1}}),
+             ("eoh", {"hamiltonian": _CART4, "evolution": {"t_points": 2, "method": "Exact"}}),
+             ("scatter", {"scatter": {"qubits": 3, "p1": 1, "p3": 6}}),
+             ("wuyang", {"wuyang": {"r_start": 0.05, "r_end": 0.1, "steps": 10, "seed_series": True}})]
+    monkeypatch.chdir(tmp_path)
+    for command, cfg in cases:
+        cfg = dict(cfg, output=f"{command}.csv")
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(cfg))
+        summary = _COMMANDS[command](cfg)
+        assert isinstance(summary, str) and summary and "\n" not in summary
+        assert main([command, "--config", str(path)]) == 0
+        assert capsys.readouterr().out == summary + "\n", command
+        assert main([command, "--config", str(path), "--quiet"]) == 0
+        assert capsys.readouterr().out == "", command
 
 
 def test_each_json_section_accepts_exactly_its_class_table():
@@ -402,10 +431,10 @@ def test_each_json_section_accepts_exactly_its_class_table():
     assert _ansatz_from({"ansatz": ansatz}, 4) == shape
     settings = OptimizerSettings(max_iter=7, tolerance=1e-6, seed=5, restarts=2)
     optimizer = {name: getattr(settings, name) for name in OptimizerSettings.FIELDS}
-    assert _optimizer_from({"optimizer": optimizer}, SimpleNamespace(seed=None)) == settings
+    assert _optimizer_from({"optimizer": optimizer}) == settings
     readers = [(HamiltonianSpec.from_json, hamiltonian, "r_ref"),
                (lambda obj: _ansatz_from({"ansatz": obj}, 4), ansatz, "n_qubits"),
-               (lambda obj: _optimizer_from({"optimizer": obj}, SimpleNamespace(seed=None)), optimizer,
+               (lambda obj: _optimizer_from({"optimizer": obj}), optimizer,
                 "method")]
     for read, section, extra in readers:
         with pytest.raises(InvalidConfigError, match=rf"unknown keys \['{extra}'\]"):

@@ -13,6 +13,7 @@ from gaugesim.errors import (
     InvalidTimesError,
     NotHermitianError,
     NotPowerOfTwoError,
+    write_rows,
 )
 from scipy.linalg import expm
 
@@ -22,7 +23,6 @@ from gaugesim.evolution import (
     _groups,
     _labels,
     _registers,
-    _write_rows,
     dual_lattice_period,
     momentum_state,
     pauli_decompose,
@@ -479,6 +479,21 @@ def test_time_grids_of_two_or_more_axes_refused(rng, method):
 
 
 @pytest.mark.parametrize("method", ["exact", "trotter"])
+@pytest.mark.parametrize("entry", ["psi_i", "psi_fs", "psi0"])
+def test_a_state_not_of_shape_dim_refused(entry, method):
+    # a matrix, a column, a scalar or a longer vector is refused by its shape,
+    # never broadcast into extra axes of the amplitudes
+    h = np.diag([1.0, 2.0])
+    good = np.array([1.0, 0.0])
+    calls = {"psi_i": lambda psi: transition_series(h, psi, "all", [0.0, 0.5], method=method),
+             "psi_fs": lambda psi: transition_series(h, good, [good, psi], [0.0, 0.5], method=method),
+             "psi0": lambda psi: scattering_process(h, 0.5, 0.2, 0.5, psi, method=method)}
+    for psi in (np.eye(2), [[1.0], [0.0]], 1.0, np.ones(4)):
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"shape {np.shape(psi)}")):
+            calls[entry](psi)
+
+
+@pytest.mark.parametrize("method", ["exact", "trotter"])
 def test_an_empty_list_of_final_states_refused(rng, method):
     h = random_hermitian(rng, 4)
     psi = random_state(rng, 4)
@@ -581,7 +596,7 @@ def test_row_writer_matches_str_format_bytes(tmp_path):
                       [0.1, -2.5e-17, np.pi, 1.0 / 3.0],
                       [123456789.0, -1e-300, 2.0 ** 0.5, 0.0]])
     path = tmp_path / "rows.csv"
-    _write_rows(path, "a,b,c,d", table)
+    write_rows(path, "a,b,c,d", table)
     row = ",".join(["{:.17g}"] * 4) + "\n"
     expected = "a,b,c,d\n" + "".join(row.format(*cells) for cells in table.tolist())
     assert path.read_bytes() == expected.encode("utf-8")

@@ -3,7 +3,8 @@
 Commands: spectrum, vqe, eoh, scatter, wuyang.  Every command is a pure
 function of its config file, seed included: one config gives
 byte-identical CSV output.  Each returns its summary line, which ``main``
-prints unless ``--quiet`` is given.
+prints unless ``--quiet`` is given.  ``errors.write_rows`` writes every
+CSV and refuses NaN and infinities: such a run writes no file, exit 3.
 Exit codes: 0 success, 2 configuration error, 3 numerical error.
 """
 
@@ -54,24 +55,12 @@ def _optimizer_from(cfg) -> vqe_mod.OptimizerSettings:
     return vqe_mod.OptimizerSettings(**read_fields(cfg.get("optimizer", {}), "optimizer", keys))
 
 
-def _require_finite(values, what):
-    if not np.all(np.isfinite(values)):
-        raise GaugesimError(f"non-finite values in {what}; nothing written")
-
-
-def _write_csv(path, header, *columns):
-    """Numeric columns as CSV, every cell formatted with .17g."""
-    table = np.column_stack(columns)
-    _require_finite(table, path)
-    write_rows(path, header, table)
-
-
 def cmd_spectrum(cfg) -> str:
     read_fields(cfg, "config", {"hamiltonian": None, "output": None}, required=("hamiltonian",))
     spec = HamiltonianSpec.from_json(cfg["hamiltonian"])
     out = _output_path(cfg)
     values = build(spec).spectrum()
-    _write_csv(out, "index,eigenvalue", np.arange(len(values)), values)
+    write_rows(out, "index,eigenvalue", np.column_stack([np.arange(len(values)), values]))
     return f"lambda_min={values[0]:.9f}"
 
 
@@ -89,7 +78,6 @@ def cmd_vqe(cfg) -> str:
     ansatz = _ansatz_from(cfg, built.qubits)
     opt = _optimizer_from(cfg)
     result = vqe_mod.minimize(built, ansatz, opt)
-    _require_finite([e for _, e in result.trace], "the VQE trace")
     vqe_mod.write_trace_csv(result, out)
     lam = built.lowest_eigenvalue()
     return f"energy={result.energy:.9f}, lambda_min={lam:.9f}, gap={result.energy - lam:.3e}"
@@ -129,25 +117,22 @@ def cmd_eoh(cfg) -> str:
     psi_i[centre] = 1.0
     ts = np.linspace(0.0, ev.get("t_max", 1.0), ev.get("t_points", 11))
 
+    # exact is written first: Trotter angles dt |d| are <= t max|lambda|, so overflow hits exact first
     series = {}
+    stem, ext = os.path.splitext(out)
     for name in ("exact", "trotter"):
         if method in ("Both", name.capitalize()):
             s = transition_series(built, psi_i, "all", ts, method=name,
                                   trotter_steps=ev.get("trotter_steps", 100))
             # the requested columns of the full basis, named by grid index
-            series[name] = replace(s, amplitudes=s.amplitudes[:, indices], labels=indices)
-    for s in series.values():
-        _require_finite(s.amplitudes, "the transition amplitudes")
-    paths = {}
-    stem, ext = os.path.splitext(out)
-    for name, s in series.items():
-        path = f"{stem}_{name}{ext}"
+            series[f"{stem}_{name}{ext}"] = replace(s, amplitudes=s.amplitudes[:, indices], labels=indices)
+    for path, s in series.items():
         write_transition_csv(s, path)
-        paths[name] = path
     if len(series) == 2:
-        dev = float(np.max(np.abs(series["exact"].probabilities() - series["trotter"].probabilities())))
-        return f"max_deviation={dev:.3e} files={paths['exact']},{paths['trotter']}"
-    return f"file={next(iter(paths.values()))}"
+        exact, trotter = series.values()
+        dev = float(np.max(np.abs(exact.probabilities() - trotter.probabilities())))
+        return f"max_deviation={dev:.3e} files={','.join(series)}"
+    return f"file={next(iter(series))}"
 
 
 def cmd_scatter(cfg) -> str:
@@ -172,7 +157,7 @@ def cmd_scatter(cfg) -> str:
         raise InvalidConfigError(f"p2_scan window [{lo}, {hi}] is wider than the float range")
     p2s = np.linspace(lo, hi, scan.get("points", 16 * n), endpoint=False)
     amps = vertex_scan(p1, p3, n, p2s)
-    _write_csv(out, "p2,abs_amplitude", p2s, amps)
+    write_rows(out, "p2,abs_amplitude", np.column_stack([p2s, amps]))
     grid = pos_grid(n)
     predicted = float(grid[p3] - grid[p1])
     argmax = float(p2s[int(np.argmax(amps))])
@@ -200,10 +185,11 @@ def cmd_wuyang(cfg) -> str:
     traj = wu_yang_solve(r_start, r_end, steps, g0, gp0)
     fine = wu_yang_solve(r_start, r_end, steps * 16, g0, gp0)
     max_err = float(np.max(np.abs(traj[:, 1] - fine[::16, 1])))
-    _require_finite(max_err, "the Wu-Yang solution")
+    if not np.isfinite(max_err):  # printed, not written, so write_rows does not see it
+        raise GaugesimError("non-finite values in the Wu-Yang solution; nothing written")
     rs = traj[:, 0]
-    _write_csv(out, "r,g,gprime,series_small,series_large", traj,
-               [wu_yang_series_small(r) for r in rs], [wu_yang_series_large(r) for r in rs])
+    write_rows(out, "r,g,gprime,series_small,series_large", np.column_stack(
+        [traj, [wu_yang_series_small(r) for r in rs], [wu_yang_series_large(r) for r in rs]]))
     return f"final_r={traj[-1, 0]:.9f} final_g={traj[-1, 1]:.9f} max_error_vs_fine={max_err:.3e}"
 
 
@@ -227,7 +213,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        # Overflow ends in a non-finite result, which the commands refuse
+        # Overflow ends in a non-finite result, which write_rows refuses
         # with one message; numpy's warnings would add lines to stderr.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)

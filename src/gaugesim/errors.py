@@ -10,8 +10,8 @@ integral where an int is asked for, within its bounds.  Each caller names
 the exception class its failures raise.  ``read_numbers`` is its array
 form, ``read_fields`` applies it to one JSON object of a config or spec,
 and ``read_own_fields`` to a config object's ``FIELDS``.  ``write_rows``
-is the one CSV cell rule.  They live here, below every other module, so
-that every layer can use them.
+is the one CSV writer: one cell rule, and no NaN or infinity written.
+They live here, below every other module, so that every layer can use them.
 """
 
 import dataclasses
@@ -151,7 +151,10 @@ def read_own_fields(config, where: str) -> None:
 
 def write_rows(path, header: str, table: np.ndarray):
     """``header`` and one line per row of ``table``, every cell formatted
-    %.17g, enough digits to read each float back exactly."""
+    %.17g, enough digits to read each float back exactly.  A table holding
+    NaN or an infinity is refused with GaugesimError before the file opens."""
+    if not np.all(np.isfinite(table)):
+        raise GaugesimError(f"non-finite values in {path}; nothing written")
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")

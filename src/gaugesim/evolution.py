@@ -20,6 +20,7 @@ on n comb states, and a step is one batched matmul along each axis of the
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,6 +304,8 @@ def _final_states(psi_fs, dim: int):
     """Matrix whose columns are the requested final states (None for "all"), plus labels."""
     if isinstance(psi_fs, str) and psi_fs == "all":
         return None, list(range(dim))
+    if isinstance(psi_fs, str) or not np.iterable(psi_fs):
+        raise DimensionMismatchError(f"psi_fs must be 'all' or a list of states, got {psi_fs!r}")
     states = [_state(p, dim, f"final state {k}") for k, p in enumerate(psi_fs)]
     if not states:
         raise DimensionMismatchError("no final states given: pass a list of states or 'all'")
@@ -310,11 +313,15 @@ def _final_states(psi_fs, dim: int):
 
 
 def _state(psi, dim: int, what: str) -> np.ndarray:
-    """``psi`` as a complex statevector of H's shape (dim,), else DimensionMismatchError."""
-    psi = np.asarray(psi, dtype=np.complex128)
-    if psi.shape != (dim,):
-        raise DimensionMismatchError(f"{what} has shape {psi.shape}, H needs ({dim},)")
-    return psi
+    """``psi`` as a complex statevector of H's shape (dim,), else DimensionMismatchError;
+    an entry that is not a finite number (a bool, a string, None) raises ValueError."""
+    entries = np.asarray(psi, dtype=object)
+    if entries.shape != (dim,):
+        raise DimensionMismatchError(f"{what} has shape {entries.shape}, H needs ({dim},)")
+    for k, v in enumerate(entries):
+        if isinstance(v, bool) or not (isinstance(v, numbers.Number) and abs(v) < np.inf):
+            raise ValueError(f"{what}: entry {k} is not a finite number, got {v!r}")
+    return entries.astype(np.complex128)
 
 
 def _evolver(h, method: str, trotter_steps: int):

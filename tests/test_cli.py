@@ -196,6 +196,19 @@ def test_eoh_output_suffix_goes_before_the_file_extension(tmp_path, monkeypatch,
     assert files == {"eoh.json", written}
 
 
+@pytest.mark.parametrize("method", ["Both", "Exact", "Trotter"])
+def test_eoh_overflow_exits_3_and_writes_no_file(tmp_path, capsys, method):
+    # t_max * |lambda| overflows: the exact table is written first, and a
+    # Trotter angle dt |d| <= t max|lambda|, so neither CSV reaches the disk
+    cfg = {"hamiltonian": {"kind": "LandauCartesian", "boson_trunc": 4},
+           "evolution": {"t_max": 1.7e308, "t_points": 2, "trotter_steps": 1, "method": method},
+           "output": str(tmp_path / "eoh.csv")}
+    assert run(tmp_path, "eoh", cfg) == 3
+    assert "nothing written" in capsys.readouterr().err
+    assert not (tmp_path / "eoh_exact.csv").exists()
+    assert not (tmp_path / "eoh_trotter.csv").exists()
+
+
 def test_eoh_rejects_polar(tmp_path, capsys):
     cfg = {
         "hamiltonian": {"kind": "LandauPolar"},

@@ -8,6 +8,7 @@ import pytest
 from gaugesim.basis import pos_grid, pos_p, pos_q, sylvester_f
 from gaugesim.errors import (
     DimensionMismatchError,
+    GaugesimError,
     IndexOutOfRangeError,
     InvalidSizeError,
     InvalidTimesError,
@@ -41,6 +42,7 @@ from gaugesim.hamiltonians import (
     build_landau_cartesian_position,
 )
 from gaugesim.operators import _propagate, as_operator, hermitian_eig
+from gaugesim.vqe import VqeResult, write_trace_csv
 
 from conftest import (
     PAULI,
@@ -493,6 +495,33 @@ def test_a_state_not_of_shape_dim_refused(entry, method):
             calls[entry](psi)
 
 
+@pytest.mark.parametrize("entry", ["psi_i", "psi_fs", "psi0"])
+@pytest.mark.parametrize("method", ["exact", "trotter"])
+def test_a_state_entry_not_a_finite_number_refused(entry, method):
+    # None and NaN used to read as NaN amplitudes, a string as numpy's bare
+    # "malformed string"; each is now a ValueError naming the state
+    what = {"psi_i": "initial state", "psi_fs": "final state 1", "psi0": "initial state"}[entry]
+    h = np.diag([1.0, 2.0])
+    good = np.array([1.0, 0.0])
+    calls = {"psi_i": lambda psi: transition_series(h, psi, "all", [0.0, 0.5], method=method),
+             "psi_fs": lambda psi: transition_series(h, good, [good, psi], [0.0, 0.5], method=method),
+             "psi0": lambda psi: scattering_process(h, 0.5, 0.2, 0.5, psi, method=method)}
+    for psi in ([None, 1], [np.nan, 1], [np.inf, 0], [0, -np.inf], [1, complex(0, np.nan)],
+                np.array([1.0, np.nan]), ["a", 1], ["1", 0], [True, 0]):
+        with pytest.raises(ValueError, match=f"^{what}: entry "):
+            calls[entry](psi)
+    calls[entry]([1, 0j])  # ints and complex numbers are numbers
+
+
+@pytest.mark.parametrize("method", ["exact", "trotter"])
+def test_final_states_neither_all_nor_a_list_refused(rng, method):
+    h = random_hermitian(rng, 4)
+    psi = random_state(rng, 4)
+    for bad in ("none", "All", 5, None):
+        with pytest.raises(DimensionMismatchError, match="psi_fs must be 'all' or a list of states"):
+            transition_series(h, psi, bad, [0.5], method=method)
+
+
 @pytest.mark.parametrize("method", ["exact", "trotter"])
 def test_an_empty_list_of_final_states_refused(rng, method):
     h = random_hermitian(rng, 4)
@@ -589,6 +618,23 @@ def test_transition_csv(tmp_path, rng):
     np.testing.assert_array_equal(np.loadtxt(path, delimiter=",", skiprows=1)[:, 3::3], probs)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_every_csv_writer_refuses_non_finite_cells(tmp_path, bad):
+    # write_rows refuses before it opens the file, so no writer leaves one
+    table = np.array([[0.0, 1.0], [2.0, bad]])
+    series = TransitionSeries(ts=np.array([0.0, 0.5]), amplitudes=np.array([[1.0], [bad]]), labels=[0])
+    trace = VqeResult(energy=-1.0, params=np.zeros(1), trace=[(0, 0.5), (1, bad)],
+                      trace_evaluations=[1, 2], evaluations=2, converged=False)
+    writers = [lambda path: write_rows(path, "a,b", table),
+               lambda path: write_transition_csv(series, path),
+               lambda path: write_trace_csv(trace, path)]
+    for k, write in enumerate(writers):
+        path = tmp_path / f"out{k}.csv"
+        with pytest.raises(GaugesimError, match="nothing written"):
+            write(path)
+        assert not path.exists()
+
+
 def test_row_writer_matches_str_format_bytes(tmp_path):
     # -0.0, the smallest subnormal, a huge value, an integral float and
     # ordinary ones: %-formatting writes the bytes str.format wrote
@@ -603,6 +649,24 @@ def test_row_writer_matches_str_format_bytes(tmp_path):
 
 
 # ------------------------------------------------------- momentum / vertex
+
+
+@pytest.mark.parametrize("n", [4, 16, 256])
+def test_vertex_insertion_is_a_product_of_single_z_phases(n):
+    # the paper's claim: on the grid X = -s sum_b 2**b Z_b exactly, so
+    # exp(i p2 X) is log2 n single-qubit Z-rotation phases and needs no CNOT
+    s = np.sqrt(2.0 * np.pi / (4.0 * n))
+    q = n.bit_length() - 1
+    labels = ["I" * (q - 1 - b) + "Z" + "I" * b for b in range(q)]  # bit b is label character q-1-b
+    coeffs = dict(pauli_decompose(pos_q(n)).terms)
+    assert sorted(coeffs) == sorted(labels)
+    c = np.array([coeffs[label] for label in labels])
+    assert np.max(np.abs(c + s * 2.0 ** np.arange(q))) <= 1e-12 * s
+    j = np.arange(n)
+    z = 1 - 2 * ((j[:, None] >> np.arange(q)) & 1)  # [j, b]: the Z_b eigenvalue of basis state j
+    for p2 in (-3.7, 0.25, 1.0, 11.5):
+        phases = np.prod(np.exp(1j * p2 * c * z), axis=1)
+        assert np.max(np.abs(phases - np.exp(1j * p2 * pos_grid(n)))) <= 1e-12
 
 
 def test_momentum_states_orthonormal_eigenvectors():

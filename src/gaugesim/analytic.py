@@ -140,13 +140,8 @@ def kernel_polar(rho_i, phi_i, rho_f, phi_f, t, b_field, m_max: int = 20) -> com
     return complex(pref * total)
 
 
-def _wu_yang_rhs(r: float, g: float, gp: float):
-    """First-order form of g'' = g (g^2 - 1) / r^2."""
-    return gp, g * (g * g - 1.0) / (r * r)
-
-
 def wu_yang_solve(r_start, r_end, steps, g_start, gprime_start) -> np.ndarray:
-    """Integrate the radial Wu-Yang equation with fixed-step RK4.
+    """Integrate the radial Wu-Yang equation g'' = g (g^2 - 1) / r^2 with fixed-step RK4.
 
     Returns an array of shape (steps + 1, 3) with rows (r, g, g').  The
     grid must be non-degenerate and stay clear of r = 0, where the
@@ -162,19 +157,22 @@ def wu_yang_solve(r_start, r_end, steps, g_start, gprime_start) -> np.ndarray:
     h = (r_end - r_start) / steps
     if h == 0.0:
         raise StepUnderflowError("degenerate radial grid (r_start == r_end)")
-    out = np.empty((steps + 1, 3))
-    r = r_start
-    out[0] = (r, g, gp)
-    for k in range(steps):
-        k1g, k1p = _wu_yang_rhs(r, g, gp)
-        k2g, k2p = _wu_yang_rhs(r + h / 2, g + h / 2 * k1g, gp + h / 2 * k1p)
-        k3g, k3p = _wu_yang_rhs(r + h / 2, g + h / 2 * k2g, gp + h / 2 * k2p)
-        k4g, k4p = _wu_yang_rhs(r + h, g + h * k3g, gp + h * k3p)
-        g += h / 6.0 * (k1g + 2 * k2g + 2 * k3g + k4g)
-        gp += h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        r = r_start + (k + 1) * h
-        out[k + 1] = (r, g, gp)
-    return out
+    r, half, sixth = r_start, h / 2, h / 6.0
+    rows = [r, g, gp]
+    for k in range(1, steps + 1):
+        rm = r + half
+        k1g, k1p = gp, g * (g * g - 1.0) / (r * r)
+        g2, k2g = g + half * k1g, gp + half * k1p
+        k2p = g2 * (g2 * g2 - 1.0) / (rm * rm)
+        g3, k3g = g + half * k2g, gp + half * k2p
+        k3p = g3 * (g3 * g3 - 1.0) / (rm * rm)
+        g4, k4g, r4 = g + h * k3g, gp + h * k3p, r + h
+        k4p = g4 * (g4 * g4 - 1.0) / (r4 * r4)
+        g += sixth * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
+        gp += sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        r = r_start + k * h
+        rows += (r, g, gp)
+    return np.array(rows).reshape(steps + 1, 3)
 
 
 def wu_yang_series_small(r: float) -> float:

@@ -141,9 +141,10 @@ def place(op, slot: int, dims) -> np.ndarray:
         )
     left = int(np.prod(dims[:slot], dtype=np.int64)) if slot else 1
     right = int(np.prod(dims[slot + 1:], dtype=np.int64)) if slot + 1 < len(dims) else 1
-    out = m
+    # np.kron(np.kron(I_left, op), I_right)'s products, one broadcast; skipping a factor 1 keeps -0.0
+    out = m.reshape(1, len(m), 1, 1, len(m), 1)
     if left > 1:
-        out = np.kron(np.eye(left, dtype=np.complex128), out)
+        out = np.eye(left, dtype=np.complex128).reshape(left, 1, 1, left, 1, 1) * out
     if right > 1:
-        out = np.kron(out, np.eye(right, dtype=np.complex128))
-    return out
+        out = out * np.eye(right, dtype=np.complex128).reshape(1, 1, right, 1, 1, right)
+    return out.reshape(left * len(m) * right, -1)

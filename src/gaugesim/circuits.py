@@ -5,9 +5,9 @@ most significant bit of the basis index, matching the tensor-slot
 convention of the basis module (slot 0 = leftmost Kronecker factor).
 Ry, CZ and CX have real matrices, so ``ansatz_state`` prepares a real
 state, and ``adjoint_gradient`` differentiates it with one backward
-sweep (Jones & Gacon, arXiv:2009.02823).  Both apply each rotation layer
-through one kernel, ``_ry_layer``: two small matrix products with the
-Kronecker factors of the layer's rotations, not one call per gate.
+sweep (Jones & Gacon, arXiv:2009.02823).  Each sweep builds the Kronecker
+factors of all its rotation layers in one table pass (``_factors``), and
+a layer is two small matrix products with them, not one call per gate.
 ``expectation`` gives <psi|H|psi> for any (complex) state and Hermitian H.
 """
 
@@ -30,42 +30,49 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def _kron_tables(k: int) -> tuple:
-    """Index tables for the Kronecker product K of k rotations [[c, -s], [s, c]].
+def _factor_tables(n: int) -> tuple:
+    """(pick, signed) tables of the Kronecker product K of the rotations
+    [[c, -s], [s, c]] on qubits [0, n // 2), then of those on [n // 2, n).
 
-    K[i, j] = sign[i, j] * mag[i ^ j], where mag[m] is the product over
-    qubits q of s_q if bit q of m is set and c_q otherwise: the gather
-    (rows, bits) of the (k, 2) table [c_q, s_q].  Each factor -s comes
-    from a bit that is 0 in i and 1 in j.
-    """
-    idx = np.arange(2 ** k)
-    rows = np.arange(k)[:, None]
-    bits = (idx >> (k - 1 - rows)) & 1
-    xor = idx[:, None] ^ idx
-    sign = np.where(np.bitwise_count(idx & ~idx[:, None]) % 2, -1.0, 1.0)
-    for table in (rows, bits, xor, sign):
-        table.flags.writeable = False
-    return rows, bits, xor, sign
+    K[i, j] = +-mag[i ^ j], mag[m] the product over the half's qubits q of s_q
+    if bit q of m is set, else c_q: the gather ``pick``, [q, m] -> q + n * bit,
+    of [c_0 .. c_(n-1), s_0 .. s_(n-1)].  Each factor -s comes from a bit 0 in
+    i and 1 in j, so K is the gather ``signed`` of [mag, -mag]."""
+    tables = []
+    for qubits in (np.arange(n // 2), np.arange(n // 2, n)):
+        k = len(qubits)
+        idx = np.arange(2 ** k)
+        pick = qubits[:, None] + n * ((idx >> (k - 1 - np.arange(k)[:, None])) & 1)
+        signed = (idx[:, None] ^ idx) + 2 ** k * (np.bitwise_count(idx & ~idx[:, None]) % 2)
+        pick.flags.writeable = signed.flags.writeable = False
+        tables.append((pick, signed))
+    return tuple(tables)
+
+
+def _factors(layers: np.ndarray) -> list:
+    """The Kronecker factors (L, R) of each rotation layer, one row of n
+    angles in ``layers``, stacked: the layer acts on a state viewed as a
+    (2**h, 2**(n-h)) matrix M, h = n // 2, as L M R^T, with L and R the
+    rotations on qubits [0, h) and [h, n).  Negated angles give L^T and R^T
+    exactly, which undoes the layer."""
+    cs = np.concatenate([np.cos(layers / 2.0), np.sin(layers / 2.0)], axis=1)
+    factors = []
+    for pick, signed in _factor_tables(layers.shape[1]):
+        mag = cs.take(pick, axis=1).prod(axis=1)
+        factors.append(np.concatenate([mag, -mag], axis=1).take(signed, axis=1))
+    return factors
+
+
+def _rotate(psi: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """L M R^T on each state M along the last axis of ``psi`` (see ``_factors``)."""
+    view = psi.reshape(psi.shape[:-1] + (len(left), len(right)))
+    return (left @ view @ right.T).reshape(psi.shape)
 
 
 def _ry_layer(psi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Ry(t_0) (x) ... (x) Ry(t_{n-1}) on each state along the last axis of ``psi``.
-
-    Each state is viewed as a (2**h, 2**(n-h)) matrix M with h = n // 2,
-    and the layer acts as L M R^T: L and R are the Kronecker products of
-    the rotations on qubits [0, h) and [h, n).  Negated angles give L^T
-    and R^T exactly, which undoes the layer.
-    """
-    n = len(thetas)
-    h = n // 2
-    cs = np.stack([np.cos(thetas / 2.0), np.sin(thetas / 2.0)], axis=1)
-    factors = []
-    for part in (cs[:h], cs[h:]):
-        rows, bits, xor, sign = _kron_tables(len(part))
-        factors.append(sign * part[rows, bits].prod(axis=0)[xor])
-    left, right = factors
-    view = psi.reshape(psi.shape[:-1] + (2 ** h, 2 ** (n - h)))
-    return (left @ view @ right.T).reshape(psi.shape)
+    """Ry(t_0) (x) ... (x) Ry(t_{n-1}) on each state along the last axis of ``psi``."""
+    (left,), (right,) = _factors(np.asarray(thetas, dtype=float)[None])
+    return _rotate(psi, left, right)
 
 
 @lru_cache(maxsize=None)
@@ -90,7 +97,9 @@ def _cz_full_layer_signs(n: int) -> np.ndarray:
     """
     idx = np.arange(2 ** n, dtype=np.uint64)
     k = np.bitwise_count(idx).astype(np.int64)
-    return np.where((k * (k - 1) // 2) % 2 == 0, 1.0, -1.0)
+    signs = np.where((k * (k - 1) // 2) % 2 == 0, 1.0, -1.0)
+    signs.flags.writeable = False
+    return signs
 
 
 @lru_cache(maxsize=None)
@@ -164,10 +173,10 @@ def ansatz_state(cfg: AnsatzConfig, params) -> np.ndarray:
     n = cfg.n_qubits
     psi = np.zeros(2 ** n)
     psi[0] = 1.0
-    for d, thetas in enumerate(_layers(cfg, params)):
+    for d, (left, right) in enumerate(zip(*_factors(_layers(cfg, params)))):
         if d:
             psi = _entangle(psi, n, cfg.entangler)
-        psi = _ry_layer(psi, thetas)
+        psi = _rotate(psi, left, right)
     return psi
 
 
@@ -185,11 +194,12 @@ def adjoint_gradient(cfg: AnsatzConfig, params, state, h_state) -> np.ndarray:
     layers = _layers(cfg, params)
     grad = np.empty_like(layers)
     flip, sign = _flip_tables(n)
+    lefts, rights = _factors(-layers[1:])
     pair = np.stack([state, h_state])
     for d in range(cfg.depth, -1, -1):
         grad[d] = (sign * pair[0][flip]) @ pair[1]
         if d:
-            pair = _entangle(_ry_layer(pair, -layers[d]), n, cfg.entangler, inverse=True)
+            pair = _entangle(_rotate(pair, lefts[d - 1], rights[d - 1]), n, cfg.entangler, inverse=True)
     return grad.reshape(-1)
 
 

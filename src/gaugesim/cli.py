@@ -202,15 +202,15 @@ _COMMANDS = {
 }
 
 
+_PARSER = argparse.ArgumentParser(prog="gaugesim",  # one parser for every main() call
+                                  description="Gauge-field quantum simulation runs driven by JSON configs.")
+_PARSER.add_argument("command", choices=sorted(_COMMANDS))
+_PARSER.add_argument("--config", required=True, help="path to the JSON experiment config")
+_PARSER.add_argument("--quiet", action="store_true", help="suppress the summary line")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="gaugesim",
-        description="Gauge-field quantum simulation runs driven by JSON configs.",
-    )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", required=True, help="path to the JSON experiment config")
-    parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         # Overflow ends in a non-finite result, which write_rows refuses

@@ -20,6 +20,7 @@ on n comb states, and a step is one batched matmul along each axis of the
 
 from __future__ import annotations
 
+import cmath
 import numbers
 from dataclasses import dataclass
 
@@ -319,7 +320,11 @@ def _state(psi, dim: int, what: str) -> np.ndarray:
     if entries.shape != (dim,):
         raise DimensionMismatchError(f"{what} has shape {entries.shape}, H needs ({dim},)")
     for k, v in enumerate(entries):
-        if isinstance(v, bool) or not (isinstance(v, numbers.Number) and abs(v) < np.inf):
+        try:  # an int too large for a float overflows here
+            finite = not isinstance(v, bool) and isinstance(v, numbers.Number) and cmath.isfinite(v)
+        except OverflowError:
+            finite = False
+        if not finite:
             raise ValueError(f"{what}: entry {k} is not a finite number, got {v!r}")
     return entries.astype(np.complex128)
 

@@ -21,6 +21,7 @@ which one reproduces them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -476,21 +477,8 @@ def build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
     x, y, z = (basis.place(basis.osc_q(n), s, dims).real for s in range(3))
     px, py, pz = (basis.place(basis.osc_p(n), s, dims).imag for s in range(3))  # p = i P
 
-    k = qubits_of_dim(n)
-    if spec.variant == "ScalarB":
-        b_op = -g_m / spec.r_ref ** 2
-    else:
-        # r^2 is diagonal in W = V (x) V (x) V, where q^2 = V diag(lam) V^T
-        q = basis.osc_q(n).real
-        lam, v = np.linalg.eigh(q @ q)
-        w = np.kron(np.kron(v, v), v)
-        lam3 = (lam[:, None, None] + lam[None, :, None] + lam[None, None, :]).ravel()
-        b_op = -g_m * ((w / lam3) @ w.T)
-        # r^2 keeps each register's parity, so (r^2)^-1 does too; eigh may
-        # mix parities within the degenerate levels of q^2, and the
-        # round-off that leaves between parities is zeroed here
-        reg = np.arange(n ** 3) & (1 | 1 << k | 1 << 2 * k)
-        b_op[reg[:, None] != reg[None, :]] = 0.0
+    inv_r2, cross, rows, cols, sector, literal = _monopole_tables(n)
+    b_op = -g_m / spec.r_ref ** 2 if spec.variant == "ScalarB" else np.where(cross, 0.0, -g_m * inv_r2)
     bx, by, bz = (np.dot(b_op, a) for a in (x, y, z))  # b_op may be a scalar
     one = np.eye(8)
     ts = (((1j, px, one), (-1, by, f12), (1, bz, f31)),  # each t_i as (phase, R_k, F_k): A_k = phase R_k
@@ -505,6 +493,35 @@ def build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
                 if f.any():  # products of raising-operator bilinears vanish
                     groups.setdefault(f.tobytes(), [f, 0])[1] += (c_k * c_l) * (r_k @ r_l)
 
+    # 1/2 sum_g A_g (x) F_g on each sector: its boson and fermion indices
+    # gather the sector's block from every factor pair (flat, one take each)
+    boson, fermion_idx = (rows >> 3) * n ** 3 + (cols >> 3), (rows & 7) * 8 + (cols & 7)
+    h_blocks = 0.5 * sum(a.take(boson) * f.take(fermion_idx) for f, a in groups.values())
+    del boson, fermion_idx  # 256 KB of indices that need not outlive the sum
+    if spec.variant == "HermitianPart":
+        h_blocks = 0.5 * (h_blocks + h_blocks.conj().transpose(0, 2, 1))
+    h = np.zeros((8 * n ** 3,) * 2, dtype=np.complex128)
+    h[rows, cols] = h_blocks
+    return _finish(h, spec, literal if spec.variant in ("Literal", "ScalarB") else sector)
+
+
+@lru_cache(maxsize=None)
+def _monopole_tables(n: int) -> tuple:
+    """The g_m-free parts of ``build_monopole_su2`` at ``boson_trunc`` n, read-only: (r^2)^-1,
+    its cross-parity mask, the sector blocks' (rows, cols) index grids and the two key arrays."""
+    k = qubits_of_dim(n)
+    # r^2 is diagonal in W = V (x) V (x) V, where q^2 = V diag(lam) V^T
+    q = basis.osc_q(n).real
+    lam, v = np.linalg.eigh(q @ q)
+    w = np.kron(np.kron(v, v), v)
+    lam3 = (lam[:, None, None] + lam[None, :, None] + lam[None, None, :]).ravel()
+    inv_r2 = (w / lam3) @ w.T
+    # r^2 keeps each register's parity, so (r^2)^-1 does too; eigh may mix
+    # parities within the degenerate levels of q^2: the builder zeroes the
+    # round-off that leaves between parities
+    reg = np.arange(n ** 3) & (1 | 1 << k | 1 << 2 * k)
+    cross = reg[:, None] != reg[None, :]
+
     # index = boson * 8 + fermion pattern; the low bits of the boson
     # registers x, y, z sit at 3 + 2k, 3 + k and 3
     i = np.arange(8 * n ** 3)
@@ -514,24 +531,13 @@ def build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
     charges = [s ^ p for s, p in zip(slots, parities)]
     sector = (occupation & 1) * 8 + charges[0] * 4 + charges[1] * 2 + charges[2]
     sectors = np.stack(_blocks_by(sector))
-
-    # 1/2 sum_g A_g (x) F_g on each sector: its boson and fermion indices
-    # gather the sector's block from every factor pair
     rows, cols = sectors[:, :, None], sectors[:, None, :]
-    h_blocks = 0.5 * sum(a[rows >> 3, cols >> 3] * f[rows & 7, cols & 7] for f, a in groups.values())
-    if spec.variant == "HermitianPart":
-        h_blocks = 0.5 * (h_blocks + h_blocks.conj().transpose(0, 2, 1))
-    h = np.zeros((len(i), len(i)), dtype=np.complex128)
-    h[rows, cols] = h_blocks
-
-    if spec.variant in ("Literal", "ScalarB"):
-        # raising-operator bilinears only lower the occupation: H is block
-        # upper-triangular by occupation, then fermion pattern, then the
-        # three register parities
-        keys = (occupation * 8 + (i & 7)) * 8 + parities[0] * 4 + parities[1] * 2 + parities[2]
-    else:
-        keys = sector
-    return _finish(h, spec, keys)
+    # raising-operator bilinears only lower the occupation: the Literal and ScalarB matrices
+    # are block upper-triangular by occupation, then fermion pattern, then the register parities
+    literal = (occupation * 8 + (i & 7)) * 8 + parities[0] * 4 + parities[1] * 2 + parities[2]
+    for t in (inv_r2, cross, rows, cols, sector, literal):
+        t.flags.writeable = False
+    return inv_r2, cross, rows, cols, sector, literal
 
 
 _BUILDERS = {

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from gaugesim import circuits
 from gaugesim.basis import fermion_factor, osc_p, osc_q, place, pos_grid
 from gaugesim.errors import GaugesimError
 from gaugesim.evolution import momentum_state
@@ -234,3 +235,77 @@ def pair_trotter(groups, ts, n_steps: int, psi0) -> np.ndarray:
         for c, s, src in factors:
             psi = c * psi if src is None else c * psi + s * psi[:, src]
     return psi
+
+
+def per_layer_factors(thetas):
+    """The Kronecker factors (L, R) of one Ry layer, built for that layer
+    alone: a cos/sin table, then per register half a gather over
+    (qubit, bit), a product, a gather through i ^ j and a sign product
+    (test oracle only)."""
+    n = len(thetas)
+    h = n // 2
+    cs = np.stack([np.cos(thetas / 2.0), np.sin(thetas / 2.0)], axis=1)
+    factors = []
+    for part in (cs[:h], cs[h:]):
+        k = len(part)
+        idx = np.arange(2 ** k)
+        rows = np.arange(k)[:, None]
+        bits = (idx >> (k - 1 - rows)) & 1
+        sign = np.where(np.bitwise_count(idx & ~idx[:, None]) % 2, -1.0, 1.0)
+        factors.append(sign * part[rows, bits].prod(axis=0)[idx[:, None] ^ idx])
+    return factors
+
+
+def per_layer_ry(psi, thetas):
+    """L M R^T with ``per_layer_factors`` on each state along the last axis."""
+    left, right = per_layer_factors(thetas)
+    view = psi.reshape(psi.shape[:-1] + (len(left), len(right)))
+    return (left @ view @ right.T).reshape(psi.shape)
+
+
+def per_layer_ansatz_state(cfg, params):
+    """``circuits.ansatz_state`` with each layer's factors built alone (test oracle only)."""
+    n = cfg.n_qubits
+    psi = np.zeros(2 ** n)
+    psi[0] = 1.0
+    for d, thetas in enumerate(np.reshape(params, (cfg.depth + 1, n))):
+        if d:
+            psi = circuits._entangle(psi, n, cfg.entangler)
+        psi = per_layer_ry(psi, thetas)
+    return psi
+
+
+def per_layer_adjoint_gradient(cfg, params, state, h_state):
+    """``circuits.adjoint_gradient`` with each layer's factors built alone (test oracle only)."""
+    n = cfg.n_qubits
+    layers = np.reshape(params, (cfg.depth + 1, n))
+    grad = np.empty_like(layers)
+    flip, sign = circuits._flip_tables(n)
+    pair = np.stack([state, h_state])
+    for d in range(cfg.depth, -1, -1):
+        grad[d] = (sign * pair[0][flip]) @ pair[1]
+        if d:
+            pair = circuits._entangle(per_layer_ry(pair, -layers[d]), n, cfg.entangler, inverse=True)
+    return grad.reshape(-1)
+
+
+def stepwise_wu_yang(r_start, r_end, steps, g, gp) -> np.ndarray:
+    """``analytic.wu_yang_solve``'s RK4 with a right-hand-side function and
+    one array row written per step (test oracle only; no input checks)."""
+    def rhs(r, g, gp):
+        return gp, g * (g * g - 1.0) / (r * r)
+
+    h = (r_end - r_start) / steps
+    out = np.empty((steps + 1, 3))
+    r = r_start
+    out[0] = (r, g, gp)
+    for k in range(steps):
+        k1g, k1p = rhs(r, g, gp)
+        k2g, k2p = rhs(r + h / 2, g + h / 2 * k1g, gp + h / 2 * k1p)
+        k3g, k3p = rhs(r + h / 2, g + h / 2 * k2g, gp + h / 2 * k2p)
+        k4g, k4p = rhs(r + h, g + h * k3g, gp + h * k3p)
+        g += h / 6.0 * (k1g + 2 * k2g + 2 * k3g + k4g)
+        gp += h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        r = r_start + (k + 1) * h
+        out[k + 1] = (r, g, gp)
+    return out

@@ -19,6 +19,8 @@ from gaugesim.analytic import (
 )
 from gaugesim.errors import SingularTimeError, StepUnderflowError
 
+from conftest import stepwise_wu_yang
+
 
 def test_landau_energy_values():
     assert landau_energy(2.0, 0) == 1.0
@@ -139,6 +141,13 @@ def test_wu_yang_fixed_points():
         traj = wu_yang_solve(0.1, 2.0, 200, g0, 0.0)
         assert np.max(np.abs(traj[:, 1] - g0)) < 1e-12
         assert np.max(np.abs(traj[:, 2])) < 1e-12
+
+
+def test_wu_yang_trajectory_equals_the_stepwise_loop_bit_for_bit():
+    # the inlined stages are the same float operations in the same order
+    for args in ((0.05, 1.0, 200, 0.9975, -0.1), (0.05, 1.0, 3200, 0.9975, -0.1),
+                 (2.0, 0.3, 77, 0.5, 3.0), (0.01, 5.0, 1000, 1.3, 0.2), (0.1, 2.0, 10, -1.0, 0.0)):
+        assert wu_yang_solve(*args).tobytes() == stepwise_wu_yang(*args).tobytes(), args
 
 
 def test_wu_yang_series_values():

@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gaugesim
@@ -110,6 +111,38 @@ def test_library_sets_no_environment_variable():
         text = path.read_text(encoding="utf-8")
         assert "OPENBLAS_" not in text, path.name
         assert not any(_writes_environ(n) for n in ast.walk(ast.parse(text))), path.name
+
+
+#: Sample arguments for every ``lru_cache``d function of the library.
+CACHED_TABLE_CALLS = {
+    "gaugesim.circuits._factor_tables": [(1,), (4,), (9,)],
+    "gaugesim.circuits._flip_tables": [(1,), (4,)],
+    "gaugesim.circuits._cz_full_layer_signs": [(3,)],
+    "gaugesim.circuits._cx_full_layer_sources": [(3,), (3, True)],
+    "gaugesim.hamiltonians._monopole_tables": [(2,), (4,)],
+}
+
+
+def _arrays(value):
+    """Every ndarray in ``value``, looking into tuples."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, np.ndarray):
+        yield value
+
+
+def test_every_cached_table_is_read_only():
+    # a cached table is shared by every later call, so a caller that wrote
+    # into it would change those calls' results
+    cached = {f"{m}.{name}" for m in MODULES for name, f in vars(importlib.import_module(m)).items()
+              if hasattr(f, "cache_info") and f.__module__ == m}
+    assert cached == set(CACHED_TABLE_CALLS)
+    for qualname, calls in CACHED_TABLE_CALLS.items():
+        module, name = qualname.rsplit(".", 1)
+        for args in calls:
+            arrays = list(_arrays(getattr(importlib.import_module(module), name)(*args)))
+            assert arrays and not [a.shape for a in arrays if a.flags.writeable], (qualname, args)
 
 
 def _imported_top_levels(path):

@@ -159,6 +159,23 @@ def test_place_positions():
     np.testing.assert_array_equal(place(np.eye(2), 1, [2, 2]), np.eye(4))
 
 
+def test_place_is_the_kron_chain_bit_for_bit(rng):
+    # the same products as np.kron(np.kron(I_left, op), I_right), a factor
+    # 1 skipped, so signed zeros come out the same too
+    for dims in ([2, 2, 2], [3, 4], [4], [2, 3, 2, 2], [1, 3, 1], [5, 1, 2], [4, 4, 4]):
+        for slot, d in enumerate(dims):
+            op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            op[0, 0], op[-1, 0], op[0, -1] = complex(-0.0, -0.0), complex(-1.5, 0.0), complex(0.0, -2.0)
+            left, right = int(np.prod(dims[:slot])), int(np.prod(dims[slot + 1:]))
+            expected = op
+            if left > 1:
+                expected = np.kron(np.eye(left, dtype=complex), expected)
+            if right > 1:
+                expected = np.kron(expected, np.eye(right, dtype=complex))
+            out = place(op, slot, dims)
+            assert out.shape == expected.shape and out.tobytes() == expected.tobytes(), (dims, slot)
+
+
 def test_place_slots_commute_exactly(rng):
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

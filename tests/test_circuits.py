@@ -2,12 +2,20 @@ import numpy as np
 import pytest
 
 from gaugesim import circuits
-from gaugesim.circuits import AnsatzConfig, ansatz_state, expectation
+from gaugesim.circuits import AnsatzConfig, adjoint_gradient, ansatz_state, expectation
 from gaugesim.errors import DimensionMismatchError, InvalidConfigError, NotHermitianError
 from gaugesim.hamiltonians import HamiltonianSpec, build_landau_cartesian
 from gaugesim.operators import hermitian_eig
 
-from conftest import PAULI, dense_ansatz_state, dense_ry, random_hermitian, random_state
+from conftest import (
+    PAULI,
+    dense_ansatz_state,
+    dense_ry,
+    per_layer_adjoint_gradient,
+    per_layer_ansatz_state,
+    random_hermitian,
+    random_state,
+)
 
 
 def _state(n, depth, params, entangler="cz"):
@@ -34,6 +42,23 @@ def test_ry_layer_matches_dense_gates(rng, n):
                                rtol=0, atol=1e-13)
     np.testing.assert_allclose(circuits._ry_layer(states, thetas), states @ dense.T,
                                rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("entangler", ["cz", "cx"])
+def test_one_table_pass_equals_the_per_layer_factors_bit_for_bit(rng, entangler):
+    # all layers' factors from one pass are the same products in the same
+    # order as each layer's alone, so states and gradients match bit for
+    # bit; the angles include 0, -0, +-pi and random values
+    for n in range(1, 10):
+        for depth in range(5):
+            cfg = AnsatzConfig(n, depth, entangler)
+            params = rng.uniform(-np.pi, np.pi, cfg.n_params)
+            params[::2] = rng.choice([0.0, -0.0, np.pi, -np.pi], len(params[::2]))
+            state = ansatz_state(cfg, params)
+            assert state.tobytes() == per_layer_ansatz_state(cfg, params).tobytes(), (n, depth)
+            h_state = rng.normal(size=state.shape)
+            grad = adjoint_gradient(cfg, params, state, h_state)
+            assert grad.tobytes() == per_layer_adjoint_gradient(cfg, params, state, h_state).tobytes(), (n, depth)
 
 
 def test_cz_phases():

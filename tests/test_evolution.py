@@ -499,7 +499,8 @@ def test_a_state_not_of_shape_dim_refused(entry, method):
 @pytest.mark.parametrize("method", ["exact", "trotter"])
 def test_a_state_entry_not_a_finite_number_refused(entry, method):
     # None and NaN used to read as NaN amplitudes, a string as numpy's bare
-    # "malformed string"; each is now a ValueError naming the state
+    # "malformed string", an int too large for a float as a bare
+    # OverflowError; each is now a ValueError naming the state
     what = {"psi_i": "initial state", "psi_fs": "final state 1", "psi0": "initial state"}[entry]
     h = np.diag([1.0, 2.0])
     good = np.array([1.0, 0.0])
@@ -507,7 +508,7 @@ def test_a_state_entry_not_a_finite_number_refused(entry, method):
              "psi_fs": lambda psi: transition_series(h, good, [good, psi], [0.0, 0.5], method=method),
              "psi0": lambda psi: scattering_process(h, 0.5, 0.2, 0.5, psi, method=method)}
     for psi in ([None, 1], [np.nan, 1], [np.inf, 0], [0, -np.inf], [1, complex(0, np.nan)],
-                np.array([1.0, np.nan]), ["a", 1], ["1", 0], [True, 0]):
+                np.array([1.0, np.nan]), ["a", 1], ["1", 0], [True, 0], [10 ** 400, 0], [0, -10 ** 400]):
         with pytest.raises(ValueError, match=f"^{what}: entry "):
             calls[entry](psi)
     calls[entry]([1, 0j])  # ints and complex numbers are numbers

@@ -124,6 +124,23 @@ def test_evaluations_count_circuit_runs(monkeypatch):
     assert all(not np.array_equal(a, b) for a, b in zip(runs, runs[1:]))
 
 
+@pytest.mark.parametrize("depth", [0, 1, 5])
+def test_one_point_builds_the_layer_factors_twice(monkeypatch, depth):
+    # the energy and gradient at one point: one table pass for the forward
+    # layers, one for the backward sweep's, whatever the depth
+    passes = []
+
+    def counted(layers):
+        passes.append(len(layers))
+        return factors(layers)
+
+    factors = circuits._factors
+    monkeypatch.setattr(circuits, "_factors", counted)
+    built = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
+    energy_gradient(built, AnsatzConfig(4, depth=depth), np.linspace(-1.0, 1.0, 4 * (depth + 1)))
+    assert passes == [depth + 1, depth]
+
+
 def test_minimize_guards():
     built = build_monopole_su2(HamiltonianSpec(kind="MonopoleSU2", b_field=2.0))
     with pytest.raises(NotHermitianError, match="HermitianPart"):

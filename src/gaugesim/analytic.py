@@ -13,11 +13,12 @@ evaluation there.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .errors import SingularTimeError, StepUnderflowError, read_number
+from .errors import GaugesimError, SingularTimeError, StepUnderflowError, read_number
 
 __all__ = [
     "landau_energy",
@@ -36,14 +37,33 @@ __all__ = [
 SINGULAR_TOL = 1e-9
 
 
+def _finite(fn):
+    """``fn`` raising GaugesimError where its formula overflows at finite
+    arguments (an ArithmeticError, or a NaN or infinite result)."""
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            value = fn(*args, **kwargs)
+        except ArithmeticError as exc:
+            raise GaugesimError(f"{fn.__name__}: {exc} at {args + tuple(kwargs.values())}") from None
+        read_number(value, f"{fn.__name__} result", complex, error=GaugesimError)
+        return value
+
+    return checked
+
+
+@_finite
 def landau_energy(b_field: float, n: int) -> float:
     """Landau level energy |B| (n + 1/2)."""
+    b_field = read_number(b_field, "b_field", float, error=ValueError)
     n = read_number(n, "level index", int, 0, error=ValueError)
     return abs(b_field) * (n + 0.5)
 
 
+@_finite
 def polar_energy(b_field: float, n: int, m: int) -> float:
     """Radial-sector energy (n + 1 - m) B / 2, where n = 2 n_r + |m| with n_r >= 0."""
+    b_field = read_number(b_field, "b_field", float, error=ValueError)
     n = read_number(n, "n", int, error=ValueError)
     m = read_number(m, "m", int, error=ValueError)
     if n < abs(m) or (n - m) % 2:
@@ -94,10 +114,13 @@ def bessel_i(nu: int, z: complex) -> complex:
     Plain power series sum_k (z/2)^(nu + 2k) / (k! (nu + k)!), stopped
     when a term falls below 1e-16 of the running sum.  Accurate at the
     moderate arguments used here (|z| < 20); large arguments would need
-    the scaled asymptotic form instead.
+    the scaled asymptotic form instead.  Every term stays finite for
+    nu <= 170 (nu! a float) and |z| <= 128, so the series always ends.
     """
-    nu = read_number(nu, "order", int, 0, error=ValueError)
-    z = complex(z)
+    nu = read_number(nu, "order", int, 0, 170, error=ValueError)
+    z = read_number(z, "z", complex, error=ValueError)
+    if abs(z) > 128.0:
+        raise ValueError(f"z: |z| must be <= 128, got {z}")
     if z == 0.0:
         return 1.0 + 0.0j if nu == 0 else 0.0 + 0.0j
     half = z / 2.0
@@ -110,10 +133,9 @@ def bessel_i(nu: int, z: complex) -> complex:
         total += term
         if abs(term) <= 1e-16 * max(abs(total), 1e-300):
             return complex(total)
-        if k > 10000:
-            raise RuntimeError(f"bessel_i series did not converge: nu={nu}, z={z}")
 
 
+@_finite
 def kernel_polar(rho_i, phi_i, rho_f, phi_f, t, b_field, m_max: int = 20) -> complex:
     """Polar propagation kernel, angular sum truncated at |m| <= m_max.
 
@@ -123,9 +145,13 @@ def kernel_polar(rho_i, phi_i, rho_f, phi_f, t, b_field, m_max: int = 20) -> com
                 I_|m|( -i (B/2) rho_f rho_i / sin(BT/2) )
 
     The Bessel argument decays the terms rapidly, so modest m_max already
-    converges to full precision for desk-scale arguments.
+    converges to full precision for desk-scale arguments.  m_max is at most
+    170, the largest order ``bessel_i`` takes.
     """
-    m_max = read_number(m_max, "m_max", int, 1, error=ValueError)
+    rho_i, phi_i, rho_f, phi_f, t, b_field = (
+        read_number(v, name, float, error=ValueError) for v, name in
+        zip((rho_i, phi_i, rho_f, phi_f, t, b_field), ("rho_i", "phi_i", "rho_f", "phi_f", "t", "b_field")))
+    m_max = read_number(m_max, "m_max", int, 1, 170, error=ValueError)
     s = _half_angle(b_field, t)
     sin_s = np.sin(s)
     rr = rho_f ** 2 + rho_i ** 2
@@ -145,9 +171,10 @@ def wu_yang_solve(r_start, r_end, steps, g_start, gprime_start) -> np.ndarray:
 
     Returns an array of shape (steps + 1, 3) with rows (r, g, g').  The
     grid must be non-degenerate and stay clear of r = 0, where the
-    equation is singular; the initial values must be finite.
+    equation is singular; the initial values must be finite.  A solution
+    that blows up holds infinities and NaN from there on.
     """
-    steps = read_number(steps, "steps", int, 10, error=StepUnderflowError)
+    steps = read_number(steps, "steps", int, 10, 10 ** 7, error=StepUnderflowError)
     r_start = read_number(r_start, "r_start", float, error=StepUnderflowError)
     r_end = read_number(r_end, "r_end", float, error=StepUnderflowError)
     g = read_number(g_start, "g_start", float, error=ValueError)
@@ -159,32 +186,41 @@ def wu_yang_solve(r_start, r_end, steps, g_start, gprime_start) -> np.ndarray:
         raise StepUnderflowError("degenerate radial grid (r_start == r_end)")
     r, half, sixth = r_start, h / 2, h / 6.0
     rows = [r, g, gp]
-    for k in range(1, steps + 1):
-        rm = r + half
-        k1g, k1p = gp, g * (g * g - 1.0) / (r * r)
-        g2, k2g = g + half * k1g, gp + half * k1p
-        k2p = g2 * (g2 * g2 - 1.0) / (rm * rm)
-        g3, k3g = g + half * k2g, gp + half * k2p
-        k3p = g3 * (g3 * g3 - 1.0) / (rm * rm)
-        g4, k4g, r4 = g + h * k3g, gp + h * k3p, r + h
-        k4p = g4 * (g4 * g4 - 1.0) / (r4 * r4)
-        g += sixth * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
-        gp += sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        r = r_start + k * h
-        rows += (r, g, gp)
+    try:  # r * r is 0 where the grid reaches r = 0 in floating point
+        for k in range(1, steps + 1):
+            rm = r + half
+            k1g, k1p = gp, g * (g * g - 1.0) / (r * r)
+            g2, k2g = g + half * k1g, gp + half * k1p
+            k2p = g2 * (g2 * g2 - 1.0) / (rm * rm)
+            g3, k3g = g + half * k2g, gp + half * k2p
+            k3p = g3 * (g3 * g3 - 1.0) / (rm * rm)
+            g4, k4g, r4 = g + h * k3g, gp + h * k3p, r + h
+            k4p = g4 * (g4 * g4 - 1.0) / (r4 * r4)
+            g += sixth * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
+            gp += sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            r = r_start + k * h
+            rows += (r, g, gp)
+    except ZeroDivisionError:
+        raise StepUnderflowError(f"radial grid reaches r = 0 between r_start={r_start} and r_end={r_end}") from None
     return np.array(rows).reshape(steps + 1, 3)
 
 
+@_finite
 def wu_yang_series_small(r: float) -> float:
     """Small-r expansion 1 - r^2 + (3/10) r^4."""
+    r = read_number(r, "r", float, error=ValueError)
     return 1.0 - r * r + 0.3 * r ** 4
 
 
+@_finite
 def wu_yang_series_small_prime(r: float) -> float:
     """Derivative of the small-r expansion, for seeding the integrator."""
+    r = read_number(r, "r", float, error=ValueError)
     return -2.0 * r + 1.2 * r ** 3
 
 
+@_finite
 def wu_yang_series_large(r: float) -> float:
     """Large-r expansion 1 - 1/r + (3/4)/r^2."""
+    r = read_number(r, "r", float, error=ValueError)
     return 1.0 - 1.0 / r + 0.75 / r ** 2

@@ -14,10 +14,12 @@ Conventions:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSizeError, read_number
-from .operators import as_operator
+from .operators import MAX_QUBITS, as_operator
 
 __all__ = [
     "osc_q",
@@ -38,7 +40,7 @@ def osc_q(n: int) -> np.ndarray:
 
     Tridiagonal with Q[j, j+1] = Q[j+1, j] = sqrt(j+1)/sqrt(2).
     """
-    n = read_number(n, "basis size", int, 2, error=InvalidSizeError)
+    n = read_number(n, "basis size", int, 2, 2 ** MAX_QUBITS, error=InvalidSizeError)
     off = np.sqrt(np.arange(1, n)) / np.sqrt(2.0)
     q = np.zeros((n, n), dtype=np.complex128)
     idx = np.arange(n - 1)
@@ -49,7 +51,7 @@ def osc_q(n: int) -> np.ndarray:
 
 def osc_p(n: int) -> np.ndarray:
     """Momentum operator in the truncated oscillator basis (purely imaginary)."""
-    n = read_number(n, "basis size", int, 2, error=InvalidSizeError)
+    n = read_number(n, "basis size", int, 2, 2 ** MAX_QUBITS, error=InvalidSizeError)
     off = np.sqrt(np.arange(1, n)) / np.sqrt(2.0)
     p = np.zeros((n, n), dtype=np.complex128)
     idx = np.arange(n - 1)
@@ -67,7 +69,7 @@ def osc_q2(n: int) -> np.ndarray:
     states.  Entries: diag (2j+1)/2, second off-diagonals
     sqrt((j+1)(j+2))/2.
     """
-    n = read_number(n, "basis size", int, 2, error=InvalidSizeError)
+    n = read_number(n, "basis size", int, 2, 2 ** MAX_QUBITS, error=InvalidSizeError)
     m = np.zeros((n, n), dtype=np.complex128)
     j = np.arange(n)
     m[j, j] = (2 * j + 1) / 2.0
@@ -92,7 +94,7 @@ def osc_p2(n: int) -> np.ndarray:
 
 def pos_grid(n: int) -> np.ndarray:
     """The n position-grid values sqrt(2*pi/(4n)) * (2j - (n+1)), j = 1..n."""
-    n = read_number(n, "basis size", int, 2, error=InvalidSizeError)
+    n = read_number(n, "basis size", int, 2, 2 ** MAX_QUBITS, error=InvalidSizeError)
     j = np.arange(1, n + 1)
     return np.sqrt(2.0 * np.pi / (4.0 * n)) * (2 * j - (n + 1))
 
@@ -109,7 +111,7 @@ def sylvester_f(n: int) -> np.ndarray:
     with 1-based j, k.  All entries are unimodular up to the 1/sqrt(n)
     normalization, and F is symmetric (not Hermitian).
     """
-    n = read_number(n, "basis size", int, 2, error=InvalidSizeError)
+    n = read_number(n, "basis size", int, 2, 2 ** MAX_QUBITS, error=InvalidSizeError)
     o = 2 * np.arange(1, n + 1) - (n + 1)
     phase = (2.0 * np.pi / (4.0 * n)) * np.outer(o, o)
     return np.exp(1j * phase) / np.sqrt(n)
@@ -133,14 +135,17 @@ def place(op, slot: int, dims) -> np.ndarray:
     dimensions in ``dims``.  Requires dim(op) == dims[slot].
     """
     m = as_operator(op)
+    if isinstance(dims, str) or not np.iterable(dims):
+        raise InvalidSizeError(f"dims must be a list of sizes, got {dims!r}")
     dims = [read_number(d, "dims[]", int, 1, error=InvalidSizeError) for d in dims]
+    if math.prod(dims) > 2 ** MAX_QUBITS:
+        raise InvalidSizeError(f"dims {dims} span more than {2 ** MAX_QUBITS} dimensions")
     slot = read_number(slot, "slot", int, 0, len(dims) - 1, error=DimensionMismatchError)
     if m.shape[0] != dims[slot]:
         raise DimensionMismatchError(
             f"operator dim {m.shape[0]} does not match dims[{slot}] = {dims[slot]}"
         )
-    left = int(np.prod(dims[:slot], dtype=np.int64)) if slot else 1
-    right = int(np.prod(dims[slot + 1:], dtype=np.int64)) if slot + 1 < len(dims) else 1
+    left, right = math.prod(dims[:slot]), math.prod(dims[slot + 1:])
     # np.kron(np.kron(I_left, op), I_right)'s products, one broadcast; skipping a factor 1 keeps -0.0
     out = m.reshape(1, len(m), 1, 1, len(m), 1)
     if left > 1:

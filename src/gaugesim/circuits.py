@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidConfigError, NotHermitianError, read_own_fields
+from .errors import DimensionMismatchError, InvalidConfigError, NotHermitianError, read_numbers, read_own_fields
 from .operators import MAX_QUBITS
 
 __all__ = [
@@ -160,8 +160,8 @@ class AnsatzConfig:
 
 def _layers(cfg: AnsatzConfig, params) -> np.ndarray:
     """``params`` as the (depth + 1, n_qubits) float array of angles, one row
-    per rotation layer; InvalidConfigError unless ``cfg.n_params`` are given."""
-    p = np.asarray(params, dtype=float)
+    per rotation layer; InvalidConfigError unless ``cfg.n_params`` finite numbers are given."""
+    p = read_numbers(params, "params", InvalidConfigError)
     if p.shape != (cfg.n_params,):
         raise InvalidConfigError(f"expected {cfg.n_params} parameters, got shape {p.shape}")
     return p.reshape(cfg.depth + 1, cfg.n_qubits)
@@ -192,10 +192,13 @@ def adjoint_gradient(cfg: AnsatzConfig, params, state, h_state) -> np.ndarray:
     """
     n = cfg.n_qubits
     layers = _layers(cfg, params)
+    pair = [read_numbers(v, what, ValueError) for v, what in ((state, "state"), (h_state, "h_state"))]
+    if any(v.shape != (2 ** n,) for v in pair):
+        raise DimensionMismatchError(f"state and h_state need shape ({2 ** n},)")
+    pair = np.stack(pair)
     grad = np.empty_like(layers)
     flip, sign = _flip_tables(n)
     lefts, rights = _factors(-layers[1:])
-    pair = np.stack([state, h_state])
     for d in range(cfg.depth, -1, -1):
         grad[d] = (sign * pair[0][flip]) @ pair[1]
         if d:
@@ -210,12 +213,10 @@ def expectation(state, h) -> float:
     a residual imaginary part above 1e-10 indicates a non-Hermitian H
     and raises.
     """
-    psi = np.asarray(state, dtype=np.complex128)
-    hm = np.asarray(h, dtype=np.complex128)
-    if hm.shape != (len(psi), len(psi)):
-        raise DimensionMismatchError(
-            f"operator shape {hm.shape} does not match state of length {len(psi)}"
-        )
+    psi = read_numbers(state, "state", ValueError, complex)
+    hm = read_numbers(h, "operator", ValueError, complex)
+    if psi.ndim != 1 or hm.shape != psi.shape * 2:
+        raise DimensionMismatchError(f"operator shape {hm.shape} does not match state of shape {psi.shape}")
     val = complex(np.vdot(psi, hm @ psi))
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
         raise NotHermitianError(

@@ -5,17 +5,17 @@ the CLI exit-code mapping) can distinguish bad configuration from a failed
 computation.
 
 ``read_number`` is the rule every entry point applies to a caller-supplied
-count, index or scale: a finite number (bools and strings are not numbers),
-integral where an int is asked for, within its bounds.  Each caller names
-the exception class its failures raise.  ``read_numbers`` is its array
-form, ``read_fields`` applies it to one JSON object of a config or spec,
-and ``read_own_fields`` to a config object's ``FIELDS``.  ``write_rows``
-is the one CSV writer: one cell rule, and no NaN or infinity written.
+number: finite (bools and strings are not numbers), integral where an int
+is asked for, within its bounds; each caller names the exception class.
+``read_numbers`` applies it to every entry of an array: states, operators,
+angles, times and momenta.  ``read_fields`` applies it to one JSON object
+of a config or spec, ``read_own_fields`` to a config object's ``FIELDS``,
+and ``write_rows`` is the one CSV writer, which writes no NaN or infinity.
 They live here, below every other module, so that every layer can use them.
 """
 
+import cmath
 import dataclasses
-import math
 import numbers
 from typing import Mapping
 
@@ -66,18 +66,23 @@ class InvalidTimesError(GaugesimError):
     """Evolution time not finite, or scattering insertion time outside [0, total_T]."""
 
 
+def _is_number(v, kind, finite: bool) -> bool:
+    """Whether ``v`` is a ``kind``: a number, no bool, real unless ``kind`` is complex, finite if ``finite``."""
+    try:  # an int too large for a float overflows in cmath.isfinite
+        return (isinstance(v, numbers.Number if kind is complex else numbers.Real)
+                and not isinstance(v, bool) and (cmath.isfinite(v) or not finite))
+    except OverflowError:
+        return False
+
+
 def read_number(val, where: str, kind, minimum=None, maximum=None, error=InvalidConfigError):
-    """``val`` as a finite ``kind`` (float or int) within the bounds, else ``error``.
+    """``val`` as a finite ``kind`` (float, int or complex) within the bounds, else ``error``.
 
     Bools (numpy's included) and strings are not numbers here, and an int
     must hold an integral value: 16.0 and np.int64(16) read as 16, 16.5
     is refused, never truncated.
     """
-    try:
-        finite = not isinstance(val, (bool, np.bool_)) and math.isfinite(val)
-    except (TypeError, OverflowError):
-        finite = False
-    if not finite:
+    if not _is_number(val, kind, True):
         raise error(f"{where}: expected a finite number, got {val!r}")
     if kind is int and val != int(val):
         raise error(f"{where}: expected an integer, got {val!r}")
@@ -89,22 +94,24 @@ def read_number(val, where: str, kind, minimum=None, maximum=None, error=Invalid
     return val
 
 
-def read_numbers(values, what: str, error=InvalidConfigError) -> np.ndarray:
-    """``values`` as a float array: the array form of ``read_number``'s rule.
-
-    NaN and infinite entries are refused with ``error`` naming ``what``,
-    and so is every entry that is not a real number: bools and strings,
-    which a float conversion would read as 0, 1 or a number, complex
-    numbers and None.  A floating ndarray holds only real numbers, so it
-    needs the finiteness pass alone.
-    """
-    if (isinstance(values, np.ndarray) and values.dtype.kind == "f"
-            or all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                   for v in np.asarray(values, dtype=object).flat)):
-        floats = np.asarray(values, dtype=float)
-        if np.all(np.isfinite(floats)):
-            return floats
-    raise error(f"{what} must be finite numbers, got {np.asarray(values, dtype=object).tolist()}")
+def read_numbers(values, what: str, error=InvalidConfigError, kind=float, finite=True) -> np.ndarray:
+    """``values`` as an array of ``kind`` (float or complex), ``read_number``'s
+    rule applied to each entry: a numeric ndarray (complex only for a complex
+    ``kind``) by one vectorized finiteness pass and without a copy when it has
+    the dtype, anything else entry by entry.  ``finite=False`` lets NaN and
+    infinities pass (a matrix, which the Hermiticity check then refuses)."""
+    need = "finite number" if finite else "number"
+    if isinstance(values, np.ndarray) and values.dtype.kind in ("iuf" if kind is float else "iufc"):
+        out = values.astype(kind, copy=False)
+        if not finite or np.isfinite(out).all():
+            return out
+        k = int(np.isfinite(out).argmin())  # the first non-finite entry
+        raise error(f"{what}: entry {k} is not a {need}, got {out.flat[k].item()!r}")
+    entries = np.asarray(values, dtype=object)
+    for k, v in enumerate(entries.flat):
+        if not _is_number(v, kind, finite):
+            raise error(f"{what}: entry {k} is not a {need}, got {v!r}")
+    return entries.astype(kind)
 
 
 def read_fields(obj, where: str, fields: Mapping, required=()) -> dict:
@@ -153,8 +160,7 @@ def write_rows(path, header: str, table: np.ndarray):
     """``header`` and one line per row of ``table``, every cell formatted
     %.17g, enough digits to read each float back exactly.  A table holding
     NaN or an infinity is refused with GaugesimError before the file opens."""
-    if not np.all(np.isfinite(table)):
-        raise GaugesimError(f"non-finite values in {path}; nothing written")
+    read_numbers(table, f"nothing written to {path}; table", GaugesimError)
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")

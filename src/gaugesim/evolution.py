@@ -20,8 +20,6 @@ on n comb states, and a step is one batched matmul along each axis of the
 
 from __future__ import annotations
 
-import cmath
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +27,7 @@ import numpy as np
 from .basis import pos_grid
 from .errors import (
     DimensionMismatchError,
+    GaugesimError,
     IndexOutOfRangeError,
     InvalidSizeError,
     InvalidTimesError,
@@ -37,7 +36,7 @@ from .errors import (
     read_numbers,
     write_rows,
 )
-from .operators import _propagate, as_operator, hermitian_eig, is_hermitian, qubits_of_dim
+from .operators import MAX_QUBITS, _propagate, as_operator, hermitian_eig, is_hermitian, qubits_of_dim
 
 __all__ = [
     "PauliTermList",
@@ -314,19 +313,12 @@ def _final_states(psi_fs, dim: int):
 
 
 def _state(psi, dim: int, what: str) -> np.ndarray:
-    """``psi`` as a complex statevector of H's shape (dim,), else DimensionMismatchError;
-    an entry that is not a finite number (a bool, a string, None) raises ValueError."""
-    entries = np.asarray(psi, dtype=object)
-    if entries.shape != (dim,):
-        raise DimensionMismatchError(f"{what} has shape {entries.shape}, H needs ({dim},)")
-    for k, v in enumerate(entries):
-        try:  # an int too large for a float overflows here
-            finite = not isinstance(v, bool) and isinstance(v, numbers.Number) and cmath.isfinite(v)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError(f"{what}: entry {k} is not a finite number, got {v!r}")
-    return entries.astype(np.complex128)
+    """``psi`` as a complex statevector (``read_numbers``: ValueError naming
+    ``what``) of H's shape (dim,), else DimensionMismatchError."""
+    psi = read_numbers(psi, what, ValueError, complex)
+    if psi.shape != (dim,):
+        raise DimensionMismatchError(f"{what} has shape {psi.shape}, H needs ({dim},)")
+    return psi
 
 
 def _evolver(h, method: str, trotter_steps: int):
@@ -342,7 +334,7 @@ def _evolver(h, method: str, trotter_steps: int):
         es = hermitian_eig(h)
         return lambda psi, ts: _propagate(es, psi, ts)
     if method == "trotter":
-        steps = read_number(trotter_steps, "trotter_steps", int, 1, error=ValueError)
+        steps = read_number(trotter_steps, "trotter_steps", int, 1, 100000, error=ValueError)
         groups = _groups(h)
         registers = _registers(h, groups)
         return lambda psi, ts: _apply_trotter(groups, ts, steps, psi, registers)
@@ -391,7 +383,7 @@ def momentum_state(k: int, n: int) -> np.ndarray:
     alone by the same expression, conjugated.  It satisfies
     pos_p(n) |p_k> = x_k |p_k> with x_k the k-th grid value.
     """
-    n = read_number(n, "basis size", int, 2, error=InvalidSizeError)
+    n = read_number(n, "basis size", int, 2, 2 ** MAX_QUBITS, error=InvalidSizeError)
     k = read_number(k, "momentum index", int, 0, n - 1, error=IndexOutOfRangeError)
     o = 2 * np.arange(1, n + 1) - (n + 1)
     phase = (2.0 * np.pi / (4.0 * n)) * (o * o[k])
@@ -408,8 +400,8 @@ def vertex_amplitude(k1: int, p2: float, k3: int, n: int) -> complex:
     p2 = read_number(p2, "p2", float, error=ValueError)
     bra = momentum_state(k1, n)
     ket = momentum_state(k3, n)
-    phase = np.exp(1j * p2 * pos_grid(n))
-    return complex(np.vdot(bra, phase * ket))
+    phase = np.exp(1j * p2 * pos_grid(n))  # NaN where p2 x overflows
+    return read_number(complex(np.vdot(bra, phase * ket)), "vertex_amplitude", complex, error=GaugesimError)
 
 
 def dual_lattice_period(n: int) -> float:
@@ -419,13 +411,14 @@ def dual_lattice_period(n: int) -> float:
     common sign, so the modulus is exactly periodic and the peak location
     is only defined modulo this value.
     """
-    n = read_number(n, "grid size", int, 2, error=InvalidSizeError)
+    n = read_number(n, "grid size", int, 2, 2 ** MAX_QUBITS, error=InvalidSizeError)
     s = np.sqrt(2.0 * np.pi / (4.0 * n))
     return np.pi / s
 
 
 def wrap_momentum(p2: float, n: int) -> float:
     """Reduce a momentum transfer into [-period/2, period/2)."""
+    p2 = read_number(p2, "p2", float, error=ValueError)
     period = dual_lattice_period(n)
     return float((p2 + period / 2.0) % period - period / 2.0)
 

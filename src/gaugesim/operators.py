@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NotHermitianError, NotPowerOfTwoError, read_number
+from .errors import NotHermitianError, NotPowerOfTwoError, read_number, read_numbers
 
 __all__ = [
     "EigenSystem",
@@ -34,9 +34,9 @@ MAX_QUBITS = 9
 
 
 def as_operator(a) -> np.ndarray:
-    """Coerce to a square complex128 matrix (no copy when already one): the
-    one operator intake, which takes a build (a BuiltHamiltonian) as its ``matrix``."""
-    m = np.asarray(getattr(a, "matrix", a), dtype=np.complex128)
+    """A square complex128 matrix of numbers, NaN included (no copy when already
+    one): the one operator intake, which takes a build (a BuiltHamiltonian) as its ``matrix``."""
+    m = read_numbers(getattr(a, "matrix", a), "operator", ValueError, complex, finite=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -59,7 +59,7 @@ def _size_stacks(blocks) -> list:
 def herm_defect(a):
     """max |a - a^dag| entrywise, the absolute deviation from Hermiticity;
     an array of one defect per matrix for a (..., d, d) stack."""
-    m = np.asarray(a, dtype=np.complex128)
+    m = read_numbers(a, "operator", ValueError, complex, finite=False)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     defect = np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1), initial=0.0)
@@ -68,14 +68,14 @@ def herm_defect(a):
 
 def is_hermitian(a):
     """True when the Hermiticity defect is below ``HERM_TOL * max|a|`` (never
-    with a NaN entry); an array of one answer per matrix for a stack.  A build
-    answers with its ``hermitian`` flag, which its builder set by this rule."""
+    with a NaN or an infinite entry); an array of one answer per matrix for a
+    stack.  A build answers with its ``hermitian`` flag, set by this rule."""
     if hasattr(a, "hermitian"):
         return a.hermitian
-    m = np.asarray(a, dtype=np.complex128)
+    m = read_numbers(a, "operator", ValueError, complex, finite=False)
     defect = herm_defect(m)
     scale = np.abs(m).max(axis=(-2, -1), initial=0.0)
-    ok = (scale == 0.0) | (defect <= HERM_TOL * scale)
+    ok = (scale == 0.0) | ((defect <= HERM_TOL * scale) & (scale < np.inf))
     return bool(ok) if ok.ndim == 0 else ok
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuits import AnsatzConfig, adjoint_gradient, ansatz_state
-from .errors import DimensionMismatchError, NotHermitianError, read_own_fields, write_rows
+from .errors import DimensionMismatchError, GaugesimError, NotHermitianError, read_number, read_own_fields, write_rows
 from .operators import _size_stacks, as_operator, is_hermitian
 
 __all__ = [
@@ -137,14 +137,13 @@ class _RealObjective:
         self._x = None
 
     def _run(self, x):
-        x = np.asarray(x, dtype=float)
         if self._x is None or not np.array_equal(x, self._x):
             self._psi = ansatz_state(self.ansatz, x)
             self._h_psi = np.empty_like(self._psi)
             for idx, sub in self.h_real:
                 self._h_psi[idx] = (sub @ self._psi[idx][..., None])[..., 0]
             self._energy = float(self._psi @ self._h_psi)
-            self._x = x.copy()
+            self._x = np.array(x, dtype=float)  # read by ansatz_state
             self.runs += 1
 
     def energy(self, x) -> float:
@@ -269,6 +268,7 @@ def minimize(h, ansatz: AnsatzConfig, opt: OptimizerSettings | None = None) -> V
         total_evals += run.evaluations
         if best is None or run.energy < best.energy:
             best = run
+    read_number(best.energy, "minimize: the energy at every start", float, error=GaugesimError)
     return replace(best, evaluations=total_evals)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 from scipy.linalg import expm
 
 from gaugesim import circuits
@@ -110,6 +112,20 @@ def random_state(rng, dim: int) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+# The property tests draw the same examples on every run and keep nothing.
+settings.register_profile("gaugesim", derandomize=True, database=None, deadline=None)
+settings.load_profile("gaugesim")
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _hypothesis_storage(tmp_path_factory):
+    # Hypothesis caches the constants it reads from source files under its
+    # home directory, ./.hypothesis by default; keep the checkout clean.
+    set_hypothesis_home_dir(tmp_path_factory.mktemp("hypothesis"))
+    yield
+    set_hypothesis_home_dir(None)
 
 
 # Dense gate oracle: each gate as a full 2**n x 2**n matrix, built from

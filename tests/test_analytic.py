@@ -17,9 +17,41 @@ from gaugesim.analytic import (
     wu_yang_series_small_prime,
     wu_yang_solve,
 )
-from gaugesim.errors import SingularTimeError, StepUnderflowError
+from gaugesim.errors import GaugesimError, SingularTimeError, StepUnderflowError
 
 from conftest import stepwise_wu_yang
+
+
+def test_scalar_arguments_follow_the_number_rule():
+    # NaN used to come back as NaN, or run 10000 Bessel terms and end in
+    # RuntimeError; a string in a bare TypeError
+    calls = {
+        "b_field": [lambda v: landau_energy(v, 1), lambda v: polar_energy(v, 0, 0),
+                    lambda v: kernel_polar(0.5, 0.1, 0.7, 0.4, 0.3, v)],
+        "r": [wu_yang_series_small, wu_yang_series_small_prime, wu_yang_series_large],
+        "rho_f": [lambda v: kernel_polar(0.5, 0.1, v, 0.4, 0.3, 2.0)],
+        "t": [lambda v: kernel_polar(0.5, 0.1, 0.7, 0.4, v, 2.0)],
+        "z": [lambda v: bessel_i(2, v)],
+    }
+    for name, fns in calls.items():
+        for fn in fns:
+            for bad in (np.nan, np.inf, "2", None, True):
+                with pytest.raises(ValueError, match=f"{name}: expected a finite number, got {bad!r}"):
+                    fn(bad)
+
+
+def test_a_formula_that_overflows_is_refused_by_name():
+    # each used to return inf or NaN, or end in a bare ArithmeticError
+    for call in (lambda: landau_energy(1e308, 3), lambda: polar_energy(-1e308, 2, 0),
+                 lambda: wu_yang_series_small(1e100), lambda: wu_yang_series_large(0.0),
+                 lambda: kernel_polar(1e200, 0.1, 0.7, 0.4, 0.3, 2.0)):
+        with pytest.raises(GaugesimError, match="^(landau_energy|polar_energy|wu_yang_series|kernel_polar)"):
+            with np.errstate(all="ignore"):
+                call()
+    with pytest.raises(ValueError, match=r"z: \|z\| must be <= 128"):
+        bessel_i(0, 200.0j)
+    with pytest.raises(StepUnderflowError, match="reaches r = 0"):
+        wu_yang_solve(1e300, 0.5, 20, 1.0, 0.0)
 
 
 def test_landau_energy_values():

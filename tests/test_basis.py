@@ -218,6 +218,26 @@ SIZED = {
 }
 
 
+@pytest.mark.parametrize("name", [*SIZED, "dual_lattice_period"])
+def test_sizes_above_the_register_cap_are_refused(name):
+    # dense matrices stay at 512x512; 1e308 used to end in numpy's bare
+    # "Maximum allowed size exceeded", or an infinite period
+    call = SIZED.get(name, dual_lattice_period)
+    call(512)
+    for size in (513, 1e308):
+        with pytest.raises(InvalidSizeError, match="must be <= 512"):
+            call(size)
+
+
+def test_place_dims_are_a_list_of_sizes_within_the_cap():
+    for dims in (True, 4, "22", None):
+        with pytest.raises(InvalidSizeError, match="dims must be a list of sizes"):
+            place(np.eye(2), 0, dims)
+    with pytest.raises(InvalidSizeError, match="span more than 512 dimensions"):
+        place(np.eye(2), 0, [2, 1e300])
+    assert place(np.eye(2), 1, [2, 2, 128]).shape == (512, 512)
+
+
 @pytest.mark.parametrize("name", SIZED)
 @pytest.mark.parametrize("size", [16.9, 16.5, 4.5, True, np.True_, float("nan"), float("inf"), "16"])
 def test_non_integral_sizes_are_refused_not_truncated(name, size):

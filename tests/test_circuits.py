@@ -127,6 +127,19 @@ def test_ansatz_cx_layer_matches_explicit_gates(rng):
 def test_ansatz_config_validation():
     with pytest.raises(InvalidConfigError, match="expected 4 parameters, got shape"):
         ansatz_state(AnsatzConfig(n_qubits=2, depth=1), np.zeros(3))
+    # angles follow the number rule: strings, None and bools are not angles
+    cfg = AnsatzConfig(n_qubits=2, depth=1)
+    state = ansatz_state(cfg, np.zeros(4))
+    for params, got in ((["0.1"] * 4, "'0.1'"), ([None] * 4, "None"), ([True] * 4, "True"),
+                        ([0.1, np.nan, 0.2, 0.3], "nan"), (np.array([0.1, 0.2, np.inf, 0.3]), "inf")):
+        with pytest.raises(InvalidConfigError, match=f"params: entry [012] is not a finite number, got {got}"):
+            ansatz_state(cfg, params)
+        with pytest.raises(InvalidConfigError, match=f"params: entry [012] is not a finite number, got {got}"):
+            adjoint_gradient(cfg, params, state, state)
+    with pytest.raises(ValueError, match="h_state: entry 1 is not a finite number, got nan"):
+        adjoint_gradient(cfg, np.zeros(4), state, [0.0, np.nan, 0.0, 0.0])
+    with pytest.raises(DimensionMismatchError, match=r"state and h_state need shape \(4,\)"):
+        adjoint_gradient(cfg, np.zeros(4), state[:2], state)
     with pytest.raises(InvalidConfigError):
         AnsatzConfig(n_qubits=2, depth=1, entangler="swap")
     with pytest.raises(InvalidConfigError):
@@ -178,3 +191,11 @@ def test_expectation_errors():
         expectation([1, 0], np.eye(4))
     with pytest.raises(NotHermitianError):
         expectation(np.array([1.0, 1.0j]) / np.sqrt(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # a NaN or a string used to give a NaN expectation or numpy's bare message
+    for state, h, message in (([np.nan, 0.0], PAULI["Z"], "state: entry 0 .* got nan"),
+                              (["1", 0], PAULI["Z"], "state: entry 0 .* got '1'"),
+                              ([1.0, 0.0], [[np.nan, 0.0], [0.0, 1.0]], "operator: entry 0 .* got nan")):
+        with pytest.raises(ValueError, match=message):
+            expectation(state, h)
+    with pytest.raises(DimensionMismatchError):
+        expectation(1.0, 2.0)

@@ -26,7 +26,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from gaugesim.cli import main
 
@@ -51,15 +50,6 @@ BAD_VALUES = st.one_of(
     st.integers(-2, 4),
     st.floats(-3.0, 3.0).filter(lambda x: not x.is_integer()),
 )
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _hypothesis_storage(tmp_path_factory):
-    # Hypothesis caches the constants it reads from source files under its
-    # home directory, ./.hypothesis by default; keep the checkout clean.
-    set_hypothesis_home_dir(tmp_path_factory.mktemp("hypothesis"))
-    yield
-    set_hypothesis_home_dir(None)
 
 
 def _paths(obj, prefix=()):
@@ -145,7 +135,7 @@ def test_base_configs_run(command):
 
 
 def _check_every_draw(strategy, command):
-    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=100)
     @given(strategy(BASE[command]))
     def check(cfg):
         code, out, err, cells = _run(command, cfg)

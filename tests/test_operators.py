@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaugesim.basis import osc_q
+from gaugesim.basis import osc_q, place
 from gaugesim.errors import DimensionMismatchError, NotHermitianError, NotPowerOfTwoError
 from gaugesim.evolution import pauli_decompose, transition_series
 from gaugesim.operators import (
@@ -111,6 +111,21 @@ def test_herm_defect_and_is_hermitian():
     assert herm_defect(PAULI["Y"]) == 0.0
     assert is_hermitian(PAULI["Y"])
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_a_matrix_entry_that_is_not_a_number_is_refused():
+    # numpy used to end these in its bare "complex() arg is a malformed string"
+    held = np.array([[1.0, "x"], ["x", 1.0]], dtype=object)
+    for call in (pauli_decompose, hermitian_eig, is_hermitian, herm_defect, lambda m: place(m, 0, [2, 2])):
+        with pytest.raises(ValueError, match="operator: entry 1 is not a number, got 'x'"):
+            call(held)
+    # NaN and infinite entries are numbers: the Hermiticity check refuses them
+    with np.errstate(invalid="ignore"):  # inf - inf in the defect
+        for bad in (np.nan, np.inf):
+            m = np.array([[1.0, bad], [bad, 1.0]])
+            assert not is_hermitian(m)
+            with pytest.raises(NotHermitianError):
+                hermitian_eig(m)
 
 
 def test_qubits_of_dim():

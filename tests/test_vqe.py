@@ -6,7 +6,7 @@ import scipy.optimize
 
 from gaugesim import circuits, vqe
 from gaugesim.circuits import AnsatzConfig
-from gaugesim.errors import DimensionMismatchError, InvalidConfigError, NotHermitianError
+from gaugesim.errors import DimensionMismatchError, GaugesimError, InvalidConfigError, NotHermitianError
 from gaugesim.hamiltonians import (
     HamiltonianSpec,
     build_landau_cartesian,
@@ -147,6 +147,13 @@ def test_minimize_guards():
         minimize(built, AnsatzConfig(9, depth=1))
     with pytest.raises(DimensionMismatchError):
         minimize(PAULI["Z"], AnsatzConfig(2, depth=0))
+    # an infinite entry is not Hermitian, and an energy that overflows at
+    # every start used to come back as energy=inf
+    with pytest.raises(NotHermitianError), np.errstate(invalid="ignore"):
+        minimize([[1.0, np.inf], [np.inf, 1.0]], AnsatzConfig(1, depth=0))
+    with pytest.raises(GaugesimError, match="energy at every start: expected a finite number, got (inf|nan)"):
+        with np.errstate(all="ignore"):
+            minimize([[1e308, 1e308], [1e308, 1e308]], AnsatzConfig(1, depth=0), OptimizerSettings(max_iter=2))
 
 
 def test_budget_exhaustion_returns_best_so_far():

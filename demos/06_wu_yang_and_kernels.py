@@ -2,15 +2,13 @@
 
 Integrates g'' = g (g^2 - 1)/r^2 from small-r series data, demonstrates
 fourth-order convergence of the integrator, and evaluates the constant-field
-propagation kernels including the free-particle limit and the convergence
-of the polar angular sum.
+polar propagation kernel: its free-particle limit and the convergence of
+its angular sum.
 """
 
 import numpy as np
 
 from gaugesim import (
-    kernel_cartesian,
-    kernel_cartesian_free_limit,
     kernel_polar,
     wu_yang_series_large,
     wu_yang_series_small,
@@ -38,13 +36,15 @@ for steps in (50, 100, 200, 400):
     print(f"  steps={steps:4d}: error {err:.3e}{note}")
     prev = err
 
-print("\n=== propagation kernels, B = 2 ===")
-val = kernel_cartesian(0.0, 0.0, 0.5, 0.0, 0.3, 2.0)
-print(f"Cartesian kernel K(0,0 -> 0.5,0; T=0.3): {val:.6f}")
-small_b = kernel_cartesian(0.0, 0.0, 0.5, 0.0, 0.3, 1e-6)
-free = kernel_cartesian_free_limit(0.0, 0.0, 0.5, 0.0, 0.3)
-print(f"B = 1e-6 vs free limit: relative difference {abs(small_b - free) / abs(free):.2e}")
-
+print("\n=== polar propagation kernel ===")
+val = kernel_polar(0.0, 0.0, 0.5, 0.0, 0.3, 2.0)
+print(f"K(rho=0 -> rho=0.5, phi=0; T=0.3, B=2): {val:.6f}")
+rho_i, phi_i, rho_f, phi_f, t = 0.5, 0.0, 0.7, 0.4, 0.3
+dist2 = rho_f ** 2 + rho_i ** 2 - 2.0 * rho_f * rho_i * np.cos(phi_f - phi_i)
+free = np.exp(1j * dist2 / (2.0 * t)) / (2j * np.pi * t)
+small_b = kernel_polar(rho_i, phi_i, rho_f, phi_f, t, 1e-6)
+print(f"B = 1e-6 vs the free propagator e^(i |dr|^2 / 2T) / (2 pi i T): "
+      f"relative difference {abs(small_b - free) / abs(free):.2e}")
 print("\npolar kernel angular-sum convergence (rho_i=0.5, rho_f=0.7, T=0.3):")
 ref = kernel_polar(0.5, 0.0, 0.7, 0.4, 0.3, 2.0, m_max=40)
 for m_max in (2, 4, 8, 12, 16):

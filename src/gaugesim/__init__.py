@@ -38,8 +38,6 @@ from .hamiltonians import (
 )
 from .analytic import (
     bessel_i,
-    kernel_cartesian,
-    kernel_cartesian_free_limit,
     kernel_polar,
     landau_energy,
     polar_energy,

@@ -1,14 +1,13 @@
 """Closed-form and ODE-based classical references.
 
-Landau spectra, the Cartesian and polar propagation kernels of a charged
-particle in a constant magnetic field, and the radial Wu-Yang equation
+Landau spectra, the polar propagation kernel of a charged particle in a
+constant magnetic field, and the radial Wu-Yang equation
 g'' = g(g^2 - 1)/r^2 with its small- and large-r expansions.
 
-The kernel formulas are transcribed as printed in the source expressions,
-typos and all; quantitative use is confined to limits that are insensitive
-to the suspect groupings (the B -> 0 limit, convergence in the angular
-sum).  Both kernels are singular where sin(B T / 2) vanishes and refuse
-evaluation there.
+The kernel is the symmetric-gauge constant-field propagator (Feynman and
+Hibbs) summed over angular momentum; its B -> 0 limit is the free planar
+propagator exp(i |r_f - r_i|^2 / (2T)) / (2 pi i T).  It is singular where
+sin(B T / 2) vanishes and refuses evaluation there.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ from .errors import GaugesimError, SingularTimeError, StepUnderflowError, read_n
 __all__ = [
     "landau_energy",
     "polar_energy",
-    "kernel_cartesian",
-    "kernel_cartesian_free_limit",
     "kernel_polar",
     "bessel_i",
     "wu_yang_solve",
@@ -71,51 +68,15 @@ def polar_energy(b_field: float, n: int, m: int) -> float:
     return (n + 1 - m) * b_field / 2.0
 
 
-def _half_angle(b_field: float, t: float) -> float:
-    s = b_field * t / 2.0
-    if abs(np.sin(s)) <= SINGULAR_TOL:
-        raise SingularTimeError(
-            f"kernel singular: |sin(B t / 2)| = {abs(np.sin(s)):.3e} at B={b_field}, t={t}"
-        )
-    return s
-
-
-def kernel_cartesian(x_i, y_i, x_f, y_f, t, b_field, z_i=0.0, z_f=0.0) -> complex:
-    """Cartesian propagation kernel for a constant magnetic field.
-
-    K = (1/(2 pi T))^(3/2) * (BT/2)/sin(BT/2) * e^{i (z_f-z_i)^2 / (2T)}
-        * exp[ i (BT/2)/tan(BT/2) *
-               ( (x_f-x_i)^2 + (y_f-y_i)^2 + B (y_f x_i - x_f y_i) ) ]
-
-    With z_f = z_i (the default) the free z factor is 1 and the value is
-    the planar restriction used against the two-dimensional matrix model.
-    """
-    s = _half_angle(b_field, t)
-    pref = (1.0 / (2.0 * np.pi * t)) ** 1.5 * (s / np.sin(s))
-    zphase = np.exp(1j * (z_f - z_i) ** 2 / (2.0 * t))
-    bracket = (x_f - x_i) ** 2 + (y_f - y_i) ** 2 + b_field * (y_f * x_i - x_f * y_i)
-    return complex(pref * zphase * np.exp(1j * (s / np.tan(s)) * bracket))
-
-
-def kernel_cartesian_free_limit(x_i, y_i, x_f, y_f, t, z_i=0.0, z_f=0.0) -> complex:
-    """B -> 0 limit of kernel_cartesian as printed.
-
-    The trigonometric prefactors tend to 1 and the cross term vanishes,
-    leaving (1/(2 pi T))^(3/2) e^{i dz^2/(2T)} e^{i (dx^2 + dy^2)}.
-    """
-    pref = (1.0 / (2.0 * np.pi * t)) ** 1.5
-    zphase = np.exp(1j * (z_f - z_i) ** 2 / (2.0 * t))
-    return complex(pref * zphase * np.exp(1j * ((x_f - x_i) ** 2 + (y_f - y_i) ** 2)))
-
-
 def bessel_i(nu: int, z: complex) -> complex:
     """Modified Bessel function I_nu for integer nu >= 0 and complex z.
 
     Plain power series sum_k (z/2)^(nu + 2k) / (k! (nu + k)!), stopped
-    when a term falls below 1e-16 of the running sum.  Accurate at the
-    moderate arguments used here (|z| < 20); large arguments would need
-    the scaled asymptotic form instead.  Every term stays finite for
-    nu <= 170 (nu! a float) and |z| <= 128, so the series always ends.
+    when a term falls below 1e-16 of the running sum.  Every term stays
+    finite for nu <= 170 (nu! a float) and |z| <= 128, so the series always
+    ends.  Near the imaginary axis the terms cancel (from |Im z| of about
+    15 on): where the rounding of the sum, 2^-52 sum_k |term|, exceeds
+    1e-10 max(1, |sum|), the value is refused with ValueError, not returned.
     """
     nu = read_number(nu, "order", int, 0, 170, error=ValueError)
     z = read_number(z, "z", complex, error=ValueError)
@@ -125,14 +86,18 @@ def bessel_i(nu: int, z: complex) -> complex:
         return 1.0 + 0.0j if nu == 0 else 0.0 + 0.0j
     half = z / 2.0
     term = half ** nu / float(math.factorial(nu))  # k = 0 term
-    total = term
+    total, size = term, abs(term)
     k = 0
     while True:
         k += 1
         term = term * half * half / (k * (nu + k))
         total += term
+        size += abs(term)
         if abs(term) <= 1e-16 * max(abs(total), 1e-300):
-            return complex(total)
+            break
+    if 2.0 ** -52 * size > 1e-10 * max(1.0, abs(total)):
+        raise ValueError(f"z: the series for I_{nu}({z}) cancels below 1e-10 accuracy")
+    return complex(total)
 
 
 @_finite
@@ -152,8 +117,10 @@ def kernel_polar(rho_i, phi_i, rho_f, phi_f, t, b_field, m_max: int = 20) -> com
         read_number(v, name, float, error=ValueError) for v, name in
         zip((rho_i, phi_i, rho_f, phi_f, t, b_field), ("rho_i", "phi_i", "rho_f", "phi_f", "t", "b_field")))
     m_max = read_number(m_max, "m_max", int, 1, 170, error=ValueError)
-    s = _half_angle(b_field, t)
+    s = b_field * t / 2.0
     sin_s = np.sin(s)
+    if abs(sin_s) <= SINGULAR_TOL:
+        raise SingularTimeError(f"kernel singular: |sin(B t / 2)| = {abs(sin_s):.3e} at B={b_field}, t={t}")
     rr = rho_f ** 2 + rho_i ** 2
     pref = (1.0 / (2.0j * np.pi)) * (b_field / 2.0) / sin_s
     pref *= np.exp(-(b_field / 4.0) * rr)

@@ -69,12 +69,6 @@ def _rotate(psi: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return (left @ view @ right.T).reshape(psi.shape)
 
 
-def _ry_layer(psi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Ry(t_0) (x) ... (x) Ry(t_{n-1}) on each state along the last axis of ``psi``."""
-    (left,), (right,) = _factors(np.asarray(thetas, dtype=float)[None])
-    return _rotate(psi, left, right)
-
-
 @lru_cache(maxsize=None)
 def _flip_tables(n: int) -> tuple:
     """Gather indices and signs of A = [[0, -1], [1, 0]] on each qubit:

@@ -86,12 +86,12 @@ def read_number(val, where: str, kind, minimum=None, maximum=None, error=Invalid
         raise error(f"{where}: expected a finite number, got {val!r}")
     if kind is int and val != int(val):
         raise error(f"{where}: expected an integer, got {val!r}")
-    val = kind(val)
-    if minimum is not None and val < minimum:
+    out = kind(val)
+    if minimum is not None and out < minimum:
         raise error(f"{where}: must be >= {minimum}, got {val}")
-    if maximum is not None and val > maximum:
+    if maximum is not None and out > maximum:
         raise error(f"{where}: must be <= {maximum}, got {val}")
-    return val
+    return out
 
 
 def read_numbers(values, what: str, error=InvalidConfigError, kind=float, finite=True) -> np.ndarray:

@@ -325,3 +325,10 @@ def stepwise_wu_yang(r_start, r_end, steps, g, gp) -> np.ndarray:
         r = r_start + (k + 1) * h
         out[k + 1] = (r, g, gp)
     return out
+
+
+def free_planar_kernel(rho_i, phi_i, rho_f, phi_f, t) -> complex:
+    """The free planar propagator exp(i |r_f - r_i|^2 / (2t)) / (2 pi i t),
+    with |r_f - r_i|^2 written in polar coordinates (test oracle only)."""
+    dist2 = rho_f ** 2 + rho_i ** 2 - 2.0 * rho_f * rho_i * np.cos(phi_f - phi_i)
+    return complex(np.exp(1j * dist2 / (2.0 * t)) / (2j * np.pi * t))

@@ -10,8 +10,6 @@ import numpy as np
 import pytest
 
 from gaugesim.analytic import (
-    kernel_cartesian,
-    kernel_cartesian_free_limit,
     kernel_polar,
     wu_yang_series_small,
     wu_yang_series_small_prime,
@@ -39,7 +37,7 @@ from gaugesim.hamiltonians import (
 from gaugesim.operators import herm_defect, hermitian_eig
 from gaugesim.vqe import OptimizerSettings, minimize
 
-from conftest import exact_unitary, pauli_reconstruct, random_hermitian, random_state
+from conftest import exact_unitary, free_planar_kernel, pauli_reconstruct, random_hermitian, random_state
 
 POLAR_REFERENCE = 0.9980452
 
@@ -203,14 +201,16 @@ def test_criterion_8_wu_yang():
 
 
 def test_criterion_9_kernel_oracles():
-    val = kernel_cartesian(0.1, 0.2, 0.5, -0.3, 0.3, 1e-6)
-    free = kernel_cartesian_free_limit(0.1, 0.2, 0.5, -0.3, 0.3)
-    rel = abs(val - free) / abs(free)
+    # the B -> 0 limit is the free planar propagator; endpoints (0.1, 0.2)
+    # and (0.5, -0.3) in Cartesian coordinates
+    ends = (np.hypot(0.1, 0.2), np.arctan2(0.2, 0.1), np.hypot(0.5, -0.3), np.arctan2(-0.3, 0.5), 0.3)
+    free = free_planar_kernel(*ends)
+    rel = abs(kernel_polar(*ends, 1e-6) - free) / abs(free)
 
     args = dict(rho_i=0.5, phi_i=0.0, rho_f=0.7, phi_f=0.4, t=0.3, b_field=2.0)
     conv = abs(kernel_polar(**args, m_max=12) - kernel_polar(**args, m_max=24))
     ok = rel < 1e-4 and conv < 1e-10
-    report(9, ok, f"B->0 limit rel error {rel:.2e} < 1e-4; polar m_max=12 vs 24 "
+    report(9, ok, f"B->0 limit vs free propagator rel error {rel:.2e} < 1e-4; polar m_max=12 vs 24 "
                   f"difference {conv:.2e} < 1e-10")
 
 

@@ -38,9 +38,10 @@ def test_ry_layer_matches_dense_gates(rng, n):
     for q in range(n):
         dense = dense_ry(n, q, thetas[q]) @ dense
     states = rng.normal(size=(2, 2 ** n))
-    np.testing.assert_allclose(circuits._ry_layer(states[0], thetas), dense @ states[0],
+    (left,), (right,) = circuits._factors(thetas[None])
+    np.testing.assert_allclose(circuits._rotate(states[0], left, right), dense @ states[0],
                                rtol=0, atol=1e-13)
-    np.testing.assert_allclose(circuits._ry_layer(states, thetas), states @ dense.T,
+    np.testing.assert_allclose(circuits._rotate(states, left, right), states @ dense.T,
                                rtol=0, atol=1e-13)
 
 

@@ -9,11 +9,13 @@ must raise a ``GaugesimError`` or a ``ValueError``, or return a result free
 of NaN and infinities, except where a non-finite result is the answer (see
 ``NON_FINITE_ALLOWED``).  The valid arguments are small and every count
 drawn from ``BAD_VALUES`` is small or refused by its cap, so no draw asks
-for a large run.
+for a large run.  A second test holds the table to every function the
+library modules export, less those with nothing to draw (``NO_INTAKE``).
 """
 
 import copy
 import dataclasses
+import inspect
 import warnings
 
 import numpy as np
@@ -21,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaugesim import analytic, basis
+from gaugesim import analytic, basis, circuits, evolution, operators, vqe
 from gaugesim.circuits import AnsatzConfig, adjoint_gradient, ansatz_state, expectation
 from gaugesim.errors import GaugesimError
 from gaugesim.evolution import (
@@ -34,17 +36,25 @@ from gaugesim.evolution import (
     vertex_scan,
     wrap_momentum,
 )
-from gaugesim.operators import herm_defect, hermitian_eig, is_hermitian
-from gaugesim.vqe import OptimizerSettings, minimize
+from gaugesim.operators import as_operator, herm_defect, hermitian_eig, is_hermitian, matrix_function, qubits_of_dim
+from gaugesim.vqe import OptimizerSettings, energy_gradient, minimize
 
 from test_cli_properties import BAD_VALUES
 
 #: ``herm_defect`` measures its input, so a NaN entry gives a NaN defect;
+#: ``as_operator`` passes NaN on to the Hermiticity check, which refuses it;
 #: ``wu_yang_solve`` returns a solution that blows up (a start g > 1) with
 #: its infinite and NaN rows, which the CLI refuses to write.
-NON_FINITE_ALLOWED = {"herm_defect", "wu_yang_solve"}
+NON_FINITE_ALLOWED = {"as_operator", "herm_defect", "wu_yang_solve"}
+
+#: Exported functions with no numeric intake to draw, by reason.
+NO_INTAKE = {
+    "no arguments": {"fermion_factor"},
+    "a result and a path": {"write_transition_csv", "write_trace_csv"},
+}
 
 H = [[1.0, 0.5], [0.5, -1.0]]
+H4 = [[1.0, 0.0, 0.0, 0.2], [0.0, -1.0, 0.3, 0.0], [0.0, 0.3, 0.5, 0.0], [0.2, 0.0, 0.0, 0.0]]
 PSI = [0.6, 0.8]
 EVOLVE = {"method": ("exact", "trotter"), "trotter_steps": (4, 1)}
 CFG = AnsatzConfig(2, depth=1)
@@ -70,15 +80,19 @@ CASES = {
     "scattering_process": (scattering_process, {
         "h_free": (H,), "p2": (0.4,), "tau": (0.2, 0.0), "total_t": (0.5,), "psi0": (PSI,), **EVOLVE}),
     "pauli_decompose": (pauli_decompose, {"h": (H, [[2.0]])}),
+    "as_operator": (as_operator, {"a": (H, [[2.0]])}),
+    "qubits_of_dim": (qubits_of_dim, {"dim": (4, 1)}),
     "hermitian_eig": (hermitian_eig, {"a": (H,)}),
+    "matrix_function": (lambda a: matrix_function(a, np.abs), {"a": (H,)}),
     "is_hermitian": (is_hermitian, {"a": (H,)}),
     "herm_defect": (herm_defect, {"a": (H, [[[1.0]], [[2.0]]])}),
     "place": (basis.place, {"op": (H,), "slot": (1, 0), "dims": ([3, 2, 2], [2])}),
     "ansatz_state": (lambda params: ansatz_state(CFG, params), {"params": (ANGLES,)}),
     "adjoint_gradient": (_gradient, {"params": (ANGLES,), "state": (_STATE,), "h_state": (_STATE,)}),
     "expectation": (expectation, {"state": (PSI,), "h": (H,)}),
+    "energy_gradient": (lambda h, params: energy_gradient(h, CFG, params), {"h": (H4,), "params": (ANGLES,)}),
     "minimize": (_minimize, {
-        "h": (H, [[1.0, 0.0, 0.0, 0.2], [0.0, -1.0, 0.3, 0.0], [0.0, 0.3, 0.5, 0.0], [0.2, 0.0, 0.0, 0.0]]),
+        "h": (H, H4),
         "n_qubits": (1, 2), "depth": (1, 0), "entangler": ("cz", "cx"), "max_iter": (5, 1),
         "tolerance": (1e-9,), "seed": (3,)}),
     "vertex_amplitude": (vertex_amplitude, {"k1": (1,), "p2": (0.4,), "k3": (2,), "n": (4,)}),
@@ -156,3 +170,11 @@ def test_one_bad_argument_ends_in_a_named_error_or_a_finite_result(name):
             assert all(np.all(np.isfinite(a)) for a in _arrays(result)), result
 
     check()
+
+
+def test_every_exported_function_is_drawn_or_exempt_by_reason():
+    exempt = set().union(*NO_INTAKE.values())
+    for module in (analytic, basis, circuits, evolution, operators, vqe):
+        for name in module.__all__:
+            if inspect.isfunction(getattr(module, name)):
+                assert name in CASES or name in exempt, f"{module.__name__}.{name}"

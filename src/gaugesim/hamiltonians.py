@@ -20,8 +20,9 @@ which one reproduces them.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, wraps
 from typing import Mapping
 
 import numpy as np
@@ -179,6 +180,12 @@ class BuiltHamiltonian:
     R^3 s_o).  Its four phase sectors, spanned by the combinations
     1/2 sum_j i**-(k j) e_(R^j s_o) of each orbit (k = 0..3), then take the
     place of the blocks: ``spectrum`` and ``eigensystem`` solve them.
+
+    A build is read-only, so the builders share one: every array it
+    reaches (``matrix``, ``blocks``, ``orbits`` and its spectrum) is a
+    read-only view, never a copy.  The spectrum is solved at most once per
+    build object, and ``dataclasses.replace`` does not carry it over:
+    ``replace(built, matrix=m)`` solves its own.
     """
 
     matrix: np.ndarray
@@ -188,14 +195,28 @@ class BuiltHamiltonian:
     blocks: tuple
     orbits: np.ndarray | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", _read_only(self.matrix))
+        object.__setattr__(self, "blocks", tuple(map(_read_only, self.blocks)))
+        if self.orbits is not None:
+            object.__setattr__(self, "orbits", _read_only(self.orbits))
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues: the union over the Hermitian diagonal blocks."""
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
         stacks = _diagonal_blocks(self.matrix, self.blocks, self.orbits)
-        return np.sort(np.concatenate([np.linalg.eigvalsh(sub).ravel() for sub, _, _ in stacks]))
+        values = np.sort(np.concatenate([np.linalg.eigvalsh(sub).ravel() for sub, _, _ in stacks]))
+        values.flags.writeable = False
+        return values
+
+    def spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues: the union over the Hermitian diagonal
+        blocks, solved once per build and shared by every later call
+        (``lowest_eigenvalue`` too) as one read-only array."""
+        return self._spectrum
 
     def eigensystem(self) -> EigenSystem:
         """Ascending eigenvalues and their eigenvectors in the basis of
@@ -221,6 +242,13 @@ class BuiltHamiltonian:
     def lowest_eigenvalue(self) -> float:
         """Ground energy: the lowest eigenvalue."""
         return float(self.spectrum()[0])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a`` (the caller's array stays writeable)."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def _blocks_by(keys) -> tuple:
@@ -307,6 +335,39 @@ def _finish(matrix: np.ndarray, spec: HamiltonianSpec, labels, rotation=None) ->
                             qubits=qubits_of_dim(len(labels)), blocks=blocks, orbits=orbits)
 
 
+#: The one build slot, shared by every builder: [key, build] of the held build, or empty.
+_SLOT: list = []
+
+
+def _held(builder):
+    """``builder`` behind the one build slot.
+
+    A call with the held build's builder, spec and extra arguments (each
+    compared by type, then by value, with defaults filled in) returns the
+    held build.  Any other call empties the slot before it builds, so the
+    slot never keeps an old build alive next to a new one, and then holds
+    the new build.  A build is read-only, so its callers can share it.
+    """
+    signature = inspect.signature(builder)
+
+    @wraps(builder)
+    def held(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        key = [builder] + [(type(v), v) for v in bound.arguments.values()]
+        entry = _SLOT[:]  # one read: another thread may empty the slot meanwhile
+        if entry and entry[0] == key:
+            return entry[1]
+        entry.clear()
+        _SLOT.clear()  # the held build goes before the next one is made
+        built = builder(*args, **kwargs)
+        _SLOT[:] = key, built
+        return built
+
+    return held
+
+
+@_held
 def build_landau_cartesian(spec: HamiltonianSpec, squares: str = "projected") -> BuiltHamiltonian:
     """H = (p_x + B/2 y)^2 / 2 + (p_y - B/2 x)^2 / 2 on two oscillator factors.
 
@@ -336,6 +397,7 @@ def build_landau_cartesian(spec: HamiltonianSpec, squares: str = "projected") ->
     return _finish(_landau_cartesian_matrix(spec, n, *mats), spec, (i ^ (i >> qubits_of_dim(n))) & 1)
 
 
+@_held
 def build_landau_cartesian_position(spec: HamiltonianSpec) -> BuiltHamiltonian:
     """Position-basis form of the Cartesian Landau Hamiltonian.
 
@@ -404,6 +466,7 @@ def _landau_cartesian_matrix(spec, n, q, p, q2, p2) -> np.ndarray:
 POLAR_BASIS_SCALE = 5.0
 
 
+@_held
 def build_landau_polar(spec: HamiltonianSpec, basis_scale: float = POLAR_BASIS_SCALE) -> BuiltHamiltonian:
     """Radial Hamiltonian for one angular sector m = ``angular_m``.
 
@@ -438,6 +501,7 @@ def build_landau_polar(spec: HamiltonianSpec, basis_scale: float = POLAR_BASIS_S
     return _finish(h, spec, 0)
 
 
+@_held
 def build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
     """SU(2) monopole Hamiltonian, 3 bosonic factors + 3 fermion qubits.
 
@@ -548,7 +612,9 @@ _BUILDERS = {
 
 
 def build(spec: HamiltonianSpec) -> BuiltHamiltonian:
-    """Dispatch to the builder selected by ``spec.kind``."""
+    """Dispatch to the builder selected by ``spec.kind``.  Like every
+    builder it returns the held build when asked for it again (see
+    ``_held``): a read-only build whose spectrum is solved once."""
     return _BUILDERS[spec.kind](spec)
 
 

@@ -129,10 +129,14 @@ def _propagate(es: EigenSystem, states, ts) -> np.ndarray:
     """exp(-i h t) @ states for every t in ts, from the eigensystem ``es`` of h.
 
     ``states`` is one state of shape (d,) or a matrix of column states
-    (d, k); the result gains a leading axis indexing ``ts``.
+    (d, k); the result gains a leading axis indexing ``ts``.  Rows at
+    t == 0 are ``states`` itself, copied bit for bit (V V^dag states would
+    leave rounding there), as in the Trotter product.
     """
+    ts = np.asarray(ts, dtype=float)
     coeff = es.vectors.conj().T @ states
-    phases = np.exp(-1j * np.outer(es.values, np.asarray(ts, dtype=float)))
+    phases = np.exp(-1j * np.outer(es.values, ts))
     x = phases.reshape(phases.shape + (1,) * (coeff.ndim - 1)) * coeff[:, None]
-    out = es.vectors @ x.reshape(len(coeff), -1)
-    return np.moveaxis(out.reshape(x.shape), 1, 0)
+    out = np.moveaxis((es.vectors @ x.reshape(len(coeff), -1)).reshape(x.shape), 1, 0)
+    out[ts == 0.0] = states
+    return out

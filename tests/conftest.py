@@ -4,7 +4,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 from scipy.linalg import expm
 
-from gaugesim import circuits
+from gaugesim import circuits, hamiltonians
 from gaugesim.basis import fermion_factor, osc_p, osc_q, place, pos_grid
 from gaugesim.errors import GaugesimError
 from gaugesim.evolution import momentum_state
@@ -126,6 +126,13 @@ def _hypothesis_storage(tmp_path_factory):
     set_hypothesis_home_dir(tmp_path_factory.mktemp("hypothesis"))
     yield
     set_hypothesis_home_dir(None)
+
+
+@pytest.fixture(autouse=True)
+def _empty_build_slot():
+    # every test starts without a held build, so a test that patches a
+    # builder's parts sees them run instead of a build an earlier test left
+    hamiltonians._SLOT.clear()
 
 
 # Dense gate oracle: each gate as a full 2**n x 2**n matrix, built from

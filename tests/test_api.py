@@ -124,8 +124,8 @@ CACHED_TABLE_CALLS = {
 
 
 def _arrays(value):
-    """Every ndarray in ``value``, looking into tuples."""
-    if isinstance(value, tuple):
+    """Every ndarray in ``value``, looking into tuples and lists."""
+    if isinstance(value, (tuple, list)):
         for item in value:
             yield from _arrays(item)
     elif isinstance(value, np.ndarray):
@@ -143,6 +143,20 @@ def test_every_cached_table_is_read_only():
         for args in calls:
             arrays = list(_arrays(getattr(importlib.import_module(module), name)(*args)))
             assert arrays and not [a.shape for a in arrays if a.flags.writeable], (qualname, args)
+
+
+def test_every_array_of_a_held_build_is_read_only():
+    # the builders hand their last build to every caller that asks again, so
+    # a caller that wrote into it would change those callers' results
+    from gaugesim.hamiltonians import HamiltonianSpec, build, build_landau_cartesian_position
+
+    for built in (build(HamiltonianSpec(kind="LandauCartesian", boson_trunc=4)),
+                  build_landau_cartesian_position(HamiltonianSpec(kind="LandauCartesian", boson_trunc=4)),
+                  build(HamiltonianSpec(kind="LandauPolar", angular_m=1)),
+                  build(HamiltonianSpec(kind="MonopoleSU2", boson_trunc=2, variant="HermitianPart"))):
+        built.spectrum()  # the solved spectrum is kept with the build
+        arrays = list(_arrays(list(vars(built).values())))
+        assert len(arrays) >= 3 and not [a.shape for a in arrays if a.flags.writeable], built.spec
 
 
 def _imported_top_levels(path):

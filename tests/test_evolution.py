@@ -585,6 +585,22 @@ def test_transition_at_t0_is_overlap(rng):
         assert abs(series.amplitudes[0, k] - np.vdot(f, psi_i)) < 1e-12
 
 
+@pytest.mark.parametrize("b_field", [1.0, 2.0, 3.0])
+def test_exact_rows_at_t0_are_the_initial_state_bit_for_bit(b_field):
+    # V exp(-i lambda 0) V^dag psi would leave rounding in the row (760
+    # nonzero cells at B = 2 on the 16x16 grid, a centre probability of
+    # 0.9999999999999996 at B = 1); both methods return psi itself there
+    built = build_landau_cartesian_position(HamiltonianSpec(kind="LandauCartesian", b_field=b_field))
+    psi_i = np.zeros(256, dtype=complex)
+    psi_i[8 * 16 + 8] = 1.0
+    for method in ("exact", "trotter"):
+        series = transition_series(built, psi_i, "all", [0.0, 0.5], method=method)
+        assert series.amplitudes[0].tobytes() == psi_i.tobytes(), method
+        assert np.count_nonzero(series.amplitudes[1]) > 1, method
+    out = _propagate(hermitian_eig(built), psi_i, [0.0])
+    assert not np.shares_memory(out, psi_i)
+
+
 def test_transition_stationary_state(rng):
     h = random_hermitian(rng, 8)
     ground = hermitian_eig(h).vectors[:, 0]

@@ -768,3 +768,103 @@ def test_finish_count_path_agrees_with_the_two_scans_on_edited_matrices(case, ed
         assert expected in outcome
     else:
         assert outcome[0] is expected
+
+
+# ---------------------------------------------------------------- build slot
+
+
+def test_a_repeated_build_is_the_held_one_without_a_second_finish(monkeypatch):
+    import gaugesim.hamiltonians as hamiltonians
+
+    finished = []
+    finish = hamiltonians._finish
+    monkeypatch.setattr(hamiltonians, "_finish", lambda *a, **k: finished.append(a[1]) or finish(*a, **k))
+    polar = HamiltonianSpec(kind="LandauPolar", b_field=2.0, angular_m=1)
+    held = build_landau_polar(polar)
+    # the default filled in, passed by position or by name, or through build
+    for again in (build_landau_polar(polar), build_landau_polar(polar, POLAR_BASIS_SCALE),
+                  build_landau_polar(polar, basis_scale=POLAR_BASIS_SCALE), build(polar)):
+        assert again is held
+    monopole = HamiltonianSpec(kind="MonopoleSU2", variant="HermitianPart")
+    held = build(monopole)
+    assert build_monopole_su2(monopole) is held and build(monopole) is held
+    held = build_landau_cartesian_position(cart_spec())
+    assert build_landau_cartesian_position(cart_spec(b_field=2)) is held
+    assert finished == [polar, monopole, cart_spec()]
+    # the spectrum is solved once per build, and every reader shares it
+    assert held.spectrum() is held.spectrum()
+    assert held.lowest_eigenvalue() == held.spectrum()[0]
+
+
+def test_builds_of_one_spec_with_other_builders_or_arguments_never_alias():
+    cart = cart_spec(boson_trunc=4)
+    builds = [build_landau_cartesian(cart), build_landau_cartesian(cart, squares="literal"),
+              build_landau_cartesian_position(cart), build(cart)]
+    assert builds[3] is not builds[0]  # another build came between
+    assert len({id(b) for b in builds}) == 4
+    assert not np.array_equal(builds[0].matrix, builds[1].matrix)
+    assert not np.array_equal(builds[0].matrix, builds[2].matrix)
+    assert builds[3].matrix.tobytes() == builds[0].matrix.tobytes()
+    polar = HamiltonianSpec(kind="LandauPolar")
+    calibrated, plain = build_landau_polar(polar), build_landau_polar(polar, basis_scale=1.0)
+    assert plain is not calibrated and not np.array_equal(plain.matrix, calibrated.matrix)
+    assert build_landau_polar(polar, basis_scale=1.0) is plain
+
+
+def test_a_new_spec_drops_the_held_build():
+    import weakref
+
+    built = build(HamiltonianSpec(kind="MonopoleSU2", variant="HermitianPart"))
+    built.spectrum()
+    ref = weakref.ref(built)
+    del built
+    assert ref() is not None  # held
+    build(HamiltonianSpec(kind="MonopoleSU2", variant="HermitianPart", b_field=0.2))
+    assert ref() is None
+    # a refused call drops it too, before it builds
+    ref = weakref.ref(build(cart_spec()))
+    with pytest.raises(InvalidSpecError):
+        build_landau_polar(cart_spec())
+    assert ref() is None
+
+
+@pytest.mark.parametrize("make", [lambda: build(cart_spec()), lambda: build_landau_cartesian_position(cart_spec()),
+                                  lambda: build(HamiltonianSpec(kind="LandauPolar")),
+                                  lambda: build(HamiltonianSpec(kind="MonopoleSU2", variant="HermitianPart"))],
+                         ids=["oscillator", "grid", "polar", "monopole"])
+def test_a_build_is_read_only(make):
+    built = make()
+    with pytest.raises(ValueError, match="read-only"):
+        built.matrix[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        built.spectrum()[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        built.blocks[0][0] = 1
+    # the matrix of a replace is its own, and so are its views
+    m = 2.0 * np.asarray(built.matrix)
+    doubled = replace(built, matrix=m)
+    assert m.flags.writeable and not doubled.matrix.flags.writeable
+    expected = np.sort(np.concatenate([np.linalg.eigvalsh(m[np.ix_(b, b)]) for b in built.blocks]))
+    np.testing.assert_allclose(doubled.spectrum(), expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(doubled.spectrum(), 2.0 * built.spectrum(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(doubled.eigensystem().values, expected, rtol=0, atol=1e-12)
+
+
+def test_signed_zero_fields_build_byte_equal_matrices_and_spectra():
+    # b_field 0.0 and -0.0 are one spec to the slot: both builds are the same bytes
+    import gaugesim.hamiltonians as hamiltonians
+
+    makes = [(build, HamiltonianSpec(kind=kind, b_field=b, **extra))
+             for kind, extra in (("LandauCartesian", {}), ("LandauPolar", {"angular_m": 1}),
+                                 ("MonopoleSU2", {"variant": "HermitianPart"}), ("MonopoleSU2", {}))
+             for b in (0.0, -0.0)]
+    makes += [(build_landau_cartesian_position, cart_spec(b_field=b)) for b in (0.0, -0.0)]
+    for (builder, plus), (_, minus) in zip(makes[::2], makes[1::2]):
+        assert plus == minus and np.signbit(minus.b_field)
+        hamiltonians._SLOT.clear()
+        a = builder(plus)
+        hamiltonians._SLOT.clear()
+        b = builder(minus)
+        assert a is not b
+        assert a.matrix.tobytes() == b.matrix.tobytes(), plus
+        assert a.spectrum().tobytes() == b.spectrum().tobytes(), plus

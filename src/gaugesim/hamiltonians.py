@@ -41,7 +41,6 @@ from .operators import (
     HERM_TOL,
     MAX_QUBITS,
     EigenSystem,
-    _size_stacks,
     _spectral,
     hermitian_eig,
     is_hermitian,
@@ -157,7 +156,7 @@ class HamiltonianSpec:
         return cls(**fields)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BuiltHamiltonian:
     """A concrete Hamiltonian matrix plus the spec that produced it.
 
@@ -181,17 +180,17 @@ class BuiltHamiltonian:
     1/2 sum_j i**-(k j) e_(R^j s_o) of each orbit (k = 0..3), then take the
     place of the blocks: ``spectrum`` and ``eigensystem`` solve them.
 
-    A build is read-only, so the builders share one: every array it
-    reaches (``matrix``, ``blocks``, ``orbits`` and its spectrum) is a
-    read-only view, never a copy.  The spectrum is solved at most once per
-    build object, and ``dataclasses.replace`` does not carry it over:
-    ``replace(built, matrix=m)`` solves its own.
+    A build is read-only, so the builders share one (``==`` is identity):
+    every array it reaches (``matrix``, ``blocks``, ``orbits``, its spectrum
+    and ``real_form``) is a read-only view, never a copy.  Its block views
+    (``spectrum``, ``eigensystem``, ``real_form``) share one gather,
+    ``_diagonal_blocks``; each held one is made at most once per build
+    object, and ``dataclasses.replace`` carries none over.
     """
 
     matrix: np.ndarray
     spec: HamiltonianSpec
     hermitian: bool
-    qubits: int
     blocks: tuple
     orbits: np.ndarray | None = None
 
@@ -204,6 +203,10 @@ class BuiltHamiltonian:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def qubits(self) -> int:
+        return qubits_of_dim(self.dim)
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
@@ -243,6 +246,19 @@ class BuiltHamiltonian:
         """Ground energy: the lowest eigenvalue."""
         return float(self.spectrum()[0])
 
+    @cached_property
+    def real_form(self) -> tuple:
+        """The symmetric real part 0.5 (Re H + Re H^T) on the diagonal
+        blocks, one (idx, sub) pair per size of block: sub[c] is the part on
+        the indices idx[c], bit for bit the dense one gathered there.  A
+        Hermitian build is block diagonal, so these pairs are the whole of
+        Re H, which ``vqe`` minimizes against.  Gathered on first read, once
+        per build; NotHermitianError unless ``hermitian``."""
+        if not self.hermitian:
+            raise NotHermitianError(f"{self.spec.kind}: the build is not Hermitian")
+        return tuple((_read_only(tables[..., 0]), _read_only(0.5 * (sub.real + sub.real.transpose(0, 2, 1))))
+                     for sub, tables, _ in _diagonal_blocks(self.matrix, self.blocks))
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     """A read-only view of ``a`` (the caller's array stays writeable)."""
@@ -255,6 +271,12 @@ def _blocks_by(keys) -> tuple:
     """Index arrays of equal ``keys``, in ascending key order."""
     keys = np.asarray(keys)
     return tuple(np.flatnonzero(keys == k) for k in np.unique(keys))
+
+
+def _size_stacks(blocks) -> list:
+    """The index sets ``blocks`` stacked by size: one (count, size) array
+    per distinct size, ascending, each holding that size's sets in order."""
+    return [np.stack([b for b in blocks if len(b) == size]) for size in sorted({len(b) for b in blocks})]
 
 
 #: [k, m] = i**-(k m), exactly: the quarter-turn sectors' phase factors
@@ -332,7 +354,7 @@ def _finish(matrix: np.ndarray, spec: HamiltonianSpec, labels, rotation=None) ->
             raise GaugesimError(f"{spec.kind}: a diagonal block of size {sub.shape[1]} is not Hermitian")
         scale = max(scale, np.abs(sub).max())
     return BuiltHamiltonian(matrix=matrix, spec=spec, hermitian=bool(above <= HERM_TOL * scale),
-                            qubits=qubits_of_dim(len(labels)), blocks=blocks, orbits=orbits)
+                            blocks=blocks, orbits=orbits)
 
 
 #: The one build slot, shared by every builder: [key, build] of the held build, or empty.

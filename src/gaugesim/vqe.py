@@ -9,9 +9,9 @@ equal to the parameter-shift gradient (which would take 2P circuit runs for
 P parameters).  The Ry form prepares real states, and for a real psi and a
 Hermitian H, <psi|H|psi> = psi^T Re(H) psi exactly (Im H is antisymmetric),
 so the objective and its gradient run on float64 states against Re(H),
-held as the real parts of H's diagonal blocks (a build's ``blocks``; a
-plain matrix is one block), stacked by size: H psi is one batched product
-per size of block, never a dense Re(H).
+held as a build's ``real_form`` (the real parts of its diagonal blocks,
+stacked by size; a plain matrix is one block): H psi is one batched
+product per size of block, never a dense Re(H).
 Up to 99 parameters (9 qubits up to depth 10) every step stays on the
 calling thread, so a fixed seed gives the same trace bytes whatever the
 BLAS thread count; above that OpenBLAS threads the optimizer's solve.
@@ -25,7 +25,7 @@ import numpy as np
 
 from .circuits import AnsatzConfig, adjoint_gradient, ansatz_state
 from .errors import DimensionMismatchError, GaugesimError, NotHermitianError, read_number, read_own_fields, write_rows
-from .operators import _size_stacks, as_operator, is_hermitian
+from .operators import as_operator, is_hermitian
 
 __all__ = [
     "OptimizerSettings",
@@ -87,50 +87,33 @@ class VqeResult:
         return np.minimum.accumulate([e for _, e in self.trace])
 
 
-def _check_inputs(h, ansatz: AnsatzConfig) -> None:
-    """Refuse ``h`` (a matrix or a build) unless it is Hermitian (a build's
-    flag, see ``is_hermitian``) and fits the register."""
-    dim = as_operator(h).shape[0]
-    if dim != 2 ** ansatz.n_qubits:
-        raise DimensionMismatchError(
-            f"H dim {dim} vs ansatz register of {ansatz.n_qubits} qubits"
-        )
-    if not is_hermitian(h):
-        raise NotHermitianError(
-            "refusing VQE on a non-Hermitian Hamiltonian; "
-            "rebuild with variant='HermitianPart' (or another Hermitian variant) "
-            "so the variational quotient is real"
-        )
-
-
-def _real_part(h) -> list:
-    """The symmetric real part 0.5 (Re H + Re H^T) of ``h`` (a matrix or a
-    build) on its diagonal blocks, one (idx, sub) pair per size of block:
-    sub[c] is the part on the indices idx[c], bit for bit the dense one
-    gathered there.
-
-    A build's blocks are its ``blocks``, a matrix is one block.  A Hermitian
-    build is block diagonal over its blocks (as ``spectrum`` and
-    ``eigensystem`` take it), so these pairs are the whole of Re H.
-    """
+def _real_form(h, ansatz: AnsatzConfig) -> tuple:
+    """Re H as (idx, sub) block stacks (see ``BuiltHamiltonian.real_form``;
+    a matrix is one block), after refusing ``h`` (a matrix or a build)
+    unless it is Hermitian (a build's flag, see ``is_hermitian``) and fits
+    the register."""
     m = as_operator(h)
-    stacks = []
-    for idx in _size_stacks(getattr(h, "blocks", (np.arange(len(m)),))):
-        sub = m.real[idx[:, :, None], idx[:, None, :]]
-        stacks.append((idx, 0.5 * (sub + sub.transpose(0, 2, 1))))
-    return stacks
+    if len(m) != 2 ** ansatz.n_qubits:
+        raise DimensionMismatchError(f"H dim {len(m)} vs ansatz register of {ansatz.n_qubits} qubits")
+    if not is_hermitian(h):
+        raise NotHermitianError("refusing VQE on a non-Hermitian Hamiltonian; rebuild with "
+                                "variant='HermitianPart' (or another Hermitian variant) "
+                                "so the variational quotient is real")
+    if hasattr(h, "real_form"):
+        return h.real_form
+    return ((np.arange(len(m))[None], (0.5 * (m.real + m.real.T))[None]),)
 
 
 class _RealObjective:
     """Energy and adjoint gradient against a real symmetric matrix, given
-    as the block stacks of ``_real_part``: H psi is a gather, one batched
-    product and a scatter per stack.
+    as the (idx, sub) block stacks of a ``real_form``: H psi is a gather,
+    one batched product and a scatter per stack.
 
     Both share the forward state of the last point, so the energy and the
     gradient at one point cost one circuit run; ``runs`` counts them.
     """
 
-    def __init__(self, h_real: list, ansatz: AnsatzConfig):
+    def __init__(self, h_real, ansatz: AnsatzConfig):
         self.h_real = h_real
         self.ansatz = ansatz
         self.runs = 0
@@ -162,8 +145,7 @@ def energy_gradient(h, ansatz: AnsatzConfig, params) -> np.ndarray:
     g_k = (E(+pi/2 e_k) - E(-pi/2 e_k))/2 up to rounding.  Raises like
     ``minimize`` for a non-Hermitian H or a register mismatch.
     """
-    _check_inputs(h, ansatz)
-    objective = _RealObjective(_real_part(h), ansatz)
+    objective = _RealObjective(_real_form(h, ansatz), ansatz)
     return objective.gradient(params)
 
 
@@ -259,8 +241,7 @@ def minimize(h, ansatz: AnsatzConfig, opt: OptimizerSettings | None = None) -> V
     comes back with converged=False.
     """
     opt = opt or OptimizerSettings()
-    _check_inputs(h, ansatz)
-    h_real = _real_part(h)
+    h_real = _real_form(h, ansatz)
     best = None
     total_evals = 0
     for r in range(opt.restarts):

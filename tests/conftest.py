@@ -233,7 +233,7 @@ def two_scan_finish(matrix, spec, labels, rotation=None) -> BuiltHamiltonian:
             raise GaugesimError(f"{spec.kind}: a diagonal block of size {sub.shape[1]} is not Hermitian")
         scale = max(scale, np.abs(sub).max())
     return BuiltHamiltonian(matrix=matrix, spec=spec, hermitian=bool(above <= HERM_TOL * scale),
-                            qubits=qubits_of_dim(len(labels)), blocks=blocks, orbits=orbits)
+                            blocks=blocks, orbits=orbits)
 
 
 def pair_trotter(groups, ts, n_steps: int, psi0) -> np.ndarray:

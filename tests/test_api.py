@@ -155,8 +155,33 @@ def test_every_array_of_a_held_build_is_read_only():
                   build(HamiltonianSpec(kind="LandauPolar", angular_m=1)),
                   build(HamiltonianSpec(kind="MonopoleSU2", boson_trunc=2, variant="HermitianPart"))):
         built.spectrum()  # the solved spectrum is kept with the build
+        built.real_form  # and so is the real form (every build here is Hermitian)
+        assert "real_form" in vars(built)
         arrays = list(_arrays(list(vars(built).values())))
-        assert len(arrays) >= 3 and not [a.shape for a in arrays if a.flags.writeable], built.spec
+        assert len(arrays) >= 5 and not [a.shape for a in arrays if a.flags.writeable], built.spec
+
+
+def _block_layout_uses(path):
+    """Every ``.blocks`` attribute read and every mention of the block
+    stacking helpers (``_size_stacks``, ``_diagonal_blocks``) in a file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in ("blocks", "_size_stacks", "_diagonal_blocks"):
+            yield node.attr
+        elif isinstance(node, ast.Name) and node.id in ("_size_stacks", "_diagonal_blocks"):
+            yield node.id
+        elif isinstance(node, ast.alias) and node.name in ("_size_stacks", "_diagonal_blocks"):
+            yield node.name
+        elif isinstance(node, ast.Constant) and node.value in ("blocks", "_size_stacks", "_diagonal_blocks"):
+            yield node.value  # getattr(h, "blocks", ...)
+
+
+def test_only_hamiltonians_knows_the_block_layout():
+    # a build's views of its blocks (spectrum, eigensystem, real_form) are
+    # gathered in one module; the others read those views
+    sources = sorted(pathlib.Path(gaugesim.__file__).parent.glob("*.py"))
+    uses = {path.name: sorted(set(_block_layout_uses(path))) for path in sources}
+    assert uses.pop("hamiltonians.py") == ["_diagonal_blocks", "_size_stacks", "blocks"]
+    assert {name: found for name, found in uses.items() if found} == {}
 
 
 def _imported_top_levels(path):

@@ -109,6 +109,16 @@ def test_eoh_solves_no_eigenproblem_above_64(tmp_path, monkeypatch):
     assert solved == [("eigh", (4, 64, 64))], solved
 
 
+def test_eoh_leaves_the_held_grid_build_without_a_real_form(tmp_path):
+    # only vqe reads real_form: eoh's exact and Trotter paths never gather it
+    from gaugesim.hamiltonians import build_landau_cartesian_position
+
+    spec = HamiltonianSpec(kind="LandauCartesian", b_field=2.0)
+    held = build_landau_cartesian_position(spec)
+    assert run(tmp_path, "eoh", dict(_README_EOH, output=str(tmp_path / "eoh.csv"))) == 0
+    assert build_landau_cartesian_position(spec) is held and "real_form" not in vars(held)
+
+
 def test_eoh_writes_both_series(tmp_path, capsys):
     out = tmp_path / "eoh.csv"
     cfg = {

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from gaugesim.basis import osc_p, osc_p2, osc_q, osc_q2, place
-from gaugesim.errors import GaugesimError, InvalidSpecError
+from gaugesim.errors import GaugesimError, InvalidSpecError, NotHermitianError
 from gaugesim.hamiltonians import (
     KINDS,
     POLAR_BASIS_SCALE,
     BuiltHamiltonian,
     HamiltonianSpec,
     VARIANTS,
+    _size_stacks,
     build,
     build_landau_cartesian,
     build_landau_cartesian_position,
@@ -848,6 +849,59 @@ def test_a_build_is_read_only(make):
     np.testing.assert_allclose(doubled.spectrum(), expected, rtol=0, atol=1e-12)
     np.testing.assert_allclose(doubled.spectrum(), 2.0 * built.spectrum(), rtol=0, atol=1e-12)
     np.testing.assert_allclose(doubled.eigensystem().values, expected, rtol=0, atol=1e-12)
+
+
+def test_builds_compare_by_identity():
+    # numpy fields compared entrywise made == raise on two builds of other shapes
+    polar = build(HamiltonianSpec(kind="LandauPolar"))
+    monopole = build(HamiltonianSpec(kind="MonopoleSU2", variant="HermitianPart"))
+    assert (polar == monopole) is False and (monopole == polar) is False
+    assert (monopole == replace(monopole)) is False and monopole != replace(monopole)
+    assert (monopole == monopole) is True
+    assert len({polar, monopole, replace(monopole)}) == 3
+
+
+def test_qubits_follow_the_matrix():
+    # qubits is read from dim, so a replaced matrix cannot keep a stale count
+    from dataclasses import fields
+
+    built = build(HamiltonianSpec(kind="LandauPolar"))
+    assert "qubits" not in {f.name for f in fields(BuiltHamiltonian)}
+    assert built.qubits == 4 and built.dim == 2 ** built.qubits
+    small = replace(built, matrix=np.asarray(built.matrix)[:4, :4], blocks=(np.arange(4),))
+    assert small.qubits == 2
+
+
+@pytest.mark.parametrize("make", [lambda: build(cart_spec()), lambda: build_landau_cartesian_position(cart_spec()),
+                                  lambda: build(HamiltonianSpec(kind="LandauPolar")),
+                                  lambda: build(HamiltonianSpec(kind="MonopoleSU2", variant="MajoranaFermions"))],
+                         ids=["oscillator", "grid", "polar", "monopole"])
+def test_real_form_is_gathered_on_first_read_and_kept(make):
+    built = make()
+    assert "real_form" not in vars(built)  # not by the build
+    built.spectrum()
+    assert "real_form" not in vars(built)  # nor by the spectrum
+    form = built.real_form
+    assert built.real_form is form and vars(built)["real_form"] is form
+    assert make() is built and make().real_form is form  # the held build keeps it
+    m = np.asarray(built.matrix)
+    dense = 0.5 * (m.real + m.real.T)
+    assert [idx.shape for idx, _ in form] == [stack.shape for stack in _size_stacks(built.blocks)]
+    for idx, sub in form:
+        assert sub.tobytes() == dense[idx[:, :, None], idx[:, None, :]].tobytes()
+    # replace carries it over no more than the spectrum
+    doubled = replace(built, matrix=2.0 * m)
+    assert "real_form" not in vars(doubled)
+    assert all(np.array_equal(d, 2.0 * s) for (_, d), (_, s) in zip(doubled.real_form, form))
+
+
+@pytest.mark.parametrize("variant", ["Literal", "ScalarB"])
+def test_a_non_hermitian_build_has_no_real_form(variant):
+    spec = HamiltonianSpec(kind="MonopoleSU2", variant=variant, r_ref=1.0 if variant == "ScalarB" else None)
+    built = build(spec)
+    with pytest.raises(NotHermitianError, match="not Hermitian"):
+        built.real_form
+    assert "real_form" not in vars(built)
 
 
 def test_signed_zero_fields_build_byte_equal_matrices_and_spectra():

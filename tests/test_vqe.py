@@ -221,12 +221,13 @@ def test_stacked_objective_equals_the_dense_real_part(problem, rng):
     h, n, shapes = _objective_problem(problem, rng)
     m = np.asarray(getattr(h, "matrix", h))
     dense = 0.5 * (m.real + m.real.T)
-    stacks = vqe._real_part(h)
+    ans = AnsatzConfig(n, depth=2, entangler="cx")
+    stacks = vqe._real_form(h, ans)  # a build's real_form, a matrix as one block
+    assert stacks is getattr(h, "real_form", stacks)
     assert [idx.shape for idx, _ in stacks] == shapes
     assert np.array_equal(np.sort(np.concatenate([idx.ravel() for idx, _ in stacks])), np.arange(len(m)))
     for idx, sub in stacks:
         assert np.array_equal(sub, dense[idx[:, :, None], idx[:, None, :]])
-    ans = AnsatzConfig(n, depth=2, entangler="cx")
     objective = vqe._RealObjective(stacks, ans)
     for _ in range(3):
         x = rng.uniform(-np.pi, np.pi, ans.n_params)
@@ -248,6 +249,24 @@ def test_monopole_minimize_never_forms_a_dense_real_part():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+
+
+def test_minimize_reads_the_held_builds_real_form(monkeypatch):
+    # two runs on the held build share one gather of its blocks
+    from gaugesim import hamiltonians
+
+    spec = HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant="HermitianPart", boson_trunc=2)
+    built = build_monopole_su2(spec)
+    gathers, forms = [], []
+    gather = hamiltonians._diagonal_blocks
+    monkeypatch.setattr(hamiltonians, "_diagonal_blocks", lambda *a: gathers.append(len(a)) or gather(*a))
+    objective = vqe._RealObjective
+    monkeypatch.setattr(vqe, "_RealObjective", lambda h_real, ans: forms.append(h_real) or objective(h_real, ans))
+    for seed in (1, 2):
+        minimize(build_monopole_su2(spec), AnsatzConfig(6, depth=1), OptimizerSettings(seed=seed, max_iter=3))
+    assert build_monopole_su2(spec) is built
+    assert gathers == [2] and len(forms) == 2  # one gather, without orbits
+    assert forms[0] is forms[1] is built.real_form
 
 
 def test_trace_csv_format(tmp_path):
@@ -329,7 +348,7 @@ def test_slsqp_core_line_search_matches_scipy_when_no_trial_passes():
 def scipy_slsqp(h, ans, opt):
     """Reference: scipy's SLSQP on the same objective from the same start.
     Returns its result and the circuit runs it took."""
-    f = vqe._RealObjective(vqe._real_part(h), ans)
+    f = vqe._RealObjective(vqe._real_form(h, ans), ans)
     x0 = np.random.default_rng(opt.seed).uniform(-np.pi, np.pi, ans.n_params)
     res = scipy.optimize.minimize(f.energy, x0, jac=f.gradient, method="SLSQP",
                                   options={"maxiter": opt.max_iter, "ftol": opt.tolerance})

@@ -20,26 +20,20 @@ B = 2.0
 
 print("=== Cartesian, two 16x16 oscillator factors (8 qubits) ===")
 spec = HamiltonianSpec(kind="LandauCartesian", b_field=B)
-for squares in ("projected", "literal"):
-    built = build_landau_cartesian(spec, squares=squares)
-    vals = hermitian_eig(built.matrix).values
-    exact_ground = np.sum(np.abs(vals - landau_energy(B, 0)) < 1e-9)
-    print(f"squares={squares:9s}: lambda_min = {vals[0]:+.9f}   "
-          f"states at exactly {landau_energy(B, 0):.1f}: {exact_ground}")
-print("The projected convention compresses the untruncated operator, so the")
-print("lowest Landau level survives exactly; literal matrix squares let a")
-print("band of truncation edge states sink below it.\n")
+vals = hermitian_eig(build_landau_cartesian(spec).matrix).values
+exact_ground = np.sum(np.abs(vals - landau_energy(B, 0)) < 1e-9)
+print(f"lambda_min = {vals[0]:+.9f}   states at exactly {landau_energy(B, 0):.1f}: {exact_ground}")
+print("x^2 and p^2 enter as truncations of the squared operators, so the matrix")
+print("compresses the untruncated operator and the lowest Landau level survives")
+print("exactly (plain matrix squares would let edge states sink to about 0.87).\n")
 
 print("=== Polar radial factor, one 16x16 block (4 qubits), m = 0 ===")
 spec_p = HamiltonianSpec(kind="LandauPolar", b_field=B, angular_m=0)
-for scale, label in ((1.0, "unit basis scale"), (5.0, "calibrated scale 5")):
-    built = build_landau_polar(spec_p, basis_scale=scale)
-    lam = hermitian_eig(built.matrix).values[0]
-    print(f"{label:18s}: lambda_min = {lam:.7f}   (continuum {landau_energy(B, 0):.1f})")
-print()
+lam = hermitian_eig(build_landau_polar(spec_p).matrix).values[0]
+print(f"basis scale 5: lambda_min = {lam:.7f}   (continuum {landau_energy(B, 0):.1f})")
+print("The scale is calibrated at B = 2; the unit-scale basis gives 0.9698777.\n")
 
-print("=== Low spectrum vs continuum levels (projected Cartesian) ===")
-vals = hermitian_eig(build_landau_cartesian(spec).matrix).values
+print("=== Low spectrum vs continuum levels (Cartesian) ===")
 print("lowest 20 eigenvalues:")
 print(np.array2string(vals[:20], precision=6))
 for n in range(2):

@@ -139,7 +139,8 @@ def wu_yang_solve(r_start, r_end, steps, g_start, gprime_start) -> np.ndarray:
     Returns an array of shape (steps + 1, 3) with rows (r, g, g').  The
     grid must be non-degenerate and stay clear of r = 0, where the
     equation is singular; the initial values must be finite.  A solution
-    that blows up holds infinities and NaN from there on.
+    that blows up is refused: GaugesimError names the r of its first
+    non-finite row (an overflow carries on through every later RK4 stage).
     """
     steps = read_number(steps, "steps", int, 10, 10 ** 7, error=StepUnderflowError)
     r_start = read_number(r_start, "r_start", float, error=StepUnderflowError)
@@ -169,7 +170,11 @@ def wu_yang_solve(r_start, r_end, steps, g_start, gprime_start) -> np.ndarray:
             rows += (r, g, gp)
     except ZeroDivisionError:
         raise StepUnderflowError(f"radial grid reaches r = 0 between r_start={r_start} and r_end={r_end}") from None
-    return np.array(rows).reshape(steps + 1, 3)
+    traj = np.array(rows).reshape(steps + 1, 3)
+    blown = ~np.isfinite(traj).all(axis=1)
+    if blown.any():
+        raise GaugesimError(f"Wu-Yang solution blows up: non-finite from r={float(traj[blown.argmax(), 0])!r}")
+    return traj
 
 
 @_finite

@@ -185,8 +185,6 @@ def cmd_wuyang(cfg) -> str:
     traj = wu_yang_solve(r_start, r_end, steps, g0, gp0)
     fine = wu_yang_solve(r_start, r_end, steps * 16, g0, gp0)
     max_err = float(np.max(np.abs(traj[:, 1] - fine[::16, 1])))
-    if not np.isfinite(max_err):  # printed, not written, so write_rows does not see it
-        raise GaugesimError("non-finite values in the Wu-Yang solution; nothing written")
     rs = traj[:, 0]
     write_rows(out, "r,g,gprime,series_small,series_large", np.column_stack(
         [traj, [wu_yang_series_small(r) for r in rs], [wu_yang_series_large(r) for r in rs]]))

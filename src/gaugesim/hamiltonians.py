@@ -20,7 +20,6 @@ which one reproduces them.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from typing import Mapping
@@ -34,7 +33,6 @@ from .errors import (
     NotHermitianError,
     NotPowerOfTwoError,
     read_fields,
-    read_number,
     read_own_fields,
 )
 from .operators import (
@@ -364,25 +362,21 @@ _SLOT: list = []
 def _held(builder):
     """``builder`` behind the one build slot.
 
-    A call with the held build's builder, spec and extra arguments (each
-    compared by type, then by value, with defaults filled in) returns the
-    held build.  Any other call empties the slot before it builds, so the
-    slot never keeps an old build alive next to a new one, and then holds
-    the new build.  A build is read-only, so its callers can share it.
+    A call with the held build's builder and spec (compared by type, then
+    by value) returns the held build.  Any other call empties the slot
+    before it builds, so the slot never keeps an old build alive next to a
+    new one, and then holds the new build.  A build is read-only, so its
+    callers can share it.
     """
-    signature = inspect.signature(builder)
-
     @wraps(builder)
-    def held(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        key = [builder] + [(type(v), v) for v in bound.arguments.values()]
+    def held(spec):
+        key = builder, type(spec), spec
         entry = _SLOT[:]  # one read: another thread may empty the slot meanwhile
         if entry and entry[0] == key:
             return entry[1]
         entry.clear()
         _SLOT.clear()  # the held build goes before the next one is made
-        built = builder(*args, **kwargs)
+        built = builder(spec)
         _SLOT[:] = key, built
         return built
 
@@ -390,30 +384,17 @@ def _held(builder):
 
 
 @_held
-def build_landau_cartesian(spec: HamiltonianSpec, squares: str = "projected") -> BuiltHamiltonian:
+def build_landau_cartesian(spec: HamiltonianSpec) -> BuiltHamiltonian:
     """H = (p_x + B/2 y)^2 / 2 + (p_y - B/2 x)^2 / 2 on two oscillator factors.
 
-    ``squares`` selects how the single-factor squares inside the expanded
-    form are realized:
-
-    * ``"projected"`` (default) -- x^2 and p^2 enter as truncations of the
-      squared operators (osc_q2/osc_p2).  The result is exactly the
-      infinite-dimensional Hamiltonian compressed to the truncated basis,
-      so its spectrum is bounded below by the true ground energy and the
-      lowest Landau level survives at exactly |B|/2.
-    * ``"literal"`` -- plain matrix squares of the truncated factors.
-      Simpler, but the corner defect of the truncated [Q, P] lets a band
-      of edge states sink below the physical ground energy (about 0.87
-      at B=2, N=16).
-
-    Cross terms couple distinct tensor factors, so they are identical
-    matrix products either way.
+    x^2 and p^2 enter as truncations of the squared operators
+    (osc_q2/osc_p2), so the matrix is the untruncated H compressed to the
+    truncated basis and the lowest Landau level stays at exactly |B|/2.
     """
     if spec.kind != "LandauCartesian":
         raise InvalidSpecError(f"build_landau_cartesian got kind {spec.kind!r}")
     n = spec.boson_trunc
-    mats = _cartesian_factor_mats(basis.osc_q(n), basis.osc_p(n), squares,
-                                  basis.osc_q2(n), basis.osc_p2(n))
+    mats = basis.osc_q(n), basis.osc_p(n), basis.osc_q2(n), basis.osc_p2(n)
     # every term moves n_x + n_y by an even amount: (-1)^(n_x + n_y) sectors
     i = np.arange(n * n)
     return _finish(_landau_cartesian_matrix(spec, n, *mats), spec, (i ^ (i >> qubits_of_dim(n))) & 1)
@@ -426,10 +407,14 @@ def build_landau_cartesian_position(spec: HamiltonianSpec) -> BuiltHamiltonian:
     Same operator content as ``build_landau_cartesian`` with the diagonal
     grid position matrix and its DFT-conjugated momentum.  This is the
     natural basis for time-evolution runs, where initial and final states
-    are grid points; it is not part of the serialized spec.  The squares
-    convention is moot here: the position matrix is diagonal and the
-    momentum matrix is an exact unitary conjugation of it, so literal
-    squares already equal the conjugated squares.
+    are grid points; it is not part of the serialized spec.  Its squares
+    are plain matrix products: the position matrix is diagonal and the
+    momentum matrix is an exact unitary conjugation of it, so they already
+    equal the conjugated squares.
+
+    ``basis.pos_p`` is minus the momentum whose plane waves are F's
+    columns, so the expanded form assembles H at field -B.  P is purely
+    imaginary, so H(-B) = conj H(B): the build conjugates it in place.
 
     H commutes with the quarter-turn (x, y) -> (-y, x) of the grid, and
     the build makes that exact: q is antisymmetric under the grid reversal
@@ -446,16 +431,9 @@ def build_landau_cartesian_position(spec: HamiltonianSpec) -> BuiltHamiltonian:
     p2 = p @ p
     p, p2 = 0.5 * (p - p[rev][:, rev]), 0.5 * (p2 + p2[rev][:, rev])
     ix, iy = np.divmod(np.arange(n * n), n)  # index ix * n + iy, turned to (n - 1 - iy, ix)
-    return _finish(_landau_cartesian_matrix(spec, n, q, p, q @ q, p2), spec, 0,
-                   rotation=(n - 1 - iy) * n + ix)
-
-
-def _cartesian_factor_mats(q, p, squares, q2_proj, p2_proj):
-    if squares == "projected":
-        return q, p, q2_proj, p2_proj
-    if squares == "literal":
-        return q, p, q @ q, p @ p
-    raise InvalidSpecError(f"squares must be 'projected' or 'literal', got {squares!r}")
+    h = _landau_cartesian_matrix(spec, n, q, p, q @ q, p2)
+    np.conjugate(h, out=h)
+    return _finish(h, spec, 0, rotation=(n - 1 - iy) * n + ix)
 
 
 def _with_identity(a: np.ndarray) -> np.ndarray:
@@ -484,12 +462,12 @@ def _landau_cartesian_matrix(spec, n, q, p, q2, p2) -> np.ndarray:
 #: The scaled basis Q/sqrt(s), P*sqrt(s) is an equally valid truncation for
 #: any s > 0; s = 5 minimizes the truncation error of the ground energy
 #: against the continuum value |B|/2 at the reference field B = 2
-#: (deviation 8.5e-5, versus 3.0e-2 at s = 1).
+#: (deviation 8.5e-5, versus 3.0e-2 at s = 1, where the ground is 0.9698777).
 POLAR_BASIS_SCALE = 5.0
 
 
 @_held
-def build_landau_polar(spec: HamiltonianSpec, basis_scale: float = POLAR_BASIS_SCALE) -> BuiltHamiltonian:
+def build_landau_polar(spec: HamiltonianSpec) -> BuiltHamiltonian:
     """Radial Hamiltonian for one angular sector m = ``angular_m``.
 
     H = 1/2 rho^(-1/2) p rho p rho^(-1/2) + 1/2 (B/2)^2 rho^2
@@ -498,18 +476,14 @@ def build_landau_polar(spec: HamiltonianSpec, basis_scale: float = POLAR_BASIS_S
     The radial operator rho is the spectral absolute value of the
     oscillator Q (Q itself has a symmetric spectrum, so plain fractional
     powers would be undefined).  At a power-of-two N, Q has no zero
-    eigenvalue, so the inverse powers are finite.
-    ``basis_scale`` stretches the underlying oscillator basis (see
-    POLAR_BASIS_SCALE); pass 1.0 for the uncalibrated basis.
+    eigenvalue, so the inverse powers are finite.  The oscillator basis is
+    stretched by POLAR_BASIS_SCALE, read at each call.
     """
     if spec.kind != "LandauPolar":
         raise InvalidSpecError(f"build_landau_polar got kind {spec.kind!r}")
-    basis_scale = read_number(basis_scale, "basis_scale", float, error=InvalidSpecError)
-    if basis_scale <= 0.0:
-        raise InvalidSpecError(f"basis_scale must be positive, got {basis_scale}")
     n = spec.boson_trunc
-    q = basis.osc_q(n) / np.sqrt(basis_scale)
-    p = basis.osc_p(n) * np.sqrt(basis_scale)
+    q = basis.osc_q(n) / np.sqrt(POLAR_BASIS_SCALE)
+    p = basis.osc_p(n) * np.sqrt(POLAR_BASIS_SCALE)
     es = hermitian_eig(q)
     rho = _spectral(es, np.abs)
     rho2 = _spectral(es, np.square)

@@ -1,3 +1,5 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -149,9 +151,15 @@ def test_wu_yang_fixed_points():
 
 def test_wu_yang_trajectory_equals_the_stepwise_loop_bit_for_bit():
     # the inlined stages are the same float operations in the same order
-    for args in ((0.05, 1.0, 200, 0.9975, -0.1), (0.05, 1.0, 3200, 0.9975, -0.1),
-                 (2.0, 0.3, 77, 0.5, 3.0), (0.01, 5.0, 1000, 1.3, 0.2), (0.1, 2.0, 10, -1.0, 0.0)):
+    for args in ((0.05, 1.0, 200, 0.9975, -0.1), (0.05, 1.0, 3200, 0.9975, -0.1), (0.1, 2.0, 10, -1.0, 0.0)):
         assert wu_yang_solve(*args).tobytes() == stepwise_wu_yang(*args).tobytes(), args
+    # a solution that blows up is refused at the r of its first non-finite row (68 and 11)
+    for args, row in (((2.0, 0.3, 77, 0.5, 3.0), 68), ((0.01, 5.0, 1000, 1.3, 0.2), 11)):
+        with np.errstate(all="ignore"):
+            oracle = stepwise_wu_yang(*args)
+        assert np.isfinite(oracle[row - 1]).all() and not np.isfinite(oracle[row]).all()
+        with pytest.raises(GaugesimError, match=f"blows up: non-finite from r={re.escape(repr(float(oracle[row, 0])))}$"):
+            wu_yang_solve(*args)
 
 
 def test_wu_yang_series_values():

@@ -5,6 +5,7 @@ alone, and imports no third-party package beyond its declared dependencies."""
 
 import ast
 import importlib
+import inspect
 import json
 import pathlib
 import pkgutil
@@ -182,6 +183,18 @@ def test_only_hamiltonians_knows_the_block_layout():
     uses = {path.name: sorted(set(_block_layout_uses(path))) for path in sources}
     assert uses.pop("hamiltonians.py") == ["_diagonal_blocks", "_size_stacks", "blocks"]
     assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_every_builder_takes_a_spec_and_nothing_else():
+    # the spec is a build's whole input, so the build slot keys on (builder, spec)
+    builders = ("build", "build_landau_cartesian", "build_landau_cartesian_position", "build_landau_polar",
+                "build_monopole_su2")
+    tree = ast.parse((pathlib.Path(gaugesim.__file__).parent / "hamiltonians.py").read_text(encoding="utf-8"))
+    params = {node.name: ast.unparse(node.args) for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name in builders}
+    assert params == dict.fromkeys(builders, "spec: HamiltonianSpec")
+    for name in builders:  # the held builders' wrappers too
+        assert list(inspect.signature(getattr(gaugesim, name), follow_wrapped=False).parameters) == ["spec"]
 
 
 def _imported_top_levels(path):

@@ -400,6 +400,9 @@ def _spec(**kw):
                            "gprime_start": -3.0}}, (), 2),
     ("wuyang", {"wuyang": {"r_start": 0.05, "r_end": 1.0, "steps": 50, "seed_series": True,
                            "g_start": 7.0, "gprime_start": -3.0}}, (), 2),
+    # a start g > 1 blows up: wu_yang_solve refuses the solution
+    ("wuyang", {"wuyang": {"r_start": 0.01, "r_end": 5.0, "steps": 1000, "g_start": 1.3, "gprime_start": 0.2}},
+     (), 3),
 ])
 def test_bad_input_exit_code_and_one_line_message(tmp_path, capsys, command, cfg, extra, code):
     out = tmp_path / "out.csv"

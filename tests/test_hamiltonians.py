@@ -1,12 +1,11 @@
 import json
 import pathlib
-import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gaugesim.basis import osc_p, osc_p2, osc_q, osc_q2, place
+from gaugesim.basis import osc_p, osc_p2, osc_q, osc_q2, place, pos_grid, pos_q
 from gaugesim.errors import GaugesimError, InvalidSpecError, NotHermitianError
 from gaugesim.hamiltonians import (
     KINDS,
@@ -127,42 +126,40 @@ def test_cartesian_ground_energy_projected():
     assert np.sum(np.abs(vals - 1.0) < 1e-9) >= 8  # lowest-level degeneracy survives
 
 
-def test_cartesian_literal_squares_expose_edge_states():
-    built = build_landau_cartesian(cart_spec(), squares="literal")
-    vals = hermitian_eig(built.matrix).values
+def test_cartesian_literal_squares_expose_edge_states(monkeypatch):
+    # why the build takes osc_q2/osc_p2: with plain matrix squares instead,
     # the corner commutator defect lets edge states sink below the physical
-    # ground energy; measured floor ~0.8699
+    # ground energy, to a measured floor of 0.8699
+    import gaugesim.basis as basis_module
+
+    monkeypatch.setattr(basis_module, "osc_q2", lambda n: osc_q(n) @ osc_q(n))
+    monkeypatch.setattr(basis_module, "osc_p2", lambda n: osc_p(n) @ osc_p(n))
+    vals = hermitian_eig(build_landau_cartesian(cart_spec()).matrix).values
     assert vals[0] < 1.0 - 0.1
+    assert abs(vals[0] - 0.8699129530737727) < 1e-9
     assert np.sum(np.abs(vals - 1.0) < 1e-9) >= 8
 
 
 def test_cartesian_expanded_form_identity():
-    # assemble the expanded form independently and compare entrywise, for
-    # both squares conventions
+    # assemble the expanded form independently and compare entrywise
     n, b = 16, 2.0
     dims = [n, n]
-    q, p = osc_q(n), osc_p(n)
-    x, y = place(q, 0, dims), place(q, 1, dims)
-    px, py = place(p, 0, dims), place(p, 1, dims)
+    x, y = place(osc_q(n), 0, dims), place(osc_q(n), 1, dims)
+    px, py = place(osc_p(n), 0, dims), place(osc_p(n), 1, dims)
     hb = b / 2.0
-
-    for squares in ("projected", "literal"):
-        if squares == "projected":
-            x2, p2 = osc_q2(n), osc_p2(n)
-        else:
-            x2, p2 = q @ q, p @ p
-        expanded = (
-            0.5 * (place(p2, 0, dims) + place(p2, 1, dims))
-            + 0.5 * hb ** 2 * (place(x2, 0, dims) + place(x2, 1, dims))
-            - hb * (x @ py - y @ px)
-        )
-        built = build_landau_cartesian(cart_spec(), squares=squares)
-        scale = np.max(np.abs(built.matrix))
-        assert np.max(np.abs(built.matrix - expanded)) <= 1e-10 * scale
+    expanded = (
+        0.5 * (place(osc_p2(n), 0, dims) + place(osc_p2(n), 1, dims))
+        + 0.5 * hb ** 2 * (place(osc_q2(n), 0, dims) + place(osc_q2(n), 1, dims))
+        - hb * (x @ py - y @ px)
+    )
+    built = build_landau_cartesian(cart_spec())
+    scale = np.max(np.abs(built.matrix))
+    assert np.max(np.abs(built.matrix - expanded)) <= 1e-10 * scale
 
 
 def test_cartesian_literal_equals_completed_square_products():
-    # for the literal convention the completed-square assembly is exact
+    # the printed completed squares, plus on each slot the corner terms by
+    # which the truncated squares osc_p2, osc_q2 differ from p @ p, q @ q
     n, b = 16, 2.0
     dims = [n, n]
     q, p = osc_q(n), osc_p(n)
@@ -170,8 +167,9 @@ def test_cartesian_literal_equals_completed_square_products():
     px, py = place(p, 0, dims), place(p, 1, dims)
     a1 = px + (b / 2) * y
     a2 = py - (b / 2) * x
-    direct = 0.5 * (a1 @ a1 + a2 @ a2)
-    built = build_landau_cartesian(cart_spec(), squares="literal")
+    corner = (osc_p2(n) - p @ p) + (b / 2) ** 2 * (osc_q2(n) - q @ q)
+    direct = 0.5 * (a1 @ a1 + a2 @ a2) + 0.5 * (place(corner, 0, dims) + place(corner, 1, dims))
+    built = build_landau_cartesian(cart_spec())
     np.testing.assert_allclose(built.matrix, direct, atol=1e-12)
 
 
@@ -206,21 +204,46 @@ def test_cartesian_position_basis():
 
 
 def test_cartesian_assembly_matches_the_kron_oracle_byte_for_byte(monkeypatch):
-    # both bases (and both squares on the oscillator one) assemble the same
-    # bytes as six np.kron products, signed zeros included
+    # both bases assemble the same bytes as six np.kron products, signed
+    # zeros included; the bytes are taken at capture, since the grid build
+    # conjugates the very array it is handed
     import gaugesim.hamiltonians as hamiltonians
 
     assemble, seen = hamiltonians._landau_cartesian_matrix, []
-    monkeypatch.setattr(hamiltonians, "_landau_cartesian_matrix",
-                        lambda *args: seen.append((args, assemble(*args))) or seen[-1][1])
+
+    def capture(*args):
+        matrix = assemble(*args)
+        seen.append((args, matrix.tobytes()))
+        return matrix
+
+    monkeypatch.setattr(hamiltonians, "_landau_cartesian_matrix", capture)
     for n in (2, 4, 8, 16):
         for b in (-2.5, -1.5, 0.0, 1e-9, 1.0, 2.0, 7.5):
             build_landau_cartesian(cart_spec(b_field=b, boson_trunc=n))
-            build_landau_cartesian(cart_spec(b_field=b, boson_trunc=n), squares="literal")
             build_landau_cartesian_position(cart_spec(b_field=b, boson_trunc=n))
-    assert len(seen) == 4 * 7 * 3
+    assert len(seen) == 4 * 7 * 2
     for args, matrix in seen:
-        assert matrix.tobytes() == kron_landau_cartesian_matrix(*args).tobytes()
+        assert matrix == kron_landau_cartesian_matrix(*args).tobytes()
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["oscillator", "grid"])
+def test_cartesian_builds_start_a_packet_along_the_printed_field(grid):
+    # Ehrenfest: d<r>/dt = <i[H, r]> = <p> + (B/2)(y, -x), and a real packet
+    # has <p> = 0, so at B = 2 one of width 1 at (0.6, -0.3) starts with
+    # velocity (-0.3, -0.6); the mirror-image field gives (+0.3, +0.6)
+    n, centre = 16, np.array([[0.6], [-0.3]])
+    if grid:
+        built, q = build_landau_cartesian_position(cart_spec()), pos_q(n)
+        factors = np.exp(-(pos_grid(n) - centre) ** 2 / 2)
+    else:  # a real coherent state
+        built, q, alpha = build_landau_cartesian(cart_spec()), osc_q(n), centre / np.sqrt(2)
+        factorials = np.concatenate([[1.0], np.cumprod(np.arange(1.0, n))])
+        factors = alpha ** np.arange(n) / np.sqrt(factorials) * np.exp(-alpha ** 2 / 2)
+    psi = np.kron(*factors)
+    psi /= np.linalg.norm(psi)
+    h, one = built.matrix, np.eye(n)
+    for r, velocity in ((np.kron(q, one), -0.3), (np.kron(one, q), -0.6)):
+        assert abs(psi @ (1j * (h @ r - r @ h)) @ psi - velocity) < 1e-8
 
 
 def test_builder_kind_guards():
@@ -230,8 +253,6 @@ def test_builder_kind_guards():
         build_landau_polar(cart_spec())
     with pytest.raises(InvalidSpecError):
         build_monopole_su2(cart_spec())
-    with pytest.raises(InvalidSpecError):
-        build_landau_cartesian(cart_spec(), squares="bogus")
 
 
 # ----------------------------------------------------------------- polar
@@ -247,18 +268,14 @@ def test_polar_ground_energy_calibrated():
     assert abs(lam - 0.9980452) < 5e-3
 
 
-def test_polar_uncalibrated_basis_value():
-    built = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0), basis_scale=1.0)
+def test_polar_uncalibrated_basis_value(monkeypatch):
+    import gaugesim.hamiltonians as hamiltonians
+
+    monkeypatch.setattr(hamiltonians, "POLAR_BASIS_SCALE", 1.0)
+    built = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
     lam = hermitian_eig(built.matrix).values[0]
     # unit-scale basis underestimates the ground energy by ~3% (documented)
     assert abs(lam - 0.9698777) < 1e-6
-
-
-@pytest.mark.parametrize("scale", [float("nan"), float("inf"), True, "5", 0.0, -1.0])
-def test_polar_basis_scale_must_be_finite_and_positive(scale):
-    spec = HamiltonianSpec(kind="LandauPolar")
-    with pytest.raises(InvalidSpecError, match=re.escape(repr(scale))):
-        build_landau_polar(spec, basis_scale=scale)
 
 
 def test_polar_angular_terms_enter_only_for_nonzero_m():
@@ -509,12 +526,11 @@ def test_monopole_blocks_are_exact(variant, g_m, boson_trunc):
 @pytest.mark.parametrize("boson_trunc", [2, 4, 8, 16])
 def test_cartesian_blocks_are_exact(boson_trunc):
     n = boson_trunc
-    for squares in ("projected", "literal"):
-        built = build_landau_cartesian(cart_spec(boson_trunc=n), squares=squares)
-        assert_exact_blocks(built)
-        nx, ny = np.unravel_index(np.arange(built.dim), (n, n))
-        assert _groups((nx + ny) % 2) == set(map(tuple, built.blocks))
-        np.testing.assert_allclose(built.spectrum(), np.linalg.eigvalsh(built.matrix), rtol=0, atol=1e-12)
+    built = build_landau_cartesian(cart_spec(boson_trunc=n))
+    assert_exact_blocks(built)
+    nx, ny = np.unravel_index(np.arange(built.dim), (n, n))
+    assert _groups((nx + ny) % 2) == set(map(tuple, built.blocks))
+    np.testing.assert_allclose(built.spectrum(), np.linalg.eigvalsh(built.matrix), rtol=0, atol=1e-12)
 
 
 def test_polar_and_position_builds_have_one_block():
@@ -628,7 +644,6 @@ def test_hermitian_flag_and_blocks_equal_the_whole_matrix_checks(g, boson_trunc)
     n = boson_trunc
     cart = cart_spec(b_field=g, boson_trunc=n)
     builds = [(build_landau_cartesian(cart), _parity_labels(n)),
-              (build_landau_cartesian(cart, squares="literal"), _parity_labels(n)),
               (build_landau_cartesian_position(cart), np.zeros(n * n)),
               (build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=g, boson_trunc=n,
                                                   angular_m=1)), np.zeros(n))]
@@ -782,9 +797,8 @@ def test_a_repeated_build_is_the_held_one_without_a_second_finish(monkeypatch):
     monkeypatch.setattr(hamiltonians, "_finish", lambda *a, **k: finished.append(a[1]) or finish(*a, **k))
     polar = HamiltonianSpec(kind="LandauPolar", b_field=2.0, angular_m=1)
     held = build_landau_polar(polar)
-    # the default filled in, passed by position or by name, or through build
-    for again in (build_landau_polar(polar), build_landau_polar(polar, POLAR_BASIS_SCALE),
-                  build_landau_polar(polar, basis_scale=POLAR_BASIS_SCALE), build(polar)):
+    # an equal spec, passed by position or by name, or through build
+    for again in (build_landau_polar(polar), build_landau_polar(spec=replace(polar)), build(polar)):
         assert again is held
     monopole = HamiltonianSpec(kind="MonopoleSU2", variant="HermitianPart")
     held = build(monopole)
@@ -799,17 +813,11 @@ def test_a_repeated_build_is_the_held_one_without_a_second_finish(monkeypatch):
 
 def test_builds_of_one_spec_with_other_builders_or_arguments_never_alias():
     cart = cart_spec(boson_trunc=4)
-    builds = [build_landau_cartesian(cart), build_landau_cartesian(cart, squares="literal"),
-              build_landau_cartesian_position(cart), build(cart)]
-    assert builds[3] is not builds[0]  # another build came between
-    assert len({id(b) for b in builds}) == 4
+    builds = [build_landau_cartesian(cart), build_landau_cartesian_position(cart), build(cart)]
+    assert builds[2] is not builds[0]  # another build came between
+    assert len({id(b) for b in builds}) == 3
     assert not np.array_equal(builds[0].matrix, builds[1].matrix)
-    assert not np.array_equal(builds[0].matrix, builds[2].matrix)
-    assert builds[3].matrix.tobytes() == builds[0].matrix.tobytes()
-    polar = HamiltonianSpec(kind="LandauPolar")
-    calibrated, plain = build_landau_polar(polar), build_landau_polar(polar, basis_scale=1.0)
-    assert plain is not calibrated and not np.array_equal(plain.matrix, calibrated.matrix)
-    assert build_landau_polar(polar, basis_scale=1.0) is plain
+    assert builds[2].matrix.tobytes() == builds[0].matrix.tobytes()
 
 
 def test_a_new_spec_drops_the_held_build():

@@ -42,10 +42,8 @@ from gaugesim.vqe import OptimizerSettings, energy_gradient, minimize
 from test_cli_properties import BAD_VALUES
 
 #: ``herm_defect`` measures its input, so a NaN entry gives a NaN defect;
-#: ``as_operator`` passes NaN on to the Hermiticity check, which refuses it;
-#: ``wu_yang_solve`` returns a solution that blows up (a start g > 1) with
-#: its infinite and NaN rows, which the CLI refuses to write.
-NON_FINITE_ALLOWED = {"as_operator", "herm_defect", "wu_yang_solve"}
+#: ``as_operator`` passes NaN on to the Hermiticity check, which refuses it.
+NON_FINITE_ALLOWED = {"as_operator", "herm_defect"}
 
 #: Exported functions with no numeric intake to draw, by reason.
 NO_INTAKE = {

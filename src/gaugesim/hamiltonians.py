@@ -156,7 +156,15 @@ class HamiltonianSpec:
 
 @dataclass(frozen=True, eq=False)
 class BuiltHamiltonian:
-    """A concrete Hamiltonian matrix plus the spec that produced it.
+    """A concrete Hamiltonian, kept as the blocks its builder filled, plus
+    the spec that produced it.
+
+    ``entries[c]`` is H on the indices ``filled[c]`` (rows and columns),
+    and every entry off these blocks is exactly +0.0: a monopole build
+    fills its 16 sectors, a dense builder one block, the whole matrix
+    (``filled`` is then the one row 0..dim-1).  ``matrix`` is assembled
+    from them on first read (for one whole block, it is a view of it), so
+    a caller that never reads it never pays for it.
 
     ``hermitian`` is ``is_hermitian(matrix)`` (relative defect <= 1e-10),
     read at build time from the blocks; the Literal and ScalarB monopole
@@ -166,11 +174,11 @@ class BuiltHamiltonian:
     ``hermitian``, so its matrix is never checked again.
 
     ``blocks`` holds the basis indices of each symmetry sector, in the
-    order of the sector labels the builder gives its basis.  Every entry
-    whose row block comes after its column block is exactly zero, and
-    every diagonal block is Hermitian, so H is block upper-triangular
-    (block diagonal when H is Hermitian) and its spectrum is the union of
-    the diagonal blocks' spectra.
+    order of the sector labels the builder gives its basis; each lies
+    inside one filled block.  Every entry whose row block comes after its
+    column block is exactly zero, and every diagonal block is Hermitian,
+    so H is block upper-triangular (block diagonal when H is Hermitian)
+    and its spectrum is the union of the diagonal blocks' spectra.
 
     ``orbits``, when set, is the orbit table of a quarter-turn R of the
     basis that H commutes with exactly (row o: s_o, R s_o, R^2 s_o,
@@ -179,36 +187,50 @@ class BuiltHamiltonian:
     place of the blocks: ``spectrum`` and ``eigensystem`` solve them.
 
     A build is read-only, so the builders share one (``==`` is identity):
-    every array it reaches (``matrix``, ``blocks``, ``orbits``, its spectrum
-    and ``real_form``) is a read-only view, never a copy.  Its block views
-    (``spectrum``, ``eigensystem``, ``real_form``) share one gather,
-    ``_diagonal_blocks``; each held one is made at most once per build
-    object, and ``dataclasses.replace`` carries none over.
+    every array it reaches (``entries``, ``filled``, ``matrix``,
+    ``blocks``, ``orbits``, its spectrum and ``real_form``) is a read-only
+    view, never a copy.  Its block views (``spectrum``, ``eigensystem``,
+    ``real_form``) share one gather from the filled blocks,
+    ``_diagonal_blocks``; each held one (and the assembled ``matrix``) is
+    made at most once per build object, and ``dataclasses.replace``
+    carries none over.
     """
 
-    matrix: np.ndarray
+    entries: np.ndarray
+    filled: np.ndarray
     spec: HamiltonianSpec
     hermitian: bool
     blocks: tuple
     orbits: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _read_only(self.matrix))
+        object.__setattr__(self, "entries", _read_only(self.entries))
+        object.__setattr__(self, "filled", _read_only(self.filled))
         object.__setattr__(self, "blocks", tuple(map(_read_only, self.blocks)))
         if self.orbits is not None:
             object.__setattr__(self, "orbits", _read_only(self.orbits))
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.filled.size
 
     @property
     def qubits(self) -> int:
         return qubits_of_dim(self.dim)
 
     @cached_property
+    def matrix(self) -> np.ndarray:
+        """H as one dense matrix, assembled on first read: the filled blocks
+        scattered into zeros, or the one whole block itself."""
+        if np.array_equal(self.filled, np.arange(self.dim)[None]):
+            return self.entries[0]
+        h = np.zeros((self.dim,) * 2, dtype=self.entries.dtype)
+        h[self.filled[:, :, None], self.filled[:, None, :]] = self.entries
+        return _read_only(h)
+
+    @cached_property
     def _spectrum(self) -> np.ndarray:
-        stacks = _diagonal_blocks(self.matrix, self.blocks, self.orbits)
+        stacks = _diagonal_blocks(self.entries, self.filled, self.blocks, self.orbits)
         values = np.sort(np.concatenate([np.linalg.eigvalsh(sub).ravel() for sub, _, _ in stacks]))
         values.flags.writeable = False
         return values
@@ -227,8 +249,8 @@ class BuiltHamiltonian:
         by its blocks' eigenvectors."""
         if not self.hermitian:
             raise NotHermitianError(f"{self.spec.kind}: the build is not Hermitian")
-        values, vectors, start = [], np.zeros(self.matrix.shape, dtype=np.complex128), 0
-        for sub, tables, phases in _diagonal_blocks(self.matrix, self.blocks, self.orbits):
+        values, vectors, start = [], np.zeros((self.dim,) * 2, dtype=np.complex128), 0
+        for sub, tables, phases in _diagonal_blocks(self.entries, self.filled, self.blocks, self.orbits):
             lam, u = np.linalg.eigh(sub)
             count, size = tables.shape[:2]
             # eigenvector e of sector c: sum_o u[c, o, e] sum_j phases[c, j] e_(tables[c, o, j])
@@ -255,7 +277,7 @@ class BuiltHamiltonian:
         if not self.hermitian:
             raise NotHermitianError(f"{self.spec.kind}: the build is not Hermitian")
         return tuple((_read_only(tables[..., 0]), _read_only(0.5 * (sub.real + sub.real.transpose(0, 2, 1))))
-                     for sub, tables, _ in _diagonal_blocks(self.matrix, self.blocks))
+                     for sub, tables, _ in _diagonal_blocks(self.entries, self.filled, self.blocks))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -268,7 +290,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _blocks_by(keys) -> tuple:
     """Index arrays of equal ``keys``, in ascending key order."""
     keys = np.asarray(keys)
-    return tuple(np.flatnonzero(keys == k) for k in np.unique(keys))
+    return tuple(np.flatnonzero(keys == k) for k in sorted(set(keys.tolist())))
 
 
 def _size_stacks(blocks) -> list:
@@ -281,23 +303,35 @@ def _size_stacks(blocks) -> list:
 _QUARTER = np.array([1.0, -1j, -1.0, 1j])[np.outer(np.arange(4), np.arange(4)) % 4]
 
 
-def _diagonal_blocks(matrix: np.ndarray, blocks: tuple, orbits=None) -> list:
-    """The diagonal blocks of ``matrix``, one (sub, tables, phases) per stack
-    of equal-sized sectors: sub[c] is sector c's block, and its basis vector
-    o is sum_j phases[c, j] e_(tables[c, o, j]).
+def _diagonal_blocks(entries: np.ndarray, filled: np.ndarray, blocks: tuple, orbits=None) -> list:
+    """The diagonal blocks of H, kept as ``entries`` on the index sets
+    ``filled`` (see ``BuiltHamiltonian``), one (sub, tables, phases) per
+    stack of equal-sized sectors: sub[c] is sector c's block, and its basis
+    vector o is sum_j phases[c, j] e_(tables[c, o, j]).
 
-    A block is a plain index set (one index, phase 1), so sub[c] is a
-    gather.  With ``orbits`` the sectors are the quarter-turn's four phase
-    sectors instead (see ``BuiltHamiltonian``): as H[R a, R b] = H[a, b],
-    sub[k][o, o'] = sum_m i**-(k m) H[s_o, R^m s_o'], four gathers and no
-    dense change of basis.
+    A block is a plain index set (one index, phase 1) inside one filled
+    block, so sub[c] is a gather from that block's entries; a stack of
+    blocks that are the filled ones is ``entries`` itself.  With ``orbits``
+    (a build that filled one block, the whole matrix) the sectors are the
+    quarter-turn's four phase sectors instead (see ``BuiltHamiltonian``):
+    as H[R a, R b] = H[a, b], sub[k][o, o'] = sum_m i**-(k m) H[s_o, R^m s_o'],
+    four gathers and no dense change of basis.
     """
     if orbits is not None:
-        parts = matrix[orbits[:, None, :1], orbits[None, :, :]]  # [o, o', m] = H[s_o, R^m s_o']
+        parts = entries[0][orbits[:, None, :1], orbits[None, :, :]]  # [o, o', m] = H[s_o, R^m s_o']
         sub = parts[..., 0] + sum(_QUARTER[:, m, None, None] * parts[..., m] for m in (1, 2, 3))
         return [(sub, np.broadcast_to(orbits, (4,) + orbits.shape), _QUARTER / 2)]
-    return [(matrix[idx[:, :, None], idx[:, None, :]], idx[:, :, None], np.ones((len(idx), 1)))
-            for idx in _size_stacks(blocks)]
+    at = np.empty(filled.size, dtype=np.intp)  # index i is entry at[i] of the flattened ``filled``
+    at[filled.ravel()] = np.arange(filled.size)
+    stacks = []
+    for idx in _size_stacks(blocks):
+        if np.array_equal(idx, filled):
+            sub = entries
+        else:
+            home, pos = np.divmod(at[idx], filled.shape[1])
+            sub = entries[home[:, :1, None], pos[:, :, None], pos[:, None, :]]
+        stacks.append((sub, idx[:, :, None], np.ones((len(idx), 1))))
+    return stacks
 
 
 def _quarter_orbits(rotation: np.ndarray) -> np.ndarray:
@@ -314,44 +348,54 @@ def _quarter_orbits(rotation: np.ndarray) -> np.ndarray:
     return orbits
 
 
-def _finish(matrix: np.ndarray, spec: HamiltonianSpec, labels, rotation=None) -> BuiltHamiltonian:
-    """Wrap a built matrix given each basis index's sector label (or one for
-    all), refusing an entry below the sector blocks or a non-Hermitian
-    block.  The whole matrix's Hermiticity defect is then the larger of the
-    blocks' and the largest entry above them, so ``hermitian`` holds exactly
-    when that entry is within ``HERM_TOL`` of the largest entry of all.
-    The blocks are gathered first: when they hold as many 64-bit words
-    with a bit set as the whole matrix, every entry off them is exactly
-    +0.0 and the scans for entries below and above them are skipped
-    (anything else off them, -0.0 and NaN included, makes them run).  With
-    one label there is nothing off the one block, and no scan runs.
+def _finish(h: np.ndarray, spec: HamiltonianSpec, labels, rotation=None, filled=None) -> BuiltHamiltonian:
+    """Wrap the blocks a builder filled given each basis index's sector label
+    (or one for all), refusing an entry below the sector blocks or a
+    non-Hermitian block.  With ``filled``, ``h`` is the (count, size, size)
+    stack of H on the index sets ``filled`` (count, size), every entry off
+    them +0.0, and each label's indices lie inside one of them; without it,
+    ``h`` is the whole matrix, taken (by view) as the one filled block.
+
+    The whole matrix's Hermiticity defect is then the larger of the sector
+    blocks' and the largest entry above them, so ``hermitian`` holds
+    exactly when that entry is within ``HERM_TOL`` of the largest entry of
+    all.  The sector blocks are gathered first: when they hold as many
+    64-bit words with a bit set as the filled blocks, every entry off them
+    is exactly +0.0 and the scans of the filled blocks for entries below
+    and above them are skipped (anything else off them, -0.0 and NaN
+    included, makes them run).  With one label there is nothing off the
+    one block, and no scan runs.
 
     A builder that passes a ``rotation`` (a quarter-turn permutation of the
-    basis, as index array) also needs H to commute with it bit for bit,
-    H[R a, R b] == H[a, b], the sector-basis form of the zeros below the
-    blocks; the Hermiticity check then runs on its four phase sectors.
+    basis, as index array) hands the whole matrix and also needs H to
+    commute with it bit for bit, H[R a, R b] == H[a, b], the sector-basis
+    form of the zeros below the blocks; the Hermiticity check then runs on
+    its four phase sectors.
     """
-    labels = np.broadcast_to(labels, matrix.shape[:1])
+    if filled is None:
+        h, filled = h[None], np.arange(len(h))[None]
+    labels = np.broadcast_to(labels, (filled.size,))
     blocks = _blocks_by(labels)
-    stacks = _diagonal_blocks(matrix, blocks) if rotation is None else None
+    stacks = _diagonal_blocks(h, filled, blocks) if rotation is None else None
     above = 0.0
-    if len(blocks) > 1 and (stacks is None or np.count_nonzero(matrix.view(np.uint64))
+    if len(blocks) > 1 and (stacks is None or np.count_nonzero(h.view(np.uint64))
                             != sum(np.count_nonzero(sub.view(np.uint64)) for sub, _, _ in stacks)):
-        if np.any(matrix[labels[:, None] > labels[None, :]]):
+        inner = labels[filled]  # the labels of each filled block's indices
+        if np.any(h[inner[:, :, None] > inner[:, None, :]]):
             raise GaugesimError(f"{spec.kind}: non-zero entry below its diagonal blocks")
-        above = np.abs(matrix[labels[:, None] < labels[None, :]]).max(initial=0.0)
+        above = np.abs(h[inner[:, :, None] < inner[:, None, :]]).max(initial=0.0)
     orbits = None
     if rotation is not None:
         orbits = _quarter_orbits(rotation)
-        if not np.array_equal(matrix[rotation[:, None], rotation], matrix):
+        if not np.array_equal(h[0][rotation[:, None], rotation], h[0]):
             raise GaugesimError(f"{spec.kind}: does not commute exactly with its quarter-turn")
-        stacks = _diagonal_blocks(matrix, blocks, orbits)
+        stacks = _diagonal_blocks(h, filled, blocks, orbits)
     scale = above
     for sub, _, _ in stacks:
         if not np.all(is_hermitian(sub)):
             raise GaugesimError(f"{spec.kind}: a diagonal block of size {sub.shape[1]} is not Hermitian")
         scale = max(scale, np.abs(sub).max())
-    return BuiltHamiltonian(matrix=matrix, spec=spec, hermitian=bool(above <= HERM_TOL * scale),
+    return BuiltHamiltonian(entries=h, filled=filled, spec=spec, hermitian=bool(above <= HERM_TOL * scale),
                             blocks=blocks, orbits=orbits)
 
 
@@ -518,7 +562,8 @@ def build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
 
     Every term keeps the fermion parity and, per axis i, the charge
     Q_i = (-1)^(n_i) pi_i of fermion slot i and the parity pi_i of boson
-    register i, so H is assembled block by block on these 16 sectors.
+    register i, so H is assembled block by block on these 16 sectors, and
+    the build keeps them: its ``matrix`` is assembled only when read.
     """
     if spec.kind != "MonopoleSU2":
         raise InvalidSpecError(f"build_monopole_su2 got kind {spec.kind!r}")
@@ -537,7 +582,7 @@ def build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
     x, y, z = (basis.place(basis.osc_q(n), s, dims).real for s in range(3))
     px, py, pz = (basis.place(basis.osc_p(n), s, dims).imag for s in range(3))  # p = i P
 
-    inv_r2, cross, rows, cols, sector, literal = _monopole_tables(n)
+    inv_r2, cross, sectors, sector, literal = _monopole_tables(n)
     b_op = -g_m / spec.r_ref ** 2 if spec.variant == "ScalarB" else np.where(cross, 0.0, -g_m * inv_r2)
     bx, by, bz = (np.dot(b_op, a) for a in (x, y, z))  # b_op may be a scalar
     one = np.eye(8)
@@ -555,20 +600,19 @@ def build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
 
     # 1/2 sum_g A_g (x) F_g on each sector: its boson and fermion indices
     # gather the sector's block from every factor pair (flat, one take each)
+    rows, cols = sectors[:, :, None], sectors[:, None, :]
     boson, fermion_idx = (rows >> 3) * n ** 3 + (cols >> 3), (rows & 7) * 8 + (cols & 7)
     h_blocks = 0.5 * sum(a.take(boson) * f.take(fermion_idx) for f, a in groups.values())
     del boson, fermion_idx  # 256 KB of indices that need not outlive the sum
     if spec.variant == "HermitianPart":
         h_blocks = 0.5 * (h_blocks + h_blocks.conj().transpose(0, 2, 1))
-    h = np.zeros((8 * n ** 3,) * 2, dtype=np.complex128)
-    h[rows, cols] = h_blocks
-    return _finish(h, spec, literal if spec.variant in ("Literal", "ScalarB") else sector)
+    return _finish(h_blocks, spec, literal if spec.variant in ("Literal", "ScalarB") else sector, filled=sectors)
 
 
 @lru_cache(maxsize=None)
 def _monopole_tables(n: int) -> tuple:
     """The g_m-free parts of ``build_monopole_su2`` at ``boson_trunc`` n, read-only: (r^2)^-1,
-    its cross-parity mask, the sector blocks' (rows, cols) index grids and the two key arrays."""
+    its cross-parity mask, the sector blocks' index sets and the two key arrays."""
     k = qubits_of_dim(n)
     # r^2 is diagonal in W = V (x) V (x) V, where q^2 = V diag(lam) V^T
     q = basis.osc_q(n).real
@@ -591,13 +635,12 @@ def _monopole_tables(n: int) -> tuple:
     charges = [s ^ p for s, p in zip(slots, parities)]
     sector = (occupation & 1) * 8 + charges[0] * 4 + charges[1] * 2 + charges[2]
     sectors = np.stack(_blocks_by(sector))
-    rows, cols = sectors[:, :, None], sectors[:, None, :]
     # raising-operator bilinears only lower the occupation: the Literal and ScalarB matrices
     # are block upper-triangular by occupation, then fermion pattern, then the register parities
     literal = (occupation * 8 + (i & 7)) * 8 + parities[0] * 4 + parities[1] * 2 + parities[2]
-    for t in (inv_r2, cross, rows, cols, sector, literal):
+    for t in (inv_r2, cross, sectors, sector, literal):
         t.flags.writeable = False
-    return inv_r2, cross, rows, cols, sector, literal
+    return inv_r2, cross, sectors, sector, literal
 
 
 _BUILDERS = {

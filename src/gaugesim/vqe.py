@@ -92,16 +92,17 @@ def _real_form(h, ansatz: AnsatzConfig) -> tuple:
     a matrix is one block), after refusing ``h`` (a matrix or a build)
     unless it is Hermitian (a build's flag, see ``is_hermitian``) and fits
     the register."""
-    m = as_operator(h)
-    if len(m) != 2 ** ansatz.n_qubits:
-        raise DimensionMismatchError(f"H dim {len(m)} vs ansatz register of {ansatz.n_qubits} qubits")
+    m = None if hasattr(type(h), "real_form") else as_operator(h)  # a build is sized without its matrix
+    dim = h.dim if m is None else len(m)
+    if dim != 2 ** ansatz.n_qubits:
+        raise DimensionMismatchError(f"H dim {dim} vs ansatz register of {ansatz.n_qubits} qubits")
     if not is_hermitian(h):
         raise NotHermitianError("refusing VQE on a non-Hermitian Hamiltonian; rebuild with "
                                 "variant='HermitianPart' (or another Hermitian variant) "
                                 "so the variational quotient is real")
-    if hasattr(h, "real_form"):
+    if m is None:
         return h.real_form
-    return ((np.arange(len(m))[None], (0.5 * (m.real + m.real.T))[None]),)
+    return ((np.arange(dim)[None], (0.5 * (m.real + m.real.T))[None]),)
 
 
 class _RealObjective:

@@ -228,12 +228,13 @@ def two_scan_finish(matrix, spec, labels, rotation=None) -> BuiltHamiltonian:
             raise GaugesimError(f"{spec.kind}: does not commute exactly with its quarter-turn")
     blocks = _blocks_by(labels)
     above = scale = np.abs(matrix[labels[:, None] < labels[None, :]]).max(initial=0.0)
-    for sub, _, _ in _diagonal_blocks(matrix, blocks, orbits):
+    whole = np.arange(len(matrix))[None]  # the matrix as one filled block
+    for sub, _, _ in _diagonal_blocks(matrix[None], whole, blocks, orbits):
         if not np.all(is_hermitian(sub)):
             raise GaugesimError(f"{spec.kind}: a diagonal block of size {sub.shape[1]} is not Hermitian")
         scale = max(scale, np.abs(sub).max())
-    return BuiltHamiltonian(matrix=matrix, spec=spec, hermitian=bool(above <= HERM_TOL * scale),
-                            blocks=blocks, orbits=orbits)
+    return BuiltHamiltonian(entries=matrix[None], filled=whole, spec=spec,
+                            hermitian=bool(above <= HERM_TOL * scale), blocks=blocks, orbits=orbits)
 
 
 def pair_trotter(groups, ts, n_steps: int, psi0) -> np.ndarray:

@@ -157,22 +157,28 @@ def test_every_array_of_a_held_build_is_read_only():
                   build(HamiltonianSpec(kind="MonopoleSU2", boson_trunc=2, variant="HermitianPart"))):
         built.spectrum()  # the solved spectrum is kept with the build
         built.real_form  # and so is the real form (every build here is Hermitian)
-        assert "real_form" in vars(built)
+        built.matrix  # and the matrix, assembled from the kept blocks on first read
+        assert {"entries", "filled", "matrix", "real_form"} <= vars(built).keys()
         arrays = list(_arrays(list(vars(built).values())))
         assert len(arrays) >= 5 and not [a.shape for a in arrays if a.flags.writeable], built.spec
 
 
+#: A build's block layout: its label blocks and kept filled blocks, and the helpers that stack them.
+_LAYOUT_FIELDS = ("blocks", "entries", "filled")
+_LAYOUT_HELPERS = ("_size_stacks", "_diagonal_blocks")
+
+
 def _block_layout_uses(path):
-    """Every ``.blocks`` attribute read and every mention of the block
-    stacking helpers (``_size_stacks``, ``_diagonal_blocks``) in a file."""
+    """Every read of a build's ``.blocks``, ``.entries`` or ``.filled`` and
+    every mention of the block stacking helpers in a file."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Attribute) and node.attr in ("blocks", "_size_stacks", "_diagonal_blocks"):
+        if isinstance(node, ast.Attribute) and node.attr in _LAYOUT_FIELDS + _LAYOUT_HELPERS:
             yield node.attr
-        elif isinstance(node, ast.Name) and node.id in ("_size_stacks", "_diagonal_blocks"):
+        elif isinstance(node, ast.Name) and node.id in _LAYOUT_HELPERS:
             yield node.id
-        elif isinstance(node, ast.alias) and node.name in ("_size_stacks", "_diagonal_blocks"):
+        elif isinstance(node, ast.alias) and node.name in _LAYOUT_HELPERS:
             yield node.name
-        elif isinstance(node, ast.Constant) and node.value in ("blocks", "_size_stacks", "_diagonal_blocks"):
+        elif isinstance(node, ast.Constant) and node.value in _LAYOUT_FIELDS + _LAYOUT_HELPERS:
             yield node.value  # getattr(h, "blocks", ...)
 
 
@@ -181,7 +187,7 @@ def test_only_hamiltonians_knows_the_block_layout():
     # gathered in one module; the others read those views
     sources = sorted(pathlib.Path(gaugesim.__file__).parent.glob("*.py"))
     uses = {path.name: sorted(set(_block_layout_uses(path))) for path in sources}
-    assert uses.pop("hamiltonians.py") == ["_diagonal_blocks", "_size_stacks", "blocks"]
+    assert uses.pop("hamiltonians.py") == ["_diagonal_blocks", "_size_stacks", "blocks", "entries", "filled"]
     assert {name: found for name, found in uses.items() if found} == {}
 
 

@@ -76,20 +76,50 @@ def test_vqe_rejects_literal_monopole(tmp_path, capsys):
 
 def test_monopole_spectrum_and_vqe_solve_only_blocks(tmp_path, monkeypatch, capsys):
     # spectra come from the builder's symmetry blocks: no general eigvals,
-    # and no eigensolve above 32 on the 512-dim monopole
+    # and no eigensolve above 32 on the 512-dim monopole; the build keeps
+    # its 16 sector blocks, and neither command assembles the dense matrix
+    from gaugesim.hamiltonians import build
+
     solved = []
     for name in ("eig", "eigvals", "eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda a, *r, _n=name, _f=solver, **k:
                             solved.append((_n, np.shape(a)[-1])) or _f(a, *r, **k))
     for variant in ("Literal", "MajoranaFermions", "HermitianPart", {"ScalarB": 1.0}):
-        assert run(tmp_path, "spectrum", {"hamiltonian": {"kind": "MonopoleSU2", "variant": variant},
-                                          "output": str(tmp_path / "s.csv")}) == 0
-    assert run(tmp_path, "vqe", {"hamiltonian": {"kind": "MonopoleSU2", "variant": "HermitianPart"},
-                                 "optimizer": {"max_iter": 2, "seed": 1},
+        ham = {"kind": "MonopoleSU2", "variant": variant}
+        assert run(tmp_path, "spectrum", {"hamiltonian": ham, "output": str(tmp_path / "s.csv")}) == 0
+        held = build(HamiltonianSpec.from_json(ham))  # the build the run made
+        assert "_spectrum" in vars(held) and "matrix" not in vars(held), variant
+    ham = {"kind": "MonopoleSU2", "variant": "HermitianPart", "b_field": 0.2}
+    assert run(tmp_path, "vqe", {"hamiltonian": ham, "optimizer": {"max_iter": 2, "seed": 1},
                                  "output": str(tmp_path / "v.csv")}) == 0
+    held = build(HamiltonianSpec.from_json(ham))
+    assert "real_form" in vars(held) and "matrix" not in vars(held)
     assert solved and not [n for n, _ in solved if n in ("eig", "eigvals")], solved
     assert max(d for _, d in solved) <= 32, solved
+
+
+_SPECTRUM_IMPORTS = """\
+import json, pathlib, sys
+sys.path.insert(0, sys.argv[1])
+import gaugesim.cli
+for n, ham in enumerate(json.loads(sys.argv[3])):
+    config = pathlib.Path(sys.argv[2]) / f"{n}.json"
+    config.write_text(json.dumps({"hamiltonian": ham, "output": str(config.with_suffix(".csv"))}))
+    assert gaugesim.cli.main(["spectrum", "--config", str(config), "--quiet"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_a_spectrum_run_leaves_numpy_ma_unimported(tmp_path):
+    # numpy.ma takes about 8-20 ms to import, and np.unique imports it on first use
+    hams = [{"kind": "LandauCartesian"}, {"kind": "LandauPolar", "angular_m": 1},
+            {"kind": "MonopoleSU2"}, {"kind": "MonopoleSU2", "variant": "HermitianPart"}]
+    src = str(pathlib.Path(gaugesim.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _SPECTRUM_IMPORTS, src, str(tmp_path), json.dumps(hams)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 #: README's eoh config: the 16x16 position grid at B = 2, both methods

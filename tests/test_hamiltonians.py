@@ -786,6 +786,95 @@ def test_finish_count_path_agrees_with_the_two_scans_on_edited_matrices(case, ed
         assert outcome[0] is expected
 
 
+def _stacked_outcomes(entries, filled, spec, labels):
+    """``_finish_outcome`` of ``_finish`` given sector stacks, and of the
+    two-scan oracle given the matrix they fill (zeros elsewhere)."""
+    import gaugesim.hamiltonians as hamiltonians
+
+    dense = np.zeros((filled.size,) * 2, dtype=entries.dtype)
+    for idx, sub in zip(filled, entries):
+        dense[np.ix_(idx, idx)] = sub
+
+    def stacked(_, spec, labels, rotation=None):
+        return hamiltonians._finish(entries, spec, labels, filled=filled)
+
+    return _finish_outcome(stacked, None, spec, labels), _finish_outcome(two_scan_finish, dense, spec, labels)
+
+
+@pytest.mark.parametrize("variant, edit", [("Literal", None), ("ScalarB", None), ("HermitianPart", None),
+                                           ("Literal", "below"), ("ScalarB", "below"),
+                                           ("Literal", "inside"), ("HermitianPart", "inside")])
+def test_finish_on_sector_stacks_agrees_with_the_two_scans(variant, edit):
+    # the monopole hands _finish its 16 sector stacks; an entry below a
+    # literal block inside a sector, or one that skews a block, is refused
+    # with the two-scan oracle's message
+    built = build_monopole_su2(_monopole_spec(variant, 2.0, 4))
+    labels = _monopole_labels(variant, 4)
+    entries = np.array(built.entries)
+    inner = labels[built.filled[3]]
+    if edit == "below":
+        i, j = np.argwhere(inner[:, None] > inner[None, :])[0]
+        entries[3, i, j] = 1e-300
+    elif edit == "inside":
+        i, j = next((i, j) for i, j in np.argwhere(inner[:, None] == inner[None, :]) if i != j)
+        entries[3, i, j] += 1.0
+    stacked, dense = _stacked_outcomes(entries, built.filled, built.spec, labels)
+    assert stacked == dense
+    expected = {None: variant == "HermitianPart", "below": "below its diagonal blocks", "inside": "not Hermitian"}
+    if edit:
+        assert expected[edit] in stacked
+    else:
+        assert stacked[0] is expected[None]
+
+
+@pytest.mark.parametrize("variant", ["Literal", "ScalarB"])
+def test_finish_on_sector_stacks_reads_the_largest_entry_above_the_blocks(variant, monkeypatch):
+    # hermitian is False for Literal and ScalarB because of the couplings
+    # above their blocks: the flag turns over at the ratio of the whole
+    # matrix's largest entry above the blocks to its largest entry
+    import gaugesim.hamiltonians as hamiltonians
+
+    built = build_monopole_su2(_monopole_spec(variant, 2.0, 4))
+    labels = _monopole_labels(variant, 4)
+    m = built.matrix
+    ratio = np.abs(m[labels[:, None] < labels[None, :]]).max() / np.abs(m).max()
+    assert ratio > 0.0
+    for tol, flag in ((ratio * (1 - 1e-12), False), (ratio * (1 + 1e-12), True)):
+        monkeypatch.setattr(hamiltonians, "HERM_TOL", tol)
+        assert hamiltonians._finish(built.entries, built.spec, labels, filled=built.filled).hermitian is flag
+
+
+@pytest.mark.parametrize("boson_trunc", [2, 4])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_monopole_build_keeps_its_sectors_and_assembles_the_matrix_on_read(variant, boson_trunc):
+    # the 16 sector stacks are the build; each label block lies inside one
+    # sector, and the matrix is the stacks scattered into zeros, made once
+    built = build_monopole_su2(_monopole_spec(variant, 1.37, boson_trunc))
+    size = boson_trunc ** 3 // 2
+    assert built.entries.shape == (16, size, size) and built.filled.shape == (16, size)
+    assert sorted(built.filled.ravel().tolist()) == list(range(built.dim))
+    sector_of = np.empty(built.dim, dtype=int)
+    sector_of[built.filled] = np.arange(16)[:, None]
+    assert all(len(set(sector_of[b].tolist())) == 1 for b in built.blocks)
+    assert "matrix" not in vars(built)
+    m = built.matrix
+    assert built.matrix is m and m.dtype == np.complex128 and not m.flags.writeable
+    scattered = np.zeros((built.dim,) * 2, dtype=np.complex128)
+    for idx, sub in zip(built.filled, built.entries):
+        scattered[np.ix_(idx, idx)] = sub
+    assert m.tobytes() == scattered.tobytes()
+
+
+@pytest.mark.parametrize("make", [lambda: build(cart_spec()), lambda: build_landau_cartesian_position(cart_spec()),
+                                  lambda: build(HamiltonianSpec(kind="LandauPolar", angular_m=1))],
+                         ids=["oscillator", "grid", "polar"])
+def test_a_dense_build_is_its_one_filled_block(make):
+    # a dense builder hands its matrix whole: the build's matrix is a view of it
+    built = make()
+    assert built.filled.tolist() == [list(range(built.dim))]
+    assert built.matrix.shape == (built.dim,) * 2 and np.shares_memory(built.matrix, built.entries)
+
+
 # ---------------------------------------------------------------- build slot
 
 
@@ -849,10 +938,15 @@ def test_a_build_is_read_only(make):
         built.spectrum()[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         built.blocks[0][0] = 1
-    # the matrix of a replace is its own, and so are its views
+    with pytest.raises(ValueError, match="read-only"):
+        built.entries[0, 0, 0] = 1.0
+    # the blocks of a replace are its own, and so are its views and its matrix
+    entries = 2.0 * np.asarray(built.entries)
+    doubled = replace(built, entries=entries)
+    assert "matrix" not in vars(doubled)
+    assert entries.flags.writeable and not doubled.entries.flags.writeable and not doubled.matrix.flags.writeable
     m = 2.0 * np.asarray(built.matrix)
-    doubled = replace(built, matrix=m)
-    assert m.flags.writeable and not doubled.matrix.flags.writeable
+    assert doubled.matrix.tobytes() == m.tobytes()
     expected = np.sort(np.concatenate([np.linalg.eigvalsh(m[np.ix_(b, b)]) for b in built.blocks]))
     np.testing.assert_allclose(doubled.spectrum(), expected, rtol=0, atol=1e-12)
     np.testing.assert_allclose(doubled.spectrum(), 2.0 * built.spectrum(), rtol=0, atol=1e-12)
@@ -876,8 +970,8 @@ def test_qubits_follow_the_matrix():
     built = build(HamiltonianSpec(kind="LandauPolar"))
     assert "qubits" not in {f.name for f in fields(BuiltHamiltonian)}
     assert built.qubits == 4 and built.dim == 2 ** built.qubits
-    small = replace(built, matrix=np.asarray(built.matrix)[:4, :4], blocks=(np.arange(4),))
-    assert small.qubits == 2
+    small = replace(built, entries=built.entries[:, :4, :4], filled=np.arange(4)[None], blocks=(np.arange(4),))
+    assert small.qubits == 2 and small.matrix.shape == (4, 4)
 
 
 @pytest.mark.parametrize("make", [lambda: build(cart_spec()), lambda: build_landau_cartesian_position(cart_spec()),
@@ -898,7 +992,7 @@ def test_real_form_is_gathered_on_first_read_and_kept(make):
     for idx, sub in form:
         assert sub.tobytes() == dense[idx[:, :, None], idx[:, None, :]].tobytes()
     # replace carries it over no more than the spectrum
-    doubled = replace(built, matrix=2.0 * m)
+    doubled = replace(built, entries=2.0 * built.entries)
     assert "real_form" not in vars(doubled)
     assert all(np.array_equal(d, 2.0 * s) for (_, d), (_, s) in zip(doubled.real_form, form))
 

@@ -9,6 +9,7 @@ from gaugesim.circuits import AnsatzConfig
 from gaugesim.errors import DimensionMismatchError, GaugesimError, InvalidConfigError, NotHermitianError
 from gaugesim.hamiltonians import (
     HamiltonianSpec,
+    build,
     build_landau_cartesian,
     build_landau_polar,
     build_monopole_su2,
@@ -251,21 +252,42 @@ def test_monopole_minimize_never_forms_a_dense_real_part():
     assert peak < 2 * 2 ** 20
 
 
+@pytest.mark.parametrize("variant", ["Literal", "MajoranaFermions", "HermitianPart", "ScalarB"])
+def test_monopole_spectrum_never_forms_the_dense_matrix(variant):
+    # a 512x512 complex matrix alone is 4 MiB of numpy memory; the build
+    # keeps its 16 sector blocks and its spectrum is solved from them
+    spec = HamiltonianSpec(kind="MonopoleSU2", b_field=1.37, variant=variant,
+                           r_ref=1.0 if variant == "ScalarB" else None)
+    build(HamiltonianSpec(kind="LandauPolar"))  # so the monopole is built afresh
+    tracemalloc.start()
+    try:
+        built = build(spec)
+        built.spectrum()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20, peak
+    assert "matrix" not in vars(built)
+
+
 def test_minimize_reads_the_held_builds_real_form(monkeypatch):
-    # two runs on the held build share one gather of its blocks
+    # two runs on the held build share one read of its blocks, which are
+    # its kept sector stacks themselves
     from gaugesim import hamiltonians
 
     spec = HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant="HermitianPart", boson_trunc=2)
     built = build_monopole_su2(spec)
-    gathers, forms = [], []
+    calls, forms = [], []
     gather = hamiltonians._diagonal_blocks
-    monkeypatch.setattr(hamiltonians, "_diagonal_blocks", lambda *a: gathers.append(len(a)) or gather(*a))
+    monkeypatch.setattr(hamiltonians, "_diagonal_blocks", lambda *a: calls.append(a) or gather(*a))
     objective = vqe._RealObjective
     monkeypatch.setattr(vqe, "_RealObjective", lambda h_real, ans: forms.append(h_real) or objective(h_real, ans))
     for seed in (1, 2):
         minimize(build_monopole_su2(spec), AnsatzConfig(6, depth=1), OptimizerSettings(seed=seed, max_iter=3))
     assert build_monopole_su2(spec) is built
-    assert gathers == [2] and len(forms) == 2  # one gather, without orbits
+    assert [len(a) for a in calls] == [3] and len(forms) == 2  # one read, without orbits
+    [(sub, _, _)] = gather(*calls[0])
+    assert sub is built.entries  # and no gather
     assert forms[0] is forms[1] is built.real_form
 
 

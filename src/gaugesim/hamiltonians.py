@@ -173,8 +173,9 @@ class BuiltHamiltonian:
     ``operators.as_operator`` reads its ``matrix`` and ``is_hermitian`` its
     ``hermitian``, so its matrix is never checked again.
 
-    ``blocks`` holds the basis indices of each symmetry sector, in the
-    order of the sector labels the builder gives its basis; each lies
+    ``blocks`` is the read-only (count, size) array of the symmetry sectors'
+    basis indices, one row per sector label the builder gives its basis,
+    in ascending label order; every sector has one size, and each lies
     inside one filled block.  Every entry whose row block comes after its
     column block is exactly zero, and every diagonal block is Hermitian,
     so H is block upper-triangular (block diagonal when H is Hermitian)
@@ -200,13 +201,13 @@ class BuiltHamiltonian:
     filled: np.ndarray
     spec: HamiltonianSpec
     hermitian: bool
-    blocks: tuple
+    blocks: np.ndarray
     orbits: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _read_only(self.entries))
         object.__setattr__(self, "filled", _read_only(self.filled))
-        object.__setattr__(self, "blocks", tuple(map(_read_only, self.blocks)))
+        object.__setattr__(self, "blocks", _read_only(self.blocks))
         if self.orbits is not None:
             object.__setattr__(self, "orbits", _read_only(self.orbits))
 
@@ -230,8 +231,8 @@ class BuiltHamiltonian:
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
-        stacks = _diagonal_blocks(self.entries, self.filled, self.blocks, self.orbits)
-        values = np.sort(np.concatenate([np.linalg.eigvalsh(sub).ravel() for sub, _, _ in stacks]))
+        sub, _, _ = _diagonal_blocks(self.entries, self.filled, self.blocks, self.orbits)
+        values = np.sort(np.linalg.eigvalsh(sub).ravel())
         values.flags.writeable = False
         return values
 
@@ -243,22 +244,20 @@ class BuiltHamiltonian:
 
     def eigensystem(self) -> EigenSystem:
         """Ascending eigenvalues and their eigenvectors in the basis of
-        ``matrix``, from one ``eigh`` per stack of diagonal blocks; what
+        ``matrix``, from one ``eigh`` of the stack of diagonal blocks; what
         ``operators.hermitian_eig`` returns for a build.  NotHermitianError
         unless ``hermitian``: a block upper-triangular H is not diagonalized
         by its blocks' eigenvectors."""
         if not self.hermitian:
             raise NotHermitianError(f"{self.spec.kind}: the build is not Hermitian")
-        values, vectors, start = [], np.zeros((self.dim,) * 2, dtype=np.complex128), 0
-        for sub, tables, phases in _diagonal_blocks(self.entries, self.filled, self.blocks, self.orbits):
-            lam, u = np.linalg.eigh(sub)
-            count, size = tables.shape[:2]
-            # eigenvector e of sector c: sum_o u[c, o, e] sum_j phases[c, j] e_(tables[c, o, j])
-            cols = start + np.arange(count * size).reshape(count, 1, 1, size)
-            vectors[tables[..., None], cols] = phases[:, None, :, None] * u[:, :, None, :]
-            values.append(lam.ravel())
-            start += count * size
-        values = np.concatenate(values)
+        sub, tables, phases = _diagonal_blocks(self.entries, self.filled, self.blocks, self.orbits)
+        lam, u = np.linalg.eigh(sub)
+        count, size = tables.shape[:2]
+        vectors = np.zeros((self.dim,) * 2, dtype=np.complex128)
+        # eigenvector e of sector c: sum_o u[c, o, e] sum_j phases[c, j] e_(tables[c, o, j])
+        cols = np.arange(count * size).reshape(count, 1, 1, size)
+        vectors[tables[..., None], cols] = phases[:, None, :, None] * u[:, :, None, :]
+        values = lam.ravel()
         order = np.argsort(values, kind="stable")
         return EigenSystem(values=values[order], vectors=vectors[:, order])
 
@@ -269,15 +268,15 @@ class BuiltHamiltonian:
     @cached_property
     def real_form(self) -> tuple:
         """The symmetric real part 0.5 (Re H + Re H^T) on the diagonal
-        blocks, one (idx, sub) pair per size of block: sub[c] is the part on
-        the indices idx[c], bit for bit the dense one gathered there.  A
-        Hermitian build is block diagonal, so these pairs are the whole of
+        blocks, as one (idx, sub) pair: idx is ``blocks``, and sub[c] is the
+        part on the indices idx[c], bit for bit the dense one gathered there.
+        A Hermitian build is block diagonal, so this pair is the whole of
         Re H, which ``vqe`` minimizes against.  Gathered on first read, once
         per build; NotHermitianError unless ``hermitian``."""
         if not self.hermitian:
             raise NotHermitianError(f"{self.spec.kind}: the build is not Hermitian")
-        return tuple((_read_only(tables[..., 0]), _read_only(0.5 * (sub.real + sub.real.transpose(0, 2, 1))))
-                     for sub, tables, _ in _diagonal_blocks(self.entries, self.filled, self.blocks))
+        sub, _, _ = _diagonal_blocks(self.entries, self.filled, self.blocks)
+        return self.blocks, _read_only(0.5 * (sub.real + sub.real.transpose(0, 2, 1)))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -287,31 +286,30 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-def _blocks_by(keys) -> tuple:
-    """Index arrays of equal ``keys``, in ascending key order."""
+def _blocks_by(keys) -> np.ndarray:
+    """The indices of equal ``keys`` as one (count, size) array, one row
+    per key in ascending key order, each row ascending; GaugesimError when
+    the keys label unequal counts of indices."""
     keys = np.asarray(keys)
-    return tuple(np.flatnonzero(keys == k) for k in sorted(set(keys.tolist())))
-
-
-def _size_stacks(blocks) -> list:
-    """The index sets ``blocks`` stacked by size: one (count, size) array
-    per distinct size, ascending, each holding that size's sets in order."""
-    return [np.stack([b for b in blocks if len(b) == size]) for size in sorted({len(b) for b in blocks})]
+    counts = np.unique(keys, return_counts=True)[1]
+    if np.any(counts != counts[0]):
+        raise GaugesimError(f"sectors of unequal sizes {sorted(set(counts.tolist()))}")
+    return np.argsort(keys, kind="stable").reshape(len(counts), -1)
 
 
 #: [k, m] = i**-(k m), exactly: the quarter-turn sectors' phase factors
 _QUARTER = np.array([1.0, -1j, -1.0, 1j])[np.outer(np.arange(4), np.arange(4)) % 4]
 
 
-def _diagonal_blocks(entries: np.ndarray, filled: np.ndarray, blocks: tuple, orbits=None) -> list:
+def _diagonal_blocks(entries: np.ndarray, filled: np.ndarray, blocks: np.ndarray, orbits=None) -> tuple:
     """The diagonal blocks of H, kept as ``entries`` on the index sets
-    ``filled`` (see ``BuiltHamiltonian``), one (sub, tables, phases) per
-    stack of equal-sized sectors: sub[c] is sector c's block, and its basis
+    ``filled`` (see ``BuiltHamiltonian``), as one (sub, tables, phases)
+    stack of its sectors: sub[c] is sector c's block, and its basis
     vector o is sum_j phases[c, j] e_(tables[c, o, j]).
 
     A block is a plain index set (one index, phase 1) inside one filled
-    block, so sub[c] is a gather from that block's entries; a stack of
-    blocks that are the filled ones is ``entries`` itself.  With ``orbits``
+    block, so sub[c] is a gather from that block's entries; blocks that
+    are the filled ones give ``entries`` itself.  With ``orbits``
     (a build that filled one block, the whole matrix) the sectors are the
     quarter-turn's four phase sectors instead (see ``BuiltHamiltonian``):
     as H[R a, R b] = H[a, b], sub[k][o, o'] = sum_m i**-(k m) H[s_o, R^m s_o'],
@@ -320,18 +318,15 @@ def _diagonal_blocks(entries: np.ndarray, filled: np.ndarray, blocks: tuple, orb
     if orbits is not None:
         parts = entries[0][orbits[:, None, :1], orbits[None, :, :]]  # [o, o', m] = H[s_o, R^m s_o']
         sub = parts[..., 0] + sum(_QUARTER[:, m, None, None] * parts[..., m] for m in (1, 2, 3))
-        return [(sub, np.broadcast_to(orbits, (4,) + orbits.shape), _QUARTER / 2)]
-    at = np.empty(filled.size, dtype=np.intp)  # index i is entry at[i] of the flattened ``filled``
-    at[filled.ravel()] = np.arange(filled.size)
-    stacks = []
-    for idx in _size_stacks(blocks):
-        if np.array_equal(idx, filled):
-            sub = entries
-        else:
-            home, pos = np.divmod(at[idx], filled.shape[1])
-            sub = entries[home[:, :1, None], pos[:, :, None], pos[:, None, :]]
-        stacks.append((sub, idx[:, :, None], np.ones((len(idx), 1))))
-    return stacks
+        return sub, np.broadcast_to(orbits, (4,) + orbits.shape), _QUARTER / 2
+    if np.array_equal(blocks, filled):
+        sub = entries
+    else:
+        at = np.empty(filled.size, dtype=np.intp)  # index i is entry at[i] of the flattened ``filled``
+        at[filled.ravel()] = np.arange(filled.size)
+        home, pos = np.divmod(at[blocks], filled.shape[1])
+        sub = entries[home[:, :1, None], pos[:, :, None], pos[:, None, :]]
+    return sub, blocks[:, :, None], np.ones((len(blocks), 1))
 
 
 def _quarter_orbits(rotation: np.ndarray) -> np.ndarray:
@@ -359,12 +354,10 @@ def _finish(h: np.ndarray, spec: HamiltonianSpec, labels, rotation=None, filled=
     The whole matrix's Hermiticity defect is then the larger of the sector
     blocks' and the largest entry above them, so ``hermitian`` holds
     exactly when that entry is within ``HERM_TOL`` of the largest entry of
-    all.  The sector blocks are gathered first: when they hold as many
-    64-bit words with a bit set as the filled blocks, every entry off them
-    is exactly +0.0 and the scans of the filled blocks for entries below
-    and above them are skipped (anything else off them, -0.0 and NaN
-    included, makes them run).  With one label there is nothing off the
-    one block, and no scan runs.
+    all.  With more than one label, two masks of the filled blocks find
+    the entries below and above the sector blocks; with one label there is
+    nothing off the one block, and no mask runs.  The labels must give
+    every sector one size (GaugesimError otherwise).
 
     A builder that passes a ``rotation`` (a quarter-turn permutation of the
     basis, as index array) hands the whole matrix and also needs H to
@@ -376,10 +369,8 @@ def _finish(h: np.ndarray, spec: HamiltonianSpec, labels, rotation=None, filled=
         h, filled = h[None], np.arange(len(h))[None]
     labels = np.broadcast_to(labels, (filled.size,))
     blocks = _blocks_by(labels)
-    stacks = _diagonal_blocks(h, filled, blocks) if rotation is None else None
     above = 0.0
-    if len(blocks) > 1 and (stacks is None or np.count_nonzero(h.view(np.uint64))
-                            != sum(np.count_nonzero(sub.view(np.uint64)) for sub, _, _ in stacks)):
+    if len(blocks) > 1:
         inner = labels[filled]  # the labels of each filled block's indices
         if np.any(h[inner[:, :, None] > inner[:, None, :]]):
             raise GaugesimError(f"{spec.kind}: non-zero entry below its diagonal blocks")
@@ -389,12 +380,10 @@ def _finish(h: np.ndarray, spec: HamiltonianSpec, labels, rotation=None, filled=
         orbits = _quarter_orbits(rotation)
         if not np.array_equal(h[0][rotation[:, None], rotation], h[0]):
             raise GaugesimError(f"{spec.kind}: does not commute exactly with its quarter-turn")
-        stacks = _diagonal_blocks(h, filled, blocks, orbits)
-    scale = above
-    for sub, _, _ in stacks:
-        if not np.all(is_hermitian(sub)):
-            raise GaugesimError(f"{spec.kind}: a diagonal block of size {sub.shape[1]} is not Hermitian")
-        scale = max(scale, np.abs(sub).max())
+    sub, _, _ = _diagonal_blocks(h, filled, blocks, orbits)
+    if not np.all(is_hermitian(sub)):
+        raise GaugesimError(f"{spec.kind}: a diagonal block of size {sub.shape[1]} is not Hermitian")
+    scale = max(above, np.abs(sub).max())
     return BuiltHamiltonian(entries=h, filled=filled, spec=spec, hermitian=bool(above <= HERM_TOL * scale),
                             blocks=blocks, orbits=orbits)
 
@@ -634,7 +623,7 @@ def _monopole_tables(n: int) -> tuple:
     occupation = np.bitwise_count(i & 7)
     charges = [s ^ p for s, p in zip(slots, parities)]
     sector = (occupation & 1) * 8 + charges[0] * 4 + charges[1] * 2 + charges[2]
-    sectors = np.stack(_blocks_by(sector))
+    sectors = _blocks_by(sector)
     # raising-operator bilinears only lower the occupation: the Literal and ScalarB matrices
     # are block upper-triangular by occupation, then fermion pattern, then the register parities
     literal = (occupation * 8 + (i & 7)) * 8 + parities[0] * 4 + parities[1] * 2 + parities[2]

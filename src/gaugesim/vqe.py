@@ -10,8 +10,8 @@ P parameters).  The Ry form prepares real states, and for a real psi and a
 Hermitian H, <psi|H|psi> = psi^T Re(H) psi exactly (Im H is antisymmetric),
 so the objective and its gradient run on float64 states against Re(H),
 held as a build's ``real_form`` (the real parts of its diagonal blocks,
-stacked by size; a plain matrix is one block): H psi is one batched
-product per size of block, never a dense Re(H).
+stacked; a plain matrix is one block): H psi is one batched product,
+never a dense Re(H).
 Up to 99 parameters (9 qubits up to depth 10) every step stays on the
 calling thread, so a fixed seed gives the same trace bytes whatever the
 BLAS thread count; above that OpenBLAS threads the optimizer's solve.
@@ -88,7 +88,7 @@ class VqeResult:
 
 
 def _real_form(h, ansatz: AnsatzConfig) -> tuple:
-    """Re H as (idx, sub) block stacks (see ``BuiltHamiltonian.real_form``;
+    """Re H as one (idx, sub) block stack (see ``BuiltHamiltonian.real_form``;
     a matrix is one block), after refusing ``h`` (a matrix or a build)
     unless it is Hermitian (a build's flag, see ``is_hermitian``) and fits
     the register."""
@@ -102,13 +102,13 @@ def _real_form(h, ansatz: AnsatzConfig) -> tuple:
                                 "so the variational quotient is real")
     if m is None:
         return h.real_form
-    return ((np.arange(dim)[None], (0.5 * (m.real + m.real.T))[None]),)
+    return np.arange(dim)[None], (0.5 * (m.real + m.real.T))[None]
 
 
 class _RealObjective:
     """Energy and adjoint gradient against a real symmetric matrix, given
-    as the (idx, sub) block stacks of a ``real_form``: H psi is a gather,
-    one batched product and a scatter per stack.
+    as the (idx, sub) block stack of a ``real_form``: H psi is a gather,
+    one batched product and a scatter.
 
     Both share the forward state of the last point, so the energy and the
     gradient at one point cost one circuit run; ``runs`` counts them.
@@ -123,9 +123,9 @@ class _RealObjective:
     def _run(self, x):
         if self._x is None or not np.array_equal(x, self._x):
             self._psi = ansatz_state(self.ansatz, x)
+            idx, sub = self.h_real
             self._h_psi = np.empty_like(self._psi)
-            for idx, sub in self.h_real:
-                self._h_psi[idx] = (sub @ self._psi[idx][..., None])[..., 0]
+            self._h_psi[idx] = (sub @ self._psi[idx][..., None])[..., 0]
             self._energy = float(self._psi @ self._h_psi)
             self._x = np.array(x, dtype=float)  # read by ansatz_state
             self.runs += 1

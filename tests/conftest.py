@@ -215,9 +215,10 @@ def dense_monopole(spec) -> np.ndarray:
 
 
 def two_scan_finish(matrix, spec, labels, rotation=None) -> BuiltHamiltonian:
-    """``hamiltonians._finish`` with no nonzero-count shortcut (test oracle
-    only): a boolean mask of the whole matrix finds the entries below the
-    sector blocks, and another the largest entry above them, every time."""
+    """``hamiltonians._finish`` from the whole matrix (test oracle only): a
+    boolean mask of the whole matrix, not of the filled blocks, finds the
+    entries below the sector blocks, and another the largest entry above
+    them, every time, with one label too."""
     labels = np.broadcast_to(labels, matrix.shape[:1])
     if np.any(matrix[labels[:, None] > labels[None, :]]):
         raise GaugesimError(f"{spec.kind}: non-zero entry below its diagonal blocks")
@@ -229,10 +230,10 @@ def two_scan_finish(matrix, spec, labels, rotation=None) -> BuiltHamiltonian:
     blocks = _blocks_by(labels)
     above = scale = np.abs(matrix[labels[:, None] < labels[None, :]]).max(initial=0.0)
     whole = np.arange(len(matrix))[None]  # the matrix as one filled block
-    for sub, _, _ in _diagonal_blocks(matrix[None], whole, blocks, orbits):
-        if not np.all(is_hermitian(sub)):
-            raise GaugesimError(f"{spec.kind}: a diagonal block of size {sub.shape[1]} is not Hermitian")
-        scale = max(scale, np.abs(sub).max())
+    sub, _, _ = _diagonal_blocks(matrix[None], whole, blocks, orbits)
+    if not np.all(is_hermitian(sub)):
+        raise GaugesimError(f"{spec.kind}: a diagonal block of size {sub.shape[1]} is not Hermitian")
+    scale = max(scale, np.abs(sub).max())
     return BuiltHamiltonian(entries=matrix[None], filled=whole, spec=spec,
                             hermitian=bool(above <= HERM_TOL * scale), blocks=blocks, orbits=orbits)
 

@@ -163,9 +163,9 @@ def test_every_array_of_a_held_build_is_read_only():
         assert len(arrays) >= 5 and not [a.shape for a in arrays if a.flags.writeable], built.spec
 
 
-#: A build's block layout: its label blocks and kept filled blocks, and the helpers that stack them.
+#: A build's block layout: its label blocks and kept filled blocks, and the helper that gathers them.
 _LAYOUT_FIELDS = ("blocks", "entries", "filled")
-_LAYOUT_HELPERS = ("_size_stacks", "_diagonal_blocks")
+_LAYOUT_HELPERS = ("_diagonal_blocks",)
 
 
 def _block_layout_uses(path):
@@ -187,7 +187,7 @@ def test_only_hamiltonians_knows_the_block_layout():
     # gathered in one module; the others read those views
     sources = sorted(pathlib.Path(gaugesim.__file__).parent.glob("*.py"))
     uses = {path.name: sorted(set(_block_layout_uses(path))) for path in sources}
-    assert uses.pop("hamiltonians.py") == ["_diagonal_blocks", "_size_stacks", "blocks", "entries", "filled"]
+    assert uses.pop("hamiltonians.py") == ["_diagonal_blocks", "blocks", "entries", "filled"]
     assert {name: found for name, found in uses.items() if found} == {}
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gaugesim.analytic import kernel_polar
 from gaugesim.basis import pos_grid, pos_p, pos_q, sylvester_f
 from gaugesim.errors import (
     DimensionMismatchError,
@@ -638,6 +639,29 @@ def test_transition_trotter_agrees_with_exact_position_basis():
     assert 1.6 <= dev / dev2 <= 2.4
 
 
+@pytest.mark.parametrize("t", [1.0, 1.5, 2.5])
+def test_grid_evolution_of_a_packet_matches_the_polar_kernel(t):
+    # a real packet of width (B/2)^(-1/2) at (0.6, -0.3), B = 2, evolved
+    # exactly on the 16x16 grid, against the quadrature
+    # sum_i K(r_f, r_i; t) psi0_i ds^2 over the points where the packet is
+    # above 1e-4 of its peak, at the 4 largest final amplitudes (up to
+    # 0.34): they agree to 2.0e-5 / 7.8e-6 / 1.9e-5, while the kernel
+    # turned the other way (phi_f - phi_i - B t / 2) misses by at least 0.14.
+    # At t = 0.3, bessel_i refuses I_2(-15.5i), where its series cancels.
+    n, b = 16, 2.0
+    grid = pos_grid(n)
+    x, y = np.repeat(grid, n), np.tile(grid, n)  # index ix * n + iy
+    psi0 = np.exp(-(b / 4) * ((x - 0.6) ** 2 + (y + 0.3) ** 2))
+    psi0 /= np.linalg.norm(psi0)
+    built = build_landau_cartesian_position(HamiltonianSpec(kind="LandauCartesian", b_field=b, boson_trunc=n))
+    final = transition_series(built, psi0, "all", [t]).amplitudes[0]
+    rho, phi, ds2 = np.hypot(x, y), np.arctan2(y, x), (grid[1] - grid[0]) ** 2
+    sources = np.flatnonzero(np.abs(psi0) > 1e-4 * np.abs(psi0).max())
+    for f in np.argsort(-np.abs(final))[:4]:
+        quadrature = ds2 * sum(kernel_polar(rho[i], phi[i], rho[f], phi[f], t, b) * psi0[i] for i in sources)
+        assert abs(quadrature - final[f]) < 1e-4, f
+
+
 def test_transition_series_batched_matches_single_calls(rng):
     h = random_hermitian(rng, 8)
     psi_i = random_state(rng, 8)
@@ -844,6 +868,21 @@ def test_scattering_trotter_mode_close_to_exact(rng):
     exact = scattering_process(h, 0.9, 0.5, 1.0, psi0)
     trot = scattering_process(h, 0.9, 0.5, 1.0, psi0, method="trotter", trotter_steps=400)
     assert np.linalg.norm(exact - trot) < 5e-2
+
+
+@pytest.mark.parametrize("k1, k3, p2", [(3, 9, 0.7), (0, 15, -1.3), (5, 5, 2.1)])
+def test_scattering_between_momentum_states_at_every_tau(k1, k3, p2):
+    # on H = P^2 / 2 the momentum states are eigenstates, E_k = x_k^2 / 2, so
+    # <p3| U(T - tau) e^{i p2 X} U(tau) |p1> = e^{-i E1 tau} e^{-i E3 (T - tau)} <p3| e^{i p2 X} |p1>
+    # (measured to 7.3e-16); with the legs swapped, (3, 9) misses by 0.045, while
+    # (0, 15) and (5, 5) have E1 == E3 and cannot tell the legs apart
+    n, total_t = 16, 1.0
+    energy = 0.5 * pos_grid(n) ** 2
+    for tau in (0.0, 0.2, 0.5, 0.9, 1.0):
+        out = scattering_process(_free_position_h(n), p2, tau, total_t, momentum_state(k1, n))
+        expected = (np.exp(-1j * energy[k1] * tau) * np.exp(-1j * energy[k3] * (total_t - tau))
+                    * vertex_amplitude(k3, p2, k1, n))
+        assert abs(np.vdot(momentum_state(k3, n), out) - expected) < 1e-12, tau
 
 
 _ONE_DECOMPOSITION = {

@@ -13,7 +13,6 @@ from gaugesim.hamiltonians import (
     BuiltHamiltonian,
     HamiltonianSpec,
     VARIANTS,
-    _size_stacks,
     build,
     build_landau_cartesian,
     build_landau_cartesian_position,
@@ -750,8 +749,8 @@ _FINISH_CASES = ([("monopole", v, g, n) for v in VARIANTS for g in (1e-12, 2.0) 
 
 @pytest.mark.parametrize("case", _FINISH_CASES, ids=lambda c: "-".join(map(str, c)))
 def test_finish_count_path_agrees_with_the_two_scans(case):
-    # a build whose blocks hold all its nonzero entries skips the scans
-    # below and above them; every builder's outcome stays the two-scan one
+    # _finish masks the filled blocks only, and with one label nothing;
+    # every builder's outcome stays the one of the whole-matrix masks
     import gaugesim.hamiltonians as hamiltonians
 
     matrix, spec, labels, rotation = _finish_input(case)
@@ -764,9 +763,9 @@ def test_finish_count_path_agrees_with_the_two_scans(case):
                          ids=["monopole", "cartesian"])
 @pytest.mark.parametrize("edit", ["tiny above", "minus zero above", "nan above", "nan inside", "below"])
 def test_finish_count_path_agrees_with_the_two_scans_on_edited_matrices(case, edit):
-    # one entry off the blocks (-0.0 too) makes the counts differ, so the
-    # scans run; a NaN inside a block leaves them equal and the block check
-    # refuses it
+    # an entry off the blocks (-0.0 too) is seen by the masks of the filled
+    # block as by those of the whole matrix; a NaN inside a block is refused
+    # by the block check
     import gaugesim.hamiltonians as hamiltonians
 
     matrix, spec, labels, _ = _finish_input(case)
@@ -784,6 +783,46 @@ def test_finish_count_path_agrees_with_the_two_scans_on_edited_matrices(case, ed
         assert expected in outcome
     else:
         assert outcome[0] is expected
+
+
+_ONE_SIZE_CASES = ([("oscillator", n, 2, n * n // 2) for n in (2, 4, 8, 16)]
+                   + [("grid", n, 1, n * n) for n in (2, 4, 8, 16)]
+                   + [("polar", 2 ** k, m, 1, 2 ** k) for k in range(1, 10) for m in (0, 1, 2)]
+                   + [(v, n, 16, n ** 3 // 2) for v in ("HermitianPart", "MajoranaFermions")
+                      for n in (2, 4)]
+                   + [(v, n, 64, n ** 3 // 8) for v in ("Literal", "ScalarB") for n in (2, 4)])
+
+
+@pytest.mark.parametrize("case", _ONE_SIZE_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_every_build_has_one_stack_of_equal_sectors(case):
+    # every builder, at every truncation it accepts, labels sectors of one
+    # size: blocks is one read-only (count, size) array, and a Hermitian
+    # build's real form is indexed by it
+    kind, n, *rest, count, size = case
+    if kind == "oscillator":
+        built = build_landau_cartesian(cart_spec(boson_trunc=n))
+    elif kind == "grid":
+        built = build_landau_cartesian_position(cart_spec(boson_trunc=n))
+    elif kind == "polar":
+        built = build_landau_polar(HamiltonianSpec(kind="LandauPolar", boson_trunc=n, angular_m=rest[0]))
+    else:
+        built = build_monopole_su2(_monopole_spec(kind, 2.0, n))
+    blocks = built.blocks
+    assert isinstance(blocks, np.ndarray) and blocks.shape == (count, size) and not blocks.flags.writeable
+    assert np.array_equal(np.sort(blocks.ravel()), np.arange(built.dim))
+    if built.hermitian:
+        assert np.array_equal(built.real_form[0], blocks)
+    else:
+        assert kind in ("Literal", "ScalarB")
+
+
+def test_sectors_of_unequal_sizes_are_refused():
+    import gaugesim.hamiltonians as hamiltonians
+
+    with pytest.raises(GaugesimError, match="unequal sizes"):
+        hamiltonians._blocks_by([0, 0, 1])
+    with pytest.raises(GaugesimError, match="unequal sizes"):
+        hamiltonians._finish(np.eye(3), HamiltonianSpec(kind="LandauPolar"), [0, 0, 1])
 
 
 def _stacked_outcomes(entries, filled, spec, labels):
@@ -970,7 +1009,7 @@ def test_qubits_follow_the_matrix():
     built = build(HamiltonianSpec(kind="LandauPolar"))
     assert "qubits" not in {f.name for f in fields(BuiltHamiltonian)}
     assert built.qubits == 4 and built.dim == 2 ** built.qubits
-    small = replace(built, entries=built.entries[:, :4, :4], filled=np.arange(4)[None], blocks=(np.arange(4),))
+    small = replace(built, entries=built.entries[:, :4, :4], filled=np.arange(4)[None], blocks=np.arange(4)[None])
     assert small.qubits == 2 and small.matrix.shape == (4, 4)
 
 
@@ -988,13 +1027,13 @@ def test_real_form_is_gathered_on_first_read_and_kept(make):
     assert make() is built and make().real_form is form  # the held build keeps it
     m = np.asarray(built.matrix)
     dense = 0.5 * (m.real + m.real.T)
-    assert [idx.shape for idx, _ in form] == [stack.shape for stack in _size_stacks(built.blocks)]
-    for idx, sub in form:
-        assert sub.tobytes() == dense[idx[:, :, None], idx[:, None, :]].tobytes()
+    idx, sub = form
+    assert idx.shape == built.blocks.shape
+    assert sub.tobytes() == dense[idx[:, :, None], idx[:, None, :]].tobytes()
     # replace carries it over no more than the spectrum
     doubled = replace(built, entries=2.0 * built.entries)
     assert "real_form" not in vars(doubled)
-    assert all(np.array_equal(d, 2.0 * s) for (_, d), (_, s) in zip(doubled.real_form, form))
+    assert np.array_equal(doubled.real_form[1], 2.0 * sub)
 
 
 @pytest.mark.parametrize("variant", ["Literal", "ScalarB"])

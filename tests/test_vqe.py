@@ -203,15 +203,15 @@ def test_sweep_monopole_reaches_real_state_floor():
 
 
 def _objective_problem(problem, rng):
-    """(H, its qubits, the expected (count, size) of each block stack)."""
+    """(H, its qubits, the expected (count, size) of its block stack)."""
     if problem == "random":
-        return random_hermitian(rng, 16), 4, [(1, 16)]
+        return random_hermitian(rng, 16), 4, (1, 16)
     if problem == "cartesian":
-        return build_landau_cartesian(HamiltonianSpec(kind="LandauCartesian", b_field=2.0)), 8, [(2, 128)]
+        return build_landau_cartesian(HamiltonianSpec(kind="LandauCartesian", b_field=2.0)), 8, (2, 128)
     if problem == "polar":
-        return build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0)), 4, [(1, 16)]
+        return build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0)), 4, (1, 16)
     spec = HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant=problem)
-    return build_monopole_su2(spec), 9, [(16, 32)]
+    return build_monopole_su2(spec), 9, (16, 32)
 
 
 @pytest.mark.parametrize("problem", ["HermitianPart", "MajoranaFermions", "cartesian", "polar", "random"])
@@ -219,17 +219,17 @@ def test_stacked_objective_equals_the_dense_real_part(problem, rng):
     # the objective's blocks are the dense 0.5 (Re H + Re H^T) gathered on
     # each block, bit for bit, and together they give its energies and
     # adjoint gradients to rounding
-    h, n, shapes = _objective_problem(problem, rng)
+    h, n, shape = _objective_problem(problem, rng)
     m = np.asarray(getattr(h, "matrix", h))
     dense = 0.5 * (m.real + m.real.T)
     ans = AnsatzConfig(n, depth=2, entangler="cx")
-    stacks = vqe._real_form(h, ans)  # a build's real_form, a matrix as one block
-    assert stacks is getattr(h, "real_form", stacks)
-    assert [idx.shape for idx, _ in stacks] == shapes
-    assert np.array_equal(np.sort(np.concatenate([idx.ravel() for idx, _ in stacks])), np.arange(len(m)))
-    for idx, sub in stacks:
-        assert np.array_equal(sub, dense[idx[:, :, None], idx[:, None, :]])
-    objective = vqe._RealObjective(stacks, ans)
+    form = vqe._real_form(h, ans)  # a build's real_form, a matrix as one block
+    assert form is getattr(h, "real_form", form)
+    idx, sub = form
+    assert idx.shape == shape
+    assert np.array_equal(np.sort(idx.ravel()), np.arange(len(m)))
+    assert np.array_equal(sub, dense[idx[:, :, None], idx[:, None, :]])
+    objective = vqe._RealObjective(form, ans)
     for _ in range(3):
         x = rng.uniform(-np.pi, np.pi, ans.n_params)
         psi = circuits.ansatz_state(ans, x)
@@ -286,7 +286,7 @@ def test_minimize_reads_the_held_builds_real_form(monkeypatch):
         minimize(build_monopole_su2(spec), AnsatzConfig(6, depth=1), OptimizerSettings(seed=seed, max_iter=3))
     assert build_monopole_su2(spec) is built
     assert [len(a) for a in calls] == [3] and len(forms) == 2  # one read, without orbits
-    [(sub, _, _)] = gather(*calls[0])
+    sub, _, _ = gather(*calls[0])
     assert sub is built.entries  # and no gather
     assert forms[0] is forms[1] is built.real_form
 

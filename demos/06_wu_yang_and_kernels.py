@@ -2,8 +2,8 @@
 
 Integrates g'' = g (g^2 - 1)/r^2 from small-r series data, demonstrates
 fourth-order convergence of the integrator, and evaluates the constant-field
-polar propagation kernel: its free-particle limit and the convergence of
-its angular sum.
+polar propagation kernel in closed form: its free-particle limit and its
+value near a singular time.
 """
 
 import numpy as np
@@ -45,8 +45,5 @@ free = np.exp(1j * dist2 / (2.0 * t)) / (2j * np.pi * t)
 small_b = kernel_polar(rho_i, phi_i, rho_f, phi_f, t, 1e-6)
 print(f"B = 1e-6 vs the free propagator e^(i |dr|^2 / 2T) / (2 pi i T): "
       f"relative difference {abs(small_b - free) / abs(free):.2e}")
-print("\npolar kernel angular-sum convergence (rho_i=0.5, rho_f=0.7, T=0.3):")
-ref = kernel_polar(0.5, 0.0, 0.7, 0.4, 0.3, 2.0, m_max=40)
-for m_max in (2, 4, 8, 12, 16):
-    err = abs(kernel_polar(0.5, 0.0, 0.7, 0.4, 0.3, 2.0, m_max=m_max) - ref)
-    print(f"  m_max={m_max:2d}: truncation error {err:.3e}")
+near = kernel_polar(0.7, 0.0, 0.7, 0.4, 3.13, 2.0)
+print(f"near the singular time B T / 2 = pi (T=3.13, B=2): {near:.15g}")

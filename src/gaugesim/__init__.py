@@ -37,7 +37,6 @@ from .hamiltonians import (
     variant_selection_report,
 )
 from .analytic import (
-    bessel_i,
     kernel_polar,
     landau_energy,
     polar_energy,

@@ -15,7 +15,7 @@ from gaugesim.basis import (
     pos_q,
     sylvester_f,
 )
-from gaugesim.analytic import bessel_i, kernel_polar, landau_energy, polar_energy
+from gaugesim.analytic import landau_energy, polar_energy
 from gaugesim.circuits import AnsatzConfig, ansatz_state
 from gaugesim.errors import (
     DimensionMismatchError,
@@ -258,10 +258,8 @@ _PSI = np.full(4, 0.5)
 # caller-supplied counts and indices, each refused with the class its
 # callers catch; the value 2 is valid for every entry
 COUNTED = {
-    "bessel_i order": (lambda v: bessel_i(v, 1.0), ValueError),
     "landau_energy level": (lambda v: landau_energy(2.0, v), ValueError),
     "polar_energy n": (lambda v: polar_energy(2.0, v, 0), ValueError),
-    "kernel_polar m_max": (lambda v: kernel_polar(0.5, 0.1, 0.7, 0.4, 0.3, 2.0, m_max=v), ValueError),
     "momentum_state index": (lambda v: momentum_state(v, 16), IndexOutOfRangeError),
     "vertex_scan index": (lambda v: vertex_scan(v, 3, 16, [0.0, 1.3]), IndexOutOfRangeError),
     "ansatz n_qubits": (lambda v: ansatz_state(AnsatzConfig(n_qubits=v, depth=0), [0.4, 1.1]),

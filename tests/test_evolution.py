@@ -647,7 +647,9 @@ def test_grid_evolution_of_a_packet_matches_the_polar_kernel(t):
     # above 1e-4 of its peak, at the 4 largest final amplitudes (up to
     # 0.34): they agree to 2.0e-5 / 7.8e-6 / 1.9e-5, while the kernel
     # turned the other way (phi_f - phi_i - B t / 2) misses by at least 0.14.
-    # At t = 0.3, bessel_i refuses I_2(-15.5i), where its series cancels.
+    # At t = 0.5 they agree to 5.5e-5. At t = 0.3 the kernel matches its
+    # angular-momentum sum, but the quadrature misses by 3.0e-2, most
+    # likely from the grid step at short times (not verified).
     n, b = 16, 2.0
     grid = pos_grid(n)
     x, y = np.repeat(grid, n), np.tile(grid, n)  # index ix * n + iy

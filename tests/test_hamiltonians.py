@@ -291,6 +291,23 @@ def test_polar_continuum_reference():
     assert polar_energy(2.0, 0, 0) == 1.0
 
 
+@pytest.mark.parametrize("m", [1, -1])
+def test_polar_even_oscillator_sector_meets_the_m_sector_ground(m):
+    # the build does not couple even and odd oscillator indices (largest
+    # entry between them measured 6.3e-14, for m in 0, +-1, 2); the
+    # even-sector ground is polar_energy(2, |m|, m), 1 at m = 1 and 3 at
+    # m = -1, measured 5.0e-3 above it. Flipping -(B/2) m moves it by 2,
+    # dropping m^2 / (2 rho^2) by about 1. (At m = 2 it is 0.126 off, so
+    # m = 2 is not checked.)
+    from gaugesim.analytic import polar_energy
+
+    h = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0, angular_m=m)).matrix
+    even, odd = np.arange(0, h.shape[0], 2), np.arange(1, h.shape[0], 2)
+    assert np.max(np.abs(h[np.ix_(even, odd)])) < 1e-12
+    ground = np.linalg.eigvalsh(h[np.ix_(even, even)])[0]
+    assert abs(ground - polar_energy(2.0, abs(m), m)) < 1e-2
+
+
 def test_inverse_powers_see_no_zero_eigenvalue():
     # rho^-1/2, rho^-2 and (r^2)^-1 are spectral inverses: every
     # power-of-two truncation keeps them finite, because its Q (a Hermite

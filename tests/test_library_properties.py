@@ -104,8 +104,7 @@ CASES = {
     "polar_energy": (analytic.polar_energy, {"b_field": (2.0,), "n": (2,), "m": (0, 2)}),
     "kernel_polar": (analytic.kernel_polar, {
         "rho_i": (0.3,), "phi_i": (0.1,), "rho_f": (0.5,), "phi_f": (0.7,), "t": (0.4,),
-        "b_field": (1.5,), "m_max": (5,)}),
-    "bessel_i": (analytic.bessel_i, {"nu": (2, 0), "z": (1.5, 0.3 - 0.8j, 0.0)}),
+        "b_field": (1.5,)}),
     "wu_yang_solve": (analytic.wu_yang_solve, {
         "r_start": (0.05,), "r_end": (0.5,), "steps": (20,), "g_start": (1.0,), "gprime_start": (0.0,)}),
     **{name: (getattr(analytic, name), {"r": (0.3, 2.0)}) for name in

@@ -203,12 +203,12 @@ def adjoint_gradient(cfg: AnsatzConfig, params, state, h_state) -> np.ndarray:
 def expectation(state, h) -> float:
     """Real expectation value <psi| H |psi>.
 
-    H must act on the same register (dimension check) and be Hermitian;
-    a residual imaginary part above 1e-10 indicates a non-Hermitian H
-    and raises.
+    H, a matrix of finite numbers or a build (its ``matrix``), must act on
+    the same register (dimension check) and be Hermitian; a residual
+    imaginary part above 1e-10 indicates a non-Hermitian H and raises.
     """
     psi = read_numbers(state, "state", ValueError, complex)
-    hm = read_numbers(h, "operator", ValueError, complex)
+    hm = read_numbers(getattr(h, "matrix", h), "operator", ValueError, complex)
     if psi.ndim != 1 or hm.shape != psi.shape * 2:
         raise DimensionMismatchError(f"operator shape {hm.shape} does not match state of shape {psi.shape}")
     val = complex(np.vdot(psi, hm @ psi))

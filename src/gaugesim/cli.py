@@ -44,15 +44,11 @@ def _output_path(cfg) -> str:
     return out
 
 
-def _ansatz_from(cfg, n_qubits) -> AnsatzConfig:
-    # keys only: the constructor reads the values; n_qubits is the Hamiltonian's register
-    keys = dict.fromkeys(name for name in AnsatzConfig.FIELDS if name != "n_qubits")
-    return AnsatzConfig(n_qubits, **read_fields(cfg.get("ansatz", {}), "ansatz", keys))
-
-
-def _optimizer_from(cfg) -> vqe_mod.OptimizerSettings:
-    keys = dict.fromkeys(vqe_mod.OptimizerSettings.FIELDS)  # keys only: the constructor reads the values
-    return vqe_mod.OptimizerSettings(**read_fields(cfg.get("optimizer", {}), "optimizer", keys))
+def _section(cfg, name: str, cls, **given):
+    """``cls`` from the config section ``name``, whose keys are ``cls.FIELDS``
+    less those ``given`` by the caller; the constructor reads the values."""
+    keys = dict.fromkeys(field for field in cls.FIELDS if field not in given)
+    return cls(**given, **read_fields(cfg.get(name, {}), name, keys))
 
 
 def cmd_spectrum(cfg) -> str:
@@ -75,8 +71,8 @@ def cmd_vqe(cfg) -> str:
             f"variant {spec.variant!r} builds a non-Hermitian matrix; VQE needs a real "
             "objective - select variant 'HermitianPart' (or 'MajoranaFermions')"
         )
-    ansatz = _ansatz_from(cfg, built.qubits)
-    opt = _optimizer_from(cfg)
+    ansatz = _section(cfg, "ansatz", AnsatzConfig, n_qubits=built.qubits)
+    opt = _section(cfg, "optimizer", vqe_mod.OptimizerSettings)
     result = vqe_mod.minimize(built, ansatz, opt)
     vqe_mod.write_trace_csv(result, out)
     lam = built.lowest_eigenvalue()

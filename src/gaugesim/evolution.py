@@ -458,10 +458,6 @@ def scattering_process(h_free, p2: float, tau: float, total_t: float, psi0,
         raise InvalidTimesError(f"need 0 <= tau <= total_T, got tau={tau}, total_T={total_t}")
     psi = _state(psi0, dim, "initial state")
     evolve = _evolver(h_free, method, trotter_steps)
-
-    def leg(state, t):
-        return state if t == 0.0 else evolve(state, [t])[0]
-
-    psi = leg(psi, tau)
+    psi = evolve(psi, [tau])[0]
     psi = np.exp(1j * p2 * pos_grid(dim)) * psi
-    return leg(psi, total_t - tau)
+    return evolve(psi, [total_t - tau])[0]

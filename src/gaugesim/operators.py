@@ -51,9 +51,10 @@ def qubits_of_dim(dim: int) -> int:
 
 
 def herm_defect(a):
-    """max |a - a^dag| entrywise, the absolute deviation from Hermiticity;
-    an array of one defect per matrix for a (..., d, d) stack."""
-    m = read_numbers(a, "operator", ValueError, complex, finite=False)
+    """max |a - a^dag| entrywise, the absolute deviation from Hermiticity
+    (of its ``matrix`` for a build); an array of one defect per matrix for a
+    (..., d, d) stack."""
+    m = read_numbers(getattr(a, "matrix", a), "operator", ValueError, complex, finite=False)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     defect = np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1), initial=0.0)

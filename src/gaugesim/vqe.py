@@ -19,7 +19,7 @@ BLAS thread count; above that OpenBLAS threads the optimizer's solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,10 +42,9 @@ DEFAULT_SEED = 11
 class OptimizerSettings:
     """Knobs for one minimize run.
 
-    ``restarts`` > 1 runs independent seeds seed, seed+1, ... and keeps
-    the best result.  Each run starts from parameters drawn uniformly in
-    [-pi, pi] with its seed; the all-zeros start is a stationary point of
-    some objectives.
+    The run starts from parameters drawn uniformly in [-pi, pi] with
+    ``seed``; the all-zeros start is a stationary point of some objectives.
+    The best of several seeds is one run per seed.
 
     ``FIELDS`` is each field's ``read_fields`` rule, caps included; the
     constructor applies it, so the CLI passes its ``optimizer`` keys as given.
@@ -54,10 +53,8 @@ class OptimizerSettings:
     max_iter: int = 600
     tolerance: float = 1e-9
     seed: int = DEFAULT_SEED
-    restarts: int = 1
 
-    FIELDS = {"max_iter": (int, 1, 100000), "tolerance": (float, 0.0), "seed": (int, 0),
-              "restarts": (int, 1, 100)}
+    FIELDS = {"max_iter": (int, 1, 100000), "tolerance": (float, 0.0), "seed": (int, 0)}
 
     def __post_init__(self):
         read_own_fields(self, "optimizer")
@@ -65,7 +62,7 @@ class OptimizerSettings:
 
 @dataclass(frozen=True)
 class VqeResult:
-    """Outcome of a run: best energy, its parameters, and the trace.
+    """Outcome of one run: its best energy, the parameters there, and the trace.
 
     ``trace`` holds (iteration, energy) pairs: the start, one per optimizer
     iteration and the returned point, so a run whose budget runs out has
@@ -73,7 +70,7 @@ class VqeResult:
     ``trace_evaluations`` gives the cumulative count of circuit runs (points
     at which the state was prepared; the energy and the gradient at one
     point share a run) when each row was recorded, and ``evaluations`` the
-    total.  ``energy`` equals min(trace energies).
+    run's total, its last entry.  ``energy`` equals min(trace energies).
     """
 
     energy: float
@@ -216,42 +213,32 @@ def _slsqp(f, x0: np.ndarray, max_iter: int, tol: float):
     return rows, success
 
 
-def _single_run(h_real, ansatz, opt: OptimizerSettings, seed: int):
-    x0 = np.random.default_rng(seed).uniform(-np.pi, np.pi, ansatz.n_params)
-    f = _RealObjective(h_real, ansatz)
+def minimize(h, ansatz: AnsatzConfig, opt: OptimizerSettings | None = None) -> VqeResult:
+    """Minimize the ansatz energy of a Hermitian Hamiltonian: one run from
+    parameters drawn with ``opt.seed``.
+
+    The reported energy is the minimum over the returned trace; if the
+    iteration budget runs out first, the best-so-far result comes back
+    with converged=False.  A start whose energy is not finite raises
+    GaugesimError.
+    """
+    opt = opt or OptimizerSettings()
+    f = _RealObjective(_real_form(h, ansatz), ansatz)
+    x0 = np.random.default_rng(opt.seed).uniform(-np.pi, np.pi, ansatz.n_params)
     rows, success = _slsqp(f, x0, opt.max_iter, opt.tolerance)
 
     energies = np.array([e for _, e, _ in rows])
     k_best = int(np.argmin(energies))
+    energy = read_number(float(energies[k_best]), "minimize: the energy at every start", float,
+                         error=GaugesimError)
     return VqeResult(
-        energy=float(energies[k_best]),
+        energy=energy,
         params=rows[k_best][0],
         trace=list(enumerate(energies.tolist())),
         trace_evaluations=[runs for _, _, runs in rows],
         evaluations=f.runs,
         converged=success,
     )
-
-
-def minimize(h, ansatz: AnsatzConfig, opt: OptimizerSettings | None = None) -> VqeResult:
-    """Minimize the ansatz energy of a Hermitian Hamiltonian.
-
-    Returns the best of ``opt.restarts`` independent runs (seeds seed,
-    seed+1, ...).  The reported energy is the minimum over the returned
-    trace; if the iteration budget runs out first, the best-so-far result
-    comes back with converged=False.
-    """
-    opt = opt or OptimizerSettings()
-    h_real = _real_form(h, ansatz)
-    best = None
-    total_evals = 0
-    for r in range(opt.restarts):
-        run = _single_run(h_real, ansatz, opt, opt.seed + r)
-        total_evals += run.evaluations
-        if best is None or run.energy < best.energy:
-            best = run
-    read_number(best.energy, "minimize: the energy at every start", float, error=GaugesimError)
-    return replace(best, evaluations=total_evals)
 
 
 def write_trace_csv(result: VqeResult, path):

@@ -4,7 +4,7 @@ import pytest
 from gaugesim import circuits
 from gaugesim.circuits import AnsatzConfig, adjoint_gradient, ansatz_state, expectation
 from gaugesim.errors import DimensionMismatchError, InvalidConfigError, NotHermitianError
-from gaugesim.hamiltonians import HamiltonianSpec, build_landau_cartesian
+from gaugesim.hamiltonians import HamiltonianSpec, build, build_landau_cartesian
 from gaugesim.operators import hermitian_eig
 
 from conftest import (
@@ -178,6 +178,15 @@ def test_expectation_ground_state_consistency():
     built = build_landau_cartesian(HamiltonianSpec(kind="LandauCartesian", b_field=2.0))
     es = hermitian_eig(built.matrix)
     assert abs(expectation(es.vectors[:, 0], built.matrix) - 1.0) < 1e-9
+
+
+def test_expectation_takes_a_build(rng):
+    # a build goes in as its matrix, like every operator intake
+    for spec in (HamiltonianSpec(kind="LandauPolar", b_field=2.0),
+                 HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, boson_trunc=2, variant="HermitianPart")):
+        b = build(spec)
+        psi = random_state(rng, b.dim)
+        assert expectation(psi, b) == expectation(psi, b.matrix)
 
 
 def test_expectation_variational_bound(rng):

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,7 +11,7 @@ import pytest
 
 import gaugesim
 from gaugesim.circuits import AnsatzConfig, adjoint_gradient, ansatz_state
-from gaugesim.cli import _COMMANDS, _ansatz_from, _optimizer_from, main
+from gaugesim.cli import _COMMANDS, _section, main
 from gaugesim.errors import InvalidConfigError
 from gaugesim.hamiltonians import HamiltonianSpec
 from gaugesim.vqe import OptimizerSettings
@@ -433,6 +434,8 @@ def _spec(**kw):
     # a start g > 1 blows up: wu_yang_solve refuses the solution
     ("wuyang", {"wuyang": {"r_start": 0.01, "r_end": 5.0, "steps": 1000, "g_start": 1.3, "gprime_start": 0.2}},
      (), 3),
+    # removed keys (appended here, so the case ids above stay as they were)
+    ("vqe", {"hamiltonian": _POLAR, "optimizer": {"restarts": 1}}, (), 2),
 ])
 def test_bad_input_exit_code_and_one_line_message(tmp_path, capsys, command, cfg, extra, code):
     out = tmp_path / "out.csv"
@@ -440,6 +443,35 @@ def test_bad_input_exit_code_and_one_line_message(tmp_path, capsys, command, cfg
     printed = capsys.readouterr()
     assert len(printed.err.splitlines()) == 1 and "Traceback" not in printed.err
     assert printed.out == "" and not out.exists()
+
+
+#: the command that reads each config section, and a config it runs
+_SECTION_RUNS = {"ansatz": ("vqe", {"hamiltonian": _POLAR}),
+                 "optimizer": ("vqe", {"hamiltonian": _POLAR}),
+                 "evolution": ("eoh", {"hamiltonian": _CART4}),
+                 "scatter": ("scatter", {"scatter": {"p1": 1, "p3": 2}}),
+                 "wuyang": ("wuyang", {"wuyang": {"r_start": 0.05, "r_end": 1.0, "steps": 50,
+                                                  "seed_series": True}})}
+
+
+def test_readme_config_keys_are_read_by_their_sections(tmp_path, capsys):
+    # every dotted key README's CLI section names is one its section reads:
+    # a value of the wrong type is refused by the key's name, not as unknown
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cli_text = readme.split("## Command-line interface")[1].split("\n## ")[0]
+    keys = set(re.findall(rf"`((?:{'|'.join(_SECTION_RUNS)})(?:\.\w+)+)`", cli_text))
+    assert {"optimizer.max_iter", "evolution.t_points", "scatter.p2_scan.points"} <= keys
+    for key in sorted(keys):
+        *path, last = key.split(".")
+        command, cfg = _SECTION_RUNS[path[0]]
+        cfg = json.loads(json.dumps(cfg))
+        node = cfg
+        for part in path:
+            node = node.setdefault(part, {})
+        node[last] = "x"
+        assert run(tmp_path, command, dict(cfg, output=str(tmp_path / "out.csv"))) == 2, key
+        err = capsys.readouterr().err
+        assert f"{key}:" in err and "unknown keys" not in err, err
 
 
 @pytest.mark.parametrize("flag, value", [("--out", "x.csv"), ("--seed", "3"), ("--variant", "HermitianPart")])
@@ -484,14 +516,15 @@ def test_each_json_section_accepts_exactly_its_class_table():
     assert HamiltonianSpec.from_json(scalar_b) == replace(spec, variant="ScalarB", r_ref=1.5)
     shape = AnsatzConfig(4, 2, "cx")
     ansatz = {name: getattr(shape, name) for name in AnsatzConfig.FIELDS if name != "n_qubits"}
-    assert _ansatz_from({"ansatz": ansatz}, 4) == shape
-    settings = OptimizerSettings(max_iter=7, tolerance=1e-6, seed=5, restarts=2)
+    assert _section({"ansatz": ansatz}, "ansatz", AnsatzConfig, n_qubits=4) == shape
+    settings = OptimizerSettings(max_iter=7, tolerance=1e-6, seed=5)
     optimizer = {name: getattr(settings, name) for name in OptimizerSettings.FIELDS}
-    assert _optimizer_from({"optimizer": optimizer}) == settings
+    assert _section({"optimizer": optimizer}, "optimizer", OptimizerSettings) == settings
+    assert _section({}, "optimizer", OptimizerSettings) == OptimizerSettings()
     readers = [(HamiltonianSpec.from_json, hamiltonian, "r_ref"),
-               (lambda obj: _ansatz_from({"ansatz": obj}, 4), ansatz, "n_qubits"),
-               (lambda obj: _optimizer_from({"optimizer": obj}), optimizer,
-                "method")]
+               (lambda obj: _section({"ansatz": obj}, "ansatz", AnsatzConfig, n_qubits=4), ansatz, "n_qubits"),
+               (lambda obj: _section({"optimizer": obj}, "optimizer", OptimizerSettings), optimizer,
+                "restarts")]
     for read, section, extra in readers:
         with pytest.raises(InvalidConfigError, match=rf"unknown keys \['{extra}'\]"):
             read(dict(section, **{extra: 1.0}))
@@ -529,7 +562,7 @@ def test_vqe_traces_do_not_depend_on_blas_threads(tmp_path):
                 path = tmp_path / f"{name}_{entangler}_{threads}.json"
                 path.write_text(json.dumps({
                     "hamiltonian": spec, "ansatz": {"depth": 3, "entangler": entangler},
-                    "optimizer": {"max_iter": 600, "seed": 11, "tolerance": 1e-9, "restarts": 1},
+                    "optimizer": {"max_iter": 600, "seed": 11, "tolerance": 1e-9},
                     "output": str(path.with_suffix(".csv"))}))
                 configs.append(path)
         proc = subprocess.run([sys.executable, "-c", _RUN_CONFIGS, src, *map(str, configs)],

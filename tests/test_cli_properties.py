@@ -34,7 +34,7 @@ BASE = {
                                  "angular_m": 0, "variant": {"ScalarB": 1.0}}},
     "vqe": {"hamiltonian": {"kind": "LandauPolar", "b_field": 2.0, "boson_trunc": 4},
             "ansatz": {"depth": 1, "entangler": "cz"},
-            "optimizer": {"max_iter": 5, "seed": 3, "tolerance": 1e-6, "restarts": 1}},
+            "optimizer": {"max_iter": 5, "seed": 3, "tolerance": 1e-6}},
     "eoh": {"hamiltonian": {"kind": "LandauCartesian", "b_field": 2.0, "boson_trunc": 4},
             "evolution": {"t_max": 0.5, "t_points": 3, "trotter_steps": 4, "method": "Both"},
             "final_states": [0, 5]},

@@ -22,6 +22,7 @@ from scipy.linalg import expm
 from gaugesim.evolution import (
     TransitionSeries,
     _apply_trotter,
+    _evolver,
     _groups,
     _labels,
     _registers,
@@ -855,6 +856,22 @@ def test_scattering_endpoint_limits(rng):
     np.testing.assert_allclose(early, exact_unitary(h, 1.0) @ (phase * psi0), atol=1e-10)
     late = scattering_process(h, 0.8, 1.0, 1.0, psi0)
     np.testing.assert_allclose(late, phase * (exact_unitary(h, 1.0) @ psi0), atol=1e-10)
+
+
+@pytest.mark.parametrize("method", ["exact", "trotter"])
+def test_scattering_zero_time_leg_is_the_state_itself(rng, method):
+    # a leg of zero time returns its state bit for bit, so at tau = 0 and at
+    # tau = T the process is one evolution and the vertex, byte for byte
+    h = _free_position_h(16)
+    psi0 = random_state(rng, 16)
+    phase = np.exp(1j * 0.8 * pos_grid(16))
+    evolve = _evolver(h, method, 7)
+    cases = {(0.0, 1.0): evolve(phase * psi0, [1.0])[0],
+             (1.0, 1.0): phase * evolve(psi0, [1.0])[0],
+             (0.0, 0.0): phase * psi0}
+    for (tau, total_t), expected in cases.items():
+        out = scattering_process(h, 0.8, tau, total_t, psi0, method=method, trotter_steps=7)
+        assert out.tobytes() == expected.tobytes(), (tau, total_t)
 
 
 def test_scattering_unitary(rng):

@@ -4,6 +4,7 @@ import pytest
 from gaugesim.basis import osc_q, place
 from gaugesim.errors import DimensionMismatchError, NotHermitianError, NotPowerOfTwoError
 from gaugesim.evolution import pauli_decompose, transition_series
+from gaugesim.hamiltonians import HamiltonianSpec, build
 from gaugesim.operators import (
     _propagate,
     herm_defect,
@@ -105,6 +106,15 @@ def test_matrix_function_matches_evolve_on_diagonals():
     )
     np.testing.assert_allclose(rebuilt, exact_unitary(h, t), atol=1e-12)
     np.testing.assert_allclose(propagated(h, [t])[0], exact_unitary(h, t), atol=1e-12)
+
+
+def test_herm_defect_takes_a_build():
+    # a build goes in as its matrix, like every operator intake; Literal is not Hermitian
+    for spec in (HamiltonianSpec(kind="LandauPolar", b_field=2.0),
+                 HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, boson_trunc=2)):
+        b = build(spec)
+        assert herm_defect(b) == herm_defect(b.matrix)
+    assert herm_defect(b) > 0.0
 
 
 def test_herm_defect_and_is_hermitian():

@@ -18,8 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidConfigError, NotHermitianError, read_numbers, read_own_fields
-from .operators import MAX_QUBITS
+from .errors import DimensionMismatchError, InvalidConfigError, read_numbers, read_own_fields
+from .operators import MAX_QUBITS, _require_hermitian
 
 __all__ = [
     "AnsatzConfig",
@@ -201,20 +201,15 @@ def adjoint_gradient(cfg: AnsatzConfig, params, state, h_state) -> np.ndarray:
 
 
 def expectation(state, h) -> float:
-    """Real expectation value <psi| H |psi>.
+    """Real expectation value Re <psi| H |psi>.
 
     H, a matrix of finite numbers or a build (its ``matrix``), must act on
-    the same register (dimension check) and be Hermitian; a residual
-    imaginary part above 1e-10 indicates a non-Hermitian H and raises.
+    the same register (dimension check) and be Hermitian: it is refused up
+    front by ``operators._require_hermitian``, whatever the state.
     """
     psi = read_numbers(state, "state", ValueError, complex)
     hm = read_numbers(getattr(h, "matrix", h), "operator", ValueError, complex)
     if psi.ndim != 1 or hm.shape != psi.shape * 2:
         raise DimensionMismatchError(f"operator shape {hm.shape} does not match state of shape {psi.shape}")
-    val = complex(np.vdot(psi, hm @ psi))
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-        raise NotHermitianError(
-            f"expectation has imaginary residue {val.imag:.3e}; "
-            "operator is not Hermitian (apply the HermitianPart variant first)"
-        )
-    return val.real
+    _require_hermitian(h, "expectation")
+    return float(np.vdot(psi, hm @ psi).real)

@@ -24,7 +24,8 @@ from .analytic import wu_yang_series_large, wu_yang_series_small, wu_yang_series
 from .basis import pos_grid
 from .circuits import AnsatzConfig
 from .errors import GaugesimError, InvalidConfigError, read_fields, read_number, write_rows
-from .evolution import dual_lattice_period, transition_series, vertex_scan, wrap_momentum, write_transition_csv
+from .evolution import (MAX_TROTTER_STEPS, dual_lattice_period, transition_series, vertex_scan, wrap_momentum,
+                        write_transition_csv)
 from .hamiltonians import HamiltonianSpec, build, build_landau_cartesian_position
 from .operators import MAX_QUBITS
 
@@ -89,7 +90,7 @@ def cmd_eoh(cfg) -> str:
         )
     out = _output_path(cfg)
     ev = read_fields(cfg.get("evolution", {}), "evolution", {
-        "t_max": (float, 0.0), "t_points": (int, 1, 128), "trotter_steps": (int, 1, 100000),
+        "t_max": (float, 0.0), "t_points": (int, 1, 128), "trotter_steps": (int, 1, MAX_TROTTER_STEPS),
         "method": ("Both", "Exact", "Trotter"),
     })
     method = ev.get("method", "Both")

@@ -31,12 +31,11 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidSizeError,
     InvalidTimesError,
-    NotHermitianError,
     read_number,
     read_numbers,
     write_rows,
 )
-from .operators import MAX_QUBITS, _propagate, as_operator, hermitian_eig, is_hermitian, qubits_of_dim
+from .operators import MAX_QUBITS, _propagate, _require_hermitian, as_operator, hermitian_eig, qubits_of_dim
 
 __all__ = [
     "PauliTermList",
@@ -51,6 +50,9 @@ __all__ = [
     "wrap_momentum",
     "scattering_process",
 ]
+
+#: Largest ``trotter_steps`` a Trotter evolution (and the eoh config) may ask for.
+MAX_TROTTER_STEPS = 100000
 
 _X_BITS = str.maketrans("IXYZ", "0110")
 
@@ -103,14 +105,14 @@ def pauli_decompose(h) -> PauliTermList:
     ever materializing a Pauli matrix.  The transform is the Kronecker
     product of two Hadamard matrices, one per half of c's bits, so it is
     two small real matmuls per x on the real and imaginary parts alike.
-    Coefficients at or below 1e-12 * max|c| are dropped, and labels are
-    built only for the kept ones.  ``h`` is a matrix or a build (see
-    ``operators.as_operator``).
+    ``h`` is a matrix or a build (see ``operators.as_operator``) that
+    ``is_hermitian`` accepts; the coefficients are those of its Hermitian
+    part (their real parts), which ``_groups`` evolves.  Those at or below
+    1e-12 * max|c| are dropped, and labels are built only for the kept ones.
     """
     m = as_operator(h)
     n = qubits_of_dim(m.shape[0])
-    if not is_hermitian(h):
-        raise NotHermitianError("pauli_decompose requires a Hermitian matrix")
+    _require_hermitian(h, "pauli_decompose")
 
     dim = m.shape[0]
     c = np.arange(dim)
@@ -127,9 +129,6 @@ def pauli_decompose(h) -> PauliTermList:
     coeffs *= (_I_POWERS / dim)[np.bitwise_count(c[:, None] & c) & 3]
 
     scale = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
-    resid = float(np.max(np.abs(coeffs.imag))) if coeffs.size else 0.0
-    if scale > 0.0 and resid > 1e-10 * scale:
-        raise NotHermitianError(f"complex Pauli coefficients (residue {resid:.3e})")
     xs, zs = np.nonzero(np.abs(coeffs.real) > 1e-12 * scale)
     keep = np.zeros(len(xs), dtype=np.int64)  # base-4 label index, qubit 0 most significant
     for b in range(n):
@@ -334,7 +333,7 @@ def _evolver(h, method: str, trotter_steps: int):
         es = hermitian_eig(h)
         return lambda psi, ts: _propagate(es, psi, ts)
     if method == "trotter":
-        steps = read_number(trotter_steps, "trotter_steps", int, 1, 100000, error=ValueError)
+        steps = read_number(trotter_steps, "trotter_steps", int, 1, MAX_TROTTER_STEPS, error=ValueError)
         groups = _groups(h)
         registers = _registers(h, groups)
         return lambda psi, ts: _apply_trotter(groups, ts, steps, psi, registers)

@@ -30,7 +30,6 @@ from . import basis
 from .errors import (
     GaugesimError,
     InvalidSpecError,
-    NotHermitianError,
     NotPowerOfTwoError,
     read_fields,
     read_own_fields,
@@ -39,6 +38,7 @@ from .operators import (
     HERM_TOL,
     MAX_QUBITS,
     EigenSystem,
+    _require_hermitian,
     _spectral,
     hermitian_eig,
     is_hermitian,
@@ -245,11 +245,10 @@ class BuiltHamiltonian:
     def eigensystem(self) -> EigenSystem:
         """Ascending eigenvalues and their eigenvectors in the basis of
         ``matrix``, from one ``eigh`` of the stack of diagonal blocks; what
-        ``operators.hermitian_eig`` returns for a build.  NotHermitianError
-        unless ``hermitian``: a block upper-triangular H is not diagonalized
-        by its blocks' eigenvectors."""
-        if not self.hermitian:
-            raise NotHermitianError(f"{self.spec.kind}: the build is not Hermitian")
+        ``operators.hermitian_eig`` returns for a build.  Refused by
+        ``operators._require_hermitian`` unless ``hermitian``: a block
+        upper-triangular H is not diagonalized by its blocks' eigenvectors."""
+        _require_hermitian(self, "eigensystem")
         sub, tables, phases = _diagonal_blocks(self.entries, self.filled, self.blocks, self.orbits)
         lam, u = np.linalg.eigh(sub)
         count, size = tables.shape[:2]
@@ -272,9 +271,9 @@ class BuiltHamiltonian:
         part on the indices idx[c], bit for bit the dense one gathered there.
         A Hermitian build is block diagonal, so this pair is the whole of
         Re H, which ``vqe`` minimizes against.  Gathered on first read, once
-        per build; NotHermitianError unless ``hermitian``."""
-        if not self.hermitian:
-            raise NotHermitianError(f"{self.spec.kind}: the build is not Hermitian")
+        per build; refused by ``operators._require_hermitian`` unless
+        ``hermitian``."""
+        _require_hermitian(self, "real_form")
         sub, _, _ = _diagonal_blocks(self.entries, self.filled, self.blocks)
         return self.blocks, _read_only(0.5 * (sub.real + sub.real.transpose(0, 2, 1)))
 

@@ -25,7 +25,7 @@ __all__ = [
     "qubits_of_dim",
 ]
 
-#: Relative Hermiticity tolerance of ``is_hermitian`` and ``hermitian_eig``.
+#: Relative Hermiticity tolerance of ``is_hermitian``, the one Hermiticity rule.
 HERM_TOL = 1e-10
 
 #: Largest register a spec, an ansatz or a scan may ask for: dense matrices
@@ -74,6 +74,17 @@ def is_hermitian(a):
     return bool(ok) if ok.ndim == 0 else ok
 
 
+def _require_hermitian(a, who: str) -> None:
+    """NotHermitianError naming ``who`` unless ``is_hermitian(a)``: the one
+    Hermiticity refusal of every entry point.  A build answers with its
+    flag; for a matrix the message names the defect."""
+    if is_hermitian(a):
+        return
+    what = f"the {a.spec.kind} build" if hasattr(a, "hermitian") else f"the matrix (defect {herm_defect(a):.3e})"
+    raise NotHermitianError(f"{who}: {what} is not Hermitian to relative tolerance {HERM_TOL:g}; "
+                            "take its Hermitian part (variant 'HermitianPart' for a monopole build)")
+
+
 @dataclass(frozen=True)
 class EigenSystem:
     """Full spectrum of a Hermitian operator.
@@ -91,19 +102,15 @@ def hermitian_eig(a) -> EigenSystem:
 
     A build (anything with an ``eigensystem``, in practice a
     BuiltHamiltonian) answers from its own symmetry sectors, and refuses
-    itself unless flagged Hermitian.  A matrix (see ``as_operator``) raises
-    NotHermitianError when ``is_hermitian`` fails, and goes whole to
-    LAPACK's dense Hermitian solver, which is robust and deterministic at
-    these sizes.
+    itself unless flagged Hermitian.  A matrix (see ``as_operator``) is
+    refused by ``_require_hermitian`` unless ``is_hermitian``, and goes
+    whole to LAPACK's dense Hermitian solver, which is robust and
+    deterministic at these sizes.
     """
     if hasattr(a, "eigensystem"):
         return a.eigensystem()
     m = as_operator(a)
-    if not is_hermitian(m):
-        raise NotHermitianError(
-            f"hermitian_eig: matrix is not Hermitian to tolerance {HERM_TOL:g} "
-            f"(defect {herm_defect(m):.3e})"
-        )
+    _require_hermitian(m, "hermitian_eig")
     values, vectors = np.linalg.eigh(m)
     return EigenSystem(values=values, vectors=vectors)
 

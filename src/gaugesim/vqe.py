@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import AnsatzConfig, adjoint_gradient, ansatz_state
-from .errors import DimensionMismatchError, GaugesimError, NotHermitianError, read_number, read_own_fields, write_rows
-from .operators import as_operator, is_hermitian
+from .errors import DimensionMismatchError, GaugesimError, read_number, read_own_fields, write_rows
+from .operators import _require_hermitian, as_operator
 
 __all__ = [
     "OptimizerSettings",
@@ -87,16 +87,13 @@ class VqeResult:
 def _real_form(h, ansatz: AnsatzConfig) -> tuple:
     """Re H as one (idx, sub) block stack (see ``BuiltHamiltonian.real_form``;
     a matrix is one block), after refusing ``h`` (a matrix or a build)
-    unless it is Hermitian (a build's flag, see ``is_hermitian``) and fits
-    the register."""
+    unless it fits the register and is Hermitian (``_require_hermitian``;
+    a build's flag), so that the variational quotient is real."""
     m = None if hasattr(type(h), "real_form") else as_operator(h)  # a build is sized without its matrix
     dim = h.dim if m is None else len(m)
     if dim != 2 ** ansatz.n_qubits:
         raise DimensionMismatchError(f"H dim {dim} vs ansatz register of {ansatz.n_qubits} qubits")
-    if not is_hermitian(h):
-        raise NotHermitianError("refusing VQE on a non-Hermitian Hamiltonian; rebuild with "
-                                "variant='HermitianPart' (or another Hermitian variant) "
-                                "so the variational quotient is real")
+    _require_hermitian(h, "vqe")
     if m is None:
         return h.real_form
     return np.arange(dim)[None], (0.5 * (m.real + m.real.T))[None]

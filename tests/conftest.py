@@ -7,7 +7,7 @@ from scipy.linalg import expm
 from gaugesim import circuits, hamiltonians
 from gaugesim.basis import fermion_factor, osc_p, osc_q, place, pos_grid
 from gaugesim.errors import GaugesimError
-from gaugesim.evolution import momentum_state
+from gaugesim.evolution import momentum_state, pauli_decompose
 from gaugesim.hamiltonians import BuiltHamiltonian, _blocks_by, _diagonal_blocks, _quarter_orbits
 from gaugesim.operators import HERM_TOL, is_hermitian, qubits_of_dim
 
@@ -259,6 +259,34 @@ def pair_trotter(groups, ts, n_steps: int, psi0) -> np.ndarray:
     for _ in range(n_steps):
         for c, s, src in factors:
             psi = c * psi if src is None else c * psi + s * psi[:, src]
+    return psi
+
+
+def per_string_trotter(h, psi0, ts, steps: int) -> np.ndarray:
+    """The paper's first-order product, one exponential per Pauli string
+    (test oracle only).
+
+    Each step applies exp(-i dt c P) for every (label, c) of
+    ``pauli_decompose(h).terms`` in label order:
+    psi -> cos(dt c) psi - i sin(dt c) P psi, with
+    (P psi)[j] = i**popcount(x & z) (-1)**popcount(z & (j ^ x)) psi[j ^ x]
+    for the string's X/Y pattern x and Z/Y pattern z (qubit 0 the most
+    significant bit).  Rows of the result index ``ts``.
+    """
+    terms = pauli_decompose(h)
+    n = terms.n_qubits
+    j = np.arange(2 ** n)
+    dt = (np.asarray(ts, dtype=float) / steps)[:, None]
+    factors = []
+    for label, c in terms.terms:
+        x, z = (int(label.translate(str.maketrans("IXYZ", bits)) or "0", 2) for bits in ("0110", "0011"))
+        sign = 1 - 2 * (np.bitwise_count(z & (j ^ x)).astype(np.int64) % 2)
+        phase = 1j ** ((x & z).bit_count() % 4) * sign
+        factors.append((np.cos(dt * c), -1j * np.sin(dt * c) * phase, j ^ x))
+    psi = np.repeat(np.asarray(psi0, dtype=np.complex128)[None, :], len(dt), axis=0)
+    for _ in range(steps):
+        for cos, sin, src in factors:
+            psi = cos * psi + sin * psi[:, src]
     return psi
 
 

@@ -191,6 +191,23 @@ def test_only_hamiltonians_knows_the_block_layout():
     assert {name: found for name, found in uses.items() if found} == {}
 
 
+def test_only_operators_refuses_a_non_hermitian_operator():
+    # one Hermiticity rule: every refusal goes through operators._require_hermitian,
+    # and the relative tolerance 1e-10 is written out once, as HERM_TOL
+    raises, literals, tols = set(), [], []
+    for path in sorted(pathlib.Path(gaugesim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tol = [node.value for node in tree.body
+               if isinstance(node, ast.Assign) and ast.unparse(node) == "HERM_TOL = 1e-10"]
+        tols += [path.name] * len(tol)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and "NotHermitianError" in ast.unparse(node):
+                raises.add(path.name)
+            elif isinstance(node, ast.Constant) and node.value == 1e-10 and node not in tol:
+                literals.append(f"{path.name}:{node.lineno}")
+    assert (raises, literals, tols) == ({"operators.py"}, [], ["operators.py"])
+
+
 def test_every_builder_takes_a_spec_and_nothing_else():
     # the spec is a build's whole input, so the build slot keys on (builder, spec)
     builders = ("build", "build_landau_cartesian", "build_landau_cartesian_position", "build_landau_polar",

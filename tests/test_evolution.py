@@ -53,6 +53,7 @@ from conftest import (
     outer_vertex_scan,
     pair_trotter,
     pauli_matrix,
+    per_string_trotter,
     pauli_reconstruct,
     random_hermitian,
     random_state,
@@ -640,7 +641,42 @@ def test_transition_trotter_agrees_with_exact_position_basis():
     assert 1.6 <= dev / dev2 <= 2.4
 
 
-@pytest.mark.parametrize("t", [1.0, 1.5, 2.5])
+def test_per_string_oracle_is_the_dense_string_product():
+    # the per-string oracle against a dense product of one expm per
+    # materialized string, in label order
+    rng = np.random.default_rng(203)
+    h, psi = random_hermitian(rng, 8), random_state(rng, 8)
+    t = 0.8
+    for n_steps in (1, 3):
+        step = np.eye(8)
+        for label, c in pauli_decompose(h).terms:
+            step = expm(-1j * t / n_steps * c * pauli_matrix(label)) @ step
+        expected = np.linalg.matrix_power(step, n_steps) @ psi
+        np.testing.assert_allclose(per_string_trotter(h, psi, [t], n_steps)[0], expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("b, grouped, per_string", [(1.0, (1.203e-3, 0.042), (2.015e-3, 0.078)),
+                                                    (2.0, (1.141e-3, 0.065), (3.303e-3, 0.175)),
+                                                    (3.0, (2.382e-3, 0.087), (9.418e-3, 0.335))])
+def test_grouped_product_against_the_per_string_circuit(b, grouped, per_string):
+    # the README eoh config (16x16 grid, centre start, 11 times to t = 1, 100
+    # steps): (max probability deviation, state error at t = 1) from the exact
+    # propagator, for the grouped product the CLI runs and for the paper's one
+    # exponential per Pauli string (281 strings)
+    n = 16
+    built = build_landau_cartesian_position(HamiltonianSpec(kind="LandauCartesian", b_field=b, boson_trunc=n))
+    psi0 = np.zeros(n * n, dtype=complex)
+    psi0[(n // 2) * n + n // 2] = 1.0
+    ts = np.linspace(0.0, 1.0, 11)
+    exact = transition_series(built, psi0, "all", ts).amplitudes
+    for states, pinned in ((transition_series(built, psi0, "all", ts, method="trotter").amplitudes, grouped),
+                           (per_string_trotter(built, psi0, ts, 100), per_string)):
+        dev = np.max(np.abs(np.abs(states) ** 2 - np.abs(exact) ** 2))
+        error = np.linalg.norm(states[-1] - exact[-1])
+        np.testing.assert_allclose([dev, error], pinned, rtol=0.05)
+
+
+@pytest.mark.parametrize("t", [0.5, 0.7, 1.0, 1.5, 2.5])
 def test_grid_evolution_of_a_packet_matches_the_polar_kernel(t):
     # a real packet of width (B/2)^(-1/2) at (0.6, -0.3), B = 2, evolved
     # exactly on the 16x16 grid, against the quadrature
@@ -648,9 +684,10 @@ def test_grid_evolution_of_a_packet_matches_the_polar_kernel(t):
     # above 1e-4 of its peak, at the 4 largest final amplitudes (up to
     # 0.34): they agree to 2.0e-5 / 7.8e-6 / 1.9e-5, while the kernel
     # turned the other way (phi_f - phi_i - B t / 2) misses by at least 0.14.
-    # At t = 0.5 they agree to 5.5e-5. At t = 0.3 the kernel matches its
-    # angular-momentum sum, but the quadrature misses by 3.0e-2, most
-    # likely from the grid step at short times (not verified).
+    # Agreement is checked from t = 0.5 on: 5.5e-5 at t = 0.5, 1.2e-5 at
+    # t = 0.7.  At t = 0.4 and 0.3 the kernel matches its angular-momentum
+    # sum, but the quadrature misses by 2.1e-3 and 3.0e-2, most likely from
+    # the grid step at short times (not verified).
     n, b = 16, 2.0
     grid = pos_grid(n)
     x, y = np.repeat(grid, n), np.tile(grid, n)  # index ix * n + iy

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from gaugesim.basis import osc_q, place
+from gaugesim.circuits import AnsatzConfig, expectation
 from gaugesim.errors import DimensionMismatchError, NotHermitianError, NotPowerOfTwoError
-from gaugesim.evolution import pauli_decompose, transition_series
+from gaugesim.evolution import pauli_decompose, scattering_process, transition_series
 from gaugesim.hamiltonians import HamiltonianSpec, build
 from gaugesim.operators import (
     _propagate,
@@ -13,6 +14,7 @@ from gaugesim.operators import (
     matrix_function,
     qubits_of_dim,
 )
+from gaugesim.vqe import OptimizerSettings, energy_gradient, minimize
 
 from conftest import PAULI, exact_unitary, random_hermitian
 
@@ -121,6 +123,31 @@ def test_herm_defect_and_is_hermitian():
     assert herm_defect(PAULI["Y"]) == 0.0
     assert is_hermitian(PAULI["Y"])
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_every_hermitian_entry_point_follows_is_hermitian():
+    # A = diag(1, 0, ..., 0) + 4e-11 i Z(x)Z(x)Z has defect 8e-11, inside
+    # is_hermitian's 1e-10 max|A|; A_bad adds 2e-10 at [0, 1] only (defect
+    # 2e-10).  Every entry point accepts A and refuses A_bad, whatever A's
+    # imaginary Pauli coefficients (4e-11) or <e_0|A_bad|e_0> (1) say.
+    zzz = np.diag([1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
+    a = np.diag(np.eye(8)[0]) + 4e-11j * zzz
+    a_bad = a.copy()
+    a_bad[0, 1] += 2e-10
+    assert herm_defect(a) == pytest.approx(8e-11) and is_hermitian(a)
+    assert herm_defect(a_bad) == pytest.approx(2e-10) and not is_hermitian(a_bad)
+    e0 = np.eye(8)[0]
+    ansatz = AnsatzConfig(3, depth=0)
+    calls = [hermitian_eig, pauli_decompose, lambda h: expectation(e0, h),
+             lambda h: minimize(h, ansatz, OptimizerSettings(max_iter=3)),
+             lambda h: energy_gradient(h, ansatz, [0.1, 0.2, 0.3])]
+    for method in ("exact", "trotter"):
+        calls += [lambda h, m=method: transition_series(h, e0, "all", [0.5], method=m, trotter_steps=4),
+                  lambda h, m=method: scattering_process(h, 0.3, 0.2, 0.5, e0, method=m, trotter_steps=4)]
+    for call in calls:
+        call(a)
+        with pytest.raises(NotHermitianError, match="not Hermitian.*HermitianPart"):
+            call(a_bad)
 
 
 def test_a_matrix_entry_that_is_not_a_number_is_refused():

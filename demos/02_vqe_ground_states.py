@@ -7,15 +7,15 @@ traces, and writes them as CSV files next to this script.
 
 import pathlib
 
-from gaugesim import AnsatzConfig, HamiltonianSpec, build_landau_cartesian, build_landau_polar, hermitian_eig
+from gaugesim import AnsatzConfig, HamiltonianSpec, build, hermitian_eig
 from gaugesim.vqe import OptimizerSettings, minimize, write_trace_csv
 
 OUT = pathlib.Path(__file__).resolve().parent / "out"
 OUT.mkdir(exist_ok=True)
 
 RUNS = [
-    ("cartesian", build_landau_cartesian(HamiltonianSpec(kind="LandauCartesian", b_field=2.0)), 8),
-    ("polar", build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0)), 4),
+    ("cartesian", build(HamiltonianSpec(kind="LandauCartesian", b_field=2.0)), 8),
+    ("polar", build(HamiltonianSpec(kind="LandauPolar", b_field=2.0)), 4),
 ]
 
 for name, built, qubits in RUNS:

@@ -12,7 +12,7 @@ import pathlib
 
 import numpy as np
 
-from gaugesim import HamiltonianSpec, build_monopole_su2, variant_selection_report
+from gaugesim import HamiltonianSpec, build, variant_selection_report
 
 report = variant_selection_report()
 
@@ -26,7 +26,7 @@ else:
     print(f"closest overall: {report.closest}; closest Hermitian: {report.closest_hermitian}")
 
 # the literal spectrum is exactly the free spectrum, for every coupling
-free = build_monopole_su2(HamiltonianSpec(kind="MonopoleSU2", b_field=0.0))
+free = build(HamiltonianSpec(kind="MonopoleSU2", b_field=0.0))
 lam_free = np.linalg.eigvalsh(free.matrix)[0]
 print(f"\nfree ground energy (g_m = 0): {lam_free:.8f}")
 print("note how the Literal column equals it at every coupling: the bilinears")

@@ -30,10 +30,7 @@ from .hamiltonians import (
     BuiltHamiltonian,
     HamiltonianSpec,
     build,
-    build_landau_cartesian,
     build_landau_cartesian_position,
-    build_landau_polar,
-    build_monopole_su2,
     variant_selection_report,
 )
 from .analytic import (

@@ -21,11 +21,10 @@ import numpy as np
 
 from . import vqe as vqe_mod
 from .analytic import wu_yang_series_large, wu_yang_series_small, wu_yang_series_small_prime, wu_yang_solve
-from .basis import pos_grid
 from .circuits import AnsatzConfig
 from .errors import GaugesimError, InvalidConfigError, read_fields, read_number, write_rows
-from .evolution import (MAX_TROTTER_STEPS, dual_lattice_period, transition_series, vertex_scan, wrap_momentum,
-                        write_transition_csv)
+from .evolution import (MAX_TROTTER_STEPS, _vertex_grid, dual_lattice_period, transition_series, vertex_scan,
+                        wrap_momentum, write_transition_csv)
 from .hamiltonians import HamiltonianSpec, build, build_landau_cartesian_position
 from .operators import MAX_QUBITS
 
@@ -114,7 +113,7 @@ def cmd_eoh(cfg) -> str:
     psi_i[centre] = 1.0
     ts = np.linspace(0.0, ev.get("t_max", 1.0), ev.get("t_points", 11))
 
-    # exact is written first: Trotter angles dt |d| are <= t max|lambda|, so overflow hits exact first
+    # every series is computed before any is written: a refused phase or a non-finite table writes no file
     series = {}
     stem, ext = os.path.splitext(out)
     for name in ("exact", "trotter"):
@@ -150,12 +149,10 @@ def cmd_scatter(cfg) -> str:
     hi = scan.get("max", period / 2.0)
     if hi <= lo:
         raise InvalidConfigError("p2_scan.max must exceed p2_scan.min")
-    if not np.isfinite(hi - lo):
-        raise InvalidConfigError(f"p2_scan window [{lo}, {hi}] is wider than the float range")
+    grid = _vertex_grid([lo, hi], n, "scatter.p2_scan", InvalidConfigError)
     p2s = np.linspace(lo, hi, scan.get("points", 16 * n), endpoint=False)
     amps = vertex_scan(p1, p3, n, p2s)
     write_rows(out, "p2,abs_amplitude", np.column_stack([p2s, amps]))
-    grid = pos_grid(n)
     predicted = float(grid[p3] - grid[p1])
     argmax = float(p2s[int(np.argmax(amps))])
     return (f"argmax_p2={argmax:.9f} predicted_p2={predicted:.9f} "

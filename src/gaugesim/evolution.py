@@ -35,7 +35,8 @@ from .errors import (
     read_numbers,
     write_rows,
 )
-from .operators import MAX_QUBITS, _propagate, _require_hermitian, as_operator, hermitian_eig, qubits_of_dim
+from .operators import (MAX_QUBITS, _propagate, _require_hermitian, _require_phase, as_operator, hermitian_eig,
+                        qubits_of_dim)
 
 __all__ = [
     "PauliTermList",
@@ -255,7 +256,8 @@ def _apply_trotter(groups, ts, n_steps: int, psi0: np.ndarray, registers=None) -
     With ``registers`` (from ``_registers``) the grid's two registers
     share one composition (``_register_steps``).  Otherwise each step
     applies every group's exponential in ascending mask order
-    (``_product``).  Rows with t == 0 are psi0 itself.
+    (``_product``).  Rows with t == 0 are psi0 itself.  An angle dt |d| of
+    any group (the diagonal phases too) above ``MAX_PHASE`` is refused.
     """
     ts = np.asarray(ts, dtype=float)
     psi0 = np.asarray(psi0, dtype=np.complex128)
@@ -264,6 +266,7 @@ def _apply_trotter(groups, ts, n_steps: int, psi0: np.ndarray, registers=None) -
     if not (groups and live.size):
         return out
     dt = ts[live] / n_steps
+    _require_phase(dt, [np.abs(d).max(initial=0.0) for _, _, d in groups], "trotter evolution")
     if registers is not None:
         out[live] = _register_steps(groups, registers, dt, n_steps, out[live])
         return out
@@ -389,6 +392,16 @@ def momentum_state(k: int, n: int) -> np.ndarray:
     return np.conj(np.exp(1j * phase) / np.sqrt(n))
 
 
+def _vertex_grid(p2_values, n: int, who: str, error=GaugesimError) -> np.ndarray:
+    """The n-point position grid X of a vertex insertion exp(i p2 X), once
+    its largest phase max|p2| max|x| is within ``MAX_PHASE`` (``error``
+    naming ``who`` otherwise): the one vertex phase rule, of ``vertex_amplitude``,
+    ``vertex_scan``, ``scattering_process`` and the scatter command's p2 window."""
+    grid = pos_grid(n)
+    _require_phase(p2_values, grid, who, error)
+    return grid
+
+
 def vertex_amplitude(k1: int, p2: float, k3: int, n: int) -> complex:
     """Three-point amplitude <p_k1| exp(i p2 X) |p_k3> on the n-point grid.
 
@@ -399,8 +412,8 @@ def vertex_amplitude(k1: int, p2: float, k3: int, n: int) -> complex:
     p2 = read_number(p2, "p2", float, error=ValueError)
     bra = momentum_state(k1, n)
     ket = momentum_state(k3, n)
-    phase = np.exp(1j * p2 * pos_grid(n))  # NaN where p2 x overflows
-    return read_number(complex(np.vdot(bra, phase * ket)), "vertex_amplitude", complex, error=GaugesimError)
+    phase = np.exp(1j * p2 * _vertex_grid(p2, n, "vertex_amplitude"))
+    return complex(np.vdot(bra, phase * ket))
 
 
 def dual_lattice_period(n: int) -> float:
@@ -432,7 +445,7 @@ def vertex_scan(k1: int, k3: int, n: int, p2_values) -> np.ndarray:
     """
     p2s = np.ravel(read_numbers(p2_values, "p2 values", ValueError))
     weights = np.conj(momentum_state(k1, n)) * momentum_state(k3, n)
-    grid = pos_grid(n)
+    grid = _vertex_grid(p2s, n, "vertex_scan")
     z = np.exp(1j * (grid[1] - grid[0]) * p2s)
     amp = np.full_like(z, weights[-1])
     for w in weights[-2::-1]:
@@ -452,11 +465,12 @@ def scattering_process(h_free, p2: float, tau: float, total_t: float, psi0,
     """
     dim = as_operator(h_free).shape[0]
     p2 = read_number(p2, "p2", float, error=ValueError)
+    grid = _vertex_grid(p2, dim, "scattering_process")
     tau, total_t = read_numbers([tau, total_t], "evolution times", InvalidTimesError)
     if not 0.0 <= tau <= total_t:
         raise InvalidTimesError(f"need 0 <= tau <= total_T, got tau={tau}, total_T={total_t}")
     psi = _state(psi0, dim, "initial state")
     evolve = _evolver(h_free, method, trotter_steps)
     psi = evolve(psi, [tau])[0]
-    psi = np.exp(1j * p2 * pos_grid(dim)) * psi
+    psi = np.exp(1j * p2 * grid) * psi
     return evolve(psi, [total_t - tau])[0]

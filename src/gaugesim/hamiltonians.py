@@ -49,10 +49,7 @@ __all__ = [
     "HamiltonianSpec",
     "BuiltHamiltonian",
     "build",
-    "build_landau_cartesian",
     "build_landau_cartesian_position",
-    "build_landau_polar",
-    "build_monopole_su2",
     "variant_selection_report",
     "VariantReport",
     "KINDS",
@@ -82,11 +79,11 @@ class HamiltonianSpec:
     and ``r_ref`` only for the ScalarB variant (B = -g_m / r_ref^2).
 
     A spec is valid once it exists: construction (and so
-    ``dataclasses.replace`` and ``from_json``) fills the kind's default
-    ``boson_trunc`` and raises InvalidSpecError for anything else.
-    ``FIELDS`` is each field's ``read_fields`` rule (``kind`` and
-    ``variant`` are checked against ``KINDS`` and ``VARIANTS`` before it);
-    the JSON form has the same keys, except that ``r_ref`` travels as
+    ``dataclasses.replace`` and ``from_json``) applies every field's
+    ``read_fields`` rule in ``FIELDS``, fills the kind's default
+    ``boson_trunc``, checks the rules that tie fields together and raises
+    InvalidSpecError for anything else.  ``from_json`` reads the JSON
+    form, which has the same keys, except that ``r_ref`` travels as
     ``{"ScalarB": r_ref}`` under ``variant``.
     """
 
@@ -97,26 +94,18 @@ class HamiltonianSpec:
     variant: str = "Literal"
     r_ref: float | None = None
 
-    FIELDS = {"kind": None, "b_field": float, "boson_trunc": int, "angular_m": int, "variant": None,
+    FIELDS = {"kind": KINDS, "b_field": float, "boson_trunc": (int, 2), "angular_m": int, "variant": VARIANTS,
               "r_ref": float}
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidSpecError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
-        if self.variant not in VARIANTS:
-            raise InvalidSpecError(
-                f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
-            )
+        read_own_fields(self, "hamiltonian")
         if self.boson_trunc is None:
             object.__setattr__(self, "boson_trunc", DEFAULT_TRUNC[self.kind])
-        read_own_fields(self, "hamiltonian")
         trunc = self.boson_trunc
         try:
             qubits = self.qubits
         except NotPowerOfTwoError:
-            qubits = None
-        if qubits is None or trunc < 2:
-            raise InvalidSpecError(f"boson_trunc must be a power of two >= 2, got {trunc}")
+            raise InvalidSpecError(f"boson_trunc must be a power of two, got {trunc}") from None
         if qubits > MAX_QUBITS:
             raise InvalidSpecError(
                 f"boson_trunc {trunc} needs {qubits} qubits for {self.kind}; at most {MAX_QUBITS}"
@@ -135,12 +124,6 @@ class HamiltonianSpec:
     def qubits(self) -> int:
         k = qubits_of_dim(self.boson_trunc)
         return {"LandauCartesian": 2 * k, "LandauPolar": k}.get(self.kind, 3 * k + 3)
-
-    def to_json(self) -> dict:
-        blob = {name: getattr(self, name) for name in self.FIELDS if name != "r_ref"}
-        if self.variant == "ScalarB":
-            blob["variant"] = {"ScalarB": self.r_ref}
-        return blob
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "HamiltonianSpec":
@@ -387,7 +370,7 @@ def _finish(h: np.ndarray, spec: HamiltonianSpec, labels, rotation=None, filled=
                             blocks=blocks, orbits=orbits)
 
 
-#: The one build slot, shared by every builder: [key, build] of the held build, or empty.
+#: The one build slot, shared by ``build`` and the grid builder: [key, build] of the held build, or empty.
 _SLOT: list = []
 
 
@@ -415,16 +398,13 @@ def _held(builder):
     return held
 
 
-@_held
-def build_landau_cartesian(spec: HamiltonianSpec) -> BuiltHamiltonian:
+def _build_landau_cartesian(spec: HamiltonianSpec) -> BuiltHamiltonian:
     """H = (p_x + B/2 y)^2 / 2 + (p_y - B/2 x)^2 / 2 on two oscillator factors.
 
     x^2 and p^2 enter as truncations of the squared operators
     (osc_q2/osc_p2), so the matrix is the untruncated H compressed to the
     truncated basis and the lowest Landau level stays at exactly |B|/2.
     """
-    if spec.kind != "LandauCartesian":
-        raise InvalidSpecError(f"build_landau_cartesian got kind {spec.kind!r}")
     n = spec.boson_trunc
     mats = basis.osc_q(n), basis.osc_p(n), basis.osc_q2(n), basis.osc_p2(n)
     # every term moves n_x + n_y by an even amount: (-1)^(n_x + n_y) sectors
@@ -436,7 +416,7 @@ def build_landau_cartesian(spec: HamiltonianSpec) -> BuiltHamiltonian:
 def build_landau_cartesian_position(spec: HamiltonianSpec) -> BuiltHamiltonian:
     """Position-basis form of the Cartesian Landau Hamiltonian.
 
-    Same operator content as ``build_landau_cartesian`` with the diagonal
+    Same operator content as ``build`` gives a LandauCartesian spec, with the diagonal
     grid position matrix and its DFT-conjugated momentum.  This is the
     natural basis for time-evolution runs, where initial and final states
     are grid points; it is not part of the serialized spec.  Its squares
@@ -498,8 +478,7 @@ def _landau_cartesian_matrix(spec, n, q, p, q2, p2) -> np.ndarray:
 POLAR_BASIS_SCALE = 5.0
 
 
-@_held
-def build_landau_polar(spec: HamiltonianSpec) -> BuiltHamiltonian:
+def _build_landau_polar(spec: HamiltonianSpec) -> BuiltHamiltonian:
     """Radial Hamiltonian for one angular sector m = ``angular_m``.
 
     H = 1/2 rho^(-1/2) p rho p rho^(-1/2) + 1/2 (B/2)^2 rho^2
@@ -511,8 +490,6 @@ def build_landau_polar(spec: HamiltonianSpec) -> BuiltHamiltonian:
     eigenvalue, so the inverse powers are finite.  The oscillator basis is
     stretched by POLAR_BASIS_SCALE, read at each call.
     """
-    if spec.kind != "LandauPolar":
-        raise InvalidSpecError(f"build_landau_polar got kind {spec.kind!r}")
     n = spec.boson_trunc
     q = basis.osc_q(n) / np.sqrt(POLAR_BASIS_SCALE)
     p = basis.osc_p(n) * np.sqrt(POLAR_BASIS_SCALE)
@@ -529,8 +506,7 @@ def build_landau_polar(spec: HamiltonianSpec) -> BuiltHamiltonian:
     return _finish(h, spec, 0)
 
 
-@_held
-def build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
+def _build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
     """SU(2) monopole Hamiltonian, 3 bosonic factors + 3 fermion qubits.
 
     H = 1/2 (p_x + B(-y f12 + z f31))^2
@@ -553,8 +529,6 @@ def build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
     register i, so H is assembled block by block on these 16 sectors, and
     the build keeps them: its ``matrix`` is assembled only when read.
     """
-    if spec.kind != "MonopoleSU2":
-        raise InvalidSpecError(f"build_monopole_su2 got kind {spec.kind!r}")
     n = spec.boson_trunc
     g_m = spec.b_field
 
@@ -599,7 +573,7 @@ def build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
 
 @lru_cache(maxsize=None)
 def _monopole_tables(n: int) -> tuple:
-    """The g_m-free parts of ``build_monopole_su2`` at ``boson_trunc`` n, read-only: (r^2)^-1,
+    """The g_m-free parts of ``_build_monopole_su2`` at ``boson_trunc`` n, read-only: (r^2)^-1,
     its cross-parity mask, the sector blocks' index sets and the two key arrays."""
     k = qubits_of_dim(n)
     # r^2 is diagonal in W = V (x) V (x) V, where q^2 = V diag(lam) V^T
@@ -632,16 +606,17 @@ def _monopole_tables(n: int) -> tuple:
 
 
 _BUILDERS = {
-    "LandauCartesian": build_landau_cartesian,
-    "LandauPolar": build_landau_polar,
-    "MonopoleSU2": build_monopole_su2,
+    "LandauCartesian": _build_landau_cartesian,
+    "LandauPolar": _build_landau_polar,
+    "MonopoleSU2": _build_monopole_su2,
 }
 
 
+@_held
 def build(spec: HamiltonianSpec) -> BuiltHamiltonian:
-    """Dispatch to the builder selected by ``spec.kind``.  Like every
-    builder it returns the held build when asked for it again (see
-    ``_held``): a read-only build whose spectrum is solved once."""
+    """The build of ``spec`` by the builder of ``spec.kind``; the one way to
+    build every kind (``build_landau_cartesian_position`` is a second basis,
+    not a kind).  A repeated call returns the held build (see ``_held``)."""
     return _BUILDERS[spec.kind](spec)
 
 
@@ -679,9 +654,9 @@ class VariantReport:
 def variant_selection_report() -> VariantReport:
     """Diagonalize every monopole variant and compare to the references.
 
-    Builds each variant with N = 4 (ScalarB at r_ref = 1) at the couplings
-    of MONOPOLE_REFERENCE_ENERGIES; a variant matches when it lies within
-    1e-3 of every reference.  Ties are broken in VARIANTS order.
+    Builds each variant by ``build`` with N = 4 (ScalarB at r_ref = 1) at
+    the couplings of MONOPOLE_REFERENCE_ENERGIES; a variant matches when it
+    lies within 1e-3 of every reference.  Ties are broken in VARIANTS order.
     """
     reference = dict(MONOPOLE_REFERENCE_ENERGIES)
     tolerance = 1e-3
@@ -698,7 +673,7 @@ def variant_selection_report() -> VariantReport:
                 variant=variant,
                 r_ref=1.0 if variant == "ScalarB" else None,
             )
-            built = build_monopole_su2(spec)
+            built = build(spec)
             per_gm[g_m] = built.lowest_eigenvalue()
             herm = herm and built.hermitian
         values[variant] = per_gm

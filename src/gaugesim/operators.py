@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NotHermitianError, NotPowerOfTwoError, read_number, read_numbers
+from .errors import GaugesimError, NotHermitianError, NotPowerOfTwoError, read_number, read_numbers
 
 __all__ = [
     "EigenSystem",
@@ -31,6 +31,10 @@ HERM_TOL = 1e-10
 #: Largest register a spec, an ansatz or a scan may ask for: dense matrices
 #: stay at 512x512.
 MAX_QUBITS = 9
+
+#: Largest phase (rad) an evolution or a vertex insertion may apply: at 1e9
+#: float64 still resolves an angle to about 1.2e-7 rad (ulp(1e9)).
+MAX_PHASE = 1e9
 
 
 def as_operator(a) -> np.ndarray:
@@ -85,6 +89,16 @@ def _require_hermitian(a, who: str) -> None:
                             "take its Hermitian part (variant 'HermitianPart' for a monopole build)")
 
 
+def _require_phase(a, b, who: str, error=GaugesimError) -> None:
+    """``error`` naming ``who`` unless the largest phase max|a| max|b| (rad) a
+    computation applies is at most ``MAX_PHASE``: beyond it float64 cannot
+    resolve the angle, and the amplitudes would mean nothing.  The product
+    is taken in Python floats, which overflow to inf without a warning."""
+    phase = float(np.abs(a).max(initial=0.0)) * float(np.abs(b).max(initial=0.0))
+    if not phase <= MAX_PHASE:
+        raise error(f"{who}: phase {phase:.3e} rad is above {MAX_PHASE:g} rad, which float64 cannot resolve")
+
+
 @dataclass(frozen=True)
 class EigenSystem:
     """Full spectrum of a Hermitian operator.
@@ -133,9 +147,11 @@ def _propagate(es: EigenSystem, states, ts) -> np.ndarray:
     ``states`` is one state of shape (d,) or a matrix of column states
     (d, k); the result gains a leading axis indexing ``ts``.  Rows at
     t == 0 are ``states`` itself, copied bit for bit (V V^dag states would
-    leave rounding there), as in the Trotter product.
+    leave rounding there), as in the Trotter product.  The largest phase
+    max|lambda| max|t| is refused above ``MAX_PHASE``.
     """
     ts = np.asarray(ts, dtype=float)
+    _require_phase(es.values, ts, "exact evolution")
     coeff = es.vectors.conj().T @ states
     phases = np.exp(-1j * np.outer(es.values, ts))
     x = phases.reshape(phases.shape + (1,) * (coeff.ndim - 1)) * coeff[:, None]

@@ -188,7 +188,7 @@ def dense_monopole(spec) -> np.ndarray:
 
     Every operator is placed on the whole [n, n, n, 2, 2, 2] register, B
     comes from one eigendecomposition of the full r^2, and each
-    t_i = p_i + B (...) of ``build_monopole_su2``'s docstring is squared
+    t_i = p_i + B (...) of ``hamiltonians._build_monopole_su2``'s docstring is squared
     with full-size products.
     """
     n = spec.boson_trunc

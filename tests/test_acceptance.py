@@ -29,9 +29,7 @@ from gaugesim.evolution import (
 from gaugesim.hamiltonians import (
     HamiltonianSpec,
     MONOPOLE_REFERENCE_ENERGIES,
-    build_landau_cartesian,
-    build_landau_polar,
-    build_monopole_su2,
+    build,
     variant_selection_report,
 )
 from gaugesim.operators import herm_defect, hermitian_eig
@@ -49,13 +47,13 @@ def report(num: int, ok: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def cartesian():
-    built = build_landau_cartesian(HamiltonianSpec(kind="LandauCartesian", b_field=2.0))
+    built = build(HamiltonianSpec(kind="LandauCartesian", b_field=2.0))
     return built, hermitian_eig(built.matrix).values
 
 
 def test_criterion_1_cartesian_exact_spectrum(cartesian):
     t0 = time.time()
-    built = build_landau_cartesian(HamiltonianSpec(kind="LandauCartesian", b_field=2.0))
+    built = build(HamiltonianSpec(kind="LandauCartesian", b_field=2.0))
     values = hermitian_eig(built.matrix).values
     elapsed = time.time() - t0
     lam = values[0]
@@ -73,7 +71,7 @@ def test_criterion_2_cartesian_vqe(cartesian):
 
 
 def test_criterion_3_polar_exact_spectrum():
-    built = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0, angular_m=0))
+    built = build(HamiltonianSpec(kind="LandauPolar", b_field=2.0, angular_m=0))
     lam = hermitian_eig(built.matrix).values[0]
     primary = abs(lam - POLAR_REFERENCE) <= 5e-3
     if primary:
@@ -103,7 +101,7 @@ def test_criterion_4_monopole_variants():
     # fallback property suite on the closest Hermitian variant
     chosen = rep.closest_hermitian
     spec = HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant=chosen)
-    built = build_monopole_su2(spec)
+    built = build(spec)
     defect = herm_defect(built.matrix) / np.max(np.abs(built.matrix))
     lam = hermitian_eig(built.matrix).values[0]
     res = minimize(built, AnsatzConfig(9, depth=3), OptimizerSettings(max_iter=600, seed=11))
@@ -120,7 +118,7 @@ def test_criterion_5_pauli_round_trip():
         h = random_hermitian(rng, 2 ** n)
         err = np.linalg.norm(pauli_reconstruct(pauli_decompose(h)) - h) / np.linalg.norm(h)
         worst = max(worst, err)
-    built = build_monopole_su2(
+    built = build(
         HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant="HermitianPart")
     )
     t0 = time.time()

@@ -208,16 +208,28 @@ def test_only_operators_refuses_a_non_hermitian_operator():
     assert (raises, literals, tols) == ({"operators.py"}, [], ["operators.py"])
 
 
+_PUBLIC_BUILDERS = ("build", "build_landau_cartesian_position")
+
+
 def test_every_builder_takes_a_spec_and_nothing_else():
     # the spec is a build's whole input, so the build slot keys on (builder, spec)
-    builders = ("build", "build_landau_cartesian", "build_landau_cartesian_position", "build_landau_polar",
-                "build_monopole_su2")
+    builders = _PUBLIC_BUILDERS + ("_build_landau_cartesian", "_build_landau_polar", "_build_monopole_su2")
     tree = ast.parse((pathlib.Path(gaugesim.__file__).parent / "hamiltonians.py").read_text(encoding="utf-8"))
     params = {node.name: ast.unparse(node.args) for node in tree.body
               if isinstance(node, ast.FunctionDef) and node.name in builders}
     assert params == dict.fromkeys(builders, "spec: HamiltonianSpec")
-    for name in builders:  # the held builders' wrappers too
+    for name in _PUBLIC_BUILDERS:  # the held builders' wrappers too
         assert list(inspect.signature(getattr(gaugesim, name), follow_wrapped=False).parameters) == ["spec"]
+
+
+def test_build_is_the_one_public_builder_of_every_kind():
+    # the kinds' builders are reached only through build's dispatch; the
+    # position grid is a second basis of LandauCartesian, not a kind
+    from gaugesim import hamiltonians
+
+    exported = {name for name in hamiltonians.__all__ if name.startswith("build")}
+    reexported = {name for name in dir(gaugesim) if name.startswith("build")}
+    assert exported == reexported == set(_PUBLIC_BUILDERS)
 
 
 def _imported_top_levels(path):

@@ -4,7 +4,7 @@ import pytest
 from gaugesim import circuits
 from gaugesim.circuits import AnsatzConfig, adjoint_gradient, ansatz_state, expectation
 from gaugesim.errors import DimensionMismatchError, InvalidConfigError, NotHermitianError
-from gaugesim.hamiltonians import HamiltonianSpec, build, build_landau_cartesian
+from gaugesim.hamiltonians import HamiltonianSpec, build
 from gaugesim.operators import hermitian_eig
 
 from conftest import (
@@ -175,7 +175,7 @@ def test_expectation_simple_cases():
 
 
 def test_expectation_ground_state_consistency():
-    built = build_landau_cartesian(HamiltonianSpec(kind="LandauCartesian", b_field=2.0))
+    built = build(HamiltonianSpec(kind="LandauCartesian", b_field=2.0))
     es = hermitian_eig(built.matrix)
     assert abs(expectation(es.vectors[:, 0], built.matrix) - 1.0) < 1e-9
 

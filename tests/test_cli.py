@@ -239,13 +239,13 @@ def test_eoh_output_suffix_goes_before_the_file_extension(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("method", ["Both", "Exact", "Trotter"])
 def test_eoh_overflow_exits_3_and_writes_no_file(tmp_path, capsys, method):
-    # t_max * |lambda| overflows: the exact table is written first, and a
-    # Trotter angle dt |d| <= t max|lambda|, so neither CSV reaches the disk
+    # t_max * |lambda| overflows: each evolution refuses its phase before
+    # any CSV is written, so neither CSV reaches the disk
     cfg = {"hamiltonian": {"kind": "LandauCartesian", "boson_trunc": 4},
            "evolution": {"t_max": 1.7e308, "t_points": 2, "trotter_steps": 1, "method": method},
            "output": str(tmp_path / "eoh.csv")}
     assert run(tmp_path, "eoh", cfg) == 3
-    assert "nothing written" in capsys.readouterr().err
+    assert "float64 cannot resolve" in capsys.readouterr().err
     assert not (tmp_path / "eoh_exact.csv").exists()
     assert not (tmp_path / "eoh_trotter.csv").exists()
 
@@ -436,13 +436,19 @@ def _spec(**kw):
      (), 3),
     # removed keys (appended here, so the case ids above stay as they were)
     ("vqe", {"hamiltonian": _POLAR, "optimizer": {"restarts": 1}}, (), 2),
+    # phases above MAX_PHASE: evolution times and fields (exit 3), a p2 window (the config's, exit 2)
+    ("eoh", {"hamiltonian": _CART4, "evolution": {"t_max": 1e300, "method": "Exact"}}, (), 3),
+    ("eoh", {"hamiltonian": _CART4, "evolution": {"t_max": 1e300, "method": "Trotter"}}, (), 3),
+    ("eoh", {"hamiltonian": dict(_CART4, b_field=1e12), "evolution": {"t_max": 1.0}}, (), 3),
+    ("scatter", {"scatter": {"p1": 1, "p3": 2, "p2_scan": {"min": -1e300, "max": 1e300}}}, (), 2),
 ])
 def test_bad_input_exit_code_and_one_line_message(tmp_path, capsys, command, cfg, extra, code):
     out = tmp_path / "out.csv"
     assert run(tmp_path, command, dict(cfg, output=str(out)), extra) == code
     printed = capsys.readouterr()
     assert len(printed.err.splitlines()) == 1 and "Traceback" not in printed.err
-    assert printed.out == "" and not out.exists()
+    # no file but the config: eoh's per-method CSVs (out_exact.csv, ...) included
+    assert printed.out == "" and [p.name for p in tmp_path.iterdir()] == [f"{command}.json"]
 
 
 #: the command that reads each config section, and a config it runs
@@ -535,6 +541,13 @@ def test_each_json_section_accepts_exactly_its_class_table():
             ansatz_state(shape, params)
         with pytest.raises(InvalidConfigError, match=f"expected {shape.n_params} parameters"):
             adjoint_gradient(shape, params, state, state)
+
+
+def test_every_field_of_a_config_class_has_a_table_rule():
+    # the FIELDS table reads every field of its class, so no field passes
+    # unread to a hand-written check (a None rule)
+    for cls in (HamiltonianSpec, AnsatzConfig, OptimizerSettings):
+        assert {name: rule for name, rule in cls.FIELDS.items() if rule is None} == {}, cls.__name__
 
 
 _RUN_CONFIGS = """\

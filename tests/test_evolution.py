@@ -40,10 +40,9 @@ from gaugesim.hamiltonians import (
     VARIANTS,
     HamiltonianSpec,
     build,
-    build_landau_cartesian,
     build_landau_cartesian_position,
 )
-from gaugesim.operators import _propagate, as_operator, hermitian_eig
+from gaugesim.operators import MAX_PHASE, _propagate, as_operator, hermitian_eig
 from gaugesim.vqe import VqeResult, write_trace_csv
 
 from conftest import (
@@ -147,7 +146,7 @@ def _builds_for_decompose():
                                       r_ref=1.0 if variant == "ScalarB" else None))
         out.append((variant, built if built.hermitian else 0.5 * (built.matrix + built.matrix.conj().T)))
     cart = HamiltonianSpec(kind="LandauCartesian", b_field=2.0)
-    out += [("oscillator", build_landau_cartesian(cart)), ("grid", build_landau_cartesian_position(cart))]
+    out += [("oscillator", build(cart)), ("grid", build_landau_cartesian_position(cart))]
     out += [(f"polar m={m}", build(HamiltonianSpec(kind="LandauPolar", b_field=2.0, angular_m=m)))
             for m in range(3)]
     return out
@@ -236,7 +235,7 @@ def test_trotter_preserves_norm(rng):
 
 
 def test_trotter_landau_convergence(rng):
-    built = build_landau_cartesian(HamiltonianSpec(kind="LandauCartesian", b_field=2.0))
+    built = build(HamiltonianSpec(kind="LandauCartesian", b_field=2.0))
     psi = random_state(rng, 256)
     exact = exact_unitary(built.matrix, 0.5) @ psi
     errs = [np.linalg.norm(_trotter(built, 0.5, n, psi) - exact) for n in (25, 50, 100)]
@@ -307,13 +306,11 @@ def test_trotter_step_is_ascending_mask_product(case):
 
 
 def test_group_counts():
-    from gaugesim.hamiltonians import build_landau_cartesian_position, build_monopole_su2
-
     cart = HamiltonianSpec(kind="LandauCartesian", b_field=2.0)
     monopole = HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant="HermitianPart")
-    for built, count in ((build_landau_cartesian(cart), 17),
+    for built, count in ((build(cart), 17),
                          (build_landau_cartesian_position(cart), 31),
-                         (build_monopole_su2(monopole), 28)):
+                         (build(monopole), 28)):
         assert len(_groups(built.matrix)) == count
 
 
@@ -477,13 +474,40 @@ def test_bool_string_and_nonfinite_momenta_refused(rng, bad):
             vertex_scan(3, 9, 16, np.array([0.2, bad]))
 
 
-def test_a_momentum_whose_phase_overflows_is_refused():
-    with pytest.raises(GaugesimError, match="vertex_amplitude: expected a finite number"):
-        with np.errstate(all="ignore"):
-            vertex_amplitude(3, 1e308, 9, 16)
+def test_a_momentum_whose_phase_overflows_is_refused(rng):
+    # one phase rule, |p2| max|x| <= MAX_PHASE, for every entry point that inserts
+    # exp(i p2 X); at 1e308 the product overflows to inf, refused all the same
+    n = 16
+    edge = MAX_PHASE / np.abs(pos_grid(n)).max()
+    h, psi = random_hermitian(rng, n), random_state(rng, n)
+    for p2 in (0.999 * edge, -0.999 * edge, 0.0):
+        assert np.isfinite(vertex_amplitude(1, p2, 2, n))
+        assert np.isfinite(vertex_scan(1, 2, n, [0.0, p2])).all()
+        assert np.isfinite(scattering_process(h, p2, 0.2, 1.0, psi)).all()
+    for p2 in (1.001 * edge, -1.001 * edge, 1e300, 1e308):
+        with pytest.raises(GaugesimError, match="vertex_amplitude: phase"):
+            vertex_amplitude(1, p2, 2, n)
+        with pytest.raises(GaugesimError, match="vertex_scan: phase"):
+            vertex_scan(1, 2, n, [0.0, p2])
+        with pytest.raises(GaugesimError, match="scattering_process: phase"):
+            scattering_process(h, p2, 0.2, 1.0, psi)
     for bad in (np.nan, "1", None):
         with pytest.raises(ValueError, match=f"p2: expected a finite number, got {re.escape(repr(bad))}"):
             wrap_momentum(bad, 16)
+
+
+@pytest.mark.parametrize("method", ["exact", "trotter"])
+def test_an_evolution_phase_above_the_bound_is_refused(rng, method):
+    # max|lambda| max|t| (exact) or max dt |d| (trotter) above MAX_PHASE: float64 cannot resolve it
+    h = np.diag([1.0, -2.0, 0.5, 0.0]).astype(complex)
+    psi = random_state(rng, 4)
+    ok = transition_series(h, psi, "all", [0.0, 0.999 * MAX_PHASE / 2.0], method=method, trotter_steps=1)
+    assert np.isfinite(ok.amplitudes).all()
+    for t in (1.001 * MAX_PHASE / 2.0, 1e300):
+        with pytest.raises(GaugesimError, match=f"{method} evolution: phase"):
+            transition_series(h, psi, "all", [0.0, t], method=method, trotter_steps=1)
+        with pytest.raises(GaugesimError, match=f"{method} evolution: phase"):
+            scattering_process(h, 0.1, 0.0, t, psi, method=method, trotter_steps=1)
 
 
 @pytest.mark.parametrize("method", ["exact", "trotter"])
@@ -1048,14 +1072,13 @@ def test_a_build_is_not_checked_again_and_an_array_once(monkeypatch, call):
 
 def test_a_build_flagged_non_hermitian_is_refused_by_its_flag():
     from gaugesim.circuits import AnsatzConfig
-    from gaugesim.hamiltonians import build_monopole_su2
     from gaugesim.vqe import minimize
 
-    literal = build_monopole_su2(HamiltonianSpec(kind="MonopoleSU2", b_field=2.0))
+    literal = build(HamiltonianSpec(kind="MonopoleSU2", b_field=2.0))
     assert not literal.hermitian
     # a Hermitian matrix carrying the flag False: only the flag can refuse it
     flagged = dataclasses.replace(
-        build_monopole_su2(HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant="HermitianPart")),
+        build(HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant="HermitianPart")),
         hermitian=False)
     for h in (literal, flagged):
         for call in (pauli_decompose, hermitian_eig, lambda b: minimize(b, AnsatzConfig(9, depth=1))):

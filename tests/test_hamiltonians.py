@@ -14,10 +14,7 @@ from gaugesim.hamiltonians import (
     HamiltonianSpec,
     VARIANTS,
     build,
-    build_landau_cartesian,
     build_landau_cartesian_position,
-    build_landau_polar,
-    build_monopole_su2,
     variant_selection_report,
 )
 from gaugesim.operators import hermitian_eig, is_hermitian
@@ -52,13 +49,13 @@ def _json_form(kw):
 
 
 _BAD_SPECS = [  # constructor arguments, and a fragment of the error message
-    ({"kind": "Nope"}, "unknown kind"),
+    ({"kind": "Nope"}, "hamiltonian.kind: expected one of"),
     ({"kind": "LandauPolar", "boson_trunc": 12}, "power of two"),
     ({"kind": "LandauCartesian", "boson_trunc": 32}, "at most 9"),
     ({"kind": "MonopoleSU2", "variant": "ScalarB"}, "positive r_ref"),
     ({"kind": "MonopoleSU2", "variant": "ScalarB", "r_ref": -1.0}, "positive r_ref"),
     ({"kind": "MonopoleSU2", "variant": "Literal", "r_ref": 1.0}, "only valid with the ScalarB"),
-    ({"kind": "MonopoleSU2", "variant": "Weird"}, "unknown variant"),
+    ({"kind": "MonopoleSU2", "variant": "Weird"}, "hamiltonian.variant: expected one of"),
     ({"kind": "LandauCartesian", "variant": "HermitianPart", "angular_m": 7}, "angular_m"),
     ({"kind": "LandauCartesian", "variant": "ScalarB", "r_ref": 2.0}, "variant is only valid"),
     ({"kind": "LandauPolar", "variant": "HermitianPart"}, "variant is only valid"),
@@ -96,13 +93,11 @@ def test_spec_reads_its_numbers():
     assert spec.qubits == 4 and build(spec).dim == 16
 
 
-def test_spec_json_round_trip():
+def test_spec_from_json_reads_the_scalar_b_object():
+    # r_ref travels as {"ScalarB": r_ref} under variant
+    obj = {"kind": "MonopoleSU2", "b_field": 0.2, "boson_trunc": 4, "angular_m": 0, "variant": {"ScalarB": 1.5}}
     spec = HamiltonianSpec(kind="MonopoleSU2", b_field=0.2, variant="ScalarB", r_ref=1.5)
-    blob = spec.to_json()
-    assert set(blob) == {"kind", "b_field", "boson_trunc", "angular_m", "variant"}
-    assert blob["variant"] == {"ScalarB": 1.5}
-    back = HamiltonianSpec.from_json(blob)
-    assert back == spec
+    assert HamiltonianSpec.from_json(obj) == spec
 
 
 def test_spec_json_rejects_unknown_keys():
@@ -118,7 +113,7 @@ def test_spec_json_rejects_unknown_keys():
 
 
 def test_cartesian_ground_energy_projected():
-    built = build_landau_cartesian(cart_spec())
+    built = build(cart_spec())
     assert built.hermitian and built.qubits == 8 and built.dim == 256
     vals = hermitian_eig(built.matrix).values
     assert abs(vals[0] - 1.0) < 1e-9
@@ -133,7 +128,7 @@ def test_cartesian_literal_squares_expose_edge_states(monkeypatch):
 
     monkeypatch.setattr(basis_module, "osc_q2", lambda n: osc_q(n) @ osc_q(n))
     monkeypatch.setattr(basis_module, "osc_p2", lambda n: osc_p(n) @ osc_p(n))
-    vals = hermitian_eig(build_landau_cartesian(cart_spec()).matrix).values
+    vals = hermitian_eig(build(cart_spec()).matrix).values
     assert vals[0] < 1.0 - 0.1
     assert abs(vals[0] - 0.8699129530737727) < 1e-9
     assert np.sum(np.abs(vals - 1.0) < 1e-9) >= 8
@@ -151,7 +146,7 @@ def test_cartesian_expanded_form_identity():
         + 0.5 * hb ** 2 * (place(osc_q2(n), 0, dims) + place(osc_q2(n), 1, dims))
         - hb * (x @ py - y @ px)
     )
-    built = build_landau_cartesian(cart_spec())
+    built = build(cart_spec())
     scale = np.max(np.abs(built.matrix))
     assert np.max(np.abs(built.matrix - expanded)) <= 1e-10 * scale
 
@@ -168,14 +163,14 @@ def test_cartesian_literal_equals_completed_square_products():
     a2 = py - (b / 2) * x
     corner = (osc_p2(n) - p @ p) + (b / 2) ** 2 * (osc_q2(n) - q @ q)
     direct = 0.5 * (a1 @ a1 + a2 @ a2) + 0.5 * (place(corner, 0, dims) + place(corner, 1, dims))
-    built = build_landau_cartesian(cart_spec())
+    built = build(cart_spec())
     np.testing.assert_allclose(built.matrix, direct, atol=1e-12)
 
 
 def test_cartesian_levels_match_closed_form():
     from gaugesim.analytic import landau_energy
 
-    vals = hermitian_eig(build_landau_cartesian(cart_spec()).matrix).values
+    vals = hermitian_eig(build(cart_spec()).matrix).values
     # lowest distinct cluster sits at the n=0 level; the n=1 level survives
     # truncation as an exact eigenvalue (interleaved truncation states keep
     # it from being the second *distinct* cluster)
@@ -184,14 +179,14 @@ def test_cartesian_levels_match_closed_form():
 
 
 def test_cartesian_b0_free_particle():
-    built = build_landau_cartesian(cart_spec(b_field=0.0))
+    built = build(cart_spec(b_field=0.0))
     vals = hermitian_eig(built.matrix).values
     assert vals[0] >= -1e-12
 
 
 def test_cartesian_hermitian_across_fields():
     for b in (-3.0, 0.5, 2.0):
-        assert build_landau_cartesian(cart_spec(b_field=b)).hermitian
+        assert build(cart_spec(b_field=b)).hermitian
 
 
 def test_cartesian_position_basis():
@@ -218,7 +213,7 @@ def test_cartesian_assembly_matches_the_kron_oracle_byte_for_byte(monkeypatch):
     monkeypatch.setattr(hamiltonians, "_landau_cartesian_matrix", capture)
     for n in (2, 4, 8, 16):
         for b in (-2.5, -1.5, 0.0, 1e-9, 1.0, 2.0, 7.5):
-            build_landau_cartesian(cart_spec(b_field=b, boson_trunc=n))
+            build(cart_spec(b_field=b, boson_trunc=n))
             build_landau_cartesian_position(cart_spec(b_field=b, boson_trunc=n))
     assert len(seen) == 4 * 7 * 2
     for args, matrix in seen:
@@ -235,7 +230,7 @@ def test_cartesian_builds_start_a_packet_along_the_printed_field(grid):
         built, q = build_landau_cartesian_position(cart_spec()), pos_q(n)
         factors = np.exp(-(pos_grid(n) - centre) ** 2 / 2)
     else:  # a real coherent state
-        built, q, alpha = build_landau_cartesian(cart_spec()), osc_q(n), centre / np.sqrt(2)
+        built, q, alpha = build(cart_spec()), osc_q(n), centre / np.sqrt(2)
         factorials = np.concatenate([[1.0], np.cumprod(np.arange(1.0, n))])
         factors = alpha ** np.arange(n) / np.sqrt(factorials) * np.exp(-alpha ** 2 / 2)
     psi = np.kron(*factors)
@@ -246,19 +241,16 @@ def test_cartesian_builds_start_a_packet_along_the_printed_field(grid):
 
 
 def test_builder_kind_guards():
-    with pytest.raises(InvalidSpecError):
-        build_landau_cartesian(HamiltonianSpec(kind="LandauPolar"))
-    with pytest.raises(InvalidSpecError):
-        build_landau_polar(cart_spec())
-    with pytest.raises(InvalidSpecError):
-        build_monopole_su2(cart_spec())
+    # the position grid is a second basis of LandauCartesian alone
+    with pytest.raises(InvalidSpecError, match="got kind 'LandauPolar'"):
+        build_landau_cartesian_position(HamiltonianSpec(kind="LandauPolar"))
 
 
 # ----------------------------------------------------------------- polar
 
 
 def test_polar_ground_energy_calibrated():
-    built = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
+    built = build(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
     assert built.hermitian and built.qubits == 4
     lam = hermitian_eig(built.matrix).values[0]
     # calibrated basis: within 1e-3 of the continuum value 1.0 (measured
@@ -271,15 +263,15 @@ def test_polar_uncalibrated_basis_value(monkeypatch):
     import gaugesim.hamiltonians as hamiltonians
 
     monkeypatch.setattr(hamiltonians, "POLAR_BASIS_SCALE", 1.0)
-    built = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
+    built = build(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
     lam = hermitian_eig(built.matrix).values[0]
     # unit-scale basis underestimates the ground energy by ~3% (documented)
     assert abs(lam - 0.9698777) < 1e-6
 
 
 def test_polar_angular_terms_enter_only_for_nonzero_m():
-    b0 = build_landau_polar(HamiltonianSpec(kind="LandauPolar", angular_m=0))
-    b1 = build_landau_polar(HamiltonianSpec(kind="LandauPolar", angular_m=1))
+    b0 = build(HamiltonianSpec(kind="LandauPolar", angular_m=0))
+    b1 = build(HamiltonianSpec(kind="LandauPolar", angular_m=1))
     assert np.max(np.abs(b0.matrix - b1.matrix)) > 0.1
     # m enters through m^2/rho^2 and -(B/2)m only; at m=0 both vanish
     assert b0.hermitian and b1.hermitian
@@ -301,7 +293,7 @@ def test_polar_even_oscillator_sector_meets_the_m_sector_ground(m):
     # m = 2 is not checked.)
     from gaugesim.analytic import polar_energy
 
-    h = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0, angular_m=m)).matrix
+    h = build(HamiltonianSpec(kind="LandauPolar", b_field=2.0, angular_m=m)).matrix
     even, odd = np.arange(0, h.shape[0], 2), np.arange(1, h.shape[0], 2)
     assert np.max(np.abs(h[np.ix_(even, odd)])) < 1e-12
     ground = np.linalg.eigvalsh(h[np.ix_(even, even)])[0]
@@ -325,14 +317,14 @@ def test_inverse_powers_see_no_zero_eigenvalue():
 
 
 def test_monopole_shapes_and_hermiticity_flags():
-    lit = build_monopole_su2(HamiltonianSpec(kind="MonopoleSU2", b_field=2.0))
+    lit = build(HamiltonianSpec(kind="MonopoleSU2", b_field=2.0))
     assert lit.dim == 512 and lit.qubits == 9
     assert not lit.hermitian  # raising-operator bilinears are non-Hermitian
-    hp = build_monopole_su2(
+    hp = build(
         HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant="HermitianPart")
     )
     assert hp.hermitian
-    mj = build_monopole_su2(
+    mj = build(
         HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant="MajoranaFermions")
     )
     assert mj.hermitian
@@ -344,7 +336,7 @@ def test_monopole_shapes_and_hermiticity_flags():
 def test_monopole_matches_dense_oracle(variant, g_m, boson_trunc):
     spec = HamiltonianSpec(kind="MonopoleSU2", b_field=g_m, boson_trunc=boson_trunc,
                            variant=variant, r_ref=1.3 if variant == "ScalarB" else None)
-    built = build_monopole_su2(spec)
+    built = build(spec)
     assert built.dim == 8 * boson_trunc ** 3
     np.testing.assert_allclose(built.matrix, dense_monopole(spec), rtol=0, atol=1e-13)
 
@@ -407,7 +399,7 @@ def test_monopole_build_stays_on_the_factors(monkeypatch):
         _Watched.products.clear()
         spec = HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant=variant,
                                r_ref=1.0 if variant == "ScalarB" else None)
-        built = build_monopole_su2(spec)
+        built = build(spec)
         assert built.dim == 512
         assert check_dims and max(check_dims) <= max(map(len, built.blocks)), (variant, check_dims)
         assert all(d <= 4 for d in eig_dims), (variant, eig_dims)
@@ -418,7 +410,7 @@ def test_monopole_build_stays_on_the_factors(monkeypatch):
 
 
 def test_monopole_zero_coupling_is_free():
-    built = build_monopole_su2(HamiltonianSpec(kind="MonopoleSU2", b_field=0.0))
+    built = build(HamiltonianSpec(kind="MonopoleSU2", b_field=0.0))
     n = 4
     dims = [n, n, n, 2, 2, 2]
     p = osc_p(n)
@@ -431,9 +423,9 @@ def test_monopole_literal_spectrum_is_coupling_independent():
     # the literal bilinears only lower the fermion occupation, so the matrix
     # is block-triangular in that grading and its spectrum equals the free
     # spectrum for every coupling
-    free = build_monopole_su2(HamiltonianSpec(kind="MonopoleSU2", b_field=0.0))
+    free = build(HamiltonianSpec(kind="MonopoleSU2", b_field=0.0))
     free_vals = np.sort(np.linalg.eigvalsh(free.matrix))
-    lit = build_monopole_su2(HamiltonianSpec(kind="MonopoleSU2", b_field=2.0))
+    lit = build(HamiltonianSpec(kind="MonopoleSU2", b_field=2.0))
     lit_vals = np.sort(np.linalg.eigvals(lit.matrix).real)
     np.testing.assert_allclose(lit_vals, free_vals, atol=1e-6)
 
@@ -443,7 +435,7 @@ def test_monopole_variants_agree_at_zero_coupling():
     for variant, r_ref in (("Literal", None), ("MajoranaFermions", None),
                            ("HermitianPart", None), ("ScalarB", 1.0)):
         spec = HamiltonianSpec(kind="MonopoleSU2", b_field=0.0, variant=variant, r_ref=r_ref)
-        mats.append(build_monopole_su2(spec).matrix)
+        mats.append(build(spec).matrix)
     for m in mats[1:]:
         np.testing.assert_allclose(m, mats[0], atol=1e-12)
 
@@ -459,7 +451,7 @@ def test_variant_selection_report():
     assert rep.hermitian["HermitianPart"] and rep.hermitian["MajoranaFermions"]
     assert not rep.hermitian["Literal"]
     # HermitianPart variant always yields a real spectrum
-    hp = build_monopole_su2(HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant="HermitianPart"))
+    hp = build(HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant="HermitianPart"))
     assert is_hermitian(hp.matrix)
     md = rep.to_markdown()
     assert "HermitianPart" in md and "reference" in md
@@ -516,7 +508,7 @@ def _free_monopole_values(n):
 @pytest.mark.parametrize("g_m", [0.0, 0.2, 2.0, 2.9])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_monopole_blocks_are_exact(variant, g_m, boson_trunc):
-    built = build_monopole_su2(_monopole_spec(variant, g_m, boson_trunc))
+    built = build(_monopole_spec(variant, g_m, boson_trunc))
     assert_exact_blocks(built)
     # the labels, from the register layout [n, n, n, 2, 2, 2]
     n = boson_trunc
@@ -542,7 +534,7 @@ def test_monopole_blocks_are_exact(variant, g_m, boson_trunc):
 @pytest.mark.parametrize("boson_trunc", [2, 4, 8, 16])
 def test_cartesian_blocks_are_exact(boson_trunc):
     n = boson_trunc
-    built = build_landau_cartesian(cart_spec(boson_trunc=n))
+    built = build(cart_spec(boson_trunc=n))
     assert_exact_blocks(built)
     nx, ny = np.unravel_index(np.arange(built.dim), (n, n))
     assert _groups((nx + ny) % 2) == set(map(tuple, built.blocks))
@@ -552,7 +544,7 @@ def test_cartesian_blocks_are_exact(boson_trunc):
 def test_polar_and_position_builds_have_one_block():
     # the position grid shares kind LandauCartesian but has no Z-parity
     # structure: blocks come from the builder, not from the kind
-    for built in (build_landau_polar(HamiltonianSpec(kind="LandauPolar", angular_m=1)),
+    for built in (build(HamiltonianSpec(kind="LandauPolar", angular_m=1)),
                   build_landau_cartesian_position(cart_spec()),
                   build_landau_cartesian_position(cart_spec(boson_trunc=4))):
         assert len(built.blocks) == 1
@@ -659,9 +651,9 @@ def test_hermitian_flag_and_blocks_equal_the_whole_matrix_checks(g, boson_trunc)
     # couplings above the blocks are inside HERM_TOL of max|H|.
     n = boson_trunc
     cart = cart_spec(b_field=g, boson_trunc=n)
-    builds = [(build_landau_cartesian(cart), _parity_labels(n)),
+    builds = [(build(cart), _parity_labels(n)),
               (build_landau_cartesian_position(cart), np.zeros(n * n)),
-              (build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=g, boson_trunc=n,
+              (build(HamiltonianSpec(kind="LandauPolar", b_field=g, boson_trunc=n,
                                                   angular_m=1)), np.zeros(n))]
     builds += [(build(_monopole_spec(v, g, n)), _monopole_labels(v, n)) for v in VARIANTS]
     for built, labels in builds:
@@ -678,14 +670,14 @@ def test_finish_refuses_a_matrix_that_breaks_its_blocks(tmp_path, monkeypatch, c
     import gaugesim.hamiltonians as hamiltonians
     from gaugesim.cli import main
 
-    lit = build_monopole_su2(_monopole_spec("Literal", 2.0, 2))
+    lit = build(_monopole_spec("Literal", 2.0, 2))
     blocks = lit.blocks
     below = lit.matrix.copy()
     below[blocks[-1][0], blocks[0][0]] = 1e-300
     with pytest.raises(GaugesimError, match="below its diagonal blocks"):
         hamiltonians._finish(below, lit.spec, _labels_of(lit))
     # at N = 2 the Literal blocks are 1x1: skew a block of the Hermitian part
-    hp = build_monopole_su2(_monopole_spec("HermitianPart", 2.0, 2))
+    hp = build(_monopole_spec("HermitianPart", 2.0, 2))
     pair = next(b for b in hp.blocks if len(b) >= 2)
     skew = hp.matrix.copy()
     skew[pair[0], pair[1]] += 1.0
@@ -719,7 +711,7 @@ def test_finish_refuses_a_nan_in_any_diagonal_block(position):
     if position:
         built, labels = build_landau_cartesian_position(spec), 0
     else:
-        built, labels = build_landau_cartesian(spec), _parity_labels(4)
+        built, labels = build(spec), _parity_labels(4)
     assert len(built.blocks) == (1 if position else 2)
     for b in built.blocks:
         for entry in ((b[0], b[0]), (b[-1], b[0])):
@@ -750,14 +742,14 @@ def _finish_input(case):
     kind, *args = case
     if kind == "monopole":
         variant, g_m, n = args
-        built = build_monopole_su2(_monopole_spec(variant, g_m, n))
+        built = build(_monopole_spec(variant, g_m, n))
         return built.matrix, built.spec, _monopole_labels(variant, n), None
     if kind == "cartesian":
-        return build_landau_cartesian(cart_spec()).matrix, cart_spec(), _parity_labels(16), None
+        return build(cart_spec()).matrix, cart_spec(), _parity_labels(16), None
     if kind == "grid":
         return build_landau_cartesian_position(cart_spec()).matrix, cart_spec(), 0, _quarter_turn(16)
     spec = HamiltonianSpec(kind="LandauPolar", b_field=2.0, angular_m=args[0])
-    return build_landau_polar(spec).matrix, spec, 0, None
+    return build(spec).matrix, spec, 0, None
 
 
 _FINISH_CASES = ([("monopole", v, g, n) for v in VARIANTS for g in (1e-12, 2.0) for n in (2, 4)]
@@ -817,13 +809,13 @@ def test_every_build_has_one_stack_of_equal_sectors(case):
     # build's real form is indexed by it
     kind, n, *rest, count, size = case
     if kind == "oscillator":
-        built = build_landau_cartesian(cart_spec(boson_trunc=n))
+        built = build(cart_spec(boson_trunc=n))
     elif kind == "grid":
         built = build_landau_cartesian_position(cart_spec(boson_trunc=n))
     elif kind == "polar":
-        built = build_landau_polar(HamiltonianSpec(kind="LandauPolar", boson_trunc=n, angular_m=rest[0]))
+        built = build(HamiltonianSpec(kind="LandauPolar", boson_trunc=n, angular_m=rest[0]))
     else:
-        built = build_monopole_su2(_monopole_spec(kind, 2.0, n))
+        built = build(_monopole_spec(kind, 2.0, n))
     blocks = built.blocks
     assert isinstance(blocks, np.ndarray) and blocks.shape == (count, size) and not blocks.flags.writeable
     assert np.array_equal(np.sort(blocks.ravel()), np.arange(built.dim))
@@ -864,7 +856,7 @@ def test_finish_on_sector_stacks_agrees_with_the_two_scans(variant, edit):
     # the monopole hands _finish its 16 sector stacks; an entry below a
     # literal block inside a sector, or one that skews a block, is refused
     # with the two-scan oracle's message
-    built = build_monopole_su2(_monopole_spec(variant, 2.0, 4))
+    built = build(_monopole_spec(variant, 2.0, 4))
     labels = _monopole_labels(variant, 4)
     entries = np.array(built.entries)
     inner = labels[built.filled[3]]
@@ -890,7 +882,7 @@ def test_finish_on_sector_stacks_reads_the_largest_entry_above_the_blocks(varian
     # matrix's largest entry above the blocks to its largest entry
     import gaugesim.hamiltonians as hamiltonians
 
-    built = build_monopole_su2(_monopole_spec(variant, 2.0, 4))
+    built = build(_monopole_spec(variant, 2.0, 4))
     labels = _monopole_labels(variant, 4)
     m = built.matrix
     ratio = np.abs(m[labels[:, None] < labels[None, :]]).max() / np.abs(m).max()
@@ -905,7 +897,7 @@ def test_finish_on_sector_stacks_reads_the_largest_entry_above_the_blocks(varian
 def test_a_monopole_build_keeps_its_sectors_and_assembles_the_matrix_on_read(variant, boson_trunc):
     # the 16 sector stacks are the build; each label block lies inside one
     # sector, and the matrix is the stacks scattered into zeros, made once
-    built = build_monopole_su2(_monopole_spec(variant, 1.37, boson_trunc))
+    built = build(_monopole_spec(variant, 1.37, boson_trunc))
     size = boson_trunc ** 3 // 2
     assert built.entries.shape == (16, size, size) and built.filled.shape == (16, size)
     assert sorted(built.filled.ravel().tolist()) == list(range(built.dim))
@@ -941,13 +933,13 @@ def test_a_repeated_build_is_the_held_one_without_a_second_finish(monkeypatch):
     finish = hamiltonians._finish
     monkeypatch.setattr(hamiltonians, "_finish", lambda *a, **k: finished.append(a[1]) or finish(*a, **k))
     polar = HamiltonianSpec(kind="LandauPolar", b_field=2.0, angular_m=1)
-    held = build_landau_polar(polar)
-    # an equal spec, passed by position or by name, or through build
-    for again in (build_landau_polar(polar), build_landau_polar(spec=replace(polar)), build(polar)):
+    held = build(polar)
+    # an equal spec, passed by position or by name
+    for again in (build(polar), build(spec=replace(polar))):
         assert again is held
     monopole = HamiltonianSpec(kind="MonopoleSU2", variant="HermitianPart")
     held = build(monopole)
-    assert build_monopole_su2(monopole) is held and build(monopole) is held
+    assert build(monopole) is held
     held = build_landau_cartesian_position(cart_spec())
     assert build_landau_cartesian_position(cart_spec(b_field=2)) is held
     assert finished == [polar, monopole, cart_spec()]
@@ -958,7 +950,7 @@ def test_a_repeated_build_is_the_held_one_without_a_second_finish(monkeypatch):
 
 def test_builds_of_one_spec_with_other_builders_or_arguments_never_alias():
     cart = cart_spec(boson_trunc=4)
-    builds = [build_landau_cartesian(cart), build_landau_cartesian_position(cart), build(cart)]
+    builds = [build(cart), build_landau_cartesian_position(cart), build(cart)]
     assert builds[2] is not builds[0]  # another build came between
     assert len({id(b) for b in builds}) == 3
     assert not np.array_equal(builds[0].matrix, builds[1].matrix)
@@ -978,7 +970,7 @@ def test_a_new_spec_drops_the_held_build():
     # a refused call drops it too, before it builds
     ref = weakref.ref(build(cart_spec()))
     with pytest.raises(InvalidSpecError):
-        build_landau_polar(cart_spec())
+        build_landau_cartesian_position(HamiltonianSpec(kind="LandauPolar"))
     assert ref() is None
 
 

@@ -10,9 +10,6 @@ from gaugesim.errors import DimensionMismatchError, GaugesimError, InvalidConfig
 from gaugesim.hamiltonians import (
     HamiltonianSpec,
     build,
-    build_landau_cartesian,
-    build_landau_polar,
-    build_monopole_su2,
 )
 from gaugesim.operators import hermitian_eig
 from gaugesim.vqe import (
@@ -32,7 +29,7 @@ def test_single_qubit_z_reaches_minus_one():
 
 
 def test_polar_run_matches_exact_ground():
-    built = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
+    built = build(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
     lam = hermitian_eig(built.matrix).values[0]
     res = minimize(built, AnsatzConfig(4, depth=3))
     assert res.energy - lam >= -1e-9
@@ -118,7 +115,7 @@ def test_evaluations_count_circuit_runs(monkeypatch):
         return circuits.ansatz_state(cfg, params)
 
     monkeypatch.setattr(vqe, "ansatz_state", counted)
-    built = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
+    built = build(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
     res = minimize(built, AnsatzConfig(4, depth=2), OptimizerSettings(seed=3, max_iter=30))
     assert res.evaluations == len(runs)
     assert res.trace_evaluations[-1] == res.evaluations
@@ -137,13 +134,13 @@ def test_one_point_builds_the_layer_factors_twice(monkeypatch, depth):
 
     factors = circuits._factors
     monkeypatch.setattr(circuits, "_factors", counted)
-    built = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
+    built = build(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
     energy_gradient(built, AnsatzConfig(4, depth=depth), np.linspace(-1.0, 1.0, 4 * (depth + 1)))
     assert passes == [depth + 1, depth]
 
 
 def test_minimize_guards():
-    built = build_monopole_su2(HamiltonianSpec(kind="MonopoleSU2", b_field=2.0))
+    built = build(HamiltonianSpec(kind="MonopoleSU2", b_field=2.0))
     with pytest.raises(NotHermitianError, match="HermitianPart"):
         minimize(built, AnsatzConfig(9, depth=1))
     with pytest.raises(DimensionMismatchError):
@@ -158,7 +155,7 @@ def test_minimize_guards():
 
 
 def test_budget_exhaustion_returns_best_so_far():
-    built = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
+    built = build(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
     res = minimize(built, AnsatzConfig(4, depth=3), OptimizerSettings(seed=11, max_iter=3))
     assert np.isfinite(res.energy)
     assert not res.converged
@@ -176,7 +173,7 @@ def test_optimizer_settings_validate_themselves():
 
 
 def test_determinism():
-    built = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
+    built = build(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
     opt = OptimizerSettings(seed=7, max_iter=60)
     r1 = minimize(built, AnsatzConfig(4, depth=2), opt)
     r2 = minimize(built, AnsatzConfig(4, depth=2), opt)
@@ -188,7 +185,7 @@ def test_sweep_monopole_reaches_real_state_floor():
     # Ry/CZ circuits produce real amplitudes, so the reachable optimum is
     # lambda_min of Re(H); for the Hermitian-part monopole that floor is the
     # free ground energy (the coupling's real part vanishes identically).
-    built = build_monopole_su2(
+    built = build(
         HamiltonianSpec(kind="MonopoleSU2", b_field=0.2, variant="HermitianPart")
     )
     res = minimize(built, AnsatzConfig(9, depth=3), OptimizerSettings(seed=11, max_iter=300))
@@ -204,11 +201,11 @@ def _objective_problem(problem, rng):
     if problem == "random":
         return random_hermitian(rng, 16), 4, (1, 16)
     if problem == "cartesian":
-        return build_landau_cartesian(HamiltonianSpec(kind="LandauCartesian", b_field=2.0)), 8, (2, 128)
+        return build(HamiltonianSpec(kind="LandauCartesian", b_field=2.0)), 8, (2, 128)
     if problem == "polar":
-        return build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0)), 4, (1, 16)
+        return build(HamiltonianSpec(kind="LandauPolar", b_field=2.0)), 4, (1, 16)
     spec = HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant=problem)
-    return build_monopole_su2(spec), 9, (16, 32)
+    return build(spec), 9, (16, 32)
 
 
 @pytest.mark.parametrize("problem", ["HermitianPart", "MajoranaFermions", "cartesian", "polar", "random"])
@@ -239,7 +236,7 @@ def test_stacked_objective_equals_the_dense_real_part(problem, rng):
 
 def test_monopole_minimize_never_forms_a_dense_real_part():
     # a dense float64 Re H at 9 qubits alone is 2 MiB of numpy memory
-    built = build_monopole_su2(HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant="HermitianPart"))
+    built = build(HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant="HermitianPart"))
     tracemalloc.start()
     try:
         minimize(built, AnsatzConfig(9, depth=3), OptimizerSettings(seed=11, max_iter=20))
@@ -273,15 +270,15 @@ def test_minimize_reads_the_held_builds_real_form(monkeypatch):
     from gaugesim import hamiltonians
 
     spec = HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant="HermitianPart", boson_trunc=2)
-    built = build_monopole_su2(spec)
+    built = build(spec)
     calls, forms = [], []
     gather = hamiltonians._diagonal_blocks
     monkeypatch.setattr(hamiltonians, "_diagonal_blocks", lambda *a: calls.append(a) or gather(*a))
     objective = vqe._RealObjective
     monkeypatch.setattr(vqe, "_RealObjective", lambda h_real, ans: forms.append(h_real) or objective(h_real, ans))
     for seed in (1, 2):
-        minimize(build_monopole_su2(spec), AnsatzConfig(6, depth=1), OptimizerSettings(seed=seed, max_iter=3))
-    assert build_monopole_su2(spec) is built
+        minimize(build(spec), AnsatzConfig(6, depth=1), OptimizerSettings(seed=seed, max_iter=3))
+    assert build(spec) is built
     assert [len(a) for a in calls] == [3] and len(forms) == 2  # one read, without orbits
     sub, _, _ = gather(*calls[0])
     assert sub is built.entries  # and no gather
@@ -289,7 +286,7 @@ def test_minimize_reads_the_held_builds_real_form(monkeypatch):
 
 
 def test_trace_csv_format(tmp_path):
-    built = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
+    built = build(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
     res = minimize(built, AnsatzConfig(4, depth=1), OptimizerSettings(seed=1, max_iter=25))
     path = tmp_path / "trace.csv"
     write_trace_csv(res, path)
@@ -382,7 +379,7 @@ def test_matches_scipy_slsqp(problem, depth, entangler, rng):
     # can stop 2e-8 to 1e-7 away (seed 7 at depth 2 and 3); at 1e-12 both
     # reach the minimum they head for.
     if problem == "polar":
-        h, n = build_landau_polar(HamiltonianSpec(kind="LandauPolar", b_field=2.0)).matrix, 4
+        h, n = build(HamiltonianSpec(kind="LandauPolar", b_field=2.0)).matrix, 4
     else:
         h, n = random_hermitian(rng, 8), 3
     ans = AnsatzConfig(n, depth=depth, entangler=entangler)

@@ -83,15 +83,13 @@ def _flip_tables(n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _cz_full_layer_signs(n: int) -> np.ndarray:
-    """Diagonal of the all-pairs CZ layer: (-1)**C(popcount, 2).
+    """Diagonal of the all-pairs CZ layer: (-1)**C(k, 2) for popcount k, -1 where bit 1 of k is set.
 
     Every CZ is diagonal, so the whole entangling layer collapses to one
     sign vector; using it is exactly equivalent to applying the pair
     gates one by one, in any order.
     """
-    idx = np.arange(2 ** n, dtype=np.uint64)
-    k = np.bitwise_count(idx).astype(np.int64)
-    signs = np.where((k * (k - 1) // 2) % 2 == 0, 1.0, -1.0)
+    signs = np.where(np.bitwise_count(np.arange(2 ** n)) & 2, -1.0, 1.0)
     signs.flags.writeable = False
     return signs
 
@@ -100,17 +98,15 @@ def _cz_full_layer_signs(n: int) -> np.ndarray:
 def _cx_full_layer_sources(n: int, inverse: bool = False) -> np.ndarray:
     """Gather indices of the all-pairs CX layer: ``layer(psi) = psi[src]``.
 
-    The pairs act one by one in ascending (control < target) order; a CX
-    only permutes amplitudes, so the whole layer is one permutation.
-    ``inverse`` gives the indices that undo the layer.
+    The pairs act in ascending (control < target) order, so bit q becomes
+    b_q ^ b_(q-1): basis state i goes to the Gray code g(i) = i ^ (i >> 1),
+    as under the ladder of n - 1 CNOTs CX(q - 1 -> q), q = n - 1 down to 1.
+    ``src`` is g's inverse, the prefix XOR of i's bits (ceil(log2 n)
+    shift-and-XOR steps); with ``inverse`` it is g, which undoes the layer.
     """
-    idx = np.arange(2 ** n)
-    src = idx
-    for c in range(n - 1):
-        ctrl = ((idx >> (n - 1 - c)) & 1).astype(bool)
-        for t in range(c + 1, n):
-            src = src[np.where(ctrl, idx ^ (1 << (n - 1 - t)), idx)]
-    src = np.argsort(src) if inverse else src
+    src = np.arange(2 ** n)
+    for shift in [1] if inverse else [1 << k for k in range((n - 1).bit_length())]:
+        src ^= src >> shift
     src.flags.writeable = False
     return src
 
@@ -130,8 +126,8 @@ class AnsatzConfig:
     The form only: the optimizer owns the angles, n_qubits * (depth + 1)
     of them (``n_params``), ordered layer by layer, and passes them to
     ``ansatz_state`` and ``adjoint_gradient``.  ``entangler`` is "cz"
-    (default; order-free) or "cx" (pairs applied in ascending
-    (control < target) order).
+    (default; order-free) or "cx" (pairs in ascending (control < target)
+    order: a Gray code, n - 1 CNOTs as a ladder; ``_cx_full_layer_sources``).
 
     ``FIELDS`` is each field's ``read_fields`` rule, caps included (the
     register at ``MAX_QUBITS``); the constructor applies it, so the CLI

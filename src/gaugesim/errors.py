@@ -50,10 +50,6 @@ class InvalidConfigError(GaugesimError):
     """An experiment configuration, ansatz or HamiltonianSpec is invalid."""
 
 
-#: Same class as InvalidConfigError: a spec is one section of a config.
-InvalidSpecError = InvalidConfigError
-
-
 class SingularTimeError(GaugesimError):
     """Propagation kernel evaluated at a singular time (sin(BT/2) ~ 0)."""
 

@@ -35,8 +35,8 @@ from .errors import (
     read_numbers,
     write_rows,
 )
-from .operators import (MAX_QUBITS, _propagate, _require_hermitian, _require_phase, as_operator, hermitian_eig,
-                        qubits_of_dim)
+from .operators import (MAX_QUBITS, _dim, _propagate, _require_hermitian, _require_phase, as_operator,
+                        hermitian_eig, qubits_of_dim)
 
 __all__ = [
     "PauliTermList",
@@ -351,9 +351,9 @@ def transition_series(h, psi_i, psi_fs, ts, method: str = "exact",
     computational basis; ``ts`` is a list of times or one time.  method
     "exact" uses the spectral propagator; "trotter" uses the first-order
     product with ``trotter_steps`` per time point.  ``h`` is a matrix or a
-    BuiltHamiltonian.
+    BuiltHamiltonian (sized by ``operators._dim``, without its matrix).
     """
-    dim = as_operator(h).shape[0]
+    dim = _dim(h)
     psi_i = _state(psi_i, dim, "initial state")
     ts = read_numbers(ts, "evolution times", InvalidTimesError)
     if ts.ndim > 1:
@@ -458,12 +458,14 @@ def scattering_process(h_free, p2: float, tau: float, total_t: float, psi0,
                        method: str = "exact", trotter_steps: int = 100) -> np.ndarray:
     """Evolve, insert the vertex exp(i p2 X), evolve again.
 
-    Returns U(total_t - tau) V(p2) U(tau) |psi0>, X the diagonal position
-    operator of the matching grid.  tau may sit at either endpoint (the
-    pure before/after limits).  H, a matrix or a BuiltHamiltonian, is
-    decomposed once for both legs.
+    Returns U(total_t - tau) V(p2) U(tau) |psi0>, X = ``pos_grid(dim)``.
+    tau may sit at either endpoint (the pure before/after limits).  H, a
+    matrix on that 1-D grid, is decomposed once for both legs; no build
+    lives on it, so a BuiltHamiltonian is refused (GaugesimError).
     """
-    dim = as_operator(h_free).shape[0]
+    if hasattr(h_free, "hermitian"):
+        raise GaugesimError(f"scattering_process: the {h_free.spec.kind} build is not on the 1-D position grid")
+    dim = _dim(h_free)
     p2 = read_number(p2, "p2", float, error=ValueError)
     grid = _vertex_grid(p2, dim, "scattering_process")
     tau, total_t = read_numbers([tau, total_t], "evolution times", InvalidTimesError)

@@ -29,7 +29,7 @@ import numpy as np
 from . import basis
 from .errors import (
     GaugesimError,
-    InvalidSpecError,
+    InvalidConfigError,
     NotPowerOfTwoError,
     read_fields,
     read_own_fields,
@@ -82,7 +82,7 @@ class HamiltonianSpec:
     ``dataclasses.replace`` and ``from_json``) applies every field's
     ``read_fields`` rule in ``FIELDS``, fills the kind's default
     ``boson_trunc``, checks the rules that tie fields together and raises
-    InvalidSpecError for anything else.  ``from_json`` reads the JSON
+    InvalidConfigError for anything else.  ``from_json`` reads the JSON
     form, which has the same keys, except that ``r_ref`` travels as
     ``{"ScalarB": r_ref}`` under ``variant``.
     """
@@ -105,20 +105,19 @@ class HamiltonianSpec:
         try:
             qubits = self.qubits
         except NotPowerOfTwoError:
-            raise InvalidSpecError(f"boson_trunc must be a power of two, got {trunc}") from None
+            raise InvalidConfigError(f"boson_trunc must be a power of two, got {trunc}") from None
         if qubits > MAX_QUBITS:
-            raise InvalidSpecError(
-                f"boson_trunc {trunc} needs {qubits} qubits for {self.kind}; at most {MAX_QUBITS}"
-            )
+            raise InvalidConfigError(f"boson_trunc {trunc} needs {qubits} qubits for {self.kind}; "
+                                     f"at most {MAX_QUBITS}")
         if self.angular_m != 0 and self.kind != "LandauPolar":
-            raise InvalidSpecError(f"angular_m is only valid for kind 'LandauPolar', not {self.kind!r}")
+            raise InvalidConfigError(f"angular_m is only valid for kind 'LandauPolar', not {self.kind!r}")
         if self.variant != "Literal" and self.kind != "MonopoleSU2":
-            raise InvalidSpecError(f"variant is only valid for kind 'MonopoleSU2', not {self.kind!r}")
+            raise InvalidConfigError(f"variant is only valid for kind 'MonopoleSU2', not {self.kind!r}")
         if self.variant == "ScalarB":
             if self.r_ref is None or self.r_ref <= 0.0:
-                raise InvalidSpecError("ScalarB variant requires a positive r_ref")
+                raise InvalidConfigError("ScalarB variant requires a positive r_ref")
         elif self.r_ref is not None:
-            raise InvalidSpecError("r_ref is only valid with the ScalarB variant")
+            raise InvalidConfigError("r_ref is only valid with the ScalarB variant")
 
     @property
     def qubits(self) -> int:
@@ -436,7 +435,7 @@ def build_landau_cartesian_position(spec: HamiltonianSpec) -> BuiltHamiltonian:
     64x64 phase sectors (at 16x16 points) carry every eigen-solve.
     """
     if spec.kind != "LandauCartesian":
-        raise InvalidSpecError(f"build_landau_cartesian_position got kind {spec.kind!r}")
+        raise InvalidConfigError(f"build_landau_cartesian_position got kind {spec.kind!r}")
     n = spec.boson_trunc
     q, p = basis.pos_q(n), basis.pos_p(n)
     rev = np.arange(n)[::-1]

@@ -46,6 +46,11 @@ def as_operator(a) -> np.ndarray:
     return m
 
 
+def _dim(a) -> int:
+    """The one sizing rule: a build's ``dim`` (no matrix assembled), else ``len(as_operator(a))``."""
+    return a.dim if hasattr(a, "hermitian") else len(as_operator(a))
+
+
 def qubits_of_dim(dim: int) -> int:
     """The n with dim == 2**n; NotPowerOfTwoError for any other dim (0 included)."""
     dim = read_number(dim, "dimension", int, 1, error=NotPowerOfTwoError)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .circuits import AnsatzConfig, adjoint_gradient, ansatz_state
 from .errors import DimensionMismatchError, GaugesimError, read_number, read_own_fields, write_rows
-from .operators import _require_hermitian, as_operator
+from .operators import _dim, _require_hermitian, as_operator
 
 __all__ = [
     "OptimizerSettings",
@@ -89,13 +89,13 @@ def _real_form(h, ansatz: AnsatzConfig) -> tuple:
     a matrix is one block), after refusing ``h`` (a matrix or a build)
     unless it fits the register and is Hermitian (``_require_hermitian``;
     a build's flag), so that the variational quotient is real."""
-    m = None if hasattr(type(h), "real_form") else as_operator(h)  # a build is sized without its matrix
-    dim = h.dim if m is None else len(m)
+    dim = _dim(h)
     if dim != 2 ** ansatz.n_qubits:
         raise DimensionMismatchError(f"H dim {dim} vs ansatz register of {ansatz.n_qubits} qubits")
     _require_hermitian(h, "vqe")
-    if m is None:
+    if hasattr(h, "hermitian"):
         return h.real_form
+    m = as_operator(h)
     return np.arange(dim)[None], (0.5 * (m.real + m.real.T))[None]
 
 

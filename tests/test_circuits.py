@@ -9,7 +9,9 @@ from gaugesim.operators import hermitian_eig
 
 from conftest import (
     PAULI,
+    SX,
     dense_ansatz_state,
+    dense_controlled,
     dense_ry,
     per_layer_adjoint_gradient,
     per_layer_ansatz_state,
@@ -73,6 +75,57 @@ def test_cx_action():
     np.testing.assert_allclose(_state(2, 1, [np.pi, 0, 0, 0], "cx"), [0, 0, 0, 1], atol=1e-12)
     np.testing.assert_allclose(_state(2, 1, [0, np.pi, 0, 0], "cx"), [0, 1, 0, 0], atol=1e-12)
     np.testing.assert_allclose(_state(2, 1, [0, 0, 0, 0], "cx"), [1, 0, 0, 0], atol=1e-15)
+
+
+def _pair_sources(n):
+    """Gather sources of the all-pairs CX layer, its n(n-1)/2 pair
+    permutations composed one by one in ascending (control < target) order."""
+    idx = np.arange(2 ** n)
+    src = idx
+    for c in range(n - 1):
+        ctrl = ((idx >> (n - 1 - c)) & 1).astype(bool)
+        for t in range(c + 1, n):
+            src = src[np.where(ctrl, idx ^ (1 << (n - 1 - t)), idx)]
+    return src
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_cx_layer_table_is_the_composed_pair_permutations(n):
+    # the closed form (the Gray code's inverse as a gather) equals the pairs
+    # composed one by one, bit for bit
+    assert circuits._cx_full_layer_sources(n).tobytes() == _pair_sources(n).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_cx_layer_inverse_table_undoes_the_layer(n):
+    forward = circuits._cx_full_layer_sources(n)
+    inverse = circuits._cx_full_layer_sources(n, inverse=True)
+    np.testing.assert_array_equal(forward[inverse], np.arange(2 ** n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cx_layer_equals_the_nearest_neighbour_ladder(n):
+    # all n(n-1)/2 pairs in ascending order = the n - 1 CNOTs CX(q - 1 -> q)
+    # applied for q = n - 1 down to 1 = the gather of the layer's table
+    pairs = np.eye(2 ** n)
+    for c in range(n - 1):
+        for t in range(c + 1, n):
+            pairs = dense_controlled(n, c, t, SX) @ pairs
+    ladder = np.eye(2 ** n)
+    for q in range(n - 1, 0, -1):
+        ladder = dense_controlled(n, q - 1, q, SX) @ ladder
+    np.testing.assert_array_equal(pairs, ladder)
+    np.testing.assert_array_equal(ladder, np.eye(2 ** n)[circuits._cx_full_layer_sources(n)])
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_cz_layer_signs_are_the_product_of_the_pair_diagonals(n):
+    bits = (np.arange(2 ** n)[:, None] >> (n - 1 - np.arange(n))) & 1
+    signs = np.ones(2 ** n)
+    for c in range(n - 1):
+        for t in range(c + 1, n):
+            signs *= np.where(bits[:, c] & bits[:, t], -1.0, 1.0)
+    assert circuits._cz_full_layer_signs(n).tobytes() == signs.tobytes()
 
 
 def test_ansatz_zero_params_is_vacuum():

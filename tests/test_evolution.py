@@ -738,6 +738,17 @@ def test_transition_series_batched_matches_single_calls(rng):
     assert np.array_equal(exact.amplitudes, _propagate(hermitian_eig(h), psi_i, ts))
 
 
+def test_exact_series_sizes_a_build_without_its_matrix():
+    # a build is sized by its dim: the exact path solves the HermitianPart
+    # monopole's sector blocks, so its 512x512 matrix is never assembled
+    # (the traced numpy peak of this call fell from 12.3 to 8.3 MiB)
+    spec = HamiltonianSpec(kind="MonopoleSU2", variant="HermitianPart", boson_trunc=4)
+    built = dataclasses.replace(build(spec))
+    series = transition_series(built, np.eye(built.dim)[0], "all", np.linspace(0.0, 1.0, 11), method="exact")
+    assert series.amplitudes.shape == (11, 512)
+    assert "matrix" not in vars(built)
+
+
 def test_transition_csv(tmp_path, rng):
     h = random_hermitian(rng, 4)
     psi_i = random_state(rng, 4)
@@ -1002,6 +1013,23 @@ def test_scattering_decomposes_once(rng, monkeypatch, call, method, counted):
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("method", ["exact", "trotter"])
+@pytest.mark.parametrize("position", [True, False], ids=["grid", "oscillator"])
+def test_scattering_refuses_a_build(method, position):
+    # the vertex is exp(i p2 pos_grid(dim)), the 1-D grid of dim points, on
+    # which no build lives: at the 16x16 grid's centre (index 136) it used to
+    # phase by exp(0.5i pos_grid(256)[136]), where the grid's x is 0.3133, and
+    # the oscillator's |0,0> by -0.8459+0.5334i; a fresh build is refused
+    # before its matrix is assembled
+    spec = HamiltonianSpec(kind="LandauCartesian", b_field=2.0)
+    built = dataclasses.replace(build_landau_cartesian_position(spec) if position else build(spec))
+    psi = np.eye(built.dim)[136 if position else 0]
+    with pytest.raises(GaugesimError, match="scattering_process: the LandauCartesian build is not on the 1-D "
+                                            "position grid"):
+        scattering_process(built, 0.5, 0.0, 1.0, psi, method=method, trotter_steps=4)
+    assert "matrix" not in vars(built)
+
+
 def test_scattering_time_guard(rng):
     h = _free_position_h(4)
     with pytest.raises(InvalidTimesError):
@@ -1043,13 +1071,20 @@ def test_a_build_is_not_checked_again_and_an_array_once(monkeypatch, call):
     # checks its 256x256 matrix again; the same matrix as an array is checked once
     from gaugesim.hamiltonians import build_landau_cartesian_position
 
+    # scattering_process refuses a build (no build lives on its vertex's 1-D
+    # grid) before any check; the same matrix as an array it cannot tell apart
     built = build_landau_cartesian_position(HamiltonianSpec(kind="LandauCartesian", b_field=2.0))
     psi = np.zeros(256, dtype=complex)
     psi[8 * 16 + 8] = 1.0
     calls = _whole_matrix_checks(monkeypatch, 256)
-    from_build = _EVOLUTIONS[call](built, psi)
+    results = []
+    if call.startswith("scattering"):
+        with pytest.raises(GaugesimError, match="build is not on the 1-D position grid"):
+            _EVOLUTIONS[call](built, psi)
+    else:
+        results.append(_EVOLUTIONS[call](built, psi))
     assert calls == []
-    from_array = _EVOLUTIONS[call](built.matrix, psi)
+    results.append(_EVOLUTIONS[call](built.matrix, psi))
     assert len(calls) == 1
     if "trotter" in call:
         # the build steps on the grid's two registers, the array on the
@@ -1057,7 +1092,7 @@ def test_a_build_is_not_checked_again_and_an_array_once(monkeypatch, call):
         groups, vertex = _groups(built), np.exp(1j * 0.9 * pos_grid(256))
         expected = (pair_trotter(groups, [0.3], 10, vertex * pair_trotter(groups, [0.2], 10, psi)[0])[0]
                     if call.startswith("scattering") else pair_trotter(groups, [0.0, 0.5], 10, psi))
-        for result in (from_build, from_array):
+        for result in results:
             np.testing.assert_allclose(result, expected, rtol=0, atol=1e-13)
         return
     # exact: the build solves its four quarter-turn sectors, the array goes
@@ -1066,7 +1101,7 @@ def test_a_build_is_not_checked_again_and_an_array_once(monkeypatch, call):
     expected = (exact_unitary(built.matrix, 0.3) @ (phase * (exact_unitary(built.matrix, 0.2) @ psi))
                 if call.startswith("scattering") else
                 np.stack([psi, exact_unitary(built.matrix, 0.5) @ psi]))
-    for result in (from_build, from_array):
+    for result in results:
         np.testing.assert_allclose(result, expected, rtol=0, atol=1e-12)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gaugesim.basis import osc_p, osc_p2, osc_q, osc_q2, place, pos_grid, pos_q
-from gaugesim.errors import GaugesimError, InvalidSpecError, NotHermitianError
+from gaugesim.errors import GaugesimError, InvalidConfigError, NotHermitianError
 from gaugesim.hamiltonians import (
     KINDS,
     POLAR_BASIS_SCALE,
@@ -74,14 +74,14 @@ def test_spec_validation_errors():
     # a spec is checked once, when it is made: by the constructor, by
     # dataclasses.replace and by from_json alike
     for kw, message in _BAD_SPECS:
-        with pytest.raises(InvalidSpecError, match=message):
+        with pytest.raises(InvalidConfigError, match=message):
             HamiltonianSpec(**kw)
         valid = HamiltonianSpec(kind=kw["kind"] if kw["kind"] in KINDS else "LandauPolar")
-        with pytest.raises(InvalidSpecError, match=message):
+        with pytest.raises(InvalidConfigError, match=message):
             replace(valid, **kw)
         obj = _json_form(kw)
         if obj is not None:
-            with pytest.raises(InvalidSpecError, match=message):
+            with pytest.raises(InvalidConfigError, match=message):
                 HamiltonianSpec.from_json(obj)
 
 
@@ -101,11 +101,11 @@ def test_spec_from_json_reads_the_scalar_b_object():
 
 
 def test_spec_json_rejects_unknown_keys():
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(InvalidConfigError):
         HamiltonianSpec.from_json({"kind": "LandauPolar", "extra": 1})
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(InvalidConfigError):
         HamiltonianSpec.from_json({"b_field": 2.0})  # kind missing
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(InvalidConfigError):
         HamiltonianSpec.from_json({"kind": "MonopoleSU2", "variant": {"ScalarB": 1.0, "x": 2}})
 
 
@@ -242,7 +242,7 @@ def test_cartesian_builds_start_a_packet_along_the_printed_field(grid):
 
 def test_builder_kind_guards():
     # the position grid is a second basis of LandauCartesian alone
-    with pytest.raises(InvalidSpecError, match="got kind 'LandauPolar'"):
+    with pytest.raises(InvalidConfigError, match="got kind 'LandauPolar'"):
         build_landau_cartesian_position(HamiltonianSpec(kind="LandauPolar"))
 
 
@@ -969,7 +969,7 @@ def test_a_new_spec_drops_the_held_build():
     assert ref() is None
     # a refused call drops it too, before it builds
     ref = weakref.ref(build(cart_spec()))
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(InvalidConfigError):
         build_landau_cartesian_position(HamiltonianSpec(kind="LandauPolar"))
     assert ref() is None
 

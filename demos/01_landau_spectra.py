@@ -8,18 +8,13 @@ values |B|(n + 1/2).
 
 import numpy as np
 
-from gaugesim import (
-    HamiltonianSpec,
-    build,
-    hermitian_eig,
-    landau_energy,
-)
+from gaugesim import HamiltonianSpec, build, landau_energy
 
 B = 2.0
 
 print("=== Cartesian, two 16x16 oscillator factors (8 qubits) ===")
 spec = HamiltonianSpec(kind="LandauCartesian", b_field=B)
-vals = hermitian_eig(build(spec).matrix).values
+vals = build(spec).spectrum()
 exact_ground = np.sum(np.abs(vals - landau_energy(B, 0)) < 1e-9)
 print(f"lambda_min = {vals[0]:+.9f}   states at exactly {landau_energy(B, 0):.1f}: {exact_ground}")
 print("x^2 and p^2 enter as truncations of the squared operators, so the matrix")
@@ -28,7 +23,7 @@ print("exactly (plain matrix squares would let edge states sink to about 0.87).\
 
 print("=== Polar radial factor, one 16x16 block (4 qubits), m = 0 ===")
 spec_p = HamiltonianSpec(kind="LandauPolar", b_field=B, angular_m=0)
-lam = hermitian_eig(build(spec_p).matrix).values[0]
+lam = build(spec_p).lowest_eigenvalue()
 print(f"basis scale 5: lambda_min = {lam:.7f}   (continuum {landau_energy(B, 0):.1f})")
 print("The scale is calibrated at B = 2; the unit-scale basis gives 0.9698777.\n")
 

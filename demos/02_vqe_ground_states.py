@@ -7,7 +7,7 @@ traces, and writes them as CSV files next to this script.
 
 import pathlib
 
-from gaugesim import AnsatzConfig, HamiltonianSpec, build, hermitian_eig
+from gaugesim import AnsatzConfig, HamiltonianSpec, build
 from gaugesim.vqe import OptimizerSettings, minimize, write_trace_csv
 
 OUT = pathlib.Path(__file__).resolve().parent / "out"
@@ -19,7 +19,7 @@ RUNS = [
 ]
 
 for name, built, qubits in RUNS:
-    lam = hermitian_eig(built.matrix).values[0]
+    lam = built.lowest_eigenvalue()
     result = minimize(built, AnsatzConfig(qubits, depth=3), OptimizerSettings(max_iter=600, seed=11))
     path = OUT / f"vqe_trace_{name}.csv"
     write_trace_csv(result, path)

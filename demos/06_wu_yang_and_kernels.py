@@ -1,15 +1,20 @@
 """Classical oracles: the radial Wu-Yang equation and propagation kernels.
 
 Integrates g'' = g (g^2 - 1)/r^2 from small-r series data, demonstrates
-fourth-order convergence of the integrator, and evaluates the constant-field
-polar propagation kernel in closed form: its free-particle limit and its
-value near a singular time.
+fourth-order convergence of the integrator, evaluates the constant-field
+polar propagation kernel in closed form (its free-particle limit and its
+value near a singular time), and reads the worldline proper-time kernel off
+the position grid: its return kernel in a constant field is the free one
+times Schwinger's factor (BT/2) / sinh(BT/2).
 """
 
 import numpy as np
 
 from gaugesim import (
+    HamiltonianSpec,
+    build_landau_cartesian_position,
     kernel_polar,
+    pos_grid,
     wu_yang_series_large,
     wu_yang_series_small,
     wu_yang_solve,
@@ -47,3 +52,27 @@ print(f"B = 1e-6 vs the free propagator e^(i |dr|^2 / 2T) / (2 pi i T): "
       f"relative difference {abs(small_b - free) / abs(free):.2e}")
 near = kernel_polar(0.7, 0.0, 0.7, 0.4, 3.13, 2.0)
 print(f"near the singular time B T / 2 = pi (T=3.13, B=2): {near:.15g}")
+
+print("\n=== proper-time kernel on the position grid ===")
+
+
+def return_kernels(n, b_field, times):
+    """K(c, c; T) = <c| exp(-T H) |c> on the n x n grid, c the point nearest the origin."""
+    es = build_landau_cartesian_position(
+        HamiltonianSpec(kind="LandauCartesian", b_field=b_field, boson_trunc=n)).eigensystem()
+    grid = pos_grid(n)
+    c = np.argmin((grid[:, None] ** 2 + grid ** 2).ravel())
+    return np.exp(-np.outer(times, es.values)) @ np.abs(es.vectors[c]) ** 2
+
+
+times = np.linspace(0.5, 2.0, 16)
+print("max |K_B / K_0 - (BT/2)/sinh(BT/2)| over T in [0.5, 2]:")
+print("  grid    B=0.5      B=1        B=2        B=3")
+for n in (16, 8):
+    free = return_kernels(n, 0.0, times)
+    errs = [np.abs(return_kernels(n, b, times) / free - (b * times / 2) / np.sinh(b * times / 2)).max()
+            for b in (0.5, 1.0, 2.0, 3.0)]
+    print(f"  {n:2d}x{n:<2d}  " + "  ".join(f"{e:.2e}" for e in errs))
+one = np.array([1.0])
+ratio = return_kernels(16, 2.0, one)[0] / return_kernels(16, 0.0, one)[0]
+print(f"16x16, B = 2, T = 1: K_B / K_0 = {ratio:.5f}, (BT/2)/sinh(BT/2) = {1.0 / np.sinh(1.0):.5f}")

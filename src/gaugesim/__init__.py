@@ -31,7 +31,6 @@ from .hamiltonians import (
     HamiltonianSpec,
     build,
     build_landau_cartesian_position,
-    variant_selection_report,
 )
 from .analytic import (
     kernel_polar,

@@ -13,9 +13,7 @@ Three systems are supported:
 The monopole construction is ambiguous as written (the fermion bilinears
 are non-Hermitian), so ``variant`` selects between the literal product
 form, a Hermitian-Majorana substitution, the Hermitian part of the literal
-matrix, and a scalar-B simplification.  ``variant_selection_report``
-compares all of them against the reference ground energies and records
-which one reproduces them.
+matrix, and a scalar-B simplification.
 """
 
 from __future__ import annotations
@@ -50,11 +48,8 @@ __all__ = [
     "BuiltHamiltonian",
     "build",
     "build_landau_cartesian_position",
-    "variant_selection_report",
-    "VariantReport",
     "KINDS",
     "VARIANTS",
-    "MONOPOLE_REFERENCE_ENERGIES",
 ]
 
 KINDS = ("LandauCartesian", "LandauPolar", "MonopoleSU2")
@@ -63,11 +58,6 @@ VARIANTS = ("Literal", "MajoranaFermions", "HermitianPart", "ScalarB")
 #: Default per-factor truncation reproducing the published qubit counts
 #: (8 Cartesian / 4 polar / 9 monopole).
 DEFAULT_TRUNC = {"LandauCartesian": 16, "LandauPolar": 16, "MonopoleSU2": 4}
-
-#: Reference monopole ground energies used by the variant report
-#: (lowest eigenvalue at g_m = 2 and g_m = 0.2).
-MONOPOLE_REFERENCE_ENERGIES = {2.0: -2.53854786, 0.2: 0.31120022}
-
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
@@ -618,78 +608,3 @@ def build(spec: HamiltonianSpec) -> BuiltHamiltonian:
     not a kind).  A repeated call returns the held build (see ``_held``)."""
     return _BUILDERS[spec.kind](spec)
 
-
-@dataclass(frozen=True)
-class VariantReport:
-    """Lowest eigenvalues per monopole variant, compared to the references.
-
-    ``values[variant][g_m]`` is the lowest eigenvalue.  ``matches`` lists variants within
-    ``tolerance`` of the reference at every coupling; ``closest`` is the
-    variant with the smallest worst-case deviation, and
-    ``closest_hermitian`` restricts that to Hermitian builds.
-    """
-
-    values: dict
-    hermitian: dict
-    reference: dict
-    tolerance: float
-    matches: list
-    closest: str
-    closest_hermitian: str
-
-    def to_markdown(self) -> str:
-        gms = sorted(self.reference)
-        lines = ["| variant | " + " | ".join(f"g_m={g:g}" for g in gms) + " | Hermitian | match |",
-                 "|---|" + "---|" * (len(gms) + 2)]
-        for name, per_gm in self.values.items():
-            cells = " | ".join(f"{per_gm[g]:.8f}" for g in gms)
-            mark = "yes" if name in self.matches else ""
-            lines.append(f"| {name} | {cells} | {'yes' if self.hermitian[name] else 'no'} | {mark} |")
-        ref = " | ".join(f"{self.reference[g]:.8f}" for g in gms)
-        lines.append(f"| reference | {ref} |  |  |")
-        return "\n".join(lines)
-
-
-def variant_selection_report() -> VariantReport:
-    """Diagonalize every monopole variant and compare to the references.
-
-    Builds each variant by ``build`` with N = 4 (ScalarB at r_ref = 1) at
-    the couplings of MONOPOLE_REFERENCE_ENERGIES; a variant matches when it
-    lies within 1e-3 of every reference.  Ties are broken in VARIANTS order.
-    """
-    reference = dict(MONOPOLE_REFERENCE_ENERGIES)
-    tolerance = 1e-3
-    values: dict = {}
-    hermitian: dict = {}
-    for variant in VARIANTS:
-        per_gm = {}
-        herm = True
-        for g_m in reference:
-            spec = HamiltonianSpec(
-                kind="MonopoleSU2",
-                b_field=g_m,
-                boson_trunc=4,
-                variant=variant,
-                r_ref=1.0 if variant == "ScalarB" else None,
-            )
-            built = build(spec)
-            per_gm[g_m] = built.lowest_eigenvalue()
-            herm = herm and built.hermitian
-        values[variant] = per_gm
-        hermitian[variant] = herm
-
-    def worst(variant: str) -> float:
-        return max(abs(values[variant][g] - reference[g]) for g in reference)
-
-    matches = [v for v in VARIANTS if worst(v) <= tolerance]
-    closest = min(VARIANTS, key=worst)
-    closest_hermitian = min((v for v in VARIANTS if hermitian[v]), key=worst)
-    return VariantReport(
-        values=values,
-        hermitian=hermitian,
-        reference=reference,
-        tolerance=tolerance,
-        matches=matches,
-        closest=closest,
-        closest_hermitian=closest_hermitian,
-    )

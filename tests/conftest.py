@@ -8,7 +8,15 @@ from gaugesim import circuits, hamiltonians
 from gaugesim.basis import fermion_factor, osc_p, osc_q, place, pos_grid
 from gaugesim.errors import GaugesimError
 from gaugesim.evolution import momentum_state, pauli_decompose
-from gaugesim.hamiltonians import BuiltHamiltonian, _blocks_by, _diagonal_blocks, _quarter_orbits
+from gaugesim.hamiltonians import (
+    VARIANTS,
+    BuiltHamiltonian,
+    HamiltonianSpec,
+    _blocks_by,
+    _diagonal_blocks,
+    _quarter_orbits,
+    build,
+)
 from gaugesim.operators import HERM_TOL, is_hermitian, qubits_of_dim
 
 I2 = np.eye(2, dtype=complex)
@@ -212,6 +220,32 @@ def dense_monopole(spec) -> np.ndarray:
     if spec.variant == "HermitianPart":
         h = 0.5 * (h + h.conj().T)
     return h
+
+
+#: Reference monopole ground energies (lowest eigenvalue) at g_m = 0.2 and 2;
+#: demos/04_monopole_variants.py holds its own copy, and the committed
+#: docs/monopole_variants.md ties the two.
+MONOPOLE_REFERENCE = {0.2: 0.31120022, 2.0: -2.53854786}
+
+
+def monopole_variant_table() -> tuple:
+    """(values, hermitian) of every monopole variant, straight from ``build``
+    (test oracle only): values[variant][g_m] is the lowest eigenvalue at N = 4
+    (ScalarB at r_ref = 1) at each coupling of MONOPOLE_REFERENCE, and
+    hermitian[variant] whether every one of those builds is Hermitian."""
+    values, hermitian = {}, {}
+    for variant in VARIANTS:
+        builds = {g_m: build(HamiltonianSpec(kind="MonopoleSU2", b_field=g_m, boson_trunc=4, variant=variant,
+                                             r_ref=1.0 if variant == "ScalarB" else None))
+                  for g_m in MONOPOLE_REFERENCE}
+        values[variant] = {g_m: built.lowest_eigenvalue() for g_m, built in builds.items()}
+        hermitian[variant] = all(built.hermitian for built in builds.values())
+    return values, hermitian
+
+
+def worst_reference_deviation(per_gm: dict) -> float:
+    """The largest |value - reference| over the couplings of MONOPOLE_REFERENCE."""
+    return max(abs(per_gm[g_m] - ref) for g_m, ref in MONOPOLE_REFERENCE.items())
 
 
 def two_scan_finish(matrix, spec, labels, rotation=None) -> BuiltHamiltonian:

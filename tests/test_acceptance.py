@@ -26,16 +26,20 @@ from gaugesim.evolution import (
     vertex_scan,
     wrap_momentum,
 )
-from gaugesim.hamiltonians import (
-    HamiltonianSpec,
-    MONOPOLE_REFERENCE_ENERGIES,
-    build,
-    variant_selection_report,
-)
+from gaugesim.hamiltonians import HamiltonianSpec, build
 from gaugesim.operators import herm_defect, hermitian_eig
 from gaugesim.vqe import OptimizerSettings, minimize
 
-from conftest import exact_unitary, free_planar_kernel, pauli_reconstruct, random_hermitian, random_state
+from conftest import (
+    MONOPOLE_REFERENCE,
+    exact_unitary,
+    free_planar_kernel,
+    monopole_variant_table,
+    pauli_reconstruct,
+    random_hermitian,
+    random_state,
+    worst_reference_deviation,
+)
 
 POLAR_REFERENCE = 0.9980452
 
@@ -88,18 +92,19 @@ def test_criterion_3_polar_exact_spectrum():
 
 
 def test_criterion_4_monopole_variants():
-    rep = variant_selection_report()
+    values, hermitian = monopole_variant_table()
     lines = "; ".join(
-        f"{v}: " + ", ".join(f"g={g:g} -> {rep.values[v][g]:+.8f}" for g in sorted(rep.reference))
-        for v in rep.values
+        f"{v}: " + ", ".join(f"g={g:g} -> {per_gm[g]:+.8f}" for g in MONOPOLE_REFERENCE)
+        for v, per_gm in values.items()
     )
-    if rep.matches:
-        chosen = rep.matches[0]
-        devs = [abs(rep.values[chosen][g] - rep.reference[g]) for g in rep.reference]
-        report(4, max(devs) <= 1e-3, f"variant {chosen} matches both references within 1e-3 ({lines})")
+    matches = [v for v in values if worst_reference_deviation(values[v]) <= 1e-3]
+    if matches:
+        chosen = matches[0]
+        report(4, worst_reference_deviation(values[chosen]) <= 1e-3,
+               f"variant {chosen} matches both references within 1e-3 ({lines})")
         return
     # fallback property suite on the closest Hermitian variant
-    chosen = rep.closest_hermitian
+    chosen = min((v for v in values if hermitian[v]), key=lambda v: worst_reference_deviation(values[v]))
     spec = HamiltonianSpec(kind="MonopoleSU2", b_field=2.0, variant=chosen)
     built = build(spec)
     defect = herm_defect(built.matrix) / np.max(np.abs(built.matrix))

@@ -133,10 +133,11 @@ class BuiltHamiltonian:
 
     ``entries[c]`` is H on the indices ``filled[c]`` (rows and columns),
     and every entry off these blocks is exactly +0.0: a monopole build
-    fills its 16 sectors, a dense builder one block, the whole matrix
-    (``filled`` is then the one row 0..dim-1).  ``matrix`` is assembled
-    from them on first read (for one whole block, it is a view of it), so
-    a caller that never reads it never pays for it.
+    fills its 16 sectors and the Cartesian oscillator build its two parity
+    sectors, a dense builder (polar, the position grid) one block, the
+    whole matrix (``filled`` is then the one row 0..dim-1).  ``matrix`` is
+    assembled from them on first read (for one whole block, it is a view
+    of it), so a caller that never reads it never pays for it.
 
     ``hermitian`` is ``is_hermitian(matrix)`` (relative defect <= 1e-10),
     read at build time from the blocks; the Literal and ScalarB monopole
@@ -319,8 +320,10 @@ def _finish(h: np.ndarray, spec: HamiltonianSpec, labels, rotation=None, filled=
     (or one for all), refusing an entry below the sector blocks or a
     non-Hermitian block.  With ``filled``, ``h`` is the (count, size, size)
     stack of H on the index sets ``filled`` (count, size), every entry off
-    them +0.0, and each label's indices lie inside one of them; without it,
-    ``h`` is the whole matrix, taken (by view) as the one filled block.
+    them +0.0, and each label's indices lie inside one of them (the
+    monopole's 16 sectors, the Cartesian oscillator's two parity sectors);
+    without it, ``h`` is the whole matrix, taken (by view) as the one
+    filled block.
 
     The whole matrix's Hermiticity defect is then the larger of the sector
     blocks' and the largest entry above them, so ``hermitian`` holds
@@ -359,6 +362,15 @@ def _finish(h: np.ndarray, spec: HamiltonianSpec, labels, rotation=None, filled=
                             blocks=blocks, orbits=orbits)
 
 
+def _finite(h: np.ndarray, spec: HamiltonianSpec) -> np.ndarray:
+    """``h``, the array a builder hands ``_finish``, if every entry is
+    finite; otherwise GaugesimError naming the kind and the field (a field
+    whose terms pass the float range leaves inf or NaN entries)."""
+    if not np.isfinite(h).all():
+        raise GaugesimError(f"{spec.kind}: an entry of H overflows the float range at b_field {spec.b_field:g}")
+    return h
+
+
 #: The one build slot, shared by ``build`` and the grid builder: [key, build] of the held build, or empty.
 _SLOT: list = []
 
@@ -393,12 +405,51 @@ def _build_landau_cartesian(spec: HamiltonianSpec) -> BuiltHamiltonian:
     x^2 and p^2 enter as truncations of the squared operators
     (osc_q2/osc_p2), so the matrix is the untruncated H compressed to the
     truncated basis and the lowest Landau level stays at exactly |B|/2.
+
+    Every term moves n_x + n_y by an even amount, so H is assembled on its
+    two (-1)^(n_x + n_y) sectors, and the build keeps them: its ``matrix``
+    is assembled only when read.  With ix = 2a + u and iy = 2b + (u ^ s),
+    sector s is the product index (a, u, b), ascending in the basis, and
+    each Kronecker term on it is a broadcast of its (n/2, 2, n/2, 2)
+    factors, the y factor's u axes reversed when s = 1.  The terms are
+    summed as in ``_landau_cartesian_matrix``, so the blocks are its
+    entries bit for bit.
     """
     n = spec.boson_trunc
-    mats = basis.osc_q(n), basis.osc_p(n), basis.osc_q2(n), basis.osc_p2(n)
-    # every term moves n_x + n_y by an even amount: (-1)^(n_x + n_y) sectors
+    hb = 0.5 * spec.b_field
+    m = n // 2
+    # x factors [a, u, a', u'] = f[2a + u, 2a' + u'], y factors [u, b, u', b'] = f[2b + u, 2b' + u']
+    qx, px, q2x, p2x = (f.reshape(m, 2, m, 2) for f in (basis.osc_q(n), basis.osc_p(n),
+                                                        basis.osc_q2(n), basis.osc_p2(n)))
+    ys = [f.transpose(1, 0, 3, 2) for f in (qx, px, q2x, p2x)]
+    h = np.empty((2, m, 2, m, m, 2, m), dtype=np.complex128)  # [s, a, u, b, a', u', b']
+    for s, (qy, py, q2y, p2y) in enumerate((ys, [y[::-1, :, ::-1] for y in ys])):  # iy = 2b + (u ^ s)
+        h[s] = 0.5 * _with_identity_sector(p2x, p2y)
+        h[s] += 0.5 * (hb * hb) * _with_identity_sector(q2x, q2y)
+        h[s] += hb * _kron_sector(px, qy) - hb * _kron_sector(qx, py)
     i = np.arange(n * n)
-    return _finish(_landau_cartesian_matrix(spec, n, *mats), spec, (i ^ (i >> qubits_of_dim(n))) & 1)
+    labels = (i ^ (i >> qubits_of_dim(n))) & 1
+    h = _finite(h.reshape(2, n * n // 2, n * n // 2), spec)
+    return _finish(h, spec, labels, filled=_blocks_by(labels))
+
+
+def _kron_sector(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """x (x) y on one parity sector, from the x factor fx and the y factor fy:
+    [a, u, b, a', u', b'] = fx[a, u, a', u'] fy[u, b, u', b']."""
+    return fx[:, :, None, :, :, None] * fy[None, :, :, None, :, :]
+
+
+def _with_identity_sector(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """a (x) 1 + 1 (x) a on one parity sector, from its x factor fx
+    [a, u, a', u'] and y factor fy [u, b, u', b'] (see
+    ``_build_landau_cartesian``), written as ``_with_identity`` does into
+    two diagonal views of the zero block [a, u, b, a', u', b']: fx where
+    (u, b) == (u', b'), then fy added where (a, u) == (a', u')."""
+    m = len(fx)
+    out = np.zeros((m, 2, m, m, 2, m), dtype=np.complex128)
+    np.einsum("aubcub->aubc", out)[...] = np.einsum("aucu->auc", fx)[:, :, None, :]
+    np.einsum("aubauc->aubc", out)[...] += np.einsum("ubuc->ubc", fy)
+    return out
 
 
 @_held
@@ -434,14 +485,15 @@ def build_landau_cartesian_position(spec: HamiltonianSpec) -> BuiltHamiltonian:
     ix, iy = np.divmod(np.arange(n * n), n)  # index ix * n + iy, turned to (n - 1 - iy, ix)
     h = _landau_cartesian_matrix(spec, n, q, p, q @ q, p2)
     np.conjugate(h, out=h)
-    return _finish(h, spec, 0, rotation=(n - 1 - iy) * n + ix)
+    return _finish(_finite(h, spec), spec, 0, rotation=(n - 1 - iy) * n + ix)
 
 
 def _with_identity(a: np.ndarray) -> np.ndarray:
-    """a (x) 1 + 1 (x) a, written into two strided views of the zero
-    (n, n, n, n) matrix [i, k, j, l] (row i n + k, column j n + l): a[i, j]
-    where k == l, then a[k, l] added where i == j.  Entry by entry these
-    are the sums ``np.kron`` gives, without its n**4 products by 1 and 0."""
+    """a (x) 1 + 1 (x) a of the grid build, written into two strided views
+    of the zero (n, n, n, n) matrix [i, k, j, l] (row i n + k, column
+    j n + l): a[i, j] where k == l, then a[k, l] added where i == j.  Entry
+    by entry these are the sums ``np.kron`` gives, without its n**4
+    products by 1 and 0."""
     n = len(a)
     out = np.zeros((n, n, n, n), dtype=np.complex128)
     np.einsum("ikjk->ijk", out)[...] = a[:, :, None]
@@ -450,11 +502,12 @@ def _with_identity(a: np.ndarray) -> np.ndarray:
 
 
 def _landau_cartesian_matrix(spec, n, q, p, q2, p2) -> np.ndarray:
+    # the grid's whole matrix; the oscillator build sums the same terms on its sectors
     hb = 0.5 * spec.b_field
     # (p_x + hb y)^2 + (p_y - hb x)^2 expanded; cross factors commute, and
     # each term is one Kronecker product: p_x y = p (x) q, p_y x = q (x) p.
     h = 0.5 * _with_identity(p2)
-    h += 0.5 * hb ** 2 * _with_identity(q2)
+    h += 0.5 * (hb * hb) * _with_identity(q2)
     h += hb * np.kron(p, q) - hb * np.kron(q, p)
     return h
 
@@ -488,11 +541,11 @@ def _build_landau_polar(spec: HamiltonianSpec) -> BuiltHamiltonian:
     rho_mh = _spectral(es, lambda lam: np.abs(lam) ** -0.5)
     m = spec.angular_m
     half_b = 0.5 * spec.b_field
-    h = 0.5 * (rho_mh @ p @ rho @ p @ rho_mh) + 0.5 * half_b ** 2 * rho2
+    h = 0.5 * (rho_mh @ p @ rho @ p @ rho_mh) + 0.5 * (half_b * half_b) * rho2
     if m != 0:
         rho_m2 = _spectral(es, lambda lam: np.abs(lam) ** -2.0)
         h = h + 0.5 * m ** 2 * rho_m2 - half_b * m * np.eye(n)
-    return _finish(h, spec, 0)
+    return _finish(_finite(h, spec), spec, 0)
 
 
 def _build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
@@ -557,7 +610,8 @@ def _build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
     del boson, fermion_idx  # 256 KB of indices that need not outlive the sum
     if spec.variant == "HermitianPart":
         h_blocks = 0.5 * (h_blocks + h_blocks.conj().transpose(0, 2, 1))
-    return _finish(h_blocks, spec, literal if spec.variant in ("Literal", "ScalarB") else sector, filled=sectors)
+    labels = literal if spec.variant in ("Literal", "ScalarB") else sector
+    return _finish(_finite(h_blocks, spec), spec, labels, filled=sectors)
 
 
 @lru_cache(maxsize=None)

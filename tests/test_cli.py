@@ -387,7 +387,7 @@ def _spec(**kw):
     (*_spec(b_field=True), 2),
     (*_spec(floor=_NAN), 2),  # an unknown key
     (*_spec(boson_trunc=1024), 2),  # 10 qubits, above the ceiling
-    (*_spec(b_field=1e200), 3),  # OverflowError in the build
+    (*_spec(b_field=1e200), 3),  # overflow in the build
     ("eoh", {"hamiltonian": _CART4, "evolution": {"t_max": _NAN}}, (), 2),
     ("eoh", {"hamiltonian": _CART4, "final_states": [True]}, (), 2),
     ("scatter", {"scatter": {"p1": True, "p3": 2}}, (), 2),
@@ -441,12 +441,18 @@ def _spec(**kw):
     ("eoh", {"hamiltonian": _CART4, "evolution": {"t_max": 1e300, "method": "Trotter"}}, (), 3),
     ("eoh", {"hamiltonian": dict(_CART4, b_field=1e12), "evolution": {"t_max": 1.0}}, (), 3),
     ("scatter", {"scatter": {"p1": 1, "p3": 2, "p2_scan": {"min": -1e300, "max": 1e300}}}, (), 2),
+    # a field whose terms pass the float range: the build refuses its inf entries by the field
+    ("spectrum", {"hamiltonian": {"kind": "LandauCartesian", "b_field": 1e154}}, (), 3),
+    ("eoh", {"hamiltonian": {"kind": "LandauCartesian", "b_field": 1e154}}, (), 3),
 ])
 def test_bad_input_exit_code_and_one_line_message(tmp_path, capsys, command, cfg, extra, code):
     out = tmp_path / "out.csv"
     assert run(tmp_path, command, dict(cfg, output=str(out)), extra) == code
     printed = capsys.readouterr()
     assert len(printed.err.splitlines()) == 1 and "Traceback" not in printed.err
+    spec = cfg.get("hamiltonian")
+    if code == 3 and isinstance(spec, dict) and spec.get("b_field", 0.0) >= 1e154:  # overflow: kind and field named
+        assert f"{spec['kind']}: an entry of H overflows the float range at b_field {spec['b_field']:g}" in printed.err
     # no file but the config: eoh's per-method CSVs (out_exact.csv, ...) included
     assert printed.out == "" and [p.name for p in tmp_path.iterdir()] == [f"{command}.json"]
 

@@ -205,8 +205,11 @@ def test_cartesian_position_basis():
 
 def test_cartesian_assembly_matches_the_kron_oracle_byte_for_byte(monkeypatch):
     # both bases assemble the same bytes as six np.kron products, signed
-    # zeros included; the bytes are taken at capture, since the grid build
-    # conjugates the very array it is handed
+    # zeros included: the oscillator build's parity blocks are the oracle
+    # gathered at its filled sectors, and its matrix the whole oracle; the
+    # grid's bytes are taken at capture, since the grid build conjugates
+    # the very array it is handed.  Fields with long mantissas (1.37, 2.9)
+    # are where a sum taken in another order rounds differently
     import gaugesim.hamiltonians as hamiltonians
 
     assemble, seen = hamiltonians._landau_cartesian_matrix, []
@@ -218,10 +221,15 @@ def test_cartesian_assembly_matches_the_kron_oracle_byte_for_byte(monkeypatch):
 
     monkeypatch.setattr(hamiltonians, "_landau_cartesian_matrix", capture)
     for n in (2, 4, 8, 16):
-        for b in (-2.5, -1.5, 0.0, 1e-9, 1.0, 2.0, 7.5):
-            build(cart_spec(b_field=b, boson_trunc=n))
-            build_landau_cartesian_position(cart_spec(b_field=b, boson_trunc=n))
-    assert len(seen) == 4 * 7 * 2
+        for b in (-2.5, -1.5, 0.0, 1e-9, 1.0, 1.37, 2.0, 2.9, 7.5):
+            spec = cart_spec(b_field=b, boson_trunc=n)
+            built = build(spec)
+            oracle = kron_landau_cartesian_matrix(spec, n, osc_q(n), osc_p(n), osc_q2(n), osc_p2(n))
+            idx = built.filled
+            assert built.entries.tobytes() == oracle[idx[:, :, None], idx[:, None, :]].tobytes()
+            assert built.matrix.tobytes() == oracle.tobytes()
+            build_landau_cartesian_position(spec)
+    assert len(seen) == 4 * 9
     for args, matrix in seen:
         assert matrix == kron_landau_cartesian_matrix(*args).tobytes()
 
@@ -969,14 +977,33 @@ def test_a_monopole_build_keeps_its_sectors_and_assembles_the_matrix_on_read(var
     assert m.tobytes() == scattered.tobytes()
 
 
-@pytest.mark.parametrize("make", [lambda: build(cart_spec()), lambda: build_landau_cartesian_position(cart_spec()),
+@pytest.mark.parametrize("make", [lambda: build_landau_cartesian_position(cart_spec()),
                                   lambda: build(HamiltonianSpec(kind="LandauPolar", angular_m=1))],
-                         ids=["oscillator", "grid", "polar"])
+                         ids=["grid", "polar"])
 def test_a_dense_build_is_its_one_filled_block(make):
     # a dense builder hands its matrix whole: the build's matrix is a view of it
     built = make()
     assert built.filled.tolist() == [list(range(built.dim))]
     assert built.matrix.shape == (built.dim,) * 2 and np.shares_memory(built.matrix, built.entries)
+
+
+@pytest.mark.parametrize("boson_trunc", [2, 4, 16])
+def test_the_oscillator_build_keeps_its_parity_sectors_and_assembles_the_matrix_on_read(boson_trunc):
+    # the two (-1)^(n_x + n_y) stacks are the build, and the matrix is the
+    # stacks scattered into zeros, made once
+    built = build(cart_spec(b_field=1.37, boson_trunc=boson_trunc))
+    size = boson_trunc ** 2 // 2
+    assert built.entries.shape == (2, size, size)
+    i = np.arange(built.dim)
+    parity = (i // boson_trunc + i % boson_trunc) % 2
+    assert built.filled.tolist() == [i[parity == 0].tolist(), i[parity == 1].tolist()]
+    assert "matrix" not in vars(built)
+    m = built.matrix
+    assert built.matrix is m and m.dtype == np.complex128 and not m.flags.writeable
+    scattered = np.zeros((built.dim,) * 2, dtype=np.complex128)
+    for idx, sub in zip(built.filled, built.entries):
+        scattered[np.ix_(idx, idx)] = sub
+    assert m.tobytes() == scattered.tobytes()
 
 
 # ---------------------------------------------------------------- build slot

@@ -246,13 +246,18 @@ def test_monopole_minimize_never_forms_a_dense_real_part():
     assert peak < 2 * 2 ** 20
 
 
-@pytest.mark.parametrize("variant", ["Literal", "MajoranaFermions", "HermitianPart", "ScalarB"])
-def test_monopole_spectrum_never_forms_the_dense_matrix(variant):
-    # a 512x512 complex matrix alone is 4 MiB of numpy memory; the build
-    # keeps its 16 sector blocks and its spectrum is solved from them
-    spec = HamiltonianSpec(kind="MonopoleSU2", b_field=1.37, variant=variant,
-                           r_ref=1.0 if variant == "ScalarB" else None)
-    build(HamiltonianSpec(kind="LandauPolar"))  # so the monopole is built afresh
+@pytest.mark.parametrize("spec, bound", [
+    *((HamiltonianSpec(kind="MonopoleSU2", b_field=1.37, variant=variant,
+                       r_ref=1.0 if variant == "ScalarB" else None), 3 * 2 ** 20)
+      for variant in ("Literal", "MajoranaFermions", "HermitianPart", "ScalarB")),
+    (HamiltonianSpec(kind="LandauCartesian", b_field=1.37), 2.5 * 2 ** 20),
+], ids=["Literal", "MajoranaFermions", "HermitianPart", "ScalarB", "cartesian"])
+def test_a_sector_build_spectrum_never_forms_the_dense_matrix(spec, bound):
+    # a 512x512 (256x256) complex matrix alone is 4 MiB (1 MiB) of numpy
+    # memory; the monopole build keeps its 16 sector blocks, the Cartesian
+    # oscillator build its two parity blocks, and the spectrum is solved
+    # from them
+    build(HamiltonianSpec(kind="LandauPolar"))  # so the build is made afresh
     tracemalloc.start()
     try:
         built = build(spec)
@@ -260,7 +265,7 @@ def test_monopole_spectrum_never_forms_the_dense_matrix(variant):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 2 ** 20, peak
+    assert peak < bound, peak
     assert "matrix" not in vars(built)
 
 

@@ -18,7 +18,7 @@ matrix, and a scalar-B simplification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
 from typing import Mapping
 
@@ -139,26 +139,35 @@ class BuiltHamiltonian:
     assembled from them on first read (for one whole block, it is a view
     of it), so a caller that never reads it never pays for it.
 
-    ``hermitian`` is ``is_hermitian(matrix)`` (relative defect <= 1e-10),
-    read at build time from the blocks; the Literal and ScalarB monopole
-    variants are expected to fail it (their bilinears are non-Hermitian).
-    Every entry point that takes an operator takes a build as well:
-    ``operators.as_operator`` reads its ``matrix`` and ``is_hermitian`` its
-    ``hermitian``, so its matrix is never checked again.
-
-    ``blocks`` is the read-only (count, size) array of the symmetry sectors'
-    basis indices, one row per sector label the builder gives its basis,
-    in ascending label order; every sector has one size, and each lies
-    inside one filled block.  Every entry whose row block comes after its
-    column block is exactly zero, and every diagonal block is Hermitian,
-    so H is block upper-triangular (block diagonal when H is Hermitian)
-    and its spectrum is the union of the diagonal blocks' spectra.
-
-    ``orbits``, when set, is the orbit table of a quarter-turn R of the
-    basis that H commutes with exactly (row o: s_o, R s_o, R^2 s_o,
-    R^3 s_o).  Its four phase sectors, spanned by the combinations
+    ``blocks`` is the (count, size) array of the symmetry sectors' basis
+    indices, one row per sector label the builder gives its basis, in
+    ascending label order.  ``orbits``, when set, is the orbit table of a
+    quarter-turn R of the basis (row o: s_o, R s_o, R^2 s_o, R^3 s_o); its
+    four phase sectors, spanned by the combinations
     1/2 sum_j i**-(k j) e_(R^j s_o) of each orbit (k = 0..3), then take the
     place of the blocks: ``spectrum`` and ``eigensystem`` solve them.
+
+    A build is checked when it is made (by ``dataclasses.replace`` too):
+    GaugesimError naming the kind refuses it unless ``filled`` and
+    ``blocks`` each partition 0..dim-1 into rows of one size, ``entries``
+    holds one block per row of ``filled``, each block lies inside one
+    filled block and ``orbits`` partitions the one whole filled block into
+    rows of four; unless every entry whose row block comes after its
+    column block is exactly zero (with ``orbits``: H[R a, R b] == H[a, b]
+    bit for bit); and unless every diagonal block (or phase sector) is
+    Hermitian, a NaN never.  So H is block upper-triangular (block
+    diagonal when it is Hermitian), its spectrum the union of the diagonal
+    blocks'; with more than one block, two masks of the filled blocks find
+    the entries below and above the blocks.  The whole matrix's
+    Hermiticity defect is then the larger of the blocks' and the largest
+    entry above them, so ``hermitian``, worked out there and never passed
+    in, is ``is_hermitian(matrix)`` (relative defect <= 1e-10) without the
+    matrix; the Literal and ScalarB monopole variants fail it.  Every
+    entry point that takes an operator takes a build as well:
+    ``operators.as_operator`` reads its ``matrix`` and ``is_hermitian`` its
+    ``hermitian``, so its matrix is never checked again.  The checks read
+    the caller's arrays once: an array the caller keeps and writes to
+    afterwards (it stays writeable) is the caller's responsibility.
 
     A build is read-only, so the builders share one (``==`` is identity):
     every array it reaches (``entries``, ``filled``, ``matrix``,
@@ -173,16 +182,44 @@ class BuiltHamiltonian:
     entries: np.ndarray
     filled: np.ndarray
     spec: HamiltonianSpec
-    hermitian: bool
+    hermitian: bool = field(init=False)
     blocks: np.ndarray
     orbits: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _read_only(self.entries))
-        object.__setattr__(self, "filled", _read_only(self.filled))
-        object.__setattr__(self, "blocks", _read_only(self.blocks))
-        if self.orbits is not None:
-            object.__setattr__(self, "orbits", _read_only(self.orbits))
+        for name in ("entries", "filled", "blocks", "orbits")[:3 if self.orbits is None else 4]:
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        h, filled, blocks, orbits = self.entries, self.filled, self.blocks, self.orbits
+        dim, kind = filled.size, self.spec.kind
+        if not _partitions(filled, dim) or h.shape != filled.shape + filled.shape[1:]:
+            raise GaugesimError(f"{kind}: filled is not a partition of 0..{dim - 1} into rows of one size "
+                                f"with one block of entries per row")
+        if not _partitions(blocks, dim):
+            raise GaugesimError(f"{kind}: blocks is not a partition of 0..{dim - 1} into rows of one size")
+        home, label = np.empty((2, dim), dtype=np.intp)  # the filled block and the block of each index
+        home[filled], label[blocks] = np.arange(len(filled))[:, None], np.arange(len(blocks))[:, None]
+        if np.any(home[blocks] != home[blocks[:, :1]]):
+            raise GaugesimError(f"{kind}: a block does not lie inside one filled block")
+        above = 0.0
+        if len(blocks) > 1:
+            inner = label[filled]  # the block of each filled block's indices
+            if np.any(h[inner[:, :, None] > inner[:, None, :]]):
+                raise GaugesimError(f"{kind}: non-zero entry below its diagonal blocks")
+            above = np.abs(h[inner[:, :, None] < inner[:, None, :]]).max(initial=0.0)
+        if orbits is not None:
+            if not (_partitions(orbits, dim) and orbits.shape[1] == 4
+                    and np.array_equal(filled, np.arange(dim)[None])):
+                raise GaugesimError(f"{kind}: orbits is not a partition of 0..{dim - 1} into rows of four "
+                                    f"(a quarter-turn's) on the one whole filled block")
+            rotation = np.empty(dim, dtype=np.intp)  # R s_o^j = s_o^(j+1), s_o^4 = s_o
+            rotation[orbits] = np.roll(orbits, -1, axis=1)
+            if not np.array_equal(h[0][rotation[:, None], rotation], h[0]):
+                raise GaugesimError(f"{kind}: does not commute exactly with its quarter-turn")
+        sub, _, _ = _diagonal_blocks(h, filled, blocks, orbits)
+        if not np.all(is_hermitian(sub)):
+            raise GaugesimError(f"{kind}: a diagonal block of size {sub.shape[1]} is not Hermitian")
+        scale = max(above, np.abs(sub).max())
+        object.__setattr__(self, "hermitian", bool(above <= HERM_TOL * scale))
 
     @property
     def dim(self) -> int:
@@ -253,9 +290,15 @@ class BuiltHamiltonian:
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     """A read-only view of ``a`` (the caller's array stays writeable)."""
-    view = a.view()
+    view = np.asarray(a).view()
     view.flags.writeable = False
     return view
+
+
+def _partitions(rows: np.ndarray, dim: int) -> bool:
+    """Whether ``rows`` is a 2-D integer array whose rows partition 0..dim-1."""
+    return (rows.ndim == 2 and rows.dtype.kind in "iu" and rows.size == dim
+            and np.array_equal(np.sort(rows, axis=None), np.arange(dim)))
 
 
 def _blocks_by(keys) -> np.ndarray:
@@ -303,69 +346,19 @@ def _diagonal_blocks(entries: np.ndarray, filled: np.ndarray, blocks: np.ndarray
 
 def _quarter_orbits(rotation: np.ndarray) -> np.ndarray:
     """Orbit table of the basis permutation ``rotation`` (R), one row
-    s_o, R s_o, R^2 s_o, R^3 s_o per orbit with s_o its smallest index;
-    GaugesimError unless R^4 = 1 and every orbit has four indices."""
+    s_o, R s_o, R^2 s_o, R^3 s_o per orbit with s_o its smallest index (a
+    build refuses it unless R is a quarter-turn with orbits of four)."""
     table = [np.arange(len(rotation))]
     for _ in range(3):
         table.append(rotation[table[-1]])
     table = np.stack(table, axis=1)
-    orbits = table[table.min(axis=1) == table[:, 0]]
-    if not (np.array_equal(rotation[table[:, 3]], table[:, 0]) and 4 * len(orbits) == len(rotation)):
-        raise GaugesimError("the rotation is not a quarter-turn with orbits of four")
-    return orbits
-
-
-def _finish(h: np.ndarray, spec: HamiltonianSpec, labels, rotation=None, filled=None) -> BuiltHamiltonian:
-    """Wrap the blocks a builder filled given each basis index's sector label
-    (or one for all), refusing an entry below the sector blocks or a
-    non-Hermitian block.  With ``filled``, ``h`` is the (count, size, size)
-    stack of H on the index sets ``filled`` (count, size), every entry off
-    them +0.0, and each label's indices lie inside one of them (the
-    monopole's 16 sectors, the Cartesian oscillator's two parity sectors);
-    without it, ``h`` is the whole matrix, taken (by view) as the one
-    filled block.
-
-    The whole matrix's Hermiticity defect is then the larger of the sector
-    blocks' and the largest entry above them, so ``hermitian`` holds
-    exactly when that entry is within ``HERM_TOL`` of the largest entry of
-    all.  With more than one label, two masks of the filled blocks find
-    the entries below and above the sector blocks; with one label there is
-    nothing off the one block, and no mask runs.  The labels must give
-    every sector one size (GaugesimError otherwise).
-
-    A builder that passes a ``rotation`` (a quarter-turn permutation of the
-    basis, as index array) hands the whole matrix and also needs H to
-    commute with it bit for bit, H[R a, R b] == H[a, b], the sector-basis
-    form of the zeros below the blocks; the Hermiticity check then runs on
-    its four phase sectors.
-    """
-    if filled is None:
-        h, filled = h[None], np.arange(len(h))[None]
-    labels = np.broadcast_to(labels, (filled.size,))
-    blocks = _blocks_by(labels)
-    above = 0.0
-    if len(blocks) > 1:
-        inner = labels[filled]  # the labels of each filled block's indices
-        if np.any(h[inner[:, :, None] > inner[:, None, :]]):
-            raise GaugesimError(f"{spec.kind}: non-zero entry below its diagonal blocks")
-        above = np.abs(h[inner[:, :, None] < inner[:, None, :]]).max(initial=0.0)
-    orbits = None
-    if rotation is not None:
-        orbits = _quarter_orbits(rotation)
-        if not np.array_equal(h[0][rotation[:, None], rotation], h[0]):
-            raise GaugesimError(f"{spec.kind}: does not commute exactly with its quarter-turn")
-    sub, _, _ = _diagonal_blocks(h, filled, blocks, orbits)
-    if not np.all(is_hermitian(sub)):
-        raise GaugesimError(f"{spec.kind}: a diagonal block of size {sub.shape[1]} is not Hermitian")
-    scale = max(above, np.abs(sub).max())
-    return BuiltHamiltonian(entries=h, filled=filled, spec=spec, hermitian=bool(above <= HERM_TOL * scale),
-                            blocks=blocks, orbits=orbits)
+    return table[table.min(axis=1) == table[:, 0]]
 
 
 def _finite(h: np.ndarray, spec: HamiltonianSpec) -> np.ndarray:
-    """``h``, the array a builder hands ``_finish``, if every entry is
-    finite; otherwise GaugesimError naming the kind and the field (a field
-    whose terms pass the float range leaves inf or NaN entries)."""
+    """``h``, the array a builder fills, if every entry is finite;
+    otherwise GaugesimError naming the kind and the field (a field whose
+    terms pass the float range leaves inf or NaN entries)."""
     if not np.isfinite(h).all():
         raise GaugesimError(f"{spec.kind}: an entry of H overflows the float range at b_field {spec.b_field:g}")
     return h
@@ -428,9 +421,9 @@ def _build_landau_cartesian(spec: HamiltonianSpec) -> BuiltHamiltonian:
         h[s] += 0.5 * (hb * hb) * _with_identity_sector(q2x, q2y)
         h[s] += hb * _kron_sector(px, qy) - hb * _kron_sector(qx, py)
     i = np.arange(n * n)
-    labels = (i ^ (i >> qubits_of_dim(n))) & 1
-    h = _finite(h.reshape(2, n * n // 2, n * n // 2), spec)
-    return _finish(h, spec, labels, filled=_blocks_by(labels))
+    parity = _blocks_by((i ^ (i >> qubits_of_dim(n))) & 1)
+    return BuiltHamiltonian(entries=_finite(h.reshape(2, n * n // 2, n * n // 2), spec), filled=parity,
+                            spec=spec, blocks=parity)
 
 
 def _kron_sector(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
@@ -485,7 +478,9 @@ def build_landau_cartesian_position(spec: HamiltonianSpec) -> BuiltHamiltonian:
     ix, iy = np.divmod(np.arange(n * n), n)  # index ix * n + iy, turned to (n - 1 - iy, ix)
     h = _landau_cartesian_matrix(spec, n, q, p, q @ q, p2)
     np.conjugate(h, out=h)
-    return _finish(_finite(h, spec), spec, 0, rotation=(n - 1 - iy) * n + ix)
+    whole = np.arange(n * n)[None]
+    return BuiltHamiltonian(entries=_finite(h, spec)[None], filled=whole, spec=spec, blocks=whole,
+                            orbits=_quarter_orbits((n - 1 - iy) * n + ix))
 
 
 def _with_identity(a: np.ndarray) -> np.ndarray:
@@ -545,7 +540,8 @@ def _build_landau_polar(spec: HamiltonianSpec) -> BuiltHamiltonian:
     if m != 0:
         rho_m2 = _spectral(es, lambda lam: np.abs(lam) ** -2.0)
         h = h + 0.5 * m ** 2 * rho_m2 - half_b * m * np.eye(n)
-    return _finish(_finite(h, spec), spec, 0)
+    whole = np.arange(n)[None]
+    return BuiltHamiltonian(entries=_finite(h, spec)[None], filled=whole, spec=spec, blocks=whole)
 
 
 def _build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
@@ -586,7 +582,7 @@ def _build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
     x, y, z = (basis.place(basis.osc_q(n), s, dims).real for s in range(3))
     px, py, pz = (basis.place(basis.osc_p(n), s, dims).imag for s in range(3))  # p = i P
 
-    inv_r2, cross, sectors, sector, literal = _monopole_tables(n)
+    inv_r2, cross, sectors, literal = _monopole_tables(n)
     b_op = -g_m / spec.r_ref ** 2 if spec.variant == "ScalarB" else np.where(cross, 0.0, -g_m * inv_r2)
     bx, by, bz = (np.dot(b_op, a) for a in (x, y, z))  # b_op may be a scalar
     one = np.eye(8)
@@ -610,14 +606,14 @@ def _build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
     del boson, fermion_idx  # 256 KB of indices that need not outlive the sum
     if spec.variant == "HermitianPart":
         h_blocks = 0.5 * (h_blocks + h_blocks.conj().transpose(0, 2, 1))
-    labels = literal if spec.variant in ("Literal", "ScalarB") else sector
-    return _finish(_finite(h_blocks, spec), spec, labels, filled=sectors)
+    return BuiltHamiltonian(entries=_finite(h_blocks, spec), filled=sectors, spec=spec,
+                            blocks=literal if spec.variant in ("Literal", "ScalarB") else sectors)
 
 
 @lru_cache(maxsize=None)
 def _monopole_tables(n: int) -> tuple:
     """The g_m-free parts of ``_build_monopole_su2`` at ``boson_trunc`` n, read-only: (r^2)^-1,
-    its cross-parity mask, the sector blocks' index sets and the two key arrays."""
+    its cross-parity mask, and the index sets of the 16 sectors and of the Literal blocks."""
     k = qubits_of_dim(n)
     # r^2 is diagonal in W = V (x) V (x) V, where q^2 = V diag(lam) V^T
     q = basis.osc_q(n).real
@@ -638,14 +634,13 @@ def _monopole_tables(n: int) -> tuple:
     parities = (i >> (3 + 2 * k)) & 1, (i >> (3 + k)) & 1, (i >> 3) & 1
     occupation = np.bitwise_count(i & 7)
     charges = [s ^ p for s, p in zip(slots, parities)]
-    sector = (occupation & 1) * 8 + charges[0] * 4 + charges[1] * 2 + charges[2]
-    sectors = _blocks_by(sector)
+    sectors = _blocks_by((occupation & 1) * 8 + charges[0] * 4 + charges[1] * 2 + charges[2])
     # raising-operator bilinears only lower the occupation: the Literal and ScalarB matrices
     # are block upper-triangular by occupation, then fermion pattern, then the register parities
-    literal = (occupation * 8 + (i & 7)) * 8 + parities[0] * 4 + parities[1] * 2 + parities[2]
-    for t in (inv_r2, cross, sectors, sector, literal):
+    literal = _blocks_by((occupation * 8 + (i & 7)) * 8 + parities[0] * 4 + parities[1] * 2 + parities[2])
+    for t in (inv_r2, cross, sectors, literal):
         t.flags.writeable = False
-    return inv_r2, cross, sectors, sector, literal
+    return inv_r2, cross, sectors, literal
 
 
 _BUILDERS = {

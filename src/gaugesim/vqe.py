@@ -161,7 +161,9 @@ def _slsqp(f, x0: np.ndarray, max_iter: int, tol: float):
     energy, and ``runs``.  Returns the rows (x, energy, runs): the start,
     one per iteration (the point its line search took, or where the
     gradient test stopped it) and the returned point; and the success flag.
-    A non-finite energy ends the run, unconverged, at the last finite row.
+    A non-finite energy ends the run, unconverged, at the last finite row,
+    and so does a g.d that is not then finite and negative (|g|^2 overflows
+    at a huge field), along which the line search would step to NaN angles.
     """
     x, fx = x0, f.energy(x0)
     rows = [(x, fx, f.runs)]
@@ -180,7 +182,7 @@ def _slsqp(f, x0: np.ndarray, max_iter: int, tol: float):
                 rows.append((x, fx, f.runs))
                 success = True
                 break
-            if gd >= 0.0:
+            if not -np.inf < gd < 0.0:  # no finite descent
                 break
             x_start, f_start, s, gs, alpha = x, fx, d, gd, 1.0
             for trial in range(1, 12):

@@ -6,7 +6,6 @@ from scipy.linalg import expm
 
 from gaugesim import circuits, hamiltonians
 from gaugesim.basis import fermion_factor, osc_p, osc_q, place, pos_grid
-from gaugesim.errors import GaugesimError
 from gaugesim.evolution import momentum_state, pauli_decompose
 from gaugesim.hamiltonians import (
     VARIANTS,
@@ -248,28 +247,39 @@ def worst_reference_deviation(per_gm: dict) -> float:
     return max(abs(per_gm[g_m] - ref) for g_m, ref in MONOPOLE_REFERENCE.items())
 
 
-def two_scan_finish(matrix, spec, labels, rotation=None) -> BuiltHamiltonian:
-    """``hamiltonians._finish`` from the whole matrix (test oracle only): a
-    boolean mask of the whole matrix, not of the filled blocks, finds the
-    entries below the sector blocks, and another the largest entry above
-    them, every time, with one label too."""
+def whole_build(matrix, spec, labels, rotation=None) -> BuiltHamiltonian:
+    """The build of a whole ``matrix`` as one filled block, with the sector
+    ``labels`` of its indices (or one for all) and, for a grid, the
+    quarter-turn ``rotation`` as index array: the constructor's checks run
+    on the input a dense builder would hand it (test helper)."""
+    labels = np.broadcast_to(labels, matrix.shape[:1])
+    return BuiltHamiltonian(entries=matrix[None], filled=np.arange(len(matrix))[None], spec=spec,
+                            blocks=_blocks_by(labels), orbits=None if rotation is None else _quarter_orbits(rotation))
+
+
+def two_scan_finish(matrix, spec, labels, rotation=None):
+    """The outcome of building a whole ``matrix`` with sector ``labels``
+    (test oracle only): the refusal's message, or (hermitian, blocks as
+    lists).  A boolean mask of the whole matrix, not of the filled blocks,
+    finds the entries below the sector blocks, and another the largest
+    entry above them, every time, with one label too; the quarter-turn is
+    the given ``rotation``, not one read back from orbits."""
     labels = np.broadcast_to(labels, matrix.shape[:1])
     if np.any(matrix[labels[:, None] > labels[None, :]]):
-        raise GaugesimError(f"{spec.kind}: non-zero entry below its diagonal blocks")
+        return f"{spec.kind}: non-zero entry below its diagonal blocks"
     orbits = None
     if rotation is not None:
         orbits = _quarter_orbits(rotation)
         if not np.array_equal(matrix[rotation[:, None], rotation], matrix):
-            raise GaugesimError(f"{spec.kind}: does not commute exactly with its quarter-turn")
+            return f"{spec.kind}: does not commute exactly with its quarter-turn"
     blocks = _blocks_by(labels)
     above = scale = np.abs(matrix[labels[:, None] < labels[None, :]]).max(initial=0.0)
     whole = np.arange(len(matrix))[None]  # the matrix as one filled block
     sub, _, _ = _diagonal_blocks(matrix[None], whole, blocks, orbits)
     if not np.all(is_hermitian(sub)):
-        raise GaugesimError(f"{spec.kind}: a diagonal block of size {sub.shape[1]} is not Hermitian")
+        return f"{spec.kind}: a diagonal block of size {sub.shape[1]} is not Hermitian"
     scale = max(scale, np.abs(sub).max())
-    return BuiltHamiltonian(entries=matrix[None], filled=whole, spec=spec,
-                            hermitian=bool(above <= HERM_TOL * scale), blocks=blocks, orbits=orbits)
+    return bool(above <= HERM_TOL * scale), [b.tolist() for b in blocks]
 
 
 def pair_trotter(groups, ts, n_steps: int, psi0) -> np.ndarray:

@@ -114,6 +114,22 @@ def test_library_sets_no_environment_variable():
         assert not any(_writes_environ(n) for n in ast.walk(ast.parse(text))), path.name
 
 
+def test_builds_are_made_one_way():
+    # a BuiltHamiltonian is made only by the builders, its constructor checks
+    # it and works out ``hermitian``, and no second finishing step exists
+    makers, flags, finishers = [], [], []
+    for path in sorted(pathlib.Path(gaugesim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                if getattr(node.func, "id", getattr(node.func, "attr", None)) == "BuiltHamiltonian":
+                    makers.append(path.name)
+                flags += [path.name for k in node.keywords if k.arg == "hermitian"]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_finish":
+                finishers.append(path.name)
+    assert set(makers) == {"hamiltonians.py"} and len(makers) == 4
+    assert flags == [] and finishers == []
+
+
 #: Sample arguments for every ``lru_cache``d function of the library.
 CACHED_TABLE_CALLS = {
     "gaugesim.circuits._factor_tables": [(1,), (4,), (9,)],

@@ -67,6 +67,21 @@ def test_vqe_polar_summary_and_trace(tmp_path, capsys):
     assert out.read_text().startswith("iteration,energy,evaluations\n")
 
 
+@pytest.mark.parametrize("hamiltonian", [{"kind": "LandauPolar", "b_field": b} for b in (1e100, 1e154)]
+                         + [{"kind": "LandauCartesian", "b_field": b, "boson_trunc": n}
+                            for b in (1e100, 1e154) for n in (2, 4)])
+def test_vqe_at_a_huge_field_writes_a_finite_trace(tmp_path, capsys, hamiltonian):
+    # |g|^2 overflows at these fields: the optimizer ends at its last finite
+    # row, where it once stepped to NaN angles and exited 2 with a config error
+    out = tmp_path / "trace.csv"
+    assert run(tmp_path, "vqe", {"hamiltonian": hamiltonian, "output": str(out)}) == 0
+    assert "energy=" in capsys.readouterr().out
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert len(rows) == 2 and np.all(np.isfinite(rows))
+    # a field whose H overflows is still refused by the build, with exit 3
+    assert run(tmp_path, "vqe", {"hamiltonian": dict(hamiltonian, b_field=1e200), "output": str(out)}) == 3
+
+
 def test_vqe_rejects_literal_monopole(tmp_path, capsys):
     cfg = {
         "hamiltonian": {"kind": "MonopoleSU2", "b_field": 2.0},

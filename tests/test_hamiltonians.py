@@ -24,6 +24,7 @@ from conftest import (
     kron_landau_cartesian_matrix,
     monopole_variant_table,
     two_scan_finish,
+    whole_build,
     worst_reference_deviation,
 )
 
@@ -541,7 +542,7 @@ def _groups(labels):
 
 
 def assert_exact_blocks(built):
-    # the invariant _finish checks, with an exact 0.0: nothing below the
+    # the invariant a build checks, with an exact 0.0: nothing below the
     # diagonal blocks (nothing off them at all when H is Hermitian), and
     # every diagonal block Hermitian
     block_of = np.full(built.dim, -1)
@@ -639,20 +640,21 @@ def test_position_grid_commutes_with_the_quarter_turn_bit_for_bit(boson_trunc, b
 
 
 def test_finish_refuses_a_grid_entry_one_ulp_off_the_quarter_turn():
-    import gaugesim.hamiltonians as hamiltonians
-
     built = build_landau_cartesian_position(cart_spec())
     rot = _quarter_turn(16)
-    assert hamiltonians._finish(built.matrix, built.spec, 0, rotation=rot).hermitian
+    assert whole_build(built.matrix, built.spec, 0, rotation=rot).hermitian
     with pytest.raises(GaugesimError, match="quarter-turn"):  # the half-turn has orbits of two
-        hamiltonians._finish(built.matrix, built.spec, 0, rotation=rot[rot])
+        whole_build(built.matrix, built.spec, 0, rotation=rot[rot])
     for entry in ((0, 0), (17, 18), (40, 200)):
         nudged = built.matrix.copy()
         nudged[entry] = complex(np.nextafter(nudged[entry].real, np.inf), nudged[entry].imag)
-        # one ulp is far inside HERM_TOL: only the commutation refuses it
+        # one ulp is far inside HERM_TOL: only the commutation refuses it,
+        # whether the matrix comes whole or as the grid build's replaced entries
         assert is_hermitian(nudged)
         with pytest.raises(GaugesimError, match="commute"):
-            hamiltonians._finish(nudged, built.spec, 0, rotation=rot)
+            whole_build(nudged, built.spec, 0, rotation=rot)
+        with pytest.raises(GaugesimError, match="LandauCartesian: does not commute"):
+            replace(built, entries=nudged[None])
 
 
 @pytest.mark.parametrize("b_field", _FIELDS)
@@ -731,7 +733,6 @@ def test_hermitian_flag_and_blocks_equal_the_whole_matrix_checks(g, boson_trunc)
 
 def test_finish_refuses_a_matrix_that_breaks_its_blocks(tmp_path, monkeypatch, capsys):
     import gaugesim.basis as basis_module
-    import gaugesim.hamiltonians as hamiltonians
     from gaugesim.cli import main
 
     lit = build(_monopole_spec("Literal", 2.0, 2))
@@ -739,21 +740,21 @@ def test_finish_refuses_a_matrix_that_breaks_its_blocks(tmp_path, monkeypatch, c
     below = lit.matrix.copy()
     below[blocks[-1][0], blocks[0][0]] = 1e-300
     with pytest.raises(GaugesimError, match="below its diagonal blocks"):
-        hamiltonians._finish(below, lit.spec, _labels_of(lit))
+        whole_build(below, lit.spec, _labels_of(lit))
     # at N = 2 the Literal blocks are 1x1: skew a block of the Hermitian part
     hp = build(_monopole_spec("HermitianPart", 2.0, 2))
     pair = next(b for b in hp.blocks if len(b) >= 2)
     skew = hp.matrix.copy()
     skew[pair[0], pair[1]] += 1.0
     with pytest.raises(GaugesimError, match="not Hermitian"):
-        hamiltonians._finish(skew, hp.spec, _labels_of(hp))
+        whole_build(skew, hp.spec, _labels_of(hp))
     # the Hermitian variants' sixteen blocks hold the Literal couplings inside
     with pytest.raises(GaugesimError, match="not Hermitian"):
-        hamiltonians._finish(lit.matrix, lit.spec, _labels_of(hp))
+        whole_build(lit.matrix, lit.spec, _labels_of(hp))
     # the position grid has no (-1)^(n_x + n_y) symmetry
     pos = build_landau_cartesian_position(cart_spec(boson_trunc=4))
     with pytest.raises(GaugesimError):
-        hamiltonians._finish(pos.matrix, pos.spec, _parity_labels(4))
+        whole_build(pos.matrix, pos.spec, _parity_labels(4))
     # a builder bug ends in exit 3, not in a spectrum: a non-Hermitian P
     # makes the polar Hamiltonian's one block non-Hermitian
     osc_p = basis_module.osc_p
@@ -769,8 +770,6 @@ def test_finish_refuses_a_matrix_that_breaks_its_blocks(tmp_path, monkeypatch, c
 def test_finish_refuses_a_nan_in_any_diagonal_block(position):
     # one block (position grid) or two (oscillator basis), with the
     # builder's own labels: a NaN inside a block is never Hermitian
-    import gaugesim.hamiltonians as hamiltonians
-
     spec = cart_spec(boson_trunc=4)
     if position:
         built, labels = build_landau_cartesian_position(spec), 0
@@ -782,20 +781,20 @@ def test_finish_refuses_a_nan_in_any_diagonal_block(position):
             bad = built.matrix.copy()
             bad[entry] = np.nan
             with pytest.raises(GaugesimError, match="not Hermitian"):
-                hamiltonians._finish(bad, spec, labels)
+                whole_build(bad, spec, labels)
     if not position:
         # above the blocks a NaN is no block's entry: the build is kept and
         # is not Hermitian, as is_hermitian of the whole matrix says
         above = built.matrix.copy()
         above[built.blocks[0][0], built.blocks[1][0]] = np.nan
-        assert not hamiltonians._finish(above, spec, labels).hermitian
+        assert not whole_build(above, spec, labels).hermitian
         assert not is_hermitian(above)
 
 
-def _finish_outcome(finish, matrix, spec, labels, rotation=None):
-    """(hermitian, blocks as lists) of a finished build, or its refusal's message."""
+def _build_outcome(make, *args, **kwargs):
+    """(hermitian, blocks as lists) of the build ``make`` returns, or its refusal's message."""
     try:
-        built = finish(matrix, spec, labels, rotation=rotation)
+        built = make(*args, **kwargs)
     except GaugesimError as exc:
         return str(exc)
     return built.hermitian, [b.tolist() for b in built.blocks]
@@ -822,13 +821,11 @@ _FINISH_CASES = ([("monopole", v, g, n) for v in VARIANTS for g in (1e-12, 2.0) 
 
 @pytest.mark.parametrize("case", _FINISH_CASES, ids=lambda c: "-".join(map(str, c)))
 def test_finish_count_path_agrees_with_the_two_scans(case):
-    # _finish masks the filled blocks only, and with one label nothing;
+    # a build masks the filled blocks only, and with one block nothing;
     # every builder's outcome stays the one of the whole-matrix masks
-    import gaugesim.hamiltonians as hamiltonians
-
     matrix, spec, labels, rotation = _finish_input(case)
-    outcome = _finish_outcome(hamiltonians._finish, matrix, spec, labels, rotation)
-    assert outcome == _finish_outcome(two_scan_finish, matrix, spec, labels, rotation)
+    outcome = _build_outcome(whole_build, matrix, spec, labels, rotation)
+    assert outcome == two_scan_finish(matrix, spec, labels, rotation)
     assert not isinstance(outcome, str)
 
 
@@ -850,8 +847,8 @@ def test_finish_count_path_agrees_with_the_two_scans_on_edited_matrices(case, ed
                               "below": ((second, first), 1.0, "below")}[edit]
     matrix = matrix.copy()
     matrix[entry] = value
-    outcome = _finish_outcome(hamiltonians._finish, matrix, spec, labels)
-    assert outcome == _finish_outcome(two_scan_finish, matrix, spec, labels)
+    outcome = _build_outcome(whole_build, matrix, spec, labels)
+    assert outcome == two_scan_finish(matrix, spec, labels)
     if isinstance(expected, str):
         assert expected in outcome
     else:
@@ -895,29 +892,27 @@ def test_sectors_of_unequal_sizes_are_refused():
     with pytest.raises(GaugesimError, match="unequal sizes"):
         hamiltonians._blocks_by([0, 0, 1])
     with pytest.raises(GaugesimError, match="unequal sizes"):
-        hamiltonians._finish(np.eye(3), HamiltonianSpec(kind="LandauPolar"), [0, 0, 1])
+        whole_build(np.eye(3), HamiltonianSpec(kind="LandauPolar"), [0, 0, 1])
 
 
 def _stacked_outcomes(entries, filled, spec, labels):
-    """``_finish_outcome`` of ``_finish`` given sector stacks, and of the
-    two-scan oracle given the matrix they fill (zeros elsewhere)."""
+    """``_build_outcome`` of a build given sector stacks, and the two-scan
+    oracle's given the matrix they fill (zeros elsewhere)."""
     import gaugesim.hamiltonians as hamiltonians
 
     dense = np.zeros((filled.size,) * 2, dtype=entries.dtype)
     for idx, sub in zip(filled, entries):
         dense[np.ix_(idx, idx)] = sub
-
-    def stacked(_, spec, labels, rotation=None):
-        return hamiltonians._finish(entries, spec, labels, filled=filled)
-
-    return _finish_outcome(stacked, None, spec, labels), _finish_outcome(two_scan_finish, dense, spec, labels)
+    stacked = _build_outcome(BuiltHamiltonian, entries=entries, filled=filled, spec=spec,
+                             blocks=hamiltonians._blocks_by(labels))
+    return stacked, two_scan_finish(dense, spec, labels)
 
 
 @pytest.mark.parametrize("variant, edit", [("Literal", None), ("ScalarB", None), ("HermitianPart", None),
                                            ("Literal", "below"), ("ScalarB", "below"),
                                            ("Literal", "inside"), ("HermitianPart", "inside")])
 def test_finish_on_sector_stacks_agrees_with_the_two_scans(variant, edit):
-    # the monopole hands _finish its 16 sector stacks; an entry below a
+    # the monopole builds from its 16 sector stacks; an entry below a
     # literal block inside a sector, or one that skews a block, is refused
     # with the two-scan oracle's message
     built = build(_monopole_spec(variant, 2.0, 4))
@@ -953,7 +948,7 @@ def test_finish_on_sector_stacks_reads_the_largest_entry_above_the_blocks(varian
     assert ratio > 0.0
     for tol, flag in ((ratio * (1 - 1e-12), False), (ratio * (1 + 1e-12), True)):
         monkeypatch.setattr(hamiltonians, "HERM_TOL", tol)
-        assert hamiltonians._finish(built.entries, built.spec, labels, filled=built.filled).hermitian is flag
+        assert replace(built).hermitian is flag
 
 
 @pytest.mark.parametrize("boson_trunc", [2, 4])
@@ -1006,15 +1001,80 @@ def test_the_oscillator_build_keeps_its_parity_sectors_and_assembles_the_matrix_
     assert m.tobytes() == scattered.tobytes()
 
 
+# ---------------------------------------------------------------- construction
+
+
+def test_hermitian_is_worked_out_never_passed_in():
+    built = build(HamiltonianSpec(kind="LandauPolar"))
+    with pytest.raises(TypeError, match="hermitian"):
+        BuiltHamiltonian(entries=built.entries, filled=built.filled, spec=built.spec, hermitian=True,
+                         blocks=built.blocks)
+    with pytest.raises(ValueError, match="hermitian"):
+        replace(built, hermitian=False)
+
+
+def test_an_edited_build_is_checked_again():
+    # replace runs a builder's checks: an edited matrix or edited blocks do
+    # not keep the flag and the spectrum of the build they came from
+    polar = build(HamiltonianSpec(kind="LandauPolar"))
+    h = np.array(polar.matrix)
+    h[0, 1] += 5.0
+    with pytest.raises(GaugesimError, match="LandauPolar: a diagonal block of size 16 is not Hermitian"):
+        replace(polar, entries=h[None])
+    part = build(_monopole_spec("HermitianPart", 2.0, 2))
+    blocks = np.array(part.blocks)
+    blocks[1] = blocks[0]  # a repeated row: index 0 twice, and the second sector's indices never
+    with pytest.raises(GaugesimError, match=r"MonopoleSU2: blocks is not a partition of 0\.\.63 into rows"):
+        replace(part, blocks=blocks)
+
+
+def _swapped(a, i, j):
+    """A copy of ``a`` with its flat entries i and j exchanged."""
+    a = np.array(a)
+    a.flat[[i, j]] = a.flat[[j, i]]
+    return a
+
+
+#: An edit of the 4 x 4 oscillator build (two filled blocks of 8, the same
+#: two blocks) or of the 4 x 4 grid (one whole block, orbits of four) that
+#: is not a build, and what it is refused for.
+_NOT_A_BUILD = {
+    "filled 1-D": ("oscillator", lambda b: {"filled": np.arange(16)}, "filled is not a partition"),
+    "filled repeats an index": ("oscillator", lambda b: {"filled": np.where(b.filled == 1, 0, b.filled)},
+                                "filled is not a partition"),
+    "filled of floats": ("oscillator", lambda b: {"filled": b.filled.astype(float)}, "filled is not a partition"),
+    "entries of the wrong size": ("oscillator", lambda b: {"entries": b.entries[:, :4, :4]},
+                                  "filled is not a partition .* with one block of entries per row"),
+    "blocks repeat an index": ("oscillator", lambda b: {"blocks": np.where(b.blocks == 1, 0, b.blocks)},
+                               "blocks is not a partition"),
+    "blocks 1-D": ("grid", lambda b: {"blocks": np.arange(16)}, "blocks is not a partition"),
+    "a block across two filled blocks": ("oscillator", lambda b: {"blocks": _swapped(b.blocks, 0, 8)},
+                                         "a block does not lie inside one filled block"),
+    "orbits of two": ("grid", lambda b: {"orbits": b.orbits.reshape(8, 2)}, "orbits is not a partition"),
+    "orbits repeat an index": ("grid", lambda b: {"orbits": np.where(b.orbits == 1, 0, b.orbits)},
+                               "orbits is not a partition"),
+    "orbits on two filled blocks": ("oscillator", lambda b: {"orbits": np.arange(16).reshape(4, 4)},
+                                    "orbits is not a partition"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NOT_A_BUILD))
+def test_the_constructor_refuses_what_is_not_a_build(case):
+    which, edit, message = _NOT_A_BUILD[case]
+    spec = cart_spec(boson_trunc=4)
+    built = build(spec) if which == "oscillator" else build_landau_cartesian_position(spec)
+    with pytest.raises(GaugesimError, match=f"LandauCartesian: {message}"):
+        replace(built, **edit(built))
+
+
 # ---------------------------------------------------------------- build slot
 
 
 def test_a_repeated_build_is_the_held_one_without_a_second_finish(monkeypatch):
-    import gaugesim.hamiltonians as hamiltonians
-
+    # each build is constructed, and so checked, once: a held one never again
     finished = []
-    finish = hamiltonians._finish
-    monkeypatch.setattr(hamiltonians, "_finish", lambda *a, **k: finished.append(a[1]) or finish(*a, **k))
+    post_init = BuiltHamiltonian.__post_init__
+    monkeypatch.setattr(BuiltHamiltonian, "__post_init__", lambda self: finished.append(self.spec) or post_init(self))
     polar = HamiltonianSpec(kind="LandauPolar", b_field=2.0, angular_m=1)
     held = build(polar)
     # an equal spec, passed by position or by name

@@ -163,6 +163,19 @@ def test_budget_exhaustion_returns_best_so_far():
     assert res.trace_evaluations[-1] == res.evaluations
 
 
+@pytest.mark.parametrize("b_field", [1e100, 1e154])
+def test_a_descent_that_overflows_ends_the_run_unconverged(b_field):
+    # at these fields |g|^2 overflows, so g.d is -inf: the run ends at its
+    # start, unconverged, with finite rows, and never steps to NaN angles
+    built = build(HamiltonianSpec(kind="LandauPolar", b_field=b_field))
+    with np.errstate(over="ignore"):
+        res = minimize(built, AnsatzConfig(4, depth=3))
+    assert not res.converged
+    assert len(res.trace) == 2 and res.evaluations == 1  # the start and the returned point
+    assert np.all(np.isfinite([e for _, e in res.trace])) and np.all(np.isfinite(res.params))
+    assert res.energy == res.trace[0][1]
+
+
 def test_optimizer_settings_validate_themselves():
     for bad in ({"max_iter": 0}, {"tolerance": -1e-9}, {"tolerance": float("nan")}, {"seed": -1},
                 {"seed": 1.5}, {"max_iter": True}, {"max_iter": 2.5}):

@@ -112,8 +112,13 @@ def sylvester_f(n: int) -> np.ndarray:
     normalization, and F is symmetric (not Hermitian).
     """
     n = read_number(n, "basis size", int, 2, 2 ** MAX_QUBITS, error=InvalidSizeError)
+    return _sylvester_columns(n, slice(None))
+
+
+def _sylvester_columns(n: int, k) -> np.ndarray:
+    """Column(s) ``k`` of ``sylvester_f(n)`` alone, n read already: the one grid DFT expression."""
     o = 2 * np.arange(1, n + 1) - (n + 1)
-    phase = (2.0 * np.pi / (4.0 * n)) * np.outer(o, o)
+    phase = (2.0 * np.pi / (4.0 * n)) * np.multiply.outer(o, o[k])
     return np.exp(1j * phase) / np.sqrt(n)
 
 

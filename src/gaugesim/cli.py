@@ -76,7 +76,8 @@ def cmd_vqe(cfg) -> str:
     result = vqe_mod.minimize(built, ansatz, opt)
     vqe_mod.write_trace_csv(result, out)
     lam = built.lowest_eigenvalue()
-    return f"energy={result.energy:.9f}, lambda_min={lam:.9f}, gap={result.energy - lam:.3e}"
+    return (f"energy={result.energy:.9f}, lambda_min={lam:.9f}, gap={result.energy - lam:.3e}, "
+            f"converged={result.converged}")
 
 
 def cmd_eoh(cfg) -> str:

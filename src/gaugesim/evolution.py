@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import pos_grid
+from .basis import _sylvester_columns, pos_grid
 from .errors import (
     DimensionMismatchError,
     GaugesimError,
@@ -379,17 +379,11 @@ def write_transition_csv(series: TransitionSeries, path):
 
 
 def momentum_state(k: int, n: int) -> np.ndarray:
-    """k-th momentum eigenstate on the n-point grid.
-
-    The k-th column of F^dag: column k of ``basis.sylvester_f``, computed
-    alone by the same expression, conjugated.  It satisfies
-    pos_p(n) |p_k> = x_k |p_k> with x_k the k-th grid value.
-    """
+    """k-th momentum eigenstate on the n-point grid, conj(``sylvester_f(n)``[:, k]) built
+    alone: pos_p(n) |p_k> = x_k |p_k> with x_k the k-th grid value."""
     n = read_number(n, "basis size", int, 2, 2 ** MAX_QUBITS, error=InvalidSizeError)
     k = read_number(k, "momentum index", int, 0, n - 1, error=IndexOutOfRangeError)
-    o = 2 * np.arange(1, n + 1) - (n + 1)
-    phase = (2.0 * np.pi / (4.0 * n)) * (o * o[k])
-    return np.conj(np.exp(1j * phase) / np.sqrt(n))
+    return np.conj(_sylvester_columns(n, k))
 
 
 def _vertex_grid(p2_values, n: int, who: str, error=GaugesimError) -> np.ndarray:
@@ -402,26 +396,38 @@ def _vertex_grid(p2_values, n: int, who: str, error=GaugesimError) -> np.ndarray
     return grid
 
 
-def vertex_amplitude(k1: int, p2: float, k3: int, n: int) -> complex:
-    """Three-point amplitude <p_k1| exp(i p2 X) |p_k3> on the n-point grid.
+def _vertex_kernel(k1: int, k3: int, n: int, p2s, who: str) -> np.ndarray:
+    """<p_k1| exp(i p2 X) |p_k3> per p2: (1/n) sum_j exp(i o_j phi) = sin(n phi) / (n sin phi),
+    o_j = 2j + 1 - n, phi = s p2 - s^2 (o_k3 - o_k1) = pi (p2 / P - (k3 - k1) / n) for grid
+    unit s and P = ``dual_lattice_period(n)``.  phi + pi multiplies the sum by (-1)^(n - 1),
+    so phi is reduced by m pi into [-pi/2, pi/2] first (the kernel is 1 where that is 0):
+    unreduced, sin(n phi) and sin(phi) are rounding noise at the aliased peaks phi = m pi."""
+    n = read_number(n, "basis size", int, 2, 2 ** MAX_QUBITS, error=InvalidSizeError)
+    k1, k3 = (read_number(k, "momentum index", int, 0, n - 1, error=IndexOutOfRangeError) for k in (k1, k3))
+    _vertex_grid(p2s, n, who)
+    t = p2s / dual_lattice_period(n) - (k3 - k1) / n
+    m = np.rint(t)
+    phi = np.pi * (t - m)
+    amp = np.divide(np.sin(n * phi), n * np.sin(phi), out=np.ones_like(phi), where=phi != 0.0)
+    return amp * (-1.0) ** (m * (n - 1))
 
-    X is the diagonal position operator, so the insertion is an exact
-    elementwise phase.  The modulus peaks (at exactly 1) when p2 matches
-    the grid momentum transfer x_k3 - x_k1, up to the dual-lattice period.
+
+def vertex_amplitude(k1: int, p2: float, k3: int, n: int) -> complex:
+    """Three-point amplitude <p_k1| exp(i p2 X) |p_k3> on the n-point grid, X the diagonal
+    position operator: the real Dirichlet kernel of ``_vertex_kernel`` (imaginary part 0.0).
+    The modulus peaks (at exactly 1) when p2 matches the grid momentum transfer
+    x_k3 - x_k1, up to the dual-lattice period.
     """
     p2 = read_number(p2, "p2", float, error=ValueError)
-    bra = momentum_state(k1, n)
-    ket = momentum_state(k3, n)
-    phase = np.exp(1j * p2 * _vertex_grid(p2, n, "vertex_amplitude"))
-    return complex(np.vdot(bra, phase * ket))
+    return complex(_vertex_kernel(k1, k3, n, p2, "vertex_amplitude"))
 
 
 def dual_lattice_period(n: int) -> float:
     """Period of |vertex_amplitude| in p2: pi / s for grid unit s.
 
-    Shifting p2 by pi/s multiplies every term of the amplitude by a
-    common sign, so the modulus is exactly periodic and the peak location
-    is only defined modulo this value.
+    Shifting p2 by pi/s shifts the kernel's phi by pi (see ``_vertex_kernel``),
+    which multiplies the amplitude by (-1)^(n - 1), so the modulus is exactly
+    periodic and the peak location is only defined modulo this value.
     """
     n = read_number(n, "grid size", int, 2, 2 ** MAX_QUBITS, error=InvalidSizeError)
     s = np.sqrt(2.0 * np.pi / (4.0 * n))
@@ -436,22 +442,9 @@ def wrap_momentum(p2: float, n: int) -> float:
 
 
 def vertex_scan(k1: int, k3: int, n: int, p2_values) -> np.ndarray:
-    """|vertex_amplitude| over any list of p2 values, each a finite number.
-
-    The grid is uniform, x_j = x_0 + j dx, so the amplitude is the
-    unimodular exp(i p2 x_0) times a polynomial in z = exp(i p2 dx) with
-    coefficients conj(bra) * ket; Horner's rule evaluates it with one
-    exponential per p2 value.
-    """
+    """|vertex_amplitude| over any list of p2 values, each a finite number, at once."""
     p2s = np.ravel(read_numbers(p2_values, "p2 values", ValueError))
-    weights = np.conj(momentum_state(k1, n)) * momentum_state(k3, n)
-    grid = _vertex_grid(p2s, n, "vertex_scan")
-    z = np.exp(1j * (grid[1] - grid[0]) * p2s)
-    amp = np.full_like(z, weights[-1])
-    for w in weights[-2::-1]:
-        amp *= z
-        amp += w
-    return np.abs(amp)
+    return np.abs(_vertex_kernel(k1, k3, n, p2s, "vertex_scan"))
 
 
 def scattering_process(h_free, p2: float, tau: float, total_t: float, psi0,

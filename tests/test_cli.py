@@ -82,6 +82,20 @@ def test_vqe_at_a_huge_field_writes_a_finite_trace(tmp_path, capsys, hamiltonian
     assert run(tmp_path, "vqe", {"hamiltonian": dict(hamiltonian, b_field=1e200), "output": str(out)}) == 3
 
 
+@pytest.mark.parametrize("b_field, max_iter, converged", [
+    (2.0, 600, True),
+    (2.0, 3, False),  # the iteration budget runs out
+    (1e154, 600, False),  # |g|^2 overflows: the run ends at its start
+])
+def test_vqe_summary_says_whether_the_run_converged(tmp_path, capsys, b_field, max_iter, converged):
+    cfg = {"hamiltonian": {"kind": "LandauPolar", "b_field": b_field}, "ansatz": {"depth": 3, "entangler": "cz"},
+           "optimizer": {"max_iter": max_iter, "seed": 11, "tolerance": 1e-9}, "output": str(tmp_path / "t.csv")}
+    assert run(tmp_path, "vqe", cfg) == 0
+    line = capsys.readouterr().out
+    assert re.fullmatch(r"energy=[-.\d]+, lambda_min=[-.\d]+, gap=\S+, converged=(True|False)\n", line)
+    assert line.endswith(f", converged={converged}\n")
+
+
 def test_vqe_rejects_literal_monopole(tmp_path, capsys):
     cfg = {
         "hamiltonian": {"kind": "MonopoleSU2", "b_field": 2.0},

@@ -30,7 +30,9 @@ amps = vertex_scan(3, 9, n, p2s)
 peak = p2s[int(np.argmax(amps))]
 pred = wrap_momentum(grid[9] - grid[3], n)
 print(f"  argmax p2 = {peak:+.6f}, wrapped prediction = {pred:+.6f}")
-top = np.argsort(amps)[-3:][::-1]
+# largest |A| first, rounded to 12 digits, ties by p2: the two side lobes are
+# equal up to rounding, so p2 orders them, not the last bit of each amplitude
+top = np.lexsort((p2s, -np.round(amps, 12)))[:3]
 for idx in top:
     print(f"  p2 = {p2s[idx]:+.6f}: |A| = {amps[idx]:.6f}")
 

@@ -44,6 +44,13 @@ def _output_path(cfg) -> str:
     return out
 
 
+def _number(x: float) -> str:
+    """A summary number: nine decimals below 1e9 in magnitude, as every
+    README summary prints it, and nine in exponent form from there on, so
+    the summary stays one short line at any field."""
+    return f"{x:.9f}" if abs(x) < 1e9 else f"{x:.9e}"
+
+
 def _section(cfg, name: str, cls, **given):
     """``cls`` from the config section ``name``, whose keys are ``cls.FIELDS``
     less those ``given`` by the caller; the constructor reads the values."""
@@ -57,7 +64,7 @@ def cmd_spectrum(cfg) -> str:
     out = _output_path(cfg)
     values = build(spec).spectrum()
     write_rows(out, "index,eigenvalue", np.column_stack([np.arange(len(values)), values]))
-    return f"lambda_min={values[0]:.9f}"
+    return f"lambda_min={_number(values[0])}"
 
 
 def cmd_vqe(cfg) -> str:
@@ -76,7 +83,7 @@ def cmd_vqe(cfg) -> str:
     result = vqe_mod.minimize(built, ansatz, opt)
     vqe_mod.write_trace_csv(result, out)
     lam = built.lowest_eigenvalue()
-    return (f"energy={result.energy:.9f}, lambda_min={lam:.9f}, gap={result.energy - lam:.3e}, "
+    return (f"energy={_number(result.energy)}, lambda_min={_number(lam)}, gap={result.energy - lam:.3e}, "
             f"converged={result.converged}")
 
 
@@ -156,8 +163,8 @@ def cmd_scatter(cfg) -> str:
     write_rows(out, "p2,abs_amplitude", np.column_stack([p2s, amps]))
     predicted = float(grid[p3] - grid[p1])
     argmax = float(p2s[int(np.argmax(amps))])
-    return (f"argmax_p2={argmax:.9f} predicted_p2={predicted:.9f} "
-            f"predicted_wrapped={wrap_momentum(predicted, n):.9f}")
+    return (f"argmax_p2={_number(argmax)} predicted_p2={_number(predicted)} "
+            f"predicted_wrapped={_number(wrap_momentum(predicted, n))}")
 
 
 def cmd_wuyang(cfg) -> str:
@@ -183,7 +190,7 @@ def cmd_wuyang(cfg) -> str:
     rs = traj[:, 0]
     write_rows(out, "r,g,gprime,series_small,series_large", np.column_stack(
         [traj, [wu_yang_series_small(r) for r in rs], [wu_yang_series_large(r) for r in rs]]))
-    return f"final_r={traj[-1, 0]:.9f} final_g={traj[-1, 1]:.9f} max_error_vs_fine={max_err:.3e}"
+    return f"final_r={_number(traj[-1, 0])} final_g={_number(traj[-1, 1])} max_error_vs_fine={max_err:.3e}"
 
 
 _COMMANDS = {

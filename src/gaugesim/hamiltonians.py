@@ -556,64 +556,91 @@ def _build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
     replaces it by the constant -g_m / r_ref^2).  The sums are squared as
     written, without extra symmetrization.
 
-    Each operator is A (x) F: x, p and B act on the N^3-dim boson space,
-    the bilinears on the 8-dim fermion space.  So t_i = sum_k A_k (x) F_k
-    and H = 1/2 sum_i sum_{k,l} (A_k A_l) (x) (F_k F_l): the boson factors
-    are summed per distinct fermion product.  x, y, z and B are real and
-    p = i P with P real, so every boson product is a real one.
+    The coupling enters only through B = b K, with b = -g_m and
+    K = (r^2)^-1 (ScalarB: b = -g_m / r_ref^2, K = 1), so H is a
+    polynomial in b: H = T0 + i b T1 + b^2 T2, with real T0, T1 and T2
+    that do not depend on it (``_monopole_terms``).  The build combines
+    the cached terms of its fermion family and B form with its b, on the
+    16 sectors (``_monopole_tables``), and keeps them: its ``matrix`` is
+    assembled only when read.
+    """
+    scalar = spec.variant == "ScalarB"
+    b = (-spec.b_field / spec.r_ref ** 2 if scalar else -spec.b_field) + 0.0  # b_field -0.0 builds as 0.0
+    t0, t1, t2 = _monopole_terms(spec.boson_trunc, spec.variant == "MajoranaFermions", scalar)
+    h = np.empty(t0.shape, dtype=np.complex128)
+    h.real = t0 if t2 is None else t0 + (b * b) * t2
+    h.imag = b * t1 + 0.0  # its zeros stay +0.0 at b < 0
+    if spec.variant == "HermitianPart":
+        h = 0.5 * (h + h.conj().transpose(0, 2, 1))
+    sectors, literal = _monopole_tables(spec.boson_trunc)[1:]
+    return BuiltHamiltonian(entries=_finite(h, spec), filled=sectors, spec=spec,
+                            blocks=literal if spec.variant in ("Literal", "ScalarB") else sectors)
+
+
+@lru_cache(maxsize=None)
+def _monopole_terms(n: int, majorana: bool, scalar: bool) -> tuple:
+    """The coupling-free terms (T0, T1, T2) of ``_build_monopole_su2`` at
+    ``boson_trunc`` n, for raising (or Majorana) fermions and B = b (r^2)^-1
+    (or the scalar b): read-only (16, size, size) stacks on the 16 sectors,
+    views of one array, with H = T0 + i b T1 + b^2 T2.  T2 is None for the
+    raising fermions, whose bilinears multiply to zero.
+
+    Each operator is A (x) F: x, p and K act on the N^3-dim boson space,
+    the bilinears on the 8-dim fermion space.  With p = i P, t_i is
+    i P_i (x) 1 + b sum_k s_k R_k (x) F_k (s_k = +-1, R_k = K times a
+    coordinate), and every factor is real.  So 1/2 t_i^2 gives
+    -1/2 P_i^2 (x) 1 to T0, 1/2 s_k (P_i R_k + R_k P_i) (x) F_k to T1 and
+    1/2 s_k s_l (R_k R_l) (x) (F_k F_l) to T2: each term sums its real
+    boson factor products per distinct fermion product.
 
     Every term keeps the fermion parity and, per axis i, the charge
     Q_i = (-1)^(n_i) pi_i of fermion slot i and the parity pi_i of boson
-    register i, so H is assembled block by block on these 16 sectors, and
-    the build keeps them: its ``matrix`` is assembled only when read.
+    register i, so each term is gathered block by block on these 16
+    sectors, straight from its factor pairs.
     """
-    n = spec.boson_trunc
-    g_m = spec.b_field
-
-    fermion = basis.fermion_factor()
-    if spec.variant == "MajoranaFermions":
+    fermion = basis.fermion_factor().real
+    if majorana:
         # Hermitian per-slot fermions (psi + psi^dag)/sqrt(2); keeps the
         # qubit layout, makes every bilinear Hermitian.
-        fermion = (fermion + fermion.conj().T) / np.sqrt(2.0)
-    psi = [basis.place(fermion, s, [2, 2, 2]) for s in range(3)]
+        fermion = (fermion + fermion.T) / np.sqrt(2.0)
+    psi = [basis.place(fermion, s, [2, 2, 2]).real for s in range(3)]
     f12, f23, f31 = psi[0] @ psi[1], psi[1] @ psi[2], psi[2] @ psi[0]
 
     dims = [n, n, n]
     x, y, z = (basis.place(basis.osc_q(n), s, dims).real for s in range(3))
     px, py, pz = (basis.place(basis.osc_p(n), s, dims).imag for s in range(3))  # p = i P
-
-    inv_r2, cross, sectors, literal = _monopole_tables(n)
-    b_op = -g_m / spec.r_ref ** 2 if spec.variant == "ScalarB" else np.where(cross, 0.0, -g_m * inv_r2)
-    bx, by, bz = (np.dot(b_op, a) for a in (x, y, z))  # b_op may be a scalar
+    inv_r2, sectors, _ = _monopole_tables(n)
+    kx, ky, kz = (x, y, z) if scalar else (inv_r2 @ a for a in (x, y, z))
     one = np.eye(8)
-    ts = (((1j, px, one), (-1, by, f12), (1, bz, f31)),  # each t_i as (phase, R_k, F_k): A_k = phase R_k
-          ((1j, py, one), (-1, bz, f23), (1, bx, f12)),
-          ((1j, pz, one), (-1, bx, f31), (1, by, f23)))
+    # each t_i as (e_k, s_k, R_k, F_k): A_k = s_k R_k times i (e_k = 0) or b (e_k = 1)
+    ts = (((0, 1, px, one), (1, -1, ky, f12), (1, 1, kz, f31)),
+          ((0, 1, py, one), (1, -1, kz, f23), (1, 1, kx, f12)),
+          ((0, 1, pz, one), (1, -1, kx, f31), (1, 1, ky, f23)))
 
-    groups: dict = {}  # F_k F_l as bytes -> [F_k F_l, sum of A_k A_l]
+    terms = ({}, {}, {})  # per power of b: F_k F_l as bytes -> [F_k F_l, sum of the boson products]
     for t in ts:
-        for c_k, r_k, f_k in t:
-            for c_l, r_l, f_l in t:
+        for e_k, s_k, r_k, f_k in t:
+            for e_l, s_l, r_l, f_l in t:
                 f = f_k @ f_l
                 if f.any():  # products of raising-operator bilinears vanish
-                    groups.setdefault(f.tobytes(), [f, 0])[1] += (c_k * c_l) * (r_k @ r_l)
+                    sign = -s_k * s_l if e_k == e_l == 0 else s_k * s_l  # i i = -1
+                    terms[e_k + e_l].setdefault(f.tobytes(), [f, 0])[1] += sign * (r_k @ r_l)
 
     # 1/2 sum_g A_g (x) F_g on each sector: its boson and fermion indices
     # gather the sector's block from every factor pair (flat, one take each)
     rows, cols = sectors[:, :, None], sectors[:, None, :]
     boson, fermion_idx = (rows >> 3) * n ** 3 + (cols >> 3), (rows & 7) * 8 + (cols & 7)
-    h_blocks = 0.5 * sum(a.take(boson) * f.take(fermion_idx) for f, a in groups.values())
-    del boson, fermion_idx  # 256 KB of indices that need not outlive the sum
-    if spec.variant == "HermitianPart":
-        h_blocks = 0.5 * (h_blocks + h_blocks.conj().transpose(0, 2, 1))
-    return BuiltHamiltonian(entries=_finite(h_blocks, spec), filled=sectors, spec=spec,
-                            blocks=literal if spec.variant in ("Literal", "ScalarB") else sectors)
+    stacks = np.empty((2 + bool(terms[2]),) + boson.shape)  # no T2 stack without its groups
+    for stack, groups in zip(stacks, terms):
+        stack[...] = 0.5 * sum(a.take(boson) * f.take(fermion_idx) for f, a in groups.values())
+    stacks.flags.writeable = False
+    return stacks[0], stacks[1], stacks[2] if terms[2] else None
 
 
 @lru_cache(maxsize=None)
 def _monopole_tables(n: int) -> tuple:
-    """The g_m-free parts of ``_build_monopole_su2`` at ``boson_trunc`` n, read-only: (r^2)^-1,
-    its cross-parity mask, and the index sets of the 16 sectors and of the Literal blocks."""
+    """The parts of ``_build_monopole_su2`` at ``boson_trunc`` n that no coupling or fermion family changes,
+    read-only: (r^2)^-1, and the index sets of the 16 sectors and of the Literal blocks."""
     k = qubits_of_dim(n)
     # r^2 is diagonal in W = V (x) V (x) V, where q^2 = V diag(lam) V^T
     q = basis.osc_q(n).real
@@ -622,10 +649,10 @@ def _monopole_tables(n: int) -> tuple:
     lam3 = (lam[:, None, None] + lam[None, :, None] + lam[None, None, :]).ravel()
     inv_r2 = (w / lam3) @ w.T
     # r^2 keeps each register's parity, so (r^2)^-1 does too; eigh may mix
-    # parities within the degenerate levels of q^2: the builder zeroes the
-    # round-off that leaves between parities
+    # parities within the degenerate levels of q^2: zero the round-off
+    # that leaves between parities
     reg = np.arange(n ** 3) & (1 | 1 << k | 1 << 2 * k)
-    cross = reg[:, None] != reg[None, :]
+    inv_r2[reg[:, None] != reg[None, :]] = 0.0
 
     # index = boson * 8 + fermion pattern; the low bits of the boson
     # registers x, y, z sit at 3 + 2k, 3 + k and 3
@@ -638,9 +665,9 @@ def _monopole_tables(n: int) -> tuple:
     # raising-operator bilinears only lower the occupation: the Literal and ScalarB matrices
     # are block upper-triangular by occupation, then fermion pattern, then the register parities
     literal = _blocks_by((occupation * 8 + (i & 7)) * 8 + parities[0] * 4 + parities[1] * 2 + parities[2])
-    for t in (inv_r2, cross, sectors, literal):
+    for t in (inv_r2, sectors, literal):
         t.flags.writeable = False
-    return inv_r2, cross, sectors, literal
+    return inv_r2, sectors, literal
 
 
 _BUILDERS = {

@@ -142,6 +142,13 @@ def _empty_build_slot():
     hamiltonians._SLOT.clear()
 
 
+def empty_monopole_terms():
+    """Empty the monopole term cache and the build slot, so that the next
+    monopole build starts cold: it assembles its terms again."""
+    hamiltonians._monopole_terms.cache_clear()
+    hamiltonians._SLOT.clear()
+
+
 # Dense gate oracle: each gate as a full 2**n x 2**n matrix, built from
 # Kronecker products of 2x2 factors (qubit 0 = leftmost factor).
 P0 = np.diag([1.0, 0.0]).astype(complex)

@@ -137,6 +137,7 @@ CACHED_TABLE_CALLS = {
     "gaugesim.circuits._cz_full_layer_signs": [(3,)],
     "gaugesim.circuits._cx_full_layer_sources": [(3,), (3, True)],
     "gaugesim.hamiltonians._monopole_tables": [(2,), (4,)],
+    "gaugesim.hamiltonians._monopole_terms": [(2, False, False), (2, True, False)],
 }
 
 

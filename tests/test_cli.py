@@ -92,8 +92,20 @@ def test_vqe_summary_says_whether_the_run_converged(tmp_path, capsys, b_field, m
            "optimizer": {"max_iter": max_iter, "seed": 11, "tolerance": 1e-9}, "output": str(tmp_path / "t.csv")}
     assert run(tmp_path, "vqe", cfg) == 0
     line = capsys.readouterr().out
-    assert re.fullmatch(r"energy=[-.\d]+, lambda_min=[-.\d]+, gap=\S+, converged=(True|False)\n", line)
+    assert re.fullmatch(r"energy=[-+.\de]+, lambda_min=[-+.\de]+, gap=\S+, converged=(True|False)\n", line)
     assert line.endswith(f", converged={converged}\n")
+
+
+@pytest.mark.parametrize("command, extra", [("spectrum", {}), ("vqe", {"optimizer": {"max_iter": 3}})])
+def test_a_summary_stays_one_short_line_at_a_huge_field(tmp_path, capsys, command, extra):
+    # fixed-point summary numbers once printed 308 digits before the point here
+    cfg = {"hamiltonian": {"kind": "LandauPolar", "b_field": 1e154}, "output": str(tmp_path / "out.csv"), **extra}
+    assert run(tmp_path, command, cfg) == 0
+    printed = capsys.readouterr().out
+    assert printed.count("\n") == 1 and len(printed.encode()) <= 200, printed
+    values = re.findall(r"=([^,\s]+)", printed)
+    numbers = [float(v) for v in values if v not in ("True", "False")]
+    assert numbers and np.all(np.isfinite(numbers)), printed
 
 
 def test_vqe_rejects_literal_monopole(tmp_path, capsys):

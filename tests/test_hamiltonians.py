@@ -21,6 +21,7 @@ from gaugesim.operators import hermitian_eig, is_hermitian
 from conftest import (
     MONOPOLE_REFERENCE,
     dense_monopole,
+    empty_monopole_terms,
     kron_landau_cartesian_matrix,
     monopole_variant_table,
     two_scan_finish,
@@ -412,7 +413,8 @@ def test_monopole_build_stays_on_the_factors(monkeypatch):
     # full 512-dim register, the only eigendecomposition is the 4x4 q^2 of
     # one register, every product of 64x64 boson factors is real (a
     # complex 64^3 product or a larger eigensolve wakes OpenBLAS threads),
-    # and no Hermiticity check sees more than one diagonal block
+    # and no Hermiticity check sees more than one diagonal block; each
+    # variant's build starts cold, so its cached terms are assembled in view
     import gaugesim.basis as basis_module
     import gaugesim.hamiltonians as hamiltonians_module
     import gaugesim.operators as operators_module
@@ -435,6 +437,7 @@ def test_monopole_build_stays_on_the_factors(monkeypatch):
                             eig_dims.append(np.shape(a)[-1]) or _f(a, *r, **k))
     monkeypatch.setattr(basis_module, "place", counted_place)
     for variant in VARIANTS:
+        empty_monopole_terms()
         eig_dims.clear()
         place_dims.clear()
         check_dims.clear()
@@ -449,6 +452,29 @@ def test_monopole_build_stays_on_the_factors(monkeypatch):
         boson = [(t, shapes) for t, shapes in _Watched.products if max(map(max, shapes)) >= 64]
         assert boson, variant  # the boson products are seen
         assert not [t for t, _ in boson if np.issubdtype(t, np.complexfloating)], (variant, boson)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_monopole_build_does_not_depend_on_cache_history(variant):
+    # a build combines cached coupling-free terms with its coupling: the
+    # same spec gives the same bytes whether its terms were assembled for
+    # it or for an earlier build at another coupling
+    import gaugesim.hamiltonians as hamiltonians_module
+
+    def spec(g_m):
+        return HamiltonianSpec(kind="MonopoleSU2", b_field=g_m, variant=variant,
+                               r_ref=1.3 if variant == "ScalarB" else None)
+
+    empty_monopole_terms()
+    cold = build(spec(1.37))
+    build(spec(2.9))
+    hamiltonians_module._SLOT.clear()
+    warm = build(spec(1.37))
+    assert warm is not cold
+    assert warm.entries.tobytes() == cold.entries.tobytes()
+    assert warm.spectrum().tobytes() == cold.spectrum().tobytes()
+    for built in (cold, warm):
+        np.testing.assert_allclose(built.matrix, dense_monopole(built.spec), rtol=0, atol=1e-13)
 
 
 def test_monopole_zero_coupling_is_free():

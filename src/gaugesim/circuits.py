@@ -5,9 +5,13 @@ most significant bit of the basis index, matching the tensor-slot
 convention of the basis module (slot 0 = leftmost Kronecker factor).
 Ry, CZ and CX have real matrices, so ``ansatz_state`` prepares a real
 state, and ``adjoint_gradient`` differentiates it with one backward
-sweep (Jones & Gacon, arXiv:2009.02823).  Each sweep builds the Kronecker
-factors of all its rotation layers in one table pass (``_factors``), and
-a layer is two small matrix products with them, not one call per gate.
+sweep (Jones & Gacon, arXiv:2009.02823).  Both are the checked entry
+points of two private kernels, ``_forward`` and ``_backward``, the only
+callers of the layer kernel ``_rotate``.  A sweep takes the Kronecker
+factors of all its rotation layers from one table pass (``_factors``),
+and a layer is two small matrix products with them, not one call per
+gate.  The optimizer's objective (``vqe._RealObjective``) runs the
+kernels itself, on one table pass per point.
 ``expectation`` gives <psi|H|psi> for any (complex) state and Hermitian H.
 """
 
@@ -157,17 +161,35 @@ def _layers(cfg: AnsatzConfig, params) -> np.ndarray:
     return p.reshape(cfg.depth + 1, cfg.n_qubits)
 
 
+def _forward(n: int, entangler: str, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """The state the layers with the stacked factors (``_factors``) prepare from |0...0>."""
+    psi = np.zeros(2 ** n)
+    psi[0] = 1.0
+    for d, (left, right) in enumerate(zip(lefts, rights)):
+        if d:
+            psi = _entangle(psi, n, entangler)
+        psi = _rotate(psi, left, right)
+    return psi
+
+
+def _backward(n: int, entangler: str, undo_lefts: np.ndarray, undo_rights: np.ndarray,
+              pair: np.ndarray) -> np.ndarray:
+    """The adjoint sweep of ``adjoint_gradient`` on the (2, 2**n) ``pair``
+    (state, S state), which it does not write; ``undo_lefts`` and
+    ``undo_rights`` are the stacked factors of the negated layers 1 and up."""
+    grad = np.empty((len(undo_lefts) + 1, n))
+    flip, sign = _flip_tables(n)
+    for d in range(len(undo_lefts), -1, -1):
+        grad[d] = (sign * pair[0][flip]) @ pair[1]
+        if d:
+            pair = _entangle(_rotate(pair, undo_lefts[d - 1], undo_rights[d - 1]), n, entangler, inverse=True)
+    return grad.reshape(-1)
+
+
 def ansatz_state(cfg: AnsatzConfig, params) -> np.ndarray:
     """Real (float64) statevector prepared by the ansatz with angles
     ``params`` from |0...0>."""
-    n = cfg.n_qubits
-    psi = np.zeros(2 ** n)
-    psi[0] = 1.0
-    for d, (left, right) in enumerate(zip(*_factors(_layers(cfg, params)))):
-        if d:
-            psi = _entangle(psi, n, cfg.entangler)
-        psi = _rotate(psi, left, right)
-    return psi
+    return _forward(cfg.n_qubits, cfg.entangler, *_factors(_layers(cfg, params)))
 
 
 def adjoint_gradient(cfg: AnsatzConfig, params, state, h_state) -> np.ndarray:
@@ -185,15 +207,7 @@ def adjoint_gradient(cfg: AnsatzConfig, params, state, h_state) -> np.ndarray:
     pair = [read_numbers(v, what, ValueError) for v, what in ((state, "state"), (h_state, "h_state"))]
     if any(v.shape != (2 ** n,) for v in pair):
         raise DimensionMismatchError(f"state and h_state need shape ({2 ** n},)")
-    pair = np.stack(pair)
-    grad = np.empty_like(layers)
-    flip, sign = _flip_tables(n)
-    lefts, rights = _factors(-layers[1:])
-    for d in range(cfg.depth, -1, -1):
-        grad[d] = (sign * pair[0][flip]) @ pair[1]
-        if d:
-            pair = _entangle(_rotate(pair, lefts[d - 1], rights[d - 1]), n, cfg.entangler, inverse=True)
-    return grad.reshape(-1)
+    return _backward(n, cfg.entangler, *_factors(-layers[1:]), np.stack(pair))
 
 
 def expectation(state, h) -> float:

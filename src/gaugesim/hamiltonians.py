@@ -582,8 +582,9 @@ def _monopole_terms(n: int, majorana: bool, scalar: bool) -> tuple:
     """The coupling-free terms (T0, T1, T2) of ``_build_monopole_su2`` at
     ``boson_trunc`` n, for raising (or Majorana) fermions and B = b (r^2)^-1
     (or the scalar b): read-only (16, size, size) stacks on the 16 sectors,
-    views of one array, with H = T0 + i b T1 + b^2 T2.  T2 is None for the
-    raising fermions, whose bilinears multiply to zero.
+    with H = T0 + i b T1 + b^2 T2.  T0 is ``_monopole_kinetic(n)``, held
+    once for every key of n.  T2 is None for the raising fermions, whose
+    bilinears multiply to zero.
 
     Each operator is A (x) F: x, p and K act on the N^3-dim boson space,
     the bilinears on the 8-dim fermion space.  With p = i P, t_i is
@@ -592,11 +593,6 @@ def _monopole_terms(n: int, majorana: bool, scalar: bool) -> tuple:
     -1/2 P_i^2 (x) 1 to T0, 1/2 s_k (P_i R_k + R_k P_i) (x) F_k to T1 and
     1/2 s_k s_l (R_k R_l) (x) (F_k F_l) to T2: each term sums its real
     boson factor products per distinct fermion product.
-
-    Every term keeps the fermion parity and, per axis i, the charge
-    Q_i = (-1)^(n_i) pi_i of fermion slot i and the parity pi_i of boson
-    register i, so each term is gathered block by block on these 16
-    sectors, straight from its factor pairs.
     """
     fermion = basis.fermion_factor().real
     if majorana:
@@ -609,7 +605,7 @@ def _monopole_terms(n: int, majorana: bool, scalar: bool) -> tuple:
     dims = [n, n, n]
     x, y, z = (basis.place(basis.osc_q(n), s, dims).real for s in range(3))
     px, py, pz = (basis.place(basis.osc_p(n), s, dims).imag for s in range(3))  # p = i P
-    inv_r2, sectors, _ = _monopole_tables(n)
+    inv_r2 = _monopole_tables(n)[0]
     kx, ky, kz = (x, y, z) if scalar else (inv_r2 @ a for a in (x, y, z))
     one = np.eye(8)
     # each t_i as (e_k, s_k, R_k, F_k): A_k = s_k R_k times i (e_k = 0) or b (e_k = 1)
@@ -617,24 +613,41 @@ def _monopole_terms(n: int, majorana: bool, scalar: bool) -> tuple:
           ((0, 1, py, one), (1, -1, kz, f23), (1, 1, kx, f12)),
           ((0, 1, pz, one), (1, -1, kx, f31), (1, 1, ky, f23)))
 
-    terms = ({}, {}, {})  # per power of b: F_k F_l as bytes -> [F_k F_l, sum of the boson products]
+    terms = ({}, {})  # per power of b, 1 and 2: F_k F_l as bytes -> [F_k F_l, sum of the boson products]
     for t in ts:
         for e_k, s_k, r_k, f_k in t:
             for e_l, s_l, r_l, f_l in t:
                 f = f_k @ f_l
-                if f.any():  # products of raising-operator bilinears vanish
-                    sign = -s_k * s_l if e_k == e_l == 0 else s_k * s_l  # i i = -1
-                    terms[e_k + e_l].setdefault(f.tobytes(), [f, 0])[1] += sign * (r_k @ r_l)
+                if e_k + e_l and f.any():  # T0 aside; products of raising-operator bilinears vanish
+                    terms[e_k + e_l - 1].setdefault(f.tobytes(), [f, 0])[1] += s_k * s_l * (r_k @ r_l)
+    t1, t2 = (_on_sectors(n, groups.values()) if groups else None for groups in terms)
+    return _monopole_kinetic(n), t1, t2
 
-    # 1/2 sum_g A_g (x) F_g on each sector: its boson and fermion indices
-    # gather the sector's block from every factor pair (flat, one take each)
+
+@lru_cache(maxsize=None)
+def _monopole_kinetic(n: int) -> np.ndarray:
+    """T0 of ``_monopole_terms`` at ``boson_trunc`` n, the free kinetic
+    term -1/2 sum_i P_i^2 (x) 1 (p = i P) on the 16 sectors, read-only: it
+    is the same for every fermion family and B form."""
+    ps = (basis.place(basis.osc_p(n), s, [n, n, n]).imag for s in range(3))
+    return _on_sectors(n, [(np.eye(8), sum(-(p @ p) for p in ps))])  # (i P)^2 = -P^2
+
+
+def _on_sectors(n: int, groups) -> np.ndarray:
+    """1/2 sum_g A_g (x) F_g on each of the 16 sectors of ``_monopole_tables(n)``,
+    as a read-only (16, size, size) stack, for the (F_g, A_g) pairs in ``groups``.
+
+    Every term keeps the fermion parity and, per axis i, the charge
+    Q_i = (-1)^(n_i) pi_i of fermion slot i and the parity pi_i of boson
+    register i, so it is gathered block by block on these sectors: the
+    sector's boson and fermion indices pick its block from each factor
+    pair (flat, one take each)."""
+    sectors = _monopole_tables(n)[1]
     rows, cols = sectors[:, :, None], sectors[:, None, :]
     boson, fermion_idx = (rows >> 3) * n ** 3 + (cols >> 3), (rows & 7) * 8 + (cols & 7)
-    stacks = np.empty((2 + bool(terms[2]),) + boson.shape)  # no T2 stack without its groups
-    for stack, groups in zip(stacks, terms):
-        stack[...] = 0.5 * sum(a.take(boson) * f.take(fermion_idx) for f, a in groups.values())
-    stacks.flags.writeable = False
-    return stacks[0], stacks[1], stacks[2] if terms[2] else None
+    stack = 0.5 * sum(a.take(boson) * f.take(fermion_idx) for f, a in groups)
+    stack.flags.writeable = False
+    return stack
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,11 @@ Hermitian H, <psi|H|psi> = psi^T Re(H) psi exactly (Im H is antisymmetric),
 so the objective and its gradient run on float64 states against Re(H),
 held as a build's ``real_form`` (the real parts of its diagonal blocks,
 stacked; a plain matrix is one block): H psi is one batched product,
-never a dense Re(H).
+never a dense Re(H).  The optimizer's objective runs the circuit kernels
+(``circuits._forward`` and ``circuits._backward``) itself, on one table
+pass of layer factors per point, and does not check its own points
+again; ``energy_gradient`` is the checked one-shot through the public
+``ansatz_state`` and ``adjoint_gradient``.
 Up to 99 parameters (9 qubits up to depth 10) every step stays on the
 calling thread, so a fixed seed gives the same trace bytes whatever the
 BLAS thread count; above that OpenBLAS threads the optimizer's solve.
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import AnsatzConfig, adjoint_gradient, ansatz_state
+from .circuits import AnsatzConfig, _backward, _factors, _forward, adjoint_gradient, ansatz_state
 from .errors import DimensionMismatchError, GaugesimError, read_number, read_own_fields, write_rows
 from .operators import _dim, _require_hermitian, as_operator
 
@@ -99,13 +103,26 @@ def _real_form(h, ansatz: AnsatzConfig) -> tuple:
     return np.arange(dim)[None], (0.5 * (m.real + m.real.T))[None]
 
 
+def _apply_real(h_real, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Re H psi into ``out``, Re H the (idx, sub) block stack of a
+    ``real_form``: a gather, one batched product and a scatter."""
+    idx, sub = h_real
+    out[idx] = (sub @ psi[idx][..., None])[..., 0]
+    return out
+
+
 class _RealObjective:
     """Energy and adjoint gradient against a real symmetric matrix, given
-    as the (idx, sub) block stack of a ``real_form``: H psi is a gather,
-    one batched product and a scatter.
+    as the (idx, sub) block stack of a ``real_form``.
 
-    Both share the forward state of the last point, so the energy and the
-    gradient at one point cost one circuit run; ``runs`` counts them.
+    Both share the last point's run: one table pass for its layer factors,
+    the forward sweep, and the state with Re H times it in one (2, dim)
+    buffer.  The gradient's sweep undoes layers 1 and up with contiguous
+    copies of those factors' transposes, which equal ``_factors`` of the
+    negated angles bit for bit.  So the energy and the gradient at one
+    point cost one circuit run; ``runs`` counts them.  The points come from
+    ``_slsqp``, finite by its rules, so the public entry checks of
+    ``ansatz_state`` and ``adjoint_gradient`` are not run again.
     """
 
     def __init__(self, h_real, ansatz: AnsatzConfig):
@@ -116,12 +133,13 @@ class _RealObjective:
 
     def _run(self, x):
         if self._x is None or not np.array_equal(x, self._x):
-            self._psi = ansatz_state(self.ansatz, x)
-            idx, sub = self.h_real
-            self._h_psi = np.empty_like(self._psi)
-            self._h_psi[idx] = (sub @ self._psi[idx][..., None])[..., 0]
-            self._energy = float(self._psi @ self._h_psi)
-            self._x = np.array(x, dtype=float)  # read by ansatz_state
+            n, entangler = self.ansatz.n_qubits, self.ansatz.entangler
+            self._x = np.array(x, dtype=float)
+            self._factors = _factors(self._x.reshape(self.ansatz.depth + 1, n))
+            self._pair = np.empty((2, 2 ** n))
+            self._pair[0] = _forward(n, entangler, *self._factors)
+            _apply_real(self.h_real, self._pair[0], self._pair[1])
+            self._energy = float(self._pair[0] @ self._pair[1])
             self.runs += 1
 
     def energy(self, x) -> float:
@@ -130,18 +148,22 @@ class _RealObjective:
 
     def gradient(self, x) -> np.ndarray:
         self._run(x)
-        return adjoint_gradient(self.ansatz, self._x, self._psi, self._h_psi)
+        undo = [np.ascontiguousarray(f[1:].transpose(0, 2, 1)) for f in self._factors]
+        return _backward(self.ansatz.n_qubits, self.ansatz.entangler, *undo, self._pair)
 
 
 def energy_gradient(h, ansatz: AnsatzConfig, params) -> np.ndarray:
     """Exact gradient of the ansatz energy by adjoint differentiation.
 
-    One forward and one backward sweep; equal to the parameter-shift rule
-    g_k = (E(+pi/2 e_k) - E(-pi/2 e_k))/2 up to rounding.  Raises like
-    ``minimize`` for a non-Hermitian H or a register mismatch.
+    One forward and one backward sweep (``ansatz_state`` and
+    ``adjoint_gradient``, each with its entry checks and its own table
+    pass); equal to the parameter-shift rule g_k = (E(+pi/2 e_k) -
+    E(-pi/2 e_k))/2 up to rounding.  Raises like ``minimize`` for a
+    non-Hermitian H or a register mismatch.
     """
-    objective = _RealObjective(_real_form(h, ansatz), ansatz)
-    return objective.gradient(params)
+    h_real = _real_form(h, ansatz)
+    psi = ansatz_state(ansatz, params)
+    return adjoint_gradient(ansatz, params, psi, _apply_real(h_real, psi, np.empty_like(psi)))
 
 
 def _slsqp(f, x0: np.ndarray, max_iter: int, tol: float):
@@ -207,7 +229,7 @@ def _slsqp(f, x0: np.ndarray, max_iter: int, tol: float):
                 theta = 0.8 * s_b_s / (s_b_s - sy)
                 y = theta * y + (1.0 - theta) * b_s
                 sy = 0.2 * s_b_s
-            b = b + np.outer(y, y) / sy - np.outer(b_s, b_s) / s_b_s
+            b = b + y[:, None] * y / sy - b_s[:, None] * b_s / s_b_s
     rows.append((*rows[-1][:2], f.runs))
     return rows, success
 

@@ -146,6 +146,7 @@ def empty_monopole_terms():
     """Empty the monopole term cache and the build slot, so that the next
     monopole build starts cold: it assembles its terms again."""
     hamiltonians._monopole_terms.cache_clear()
+    hamiltonians._monopole_kinetic.cache_clear()
     hamiltonians._SLOT.clear()
 
 

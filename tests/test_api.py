@@ -130,6 +130,25 @@ def test_builds_are_made_one_way():
     assert flags == [] and finishers == []
 
 
+def _called(node) -> list:
+    """The name of every function called under ``node``."""
+    return [getattr(n.func, "id", getattr(n.func, "attr", None)) for n in ast.walk(node) if isinstance(n, ast.Call)]
+
+
+def test_one_ry_kernel():
+    # the layer kernel ``_rotate`` runs only inside the forward and adjoint
+    # sweeps, and no module but ``circuits`` applies a layer itself
+    for path in sorted(pathlib.Path(gaugesim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name != "circuits.py":
+            assert not {"_rotate", "_entangle"} & set(_called(tree)), path.name
+            continue
+        sweeps = {f.name: _called(f).count("_rotate") for f in tree.body if isinstance(f, ast.FunctionDef)
+                  and "_rotate" in _called(f)}
+        assert set(sweeps) == {"_forward", "_backward"}
+        assert sum(sweeps.values()) == _called(tree).count("_rotate")
+
+
 #: Sample arguments for every ``lru_cache``d function of the library.
 CACHED_TABLE_CALLS = {
     "gaugesim.circuits._factor_tables": [(1,), (4,), (9,)],
@@ -138,6 +157,7 @@ CACHED_TABLE_CALLS = {
     "gaugesim.circuits._cx_full_layer_sources": [(3,), (3, True)],
     "gaugesim.hamiltonians._monopole_tables": [(2,), (4,)],
     "gaugesim.hamiltonians._monopole_terms": [(2, False, False), (2, True, False)],
+    "gaugesim.hamiltonians._monopole_kinetic": [(2,)],
 }
 
 

@@ -64,6 +64,22 @@ def test_one_table_pass_equals_the_per_layer_factors_bit_for_bit(rng, entangler)
             assert grad.tobytes() == per_layer_adjoint_gradient(cfg, params, state, h_state).tobytes(), (n, depth)
 
 
+def test_transposed_factors_equal_the_negated_angles_bit_for_bit(rng):
+    # the optimizer's objective undoes layers 1 and up with contiguous
+    # copies of the forward factors' transposes instead of a second table
+    # pass on the negated angles; the two are the same floats, signed
+    # zeros included
+    for n in range(1, 10):
+        for depth in range(5):
+            layers = rng.uniform(-np.pi, np.pi, (depth + 1, n))
+            layers.ravel()[::2] = rng.choice([0.0, -0.0, np.pi, -np.pi], layers.size - layers.size // 2)
+            undo = circuits._factors(-layers[1:])
+            for forward, negated in zip(circuits._factors(layers), undo):
+                copy = np.ascontiguousarray(forward[1:].transpose(0, 2, 1))
+                assert copy.flags.c_contiguous and copy.shape == negated.shape, (n, depth)
+                assert copy.tobytes() == negated.tobytes(), (n, depth)
+
+
 def test_cz_phases():
     # Ry(pi) prepares |1>, so the first layer picks the basis state the CZ sees
     np.testing.assert_allclose(_state(2, 1, [0, 0, 0, 0]), [1, 0, 0, 0], atol=1e-15)

@@ -110,11 +110,12 @@ def test_evaluations_count_circuit_runs(monkeypatch):
     # points already evaluated, share one circuit run
     runs = []
 
-    def counted(cfg, params):
-        runs.append(np.array(params))
-        return circuits.ansatz_state(cfg, params)
+    def counted(n, entangler, lefts, rights):
+        runs.append(np.concatenate([lefts.ravel(), rights.ravel()]))
+        return forward(n, entangler, lefts, rights)
 
-    monkeypatch.setattr(vqe, "ansatz_state", counted)
+    forward = circuits._forward
+    monkeypatch.setattr(vqe, "_forward", counted)
     built = build(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
     res = minimize(built, AnsatzConfig(4, depth=2), OptimizerSettings(seed=3, max_iter=30))
     assert res.evaluations == len(runs)
@@ -137,6 +138,50 @@ def test_one_point_builds_the_layer_factors_twice(monkeypatch, depth):
     built = build(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
     energy_gradient(built, AnsatzConfig(4, depth=depth), np.linspace(-1.0, 1.0, 4 * (depth + 1)))
     assert passes == [depth + 1, depth]
+
+
+@pytest.mark.parametrize("depth", [0, 1, 5])
+def test_one_objective_point_builds_the_layer_factors_once(monkeypatch, depth):
+    # the optimizer's energy and gradient at one point share one table pass:
+    # the gradient's sweep reuses the forward factors, transposed
+    passes = []
+
+    def counted(layers):
+        passes.append(len(layers))
+        return factors(layers)
+
+    factors = circuits._factors
+    monkeypatch.setattr(circuits, "_factors", counted)
+    monkeypatch.setattr(vqe, "_factors", counted)
+    built = build(HamiltonianSpec(kind="LandauPolar", b_field=2.0))
+    ans = AnsatzConfig(4, depth=depth)
+    objective = vqe._RealObjective(vqe._real_form(built, ans), ans)
+    x = np.linspace(-1.0, 1.0, ans.n_params)
+    objective.energy(x)
+    objective.gradient(x)
+    assert passes == [depth + 1]
+    assert objective.runs == 1
+
+
+@pytest.mark.parametrize("entangler", ["cz", "cx"])
+def test_objective_equals_the_public_sweeps_bit_for_bit(rng, entangler):
+    # the objective runs the private kernels on one table pass per point;
+    # its energy and gradient are the public ansatz_state and
+    # adjoint_gradient (with the same real-form product) to the last bit;
+    # the angles include 0, -0, +-pi and random values
+    for n in range(1, 10):
+        h = random_hermitian(rng, 2 ** n)
+        for depth in range(5):
+            ans = AnsatzConfig(n, depth, entangler)
+            form = vqe._real_form(h, ans)
+            objective = vqe._RealObjective(form, ans)
+            x = rng.uniform(-np.pi, np.pi, ans.n_params)
+            x[::2] = rng.choice([0.0, -0.0, np.pi, -np.pi], len(x[::2]))
+            psi = circuits.ansatz_state(ans, x)
+            h_psi = vqe._apply_real(form, psi, np.empty_like(psi))
+            grad = circuits.adjoint_gradient(ans, x, psi, h_psi)
+            assert objective.energy(x) == float(psi @ h_psi), (n, depth)
+            assert objective.gradient(x).tobytes() == grad.tobytes(), (n, depth)
 
 
 def test_minimize_guards():

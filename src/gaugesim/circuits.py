@@ -7,11 +7,11 @@ Ry, CZ and CX have real matrices, so ``ansatz_state`` prepares a real
 state, and ``adjoint_gradient`` differentiates it with one backward
 sweep (Jones & Gacon, arXiv:2009.02823).  Both are the checked entry
 points of two private kernels, ``_forward`` and ``_backward``, the only
-callers of the layer kernel ``_rotate``.  A sweep takes the Kronecker
-factors of all its rotation layers from one table pass (``_factors``),
-and a layer is two small matrix products with them, not one call per
-gate.  The optimizer's objective (``vqe._RealObjective``) runs the
-kernels itself, on one table pass per point.
+callers of the layer kernel ``_rotate``.  Both take the Kronecker factors
+of the rotation layers from one table pass (``_factors``); a layer is two
+small matrix products with them, not one call per gate, and ``_backward``
+undoes it with their transposes.  The optimizer's objective
+(``vqe._RealObjective``) runs the kernels itself, on one pass per point.
 ``expectation`` gives <psi|H|psi> for any (complex) state and Hermitian H.
 """
 
@@ -22,7 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidConfigError, read_numbers, read_own_fields
+from .errors import (DimensionMismatchError, GaugesimError, InvalidConfigError, read_number, read_numbers,
+                     read_own_fields)
 from .operators import MAX_QUBITS, _require_hermitian
 
 __all__ = [
@@ -57,8 +58,7 @@ def _factors(layers: np.ndarray) -> list:
     """The Kronecker factors (L, R) of each rotation layer, one row of n
     angles in ``layers``, stacked: the layer acts on a state viewed as a
     (2**h, 2**(n-h)) matrix M, h = n // 2, as L M R^T, with L and R the
-    rotations on qubits [0, h) and [h, n).  Negated angles give L^T and R^T
-    exactly, which undoes the layer."""
+    rotations on qubits [0, h) and [h, n); L^T and R^T undo the layer."""
     cs = np.concatenate([np.cos(layers / 2.0), np.sin(layers / 2.0)], axis=1)
     factors = []
     for pick, signed in _factor_tables(layers.shape[1]):
@@ -172,14 +172,15 @@ def _forward(n: int, entangler: str, lefts: np.ndarray, rights: np.ndarray) -> n
     return psi
 
 
-def _backward(n: int, entangler: str, undo_lefts: np.ndarray, undo_rights: np.ndarray,
-              pair: np.ndarray) -> np.ndarray:
+def _backward(n: int, entangler: str, lefts: np.ndarray, rights: np.ndarray, pair: np.ndarray) -> np.ndarray:
     """The adjoint sweep of ``adjoint_gradient`` on the (2, 2**n) ``pair``
-    (state, S state), which it does not write; ``undo_lefts`` and
-    ``undo_rights`` are the stacked factors of the negated layers 1 and up."""
-    grad = np.empty((len(undo_lefts) + 1, n))
+    (state, S state), which it does not write.  It undoes layers 1 and up
+    with contiguous copies of the transposes of their forward factors
+    ``lefts`` and ``rights``: strided views would take another BLAS path."""
+    undo_lefts, undo_rights = (np.ascontiguousarray(f.transpose(0, 2, 1)) for f in (lefts, rights))
+    grad = np.empty((len(lefts) + 1, n))
     flip, sign = _flip_tables(n)
-    for d in range(len(undo_lefts), -1, -1):
+    for d in range(len(lefts), -1, -1):
         grad[d] = (sign * pair[0][flip]) @ pair[1]
         if d:
             pair = _entangle(_rotate(pair, undo_lefts[d - 1], undo_rights[d - 1]), n, entangler, inverse=True)
@@ -207,7 +208,7 @@ def adjoint_gradient(cfg: AnsatzConfig, params, state, h_state) -> np.ndarray:
     pair = [read_numbers(v, what, ValueError) for v, what in ((state, "state"), (h_state, "h_state"))]
     if any(v.shape != (2 ** n,) for v in pair):
         raise DimensionMismatchError(f"state and h_state need shape ({2 ** n},)")
-    return _backward(n, cfg.entangler, *_factors(-layers[1:]), np.stack(pair))
+    return _backward(n, cfg.entangler, *_factors(layers[1:]), np.stack(pair))
 
 
 def expectation(state, h) -> float:
@@ -215,11 +216,12 @@ def expectation(state, h) -> float:
 
     H, a matrix of finite numbers or a build (its ``matrix``), must act on
     the same register (dimension check) and be Hermitian: it is refused up
-    front by ``operators._require_hermitian``, whatever the state.
+    front by ``operators._require_hermitian``, whatever the state.  A value
+    that overflows (at entries near 1e308) raises GaugesimError.
     """
     psi = read_numbers(state, "state", ValueError, complex)
     hm = read_numbers(getattr(h, "matrix", h), "operator", ValueError, complex)
     if psi.ndim != 1 or hm.shape != psi.shape * 2:
         raise DimensionMismatchError(f"operator shape {hm.shape} does not match state of shape {psi.shape}")
     _require_hermitian(h, "expectation")
-    return float(np.vdot(psi, hm @ psi).real)
+    return read_number(float(np.vdot(psi, hm @ psi).real), "expectation: the value", float, error=GaugesimError)

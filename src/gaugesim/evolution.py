@@ -228,8 +228,8 @@ def _register_steps(groups, ys, dt, n_steps: int, psi: np.ndarray) -> np.ndarray
     once per time by ``_product`` on n comb states: comb iy_in is the sum
     over ix of the basis states (ix, iy_in), and as the y masks never
     change ix, its entry (ix, iy_out) is P'[ix][iy_out, iy_in], the n x n
-    block of P' at ix.  The y run is P' with its columns scaled by the
-    x = 0 phases; the x run is the same P' read at n-1-iy, acting on ix.
+    block of P' at ix.  The y run is P' with its columns scaled by the x = 0
+    phases (from ``_factors``); the x run is P' read at n-1-iy, acting on ix.
     With the state held as (time, ix, iy), a step is one batched matmul
     along each axis, and no gather.
     """
@@ -241,7 +241,7 @@ def _register_steps(groups, ys, dt, n_steps: int, psi: np.ndarray) -> np.ndarray
     y_run = np.ascontiguousarray(combs.transpose(0, 2, 3, 1))  # [t, ix, iy out, iy in]
     x_run = np.ascontiguousarray(y_run[:, ::-1])  # [t, iy, ix out, ix in]
     if groups[0][0] == 0:
-        y_run *= np.exp(-1j * dt[:, None] * groups[0][2]).reshape(count, n, 1, n)
+        y_run *= _factors(groups[:1], dt)[0][1].reshape(count, n, 1, n)
     state = psi.reshape(count, n, n)
     turned = np.empty_like(state)
     for _ in range(n_steps):

@@ -146,20 +146,17 @@ def _spectral(es: EigenSystem, f: Callable[[np.ndarray], np.ndarray]) -> np.ndar
     return (v * flam) @ v.conj().T
 
 
-def _propagate(es: EigenSystem, states, ts) -> np.ndarray:
-    """exp(-i h t) @ states for every t in ts, from the eigensystem ``es`` of h.
+def _propagate(es: EigenSystem, state, ts) -> np.ndarray:
+    """exp(-i h t) @ state for every t in ts, one row per t, from the
+    eigensystem ``es`` of h and one state of shape (d,).
 
-    ``states`` is one state of shape (d,) or a matrix of column states
-    (d, k); the result gains a leading axis indexing ``ts``.  Rows at
-    t == 0 are ``states`` itself, copied bit for bit (V V^dag states would
-    leave rounding there), as in the Trotter product.  The largest phase
-    max|lambda| max|t| is refused above ``MAX_PHASE``.
+    Rows at t == 0 are ``state`` itself, copied bit for bit (V V^dag state
+    would leave rounding there), as in the Trotter product.  The largest
+    phase max|lambda| max|t| is refused above ``MAX_PHASE``.
     """
     ts = np.asarray(ts, dtype=float)
     _require_phase(es.values, ts, "exact evolution")
-    coeff = es.vectors.conj().T @ states
-    phases = np.exp(-1j * np.outer(es.values, ts))
-    x = phases.reshape(phases.shape + (1,) * (coeff.ndim - 1)) * coeff[:, None]
-    out = np.moveaxis((es.vectors @ x.reshape(len(coeff), -1)).reshape(x.shape), 1, 0)
-    out[ts == 0.0] = states
+    coeff = es.vectors.conj().T @ state
+    out = (es.vectors @ (np.exp(-1j * np.outer(es.values, ts)) * coeff[:, None])).T
+    out[ts == 0.0] = state
     return out

@@ -12,9 +12,10 @@ so the objective and its gradient run on float64 states against Re(H),
 held as a build's ``real_form`` (the real parts of its diagonal blocks,
 stacked; a plain matrix is one block): H psi is one batched product,
 never a dense Re(H).  The optimizer's objective runs the circuit kernels
-(``circuits._forward`` and ``circuits._backward``) itself, on one table
-pass of layer factors per point, and does not check its own points
-again; ``energy_gradient`` is the checked one-shot through the public
+(``circuits._forward`` and ``circuits._backward``, which undoes the
+layers from their forward factors) itself, on one table pass of layer
+factors per point, and does not check its own points again;
+``energy_gradient`` is the checked one-shot through the public
 ``ansatz_state`` and ``adjoint_gradient``.
 Up to 99 parameters (9 qubits up to depth 10) every step stays on the
 calling thread, so a fixed seed gives the same trace bytes whatever the
@@ -117,12 +118,12 @@ class _RealObjective:
 
     Both share the last point's run: one table pass for its layer factors,
     the forward sweep, and the state with Re H times it in one (2, dim)
-    buffer.  The gradient's sweep undoes layers 1 and up with contiguous
-    copies of those factors' transposes, which equal ``_factors`` of the
-    negated angles bit for bit.  So the energy and the gradient at one
-    point cost one circuit run; ``runs`` counts them.  The points come from
-    ``_slsqp``, finite by its rules, so the public entry checks of
-    ``ansatz_state`` and ``adjoint_gradient`` are not run again.
+    buffer.  The gradient's sweep (``_backward``) takes the factors of
+    layers 1 and up from that pass and undoes them itself.  So the energy
+    and the gradient at one point cost one circuit run; ``runs`` counts
+    them.  The points come from ``_slsqp``, finite by its rules, so the
+    public entry checks of ``ansatz_state`` and ``adjoint_gradient`` are
+    not run again.
     """
 
     def __init__(self, h_real, ansatz: AnsatzConfig):
@@ -148,8 +149,7 @@ class _RealObjective:
 
     def gradient(self, x) -> np.ndarray:
         self._run(x)
-        undo = [np.ascontiguousarray(f[1:].transpose(0, 2, 1)) for f in self._factors]
-        return _backward(self.ansatz.n_qubits, self.ansatz.entangler, *undo, self._pair)
+        return _backward(self.ansatz.n_qubits, self.ansatz.entangler, *(f[1:] for f in self._factors), self._pair)
 
 
 def energy_gradient(h, ansatz: AnsatzConfig, params) -> np.ndarray:
@@ -250,7 +250,7 @@ def minimize(h, ansatz: AnsatzConfig, opt: OptimizerSettings | None = None) -> V
 
     energies = np.array([e for _, e, _ in rows])
     k_best = int(np.argmin(energies))
-    energy = read_number(float(energies[k_best]), "minimize: the energy at every start", float,
+    energy = read_number(float(energies[k_best]), "minimize: the energy at the start", float,
                          error=GaugesimError)
     return VqeResult(
         energy=energy,

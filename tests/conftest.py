@@ -421,3 +421,22 @@ def free_planar_kernel(rho_i, phi_i, rho_f, phi_f, t) -> complex:
     with |r_f - r_i|^2 written in polar coordinates (test oracle only)."""
     dist2 = rho_f ** 2 + rho_i ** 2 - 2.0 * rho_f * rho_i * np.cos(phi_f - phi_i)
     return complex(np.exp(1j * dist2 / (2.0 * t)) / (2j * np.pi * t))
+
+
+def bridge_green(b_field, tau, total_t):
+    """g_B(tau) = 2 sinh(B tau/2) sinh(B (T - tau)/2) / (B sinh(BT/2)), the
+    fixed-endpoint worldline Green's function at coincident proper times in
+    a constant field B, from Gaussian integrals of the Euclidean Mehler
+    kernel (Feynman and Hibbs); at B = 0 the Brownian bridge tau (T - tau)/T
+    (test oracle only)."""
+    if b_field == 0.0:
+        return tau * (total_t - tau) / total_t
+    return (2.0 * np.sinh(b_field * tau / 2) * np.sinh(b_field * (total_t - tau) / 2)
+            / (b_field * np.sinh(b_field * total_t / 2)))
+
+
+def one_vertex_worldline(k, c, b_field, tau, total_t) -> complex:
+    """<exp(i k.x(tau))> over the worldlines from c back to c in proper time
+    T in the field B: exp(i k.c) exp(-|k|^2 g_B(tau) / 2) (test oracle only)."""
+    k, c = np.asarray(k, dtype=float), np.asarray(c, dtype=float)
+    return complex(np.exp(1j * (k @ c) - (k @ k) * bridge_green(b_field, tau, total_t) / 2))

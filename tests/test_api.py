@@ -149,6 +149,25 @@ def test_one_ry_kernel():
         assert sum(sweeps.values()) == _called(tree).count("_rotate")
 
 
+#: The functions of ``evolution`` that make or apply a Trotter product.
+TROTTER_FUNCTIONS = {"_groups", "_factors", "_product", "_registers", "_register_steps", "_apply_trotter",
+                     "_evolver"}
+
+
+def test_each_sweep_rule_has_one_owner():
+    # the adjoint sweep makes its own undoing factors, so the optimizer's
+    # objective transposes nothing; and ``evolution._factors`` makes every
+    # exponential of a Trotter step, the grid's diagonal phases included
+    package = pathlib.Path(gaugesim.__file__).parent
+    vqe_calls = set(_called(ast.parse((package / "vqe.py").read_text(encoding="utf-8"))))
+    assert not {"transpose", "ascontiguousarray"} & vqe_calls
+    tree = ast.parse((package / "evolution.py").read_text(encoding="utf-8"))
+    trotter = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in TROTTER_FUNCTIONS}
+    assert set(trotter) == TROTTER_FUNCTIONS
+    makers = {name for name, f in trotter.items() if {"exp", "cos", "sin"} & set(_called(f))}
+    assert makers == {"_factors"}
+
+
 #: Sample arguments for every ``lru_cache``d function of the library.
 CACHED_TABLE_CALLS = {
     "gaugesim.circuits._factor_tables": [(1,), (4,), (9,)],

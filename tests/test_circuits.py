@@ -3,7 +3,7 @@ import pytest
 
 from gaugesim import circuits
 from gaugesim.circuits import AnsatzConfig, adjoint_gradient, ansatz_state, expectation
-from gaugesim.errors import DimensionMismatchError, InvalidConfigError, NotHermitianError
+from gaugesim.errors import DimensionMismatchError, GaugesimError, InvalidConfigError, NotHermitianError
 from gaugesim.hamiltonians import HamiltonianSpec, build
 from gaugesim.operators import hermitian_eig
 
@@ -65,10 +65,10 @@ def test_one_table_pass_equals_the_per_layer_factors_bit_for_bit(rng, entangler)
 
 
 def test_transposed_factors_equal_the_negated_angles_bit_for_bit(rng):
-    # the optimizer's objective undoes layers 1 and up with contiguous
-    # copies of the forward factors' transposes instead of a second table
-    # pass on the negated angles; the two are the same floats, signed
-    # zeros included
+    # the adjoint sweep undoes layers 1 and up with contiguous copies of
+    # the forward factors' transposes; they are the floats a table pass on
+    # the negated angles gives, signed zeros included, so the bytes of
+    # ``adjoint_gradient`` did not move when it stopped negating them
     for n in range(1, 10):
         for depth in range(5):
             layers = rng.uniform(-np.pi, np.pi, (depth + 1, n))
@@ -278,3 +278,7 @@ def test_expectation_errors():
             expectation(state, h)
     with pytest.raises(DimensionMismatchError):
         expectation(1.0, 2.0)
+    # a finite state whose value overflows used to come back as inf
+    with pytest.raises(GaugesimError, match="expectation: the value: expected a finite number, got inf"):
+        with np.errstate(over="ignore"):
+            expectation([1e308, 0.8], [[1.0, 0.5], [0.5, -1.0]])

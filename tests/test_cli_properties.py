@@ -2,14 +2,15 @@
 
 Small valid configs of all five commands get one or two edits (a value
 replaced by a bool, a string, null, NaN, +-inf, a number at the edge of
-the float range (+-1e308, 1e300, 5e-324, -0.0), a small negative or
-non-integral number or a wrong container; a key deleted; an unknown key
-added).  Independent edits practically never move two numbers together,
-so a second strategy sets two sibling numbers of one object to opposite
-edges of the float range (-1e308 and 1e308, as a ``p2_scan`` window),
-then perhaps makes one more edit.  Every run must exit 0, 2 or 3 with at
-most a one-line message, and exit 0 must write and print only finite
-numbers.  Small counts are
+the float range (+-1e308, 1e300, 5e-324, -0.0), sign * 10**e with e drawn
+from [-320, 308], a small negative or non-integral number or a wrong
+container; a key deleted; an unknown key added).  Independent edits
+practically never move two numbers together, so a second strategy sets two
+sibling numbers of one object to opposite edges of the float range (-1e308
+and 1e308, as a ``p2_scan`` window), then perhaps makes one more edit.
+Every run must exit 0, 2 or 3 with at most a one-line message, and exit 0
+must write only finite numbers and print one summary line of at most
+``MAX_SUMMARY_BYTES`` that holds only finite numbers.  Small counts are
 drawn from a small range, and a huge one is refused by its cap or costs no
 more than a small one, so no edit can ask for a large run.
 """
@@ -49,7 +50,11 @@ BAD_VALUES = st.one_of(
                      math.nan, math.inf, -math.inf, 1e308, -1e308, 1e300, 5e-324, -0.0]),
     st.integers(-2, 4),
     st.floats(-3.0, 3.0).filter(lambda x: not x.is_integer()),
+    st.builds(lambda sign, e: float(f"{sign}1e{e}"), st.sampled_from("+-"), st.integers(-320, 308)),
 )
+
+#: Longest summary line (bytes) a command that exits 0 may print.
+MAX_SUMMARY_BYTES = 200
 
 
 def _paths(obj, prefix=()):
@@ -144,6 +149,8 @@ def _check_every_draw(strategy, command):
             assert len(err.splitlines()) == 1 and "Traceback" not in err
             return
         assert all(math.isfinite(float(cell)) for cell in cells)
+        lines = out.splitlines()
+        assert len(lines) == 1 and len(lines[0].encode()) <= MAX_SUMMARY_BYTES, out
         assert all(math.isfinite(x) for x in _numbers_in_summary(out))
 
     check()

@@ -20,8 +20,10 @@ from conftest import PAULI, exact_unitary, random_hermitian
 
 
 def propagated(h, ts) -> np.ndarray:
-    """exp(-i h t) for every t in ts from the library's spectral propagator."""
-    return _propagate(hermitian_eig(h), np.eye(len(h), dtype=np.complex128), ts)
+    """exp(-i h t) for every t in ts, column k the library's spectral
+    propagator (which takes one state) applied to basis state k."""
+    es = hermitian_eig(h)
+    return np.stack([_propagate(es, column, ts) for column in np.eye(len(h), dtype=np.complex128)], axis=-1)
 
 
 def test_eig_pauli_z():

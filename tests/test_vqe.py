@@ -191,10 +191,10 @@ def test_minimize_guards():
     with pytest.raises(DimensionMismatchError):
         minimize(PAULI["Z"], AnsatzConfig(2, depth=0))
     # an infinite entry is not Hermitian, and an energy that overflows at
-    # every start used to come back as energy=inf
+    # the start used to come back as energy=inf
     with pytest.raises(NotHermitianError), np.errstate(invalid="ignore"):
         minimize([[1.0, np.inf], [np.inf, 1.0]], AnsatzConfig(1, depth=0))
-    with pytest.raises(GaugesimError, match="energy at every start: expected a finite number, got (inf|nan)"):
+    with pytest.raises(GaugesimError, match="energy at the start: expected a finite number, got (inf|nan)"):
         with np.errstate(all="ignore"):
             minimize([[1e308, 1e308], [1e308, 1e308]], AnsatzConfig(1, depth=0), OptimizerSettings(max_iter=2))
 

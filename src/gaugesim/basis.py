@@ -137,9 +137,10 @@ def place(op, slot: int, dims) -> np.ndarray:
     """Embed ``op`` at tensor position ``slot`` with identity padding.
 
     Returns I_{d0} (x) ... (x) op (x) ... (x) I_{dlast} for the factor
-    dimensions in ``dims``.  Requires dim(op) == dims[slot].
+    dimensions in ``dims``.  Requires dim(op) == dims[slot] and every entry
+    of ``op`` finite (ValueError naming the first that is not).
     """
-    m = as_operator(op)
+    m = as_operator(op, finite=True)
     if isinstance(dims, str) or not np.iterable(dims):
         raise InvalidSizeError(f"dims must be a list of sizes, got {dims!r}")
     dims = [read_number(d, "dims[]", int, 1, error=InvalidSizeError) for d in dims]

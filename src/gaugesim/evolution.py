@@ -10,12 +10,10 @@ order: they apply one exact exponential per X-mask group of strings, in
 ascending mask order.  A group's operator H_x holds the entries H[i, i ^ x]
 of H, so ``_groups`` reads it off the matrix itself; the strings only say
 which masks to keep.  One function, ``_product``, applies that product: a
-gather, two elementwise products and an add per group.  A step runs it
-once, except on the position grid's build, which carries its quarter-turn:
-that maps the masks of one grid register onto the other's with equal
-entries, so ``_product`` composes the y register's groups once per call,
-on n comb states, and a step is one batched matmul along each axis of the
-(time, x, y) state, with no gather (see ``_registers``).
+gather, two elementwise products and an add per group.  The position
+grid's build does not group: its H is two halves, each exact on one
+register and diagonal in the grid DFT, so a step is one batched matmul
+along each axis of the (time, x, y) state (see ``_split_steps``).
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ from .errors import (
     read_numbers,
     write_rows,
 )
+from .hamiltonians import _grid_halves
 from .operators import (MAX_QUBITS, _dim, _propagate, _require_hermitian, _require_phase, as_operator,
                         hermitian_eig, qubits_of_dim)
 
@@ -196,52 +195,21 @@ def _product(factors, states: np.ndarray) -> None:
             states += swapped
 
 
-def _registers(h, groups):
-    """The y register's non-diagonal groups when ``h`` is a grid build whose
-    x register repeats them under its quarter-turn; otherwise None.
+def _split_steps(dft, phases, n_steps: int, psi: np.ndarray) -> np.ndarray:
+    """The first-order split product [exp(-i dt H_A) exp(-i dt H_B)]**n_steps
+    of the grid's two register halves (see ``hamiltonians._grid_halves``),
+    one row of ``psi`` per time.
 
-    On the n x n position grid (index ix * n + iy) a mask m < n pairs iy
-    with iy ^ m and a mask m * n pairs ix with ix ^ m.  The turn R:
-    (ix, iy) -> (n-1-iy, ix) carries the pair (i, i ^ m n) onto
-    (R i, R i ^ m), so where H commutes with R bit for bit (a build with
-    ``orbits``), d_(m n)[ix n + iy] == d_m[(n-1-iy) n + ix].  That equality
-    is checked here entry for entry, and so are the masks: apart from
-    x = 0 they must be at least one mask m < n, and the same masks times n.
-    """
-    if getattr(h, "orbits", None) is None or not groups:
-        return None
-    dim = len(groups[0][1])
-    n = 1 << qubits_of_dim(dim) // 2
-    ys = [g for g in groups if 0 < g[0] < n]
-    xs = [g for g in groups if g[0] >= n]
-    if not ys or n * n != dim or [x for x, _, _ in xs] != [m * n for m, _, _ in ys]:
-        return None
-    ix, iy = np.divmod(np.arange(dim), n)
-    turn = (n - 1 - iy) * n + ix
-    return ys if all(np.array_equal(dx, dy[turn]) for (_, _, dx), (_, _, dy) in zip(xs, ys)) else None
-
-
-def _register_steps(groups, ys, dt, n_steps: int, psi: np.ndarray) -> np.ndarray:
-    """The first-order product on the grid's two registers (see ``_registers``).
-
-    The product P' of the y register's non-diagonal groups is composed
-    once per time by ``_product`` on n comb states: comb iy_in is the sum
-    over ix of the basis states (ix, iy_in), and as the y masks never
-    change ix, its entry (ix, iy_out) is P'[ix][iy_out, iy_in], the n x n
-    block of P' at ix.  The y run is P' with its columns scaled by the x = 0
-    phases (from ``_factors``); the x run is P' read at n-1-iy, acting on ix.
-    With the state held as (time, ix, iy), a step is one batched matmul
-    along each axis, and no gather.
+    At x index ix the y run exp(-i dt H_B) is F diag(phases[t, ix]) F*, one
+    batched product per time with F = ``dft``; the x run exp(-i dt H_A) is
+    the y run read at n-1-iy, acting on ix.  With the state held as
+    (time, ix, iy), a step is one batched matmul along each axis, and no
+    gather.
     """
     count, dim = psi.shape
-    n = 1 << qubits_of_dim(dim) // 2
-    combs = np.zeros((count, n, n, n), dtype=np.complex128)  # [t, iy in, ix, iy out]
-    combs[:] = np.eye(n)[:, None]
-    _product(_factors(ys, dt), combs.reshape(count, n, dim))
-    y_run = np.ascontiguousarray(combs.transpose(0, 2, 3, 1))  # [t, ix, iy out, iy in]
+    n = len(dft)
+    y_run = (dft * phases.reshape(count, n, 1, n)) @ dft.conj()  # [t, ix, iy out, iy in]
     x_run = np.ascontiguousarray(y_run[:, ::-1])  # [t, iy, ix out, ix in]
-    if groups[0][0] == 0:
-        y_run *= _factors(groups[:1], dt)[0][1].reshape(count, n, 1, n)
     state = psi.reshape(count, n, n)
     turned = np.empty_like(state)
     for _ in range(n_steps):
@@ -250,14 +218,16 @@ def _register_steps(groups, ys, dt, n_steps: int, psi: np.ndarray) -> np.ndarray
     return state.reshape(count, dim)
 
 
-def _apply_trotter(groups, ts, n_steps: int, psi0: np.ndarray, registers=None) -> np.ndarray:
-    """First-order product over the X-mask groups at the 1-D times ``ts``, one row each.
+def _apply_trotter(groups, ts, n_steps: int, psi0: np.ndarray, dft=None) -> np.ndarray:
+    """First-order product at the 1-D times ``ts``, one row each.
 
-    With ``registers`` (from ``_registers``) the grid's two registers
-    share one composition (``_register_steps``).  Otherwise each step
-    applies every group's exponential in ascending mask order
-    (``_product``).  Rows with t == 0 are psi0 itself.  An angle dt |d| of
-    any group (the diagonal phases too) above ``MAX_PHASE`` is refused.
+    With ``dft`` (the grid DFT of ``hamiltonians._grid_halves``), ``groups``
+    is the one diagonal group (0, None, e.ravel()) of the y half's DFT
+    energies, and the steps are the split product of ``_split_steps``.
+    Otherwise each step applies every X-mask group's exponential in
+    ascending mask order (``_product``).  Rows with t == 0 are psi0 itself.
+    An angle dt |d| of any group (the diagonal phases too) above
+    ``MAX_PHASE`` is refused.
     """
     ts = np.asarray(ts, dtype=float)
     psi0 = np.asarray(psi0, dtype=np.complex128)
@@ -267,10 +237,10 @@ def _apply_trotter(groups, ts, n_steps: int, psi0: np.ndarray, registers=None) -
         return out
     dt = ts[live] / n_steps
     _require_phase(dt, [np.abs(d).max(initial=0.0) for _, _, d in groups], "trotter evolution")
-    if registers is not None:
-        out[live] = _register_steps(groups, registers, dt, n_steps, out[live])
-        return out
     factors = _factors(groups, dt)
+    if dft is not None:
+        out[live] = _split_steps(dft, factors[0][1], n_steps, out[live])
+        return out
     psi = out[live][:, None]
     for _ in range(n_steps):
         _product(factors, psi)
@@ -326,9 +296,12 @@ def _state(psi, dim: int, what: str) -> np.ndarray:
 def _evolver(h, method: str, trotter_steps: int):
     """Decompose H once; returns evolve(psi, ts), exp(-iHt) psi per t in ts.
 
-    "exact" propagates spectrally, "trotter" by the grouped first-order
-    product [prod_x exp(-i H_x t/n)]**n with n = ``trotter_steps`` (see
-    ``_apply_trotter``).  ``h``, a matrix or a build, goes to
+    "exact" propagates spectrally, "trotter" by a first-order product with
+    n = ``trotter_steps`` steps (see ``_apply_trotter``): on a build with
+    ``orbits`` (the position grid's) the split [exp(-i H_A t/n)
+    exp(-i H_B t/n)]**n of its register halves, from its spec
+    (``hamiltonians._grid_halves``); on anything else the grouped
+    [prod_x exp(-i H_x t/n)]**n.  ``h``, a matrix or a build, goes to
     ``hermitian_eig`` or ``_groups`` as given, so a build's matrix is not
     checked again and a plain array is checked once.
     """
@@ -337,9 +310,12 @@ def _evolver(h, method: str, trotter_steps: int):
         return lambda psi, ts: _propagate(es, psi, ts)
     if method == "trotter":
         steps = read_number(trotter_steps, "trotter_steps", int, 1, MAX_TROTTER_STEPS, error=ValueError)
-        groups = _groups(h)
-        registers = _registers(h, groups)
-        return lambda psi, ts: _apply_trotter(groups, ts, steps, psi, registers)
+        if getattr(h, "orbits", None) is None:
+            dft, groups = None, _groups(h)
+        else:
+            dft, e = _grid_halves(h.spec)
+            groups = [(0, None, e.ravel())]
+        return lambda psi, ts: _apply_trotter(groups, ts, steps, psi, dft)
     raise ValueError(f"method must be 'exact' or 'trotter', got {method!r}")
 
 
@@ -349,9 +325,11 @@ def transition_series(h, psi_i, psi_fs, ts, method: str = "exact",
 
     ``psi_fs`` is a list of final statevectors or "all" for the full
     computational basis; ``ts`` is a list of times or one time.  method
-    "exact" uses the spectral propagator; "trotter" uses the first-order
-    product with ``trotter_steps`` per time point.  ``h`` is a matrix or a
-    BuiltHamiltonian (sized by ``operators._dim``, without its matrix).
+    "exact" uses the spectral propagator; "trotter" uses a first-order
+    product with ``trotter_steps`` per time point: the split of the grid's
+    two register halves on its build, the X-mask groups on anything else.
+    ``h`` is a matrix or a BuiltHamiltonian (sized by ``operators._dim``,
+    without its matrix).
     """
     dim = _dim(h)
     psi_i = _state(psi_i, dim, "initial state")

@@ -483,6 +483,23 @@ def build_landau_cartesian_position(spec: HamiltonianSpec) -> BuiltHamiltonian:
                             orbits=_quarter_orbits((n - 1 - iy) * n + ix))
 
 
+def _grid_halves(spec: HamiltonianSpec) -> tuple:
+    """(F, e): the grid build's H as H_A + H_B, each half exact on one register.
+
+    With hb = B/2, H_B = conj(1 (x) p^2 / 2 + hb^2 q^2 (x) 1 / 2 - hb q (x) p)
+    acts on the y register.  Its n x n block at x index ix is
+    conj((p - hb g_ix)^2 / 2) = F diag(e[ix]) F*, e[ix, k] = (g_k - hb g_ix)^2 / 2,
+    as p = F* diag(g) F and F is symmetric (F = ``basis.sylvester_f(n)``,
+    g = ``basis.pos_grid(n)``).  H_A, the rest, is its quarter-turn image on
+    the x register: g is odd under the grid reversal, so H_A's block at y
+    index iy is H_B's at n-1-iy.  The halves sum to the build's matrix up to
+    the few ulp of its symmetrized p and p^2.
+    """
+    n = spec.boson_trunc
+    g = basis.pos_grid(n)
+    return basis.sylvester_f(n), 0.5 * (g - 0.5 * spec.b_field * g[:, None]) ** 2
+
+
 def _with_identity(a: np.ndarray) -> np.ndarray:
     """a (x) 1 + 1 (x) a of the grid build, written into two strided views
     of the zero (n, n, n, n) matrix [i, k, j, l] (row i n + k, column

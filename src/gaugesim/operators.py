@@ -37,10 +37,10 @@ MAX_QUBITS = 9
 MAX_PHASE = 1e9
 
 
-def as_operator(a) -> np.ndarray:
-    """A square complex128 matrix of numbers, NaN included (no copy when already
-    one): the one operator intake, which takes a build (a BuiltHamiltonian) as its ``matrix``."""
-    m = read_numbers(getattr(a, "matrix", a), "operator", ValueError, complex, finite=False)
+def as_operator(a, finite=False) -> np.ndarray:
+    """A square complex128 matrix of numbers, NaN included unless ``finite`` (no copy when
+    already one): the one operator intake, which takes a build (a BuiltHamiltonian) as its ``matrix``."""
+    m = read_numbers(getattr(a, "matrix", a), "operator", ValueError, complex, finite=finite)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m

@@ -5,7 +5,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from scipy.linalg import expm
 
 from gaugesim import circuits, hamiltonians
-from gaugesim.basis import fermion_factor, osc_p, osc_q, place, pos_grid
+from gaugesim.basis import fermion_factor, osc_p, osc_q, place, pos_grid, pos_p, pos_q
 from gaugesim.evolution import momentum_state, pauli_decompose
 from gaugesim.hamiltonians import (
     VARIANTS,
@@ -312,6 +312,29 @@ def pair_trotter(groups, ts, n_steps: int, psi0) -> np.ndarray:
         for c, s, src in factors:
             psi = c * psi if src is None else c * psi + s * psi[:, src]
     return psi
+
+
+def dense_grid_halves(spec) -> tuple:
+    """(H_A, H_B) of the position grid's build of ``spec``, from the
+    Kronecker terms of its expanded form, conjugated as the build does
+    (test oracle only): with hb = B/2, H_A = conj(p^2 (x) 1 / 2
+    + hb^2 1 (x) q^2 / 2 + hb p (x) q) on the x register and
+    H_B = conj(1 (x) p^2 / 2 + hb^2 q^2 (x) 1 / 2 - hb q (x) p) on the y
+    register, q = ``pos_q(n)`` and p = ``pos_p(n)``."""
+    n, hb = spec.boson_trunc, 0.5 * spec.b_field
+    q, p, one = pos_q(n), pos_p(n), np.eye(n)
+    h_a = 0.5 * np.kron(p @ p, one) + 0.5 * hb ** 2 * np.kron(one, q @ q) + hb * np.kron(p, q)
+    h_b = 0.5 * np.kron(one, p @ p) + 0.5 * hb ** 2 * np.kron(q @ q, one) - hb * np.kron(q, p)
+    return h_a.conj(), h_b.conj()
+
+
+def split_trotter(spec, psi0, ts, steps: int) -> np.ndarray:
+    """The first-order split [exp(-i dt H_A) exp(-i dt H_B)]**steps of
+    ``dense_grid_halves(spec)``, each factor by ``expm`` (test oracle only).
+    Rows of the result index ``ts``."""
+    h_a, h_b = dense_grid_halves(spec)
+    return np.stack([np.linalg.matrix_power(expm(-1j * t / steps * h_a) @ expm(-1j * t / steps * h_b), steps)
+                     @ psi0 for t in ts])
 
 
 def per_string_trotter(h, psi0, ts, steps: int) -> np.ndarray:

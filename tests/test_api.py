@@ -150,8 +150,7 @@ def test_one_ry_kernel():
 
 
 #: The functions of ``evolution`` that make or apply a Trotter product.
-TROTTER_FUNCTIONS = {"_groups", "_factors", "_product", "_registers", "_register_steps", "_apply_trotter",
-                     "_evolver"}
+TROTTER_FUNCTIONS = {"_groups", "_factors", "_product", "_split_steps", "_apply_trotter", "_evolver"}
 
 
 def test_each_sweep_rule_has_one_owner():

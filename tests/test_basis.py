@@ -238,6 +238,27 @@ def test_place_dims_are_a_list_of_sizes_within_the_cap():
     assert place(np.eye(2), 1, [2, 2, 128]).shape == (512, 512)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_place_refuses_a_non_finite_operator(value):
+    # it used to return a 12x12 matrix holding 36 NaN: the operator intake
+    # passed the entry on to a Hermiticity check that place never runs
+    with pytest.raises(ValueError, match=re.escape(f"operator: entry 0 is not a finite number, got {value!r}")):
+        place([[value, 0.5], [0.5, -1.0]], 1, [3, 2, 2])
+    with pytest.raises(ValueError, match="operator: entry 3 is not a finite number"):
+        place(np.diag([1.0, value]).astype(complex), 0, [2, 4])
+
+
+def test_grid_dft_is_a_qft_between_two_phase_layers():
+    # F = c D QFT_n D, D = diag(exp(i pi (1 - n) a / n)), c = exp(i pi (1 - n)^2 / (2n)):
+    # a grid half-step F diag(phase) F* is an inverse QFT, one diagonal phase layer and a QFT
+    for n in range(2, 513):
+        a = np.arange(n)
+        qft = (np.exp(2j * np.pi * a / n) / np.sqrt(n))[np.outer(a, a) % n]  # exp(2 pi i j k / n) / sqrt(n)
+        d = np.exp(1j * np.pi * (1 - n) * a / n)
+        c = np.exp(1j * np.pi * (1 - n) ** 2 / (2 * n))
+        assert np.abs(sylvester_f(n) - c * d[:, None] * qft * d).max() <= 1e-13, n
+
+
 @pytest.mark.parametrize("name", SIZED)
 @pytest.mark.parametrize("size", [16.9, 16.5, 4.5, True, np.True_, float("nan"), float("inf"), "16"])
 def test_non_integral_sizes_are_refused_not_truncated(name, size):

@@ -181,6 +181,24 @@ def test_eoh_solves_no_eigenproblem_above_64(tmp_path, monkeypatch):
     assert solved == [("eigh", (4, 64, 64))], solved
 
 
+def test_eoh_trotter_on_the_grid_decomposes_nothing(tmp_path, monkeypatch):
+    # the grid build steps the split of its two register halves, so the
+    # README config groups no Pauli strings; its matrix as a plain array
+    # still takes the grouped product, one decomposition and one grouping
+    import gaugesim.evolution as evolution
+    from gaugesim.hamiltonians import build_landau_cartesian_position
+
+    calls = []
+    for name in ("pauli_decompose", "_groups"):
+        original = getattr(evolution, name)
+        monkeypatch.setattr(evolution, name, lambda *a, _n=name, _f=original, **k: calls.append(_n) or _f(*a, **k))
+    assert run(tmp_path, "eoh", dict(_README_EOH, output=str(tmp_path / "eoh.csv"))) == 0
+    assert calls == []
+    matrix = build_landau_cartesian_position(HamiltonianSpec(kind="LandauCartesian", b_field=2.0)).matrix
+    evolution.transition_series(matrix, np.eye(256)[136], "all", [0.0, 1.0], method="trotter")
+    assert sorted(calls) == ["_groups", "pauli_decompose"]
+
+
 def test_eoh_leaves_the_held_grid_build_without_a_real_form(tmp_path):
     # only vqe reads real_form: eoh's exact and Trotter paths never gather it
     from gaugesim.hamiltonians import build_landau_cartesian_position

@@ -26,7 +26,6 @@ from gaugesim.evolution import (
     _evolver,
     _groups,
     _labels,
-    _registers,
     dual_lattice_period,
     momentum_state,
     pauli_decompose,
@@ -40,6 +39,7 @@ from gaugesim.evolution import (
 from gaugesim.hamiltonians import (
     VARIANTS,
     HamiltonianSpec,
+    _grid_halves,
     build,
     build_landau_cartesian_position,
 )
@@ -49,6 +49,7 @@ from gaugesim.vqe import VqeResult, write_trace_csv
 from conftest import (
     PAULI,
     butterfly_decompose,
+    dense_grid_halves,
     exact_unitary,
     one_vertex_worldline,
     outer_vertex_scan,
@@ -58,6 +59,7 @@ from conftest import (
     pauli_reconstruct,
     random_hermitian,
     random_state,
+    split_trotter,
 )
 
 
@@ -347,34 +349,31 @@ def _grid(n, b_field):
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
-@pytest.mark.parametrize("b_field", [-2.5, 0.0, 1.0, 1.37, 2.0, 2.9, 7.5])
-def test_register_path_matches_general_runs_and_pair_oracle(n, b_field):
+@pytest.mark.parametrize("b_field", [0.0, 1.0, 2.0, 3.0, -2.5])
+def test_grid_halves_sum_to_the_build_and_are_diagonal_in_the_dft(n, b_field):
+    # the dense halves from the build's Kronecker terms sum to its matrix,
+    # and the y half's block at each x index is F diag(e[ix]) F*
     built = _grid(n, b_field)
-    groups = _groups(built)
-    registers = _registers(built, groups)
-    # at n = 2 and B = 0, H is a multiple of 1: one diagonal group, no register to share
-    assert (registers is None) == (n == 2 and b_field == 0.0)
-    psi = random_state(np.random.default_rng(n), n * n)
-    ts = [0.0, -0.45, 0.3, 1.7]
-    for n_steps in (1, 7):
-        on_registers = _apply_trotter(groups, ts, n_steps, psi, registers)
-        np.testing.assert_allclose(on_registers, _apply_trotter(groups, ts, n_steps, psi), rtol=0, atol=1e-13)
-        np.testing.assert_allclose(on_registers, pair_trotter(groups, ts, n_steps, psi), rtol=0, atol=1e-13)
+    h_a, h_b = dense_grid_halves(built.spec)
+    scale = np.abs(built.matrix).max()
+    assert np.abs(h_a + h_b - built.matrix).max() <= 1e-13 * scale
+    dft, e = _grid_halves(built.spec)
+    blocks = h_b.reshape(n, n, n, n)
+    for ix in range(n):
+        assert np.abs(blocks[ix, :, ix, :] - (dft * e[ix]) @ dft.conj()).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
-def test_registers_correspond_under_the_quarter_turn(n):
-    # every grid mask lies in one register, the x register's masks are the
-    # y register's times n, and d_(m n)[ix n + iy] == d_m[(n-1-iy) n + ix] bit for bit
-    ix, iy = np.divmod(np.arange(n * n), n)
-    turn = (n - 1 - iy) * n + ix
-    for b_field in (-2.5, -1.0, 0.0, 1e-9, 0.5, 1.0, 2.0, 3.0, 7.5):
-        groups = {x: d for x, _, d in _groups(_grid(n, b_field))}
-        ys = sorted(m for m in groups if 0 < m < n)
-        assert sorted(x for x in groups if x >= n) == [m * n for m in ys]
-        assert set(groups) <= {0, *ys, *(m * n for m in ys)}
-        for m in ys:
-            assert groups[m * n].tobytes() == groups[m][turn].tobytes(), (b_field, m)
+@pytest.mark.parametrize("b_field", [0.0, 1.0, 2.0, 3.0, -2.5])
+def test_grid_trotter_is_the_split_product_of_its_halves(n, b_field):
+    # a build with orbits steps [exp(-i dt H_A) exp(-i dt H_B)]**steps, held
+    # to the dense halves' expm product (no code shared with the DFT path)
+    built = _grid(n, b_field)
+    psi = random_state(np.random.default_rng(n), n * n)
+    ts = [0.0, -0.45, 0.3, 1.7]
+    for steps in (10, 100):
+        got = transition_series(built, psi, "all", ts, method="trotter", trotter_steps=steps).amplitudes
+        np.testing.assert_allclose(got, split_trotter(built.spec, psi, ts, steps), rtol=0, atol=1e-13)
 
 
 def test_broken_correspondence_takes_the_general_path():
@@ -392,11 +391,8 @@ def test_broken_correspondence_takes_the_general_path():
         with pytest.raises(GaugesimError, match="commute"):
             dataclasses.replace(built, entries=matrix[None])  # a dense build is its one block
     h = built.matrix
-    groups = _groups(h)
-    assert _registers(h, groups) is None
     series = transition_series(h, psi, "all", ts, method="trotter", trotter_steps=5)
-    assert np.array_equal(series.amplitudes, _apply_trotter(groups, ts, 5, psi))
-    assert _registers(built, _groups(built)) is not None
+    assert np.array_equal(series.amplitudes, _apply_trotter(_groups(h), ts, 5, psi))
 
 
 def test_trotter_guards(rng):
@@ -683,21 +679,25 @@ def test_per_string_oracle_is_the_dense_string_product():
         np.testing.assert_allclose(per_string_trotter(h, psi, [t], n_steps)[0], expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("b, grouped, per_string", [(1.0, (1.203e-3, 0.042), (2.015e-3, 0.078)),
-                                                    (2.0, (1.141e-3, 0.065), (3.303e-3, 0.175)),
-                                                    (3.0, (2.382e-3, 0.087), (9.418e-3, 0.335))])
-def test_grouped_product_against_the_per_string_circuit(b, grouped, per_string):
+@pytest.mark.parametrize("b, split, grouped, per_string", [
+    (1.0, (2.501e-4, 0.0247), (1.203e-3, 0.042), (2.015e-3, 0.078)),
+    (2.0, (2.434e-4, 0.0254), (1.141e-3, 0.065), (3.303e-3, 0.175)),
+    (3.0, (3.247e-4, 0.0150), (2.382e-3, 0.087), (9.418e-3, 0.335))])
+def test_grouped_product_against_the_per_string_circuit(b, split, grouped, per_string):
     # the README eoh config (16x16 grid, centre start, 11 times to t = 1, 100
     # steps): (max probability deviation, state error at t = 1) from the exact
-    # propagator, for the grouped product the CLI runs and for the paper's one
-    # exponential per Pauli string (281 strings)
+    # propagator, for the split of the two register halves the CLI runs on
+    # the build, for the grouped product of the same matrix as an array, and
+    # for the paper's one exponential per Pauli string (281 strings)
     n = 16
     built = build_landau_cartesian_position(HamiltonianSpec(kind="LandauCartesian", b_field=b, boson_trunc=n))
     psi0 = np.zeros(n * n, dtype=complex)
     psi0[(n // 2) * n + n // 2] = 1.0
     ts = np.linspace(0.0, 1.0, 11)
     exact = transition_series(built, psi0, "all", ts).amplitudes
-    for states, pinned in ((transition_series(built, psi0, "all", ts, method="trotter").amplitudes, grouped),
+    for states, pinned in ((transition_series(built, psi0, "all", ts, method="trotter").amplitudes, split),
+                           (transition_series(built.matrix, psi0, "all", ts, method="trotter").amplitudes,
+                            grouped),
                            (per_string_trotter(built, psi0, ts, 100), per_string)):
         dev = np.max(np.abs(np.abs(states) ** 2 - np.abs(exact) ** 2))
         error = np.linalg.norm(states[-1] - exact[-1])
@@ -1164,13 +1164,14 @@ def test_a_build_is_not_checked_again_and_an_array_once(monkeypatch, call):
     results.append(_EVOLUTIONS[call](built.matrix, psi))
     assert len(calls) == 1
     if "trotter" in call:
-        # the build steps on the grid's two registers, the array on the
-        # per-group path, so each is held to the pair oracle instead
+        # the build steps the split of its two register halves, held to the
+        # dense split oracle; the array the grouped product, held to the pair oracle
         groups, vertex = _groups(built), np.exp(1j * 0.9 * pos_grid(256))
         expected = (pair_trotter(groups, [0.3], 10, vertex * pair_trotter(groups, [0.2], 10, psi)[0])[0]
                     if call.startswith("scattering") else pair_trotter(groups, [0.0, 0.5], 10, psi))
+        np.testing.assert_allclose(results.pop(), expected, rtol=0, atol=1e-13)
         for result in results:
-            np.testing.assert_allclose(result, expected, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(result, split_trotter(built.spec, psi, [0.0, 0.5], 10), rtol=0, atol=1e-13)
         return
     # exact: the build solves its four quarter-turn sectors, the array goes
     # to one dense eigh, so each is held to the expm oracle instead

@@ -155,9 +155,12 @@ def test_every_hermitian_entry_point_follows_is_hermitian():
 def test_a_matrix_entry_that_is_not_a_number_is_refused():
     # numpy used to end these in its bare "complex() arg is a malformed string"
     held = np.array([[1.0, "x"], ["x", 1.0]], dtype=object)
-    for call in (pauli_decompose, hermitian_eig, is_hermitian, herm_defect, lambda m: place(m, 0, [2, 2])):
+    for call in (pauli_decompose, hermitian_eig, is_hermitian, herm_defect):
         with pytest.raises(ValueError, match="operator: entry 1 is not a number, got 'x'"):
             call(held)
+    # place runs no Hermiticity check, so it reads its operator finite
+    with pytest.raises(ValueError, match="operator: entry 1 is not a finite number, got 'x'"):
+        place(held, 0, [2, 2])
     # NaN and infinite entries are numbers: the Hermiticity check refuses them
     with np.errstate(invalid="ignore"):  # inf - inf in the defect
         for bad in (np.nan, np.inf):

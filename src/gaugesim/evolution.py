@@ -11,9 +11,8 @@ ascending mask order.  A group's operator H_x holds the entries H[i, i ^ x]
 of H, so ``_groups`` reads it off the matrix itself; the strings only say
 which masks to keep.  One function, ``_product``, applies that product: a
 gather, two elementwise products and an add per group.  The position
-grid's build does not group: its H is two halves, each exact on one
-register and diagonal in the grid DFT, so a step is one batched matmul
-along each axis of the (time, x, y) state (see ``_split_steps``).
+grid's build does not group: its H is two halves, one per register, each
+diagonal in the grid DFT (see ``_split_steps``).
 """
 
 from __future__ import annotations
@@ -195,52 +194,49 @@ def _product(factors, states: np.ndarray) -> None:
             states += swapped
 
 
-def _split_steps(dft, phases, n_steps: int, psi: np.ndarray) -> np.ndarray:
-    """The first-order split product [exp(-i dt H_A) exp(-i dt H_B)]**n_steps
-    of the grid's two register halves (see ``hamiltonians._grid_halves``),
-    one row of ``psi`` per time.
+def _rows(ts, n_steps: int, psi0) -> tuple:
+    """(out, live, dt) at the 1-D times ``ts``: psi0 once per time (those with
+    t == 0 stay psi0), the indices of the others and their dt = t / n_steps."""
+    ts = np.asarray(ts, dtype=float)
+    live = np.flatnonzero(ts != 0.0)
+    return np.repeat(np.asarray(psi0, dtype=np.complex128)[None, :], len(ts), axis=0), live, ts[live] / n_steps
 
-    At x index ix the y run exp(-i dt H_B) is F diag(phases[t, ix]) F*, one
-    batched product per time with F = ``dft``; the x run exp(-i dt H_A) is
-    the y run read at n-1-iy, acting on ix.  With the state held as
-    (time, ix, iy), a step is one batched matmul along each axis, and no
-    gather.
+
+def _split_steps(dft, e, ts, n_steps: int, psi0) -> np.ndarray:
+    """The first-order split [exp(-i dt H_A) exp(-i dt H_B)]**n_steps of the
+    grid's register halves (``hamiltonians._grid_halves``), one row per time (``_rows``).
+
+    At x index ix the y run exp(-i dt H_B) is F diag(exp(-i dt e[ix])) F*,
+    F = ``dft``, its phases from ``_factors``; the x run is the y run read at
+    n-1-iy, acting on ix.  On the (time, ix, iy) state a step is one batched
+    matmul along each axis.  An angle dt max e above ``MAX_PHASE`` is refused.
     """
-    count, dim = psi.shape
-    n = len(dft)
+    out, live, dt = _rows(ts, n_steps, psi0)
+    if not live.size:
+        return out
+    _require_phase(dt, e, "trotter evolution")
+    phases = _factors([(0, None, e.ravel())], dt)[0][1]
+    count, n = len(live), len(dft)
     y_run = (dft * phases.reshape(count, n, 1, n)) @ dft.conj()  # [t, ix, iy out, iy in]
     x_run = np.ascontiguousarray(y_run[:, ::-1])  # [t, iy, ix out, ix in]
-    state = psi.reshape(count, n, n)
+    state = out[live].reshape(count, n, n)
     turned = np.empty_like(state)
     for _ in range(n_steps):
         np.matmul(y_run, state[..., None], out=turned[..., None])
         np.matmul(x_run, turned.transpose(0, 2, 1)[..., None], out=state.transpose(0, 2, 1)[..., None])
-    return state.reshape(count, dim)
+    out[live] = state.reshape(count, n * n)
+    return out
 
 
-def _apply_trotter(groups, ts, n_steps: int, psi0: np.ndarray, dft=None) -> np.ndarray:
-    """First-order product at the 1-D times ``ts``, one row each.
-
-    With ``dft`` (the grid DFT of ``hamiltonians._grid_halves``), ``groups``
-    is the one diagonal group (0, None, e.ravel()) of the y half's DFT
-    energies, and the steps are the split product of ``_split_steps``.
-    Otherwise each step applies every X-mask group's exponential in
-    ascending mask order (``_product``).  Rows with t == 0 are psi0 itself.
-    An angle dt |d| of any group (the diagonal phases too) above
-    ``MAX_PHASE`` is refused.
-    """
-    ts = np.asarray(ts, dtype=float)
-    psi0 = np.asarray(psi0, dtype=np.complex128)
-    out = np.repeat(psi0[None, :], len(ts), axis=0)
-    live = np.flatnonzero(ts != 0.0)
+def _apply_trotter(groups, ts, n_steps: int, psi0: np.ndarray) -> np.ndarray:
+    """First-order grouped product at the 1-D times ``ts``, one row each (``_rows``):
+    every X-mask group's exponential per step, in ascending mask order (``_product``).
+    An angle dt |d| of any group above ``MAX_PHASE`` is refused."""
+    out, live, dt = _rows(ts, n_steps, psi0)
     if not (groups and live.size):
         return out
-    dt = ts[live] / n_steps
     _require_phase(dt, [np.abs(d).max(initial=0.0) for _, _, d in groups], "trotter evolution")
     factors = _factors(groups, dt)
-    if dft is not None:
-        out[live] = _split_steps(dft, factors[0][1], n_steps, out[live])
-        return out
     psi = out[live][:, None]
     for _ in range(n_steps):
         _product(factors, psi)
@@ -296,12 +292,11 @@ def _state(psi, dim: int, what: str) -> np.ndarray:
 def _evolver(h, method: str, trotter_steps: int):
     """Decompose H once; returns evolve(psi, ts), exp(-iHt) psi per t in ts.
 
-    "exact" propagates spectrally, "trotter" by a first-order product with
-    n = ``trotter_steps`` steps (see ``_apply_trotter``): on a build with
-    ``orbits`` (the position grid's) the split [exp(-i H_A t/n)
-    exp(-i H_B t/n)]**n of its register halves, from its spec
-    (``hamiltonians._grid_halves``); on anything else the grouped
-    [prod_x exp(-i H_x t/n)]**n.  ``h``, a matrix or a build, goes to
+    "exact" propagates spectrally, "trotter" by a first-order product of
+    n = ``trotter_steps`` steps: the split of the register halves
+    (``_split_steps``) on a build that holds the position grid of its spec
+    (``hamiltonians._grid_halves``), the grouped [prod_x exp(-i H_x t/n)]**n
+    (``_apply_trotter``) on anything else.  ``h``, a matrix or a build, goes to
     ``hermitian_eig`` or ``_groups`` as given, so a build's matrix is not
     checked again and a plain array is checked once.
     """
@@ -310,12 +305,10 @@ def _evolver(h, method: str, trotter_steps: int):
         return lambda psi, ts: _propagate(es, psi, ts)
     if method == "trotter":
         steps = read_number(trotter_steps, "trotter_steps", int, 1, MAX_TROTTER_STEPS, error=ValueError)
-        if getattr(h, "orbits", None) is None:
-            dft, groups = None, _groups(h)
-        else:
-            dft, e = _grid_halves(h.spec)
-            groups = [(0, None, e.ravel())]
-        return lambda psi, ts: _apply_trotter(groups, ts, steps, psi, dft)
+        if (halves := _grid_halves(h)) is not None:
+            return lambda psi, ts: _split_steps(*halves, ts, steps, psi)
+        groups = _groups(h)
+        return lambda psi, ts: _apply_trotter(groups, ts, steps, psi)
     raise ValueError(f"method must be 'exact' or 'trotter', got {method!r}")
 
 

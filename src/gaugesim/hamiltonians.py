@@ -483,8 +483,9 @@ def build_landau_cartesian_position(spec: HamiltonianSpec) -> BuiltHamiltonian:
                             orbits=_quarter_orbits((n - 1 - iy) * n + ix))
 
 
-def _grid_halves(spec: HamiltonianSpec) -> tuple:
-    """(F, e): the grid build's H as H_A + H_B, each half exact on one register.
+def _grid_halves(h) -> tuple | None:
+    """(F, e): the grid build's H as H_A + H_B, each half exact on one register;
+    None unless ``h`` is a build whose entries are the position grid of its spec.
 
     With hb = B/2, H_B = conj(1 (x) p^2 / 2 + hb^2 q^2 (x) 1 / 2 - hb q (x) p)
     acts on the y register.  Its n x n block at x index ix is
@@ -492,12 +493,21 @@ def _grid_halves(spec: HamiltonianSpec) -> tuple:
     as p = F* diag(g) F and F is symmetric (F = ``basis.sylvester_f(n)``,
     g = ``basis.pos_grid(n)``).  H_A, the rest, is its quarter-turn image on
     the x register: g is odd under the grid reversal, so H_A's block at y
-    index iy is H_B's at n-1-iy.  The halves sum to the build's matrix up to
-    the few ulp of its symmetrized p and p^2.
+    index iy is H_B's at n-1-iy.  The halves sum to the grid's matrix within
+    a few ulp, so a build missing their sum by more than 1e-13 max e (a copy
+    with other entries that still commute with the quarter-turn) is not it.
     """
-    n = spec.boson_trunc
-    g = basis.pos_grid(n)
-    return basis.sylvester_f(n), 0.5 * (g - 0.5 * spec.b_field * g[:, None]) ** 2
+    if getattr(h, "orbits", None) is None or h.spec.kind != "LandauCartesian" or h.dim != h.spec.boson_trunc ** 2:
+        return None
+    n, g = h.spec.boson_trunc, basis.pos_grid(h.spec.boson_trunc)
+    f, e = basis.sylvester_f(n), 0.5 * (g - 0.5 * h.spec.b_field * g[:, None]) ** 2
+    y_half = (f * e[:, None]) @ f.conj()  # [ix, iy, jy]
+    grid = np.zeros((n, n, n, n), dtype=np.complex128)  # [ix, iy, jx, jy], as ``_with_identity``
+    np.einsum("ikil->ikl", grid)[...] = y_half
+    np.einsum("ikjk->ijk", grid)[...] += y_half[::-1].transpose(1, 2, 0)  # H_A at iy: H_B's at n-1-iy
+    grid = grid.reshape(n * n, n * n).view(float)
+    grid -= h.entries[0].view(float)
+    return (f, e) if np.abs(grid, out=grid).max() <= 1e-13 * e.max() else None
 
 
 def _with_identity(a: np.ndarray) -> np.ndarray:

@@ -357,21 +357,21 @@ def test_grid_halves_sum_to_the_build_and_are_diagonal_in_the_dft(n, b_field):
     h_a, h_b = dense_grid_halves(built.spec)
     scale = np.abs(built.matrix).max()
     assert np.abs(h_a + h_b - built.matrix).max() <= 1e-13 * scale
-    dft, e = _grid_halves(built.spec)
+    dft, e = _grid_halves(built)
     blocks = h_b.reshape(n, n, n, n)
     for ix in range(n):
         assert np.abs(blocks[ix, :, ix, :] - (dft * e[ix]) @ dft.conj()).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
-@pytest.mark.parametrize("b_field", [0.0, 1.0, 2.0, 3.0, -2.5])
+@pytest.mark.parametrize("b_field", [-2.5, 0.0, 1.0, 1.37, 2.0, 2.9, 3.0, 7.5])
 def test_grid_trotter_is_the_split_product_of_its_halves(n, b_field):
-    # a build with orbits steps [exp(-i dt H_A) exp(-i dt H_B)]**steps, held
-    # to the dense halves' expm product (no code shared with the DFT path)
+    # the grid build steps [exp(-i dt H_A) exp(-i dt H_B)]**steps, held to
+    # the dense halves' expm product (no code shared with the DFT path)
     built = _grid(n, b_field)
     psi = random_state(np.random.default_rng(n), n * n)
     ts = [0.0, -0.45, 0.3, 1.7]
-    for steps in (10, 100):
+    for steps in (1, 7, 10, 100):
         got = transition_series(built, psi, "all", ts, method="trotter", trotter_steps=steps).amplitudes
         np.testing.assert_allclose(got, split_trotter(built.spec, psi, ts, steps), rtol=0, atol=1e-13)
 
@@ -379,7 +379,10 @@ def test_grid_trotter_is_the_split_product_of_its_halves(n, b_field):
 def test_broken_correspondence_takes_the_general_path():
     # one x-register entry (and its conjugate) off its y-register partner,
     # or one entry on a mask that spans both registers: no longer a grid
-    # build (it breaks the quarter-turn), and a plain matrix has no registers
+    # build (it breaks the quarter-turn), and a plain matrix has no registers.
+    # A copy with other entries that still commute with the quarter-turn
+    # (twice H, or H plus the potential x^2 + y^2) is a build but not the
+    # grid of its spec: it is stepped by its own entries' groups
     built = _grid(16, 2.0)
     psi = random_state(np.random.default_rng(7), 256)
     ts = [0.0, 0.4, -0.9]
@@ -390,9 +393,17 @@ def test_broken_correspondence_takes_the_general_path():
         matrix[a ^ mask, a] = matrix[a, a ^ mask].conjugate()
         with pytest.raises(GaugesimError, match="commute"):
             dataclasses.replace(built, entries=matrix[None])  # a dense build is its one block
-    h = built.matrix
-    series = transition_series(h, psi, "all", ts, method="trotter", trotter_steps=5)
-    assert np.array_equal(series.amplitudes, _apply_trotter(_groups(h), ts, 5, psi))
+    g = pos_grid(16)
+    potential = np.diag(np.add.outer(g ** 2, g ** 2).ravel())
+    for h in (built.matrix, dataclasses.replace(built, entries=2 * built.entries),
+              dataclasses.replace(built, entries=(built.matrix + potential)[None])):
+        assert _grid_halves(h) is None
+        groups = _groups(h)
+        series = transition_series(h, psi, "all", ts, method="trotter", trotter_steps=5)
+        assert np.array_equal(series.amplitudes, _apply_trotter(groups, ts, 5, psi))
+        np.testing.assert_allclose(series.amplitudes, pair_trotter(groups, ts, 5, psi), rtol=0, atol=1e-13)
+    # a copy with the same entries is still the grid
+    assert _grid_halves(dataclasses.replace(built)) is not None
 
 
 def test_trotter_guards(rng):

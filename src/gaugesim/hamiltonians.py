@@ -405,8 +405,8 @@ def _build_landau_cartesian(spec: HamiltonianSpec) -> BuiltHamiltonian:
     sector s is the product index (a, u, b), ascending in the basis, and
     each Kronecker term on it is a broadcast of its (n/2, 2, n/2, 2)
     factors, the y factor's u axes reversed when s = 1.  The terms are
-    summed as in ``_landau_cartesian_matrix``, so the blocks are its
-    entries bit for bit.
+    summed in one fixed order (the p^2 pair, the q^2 pair, the cross terms),
+    so the blocks are those of the expanded Kronecker sum bit for bit.
     """
     n = spec.boson_trunc
     hb = 0.5 * spec.b_field
@@ -435,9 +435,9 @@ def _kron_sector(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
 def _with_identity_sector(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
     """a (x) 1 + 1 (x) a on one parity sector, from its x factor fx
     [a, u, a', u'] and y factor fy [u, b, u', b'] (see
-    ``_build_landau_cartesian``), written as ``_with_identity`` does into
-    two diagonal views of the zero block [a, u, b, a', u', b']: fx where
-    (u, b) == (u', b'), then fy added where (a, u) == (a', u')."""
+    ``_build_landau_cartesian``), written into two diagonal views of the
+    zero block [a, u, b, a', u', b']: fx where (u, b) == (u', b'), then fy
+    added where (a, u) == (a', u'), without ``np.kron``'s products by 1 and 0."""
     m = len(fx)
     out = np.zeros((m, 2, m, m, 2, m), dtype=np.complex128)
     np.einsum("aubcub->aubc", out)[...] = np.einsum("aucu->auc", fx)[:, :, None, :]
@@ -449,89 +449,66 @@ def _with_identity_sector(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
 def build_landau_cartesian_position(spec: HamiltonianSpec) -> BuiltHamiltonian:
     """Position-basis form of the Cartesian Landau Hamiltonian.
 
-    Same operator content as ``build`` gives a LandauCartesian spec, with the diagonal
-    grid position matrix and its DFT-conjugated momentum.  This is the
-    natural basis for time-evolution runs, where initial and final states
-    are grid points; it is not part of the serialized spec.  Its squares
-    are plain matrix products: the position matrix is diagonal and the
-    momentum matrix is an exact unitary conjugation of it, so they already
-    equal the conjugated squares.
-
-    ``basis.pos_p`` is minus the momentum whose plane waves are F's
-    columns, so the expanded form assembles H at field -B.  P is purely
-    imaginary, so H(-B) = conj H(B): the build conjugates it in place.
-
-    H commutes with the quarter-turn (x, y) -> (-y, x) of the grid, and
-    the build makes that exact: q is antisymmetric under the grid reversal
-    J bit for bit, p and p^2 are made so by p <- (p - JpJ)/2 and
-    p^2 <- (p^2 + Jp^2J)/2 (a change of at most a few ulp), and the
-    turn then maps each Kronecker term onto its partner.  So its four
-    64x64 phase sectors (at 16x16 points) carry every eigen-solve.
+    Same operator content as ``build`` gives a LandauCartesian spec, on the
+    grid of ``basis.pos_grid`` points instead of oscillator levels.  This
+    is the natural basis for time-evolution runs, where initial and final
+    states are grid points; it is not part of the serialized spec.  H is
+    filled as the sum of its two register halves (``_grid_terms``,
+    ``_grid_matrix``), the ones its Trotter step splits, so H commutes
+    exactly with the quarter-turn (x, y) -> (-y, x) of the grid and its
+    four 64x64 phase sectors (at 16x16 points) carry every eigen-solve.
     """
     if spec.kind != "LandauCartesian":
         raise InvalidConfigError(f"build_landau_cartesian_position got kind {spec.kind!r}")
     n = spec.boson_trunc
-    q, p = basis.pos_q(n), basis.pos_p(n)
-    rev = np.arange(n)[::-1]
-    p2 = p @ p
-    p, p2 = 0.5 * (p - p[rev][:, rev]), 0.5 * (p2 + p2[rev][:, rev])
     ix, iy = np.divmod(np.arange(n * n), n)  # index ix * n + iy, turned to (n - 1 - iy, ix)
-    h = _landau_cartesian_matrix(spec, n, q, p, q @ q, p2)
-    np.conjugate(h, out=h)
     whole = np.arange(n * n)[None]
-    return BuiltHamiltonian(entries=_finite(h, spec)[None], filled=whole, spec=spec, blocks=whole,
-                            orbits=_quarter_orbits((n - 1 - iy) * n + ix))
+    return BuiltHamiltonian(entries=_finite(_grid_matrix(*_grid_terms(spec)), spec)[None], filled=whole,
+                            spec=spec, blocks=whole, orbits=_quarter_orbits((n - 1 - iy) * n + ix))
+
+
+def _grid_terms(spec: HamiltonianSpec) -> tuple:
+    """(F, e) of the grid's H = H_A + H_B, each half exact on one register.
+
+    With hb = B/2, H_B = (p_y - hb x)^2 / 2 acts on the y register: its
+    n x n block at x index ix is F diag(e[ix]) F*, e[ix, k] = (g_k - hb g_ix)^2 / 2,
+    with F = ``basis.sylvester_f(n)`` (symmetric) and g = ``basis.pos_grid(n)``:
+    the momentum whose plane waves are F's columns is F diag(g) F*.
+    H_A = (p_x + hb y)^2 / 2, the rest, is its quarter-turn image on the x register.
+    """
+    n, hb = spec.boson_trunc, 0.5 * spec.b_field
+    g = basis.pos_grid(n)
+    return basis.sylvester_f(n), 0.5 * (g - hb * g[:, None]) ** 2
+
+
+def _grid_matrix(f: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The (n^2, n^2) matrix H_A + H_B of ``_grid_terms``' (F, e), index ix * n + iy.
+
+    H_B's blocks F diag(e[ix]) F* are computed for ix < n/2 only: g is odd under
+    the grid reversal and F[::-1, ::-1] == F, so the block at n-1-ix is the one
+    at ix reversed on both axes, and is filled so.  H_A's block at y index iy is
+    then H_B's at n-1-iy, acting on ix, and H[R a, R b] == H[a, b] bit for bit
+    for the quarter-turn R.
+    """
+    n = len(f)
+    y_half = np.empty((n, n, n), dtype=np.complex128)  # [ix, iy, jy]
+    y_half[:n // 2] = (f * e[:n // 2, None]) @ f.conj()
+    y_half[n // 2:] = y_half[n // 2 - 1::-1, ::-1, ::-1]
+    h = np.zeros((n, n, n, n), dtype=np.complex128)  # [ix, iy, jx, jy]
+    np.einsum("ikil->ikl", h)[...] = y_half
+    np.einsum("ikjk->ijk", h)[...] += y_half[::-1].transpose(1, 2, 0)  # H_A at iy: H_B's at n-1-iy
+    return h.reshape(n * n, n * n)
 
 
 def _grid_halves(h) -> tuple | None:
-    """(F, e): the grid build's H as H_A + H_B, each half exact on one register;
-    None unless ``h`` is a build whose entries are the position grid of its spec.
-
-    With hb = B/2, H_B = conj(1 (x) p^2 / 2 + hb^2 q^2 (x) 1 / 2 - hb q (x) p)
-    acts on the y register.  Its n x n block at x index ix is
-    conj((p - hb g_ix)^2 / 2) = F diag(e[ix]) F*, e[ix, k] = (g_k - hb g_ix)^2 / 2,
-    as p = F* diag(g) F and F is symmetric (F = ``basis.sylvester_f(n)``,
-    g = ``basis.pos_grid(n)``).  H_A, the rest, is its quarter-turn image on
-    the x register: g is odd under the grid reversal, so H_A's block at y
-    index iy is H_B's at n-1-iy.  The halves sum to the grid's matrix within
-    a few ulp, so a build missing their sum by more than 1e-13 max e (a copy
-    with other entries that still commute with the quarter-turn) is not it.
-    """
+    """(F, e) of ``_grid_terms``: the grid build's H as H_A + H_B; None unless
+    ``h`` is a build whose entries are exactly ``_grid_matrix`` of its spec's
+    terms (a copy with other entries that still commute with the quarter-turn
+    is not the grid)."""
     if getattr(h, "orbits", None) is None or h.spec.kind != "LandauCartesian" or h.dim != h.spec.boson_trunc ** 2:
         return None
-    n, g = h.spec.boson_trunc, basis.pos_grid(h.spec.boson_trunc)
-    f, e = basis.sylvester_f(n), 0.5 * (g - 0.5 * h.spec.b_field * g[:, None]) ** 2
-    y_half = (f * e[:, None]) @ f.conj()  # [ix, iy, jy]
-    grid = np.zeros((n, n, n, n), dtype=np.complex128)  # [ix, iy, jx, jy], as ``_with_identity``
-    np.einsum("ikil->ikl", grid)[...] = y_half
-    np.einsum("ikjk->ijk", grid)[...] += y_half[::-1].transpose(1, 2, 0)  # H_A at iy: H_B's at n-1-iy
-    grid = grid.reshape(n * n, n * n).view(float)
-    grid -= h.entries[0].view(float)
-    return (f, e) if np.abs(grid, out=grid).max() <= 1e-13 * e.max() else None
-
-
-def _with_identity(a: np.ndarray) -> np.ndarray:
-    """a (x) 1 + 1 (x) a of the grid build, written into two strided views
-    of the zero (n, n, n, n) matrix [i, k, j, l] (row i n + k, column
-    j n + l): a[i, j] where k == l, then a[k, l] added where i == j.  Entry
-    by entry these are the sums ``np.kron`` gives, without its n**4
-    products by 1 and 0."""
-    n = len(a)
-    out = np.zeros((n, n, n, n), dtype=np.complex128)
-    np.einsum("ikjk->ijk", out)[...] = a[:, :, None]
-    np.einsum("ikil->ikl", out)[...] += a
-    return out.reshape(n * n, n * n)
-
-
-def _landau_cartesian_matrix(spec, n, q, p, q2, p2) -> np.ndarray:
-    # the grid's whole matrix; the oscillator build sums the same terms on its sectors
-    hb = 0.5 * spec.b_field
-    # (p_x + hb y)^2 + (p_y - hb x)^2 expanded; cross factors commute, and
-    # each term is one Kronecker product: p_x y = p (x) q, p_y x = q (x) p.
-    h = 0.5 * _with_identity(p2)
-    h += 0.5 * (hb * hb) * _with_identity(q2)
-    h += hb * np.kron(p, q) - hb * np.kron(q, p)
-    return h
+    terms = _grid_terms(h.spec)
+    return terms if np.array_equal(_grid_matrix(*terms), h.entries[0]) else None
 
 
 #: Radial oscillator-basis length-scale calibration for the polar build.

@@ -88,8 +88,9 @@ def butterfly_decompose(h) -> list:
 
 
 def kron_landau_cartesian_matrix(spec, n, q, p, q2, p2) -> np.ndarray:
-    """``hamiltonians._landau_cartesian_matrix`` from six ``np.kron``
-    products, the identity factors included (test oracle only)."""
+    """(p_x + B/2 y)^2 / 2 + (p_y - B/2 x)^2 / 2 expanded, from six
+    ``np.kron`` products of the one-axis factors q, p, q2, p2, the identity
+    factors included (test oracle only)."""
     one = np.eye(n, dtype=np.complex128)
     hb = 0.5 * spec.b_field
     h = 0.5 * (np.kron(p2, one) + np.kron(one, p2))
@@ -463,3 +464,64 @@ def one_vertex_worldline(k, c, b_field, tau, total_t) -> complex:
     T in the field B: exp(i k.c) exp(-|k|^2 g_B(tau) / 2) (test oracle only)."""
     k, c = np.asarray(k, dtype=float), np.asarray(c, dtype=float)
     return complex(np.exp(1j * (k @ c) - (k @ k) * bridge_green(b_field, tau, total_t) / 2))
+
+
+def two_vertex_worldline(k1, k2, c, b_field, tau1, tau2, total_t) -> complex:
+    """<exp(i k1.x(tau1)) exp(i k2.x(tau2))> over the worldlines from c back to
+    c in proper time T in the field B, tau1 < tau2 (test oracle only).
+
+    The Euclidean Mehler kernel of H = (p_x + B y/2)^2 / 2 + (p_y - B x/2)^2 / 2,
+    <x| e^{-d H} |x'> ~ exp(-a(d) |x - x'|^2 + i (B/2) (x'_1 x_2 - x'_2 x_1)) with
+    a(d) = (B/4) coth(B d/2) (1/(2d) at B = 0), chains c -> x1 -> x2 -> c over
+    the proper times tau1, tau2 - tau1, T - tau2.  Its exponent in z = (x1, x2)
+    is -z.M z / 2 + v.z + const, with M complex symmetric 4x4, so the vertices
+    give exp(i k.w - k.M^-1 k / 2), k = (k1, k2) and w = M^-1 v.
+    """
+    durations = np.diff([0.0, tau1, tau2, total_t])
+    if b_field == 0.0:
+        a = 1.0 / (2.0 * durations)
+    else:
+        a = b_field / 4.0 / np.tanh(b_field * durations / 2.0)
+    turn = np.array([[0.0, 1.0], [-1.0, 0.0]])  # x'.turn.x = x'_1 x_2 - x'_2 x_1
+    p = np.zeros((4, 2, 4, 2), dtype=np.complex128)  # exponent -X.P X / 2 over X = (c, x1, x2, c)
+    for j in range(3):
+        p[j, :, j] += 2 * a[j] * I2
+        p[j + 1, :, j + 1] += 2 * a[j] * I2
+        p[j, :, j + 1] += -2 * a[j] * I2 - 0.5j * b_field * turn
+        p[j + 1, :, j] += -2 * a[j] * I2 + 0.5j * b_field * turn
+    p = p.reshape(8, 8)
+    ends = np.concatenate([np.asarray(c, dtype=float)] * 2)
+    v = -(p[2:6, :2] @ ends[:2] + p[2:6, 6:] @ ends[2:])
+    k = np.concatenate([k1, k2]).astype(float)
+    w, mk = np.linalg.solve(p[2:6, 2:6], np.stack([v, k], axis=1)).T
+    return complex(np.exp(1j * (k @ w) - (k @ mk) / 2))
+
+
+def apply_gates(gates, n_bits: int, states) -> np.ndarray:
+    """A gate list run on the statevector columns of ``states`` (2**n_bits rows),
+    gate by gate (test oracle only).  Gates act on bits of the basis index,
+    bit b of weight 2**b: ("h", b) Hadamard, ("p", b, phi) the phase gate
+    diag(1, e^{i phi}), ("cp", b1, b2, phi) the phase e^{i phi} where both
+    bits are 1, ("swap", b1, b2) and ("cx", control, target)."""
+    psi = np.array(states, dtype=np.complex128).reshape(2 ** n_bits, -1)
+    j = np.arange(2 ** n_bits)
+
+    def bit(b):
+        return (j >> b) & 1
+
+    for name, *args in gates:
+        if name == "h":
+            low = j[bit(args[0]) == 0]
+            high = low | 1 << args[0]
+            psi[low], psi[high] = (psi[low] + psi[high]) / np.sqrt(2), (psi[low] - psi[high]) / np.sqrt(2)
+        elif name == "p":
+            psi[bit(args[0]) == 1] *= np.exp(1j * args[1])
+        elif name == "cp":
+            psi[(bit(args[0]) & bit(args[1])) == 1] *= np.exp(1j * args[2])
+        elif name == "swap":
+            psi = psi[j ^ (bit(args[0]) ^ bit(args[1])) * (1 << args[0] | 1 << args[1])]
+        elif name == "cx":
+            psi = psi[j ^ bit(args[0]) << args[1]]
+        else:
+            raise ValueError(f"unknown gate {name!r}")
+    return psi

@@ -48,6 +48,7 @@ from gaugesim.vqe import VqeResult, write_trace_csv
 
 from conftest import (
     PAULI,
+    apply_gates,
     butterfly_decompose,
     dense_grid_halves,
     exact_unitary,
@@ -60,6 +61,7 @@ from conftest import (
     random_hermitian,
     random_state,
     split_trotter,
+    two_vertex_worldline,
 )
 
 
@@ -381,8 +383,9 @@ def test_broken_correspondence_takes_the_general_path():
     # or one entry on a mask that spans both registers: no longer a grid
     # build (it breaks the quarter-turn), and a plain matrix has no registers.
     # A copy with other entries that still commute with the quarter-turn
-    # (twice H, or H plus the potential x^2 + y^2) is a build but not the
-    # grid of its spec: it is stepped by its own entries' groups
+    # (twice H, H plus the potential x^2 + y^2, or H with 7936 entries one
+    # ulp up) is a build but not the grid of its spec: it is stepped by its
+    # own entries' groups
     built = _grid(16, 2.0)
     psi = random_state(np.random.default_rng(7), 256)
     ts = [0.0, 0.4, -0.9]
@@ -395,8 +398,10 @@ def test_broken_correspondence_takes_the_general_path():
             dataclasses.replace(built, entries=matrix[None])  # a dense build is its one block
     g = pos_grid(16)
     potential = np.diag(np.add.outer(g ** 2, g ** 2).ravel())
+    ulp_up = dataclasses.replace(built, entries=built.entries * (1 + 2 ** -52))
+    assert np.count_nonzero(ulp_up.entries != built.entries) == 7936
     for h in (built.matrix, dataclasses.replace(built, entries=2 * built.entries),
-              dataclasses.replace(built, entries=(built.matrix + potential)[None])):
+              dataclasses.replace(built, entries=(built.matrix + potential)[None]), ulp_up):
         assert _grid_halves(h) is None
         groups = _groups(h)
         series = transition_series(h, psi, "all", ts, method="trotter", trotter_steps=5)
@@ -715,29 +720,37 @@ def test_grouped_product_against_the_per_string_circuit(b, split, grouped, per_s
         np.testing.assert_allclose([dev, error], pinned, rtol=0.05)
 
 
-@pytest.mark.parametrize("t", [0.5, 0.7, 1.0, 1.5, 2.5])
+@pytest.mark.parametrize("t", [0.3, 0.4, 0.5, 0.7, 1.0, 1.5, 2.5])
 def test_grid_evolution_of_a_packet_matches_the_polar_kernel(t):
     # a real packet of width (B/2)^(-1/2) at (0.6, -0.3), B = 2, evolved
     # exactly on the 16x16 grid, against the quadrature
-    # sum_i K(r_f, r_i; t) psi0_i ds^2 over the points where the packet is
-    # above 1e-4 of its peak, at the 4 largest final amplitudes (up to
-    # 0.34): they agree to 2.0e-5 / 7.8e-6 / 1.9e-5, while the kernel
-    # turned the other way (phi_f - phi_i - B t / 2) misses by at least 0.14.
-    # Agreement is checked from t = 0.5 on: 5.5e-5 at t = 0.5, 1.2e-5 at
-    # t = 0.7.  At t = 0.4 and 0.3 the kernel matches its angular-momentum
-    # sum, but the quadrature misses by 2.1e-3 and 3.0e-2, most likely from
-    # the grid step at short times (not verified).
+    # sum_i K(r_f, r_i; t) psi0(r_i) (ds/4)^2 of the analytic packet (with
+    # the grid state's norm) on the lattice of step ds/4 through the grid
+    # points, over the plane where it is above 1e-6 of its peak, at the 4
+    # largest final amplitudes (up to 0.35): they agree to 5.8e-7 / 6.1e-7 /
+    # 4.8e-7 / 1.2e-6 / 2.2e-6 / 2.5e-6 / 2.7e-6 at t = 0.3 / 0.4 / 0.5 /
+    # 0.7 / 1 / 1.5 / 2.5.  Summed on the grid's own points the quadrature
+    # misses by 3.0e-2 / 2.1e-3 / 5.5e-5 at t = 0.3 / 0.4 / 0.5: the kernel
+    # oscillates faster than ds resolves at short times.  The 8x8 grid
+    # misses the fine quadrature by 2.7e-4 at t = 0.3, and the kernel turned
+    # the other way (phi_f - phi_i - B t / 2) by 0.075 to 0.23
     n, b = 16, 2.0
     grid = pos_grid(n)
     x, y = np.repeat(grid, n), np.tile(grid, n)  # index ix * n + iy
-    psi0 = np.exp(-(b / 4) * ((x - 0.6) ** 2 + (y + 0.3) ** 2))
-    psi0 /= np.linalg.norm(psi0)
+    packet = lambda x, y: np.exp(-(b / 4) * ((x - 0.6) ** 2 + (y + 0.3) ** 2))
+    psi0 = packet(x, y)
+    norm = np.linalg.norm(psi0)
     built = build_landau_cartesian_position(HamiltonianSpec(kind="LandauCartesian", b_field=b, boson_trunc=n))
-    final = transition_series(built, psi0, "all", [t]).amplitudes[0]
-    rho, phi, ds2 = np.hypot(x, y), np.arctan2(y, x), (grid[1] - grid[0]) ** 2
-    sources = np.flatnonzero(np.abs(psi0) > 1e-4 * np.abs(psi0).max())
+    final = transition_series(built, psi0 / norm, "all", [t]).amplitudes[0]
+    step = (grid[1] - grid[0]) / 4
+    fine = grid[0] + step * np.arange(-8, 4 * n + 5)  # two grid steps past either end
+    fx, fy = np.repeat(fine, len(fine)), np.tile(fine, len(fine))
+    weights = packet(fx, fy)
+    keep = weights > 1e-6 * weights.max()
+    sources = list(zip(np.hypot(fx, fy)[keep], np.arctan2(fy, fx)[keep], step ** 2 * weights[keep] / norm))
     for f in np.argsort(-np.abs(final))[:4]:
-        quadrature = ds2 * sum(kernel_polar(rho[i], phi[i], rho[f], phi[f], t, b) * psi0[i] for i in sources)
+        rho_f, phi_f = np.hypot(x[f], y[f]), np.arctan2(y[f], x[f])
+        quadrature = sum(kernel_polar(rho, phi, rho_f, phi_f, t, b) * w for rho, phi, w in sources)
         assert abs(quadrature - final[f]) < 1e-4, f
 
 
@@ -782,6 +795,57 @@ def test_one_vertex_in_the_field_matches_the_worldline_green_function(b_field):
     if b_field:
         assert _one_vertex_miss(16, b_field, 0.0) > 1e-3
     assert _one_vertex_miss(8, b_field, b_field) > 1e-3
+
+
+#: The momentum pairs (k1, k2) of the two-vertex check, |k| <= 1, at angles
+#: to each other, where the field's antisymmetric part of G_B shows.
+VERTEX_PAIRS = [((0.5, 0.0), (0.0, 0.5)), ((1.0, 0.0), (0.0, -1.0)),
+                ((0.7, 0.7), (-0.7, 0.7)), ((0.6, -0.8), (0.8, 0.6))]
+
+
+def _two_vertex_miss(n, b_field, oracle_field, total_t=1.0):
+    """max |R - oracle| over ``VERTEX_PAIRS`` and (tau1, tau2) in
+    {(0.25, 0.75), (0.3, 0.5)} T for
+    R = <c| e^{-(T-tau2)H} V_k2 e^{-(tau2-tau1)H} V_k1 e^{-tau1 H} |c> / <c| e^{-TH} |c>,
+    with H the n x n grid build at ``b_field``, V_k = exp(i k.x) and c the grid
+    index (n/2) n + n/2; the oracle is ``two_vertex_worldline`` at ``oracle_field``."""
+    built = build_landau_cartesian_position(HamiltonianSpec(kind="LandauCartesian", b_field=b_field, boson_trunc=n))
+    es = hermitian_eig(built)
+    grid = pos_grid(n)
+    x, y = np.repeat(grid, n), np.tile(grid, n)  # index ix * n + iy
+    c = (n // 2) * n + n // 2
+
+    def euclidean(d):
+        return (es.vectors * np.exp(-d * es.values)) @ es.vectors.conj().T
+
+    ret = euclidean(total_t)[c, c]
+    miss = 0.0
+    for tau1, tau2 in ((0.25 * total_t, 0.75 * total_t), (0.3 * total_t, 0.5 * total_t)):
+        first, middle, last = euclidean(tau1)[:, c], euclidean(tau2 - tau1), euclidean(total_t - tau2)[c]
+        for k1, k2 in VERTEX_PAIRS:
+            v1, v2 = (np.exp(1j * (k[0] * x + k[1] * y)) for k in (k1, k2))
+            ratio = last @ (v2 * (middle @ (v1 * first))) / ret
+            oracle = two_vertex_worldline(k1, k2, (x[c], y[c]), oracle_field, tau1, tau2, total_t)
+            miss = max(miss, abs(ratio - oracle))
+    return miss
+
+
+@pytest.mark.parametrize("b_field", [0.0, 1.0, 2.0, 3.0])
+def test_two_vertices_in_the_field_match_the_mehler_kernel_gaussian(b_field):
+    # two vertices exp(i k1.x) and exp(i k2.x) inserted at proper times
+    # tau1 < tau2 into the Euclidean evolution of the 16x16 grid between
+    # fixed endpoints c, against the Gaussian integral of the Euclidean
+    # Mehler kernel over the two vertex points (``two_vertex_worldline``).
+    # Unlike one vertex this reads the antisymmetric, field-odd part of the
+    # worldline Green's function, so it fixes the build's orientation.
+    # Measured misses 2.7e-5 / 4.1e-5 / 1.0e-4 / 2.8e-4 at B = 0 / 1 / 2 / 3;
+    # the oracle at -B (the field turned the other way) misses by
+    # 2.5e-2 / 4.7e-2 / 6.4e-2 at B = 1 / 2 / 3, and the 8x8 grid by
+    # 5.3e-3 to 8.6e-3.
+    assert _two_vertex_miss(16, b_field, b_field) <= 1e-3
+    if b_field:
+        assert _two_vertex_miss(16, b_field, -b_field) > 1e-3
+    assert _two_vertex_miss(8, b_field, b_field) > 1e-3
 
 
 def test_transition_series_batched_matches_single_calls(rng):
@@ -875,6 +939,24 @@ def test_vertex_insertion_is_a_product_of_single_z_phases(n):
     for p2 in (-3.7, 0.25, 1.0, 11.5):
         phases = np.prod(np.exp(1j * p2 * c * z), axis=1)
         assert np.max(np.abs(phases - np.exp(1j * p2 * pos_grid(n)))) <= 1e-12
+
+
+@pytest.mark.parametrize("q", range(1, 10))
+def test_vertex_is_a_global_phase_times_one_phase_gate_per_bit(q):
+    # x_a = s (2a - (n - 1)), so exp(i p X) = exp(-i p s (n - 1)) times the
+    # phase gates P(2**(b+1) p s) on bit b: on the grid points, and between
+    # momentum states, where it is vertex_amplitude (measured within
+    # 2.2e-14 and 1.0e-14 up to 9 qubits)
+    n = 2 ** q
+    s = np.sqrt(2.0 * np.pi / (4.0 * n))
+    for p in (-3.7, 0.25, 1.0, 2.9):
+        gates = [("p", b, 2 ** (b + 1) * p * s) for b in range(q)]
+        phase = np.exp(-1j * p * s * (n - 1))
+        diagonal = phase * apply_gates(gates, q, np.ones(n))[:, 0]
+        assert np.abs(diagonal - np.exp(1j * p * pos_grid(n))).max() <= 1e-13
+        for k1, k3 in ((0, n - 1), (n // 2, n // 4), (n - 1, n - 1)):
+            amp = phase * np.vdot(momentum_state(k1, n), apply_gates(gates, q, momentum_state(k3, n))[:, 0])
+            assert abs(amp - vertex_amplitude(k1, p, k3, n)) <= 1e-13, (k1, k3)
 
 
 def test_momentum_states_orthonormal_eigenvectors():

@@ -205,23 +205,13 @@ def test_cartesian_position_basis():
     assert hermitian_eig(free.matrix).values[0] >= -1e-12
 
 
-def test_cartesian_assembly_matches_the_kron_oracle_byte_for_byte(monkeypatch):
-    # both bases assemble the same bytes as six np.kron products, signed
-    # zeros included: the oscillator build's parity blocks are the oracle
-    # gathered at its filled sectors, and its matrix the whole oracle; the
-    # grid's bytes are taken at capture, since the grid build conjugates
-    # the very array it is handed.  Fields with long mantissas (1.37, 2.9)
-    # are where a sum taken in another order rounds differently
-    import gaugesim.hamiltonians as hamiltonians
-
-    assemble, seen = hamiltonians._landau_cartesian_matrix, []
-
-    def capture(*args):
-        matrix = assemble(*args)
-        seen.append((args, matrix.tobytes()))
-        return matrix
-
-    monkeypatch.setattr(hamiltonians, "_landau_cartesian_matrix", capture)
+def test_cartesian_assembly_matches_the_kron_oracle_byte_for_byte():
+    # the oscillator build assembles the same bytes as six np.kron products,
+    # signed zeros included: its parity blocks are the oracle gathered at its
+    # filled sectors, and its matrix the whole oracle.  Fields with long
+    # mantissas (1.37, 2.9) are where a sum taken in another order rounds
+    # differently.  (The grid build is held to the Kronecker form by
+    # test_grid_halves_sum_to_the_build_and_are_diagonal_in_the_dft.)
     for n in (2, 4, 8, 16):
         for b in (-2.5, -1.5, 0.0, 1e-9, 1.0, 1.37, 2.0, 2.9, 7.5):
             spec = cart_spec(b_field=b, boson_trunc=n)
@@ -230,10 +220,6 @@ def test_cartesian_assembly_matches_the_kron_oracle_byte_for_byte(monkeypatch):
             idx = built.filled
             assert built.entries.tobytes() == oracle[idx[:, :, None], idx[:, None, :]].tobytes()
             assert built.matrix.tobytes() == oracle.tobytes()
-            build_landau_cartesian_position(spec)
-    assert len(seen) == 4 * 9
-    for args, matrix in seen:
-        assert matrix == kron_landau_cartesian_matrix(*args).tobytes()
 
 
 @pytest.mark.parametrize("grid", [False, True], ids=["oscillator", "grid"])

@@ -152,12 +152,23 @@ def read_own_fields(config, where: str) -> None:
         object.__setattr__(config, name, val)
 
 
+#: Cells ``write_rows`` formats with one ``%``: an 11 x 769 table is one block.
+_BLOCK_CELLS = 1 << 14
+
+
 def write_rows(path, header: str, table: np.ndarray):
     """``header`` and one line per row of ``table``, every cell formatted
     %.17g, enough digits to read each float back exactly.  A table holding
-    NaN or an infinity is refused with GaugesimError before the file opens."""
+    NaN or an infinity is refused with GaugesimError before the file opens.
+    The cells are read as one flat list and formatted a block of rows at a
+    time, so no container is made per row."""
     read_numbers(table, f"nothing written to {path}; table", GaugesimError)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    cols = table.shape[1]
+    line = ",".join(["%.17g"] * cols) + "\n"
+    per_block = max(1, _BLOCK_CELLS // max(cols, 1))
+    cells = table.ravel().tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        fh.writelines(row % tuple(cells) for cells in table.tolist())
+        for start in range(0, len(table), per_block):
+            count = min(per_block, len(table) - start)
+            fh.write((line * count) % tuple(cells[start * cols:(start + count) * cols]))

@@ -169,11 +169,22 @@ class BuiltHamiltonian:
     the caller's arrays once: an array the caller keeps and writes to
     afterwards (it stays writeable) is the caller's responsibility.
 
+    ``gauge``, when set, is one power of i per basis index, p: a builder
+    hands it over when D = diag(i**p) makes every diagonal block real, and
+    the build keeps it only if so, exactly: it is one integer per index on
+    plain blocks, and every entry H[a, b] of every diagonal block times
+    i**(p_b - p_a) has imaginary part 0.0 (a ``dataclasses.replace`` copy
+    whose entries or shape break that drops it).  The gauged blocks
+    D^-1 H D are then a select and a negation of the parts of H's entries,
+    bit for bit (``_gauged``), and ``spectrum`` and ``eigensystem`` solve
+    them as float64 stacks, mapping eigenvectors back through D; a build
+    without one is solved complex.
+
     A build is read-only, so the builders share one (``==`` is identity):
     every array it reaches (``entries``, ``filled``, ``matrix``,
-    ``blocks``, ``orbits``, its spectrum and ``real_form``) is a read-only
-    view, never a copy.  Its block views (``spectrum``, ``eigensystem``,
-    ``real_form``) share one gather from the filled blocks,
+    ``blocks``, ``orbits``, ``gauge``, its spectrum and ``real_form``) is a
+    read-only view, never a copy.  Its block views (``spectrum``,
+    ``eigensystem``, ``real_form``) share one gather from the filled blocks,
     ``_diagonal_blocks``; each held one (and the assembled ``matrix``) is
     made at most once per build object, and ``dataclasses.replace``
     carries none over.
@@ -185,11 +196,13 @@ class BuiltHamiltonian:
     hermitian: bool = field(init=False)
     blocks: np.ndarray
     orbits: np.ndarray | None = None
+    gauge: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("entries", "filled", "blocks", "orbits")[:3 if self.orbits is None else 4]:
-            object.__setattr__(self, name, _read_only(getattr(self, name)))
-        h, filled, blocks, orbits = self.entries, self.filled, self.blocks, self.orbits
+        for name in ("entries", "filled", "blocks", "orbits", "gauge"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _read_only(getattr(self, name)))
+        h, filled, blocks, orbits, gauge = self.entries, self.filled, self.blocks, self.orbits, self.gauge
         dim, kind = filled.size, self.spec.kind
         if not _partitions(filled, dim) or h.shape != filled.shape + filled.shape[1:]:
             raise GaugesimError(f"{kind}: filled is not a partition of 0..{dim - 1} into rows of one size "
@@ -220,6 +233,9 @@ class BuiltHamiltonian:
             raise GaugesimError(f"{kind}: a diagonal block of size {sub.shape[1]} is not Hermitian")
         scale = max(above, np.abs(sub).max())
         object.__setattr__(self, "hermitian", bool(above <= HERM_TOL * scale))
+        if gauge is not None and (gauge.shape != (dim,) or gauge.dtype.kind not in "iu" or orbits is not None
+                                  or _gauged(sub, gauge[blocks]) is None):
+            object.__setattr__(self, "gauge", None)
 
     @property
     def dim(self) -> int:
@@ -239,33 +255,45 @@ class BuiltHamiltonian:
         h[self.filled[:, :, None], self.filled[:, None, :]] = self.entries
         return _read_only(h)
 
+    def _solved_blocks(self) -> tuple:
+        """(sub, tables, phases): the stack of diagonal blocks that
+        ``spectrum`` and ``eigensystem`` solve, its basis vector o of sector c
+        being sum_j phases[c, o, j] e_(tables[c, o, j]).  Those of
+        ``_diagonal_blocks``; with a gauge, the real stack D^-1 H D on the
+        blocks, whose basis vector o is i**p e_(tables[c, o, 0]), p its power."""
+        sub, tables, phases = _diagonal_blocks(self.entries, self.filled, self.blocks, self.orbits)
+        if self.gauge is None:
+            return sub, tables, np.broadcast_to(phases[:, None, :], tables.shape)
+        return _gauged(sub, self.gauge[self.blocks]), tables, _I_POWERS[self.gauge[tables] & 3]
+
     @cached_property
     def _spectrum(self) -> np.ndarray:
-        sub, _, _ = _diagonal_blocks(self.entries, self.filled, self.blocks, self.orbits)
-        values = np.sort(np.linalg.eigvalsh(sub).ravel())
+        values = np.sort(np.linalg.eigvalsh(self._solved_blocks()[0]).ravel())
         values.flags.writeable = False
         return values
 
     def spectrum(self) -> np.ndarray:
         """Ascending eigenvalues: the union over the Hermitian diagonal
-        blocks, solved once per build and shared by every later call
-        (``lowest_eigenvalue`` too) as one read-only array."""
+        blocks (gauged real ones with a gauge), solved once per build and
+        shared by every later call (``lowest_eigenvalue`` too) as one
+        read-only array."""
         return self._spectrum
 
     def eigensystem(self) -> EigenSystem:
         """Ascending eigenvalues and their eigenvectors in the basis of
-        ``matrix``, from one ``eigh`` of the stack of diagonal blocks; what
-        ``operators.hermitian_eig`` returns for a build.  Refused by
-        ``operators._require_hermitian`` unless ``hermitian``: a block
-        upper-triangular H is not diagonalized by its blocks' eigenvectors."""
+        ``matrix``, from one ``eigh`` of the stack of diagonal blocks (gauged
+        real ones with a gauge); what ``operators.hermitian_eig`` returns
+        for a build.  Refused by ``operators._require_hermitian`` unless
+        ``hermitian``: a block upper-triangular H is not diagonalized by its
+        blocks' eigenvectors."""
         _require_hermitian(self, "eigensystem")
-        sub, tables, phases = _diagonal_blocks(self.entries, self.filled, self.blocks, self.orbits)
+        sub, tables, phases = self._solved_blocks()
         lam, u = np.linalg.eigh(sub)
         count, size = tables.shape[:2]
         vectors = np.zeros((self.dim,) * 2, dtype=np.complex128)
-        # eigenvector e of sector c: sum_o u[c, o, e] sum_j phases[c, j] e_(tables[c, o, j])
+        # eigenvector e of sector c: sum_o u[c, o, e] sum_j phases[c, o, j] e_(tables[c, o, j])
         cols = np.arange(count * size).reshape(count, 1, 1, size)
-        vectors[tables[..., None], cols] = phases[:, None, :, None] * u[:, :, None, :]
+        vectors[tables[..., None], cols] = phases[..., None] * u[:, :, None, :]
         values = lam.ravel()
         order = np.argsort(values, kind="stable")
         return EigenSystem(values=values[order], vectors=vectors[:, order])
@@ -344,6 +372,25 @@ def _diagonal_blocks(entries: np.ndarray, filled: np.ndarray, blocks: np.ndarray
     return sub, blocks[:, :, None], np.ones((len(blocks), 1))
 
 
+#: i**p for p = 0..3, exactly
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
+
+
+def _gauged(sub: np.ndarray, powers: np.ndarray) -> np.ndarray | None:
+    """The stack ``sub`` of diagonal blocks under the gauge D = diag(i**p),
+    p = powers[c] on block c's indices, as float64: [c, a, b] is
+    i**(p_b - p_a) sub[c, a, b], whose real part is Re, -Im, -Re or Im of the
+    entry as p_b - p_a is 0, 1, 2 or 3 mod 4, so a select and a negation bit
+    for bit.  None unless each product's imaginary part is exactly 0.0."""
+    powers = (powers & 3).astype(np.int8)
+    turn = (powers[:, None, :] - powers[:, :, None]) & 3
+    odd = (turn & 1) == 1
+    if np.where(odd, sub.real, sub.imag).any():
+        return None
+    real = np.where(odd, sub.imag, sub.real)
+    return np.negative(real, out=real, where=(turn == 1) | (turn == 2))
+
+
 def _quarter_orbits(rotation: np.ndarray) -> np.ndarray:
     """Orbit table of the basis permutation ``rotation`` (R), one row
     s_o, R s_o, R^2 s_o, R^3 s_o per orbit with s_o its smallest index (a
@@ -407,6 +454,9 @@ def _build_landau_cartesian(spec: HamiltonianSpec) -> BuiltHamiltonian:
     factors, the y factor's u axes reversed when s = 1.  The terms are
     summed in one fixed order (the p^2 pair, the q^2 pair, the cross terms),
     so the blocks are those of the expanded Kronecker sum bit for bit.
+
+    p is imaginary and q real in the oscillator basis, and each term is real
+    or moves n_x by one, so the gauge i**(n_x) makes every block real.
     """
     n = spec.boson_trunc
     hb = 0.5 * spec.b_field
@@ -423,7 +473,7 @@ def _build_landau_cartesian(spec: HamiltonianSpec) -> BuiltHamiltonian:
     i = np.arange(n * n)
     parity = _blocks_by((i ^ (i >> qubits_of_dim(n))) & 1)
     return BuiltHamiltonian(entries=_finite(h.reshape(2, n * n // 2, n * n // 2), spec), filled=parity,
-                            spec=spec, blocks=parity)
+                            spec=spec, blocks=parity, gauge=i >> qubits_of_dim(n))
 
 
 def _kron_sector(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
@@ -529,23 +579,38 @@ def _build_landau_polar(spec: HamiltonianSpec) -> BuiltHamiltonian:
     oscillator Q (Q itself has a symmetric spectrum, so plain fractional
     powers would be undefined).  At a power-of-two N, Q has no zero
     eigenvalue, so the inverse powers are finite.  The oscillator basis is
-    stretched by POLAR_BASIS_SCALE, read at each call.
+    stretched by POLAR_BASIS_SCALE, read at each call; the field-free terms
+    come from ``_polar_terms``.  Every entry is real, so the build carries
+    the gauge of all-zero powers.
     """
     n = spec.boson_trunc
-    q = basis.osc_q(n) / np.sqrt(POLAR_BASIS_SCALE)
-    p = basis.osc_p(n) * np.sqrt(POLAR_BASIS_SCALE)
-    es = hermitian_eig(q)
-    rho = _spectral(es, np.abs)
-    rho2 = _spectral(es, np.square)
-    rho_mh = _spectral(es, lambda lam: np.abs(lam) ** -0.5)
+    kinetic, rho2, rho_m2 = _polar_terms(n, POLAR_BASIS_SCALE)
     m = spec.angular_m
     half_b = 0.5 * spec.b_field
-    h = 0.5 * (rho_mh @ p @ rho @ p @ rho_mh) + 0.5 * (half_b * half_b) * rho2
+    h = kinetic + 0.5 * (half_b * half_b) * rho2
     if m != 0:
-        rho_m2 = _spectral(es, lambda lam: np.abs(lam) ** -2.0)
         h = h + 0.5 * m ** 2 * rho_m2 - half_b * m * np.eye(n)
     whole = np.arange(n)[None]
-    return BuiltHamiltonian(entries=_finite(h, spec)[None], filled=whole, spec=spec, blocks=whole)
+    return BuiltHamiltonian(entries=_finite(h, spec)[None], filled=whole, spec=spec, blocks=whole,
+                            gauge=np.zeros(n, dtype=np.int8))
+
+
+@lru_cache(maxsize=None)
+def _polar_terms(n: int, scale: float) -> tuple:
+    """The field-free terms of ``_build_landau_polar`` at ``boson_trunc`` n
+    and basis scale s, read-only: the kinetic chain
+    1/2 rho^(-1/2) p rho p rho^(-1/2), rho^2 and rho^(-2), with Q/sqrt(s)
+    and P sqrt(s) the oscillator's."""
+    q = basis.osc_q(n) / np.sqrt(scale)
+    p = basis.osc_p(n) * np.sqrt(scale)
+    es = hermitian_eig(q)
+    rho = _spectral(es, np.abs)
+    rho_mh = _spectral(es, lambda lam: np.abs(lam) ** -0.5)
+    terms = (0.5 * (rho_mh @ p @ rho @ p @ rho_mh), _spectral(es, np.square),
+             _spectral(es, lambda lam: np.abs(lam) ** -2.0))
+    for t in terms:
+        t.flags.writeable = False
+    return terms
 
 
 def _build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
@@ -566,7 +631,9 @@ def _build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
     that do not depend on it (``_monopole_terms``).  The build combines
     the cached terms of its fermion family and B form with its b, on the
     16 sectors (``_monopole_tables``), and keeps them: its ``matrix`` is
-    assembled only when read.
+    assembled only when read.  The raising-fermion variants carry that
+    table's gauge, which makes their blocks real; the Majorana ones, whose
+    blocks no power-of-i gauge makes real at g_m != 0, carry none.
     """
     scalar = spec.variant == "ScalarB"
     b = (-spec.b_field / spec.r_ref ** 2 if scalar else -spec.b_field) + 0.0  # b_field -0.0 builds as 0.0
@@ -576,9 +643,10 @@ def _build_monopole_su2(spec: HamiltonianSpec) -> BuiltHamiltonian:
     h.imag = b * t1 + 0.0  # its zeros stay +0.0 at b < 0
     if spec.variant == "HermitianPart":
         h = 0.5 * (h + h.conj().transpose(0, 2, 1))
-    sectors, literal = _monopole_tables(spec.boson_trunc)[1:]
+    sectors, literal, gauge = _monopole_tables(spec.boson_trunc)[1:]
     return BuiltHamiltonian(entries=_finite(h, spec), filled=sectors, spec=spec,
-                            blocks=literal if spec.variant in ("Literal", "ScalarB") else sectors)
+                            blocks=literal if spec.variant in ("Literal", "ScalarB") else sectors,
+                            gauge=None if spec.variant == "MajoranaFermions" else gauge)
 
 
 @lru_cache(maxsize=None)
@@ -657,7 +725,12 @@ def _on_sectors(n: int, groups) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _monopole_tables(n: int) -> tuple:
     """The parts of ``_build_monopole_su2`` at ``boson_trunc`` n that no coupling or fermion family changes,
-    read-only: (r^2)^-1, and the index sets of the 16 sectors and of the Literal blocks."""
+    read-only: (r^2)^-1, the index sets of the 16 sectors and of the Literal blocks, and the raising
+    fermions' gauge.
+
+    The gauge is i**p with p = 1 where two or three fermion slots are occupied, else 0.  T0 keeps the
+    fermion pattern and T1's bilinears empty two slots (fill them, in H^dag), so p moves by an even
+    amount along every T0 entry and by one along every T1 entry, and i b T1 turns real with T0."""
     k = qubits_of_dim(n)
     # r^2 is diagonal in W = V (x) V (x) V, where q^2 = V diag(lam) V^T
     q = basis.osc_q(n).real
@@ -682,9 +755,10 @@ def _monopole_tables(n: int) -> tuple:
     # raising-operator bilinears only lower the occupation: the Literal and ScalarB matrices
     # are block upper-triangular by occupation, then fermion pattern, then the register parities
     literal = _blocks_by((occupation * 8 + (i & 7)) * 8 + parities[0] * 4 + parities[1] * 2 + parities[2])
-    for t in (inv_r2, sectors, literal):
+    gauge = occupation >> 1
+    for t in (inv_r2, sectors, literal, gauge):
         t.flags.writeable = False
-    return inv_r2, sectors, literal
+    return inv_r2, sectors, literal, gauge
 
 
 _BUILDERS = {

@@ -138,9 +138,11 @@ def _hypothesis_storage(tmp_path_factory):
 
 @pytest.fixture(autouse=True)
 def _empty_build_slot():
-    # every test starts without a held build, so a test that patches a
-    # builder's parts sees them run instead of a build an earlier test left
+    # every test starts without a held build or cached polar terms, so a test
+    # that patches a builder's parts sees them run instead of a build or terms
+    # an earlier test left
     hamiltonians._SLOT.clear()
+    hamiltonians._polar_terms.cache_clear()
 
 
 def empty_monopole_terms():
@@ -289,6 +291,43 @@ def two_scan_finish(matrix, spec, labels, rotation=None):
         return f"{spec.kind}: a diagonal block of size {sub.shape[1]} is not Hermitian"
     scale = max(scale, np.abs(sub).max())
     return bool(above <= HERM_TOL * scale), [b.tolist() for b in blocks]
+
+
+def bfs_gauge(built) -> tuple | None:
+    """A power-of-i gauge of ``built``'s diagonal blocks found by search (test
+    oracle only): (powers, components), or None when there is none.
+
+    Per block, a breadth-first search over the entries that are not zero
+    gives each connected component's first index the power 0 and each index
+    it reaches the power that makes its tree edge real: H[a, b] i**(p_b - p_a)
+    is real for p_b = p_a when the entry is real, p_a + 1 when it is
+    imaginary, and for no power otherwise.  The powers are then kept only if
+    every entry of every block, so gauged, has imaginary part exactly 0.0.
+    ``components`` labels each index's component (one label per component).
+    """
+    sub, tables, _ = _diagonal_blocks(built.entries, built.filled, built.blocks)
+    powers, components = np.zeros(built.dim, dtype=np.int64), np.full(built.dim, -1)
+    turn = np.array([1.0, 1j, -1.0, -1j])
+    for block, idx in zip(sub, tables[..., 0]):
+        for root in range(len(idx)):
+            if components[idx[root]] >= 0:
+                continue
+            components[idx[root]], queue = idx[root], [root]
+            while queue:
+                a = queue.pop(0)
+                for b in np.flatnonzero((block[a] != 0) | (block[:, a] != 0)):
+                    if components[idx[b]] >= 0:
+                        continue
+                    z = block[a, b] if block[a, b] != 0 else np.conj(block[b, a])
+                    if z.imag != 0 and z.real != 0:
+                        return None
+                    powers[idx[b]] = powers[idx[a]] + (z.imag != 0)
+                    components[idx[b]] = idx[root]
+                    queue.append(b)
+        p = powers[idx]
+        if np.any((turn[(p[None, :] - p[:, None]) % 4] * block).imag != 0):
+            return None
+    return powers, components
 
 
 def pair_trotter(groups, ts, n_steps: int, psi0) -> np.ndarray:

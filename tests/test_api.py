@@ -176,6 +176,7 @@ CACHED_TABLE_CALLS = {
     "gaugesim.hamiltonians._monopole_tables": [(2,), (4,)],
     "gaugesim.hamiltonians._monopole_terms": [(2, False, False), (2, True, False)],
     "gaugesim.hamiltonians._monopole_kinetic": [(2,)],
+    "gaugesim.hamiltonians._polar_terms": [(2, 5.0), (16, 1.0)],
 }
 
 

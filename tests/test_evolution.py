@@ -920,6 +920,32 @@ def test_row_writer_matches_str_format_bytes(tmp_path):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
+def _per_row_bytes(header, table) -> bytes:
+    """The CSV of ``table`` formatted one row at a time (test oracle only)."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return (header + "\n" + "".join(row % tuple(cells) for cells in table.tolist())).encode("utf-8")
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (7, 1), (1, 769), (11, 769), (22, 769), (40000, 1), (3001, 6)])
+@pytest.mark.parametrize("dtype", [float, np.int64])
+def test_block_writer_matches_the_per_row_bytes(tmp_path, shape, dtype):
+    # one % per block of rows writes the bytes of one % per row: signed
+    # zeros, subnormals, the float range's ends and integers, in tables of
+    # one row, one column, 769 columns and (the last three shapes) more
+    # than one 2**14-cell block
+    rng = np.random.default_rng(7)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
+             3.0, -1.0 / 3.0, 2.0 ** 53 + 1]
+    if dtype is float:
+        table = rng.choice(np.array(edges), size=shape) * rng.choice([1.0, 1e-10, -0.3], size=shape)
+        table.flat[:len(edges)] = edges[:table.size]
+    else:
+        table = rng.integers(-2 ** 62, 2 ** 62, size=shape)
+    path = tmp_path / "rows.csv"
+    write_rows(path, "h", table)
+    assert path.read_bytes() == _per_row_bytes("h", table)
+
+
 # ------------------------------------------------------- momentum / vertex
 
 

@@ -13,6 +13,7 @@ from gaugesim.hamiltonians import (
     BuiltHamiltonian,
     HamiltonianSpec,
     VARIANTS,
+    _diagonal_blocks,
     build,
     build_landau_cartesian_position,
 )
@@ -20,6 +21,7 @@ from gaugesim.operators import hermitian_eig, is_hermitian
 
 from conftest import (
     MONOPOLE_REFERENCE,
+    bfs_gauge,
     dense_monopole,
     empty_monopole_terms,
     kron_landau_cartesian_matrix,
@@ -1227,3 +1229,117 @@ def test_signed_zero_fields_build_byte_equal_matrices_and_spectra():
         assert a is not b
         assert a.matrix.tobytes() == b.matrix.tobytes(), plus
         assert a.spectrum().tobytes() == b.spectrum().tobytes(), plus
+
+
+# ---------------------------------------------------------------- power-of-i gauge
+
+
+def _monopole_maker(variant):
+    return lambda b: build(HamiltonianSpec(kind="MonopoleSU2", b_field=b, variant=variant,
+                                           r_ref=1.3 if variant == "ScalarB" else None))
+
+
+#: name: (the build at a field, whether it carries a gauge)
+_GAUGE_CASES = {
+    "cartesian": (lambda b: build(cart_spec(b_field=b)), True),
+    "polar": (lambda b: build(HamiltonianSpec(kind="LandauPolar", b_field=b)), True),
+    "polar-m1": (lambda b: build(HamiltonianSpec(kind="LandauPolar", b_field=b, angular_m=1)), True),
+    **{variant: (_monopole_maker(variant), variant != "MajoranaFermions") for variant in VARIANTS},
+    "grid": (lambda b: build_landau_cartesian_position(cart_spec(b_field=b)), False),
+}
+
+_GAUGE_FIELDS = [-2.5, -0.0, 0.0, 1e-300, 0.2, 1.37, 2.0, 7.5]
+
+
+@pytest.mark.parametrize("b_field", _GAUGE_FIELDS)
+@pytest.mark.parametrize("case", list(_GAUGE_CASES))
+def test_the_carried_gauge_makes_every_block_real_and_is_the_searched_one(case, b_field):
+    # the builders' closed forms and tables are exact where they are given,
+    # and they are the gauge a search finds: a power is fixed only up to its
+    # parity along each edge (i**2 = -1 keeps a real entry real), so the two
+    # agree mod 2 up to one constant per connected component
+    make, gauged = _GAUGE_CASES[case]
+    built = make(b_field)
+    plain = BuiltHamiltonian(entries=built.entries, filled=built.filled, spec=built.spec, blocks=built.blocks)
+    found = bfs_gauge(plain)
+    if not gauged:
+        assert built.gauge is None
+        if b_field != 0.0:
+            assert found is None
+        return
+    sub, tables, _ = _diagonal_blocks(built.entries, built.filled, built.blocks)
+    p = built.gauge[tables[..., 0]]
+    assert not (np.array([1.0, 1j, -1.0, -1j])[(p[:, None, :] - p[:, :, None]) % 4] * sub).imag.any()
+    assert found is not None
+    powers, components = found
+    for c in np.unique(components):
+        assert len(set((built.gauge - powers)[components == c] % 2)) == 1, c
+
+
+def _solver_calls(monkeypatch, name) -> list:
+    """The dtypes of the stacks handed to ``np.linalg.<name>`` from now on."""
+    seen, solver = [], getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name, lambda a, *r, **k: seen.append(np.asarray(a).dtype) or solver(a, *r, **k))
+    return seen
+
+
+@pytest.mark.parametrize("case", ["cartesian", "polar", "HermitianPart", "Literal", "ScalarB", "MajoranaFermions"])
+def test_spectrum_solves_a_gauged_build_in_real_arithmetic(case, monkeypatch):
+    # a gauged build's blocks go to eigvalsh as float64; one without a gauge
+    # is solved complex, its values the bytes of the complex stack's
+    make, gauged = _GAUGE_CASES[case]
+    built = make(2.0)
+    sub, _, _ = _diagonal_blocks(built.entries, built.filled, built.blocks)
+    complex_values = np.sort(np.linalg.eigvalsh(sub).ravel())
+    seen = _solver_calls(monkeypatch, "eigvalsh")
+    values = built.spectrum()
+    assert seen == [np.dtype(np.float64) if gauged else np.dtype(np.complex128)]
+    if gauged:
+        np.testing.assert_allclose(values, complex_values, rtol=0, atol=1e-12)
+    else:
+        assert values.tobytes() == complex_values.tobytes()
+
+
+@pytest.mark.parametrize("b_field", [-2.5, 0.0, 1.37, 2.0])
+@pytest.mark.parametrize("case", ["cartesian", "polar", "polar-m1", "HermitianPart"])
+def test_a_gauged_eigensystem_diagonalizes_the_build(case, b_field, monkeypatch):
+    # the real blocks' eigenvectors, mapped back through i**p, are H's
+    built = _GAUGE_CASES[case][0](b_field)
+    h = np.asarray(built.matrix)
+    seen = _solver_calls(monkeypatch, "eigh")
+    es = built.eigensystem()
+    assert seen == [np.dtype(np.float64)]
+    tol = 1e-12 * np.abs(h).max()
+    assert np.abs(h @ es.vectors - es.vectors * es.values).max() <= tol
+    assert np.abs(es.vectors.conj().T @ es.vectors - np.eye(built.dim)).max() <= tol
+    assert np.all(np.diff(es.values) >= 0.0)
+
+
+@pytest.mark.parametrize("case", ["cartesian", "polar", "HermitianPart"])
+def test_a_copy_that_breaks_the_gauge_is_solved_complex(case, monkeypatch):
+    # one imaginary entry and its mirror, added where the gauge keeps entries
+    # real: the copy drops the gauge and is solved as a complex stack
+    built = _GAUGE_CASES[case][0](2.0)
+    assert built.gauge is not None and np.array_equal(built.blocks, built.filled)
+    p = built.gauge[built.filled[0]]
+    i, j = next((i, j) for i in range(len(p)) for j in range(i + 1, len(p)) if (p[i] - p[j]) % 2 == 0)
+    entries = np.array(built.entries)
+    entries[0, i, j] += 0.25j
+    entries[0, j, i] -= 0.25j
+    copy = replace(built, entries=entries)
+    assert copy.gauge is None
+    dense = np.linalg.eigvalsh(copy.matrix)
+    seen = _solver_calls(monkeypatch, "eigvalsh")
+    np.testing.assert_allclose(copy.spectrum(), dense, rtol=0, atol=1e-12)
+    assert seen == [np.dtype(np.complex128)]
+
+
+def test_a_gauge_that_does_not_fit_the_build_is_dropped():
+    # a power per index, integral, on plain blocks; any power shifted by one
+    # constant is as exact
+    built = build(cart_spec(boson_trunc=4))
+    for gauge in (built.gauge[:-1], built.gauge.astype(float), built.gauge.reshape(2, -1)):
+        assert replace(built, gauge=gauge).gauge is None
+    assert replace(built, gauge=built.gauge + 3).gauge is not None
+    grid = build_landau_cartesian_position(cart_spec(boson_trunc=4))
+    assert replace(grid, gauge=np.zeros(16, dtype=int)).gauge is None

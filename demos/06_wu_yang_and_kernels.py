@@ -5,7 +5,8 @@ fourth-order convergence of the integrator, evaluates the constant-field
 polar propagation kernel in closed form (its free-particle limit and its
 value near a singular time), and reads the worldline proper-time kernel off
 the position grid: its return kernel in a constant field is the free one
-times Schwinger's factor (BT/2) / sinh(BT/2).
+times Schwinger's factor (BT/2) / sinh(BT/2), and two vertices inserted in
+proper time match the Gaussian integral of the Euclidean Mehler kernel.
 """
 
 import numpy as np
@@ -76,3 +77,52 @@ for n in (16, 8):
 one = np.array([1.0])
 ratio = return_kernels(16, 2.0, one)[0] / return_kernels(16, 0.0, one)[0]
 print(f"16x16, B = 2, T = 1: K_B / K_0 = {ratio:.5f}, (BT/2)/sinh(BT/2) = {1.0 / np.sinh(1.0):.5f}")
+
+print("\n=== two vertices in the field: the Gaussian integral of the Mehler kernel ===")
+
+
+def two_vertex_worldline(k1, k2, c, b_field, tau1, tau2, total_t):
+    """<exp(i k1.x(tau1)) exp(i k2.x(tau2))> over the worldlines from c back to c
+    in proper time T: the Euclidean Mehler kernel exp(-a(d) |x - x'|^2
+    + i (B/2) (x'_1 x_2 - x'_2 x_1)), a(d) = (B/4) coth(B d/2), chains
+    c -> x1 -> x2 -> c, a Gaussian in z = (x1, x2) with a 4x4 complex
+    symmetric M, so the vertices give exp(i k.M^-1 v - k.M^-1 k / 2)."""
+    durations = np.diff([0.0, tau1, tau2, total_t])
+    a = 1.0 / (2.0 * durations) if b_field == 0.0 else b_field / 4.0 / np.tanh(b_field * durations / 2.0)
+    one, turn = np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])
+    p = np.zeros((4, 2, 4, 2), dtype=np.complex128)  # exponent -X.P X / 2 over X = (c, x1, x2, c)
+    for j in range(3):
+        p[j, :, j] += 2 * a[j] * one
+        p[j + 1, :, j + 1] += 2 * a[j] * one
+        p[j, :, j + 1] += -2 * a[j] * one - 0.5j * b_field * turn
+        p[j + 1, :, j] += -2 * a[j] * one + 0.5j * b_field * turn
+    p = p.reshape(8, 8)
+    ends = np.concatenate([c, c])
+    v = -(p[2:6, :2] @ ends[:2] + p[2:6, 6:] @ ends[2:])
+    k = np.concatenate([k1, k2])
+    w, mk = np.linalg.solve(p[2:6, 2:6], np.stack([v, k], axis=1)).T
+    return complex(np.exp(1j * (k @ w) - (k @ mk) / 2))
+
+
+pairs = [((0.5, 0.0), (0.0, 0.5)), ((1.0, 0.0), (0.0, -1.0)), ((0.7, 0.7), (-0.7, 0.7)), ((0.6, -0.8), (0.8, 0.6))]
+print("R = <c| e^-(T-tau2)H V_k2 e^-(tau2-tau1)H V_k1 e^-tau1 H |c> / <c| e^-TH |c> on 16x16, T = 1,")
+print("max |R - oracle| over 4 pairs (k1, k2), |k| <= 1, and (tau1, tau2) in {(0.25, 0.75), (0.3, 0.5)}")
+print("(test bound 1e-3):")
+grid = pos_grid(16)
+x, y = np.repeat(grid, 16), np.tile(grid, 16)  # index ix * 16 + iy
+c = 8 * 16 + 8
+for b in (0.0, 1.0, 2.0, 3.0):
+    es = build_landau_cartesian_position(
+        HamiltonianSpec(kind="LandauCartesian", b_field=b, boson_trunc=16)).eigensystem()
+
+    def euclidean(d):
+        return (es.vectors * np.exp(-d * es.values)) @ es.vectors.conj().T
+
+    ret, miss = euclidean(1.0)[c, c], 0.0
+    for tau1, tau2 in ((0.25, 0.75), (0.3, 0.5)):
+        first, middle, last = euclidean(tau1)[:, c], euclidean(tau2 - tau1), euclidean(1.0 - tau2)[c]
+        for k1, k2 in pairs:
+            v1, v2 = (np.exp(1j * (k[0] * x + k[1] * y)) for k in (k1, k2))
+            ratio = last @ (v2 * (middle @ (v1 * first))) / ret
+            miss = max(miss, abs(ratio - two_vertex_worldline(k1, k2, (x[c], y[c]), b, tau1, tau2, 1.0)))
+    print(f"  B={b:g}: {miss:.1e}")

@@ -18,6 +18,7 @@ diagonal in the grid DFT (see ``_split_steps``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .errors import (
     read_numbers,
     write_rows,
 )
-from .hamiltonians import _grid_halves
+from .hamiltonians import _grid_terms, _read_only
 from .operators import (MAX_QUBITS, _dim, _propagate, _require_hermitian, _require_phase, as_operator,
                         hermitian_eig, qubits_of_dim)
 
@@ -204,7 +205,7 @@ def _rows(ts, n_steps: int, psi0) -> tuple:
 
 def _split_steps(dft, e, ts, n_steps: int, psi0) -> np.ndarray:
     """The first-order split [exp(-i dt H_A) exp(-i dt H_B)]**n_steps of the
-    grid's register halves (``hamiltonians._grid_halves``), one row per time (``_rows``).
+    grid's register halves (``hamiltonians._grid_terms``), one row per time (``_rows``).
 
     At x index ix the y run exp(-i dt H_B) is F diag(exp(-i dt e[ix])) F*,
     F = ``dft``, its phases from ``_factors``; the x run is the y run read at
@@ -257,15 +258,20 @@ class TransitionSeries:
     amplitudes: np.ndarray
     labels: list
 
+    @cached_property
+    def _probabilities(self) -> np.ndarray:
+        a = self.amplitudes
+        return _read_only(np.float_power(np.hypot(a.real, a.imag), 2))
+
     def probabilities(self) -> np.ndarray:
-        """|a|^2 per amplitude: hypot(Re a, Im a), squared by libm ``pow``.
+        """|a|^2 per amplitude: hypot(Re a, Im a), squared by libm ``pow``, made
+        on the first call and shared by every later one as one read-only array.
 
         This equals the scalar ``abs(a) ** 2`` bit for bit, which keeps the
         eoh CSV cells byte-stable; ``np.abs`` and an array ``** 2`` (a plain
         product) each differ from it by 1 ulp in some cells.
         """
-        a = self.amplitudes
-        return np.float_power(np.hypot(a.real, a.imag), 2)
+        return self._probabilities
 
 
 def _final_states(psi_fs, dim: int):
@@ -294,19 +300,20 @@ def _evolver(h, method: str, trotter_steps: int):
 
     "exact" propagates spectrally, "trotter" by a first-order product of
     n = ``trotter_steps`` steps: the split of the register halves
-    (``_split_steps``) on a build that holds the position grid of its spec
-    (``hamiltonians._grid_halves``), the grouped [prod_x exp(-i H_x t/n)]**n
-    (``_apply_trotter``) on anything else.  ``h``, a matrix or a build, goes to
-    ``hermitian_eig`` or ``_groups`` as given, so a build's matrix is not
-    checked again and a plain array is checked once.
+    (``_split_steps``) on a build with ``orbits``, which is the position grid of
+    its spec (``hamiltonians._grid_terms``), the grouped [prod_x exp(-i H_x t/n)]**n
+    (``_apply_trotter``) on anything else, the grid's plain matrix too.  ``h``, a
+    matrix or a build, goes to ``hermitian_eig`` or ``_groups`` as given, so a
+    build's matrix is not checked again and a plain array is checked once.
     """
     if method == "exact":
         es = hermitian_eig(h)
         return lambda psi, ts: _propagate(es, psi, ts)
     if method == "trotter":
         steps = read_number(trotter_steps, "trotter_steps", int, 1, MAX_TROTTER_STEPS, error=ValueError)
-        if (halves := _grid_halves(h)) is not None:
-            return lambda psi, ts: _split_steps(*halves, ts, steps, psi)
+        if getattr(h, "orbits", None) is not None:
+            dft, e = _grid_terms(h.spec)
+            return lambda psi, ts: _split_steps(dft, e, ts, steps, psi)
         groups = _groups(h)
         return lambda psi, ts: _apply_trotter(groups, ts, steps, psi)
     raise ValueError(f"method must be 'exact' or 'trotter', got {method!r}")
@@ -320,7 +327,8 @@ def transition_series(h, psi_i, psi_fs, ts, method: str = "exact",
     computational basis; ``ts`` is a list of times or one time.  method
     "exact" uses the spectral propagator; "trotter" uses a first-order
     product with ``trotter_steps`` per time point: the split of the grid's
-    two register halves on its build, the X-mask groups on anything else.
+    two register halves on a build with ``orbits`` (the grid's), the X-mask
+    groups on anything else.
     ``h`` is a matrix or a BuiltHamiltonian (sized by ``operators._dim``,
     without its matrix).
     """

@@ -141,8 +141,8 @@ class BuiltHamiltonian:
 
     ``blocks`` is the (count, size) array of the symmetry sectors' basis
     indices, one row per sector label the builder gives its basis, in
-    ascending label order.  ``orbits``, when set, is the orbit table of a
-    quarter-turn R of the basis (row o: s_o, R s_o, R^2 s_o, R^3 s_o); its
+    ascending label order.  ``orbits``, when set, is the orbit table of the
+    position grid's quarter-turn R (row o: s_o, R s_o, R^2 s_o, R^3 s_o); its
     four phase sectors, spanned by the combinations
     1/2 sum_j i**-(k j) e_(R^j s_o) of each orbit (k = 0..3), then take the
     place of the blocks: ``spectrum`` and ``eigensystem`` solve them.
@@ -150,12 +150,13 @@ class BuiltHamiltonian:
     A build is checked when it is made (by ``dataclasses.replace`` too):
     GaugesimError naming the kind refuses it unless ``filled`` and
     ``blocks`` each partition 0..dim-1 into rows of one size, ``entries``
-    holds one block per row of ``filled``, each block lies inside one
-    filled block and ``orbits`` partitions the one whole filled block into
-    rows of four; unless every entry whose row block comes after its
-    column block is exactly zero (with ``orbits``: H[R a, R b] == H[a, b]
-    bit for bit); and unless every diagonal block (or phase sector) is
-    Hermitian, a NaN never.  So H is block upper-triangular (block
+    holds one block per row of ``filled`` and each block lies inside one
+    filled block; unless every entry whose row block comes after its
+    column block is exactly zero; unless a build with ``orbits`` is its
+    spec's position grid (in this order: the grid's table on one whole
+    block, H[R a, R b] == H[a, b], the block ``_grid_matrix`` of its
+    ``_grid_terms``, each bit for bit); and unless every diagonal block (or
+    phase sector) is Hermitian, a NaN never.  So H is block upper-triangular (block
     diagonal when it is Hermitian), its spectrum the union of the diagonal
     blocks'; with more than one block, two masks of the filled blocks find
     the entries below and above the blocks.  The whole matrix's
@@ -220,14 +221,16 @@ class BuiltHamiltonian:
                 raise GaugesimError(f"{kind}: non-zero entry below its diagonal blocks")
             above = np.abs(h[inner[:, :, None] < inner[:, None, :]]).max(initial=0.0)
         if orbits is not None:
-            if not (_partitions(orbits, dim) and orbits.shape[1] == 4
-                    and np.array_equal(filled, np.arange(dim)[None])):
-                raise GaugesimError(f"{kind}: orbits is not a partition of 0..{dim - 1} into rows of four "
-                                    f"(a quarter-turn's) on the one whole filled block")
+            n = self.spec.boson_trunc
+            if not (kind == "LandauCartesian" and np.array_equal(filled, np.arange(n * n)[None])
+                    and orbits.dtype.kind in "iu" and np.array_equal(orbits, _grid_orbits(n))):
+                raise GaugesimError(f"{kind}: orbits is not the {n}x{n} grid's quarter-turn table on one whole block")
             rotation = np.empty(dim, dtype=np.intp)  # R s_o^j = s_o^(j+1), s_o^4 = s_o
             rotation[orbits] = np.roll(orbits, -1, axis=1)
             if not np.array_equal(h[0][rotation[:, None], rotation], h[0]):
                 raise GaugesimError(f"{kind}: does not commute exactly with its quarter-turn")
+            if not np.array_equal(h[0], _grid_matrix(*_grid_terms(self.spec))):
+                raise GaugesimError(f"{kind}: entries are not the position grid of its spec")
         sub, _, _ = _diagonal_blocks(h, filled, blocks, orbits)
         if not np.all(is_hermitian(sub)):
             raise GaugesimError(f"{kind}: a diagonal block of size {sub.shape[1]} is not Hermitian")
@@ -391,17 +394,6 @@ def _gauged(sub: np.ndarray, powers: np.ndarray) -> np.ndarray | None:
     return np.negative(real, out=real, where=(turn == 1) | (turn == 2))
 
 
-def _quarter_orbits(rotation: np.ndarray) -> np.ndarray:
-    """Orbit table of the basis permutation ``rotation`` (R), one row
-    s_o, R s_o, R^2 s_o, R^3 s_o per orbit with s_o its smallest index (a
-    build refuses it unless R is a quarter-turn with orbits of four)."""
-    table = [np.arange(len(rotation))]
-    for _ in range(3):
-        table.append(rotation[table[-1]])
-    table = np.stack(table, axis=1)
-    return table[table.min(axis=1) == table[:, 0]]
-
-
 def _finite(h: np.ndarray, spec: HamiltonianSpec) -> np.ndarray:
     """``h``, the array a builder fills, if every entry is finite;
     otherwise GaugesimError naming the kind and the field (a field whose
@@ -507,14 +499,23 @@ def build_landau_cartesian_position(spec: HamiltonianSpec) -> BuiltHamiltonian:
     ``_grid_matrix``), the ones its Trotter step splits, so H commutes
     exactly with the quarter-turn (x, y) -> (-y, x) of the grid and its
     four 64x64 phase sectors (at 16x16 points) carry every eigen-solve.
+    ``BuiltHamiltonian`` refuses a build with ``orbits`` whose block is not
+    this one, so its Trotter step splits any build that has them.
     """
     if spec.kind != "LandauCartesian":
         raise InvalidConfigError(f"build_landau_cartesian_position got kind {spec.kind!r}")
-    n = spec.boson_trunc
-    ix, iy = np.divmod(np.arange(n * n), n)  # index ix * n + iy, turned to (n - 1 - iy, ix)
-    whole = np.arange(n * n)[None]
+    whole = np.arange(spec.boson_trunc ** 2)[None]
     return BuiltHamiltonian(entries=_finite(_grid_matrix(*_grid_terms(spec)), spec)[None], filled=whole,
-                            spec=spec, blocks=whole, orbits=_quarter_orbits((n - 1 - iy) * n + ix))
+                            spec=spec, blocks=whole, orbits=_grid_orbits(spec.boson_trunc))
+
+
+def _grid_orbits(n: int) -> np.ndarray:
+    """Orbit table of the n x n grid's quarter-turn R (ix, iy) -> (n - 1 - iy, ix), index ix * n + iy:
+    one row s_o, R s_o, R^2 s_o, R^3 s_o per orbit, s_o its smallest index."""
+    ix, iy = np.divmod(np.arange(n * n), n)
+    turn = (n - 1 - iy) * n + ix
+    table = np.stack([np.arange(n * n), turn, turn[turn], turn[turn[turn]]], axis=1)
+    return table[table.min(axis=1) == table[:, 0]]
 
 
 def _grid_terms(spec: HamiltonianSpec) -> tuple:
@@ -548,17 +549,6 @@ def _grid_matrix(f: np.ndarray, e: np.ndarray) -> np.ndarray:
     np.einsum("ikil->ikl", h)[...] = y_half
     np.einsum("ikjk->ijk", h)[...] += y_half[::-1].transpose(1, 2, 0)  # H_A at iy: H_B's at n-1-iy
     return h.reshape(n * n, n * n)
-
-
-def _grid_halves(h) -> tuple | None:
-    """(F, e) of ``_grid_terms``: the grid build's H as H_A + H_B; None unless
-    ``h`` is a build whose entries are exactly ``_grid_matrix`` of its spec's
-    terms (a copy with other entries that still commute with the quarter-turn
-    is not the grid)."""
-    if getattr(h, "orbits", None) is None or h.spec.kind != "LandauCartesian" or h.dim != h.spec.boson_trunc ** 2:
-        return None
-    terms = _grid_terms(h.spec)
-    return terms if np.array_equal(_grid_matrix(*terms), h.entries[0]) else None
 
 
 #: Radial oscillator-basis length-scale calibration for the polar build.

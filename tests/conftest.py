@@ -13,7 +13,6 @@ from gaugesim.hamiltonians import (
     HamiltonianSpec,
     _blocks_by,
     _diagonal_blocks,
-    _quarter_orbits,
     build,
 )
 from gaugesim.operators import HERM_TOL, is_hermitian, qubits_of_dim
@@ -258,6 +257,14 @@ def worst_reference_deviation(per_gm: dict) -> float:
     return max(abs(per_gm[g_m] - ref) for g_m, ref in MONOPOLE_REFERENCE.items())
 
 
+def quarter_orbits(rotation) -> np.ndarray:
+    """Orbit table of the basis permutation ``rotation`` (R), one row
+    s_o, R s_o, R^2 s_o, R^3 s_o per orbit with s_o its smallest index (test
+    helper; a build refuses any table but its spec's grid's)."""
+    table = np.stack([np.arange(len(rotation)), rotation, rotation[rotation], rotation[rotation[rotation]]], axis=1)
+    return table[table.min(axis=1) == table[:, 0]]
+
+
 def whole_build(matrix, spec, labels, rotation=None) -> BuiltHamiltonian:
     """The build of a whole ``matrix`` as one filled block, with the sector
     ``labels`` of its indices (or one for all) and, for a grid, the
@@ -265,7 +272,7 @@ def whole_build(matrix, spec, labels, rotation=None) -> BuiltHamiltonian:
     on the input a dense builder would hand it (test helper)."""
     labels = np.broadcast_to(labels, matrix.shape[:1])
     return BuiltHamiltonian(entries=matrix[None], filled=np.arange(len(matrix))[None], spec=spec,
-                            blocks=_blocks_by(labels), orbits=None if rotation is None else _quarter_orbits(rotation))
+                            blocks=_blocks_by(labels), orbits=None if rotation is None else quarter_orbits(rotation))
 
 
 def two_scan_finish(matrix, spec, labels, rotation=None):
@@ -280,7 +287,7 @@ def two_scan_finish(matrix, spec, labels, rotation=None):
         return f"{spec.kind}: non-zero entry below its diagonal blocks"
     orbits = None
     if rotation is not None:
-        orbits = _quarter_orbits(rotation)
+        orbits = quarter_orbits(rotation)
         if not np.array_equal(matrix[rotation[:, None], rotation], matrix):
             return f"{spec.kind}: does not commute exactly with its quarter-turn"
     blocks = _blocks_by(labels)

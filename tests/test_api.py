@@ -167,6 +167,21 @@ def test_each_sweep_rule_has_one_owner():
     assert makers == {"_factors"}
 
 
+def test_the_grid_is_assembled_by_its_builder_and_checked_by_the_constructor():
+    # ``_grid_matrix`` runs once in the grid builder and once in the check
+    # that a build with orbits holds its spec's grid, never per Trotter call
+    callers = []
+    for path in sorted(pathlib.Path(gaugesim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+        functions += [(f"{c.name}.{f.name}", f) for c in tree.body if isinstance(c, ast.ClassDef)
+                      for f in c.body if isinstance(f, ast.FunctionDef)]
+        callers += [(path.name, name) for name, f in functions for _ in range(_called(f).count("_grid_matrix"))]
+        assert _called(tree).count("_grid_matrix") == sum(1 for file, _ in callers if file == path.name)
+    assert sorted(callers) == [("hamiltonians.py", "BuiltHamiltonian.__post_init__"),
+                               ("hamiltonians.py", "build_landau_cartesian_position")]
+
+
 #: Sample arguments for every ``lru_cache``d function of the library.
 CACHED_TABLE_CALLS = {
     "gaugesim.circuits._factor_tables": [(1,), (4,), (9,)],

@@ -199,6 +199,16 @@ def test_eoh_trotter_on_the_grid_decomposes_nothing(tmp_path, monkeypatch):
     assert sorted(calls) == ["_groups", "pauli_decompose"]
 
 
+def test_eoh_squares_each_series_once(tmp_path, monkeypatch):
+    # the CSV writer and the deviation line share each series' one
+    # read-only |a|^2 array: two passes for both methods, not four
+    passes = []
+    power = np.float_power
+    monkeypatch.setattr(np, "float_power", lambda *a, **k: passes.append(np.shape(a[0])) or power(*a, **k))
+    assert run(tmp_path, "eoh", dict(_README_EOH, output=str(tmp_path / "eoh.csv"))) == 0
+    assert passes == [(11, 256)] * 2
+
+
 def test_eoh_leaves_the_held_grid_build_without_a_real_form(tmp_path):
     # only vqe reads real_form: eoh's exact and Trotter paths never gather it
     from gaugesim.hamiltonians import build_landau_cartesian_position

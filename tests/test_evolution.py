@@ -26,6 +26,7 @@ from gaugesim.evolution import (
     _evolver,
     _groups,
     _labels,
+    _split_steps,
     dual_lattice_period,
     momentum_state,
     pauli_decompose,
@@ -39,7 +40,7 @@ from gaugesim.evolution import (
 from gaugesim.hamiltonians import (
     VARIANTS,
     HamiltonianSpec,
-    _grid_halves,
+    _grid_terms,
     build,
     build_landau_cartesian_position,
 )
@@ -359,7 +360,7 @@ def test_grid_halves_sum_to_the_build_and_are_diagonal_in_the_dft(n, b_field):
     h_a, h_b = dense_grid_halves(built.spec)
     scale = np.abs(built.matrix).max()
     assert np.abs(h_a + h_b - built.matrix).max() <= 1e-13 * scale
-    dft, e = _grid_halves(built)
+    dft, e = _grid_terms(built.spec)
     blocks = h_b.reshape(n, n, n, n)
     for ix in range(n):
         assert np.abs(blocks[ix, :, ix, :] - (dft * e[ix]) @ dft.conj()).max() <= 1e-13 * scale
@@ -378,17 +379,15 @@ def test_grid_trotter_is_the_split_product_of_its_halves(n, b_field):
         np.testing.assert_allclose(got, split_trotter(built.spec, psi, ts, steps), rtol=0, atol=1e-13)
 
 
-def test_broken_correspondence_takes_the_general_path():
-    # one x-register entry (and its conjugate) off its y-register partner,
-    # or one entry on a mask that spans both registers: no longer a grid
-    # build (it breaks the quarter-turn), and a plain matrix has no registers.
-    # A copy with other entries that still commute with the quarter-turn
-    # (twice H, H plus the potential x^2 + y^2, or H with 7936 entries one
-    # ulp up) is a build but not the grid of its spec: it is stepped by its
-    # own entries' groups
+def test_a_build_with_orbits_is_the_grid_of_its_spec_and_steps_the_split():
+    # the constructor holds a build with orbits to its spec's grid, so the
+    # Trotter step reads orbits alone: one x-register entry (and its
+    # conjugate) off its y-register partner, or one entry on a mask that
+    # spans both registers, breaks the quarter-turn and is refused (other
+    # entries that commute with it are refused too, see
+    # test_a_build_with_orbits_must_be_the_grid_of_its_spec), while a copy
+    # with the same entries is still the grid and steps the split
     built = _grid(16, 2.0)
-    psi = random_state(np.random.default_rng(7), 256)
-    ts = [0.0, 0.4, -0.9]
     a = 5 * 16 + 3
     for mask in (16, 17):
         matrix = built.matrix.copy()
@@ -396,19 +395,24 @@ def test_broken_correspondence_takes_the_general_path():
         matrix[a ^ mask, a] = matrix[a, a ^ mask].conjugate()
         with pytest.raises(GaugesimError, match="commute"):
             dataclasses.replace(built, entries=matrix[None])  # a dense build is its one block
-    g = pos_grid(16)
-    potential = np.diag(np.add.outer(g ** 2, g ** 2).ravel())
-    ulp_up = dataclasses.replace(built, entries=built.entries * (1 + 2 ** -52))
-    assert np.count_nonzero(ulp_up.entries != built.entries) == 7936
-    for h in (built.matrix, dataclasses.replace(built, entries=2 * built.entries),
-              dataclasses.replace(built, entries=(built.matrix + potential)[None]), ulp_up):
-        assert _grid_halves(h) is None
-        groups = _groups(h)
-        series = transition_series(h, psi, "all", ts, method="trotter", trotter_steps=5)
-        assert np.array_equal(series.amplitudes, _apply_trotter(groups, ts, 5, psi))
-        np.testing.assert_allclose(series.amplitudes, pair_trotter(groups, ts, 5, psi), rtol=0, atol=1e-13)
-    # a copy with the same entries is still the grid
-    assert _grid_halves(dataclasses.replace(built)) is not None
+    psi = random_state(np.random.default_rng(7), 256)
+    ts = [0.0, 0.4, -0.9]
+    split = _split_steps(*_grid_terms(built.spec), ts, 5, psi)
+    for h in (built, dataclasses.replace(built), dataclasses.replace(built, entries=built.entries.copy())):
+        assert h.orbits is not None
+        assert np.array_equal(transition_series(h, psi, "all", ts, method="trotter", trotter_steps=5).amplitudes, split)
+
+
+def test_the_grid_as_a_plain_matrix_takes_the_grouped_product():
+    # a plain array has no registers: the grid's own matrix is stepped by its groups
+    built = _grid(16, 2.0)
+    h = np.array(built.matrix)
+    psi = random_state(np.random.default_rng(7), 256)
+    ts = [0.0, 0.4, -0.9]
+    groups = _groups(h)
+    series = transition_series(h, psi, "all", ts, method="trotter", trotter_steps=5)
+    assert np.array_equal(series.amplitudes, _apply_trotter(groups, ts, 5, psi))
+    np.testing.assert_allclose(series.amplitudes, pair_trotter(groups, ts, 5, psi), rtol=0, atol=1e-13)
 
 
 def test_trotter_guards(rng):
@@ -888,6 +892,8 @@ def test_transition_csv(tmp_path, rng):
     assert all(p == abs(a) ** 2 for p, a in zip(probs.ravel(), amps.ravel()))
     write_transition_csv(wide, path)
     np.testing.assert_array_equal(np.loadtxt(path, delimiter=",", skiprows=1)[:, 3::3], probs)
+    # made once per series and shared read-only by every later call
+    assert wide.probabilities() is probs and not probs.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -653,6 +653,50 @@ def test_position_grid_commutes_with_the_quarter_turn_bit_for_bit(boson_trunc, b
     assert all(np.array_equal(rot[built.orbits[:, j]], built.orbits[:, j + 1]) for j in range(3))
 
 
+@pytest.mark.parametrize("b_field", [-1.5, -0.0, 0.0, 1.0, 1.37, 2.0, 3.0, 7.5])
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_position_grid_is_real_under_the_x_reflection_and_conjugation(n, b_field):
+    # the antiunitary T = P_x K, P_x reversing the x register (ix -> n-1-ix),
+    # maps H to itself bit for bit: H[P_x a, P_x b] == conj H[a, b]
+    built = build_landau_cartesian_position(cart_spec(b_field=b_field, boson_trunc=n))
+    ix, iy = np.divmod(np.arange(n * n), n)
+    p_x = (n - 1 - ix) * n + iy
+    assert np.array_equal(built.matrix[p_x][:, p_x], built.matrix.conj())
+    # P_x maps the quarter-turn orbits onto orbits: n/2 fixed, the rest in pairs
+    orbit_of = np.empty(n * n, dtype=int)
+    orbit_of[built.orbits] = np.arange(len(built.orbits))[:, None]
+    image = orbit_of[p_x[built.orbits]]
+    assert np.all(image == image[:, :1])
+    image = image[:, 0]
+    assert np.array_equal(image[image], np.arange(len(image)))
+    fixed = np.count_nonzero(image == np.arange(len(image)))
+    assert (fixed, (len(image) - fixed) // 2) == (n // 2, (n * n // 4 - n // 2) // 2)
+
+
+def test_a_build_with_orbits_must_be_the_grid_of_its_spec():
+    # the constructor holds a build with orbits to the position grid of its
+    # own spec: the grid's orbit table on one whole block, then the quarter-
+    # turn, then the block itself bit for bit.  Twice H, H plus the potential
+    # x^2 + y^2 and H with 7936 entries one ulp up commute with the turn,
+    # and so does H under another field's spec
+    grid = build_landau_cartesian_position(cart_spec())
+    assert np.count_nonzero(grid.entries * (1 + 2 ** -52) != grid.entries) == 7936
+    g = pos_grid(16)
+    potential = np.diag(np.add.outer(g ** 2, g ** 2).ravel())
+    for edit in ({"entries": 2 * grid.entries}, {"entries": (grid.matrix + potential)[None]},
+                 {"entries": grid.entries * (1 + 2 ** -52)}, {"spec": cart_spec(b_field=3.0)},
+                 {"spec": cart_spec(b_field=-2.0)}):
+        with pytest.raises(GaugesimError, match="LandauCartesian: entries are not the position grid of its spec"):
+            replace(grid, **edit)
+    with pytest.raises(GaugesimError, match="LandauCartesian: orbits is not the 8x8 grid's quarter-turn table"):
+        replace(grid, spec=cart_spec(boson_trunc=8))
+    small = build_landau_cartesian_position(cart_spec(boson_trunc=4))
+    with pytest.raises(GaugesimError, match="LandauPolar: orbits is not the 4x4 grid's quarter-turn table"):
+        replace(small, spec=HamiltonianSpec(kind="LandauPolar", boson_trunc=4))
+    # without orbits the same entries are a plain whole-block build
+    assert replace(grid, entries=2 * grid.entries, orbits=None).hermitian
+
+
 def test_finish_refuses_a_grid_entry_one_ulp_off_the_quarter_turn():
     built = build_landau_cartesian_position(cart_spec())
     rot = _quarter_turn(16)
@@ -1049,6 +1093,8 @@ def _swapped(a, i, j):
     return a
 
 
+_NOT_THE_ORBITS = "orbits is not the 4x4 grid's quarter-turn table on one whole block"
+
 #: An edit of the 4 x 4 oscillator build (two filled blocks of 8, the same
 #: two blocks) or of the 4 x 4 grid (one whole block, orbits of four) that
 #: is not a build, and what it is refused for.
@@ -1064,11 +1110,13 @@ _NOT_A_BUILD = {
     "blocks 1-D": ("grid", lambda b: {"blocks": np.arange(16)}, "blocks is not a partition"),
     "a block across two filled blocks": ("oscillator", lambda b: {"blocks": _swapped(b.blocks, 0, 8)},
                                          "a block does not lie inside one filled block"),
-    "orbits of two": ("grid", lambda b: {"orbits": b.orbits.reshape(8, 2)}, "orbits is not a partition"),
+    "orbits of two": ("grid", lambda b: {"orbits": b.orbits.reshape(8, 2)}, _NOT_THE_ORBITS),
     "orbits repeat an index": ("grid", lambda b: {"orbits": np.where(b.orbits == 1, 0, b.orbits)},
-                               "orbits is not a partition"),
+                               _NOT_THE_ORBITS),
+    "orbits of floats": ("grid", lambda b: {"orbits": b.orbits.astype(float)}, _NOT_THE_ORBITS),
+    "orbits of the inverse turn": ("grid", lambda b: {"orbits": b.orbits[:, [0, 3, 2, 1]]}, _NOT_THE_ORBITS),
     "orbits on two filled blocks": ("oscillator", lambda b: {"orbits": np.arange(16).reshape(4, 4)},
-                                    "orbits is not a partition"),
+                                    _NOT_THE_ORBITS),
 }
 
 
@@ -1146,8 +1194,9 @@ def test_a_build_is_read_only(make):
     with pytest.raises(ValueError, match="read-only"):
         built.entries[0, 0, 0] = 1.0
     # the blocks of a replace are its own, and so are its views and its matrix
+    # (the grid's orbits go with its entries: a build with them holds its spec's grid only)
     entries = 2.0 * np.asarray(built.entries)
-    doubled = replace(built, entries=entries)
+    doubled = replace(built, entries=entries, orbits=None)
     assert "matrix" not in vars(doubled)
     assert entries.flags.writeable and not doubled.entries.flags.writeable and not doubled.matrix.flags.writeable
     m = 2.0 * np.asarray(built.matrix)
@@ -1196,8 +1245,9 @@ def test_real_form_is_gathered_on_first_read_and_kept(make):
     idx, sub = form
     assert idx.shape == built.blocks.shape
     assert sub.tobytes() == dense[idx[:, :, None], idx[:, None, :]].tobytes()
-    # replace carries it over no more than the spectrum
-    doubled = replace(built, entries=2.0 * built.entries)
+    # replace carries it over no more than the spectrum (the grid's orbits
+    # go with its entries: a build with them holds its spec's grid only)
+    doubled = replace(built, entries=2.0 * built.entries, orbits=None)
     assert "real_form" not in vars(doubled)
     assert np.array_equal(doubled.real_form[1], 2.0 * sub)
 
